@@ -242,6 +242,9 @@ def run_crashpoint_census() -> dict[str, int]:
             if tenant == 1:
                 row["beds"] = aid * 10
             mtd.insert(tenant, "account", row)
+        # Two checkpoints with writes between them: the second finds
+        # superseded page versions, so compaction has work to cross.
+        db.checkpoint()
         mtd.grant_extension(2, "healthcare")
         mtd.migrate_tenant(1, "private")
         mtd.drop_tenant(2)

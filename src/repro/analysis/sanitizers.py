@@ -288,6 +288,7 @@ MUTATE_SKIP_APPEND = "skip-wal-append"
 _SESSIONS = 3
 _ROUNDS = 8
 _ROWS = 4
+_TIMING_SAMPLES = 3
 
 
 def run_sanitized_scenario(
@@ -296,9 +297,19 @@ def run_sanitized_scenario(
     """Run the scripted sanitizer workload; returns ``(report,
     overhead)`` where overhead is instrumented wall-clock over a
     matching un-instrumented run (the "< 3x" budget the CI gate
-    documents)."""
-    baseline = _run_scenario(sanitize=False, mutate=None)[1]
-    report, sanitized = _run_scenario(sanitize=True, mutate=mutate)
+    documents).  Each side is the best of ``_TIMING_SAMPLES`` runs: one
+    run is ~0.1 s of mostly fsync, and a single stalled fsync on either
+    side would otherwise decide the ratio."""
+    baseline = min(
+        _run_scenario(sanitize=False, mutate=None)[1]
+        for _ in range(_TIMING_SAMPLES)
+    )
+    runs = [
+        _run_scenario(sanitize=True, mutate=mutate)
+        for _ in range(_TIMING_SAMPLES)
+    ]
+    report = runs[0][0]
+    sanitized = min(elapsed for _, elapsed in runs)
     overhead = sanitized / baseline if baseline > 0 else 1.0
     return report, overhead
 

@@ -541,10 +541,14 @@ class MultiTenantDatabase:
         self.schema.tenant(tenant_id)
         layout = self.layout_for(tenant_id)
         _, dml = self._transformer_for(layout)
-        layout.fragments(tenant_id, table_name)
+        # Listed before the transaction opens (it may lazily CREATE
+        # physical tables, and DDL commits any open transaction), and
+        # once: the transformer fans out over this same list.
+        fragments = layout.fragments(tenant_id, table_name)
         with self.db.atomic():
             return dml.insert_values(
-                tenant_id, table_name, values, row_id=row_id
+                tenant_id, table_name, values, row_id=row_id,
+                fragments=fragments,
             )
 
     def restore(self, tenant_id: int, table_name: str, row_ids: list[int]) -> int:

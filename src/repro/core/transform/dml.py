@@ -204,13 +204,15 @@ class DmlTransformer:
         values: dict,
         *,
         row_id: int | None = None,
+        fragments: list[Fragment] | None = None,
     ) -> int:
         """Insert one logical row given a {column: value} mapping.
 
         Returns the allocated Row id (pass ``row_id`` to keep an existing
         identity, e.g. during migration).  Fan-out: one INSERT per
         fragment ("a single source DML statement generally has to be
-        mapped into multiple statements over Chunk Tables").
+        mapped into multiple statements over Chunk Tables").  A caller
+        that already listed the tenant's ``fragments`` passes them in.
         """
         logical = self.schema.logical_table(tenant_id, table_name)
         known = {c.lname for c in logical.columns}
@@ -229,7 +231,9 @@ class DmlTransformer:
             row_id = self.layout.rows.allocate(tenant_id, table_name)
         else:
             self.layout.rows.observe(tenant_id, table_name, row_id)
-        for fragment in self.layout.fragments(tenant_id, table_name):
+        if fragments is None:
+            fragments = self.layout.fragments(tenant_id, table_name)
+        for fragment in fragments:
             names: list[str] = []
             exprs: list[ast.Expr] = []
             for meta_col, value in fragment.meta:

@@ -12,6 +12,20 @@ charged one marker byte instead of their full width.  Meta-data indexes
 such as ``(Tenant, Table, Chunk, Row)`` are highly redundant in their
 leading columns, so compression keeps them small — exactly the paper's
 argument for why these indexes stay cheap.
+
+Accounting rule.  ``page.used`` of every node is kept equal to the full
+recompute (``_leaf_used`` / ``_internal_used``) *incrementally*, so a
+write costs work proportional to the entry, not to the node:
+
+* a new key between in-order neighbours ``pred`` and ``succ`` is charged
+  ``width(key | pred)`` plus the successor's re-compression delta
+  ``width(succ | key) - width(succ | pred)`` (``_entry_delta``); removing
+  the key subtracts the same amount;
+* one more RID on an existing key is ``POINTER_WIDTH``, one fewer gives
+  it back;
+* a node is recomputed in full only when it splits (both halves — the
+  right half's first entry loses its predecessor) and when a new root is
+  made.  The recompute functions are otherwise the tests' oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from typing import Iterator, Sequence
 
 from .errors import UniqueViolation
 from .heap import RowId
-from .pager import BufferPool, PageKind
+from .pager import BufferPool, Page, PageKind
 from .values import sort_key
 
 #: Bytes per child/RID pointer in a node entry.
@@ -104,7 +118,6 @@ class BTreeIndex:
         self.range_scans = 0
         self.inserts = 0
         self.deletes = 0
-        self._metrics = metrics
         # Distinct-count per key prefix length, maintained incrementally
         # (approximate at leaf boundaries).  Drives the optimizer's
         # rows-per-prefix selectivity estimates.
@@ -121,14 +134,7 @@ class BTreeIndex:
         # the page payloads (re-reading an evicted page reproduces the
         # same keys, so entries survive eviction).
         self._node_dec: dict[int, list[tuple]] = {}
-        # search()/_descend() run per index probe; resolve their
-        # registry counters once instead of by name per call.
-        self._c_searches = (
-            metrics.counter("btree.searches") if metrics is not None else None
-        )
-        self._c_descents = (
-            metrics.counter("btree.descents") if metrics is not None else None
-        )
+        self._bind_counters(metrics)
         root = pool.allocate(segment_id, PageKind.INDEX)
         root.payload = _Leaf()
         self._root_id = root.page_id
@@ -165,16 +171,10 @@ class BTreeIndex:
         index.range_scans = 0
         index.inserts = 0
         index.deletes = 0
-        index._metrics = metrics
         index._prefix_distinct = list(prefix_distinct)
         index._order_cache = {}
         index._node_dec = {}
-        index._c_searches = (
-            metrics.counter("btree.searches") if metrics is not None else None
-        )
-        index._c_descents = (
-            metrics.counter("btree.descents") if metrics is not None else None
-        )
+        index._bind_counters(metrics)
         index._root_id = root_id
         index.height = height
         return index
@@ -187,10 +187,19 @@ class BTreeIndex:
         """Copy of the per-prefix-length distinct counts (snapshots)."""
         return list(self._prefix_distinct)
 
-    def _count(self, attribute: str, metric: str) -> None:
-        setattr(self, attribute, getattr(self, attribute) + 1)
-        if self._metrics is not None:
-            self._metrics.counter(metric).inc()
+    def _bind_counters(self, metrics) -> None:
+        """Every public operation runs per index probe or per row;
+        resolve its registry counter once instead of by name per call."""
+
+        def bind(name: str):
+            return metrics.counter(name) if metrics is not None else None
+
+        self._c_searches = bind("btree.searches")
+        self._c_descents = bind("btree.descents")
+        self._c_prefix_scans = bind("btree.prefix_scans")
+        self._c_range_scans = bind("btree.range_scans")
+        self._c_inserts = bind("btree.inserts")
+        self._c_deletes = bind("btree.deletes")
 
     def _order(self, key: tuple) -> tuple:
         """Memoized ``_key_order``.  Binary searches probe O(log n) keys
@@ -210,15 +219,34 @@ class BTreeIndex:
 
     def _entry_width(self, key: tuple, predecessor: tuple | None) -> int:
         width = ENTRY_OVERHEAD + POINTER_WIDTH
+        # One pass: a column is compressed while every column before it
+        # (and itself) repeats the predecessor's value.
+        repeating = self.prefix_compression and predecessor is not None
         for i, value in enumerate(key):
-            repeated = (
-                self.prefix_compression
-                and predecessor is not None
-                and i < len(predecessor)
-                and all(predecessor[j] == key[j] for j in range(i + 1))
-            )
-            width += COMPRESSED_COLUMN_WIDTH if repeated else _value_width(value)
+            if repeating and i < len(predecessor) and predecessor[i] == value:
+                width += COMPRESSED_COLUMN_WIDTH
+            else:
+                repeating = False
+                width += _value_width(value)
         return width
+
+    def _entry_delta(
+        self, key: tuple, predecessor: tuple | None, successor: tuple | None
+    ) -> int:
+        """Bytes a node gains when ``key`` lands between two in-order
+        neighbours (and loses when it is removed from between them): its
+        own entry, plus the successor re-compressing against a different
+        predecessor."""
+        delta = self._entry_width(key, predecessor)
+        if successor is not None and self.prefix_compression:
+            delta += self._entry_width(successor, key) - self._entry_width(
+                successor, predecessor
+            )
+        return delta
+
+    # The two full recomputes run when a node splits; everywhere else
+    # ``page.used`` moves by ``_entry_delta``, and the tests hold it to
+    # these as the oracle.
 
     def _leaf_used(self, leaf: _Leaf) -> int:
         used, prev = 0, None
@@ -239,15 +267,16 @@ class BTreeIndex:
 
     def _descend(
         self, key: tuple, order: tuple | None = None
-    ) -> tuple[list[int], _Leaf]:
-        """Page ids root→leaf for ``key``, plus the leaf payload (each
+    ) -> tuple[list[int], Page]:
+        """Page ids root→leaf for ``key``, plus the leaf page (each
         level costs exactly one logical index-page read).  ``order``
         lets callers that already decorated the key skip the memo hit."""
         self.descents += 1
         if self._c_descents is not None:
             self._c_descents.inc()
         path = [self._root_id]
-        node = self._pool.read(self._root_id).payload
+        page = self._pool.read(self._root_id)
+        node = page.payload
         if order is None:
             order = self._order(key)
         node_dec = self._node_dec
@@ -262,8 +291,9 @@ class BTreeIndex:
                 ]
             child = node.children[bisect_right(dec, order)]
             path.append(child)
-            node = self._pool.read(child).payload
-        return path, node
+            page = self._pool.read(child)
+            node = page.payload
+        return path, page
 
     def search(self, key: tuple) -> list[RowId]:
         """Exact-match lookup; [] when absent."""
@@ -271,7 +301,8 @@ class BTreeIndex:
         if self._c_searches is not None:
             self._c_searches.inc()
         order = self._order(key)
-        path, leaf = self._descend(key, order)
+        path, page = self._descend(key, order)
+        leaf = page.payload
         keys = leaf.keys
         dec = self._node_dec.get(path[-1])
         if dec is None:
@@ -321,7 +352,9 @@ class BTreeIndex:
     def scan_prefix(self, prefix: tuple) -> Iterator[tuple[tuple, RowId]]:
         """Yield (key, rid) for every key whose leading columns equal
         ``prefix``, in key order.  An empty prefix scans everything."""
-        self._count("prefix_scans", "btree.prefix_scans")
+        self.prefix_scans += 1
+        if self._c_prefix_scans is not None:
+            self._c_prefix_scans.inc()
         n = len(prefix)
         if not n:
             page_id: int | None = self._leftmost_leaf()
@@ -335,7 +368,8 @@ class BTreeIndex:
                     leaf = self._pool.read(page_id).payload
             return
         prefix_order = self._order(prefix)
-        path, leaf = self._descend(prefix)
+        path, page = self._descend(prefix)
+        leaf = page.payload
         page_id = path[-1]
         while page_id is not None:
             keys = list(leaf.keys)
@@ -357,9 +391,12 @@ class BTreeIndex:
         self, low: tuple | None, high: tuple | None
     ) -> Iterator[tuple[tuple, RowId]]:
         """Yield entries with low <= key-prefix <= high (inclusive)."""
-        self._count("range_scans", "btree.range_scans")
+        self.range_scans += 1
+        if self._c_range_scans is not None:
+            self._c_range_scans.inc()
         if low:
-            path, leaf = self._descend(low)
+            path, page = self._descend(low)
+            leaf = page.payload
             page_id: int | None = path[-1]
         else:
             page_id = self._leftmost_leaf()
@@ -410,8 +447,11 @@ class BTreeIndex:
     # -- mutation ------------------------------------------------------------
 
     def insert(self, key: tuple, rid: RowId) -> None:
-        self._count("inserts", "btree.inserts")
-        path, leaf = self._descend(key)
+        self.inserts += 1
+        if self._c_inserts is not None:
+            self._c_inserts.inc()
+        path, page = self._descend(key)
+        leaf: _Leaf = page.payload
         leaf_id = path[-1]
         order = self._order(key)
         idx = self._position(leaf.keys, order)
@@ -419,11 +459,13 @@ class BTreeIndex:
             if self.unique:
                 raise UniqueViolation(f"duplicate key {key!r}")
             leaf.rid_lists[idx].append(rid)
+            page.used += POINTER_WIDTH
         else:
             predecessor = leaf.keys[idx - 1] if idx > 0 else None
             successor = leaf.keys[idx] if idx < len(leaf.keys) else None
             leaf.keys.insert(idx, key)
             leaf.rid_lists.insert(idx, [rid])
+            page.used += self._entry_delta(key, predecessor, successor)
             self._node_dec.pop(leaf_id, None)
             self.distinct_keys += 1
             self._count_prefixes(key, predecessor, successor, +1)
@@ -433,8 +475,11 @@ class BTreeIndex:
 
     def delete(self, key: tuple, rid: RowId) -> bool:
         """Remove one (key, rid) pairing; True if something was removed."""
-        self._count("deletes", "btree.deletes")
-        path, leaf = self._descend(key)
+        self.deletes += 1
+        if self._c_deletes is not None:
+            self._c_deletes.inc()
+        path, page = self._descend(key)
+        leaf: _Leaf = page.payload
         leaf_id = path[-1]
         order = self._order(key)
         idx = self._position(leaf.keys, order)
@@ -444,13 +489,18 @@ class BTreeIndex:
         if rid not in rids:
             return False
         rids.remove(rid)
-        if not rids:
-            del leaf.keys[idx]
+        if rids:
+            page.used -= POINTER_WIDTH
+        else:
+            # Charged by the stored key: an equal-ordering probe key may
+            # be wider (1.0 finds 1).
+            stored = leaf.keys.pop(idx)
             del leaf.rid_lists[idx]
             self._node_dec.pop(leaf_id, None)
             self.distinct_keys -= 1
             predecessor = leaf.keys[idx - 1] if idx > 0 else None
             successor = leaf.keys[idx] if idx < len(leaf.keys) else None
+            page.used -= self._entry_delta(stored, predecessor, successor)
             self._count_prefixes(key, predecessor, successor, -1)
         self.entry_count -= 1
         self._pool.mark_dirty(leaf_id)
@@ -510,7 +560,6 @@ class BTreeIndex:
         # write back (and later re-read) a half-split node.
         page = self._pool.read(path[-1], pin=True)
         leaf: _Leaf = page.payload
-        page.used = self._leaf_used(leaf)
         if page.used <= page.capacity or len(leaf.keys) < 2:
             self._pool.unpin(path[-1])
             return
@@ -544,10 +593,15 @@ class BTreeIndex:
         page = self._pool.read(parent_id, pin=True)
         node: _Internal = page.payload
         idx = node.children.index(left_id)
-        node.separators.insert(idx, separator)
+        separators = node.separators
+        page.used += self._entry_delta(
+            separator,
+            separators[idx - 1] if idx > 0 else None,
+            separators[idx] if idx < len(separators) else None,
+        )
+        separators.insert(idx, separator)
         node.children.insert(idx + 1, right_id)
         self._node_dec.pop(parent_id, None)
-        page.used = self._internal_used(node)
         self._pool.mark_dirty(parent_id)
         if page.used <= page.capacity or len(node.separators) < 3:
             self._pool.unpin(parent_id)

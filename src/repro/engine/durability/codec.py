@@ -53,5 +53,15 @@ def decode_frames(data: bytes) -> Iterator[tuple[int, object]]:
         offset = end
 
 
+def frame_is_intact(frame: bytes) -> bool:
+    """Whether ``frame`` is exactly one frame whose payload matches its
+    checksum — the check a byte-for-byte copy makes without unpickling."""
+    if len(frame) < HEADER_SIZE:
+        return False
+    length, crc = _HEADER.unpack_from(frame)
+    payload = memoryview(frame)[HEADER_SIZE:]
+    return len(payload) == length and zlib.crc32(payload) == crc
+
+
 def frame_size(record: object) -> int:
     return len(encode_frame(record))

@@ -5,8 +5,30 @@ CRC-framed page images (``seg_<id>.pages``).  Writing a page appends a
 new version stamped with the WAL LSN current when the page was last
 dirtied; the in-memory index tracks the latest version of every page,
 so reads are one seek.  Old versions accumulate until a checkpoint
-compacts the files; recovery instead *truncates* to the checkpoint LSN,
+compacts them away; recovery instead *truncates* to the checkpoint LSN,
 discarding every version written after the snapshot being restored.
+
+Maintenance costs what changed, not what is stored.  The index already
+says where the latest version of every page lives, so the store also
+knows, per segment, whether it holds a superseded version (*garbage*)
+and whether it was written since the last fsync (*unsynced*):
+
+* :meth:`compact` rewrites only garbage segments, every one of them at
+  every checkpoint (no garbage-ratio threshold: on-disk size cannot
+  grow past one checkpoint interval's writes).  Live frames are copied
+  as bytes — same encoding, same LSN — after re-verifying each frame's
+  CRC; a frame that fails raises :class:`EngineError` instead of being
+  copied.  A segment nobody wrote to is not opened.
+* :meth:`sync` fsyncs only unsynced segments.
+* :meth:`free_segment` forgets a segment at once but leaves its file to
+  the next :meth:`compact`, because the checkpoint on disk may still
+  describe the dropped table.
+* :meth:`truncate_to` must unpickle frames to learn the LSN of
+  superseded versions, so it alone decodes — and only segments that
+  hold garbage or a version above the cutoff.
+
+A rewrite goes to ``seg_<id>.pages.tmp`` and is renamed into place; a
+crash in between leaves a stray ``.tmp`` that the next open deletes.
 
 Page payloads are Python objects (heap slot lists, B-tree nodes) —
 serialization goes through the same pickle+CRC framing as the WAL, so a
@@ -18,18 +40,33 @@ from __future__ import annotations
 
 import os
 import re
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ..errors import EngineError
 from ..pager import Page, PageKind
-from .codec import HEADER_SIZE, decode_frames, encode_frame
+from .codec import HEADER_SIZE, decode_frames, encode_frame, frame_is_intact
 from .faults import FaultInjector, SimulatedCrash
 
 _SEGMENT_FILE = re.compile(r"^seg_(\d+)\.pages$")
+_STRAY_REWRITE = re.compile(r"^seg_\d+\.pages\.tmp$")
+
+#: One stored version of a page: (page_id, offset, frame_length, lsn).
+_Version = tuple[int, int, int, int]
+#: One version lifted out of its file: (page_id, frame bytes, lsn).
+_Frame = tuple[int, bytes, int]
 
 
 def _segment_filename(segment_id: int) -> str:
     return f"seg_{segment_id:06d}.pages"
+
+
+def _versions(data: bytes) -> Iterator[_Version]:
+    """Every readable page version of a segment file, in file order."""
+    for offset, record in decode_frames(data):
+        frame_length = HEADER_SIZE + int.from_bytes(
+            data[offset : offset + 4], "little"
+        )
+        yield record["page_id"], offset, frame_length, record["lsn"]
 
 
 class DiskPageStore:
@@ -55,8 +92,16 @@ class DiskPageStore:
         #: page_id -> (segment_id, offset, frame_length, lsn) of the
         #: latest version.
         self._index: dict[int, tuple[int, int, int, int]] = {}
+        #: segment_id -> ids of the pages whose latest version it holds.
+        self._pages: dict[int, set[int]] = {}
         #: segment_id -> valid byte length of its file.
         self._sizes: dict[int, int] = {}
+        #: Segments holding at least one superseded page version.
+        self._garbage: set[int] = set()
+        #: Segments appended to since the last :meth:`sync`.
+        self._unsynced: set[int] = set()
+        #: Freed segments whose file the last checkpoint may still need.
+        self._dropped: set[int] = set()
         self._files: dict[int, object] = {}
         self._scan()
 
@@ -67,25 +112,23 @@ class DiskPageStore:
 
     def _scan(self) -> None:
         """Index every valid frame; truncate torn tails so appends
-        always extend a readable file."""
+        always extend a readable file; delete the half-written output of
+        a rewrite that a crash interrupted."""
         for name in sorted(os.listdir(self.directory)):
+            path = os.path.join(self.directory, name)
+            if _STRAY_REWRITE.match(name):
+                os.remove(path)
+                continue
             match = _SEGMENT_FILE.match(name)
             if match is None:
                 continue
             segment_id = int(match.group(1))
-            path = os.path.join(self.directory, name)
             with open(path, "rb") as fh:
                 data = fh.read()
             valid_end = 0
-            for offset, record in decode_frames(data):
-                frame_length = HEADER_SIZE + int.from_bytes(
-                    data[offset : offset + 4], "little"
-                )
-                valid_end = offset + frame_length
-                self._record_version(
-                    record["page_id"], segment_id, offset, frame_length,
-                    record["lsn"],
-                )
+            for page_id, offset, length, lsn in _versions(data):
+                valid_end = offset + length
+                self._record_version(page_id, segment_id, offset, length, lsn)
             if valid_end < len(data):
                 with open(path, "r+b") as fh:
                     fh.truncate(valid_end)
@@ -94,11 +137,13 @@ class DiskPageStore:
     def _record_version(
         self, page_id: int, segment_id: int, offset: int, length: int, lsn: int
     ) -> None:
-        current = self._index.get(page_id)
-        # Later offsets in the same file are strictly newer; a page
-        # never moves between segments.
-        if current is None or offset >= current[1]:
-            self._index[page_id] = (segment_id, offset, length, lsn)
+        # Versions are recorded in file order, so this one is the
+        # newest; a page never moves between segments, so whatever it
+        # supersedes is garbage in the same file.
+        if page_id in self._index:
+            self._garbage.add(segment_id)
+        self._index[page_id] = (segment_id, offset, length, lsn)
+        self._pages.setdefault(segment_id, set()).add(page_id)
 
     # -- handles ----------------------------------------------------------
 
@@ -110,6 +155,20 @@ class DiskPageStore:
             self._files[segment_id] = fh
             self._sizes.setdefault(segment_id, os.path.getsize(path))
         return fh
+
+    def _forget(self, segment_id: int) -> int:
+        """Drop everything the store remembers about a segment but its
+        file and size.  Returns the number of latest-version pages it
+        held."""
+        fh = self._files.pop(segment_id, None)
+        if fh is not None:
+            fh.close()
+        doomed = self._pages.pop(segment_id, ())
+        for page_id in doomed:
+            del self._index[page_id]
+        self._garbage.discard(segment_id)
+        self._unsynced.discard(segment_id)
+        return len(doomed)
 
     # -- write / read -----------------------------------------------------
 
@@ -141,6 +200,7 @@ class DiskPageStore:
         fh.write(frame)
         fh.flush()
         self._sizes[page.segment_id] = offset + len(frame)
+        self._unsynced.add(page.segment_id)
         self._record_version(
             page.page_id, page.segment_id, offset, len(frame), lsn
         )
@@ -183,36 +243,31 @@ class DiskPageStore:
         return set(self._index)
 
     def pages_in_segment(self, segment_id: int) -> set[int]:
-        return {
-            pid for pid, loc in self._index.items() if loc[0] == segment_id
-        }
+        return set(self._pages.get(segment_id, ()))
 
     def free_segment(self, segment_id: int) -> int:
-        """Drop a segment's file (DROP TABLE/INDEX).  Returns the number
-        of latest-version pages it held."""
-        doomed = [
-            pid for pid, loc in self._index.items() if loc[0] == segment_id
-        ]
-        for pid in doomed:
-            del self._index[pid]
-        fh = self._files.pop(segment_id, None)
-        if fh is not None:
-            fh.close()
-        self._sizes.pop(segment_id, None)
-        path = self._segment_path(segment_id)
-        if os.path.exists(path):
-            os.remove(path)
-        return len(doomed)
+        """Forget a segment (DROP TABLE/INDEX).  Returns the number of
+        latest-version pages it held.  The file itself goes at the next
+        :meth:`compact`: until a checkpoint replaces it, the last
+        snapshot still describes the table, and recovery un-drops it
+        when the drop sits in an admin operation that never completed."""
+        dropped = self._forget(segment_id)
+        if self._sizes.pop(segment_id, None) is not None:
+            self._dropped.add(segment_id)
+        return dropped
 
     # -- durability -------------------------------------------------------
 
     def sync(self) -> None:
-        """fsync every open segment file (checkpoint barrier)."""
-        for fh in self._files.values():
+        """fsync every segment file written since the last sync
+        (checkpoint barrier)."""
+        for segment_id in sorted(self._unsynced):
+            fh = self._handle(segment_id)
             fh.flush()
             os.fsync(fh.fileno())
             if self._metrics is not None:
                 self._c_fsyncs.inc()
+        self._unsynced.clear()
 
     # -- version management -----------------------------------------------
 
@@ -220,55 +275,78 @@ class DiskPageStore:
         """Keep, per page, only the newest version with
         ``lsn <= cutoff_lsn``; physically discard everything else.
         Recovery uses this to roll the store back to the state the
-        checkpoint snapshot describes."""
-        self._rewrite(lambda lsn: lsn <= cutoff_lsn)
+        checkpoint snapshot describes.  A segment whose pages all have
+        one version, none above the cutoff, is already that state."""
+        for segment_id in sorted(self._sizes):
+            pages = self._pages.get(segment_id)
+            if (
+                pages
+                and segment_id not in self._garbage
+                and all(self._index[p][3] <= cutoff_lsn for p in pages)
+            ):
+                continue
+            data = self._segment_bytes(segment_id)
+            # Only unpickling tells a superseded version's LSN.
+            best: dict[int, _Frame] = {}
+            for page_id, offset, length, lsn in _versions(data):
+                if lsn <= cutoff_lsn:
+                    best[page_id] = (page_id, data[offset : offset + length], lsn)
+            self._replace_segment(segment_id, list(best.values()))
 
     def compact(self) -> None:
-        """Keep only the latest version of every page (checkpoint GC)."""
-        self._rewrite(lambda lsn: True)
-
-    def _rewrite(self, keep) -> None:
-        segment_ids = set(self._sizes)
-        for name in os.listdir(self.directory):
-            match = _SEGMENT_FILE.match(name)
-            if match is not None:
-                segment_ids.add(int(match.group(1)))
-        self._index.clear()
-        for segment_id in sorted(segment_ids):
-            path = self._segment_path(segment_id)
-            if not os.path.exists(path):
-                self._sizes.pop(segment_id, None)
-                continue
-            fh = self._files.pop(segment_id, None)
-            if fh is not None:
-                fh.close()
-            with open(path, "rb") as src:
-                data = src.read()
-            best: dict[int, dict] = {}
-            for _offset, record in decode_frames(data):
-                if keep(record["lsn"]):
-                    best[record["page_id"]] = record
-            if not best:
-                os.remove(path)
-                self._sizes.pop(segment_id, None)
-                continue
-            tmp = path + ".tmp"
-            offset = 0
-            locations: list[tuple[int, int, int, int]] = []
-            with open(tmp, "wb") as dst:
-                for record in best.values():
-                    frame = encode_frame(record)
-                    dst.write(frame)
-                    locations.append(
-                        (record["page_id"], offset, len(frame), record["lsn"])
+        """Keep only the latest version of every page (checkpoint GC):
+        rewrite each segment that holds a superseded version to exactly
+        its live frames, in file order, and unlink freed segments."""
+        for segment_id in sorted(self._dropped):
+            os.remove(self._segment_path(segment_id))
+        self._dropped.clear()
+        for segment_id in sorted(self._garbage):
+            data = self._segment_bytes(segment_id)
+            frames: list[_Frame] = []
+            # Index entries of one segment sort by offset: file order.
+            for _, offset, length, lsn, page_id in sorted(
+                self._index[page_id] + (page_id,)
+                for page_id in self._pages[segment_id]
+            ):
+                frame = data[offset : offset + length]
+                if not frame_is_intact(frame):
+                    raise EngineError(
+                        f"page {page_id}: corrupt frame on disk "
+                        f"(segment {segment_id}, offset {offset})"
                     )
-                    offset += len(frame)
+                frames.append((page_id, frame, lsn))
+            self._replace_segment(segment_id, frames)
+            self._faults.crashpoint("checkpoint.compact")
+
+    def _segment_bytes(self, segment_id: int) -> bytes:
+        with open(self._segment_path(segment_id), "rb") as src:
+            return src.read(self._sizes[segment_id])
+
+    def _replace_segment(self, segment_id: int, frames: list[_Frame]) -> None:
+        """Make the segment's file hold exactly ``frames``, written
+        verbatim, and re-index it.  With no frame left the file goes
+        away.  What the store remembers changes only once the file has."""
+        path = self._segment_path(segment_id)
+        fh = self._files.pop(segment_id, None)
+        if fh is not None:
+            fh.close()
+        if frames:
+            tmp = path + ".tmp"
+            with open(tmp, "wb") as dst:
+                dst.writelines(frame for _, frame, _ in frames)
                 dst.flush()
                 os.fsync(dst.fileno())
             os.replace(tmp, path)
-            self._sizes[segment_id] = offset
-            for page_id, off, length, lsn in locations:
-                self._index[page_id] = (segment_id, off, length, lsn)
+        else:
+            os.remove(path)
+        self._forget(segment_id)
+        del self._sizes[segment_id]
+        position = 0
+        for page_id, frame, lsn in frames:
+            self._record_version(page_id, segment_id, position, len(frame), lsn)
+            position += len(frame)
+        if frames:
+            self._sizes[segment_id] = position
 
     def segment_ids(self) -> Iterable[int]:
         return set(self._sizes)

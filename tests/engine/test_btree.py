@@ -1,13 +1,16 @@
 """Tests for the B+-tree: correctness against a model, splits,
 prefix scans, and prefix compression."""
 
+import datetime
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.btree import BTreeIndex
+from repro.engine.btree import BTreeIndex, _Internal, _Leaf
+from repro.engine.database import Database
 from repro.engine.errors import UniqueViolation
 from repro.engine.heap import RowId
-from repro.engine.pager import BufferPool, PageKind
+from repro.engine.pager import BufferPool, Page, PageKind
 
 
 def make_index(unique=False, prefix_compression=True, capacity=256):
@@ -187,3 +190,117 @@ class TestPropertyBased:
         assert index.entry_count == sum(len(v) for v in live.values())
         for key, rids in live.items():
             assert set(index.search(key)) == set(rids)
+
+
+# ---------------------------------------------------------------------------
+# Incremental page accounting vs the full recompute
+# ---------------------------------------------------------------------------
+
+
+def recompute(tree: BTreeIndex, page: Page) -> int:
+    node = page.payload
+    if isinstance(node, _Leaf):
+        return tree._leaf_used(node)
+    return tree._internal_used(node)
+
+
+class _ResummedPage(Page):
+    """A page whose occupancy *is* the full recompute at every read,
+    whatever the tree adds to or subtracts from it."""
+
+    @property
+    def used(self) -> int:
+        tree = self.pool.tree
+        if tree is None or self.payload is None:
+            return 0
+        return recompute(tree, self)
+
+    @used.setter
+    def used(self, value: int) -> None:
+        pass
+
+
+class _ResummingPool(BufferPool):
+    """Drives a reference tree by the recompute: every split decision
+    compares a freshly re-summed node with its capacity."""
+
+    tree: BTreeIndex | None = None
+
+    def allocate(self, segment_id, kind, *, pin=False):
+        page = super().allocate(segment_id, kind, pin=pin)
+        page.__class__ = _ResummedPage
+        page.pool = self
+        return page
+
+
+#: Leading columns repeat (the compressible meta-data prefix) and mix
+#: every key type; ``True == 1`` and ``False == 0`` compress against
+#: each other while sorting apart.
+_TENANTS = (None, 1, 2, 17, 2**40)
+_TABLES = (True, False, 0, 1, "account", "a")
+_CHUNKS = (None, datetime.date(2008, 6, 9), datetime.date(2008, 6, 10), "c", 1.5)
+
+
+class TestIncrementalAccounting:
+    @pytest.mark.parametrize("prefix_compression", [True, False])
+    @pytest.mark.parametrize("unique", [False, True])
+    def test_used_and_split_points_match_recompute(
+        self, unique, prefix_compression, replay_rng
+    ):
+        rng = replay_rng
+        # 256-byte pages: under ten entries a node, three levels by a few
+        # hundred keys.
+        pool = BufferPool(capacity_pages=4096, page_size=256)
+        tree = BTreeIndex(
+            pool, 1, unique=unique, prefix_compression=prefix_compression
+        )
+        ref_pool = _ResummingPool(capacity_pages=4096, page_size=256)
+        reference = BTreeIndex(
+            ref_pool, 1, unique=unique, prefix_compression=prefix_compression
+        )
+        ref_pool.tree = reference
+        live: list[tuple[tuple, RowId]] = []
+        for step in range(700):
+            if live and rng.random() < 0.3:
+                key, victim = live.pop(rng.randrange(len(live)))
+                assert tree.delete(key, victim)
+                assert reference.delete(key, victim)
+            else:
+                row = step if unique else rng.randrange(120)
+                key = (
+                    rng.choice(_TENANTS),
+                    rng.choice(_TABLES),
+                    rng.choice(_CHUNKS),
+                    row,
+                )
+                tree.insert(key, rid(step))
+                reference.insert(key, rid(step))
+                live.append((key, rid(step)))
+            for page in pool._disk.values():
+                assert page.used == recompute(tree, page), (step, page.page_id)
+            # Same pages holding the same keys: no split point moved.
+            assert tree.height == reference.height
+            assert {
+                pid: page.payload for pid, page in pool._disk.items()
+            } == {pid: page.payload for pid, page in ref_pool._disk.items()}
+        assert tree.height >= 3
+        assert any(
+            isinstance(page.payload, _Internal) and page.page_id != tree.root_id
+            for page in pool._disk.values()
+        ), "no internal node ever split"
+
+    def test_delete_writes_back_true_occupancy(self, tmp_path):
+        """``delete`` used to leave ``page.used`` at its pre-delete
+        value, and that is what reached the page store."""
+        db = Database(path=str(tmp_path / "db"))
+        db.execute("CREATE TABLE t (a INTEGER NOT NULL, b VARCHAR(20))")
+        db.execute("CREATE INDEX t_ab ON t (a, b)")
+        for i in range(40):
+            db.execute("INSERT INTO t VALUES (?, ?)", [i % 4, f"name-{i}"])
+        db.execute("DELETE FROM t WHERE b <> 'name-7'")
+        db.checkpoint()
+        btree = db.catalog.table("t").indexes["t_ab"].btree
+        stored = db.durability.store.read(btree.root_id)
+        assert stored.payload.keys == [(3, "name-7")]
+        assert stored.used == btree._leaf_used(stored.payload)
+        db.close()

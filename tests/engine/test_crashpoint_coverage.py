@@ -37,6 +37,7 @@ def test_census_covers_known_protocol_points(census):
         "txn.commit",
         "pager.writeback",
         "checkpoint.begin",
+        "checkpoint.compact",
         "checkpoint.end",
         "wal.flush",
         "wal.checkpoint_reset",

@@ -342,6 +342,10 @@ def _workload(layout: str):
             lambda m, i=i: m.insert(2, "account", {"aid": i, "name": f"b{i}"}),
             lambda s, i=i: s[2].__setitem__(i, f"b{i}"),
         )
+    # Two checkpoints with DML between them: the second one finds
+    # superseded page versions, so the matrix crosses the checkpoint
+    # protocol (begin, writeback, WAL swap, per-segment compaction, end).
+    op("checkpoint", lambda m: m.db.checkpoint(), lambda s: None)
     op(
         "update t1 a1",
         lambda m: m.execute(1, "UPDATE account SET name = 'a1x' WHERE aid = 1"),
@@ -352,6 +356,7 @@ def _workload(layout: str):
         lambda m: m.execute(2, "DELETE FROM account WHERE aid = 0"),
         lambda s: s[2].pop(0),
     )
+    op("checkpoint again", lambda m: m.db.checkpoint(), lambda s: None)
     if extensions:
         op(
             "grant healthcare to t2",
