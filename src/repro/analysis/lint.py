@@ -25,6 +25,12 @@ them over the :mod:`ast` of the source tree:
   friends) inside a ``for``/``while`` body re-hashes the metric name
   per iteration; hot paths pre-bind counters instead (the rule an
   earlier optimisation pass applied by hand — this makes it stick).
+* **LNT005** — the layers above the engine (``core/``, ``cluster/``,
+  ``testbed/``, ``experiments/``) may not import an underscore-private
+  name from ``repro.engine.*``.  A private import is how a second copy
+  of engine semantics starts (the cross-tenant merge once rebuilt SQL
+  comparison and arithmetic from the compiler's operator tables, and
+  drifted from it); the engine's public surface is the contract.
 
 Like the other passes, findings land in an :class:`AnalysisReport`;
 ``python -m repro.analysis --lint`` gates on it.
@@ -319,6 +325,41 @@ def _check_metric_lookups(module: _Module, report: AnalysisReport) -> None:
             scan_loops(node, node.name)
 
 
+# -- LNT005: private engine names above the engine ---------------------------
+
+#: Top-level packages that sit above the engine.
+ENGINE_CLIENTS = frozenset({"core", "cluster", "testbed", "experiments"})
+
+
+def _check_private_engine_imports(
+    module: _Module, report: AnalysisReport
+) -> None:
+    package = module.rel.split(os.sep)[:-1]
+    if not package or package[0] not in ENGINE_CLIENTS:
+        return
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        target = (node.module or "").split(".")
+        if node.level:  # relative: climb from this module's package
+            target = package[: len(package) - node.level + 1] + target
+        elif target[0] == "repro":
+            target = target[1:]
+        if target[:1] != ["engine"]:
+            continue
+        report.checked += 1
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                report.add(
+                    Finding(
+                        "LNT005",
+                        f"private engine name {alias.name!r} imported from "
+                        f"{'.'.join(target)} above the engine",
+                        f"{module.rel}:{node.lineno}",
+                    )
+                )
+
+
 # -- entry point -------------------------------------------------------------
 
 
@@ -333,5 +374,6 @@ def analyze_lint(
         _check_mark_dirty(module, report)
         _check_crash_swallowing(module, report)
         _check_metric_lookups(module, report)
+        _check_private_engine_imports(module, report)
     _check_dead_crashpoints(report, census)
     return report

@@ -42,7 +42,7 @@ from .statement_cache import (
     LogicalPreparedStatement,
     StatementCache,
 )
-from .transform.crosstenant import CrossTenantTransformer
+from .transform.crosstenant import CrossPlan, CrossTenantTransformer
 from .transform.dml import DmlTransformer, UpdateMode
 from .transform.flatten import (
     PredicateOrder,
@@ -317,9 +317,16 @@ class MultiTenantDatabase:
         tenant_params: TenantParamAllocator | None = None,
     ) -> ast.Select:
         transformer, _ = self._transformer_for(self.layout_for(tenant_id))
-        physical = transformer.transform_select(
-            tenant_id, stmt, tenant_params=tenant_params
+        return self._for_engine(
+            transformer.transform_select(
+                tenant_id, stmt, tenant_params=tenant_params
+            )
         )
+
+    def _for_engine(self, physical: ast.Select) -> ast.Select:
+        """A transformed statement as the engine's optimizer needs it:
+        a SIMPLE optimizer cannot unnest the reconstructions itself
+        (Test 1), so they are flattened and the conjuncts ordered here."""
         if (
             self.db.profile is OptimizerProfile.SIMPLE
             and self.flatten_for_simple
@@ -402,25 +409,26 @@ class MultiTenantDatabase:
             self.schema.tenant(tenant_id)  # validates
         return tuple(sorted(set(clause.ids)))
 
-    def _build_cross(
-        self, stmt: ast.Select, ids: tuple[int, ...], context: tuple
-    ) -> CrossTenantStatement:
+    def _cross_plan(self, stmt: ast.Select, ids: tuple[int, ...]) -> CrossPlan:
+        """The transformed cross-tenant statement, each structure
+        group's statement in the form handed to the engine."""
         transformer = CrossTenantTransformer(
             self.schema, self.layout_for, self._physical_lookup
         )
         plan = transformer.transform(stmt, ids)
-        prepared = []
         for group in plan.groups:
-            physical = group.select
-            if (
-                self.db.profile is OptimizerProfile.SIMPLE
-                and self.flatten_for_simple
-            ):
-                physical = flatten_transformed(physical, self._physical_lookup)
-                physical = order_predicates(physical, self.predicate_order)
-            prepared.append(self.db.prepare_ast(physical))
+            group.select = self._for_engine(group.select)
+        return plan
+
+    def _build_cross(
+        self, stmt: ast.Select, ids: tuple[int, ...], context: tuple
+    ) -> CrossTenantStatement:
+        plan = self._cross_plan(stmt, ids)
         return CrossTenantStatement(
-            prepared, plan.merge, plan.output_names, context
+            [self.db.prepare_ast(group.select) for group in plan.groups],
+            plan.merge,
+            plan.output_names,
+            context,
         )
 
     def execute_cross(self, sql: str, params: Sequence[object] = ()) -> Result:
@@ -461,21 +469,7 @@ class MultiTenantDatabase:
                 "transform_cross_sql takes a SELECT with a FOR TENANTS clause"
             )
         ids = self._resolve_tenant_set(stmt.tenants)
-        transformer = CrossTenantTransformer(
-            self.schema, self.layout_for, self._physical_lookup
-        )
-        plan = transformer.transform(stmt, ids)
-        out = []
-        for group in plan.groups:
-            physical = group.select
-            if (
-                self.db.profile is OptimizerProfile.SIMPLE
-                and self.flatten_for_simple
-            ):
-                physical = flatten_transformed(physical, self._physical_lookup)
-                physical = order_predicates(physical, self.predicate_order)
-            out.append(physical.sql())
-        return out
+        return [g.select.sql() for g in self._cross_plan(stmt, ids).groups]
 
     def _execute_parsed(
         self,

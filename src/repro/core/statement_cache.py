@@ -81,7 +81,7 @@ class CrossTenantStatement:
         results = [p.execute(tuple(params)) for p in self.prepared]
         if self.merge is None:
             return results[0]
-        rows = merge_results(self.merge, [r.rows for r in results])
+        rows = merge_results(self.merge, [r.rows for r in results], params)
         return Result(list(self.output_names), rows, len(rows))
 
 

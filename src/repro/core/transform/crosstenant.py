@@ -25,9 +25,12 @@ filter — and emits one fused statement per structure group.  Shared
 layouts collapse to a single group (true fusion); only structurally
 distinct stragglers pay an extra statement, and only *their* physical
 tables are read at all (tenant-set pruning).  Multi-group results are
-merged in Python: plain rows are concatenated, aggregates are
-decomposed into mergeable partials (``AVG`` ships as ``SUM`` +
-``COUNT``) and recombined per group key.
+merged here: plain rows are concatenated, aggregates are decomposed
+into mergeable partials (``AVG`` ships as ``SUM`` + ``COUNT``) and
+recombined per group key, and HAVING / select items / ORDER BY are then
+evaluated over the merged rows by the engine's own expression compiler
+(:class:`~repro.engine.expr.GroupedScope`, the scope the optimizer's
+GRPBY uses) — so a multi-group answer cannot differ from a fused one.
 
 Tenant identities are inlined as literals, not parameters: the declared
 tenant set is part of the statement's identity (the isolation prover
@@ -37,221 +40,51 @@ declared set) and of the statement-cache key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ...engine.errors import PlanError
-from ...engine.expr import _ARITH, _COMPARE, _coerce_pair
+from ...engine.expr import Compiled, GroupedScope
 from ...engine.plan.logical import (
     QueryBlock,
+    block_to_select,
     build_block,
-    conjoin,
     output_name,
     qualify_block,
 )
 from ...engine.sql import ast
 from ...engine.values import sort_key
-from ..layouts.base import ALIVE, Fragment, TENANT_META
 from ..schema import MultiTenantSchema
-from .query import select_needed_fragments, used_columns
+from .query import (
+    TENANT_COLUMN,
+    QueryTransformer,
+    TenantParamAllocator,
+    used_columns,
+)
 
-#: Output column every fused reconstruction exposes the tenant id as.
-TENANT_COLUMN = "__tenant"
 #: The dialect function addressing the tenant dimension.
 TENANT_FUNC = "TENANT_ID"
 
 
-def contains_tenant_fn(expr: ast.Expr | ast.Star) -> bool:
-    """Whether ``TENANT_ID()`` appears anywhere in an expression."""
-    if isinstance(expr, ast.FuncCall):
-        if expr.name.upper() == TENANT_FUNC:
-            return True
-        return any(contains_tenant_fn(a) for a in expr.args)
-    if isinstance(expr, ast.BinaryOp):
-        return contains_tenant_fn(expr.left) or contains_tenant_fn(expr.right)
-    if isinstance(expr, (ast.UnaryOp, ast.IsNull)):
-        return contains_tenant_fn(expr.operand)
-    if isinstance(expr, ast.InList):
-        return contains_tenant_fn(expr.operand) or any(
-            contains_tenant_fn(i) for i in expr.items
-        )
-    return False
+def _is_tenant_fn(expr: ast.Expr) -> bool:
+    return isinstance(expr, ast.FuncCall) and expr.name.upper() == TENANT_FUNC
 
 
 def _rewrite_tenant_fn(expr: ast.Expr, replacement: ast.Expr) -> ast.Expr:
     """Replace every ``TENANT_ID()`` call with ``replacement``."""
-    if isinstance(expr, ast.FuncCall):
-        if expr.name.upper() == TENANT_FUNC:
-            if expr.args or expr.star:
-                raise PlanError("TENANT_ID() takes no arguments")
-            return replacement
-        return ast.FuncCall(
-            expr.name,
-            tuple(_rewrite_tenant_fn(a, replacement) for a in expr.args),
-            expr.star,
-            expr.distinct,
-        )
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(
-            expr.op,
-            _rewrite_tenant_fn(expr.left, replacement),
-            _rewrite_tenant_fn(expr.right, replacement),
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _rewrite_tenant_fn(expr.operand, replacement))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(
-            _rewrite_tenant_fn(expr.operand, replacement), expr.negated
-        )
-    if isinstance(expr, ast.InList):
-        return ast.InList(
-            _rewrite_tenant_fn(expr.operand, replacement),
-            tuple(_rewrite_tenant_fn(i, replacement) for i in expr.items),
-            expr.negated,
-        )
-    return expr
-
-
-def tenant_set_predicate(
-    column: ast.ColumnRef, tenant_ids: Sequence[int]
-) -> ast.Expr:
-    """The pushed-down tenant-set filter: ``= t`` or ``IN (t1, ...)``."""
-    if len(tenant_ids) == 1:
-        return ast.BinaryOp("=", column, ast.Literal(tenant_ids[0]))
-    return ast.InList(column, tuple(ast.Literal(t) for t in tenant_ids))
-
-
-def build_cross_reconstruction(
-    fragments: list[Fragment],
-    used: list[str],
-    binding: str,
-    *,
-    tenant_ids: Sequence[int] | None,
-    literal_tenant: int,
-    soft_delete: bool = False,
-) -> ast.SubquerySource:
-    """A table reconstruction widened to a tenant *set*.
-
-    Mirrors :func:`~repro.core.transform.query.build_reconstruction`
-    with three changes: the tenant meta filter is a set predicate over
-    ``tenant_ids``, the tenant identity is exposed as the
-    :data:`TENANT_COLUMN` output column, and row-alignment joins include
-    the tenant column so rows of different tenants never align.
-
-    ``tenant_ids=None`` builds the *signature probe*: the same statement
-    with the tenant filter omitted, used to decide which tenants can
-    share a fused statement (equal probe SQL = equal structure).
-    ``literal_tenant`` supplies the exposed tenant id for fragments with
-    no tenant meta column (Private Tables) — those are necessarily
-    single-tenant statements.
-    """
-    needed = select_needed_fragments(fragments, used, binding)
-    aliases = {id(f): f"f{i}" for i, f in enumerate(needed)}
-    anchor = needed[0]
-    if len(needed) > 1 and any(f.row_column is None for f in needed):
-        raise PlanError(
-            f"source {binding!r} needs row alignment but a fragment has no row column"
-        )
-
-    items: list[ast.SelectItem] = []
-    emitted: set[str] = set()
-    for column in used:
-        if column in emitted:
-            continue
-        emitted.add(column)
-        for fragment in needed:
-            if fragment.covers(column):
-                loc = fragment.column_map()[column]
-                expr: ast.Expr = ast.ColumnRef(aliases[id(fragment)], loc.physical)
-                if loc.cast:
-                    expr = ast.FuncCall(loc.cast, (expr,))
-                items.append(ast.SelectItem(expr, column))
-                break
-
-    anchor_alias = aliases[id(anchor)]
-    anchor_meta = dict(anchor.meta)
-    if TENANT_META in anchor_meta or any(
-        c == TENANT_META for c, _ in anchor.meta
-    ):
-        tenant_expr: ast.Expr = ast.ColumnRef(anchor_alias, TENANT_META)
-    else:
-        # No tenant meta column (Private Tables): the physical table IS
-        # the tenant scope, so the identity is a constant.
-        if tenant_ids is not None and len(tenant_ids) != 1:
-            raise PlanError(
-                f"source {binding!r} has per-tenant physical tables; "
-                "it cannot fuse multiple tenants into one statement"
-            )
-        tenant_expr = ast.Literal(
-            tenant_ids[0] if tenant_ids is not None else literal_tenant
-        )
-    items.append(ast.SelectItem(tenant_expr, TENANT_COLUMN))
-
-    sources = [ast.TableSource(f.table, aliases[id(f)]) for f in needed]
-
-    conjuncts: list[ast.Expr] = []
-    for fragment in needed:
-        alias = aliases[id(fragment)]
-        for meta_col, value in fragment.meta:
-            if meta_col == TENANT_META:
-                if tenant_ids is not None:
-                    conjuncts.append(
-                        tenant_set_predicate(
-                            ast.ColumnRef(alias, TENANT_META), tenant_ids
-                        )
-                    )
-                continue
-            conjuncts.append(
-                ast.BinaryOp(
-                    "=", ast.ColumnRef(alias, meta_col), ast.Literal(value)
-                )
-            )
-        if soft_delete:
-            conjuncts.append(
-                ast.BinaryOp("=", ast.ColumnRef(alias, ALIVE), ast.Literal(1))
-            )
-    for fragment in needed[1:]:
-        alias = aliases[id(fragment)]
-        if any(c == TENANT_META for c, _ in fragment.meta) and any(
-            c == TENANT_META for c, _ in anchor.meta
-        ):
-            conjuncts.append(
-                ast.BinaryOp(
-                    "=",
-                    ast.ColumnRef(anchor_alias, TENANT_META),
-                    ast.ColumnRef(alias, TENANT_META),
-                )
-            )
-        conjuncts.append(
-            ast.BinaryOp(
-                "=",
-                ast.ColumnRef(anchor_alias, anchor.row_column),
-                ast.ColumnRef(alias, fragment.row_column),
-            )
-        )
-
-    select = ast.Select(
-        items=tuple(items), sources=tuple(sources), where=conjoin(conjuncts)
+    if _is_tenant_fn(expr):
+        if expr.args or expr.star:
+            raise PlanError("TENANT_ID() takes no arguments")
+        return replacement
+    return ast.map_children(
+        expr, lambda child: _rewrite_tenant_fn(child, replacement)
     )
-    return ast.SubquerySource(select, binding)
 
 
 # ---------------------------------------------------------------------------
 # Plans
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AggPartial:
-    """One logical aggregate decomposed into mergeable partial columns.
-
-    ``columns`` are absolute positions in the partial statement's output
-    row; AVG carries two (its SUM and COUNT), everything else one.
-    """
-
-    fingerprint: str  # sql() of the rewritten aggregate call
-    func: str  # COUNT | COUNT_STAR | SUM | MIN | MAX | AVG
-    columns: tuple[int, ...]
 
 
 @dataclass
@@ -263,14 +96,19 @@ class MergeSpec:
     limit: int | None = None
     # concat path: (output column index, descending) sort keys.
     order_indexes: tuple[tuple[int, bool], ...] = ()
-    # aggregate path:
-    key_fingerprints: tuple[str, ...] = ()
-    partial_ops: tuple[str, ...] = ()  # count | sum | min | max, per partial col
-    aggs: tuple[AggPartial, ...] = ()
-    item_exprs: tuple[ast.Expr, ...] = ()
-    having: ast.Expr | None = None
-    order_exprs: tuple[tuple[ast.Expr, bool], ...] = ()
-    alias_positions: dict[str, int] = field(default_factory=dict)
+    # aggregate path.  A partial statement returns (group keys ...,
+    # partial aggregates ...); ``partial_ops`` says how each partial
+    # column combines across groups (count | sum | min | max), and
+    # ``aggs`` where each logical aggregate's partials sit in that row —
+    # AVG carries two (its SUM and COUNT), everything else one.  The
+    # expressions are compiled over (group keys ..., merged aggregates
+    # ...), aggregates in ``aggs`` order.
+    key_count: int = 0
+    partial_ops: tuple[str, ...] = ()
+    aggs: tuple[tuple[int, ...], ...] = ()
+    items: tuple[Compiled, ...] = ()
+    having: Compiled | None = None
+    order: tuple[tuple[Compiled, bool], ...] = ()
 
 
 @dataclass
@@ -328,38 +166,20 @@ class CrossTenantTransformer:
         for source in select.sources:
             if isinstance(source, ast.SubquerySource):
                 raise PlanError(_UNSUPPORTED.format(what="FROM subqueries"))
-
-        def check(expr: ast.Expr | None) -> None:
-            if expr is None:
-                return
-            if isinstance(expr, ast.InSubquery):
-                raise PlanError(_UNSUPPORTED.format(what="IN (SELECT ...)"))
-            if isinstance(expr, ast.FuncCall):
-                if expr.distinct and expr.is_aggregate:
+        for expr in build_block(select).expressions():
+            if isinstance(expr, ast.Star):
+                continue
+            for node in ast.walk(expr):
+                if isinstance(node, ast.InSubquery):
+                    raise PlanError(_UNSUPPORTED.format(what="IN (SELECT ...)"))
+                if (
+                    isinstance(node, ast.FuncCall)
+                    and node.distinct
+                    and node.is_aggregate
+                ):
                     raise PlanError(
                         _UNSUPPORTED.format(what="DISTINCT aggregates")
                     )
-                for arg in expr.args:
-                    check(arg)
-            elif isinstance(expr, ast.BinaryOp):
-                check(expr.left)
-                check(expr.right)
-            elif isinstance(expr, (ast.UnaryOp, ast.IsNull)):
-                check(expr.operand)
-            elif isinstance(expr, ast.InList):
-                check(expr.operand)
-                for item in expr.items:
-                    check(item)
-
-        for item in select.items:
-            if not isinstance(item.expr, ast.Star):
-                check(item.expr)
-        check(select.where)
-        for expr in select.group_by:
-            check(expr)
-        check(select.having)
-        for order in select.order_by:
-            check(order.expr)
 
     # -- entry point --------------------------------------------------------
 
@@ -370,17 +190,7 @@ class CrossTenantTransformer:
             raise PlanError("cross-tenant statement over an empty tenant set")
         ids = tuple(sorted(set(tenant_ids)))
         self._validate(select)
-        if select.tenants is not None:
-            select = ast.Select(
-                items=select.items,
-                sources=select.sources,
-                where=select.where,
-                group_by=select.group_by,
-                having=select.having,
-                order_by=select.order_by,
-                limit=select.limit,
-                distinct=select.distinct,
-            )
+        select = dataclasses.replace(select, tenants=None)
 
         lookup = self._lookup_for(ids[0])
         block = qualify_block(build_block(select), lookup)
@@ -405,31 +215,25 @@ class CrossTenantTransformer:
                 )
                 for order in block.order_by
             ]
+        # Steps 1-2 of §6.1 read the statement as the tenant wrote it;
+        # the tenant dimension is patched in afterwards.
         usage = used_columns(block)
+        fused = self._fuse_tenant_dimension(block)
 
-        # Which FROM sources are tenant-mapped logical tables.
-        recon_specs: list[tuple[int, str, str, list[str]]] = []
-        for position, source in enumerate(block.sources):
-            if isinstance(source, ast.TableSource) and self.schema.has_table(
-                source.name
-            ):
-                binding = source.binding.lower()
-                recon_specs.append(
-                    (position, source.name, binding, usage.get(binding, []))
-                )
-
-        groups = self._group_tenants(ids, recon_specs)
-        aggregated = block.is_aggregating
-
-        if len(groups) == 1:
-            (layout, members) = groups[0]
-            fused = self._fused_select(block, recon_specs, layout, members)
-            names = [output_name(i, n) for n, i in enumerate(fused.items)]
-            return CrossPlan(ids, [CrossGroup(members, fused)], None, names)
-
-        if aggregated:
-            return self._aggregate_plan(block, recon_specs, ids, groups)
-        return self._concat_plan(block, recon_specs, ids, groups)
+        groups = self._group_tenants(ids, fused, usage)
+        names = [output_name(i, n) for n, i in enumerate(fused.items)]
+        # What every group runs, and how the group results recombine: a
+        # single group's statement IS the answer.
+        per_group, merge = fused, None
+        if len(groups) > 1 and block.is_aggregating:
+            per_group, merge = self._aggregate_merge(fused)
+        elif len(groups) > 1:
+            merge = self._concat_merge(fused, names)
+        plans = [
+            CrossGroup(members, self._group_select(per_group, usage, members))
+            for members in groups
+        ]
+        return CrossPlan(ids, plans, merge, names)
 
     # -- tenant grouping ----------------------------------------------------
 
@@ -445,170 +249,110 @@ class CrossTenantTransformer:
 
         return lookup
 
+    def _sources_for(self, tenant_id: int, fused: ast.Select, usage, tenant):
+        """Step 4 for one tenant's layout: the FROM clause with
+        reconstructions patched in, tenant filter guarded by ``tenant``."""
+        transformer = QueryTransformer(self.layout_for(tenant_id), self.schema)
+        return transformer.patch_sources(
+            tenant_id, fused.sources, usage, tenant=tenant
+        )
+
     def _group_tenants(
-        self,
-        tenant_ids: tuple[int, ...],
-        recon_specs: list[tuple[int, str, str, list[str]]],
-    ) -> list[tuple[object, tuple[int, ...]]]:
+        self, tenant_ids: tuple[int, ...], fused: ast.Select, usage
+    ) -> list[tuple[int, ...]]:
         """Partition the tenant set into structure groups.
 
-        The signature is the probe reconstruction's SQL (tenant filter
-        omitted): tenants producing byte-identical probes read exactly
-        the same physical tables/columns and can share one statement.
+        The signature is the tenant's own FROM clause in the shape-shared
+        form, tenant filters as hidden ``?`` slots: tenants producing
+        byte-identical text read exactly the same physical tables and
+        columns and can share one statement.  A tenant whose FROM clause
+        took no slot has no tenant filter to widen (Private Tables: the
+        physical table is the tenant scope) and stays on its own.
         """
-        buckets: dict[tuple, tuple[object, list[int]]] = {}
+        buckets: dict[tuple, list[int]] = {}
         for tenant_id in tenant_ids:
-            layout = self.layout_for(tenant_id)
-            parts = []
-            for _pos, table_name, binding, used in recon_specs:
-                fragments = layout.fragments(tenant_id, table_name)
-                probe = build_cross_reconstruction(
-                    fragments,
-                    used,
-                    binding,
-                    tenant_ids=None,
-                    literal_tenant=tenant_id,
-                    soft_delete=layout.soft_delete,
-                )
-                parts.append(probe.select.sql())
-            signature = tuple(parts)
-            bucket = buckets.get(signature)
-            if bucket is None:
-                buckets[signature] = (layout, [tenant_id])
-            else:
-                bucket[1].append(tenant_id)
-        return [
-            (layout, tuple(members)) for layout, members in buckets.values()
-        ]
+            slots = TenantParamAllocator(0)
+            sources = self._sources_for(tenant_id, fused, usage, slots)
+            signature = (
+                *(source.sql() for source in sources),
+                None if slots.count else tenant_id,
+            )
+            buckets.setdefault(signature, []).append(tenant_id)
+        return [tuple(members) for members in buckets.values()]
 
     # -- fused statement assembly -------------------------------------------
 
-    def _build_sources(
-        self,
-        block: QueryBlock,
-        recon_specs: list[tuple[int, str, str, list[str]]],
-        layout,
-        members: tuple[int, ...],
-    ) -> tuple[list[ast.Source], list[ast.Expr], ast.ColumnRef]:
-        """The fused FROM clause for one group: reconstructions with the
-        tenant-set filter pushed down, plus cross-source tenant-equality
-        conjuncts, plus the canonical ``TENANT_ID()`` replacement ref."""
-        recon_at = {pos: (name, binding, used) for pos, name, binding, used in recon_specs}
-        sources: list[ast.Source] = []
-        tenant_refs: list[ast.ColumnRef] = []
-        representative = members[0]
-        for position, source in enumerate(block.sources):
-            spec = recon_at.get(position)
-            if spec is None:
-                sources.append(source)
-                continue
-            table_name, binding, used = spec
-            fragments = layout.fragments(representative, table_name)
-            sources.append(
-                build_cross_reconstruction(
-                    fragments,
-                    used,
-                    binding,
-                    tenant_ids=members,
-                    literal_tenant=representative,
-                    soft_delete=layout.soft_delete,
-                )
-            )
-            tenant_refs.append(ast.ColumnRef(binding, TENANT_COLUMN))
+    def _fuse_tenant_dimension(self, block: QueryBlock) -> ast.Select:
+        """The logical statement with the tenant dimension made explicit:
+        every ``TENANT_ID()`` reads the first tenant-mapped source's
+        exposed tenant column, and cross-source tenant equalities keep
+        joins within one tenant.  Bindings come from the logical
+        statement, so the result is the same for every structure group;
+        only the FROM clause differs (:meth:`_group_select`)."""
+        tenant_refs = [
+            ast.ColumnRef(source.binding.lower(), TENANT_COLUMN)
+            for source in block.sources
+            if isinstance(source, ast.TableSource)
+            and self.schema.has_table(source.name)
+        ]
         if not tenant_refs:
             raise PlanError(
                 "cross-tenant statement references no tenant-mapped table"
             )
-        # Joins must stay within one tenant: equate every source's
-        # exposed tenant id with the first's.
+
+        def fuse(expr: ast.Expr) -> ast.Expr:
+            return _rewrite_tenant_fn(expr, tenant_refs[0])
+
         equalities: list[ast.Expr] = [
-            ast.BinaryOp("=", tenant_refs[0], other)
-            for other in tenant_refs[1:]
+            ast.BinaryOp("=", tenant_refs[0], other) for other in tenant_refs[1:]
         ]
-        return sources, equalities, tenant_refs[0]
-
-    def _rewrite_items(
-        self, items: list[ast.SelectItem], tenant_ref: ast.ColumnRef
-    ) -> list[ast.SelectItem]:
-        out = []
-        for item in items:
-            alias = item.alias
-            if (
-                alias is None
-                and isinstance(item.expr, ast.FuncCall)
-                and item.expr.name.upper() == TENANT_FUNC
-            ):
-                alias = "tenant_id"
-            out.append(
-                ast.SelectItem(_rewrite_tenant_fn(item.expr, tenant_ref), alias)
+        return block_to_select(
+            QueryBlock(
+                items=[
+                    ast.SelectItem(
+                        fuse(item.expr),
+                        "tenant_id"
+                        if item.alias is None and _is_tenant_fn(item.expr)
+                        else item.alias,
+                    )
+                    for item in block.items
+                ],
+                sources=block.sources,
+                conjuncts=equalities + [fuse(c) for c in block.conjuncts],
+                group_by=[fuse(e) for e in block.group_by],
+                having=fuse(block.having) if block.having is not None else None,
+                order_by=[
+                    ast.OrderItem(fuse(o.expr), o.descending)
+                    for o in block.order_by
+                ],
+                limit=block.limit,
+                distinct=block.distinct,
             )
-        return out
+        )
 
-    def _fused_select(
-        self,
-        block: QueryBlock,
-        recon_specs: list[tuple[int, str, str, list[str]]],
-        layout,
-        members: tuple[int, ...],
+    def _group_select(
+        self, fused: ast.Select, usage, members: tuple[int, ...]
     ) -> ast.Select:
-        """The complete fused statement for a single structure group —
-        ORDER BY / LIMIT / HAVING run inside the engine."""
-        sources, equalities, tenant_ref = self._build_sources(
-            block, recon_specs, layout, members
-        )
-        conjuncts = equalities + [
-            _rewrite_tenant_fn(c, tenant_ref) for c in block.conjuncts
-        ]
-        return ast.Select(
-            items=tuple(self._rewrite_items(block.items, tenant_ref)),
-            sources=tuple(sources),
-            where=conjoin(conjuncts),
-            group_by=tuple(
-                _rewrite_tenant_fn(e, tenant_ref) for e in block.group_by
-            ),
-            having=_rewrite_tenant_fn(block.having, tenant_ref)
-            if block.having is not None
-            else None,
-            order_by=tuple(
-                ast.OrderItem(_rewrite_tenant_fn(o.expr, tenant_ref), o.descending)
-                for o in block.order_by
-            ),
-            limit=block.limit,
-            distinct=block.distinct,
-        )
+        """``fused`` over one structure group's physical tables, the
+        tenant-set filter pushed into every reconstruction."""
+        sources = self._sources_for(members[0], fused, usage, members)
+        return dataclasses.replace(fused, sources=tuple(sources))
 
     # -- multi-group plans ---------------------------------------------------
 
-    def _concat_plan(
-        self,
-        block: QueryBlock,
-        recon_specs,
-        ids: tuple[int, ...],
-        groups,
-    ) -> CrossPlan:
-        """Non-aggregating multi-group plan: per-group statements keep
-        ORDER BY / LIMIT (a valid per-group top-k), the merge re-sorts
-        and re-limits globally."""
-        group_plans: list[CrossGroup] = []
-        names: list[str] = []
-        for layout, members in groups:
-            fused = self._fused_select(block, recon_specs, layout, members)
-            # HAVING without aggregation behaves as a WHERE; keep it.
-            group_plans.append(CrossGroup(members, fused))
-            if not names:
-                names = [output_name(i, n) for n, i in enumerate(fused.items)]
-
-        alias_positions = {
-            name: position for position, name in enumerate(names)
-        }
-        rewritten_items = group_plans[0].select.items
-        item_fps = [item.expr.sql() for item in rewritten_items]
+    def _concat_merge(self, fused: ast.Select, names: list[str]) -> MergeSpec:
+        """Non-aggregating multi-group merge: per-group statements keep
+        ORDER BY / LIMIT (a valid per-group top-k) and HAVING (without
+        aggregation it behaves as a WHERE); the merge re-sorts and
+        re-limits globally."""
+        positions = {name: position for position, name in enumerate(names)}
+        item_fps = [item.expr.sql() for item in fused.items]
         order_indexes: list[tuple[int, bool]] = []
-        for order in group_plans[0].select.order_by:
+        for order in fused.order_by:
             expr = order.expr
             index: int | None = None
             if isinstance(expr, ast.ColumnRef) and expr.table is None:
-                index = alias_positions.get(expr.column.lower())
+                index = positions.get(expr.column.lower())
             if index is None:
                 fp = expr.sql()
                 index = next(
@@ -622,273 +366,79 @@ class CrossTenantTransformer:
                     )
                 )
             order_indexes.append((index, order.descending))
-        merge = MergeSpec(
+        return MergeSpec(
             aggregated=False,
-            distinct=block.distinct,
-            limit=block.limit,
+            distinct=fused.distinct,
+            limit=fused.limit,
             order_indexes=tuple(order_indexes),
         )
-        return CrossPlan(ids, group_plans, merge, names)
 
-    def _aggregate_plan(
-        self,
-        block: QueryBlock,
-        recon_specs,
-        ids: tuple[int, ...],
-        groups,
-    ) -> CrossPlan:
-        """Aggregating multi-group plan: per-group statements compute
-        partial aggregates keyed by the GROUP BY exprs; the merge
-        recombines partials, applies HAVING, evaluates the original
-        select items, then sorts/limits."""
-        # Rewrite once against a canonical tenant ref to fix fingerprints
-        # (the rewritten exprs are identical across groups: bindings come
-        # from the logical statement).
-        first_layout, first_members = groups[0]
-        _sources, _eq, tenant_ref = self._build_sources(
-            block, recon_specs, first_layout, first_members
-        )
-        key_exprs = [_rewrite_tenant_fn(e, tenant_ref) for e in block.group_by]
-        items = self._rewrite_items(block.items, tenant_ref)
-        having = (
-            _rewrite_tenant_fn(block.having, tenant_ref)
-            if block.having is not None
-            else None
-        )
-        order_exprs = [
-            (_rewrite_tenant_fn(o.expr, tenant_ref), o.descending)
-            for o in block.order_by
-        ]
+    def _aggregate_merge(
+        self, fused: ast.Select
+    ) -> tuple[ast.Select, MergeSpec]:
+        """Aggregating multi-group plan: the partial statement every
+        group runs (partial aggregates keyed by the GROUP BY exprs) and
+        the merge that recombines partials, applies HAVING, evaluates
+        the original select items, then sorts/limits."""
+        # Compiling against the scope also proves every final expression
+        # evaluable from key values and merged aggregates alone.
+        scope = GroupedScope(fused)
+        key_count = len(fused.group_by)
 
-        # Collect every distinct aggregate call reachable from the final
-        # expressions and decompose it into mergeable partials.
-        agg_calls: dict[str, ast.FuncCall] = {}
-
-        def collect(expr: ast.Expr | None) -> None:
-            if expr is None:
-                return
-            if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
-                agg_calls.setdefault(expr.sql(), expr)
-                return
-            if isinstance(expr, ast.BinaryOp):
-                collect(expr.left)
-                collect(expr.right)
-            elif isinstance(expr, (ast.UnaryOp, ast.IsNull)):
-                collect(expr.operand)
-            elif isinstance(expr, ast.FuncCall):
-                for arg in expr.args:
-                    collect(arg)
-            elif isinstance(expr, ast.InList):
-                collect(expr.operand)
-                for i in expr.items:
-                    collect(i)
-
-        for item in items:
-            collect(item.expr)
-        collect(having)
-        for expr, _desc in order_exprs:
-            collect(expr)
-
-        key_count = len(key_exprs)
+        # Decompose every distinct aggregate into mergeable partials.
         partial_items: list[ast.SelectItem] = [
-            ast.SelectItem(expr, f"k{n}") for n, expr in enumerate(key_exprs)
+            ast.SelectItem(expr, f"k{n}") for n, expr in enumerate(fused.group_by)
         ]
         partial_ops: list[str] = []
-        aggs: list[AggPartial] = []
-        for fingerprint, call in agg_calls.items():
-            name = call.name.upper()
-            position = key_count + len(partial_ops)
-            if name == "AVG":
-                partial_items.append(
-                    ast.SelectItem(ast.FuncCall("SUM", call.args), f"a{len(partial_ops)}")
-                )
-                partial_items.append(
-                    ast.SelectItem(
-                        ast.FuncCall("COUNT", call.args), f"a{len(partial_ops) + 1}"
-                    )
-                )
-                partial_ops.extend(("sum", "count"))
-                aggs.append(AggPartial(fingerprint, "AVG", (position, position + 1)))
-                continue
+        aggs: list[tuple[int, ...]] = []
+
+        def ship(call: ast.FuncCall, op: str) -> int:
             partial_items.append(ast.SelectItem(call, f"a{len(partial_ops)}"))
-            if name == "COUNT":
-                partial_ops.append("count")
+            partial_ops.append(op)
+            return key_count + len(partial_ops) - 1
+
+        for call in scope.aggregates:
+            name = call.name.upper()
+            if name == "AVG":
                 aggs.append(
-                    AggPartial(
-                        fingerprint,
-                        "COUNT_STAR" if call.star else "COUNT",
-                        (position,),
+                    (
+                        ship(ast.FuncCall("SUM", call.args), "sum"),
+                        ship(ast.FuncCall("COUNT", call.args), "count"),
                     )
                 )
-            elif name == "SUM":
-                partial_ops.append("sum")
-                aggs.append(AggPartial(fingerprint, "SUM", (position,)))
-            else:  # MIN / MAX
-                partial_ops.append(name.lower())
-                aggs.append(AggPartial(fingerprint, name, (position,)))
+            else:  # COUNT / SUM / MIN / MAX recombine under their own name
+                aggs.append((ship(call, name.lower()),))
 
-        # Validate the final expressions are evaluable from key values
-        # and merged aggregates alone.
-        env_fps = {e.sql() for e in key_exprs} | set(agg_calls)
-        alias_names = {
-            item.alias.lower() for item in items if item.alias is not None
-        }
-        for item in items:
-            _check_final_expr(item.expr, env_fps, alias_names)
-        if having is not None:
-            _check_final_expr(having, env_fps, alias_names)
-        for expr, _desc in order_exprs:
-            _check_final_expr(expr, env_fps, alias_names)
-
-        group_plans: list[CrossGroup] = []
-        for layout, members in groups:
-            sources, equalities, ref = self._build_sources(
-                block, recon_specs, layout, members
-            )
-            conjuncts = equalities + [
-                _rewrite_tenant_fn(c, ref) for c in block.conjuncts
-            ]
-            partial = ast.Select(
-                items=tuple(partial_items),
-                sources=tuple(sources),
-                where=conjoin(conjuncts),
-                group_by=tuple(key_exprs),
-            )
-            group_plans.append(CrossGroup(members, partial))
-
-        names = [output_name(i, n) for n, i in enumerate(items)]
+        partial = dataclasses.replace(
+            fused,
+            items=tuple(partial_items),
+            having=None,
+            order_by=(),
+            limit=None,
+            distinct=False,
+        )
         merge = MergeSpec(
             aggregated=True,
-            distinct=block.distinct,
-            limit=block.limit,
-            key_fingerprints=tuple(e.sql() for e in key_exprs),
+            distinct=fused.distinct,
+            limit=fused.limit,
+            key_count=key_count,
             partial_ops=tuple(partial_ops),
             aggs=tuple(aggs),
-            item_exprs=tuple(item.expr for item in items),
-            having=having,
-            order_exprs=tuple(order_exprs),
-            alias_positions={
-                item.alias.lower(): n
-                for n, item in enumerate(items)
-                if item.alias is not None
-            },
+            items=tuple(scope.compile(item.expr) for item in fused.items),
+            having=scope.compile(fused.having)
+            if fused.having is not None
+            else None,
+            order=tuple(
+                (scope.compile(order.expr), order.descending)
+                for order in fused.order_by
+            ),
         )
-        return CrossPlan(ids, group_plans, merge, names)
+        return partial, merge
 
 
 # ---------------------------------------------------------------------------
 # Merge-time evaluation
 # ---------------------------------------------------------------------------
-
-_SCALAR_FUNCS = {"LENGTH", "UPPER", "LOWER", "ABS", "COALESCE"}
-
-
-def _check_final_expr(
-    expr: ast.Expr, env_fps: set[str], alias_names: set[str]
-) -> None:
-    if expr.sql() in env_fps:
-        return
-    if isinstance(expr, ast.Literal):
-        return
-    if isinstance(expr, ast.ColumnRef):
-        if expr.table is None and expr.column.lower() in alias_names:
-            return
-        raise PlanError(
-            f"column {expr.sql()} is neither grouped nor aggregated in a "
-            "cross-tenant rollup"
-        )
-    if isinstance(expr, ast.BinaryOp):
-        _check_final_expr(expr.left, env_fps, alias_names)
-        _check_final_expr(expr.right, env_fps, alias_names)
-        return
-    if isinstance(expr, (ast.UnaryOp, ast.IsNull)):
-        _check_final_expr(expr.operand, env_fps, alias_names)
-        return
-    if isinstance(expr, ast.FuncCall) and expr.name.upper() in _SCALAR_FUNCS:
-        for arg in expr.args:
-            _check_final_expr(arg, env_fps, alias_names)
-        return
-    raise PlanError(
-        f"cannot merge expression {expr.sql()} across structure groups"
-    )
-
-
-def _eval_final(
-    expr: ast.Expr,
-    env: dict[str, object],
-    out_row: tuple | None = None,
-    alias_positions: dict[str, int] | None = None,
-):
-    fingerprint = expr.sql()
-    if fingerprint in env:
-        return env[fingerprint]
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.ColumnRef):
-        if (
-            expr.table is None
-            and alias_positions is not None
-            and out_row is not None
-        ):
-            index = alias_positions.get(expr.column.lower())
-            if index is not None:
-                return out_row[index]
-        raise PlanError(f"unresolved merge reference {expr.sql()}")
-    if isinstance(expr, ast.BinaryOp):
-        op = expr.op.upper()
-        left = _eval_final(expr.left, env, out_row, alias_positions)
-        if op == "AND":
-            if left is False:
-                return False
-            right = _eval_final(expr.right, env, out_row, alias_positions)
-            if right is False:
-                return False
-            return None if left is None or right is None else True
-        if op == "OR":
-            if left is True:
-                return True
-            right = _eval_final(expr.right, env, out_row, alias_positions)
-            if right is True:
-                return True
-            return None if left is None or right is None else False
-        right = _eval_final(expr.right, env, out_row, alias_positions)
-        if left is None or right is None:
-            return None
-        if op in _COMPARE:
-            left, right = _coerce_pair(left, right)
-            try:
-                return _COMPARE[op](left, right)
-            except TypeError:
-                return _COMPARE[op](sort_key(left), sort_key(right))
-        if op in _ARITH:
-            return _ARITH[op](left, right)
-        raise PlanError(f"unsupported merge operator {expr.op!r}")
-    if isinstance(expr, ast.UnaryOp):
-        value = _eval_final(expr.operand, env, out_row, alias_positions)
-        if expr.op.upper() == "NOT":
-            return None if value is None else not value
-        return None if value is None else -value
-    if isinstance(expr, ast.IsNull):
-        value = _eval_final(expr.operand, env, out_row, alias_positions)
-        return value is not None if expr.negated else value is None
-    if isinstance(expr, ast.FuncCall):
-        name = expr.name.upper()
-        args = [
-            _eval_final(a, env, out_row, alias_positions) for a in expr.args
-        ]
-        if name == "COALESCE":
-            return next((a for a in args if a is not None), None)
-        if args and args[0] is None:
-            return None
-        if name == "LENGTH":
-            return len(str(args[0]))
-        if name == "UPPER":
-            return str(args[0]).upper()
-        if name == "LOWER":
-            return str(args[0]).lower()
-        if name == "ABS":
-            return abs(args[0])
-    raise PlanError(f"cannot evaluate merge expression {expr.sql()}")
 
 
 def _combine(op: str, a, b):
@@ -905,78 +455,55 @@ def _combine(op: str, a, b):
     return b if sort_key(b) > sort_key(a) else a
 
 
-def _finalize(agg: AggPartial, partials: list):
-    if agg.func == "AVG":
-        total = partials_at(partials, agg.columns[0])
-        count = partials_at(partials, agg.columns[1])
-        if not count:
-            return None
-        return total / count
-    return partials_at(partials, agg.columns[0])
+def _finalize(columns: tuple[int, ...], partials: list):
+    if len(columns) == 2:  # AVG from its SUM and COUNT
+        total, count = partials[columns[0]], partials[columns[1]]
+        return total / count if count else None
+    return partials[columns[0]]
 
 
-def partials_at(partials: list, absolute: int):
-    return partials[absolute]
+def _merged_groups(spec: MergeSpec, rows: list[tuple]) -> list[tuple]:
+    """Partial rows recombined per group key into the rows a single
+    GRPBY would have produced: (group keys ..., aggregates ...)."""
+    merged: dict[tuple, list] = {}
+    for row in rows:
+        key = tuple(row[: spec.key_count])
+        partials = merged.get(key)
+        if partials is None:
+            merged[key] = list(row)
+        else:
+            for n, op in enumerate(spec.partial_ops):
+                index = spec.key_count + n
+                partials[index] = _combine(op, partials[index], row[index])
+    return [
+        (*key, *(_finalize(columns, partials) for columns in spec.aggs))
+        for key, partials in merged.items()
+    ]
 
 
 def merge_results(
-    spec: MergeSpec, results: Sequence[Sequence[tuple]]
+    spec: MergeSpec,
+    results: Sequence[Sequence[tuple]],
+    params: Sequence[object] = (),
 ) -> list[tuple]:
-    """Combine per-group result rows into the final answer."""
-    if not spec.aggregated:
-        rows = [row for group_rows in results for row in group_rows]
-        if spec.distinct:
-            seen: set = set()
-            unique = []
-            for row in rows:
-                if row not in seen:
-                    seen.add(row)
-                    unique.append(row)
-            rows = unique
+    """Combine per-group result rows into the final answer, in the
+    engine's own clause order: HAVING, ORDER BY, select items, DISTINCT,
+    LIMIT."""
+    rows = [row for group_rows in results for row in group_rows]
+    if spec.aggregated:
+        groups = _merged_groups(spec, rows)
+        if spec.having is not None:
+            groups = [g for g in groups if spec.having(g, params) is True]
+        for key, descending in reversed(spec.order):
+            groups.sort(
+                key=lambda g: sort_key(key(g, params)), reverse=descending
+            )
+        rows = [tuple(item(g, params) for item in spec.items) for g in groups]
+    else:
         for index, descending in reversed(spec.order_indexes):
             rows.sort(key=lambda r: sort_key(r[index]), reverse=descending)
-        if spec.limit is not None:
-            rows = rows[: spec.limit]
-        return rows
-
-    key_count = len(spec.key_fingerprints)
-    merged: dict[tuple, list] = {}
-    for group_rows in results:
-        for row in group_rows:
-            key = tuple(row[:key_count])
-            partials = merged.get(key)
-            if partials is None:
-                merged[key] = list(row)
-            else:
-                for n, op in enumerate(spec.partial_ops):
-                    index = key_count + n
-                    partials[index] = _combine(op, partials[index], row[index])
-
-    out: list[tuple[tuple, dict]] = []
-    for key, partials in merged.items():
-        env: dict[str, object] = {
-            fp: key[n] for n, fp in enumerate(spec.key_fingerprints)
-        }
-        for agg in spec.aggs:
-            env[agg.fingerprint] = _finalize(agg, partials)
-        if spec.having is not None:
-            if _eval_final(spec.having, env) is not True:
-                continue
-        row = tuple(_eval_final(expr, env) for expr in spec.item_exprs)
-        out.append((row, env))
-
-    rows = [row for row, _env in out]
-    if spec.order_exprs:
-        decorated = out
-        for expr, descending in reversed(spec.order_exprs):
-            decorated = sorted(
-                decorated,
-                key=lambda pair: sort_key(
-                    _eval_final(expr, pair[1], pair[0], spec.alias_positions)
-                ),
-                reverse=descending,
-            )
-        rows = [row for row, _env in decorated]
+    if spec.distinct:
+        rows = list(dict.fromkeys(rows))
     if spec.limit is not None:
         rows = rows[: spec.limit]
     return rows

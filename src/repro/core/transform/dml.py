@@ -25,6 +25,7 @@ import enum
 
 from ...engine.errors import PlanError, UnknownObjectError
 from ...engine.expr import ExprCompiler, Schema, Slot
+from ...engine.plan.logical import rewrite_refs
 from ...engine.sql import ast
 from ..layouts.base import ALIVE, Fragment
 from ..schema import MultiTenantSchema
@@ -45,36 +46,13 @@ def substitute_params(expr: ast.Expr, params) -> ast.Expr:
     one logical statement becomes many physical ones)."""
     if isinstance(expr, ast.Param):
         return ast.Literal(params[expr.index])
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(
-            expr.op,
-            substitute_params(expr.left, params),
-            substitute_params(expr.right, params),
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, substitute_params(expr.operand, params))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(substitute_params(expr.operand, params), expr.negated)
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(
-            expr.name,
-            tuple(substitute_params(a, params) for a in expr.args),
-            expr.star,
-            expr.distinct,
-        )
-    if isinstance(expr, ast.InList):
-        return ast.InList(
-            substitute_params(expr.operand, params),
-            tuple(substitute_params(i, params) for i in expr.items),
-            expr.negated,
-        )
     if isinstance(expr, ast.InSubquery):
         return ast.InSubquery(
             substitute_params(expr.operand, params),
             _substitute_select(expr.subquery, params),
             expr.negated,
         )
-    return expr
+    return ast.map_children(expr, lambda child: substitute_params(child, params))
 
 
 def _substitute_select(select: ast.Select, params) -> ast.Select:
@@ -111,64 +89,19 @@ def _substitute_select(select: ast.Select, params) -> ast.Select:
 
 
 def _column_refs(expr: ast.Expr) -> list[str]:
-    out: list[str] = []
-
-    def walk(node) -> None:
-        if isinstance(node, ast.ColumnRef):
-            column = node.column.lower()
-            if column not in out:
-                out.append(column)
-        elif isinstance(node, ast.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (ast.UnaryOp, ast.IsNull)):
-            walk(node.operand)
-        elif isinstance(node, ast.FuncCall):
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, ast.InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, ast.InSubquery):
-            walk(node.operand)
-
-    walk(expr)
-    return out
+    """Column names referenced in ``expr``, in first-use order."""
+    return list(
+        dict.fromkeys(
+            node.column.lower()
+            for node in ast.walk(expr)
+            if isinstance(node, ast.ColumnRef)
+        )
+    )
 
 
 def _qualify_to_binding(expr: ast.Expr, binding: str) -> ast.Expr:
     """DML statements name one table; give every bare ref that binding."""
-    if isinstance(expr, ast.ColumnRef):
-        return ast.ColumnRef(binding, expr.column)
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(
-            expr.op,
-            _qualify_to_binding(expr.left, binding),
-            _qualify_to_binding(expr.right, binding),
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _qualify_to_binding(expr.operand, binding))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(_qualify_to_binding(expr.operand, binding), expr.negated)
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(
-            expr.name,
-            tuple(_qualify_to_binding(a, binding) for a in expr.args),
-            expr.star,
-            expr.distinct,
-        )
-    if isinstance(expr, ast.InList):
-        return ast.InList(
-            _qualify_to_binding(expr.operand, binding),
-            tuple(_qualify_to_binding(i, binding) for i in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, ast.InSubquery):
-        return ast.InSubquery(
-            _qualify_to_binding(expr.operand, binding), expr.subquery, expr.negated
-        )
-    return expr
+    return rewrite_refs(expr, lambda ref: ast.ColumnRef(binding, ref.column))
 
 
 class DmlTransformer:
@@ -495,44 +428,17 @@ class DmlTransformer:
     def _localize(self, expr: ast.Expr, column_map) -> ast.Expr:
         """Rewrite logical column refs to one fragment's physical names;
         SUBQUERY mode requires SET expressions to stay fragment-local."""
-        if isinstance(expr, ast.ColumnRef):
-            name = expr.column.lower()
+
+        def localize(ref: ast.ColumnRef) -> ast.Expr:
+            name = ref.column.lower()
             if name not in column_map:
                 raise PlanError(
                     f"SET expression references {name!r} outside the updated "
                     "fragment; use UpdateMode.BUFFERED"
                 )
             return ast.ColumnRef(None, column_map[name].physical)
-        if isinstance(expr, ast.BinaryOp):
-            return ast.BinaryOp(
-                expr.op,
-                self._localize(expr.left, column_map),
-                self._localize(expr.right, column_map),
-            )
-        if isinstance(expr, ast.UnaryOp):
-            return ast.UnaryOp(expr.op, self._localize(expr.operand, column_map))
-        if isinstance(expr, ast.IsNull):
-            return ast.IsNull(self._localize(expr.operand, column_map), expr.negated)
-        if isinstance(expr, ast.FuncCall):
-            return ast.FuncCall(
-                expr.name,
-                tuple(self._localize(a, column_map) for a in expr.args),
-                expr.star,
-                expr.distinct,
-            )
-        if isinstance(expr, ast.InList):
-            return ast.InList(
-                self._localize(expr.operand, column_map),
-                tuple(self._localize(i, column_map) for i in expr.items),
-                expr.negated,
-            )
-        if isinstance(expr, ast.InSubquery):
-            return ast.InSubquery(
-                self._localize(expr.operand, column_map),
-                expr.subquery,
-                expr.negated,
-            )
-        return expr
+
+        return rewrite_refs(expr, localize)
 
     # -- DELETE ----------------------------------------------------------------------
 

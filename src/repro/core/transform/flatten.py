@@ -14,6 +14,7 @@ WHERE conjunct order per the experiment's two orderings.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from typing import Callable
 
@@ -58,30 +59,11 @@ def is_metadata_predicate(conjunct: ast.Expr) -> bool:
     """True when the conjunct only touches meta-data columns (tenant,
     tbl, chunk, col, row, alive) — reconstruction plumbing rather than
     the original query's logic."""
-    verdict = True
-
-    def walk(expr) -> None:
-        nonlocal verdict
-        if isinstance(expr, ast.ColumnRef):
-            if expr.column.lower() not in META_COLUMNS:
-                verdict = False
-        elif isinstance(expr, ast.BinaryOp):
-            walk(expr.left)
-            walk(expr.right)
-        elif isinstance(expr, (ast.UnaryOp, ast.IsNull)):
-            walk(expr.operand)
-        elif isinstance(expr, ast.FuncCall):
-            for arg in expr.args:
-                walk(arg)
-        elif isinstance(expr, ast.InList):
-            walk(expr.operand)
-            for item in expr.items:
-                walk(item)
-        elif isinstance(expr, ast.InSubquery):
-            walk(expr.operand)
-
-    walk(conjunct)
-    return verdict
+    return all(
+        node.column.lower() in META_COLUMNS
+        for node in ast.walk(conjunct)
+        if isinstance(node, ast.ColumnRef)
+    )
 
 
 def order_predicates(select: ast.Select, order: PredicateOrder) -> ast.Select:
@@ -95,13 +77,4 @@ def order_predicates(select: ast.Select, order: PredicateOrder) -> ast.Select:
         ordered = metadata + original
     else:
         ordered = original + metadata
-    return ast.Select(
-        items=select.items,
-        sources=select.sources,
-        where=conjoin(ordered),
-        group_by=select.group_by,
-        having=select.having,
-        order_by=select.order_by,
-        limit=select.limit,
-        distinct=select.distinct,
-    )
+    return dataclasses.replace(select, where=conjoin(ordered))

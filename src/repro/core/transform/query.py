@@ -19,11 +19,13 @@ first for SIMPLE-optimizer databases).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ...engine.errors import PlanError, UnknownObjectError
 from ...engine.plan.logical import (
     QueryBlock,
-    block_to_select,
     build_block,
+    conjoin,
     qualify_block,
 )
 from ...engine.sql import ast
@@ -33,6 +35,9 @@ from ..schema import MultiTenantSchema
 #: Output column name carrying the logical Row id in reconstructions
 #: built for DML (phase (a) of §6.3).
 ROW_ALIAS = "__row"
+#: Output column a reconstruction over a tenant *set* exposes the
+#: tenant id as.
+TENANT_COLUMN = "__tenant"
 
 
 class TenantParamAllocator:
@@ -67,39 +72,13 @@ def used_columns(block: QueryBlock) -> dict[str, list[str]]:
     reconstruction queries deterministic.
     """
     order: dict[str, list[str]] = {}
-
-    def walk(expr) -> None:
-        if isinstance(expr, ast.ColumnRef):
-            if expr.table is not None:
-                bucket = order.setdefault(expr.table.lower(), [])
-                column = expr.column.lower()
+    for expr in block.expressions():
+        for node in ast.walk(expr):
+            if isinstance(node, ast.ColumnRef) and node.table is not None:
+                bucket = order.setdefault(node.table.lower(), [])
+                column = node.column.lower()
                 if column not in bucket:
                     bucket.append(column)
-        elif isinstance(expr, ast.BinaryOp):
-            walk(expr.left)
-            walk(expr.right)
-        elif isinstance(expr, (ast.UnaryOp, ast.IsNull)):
-            walk(expr.operand)
-        elif isinstance(expr, ast.FuncCall):
-            for arg in expr.args:
-                walk(arg)
-        elif isinstance(expr, ast.InList):
-            walk(expr.operand)
-            for item in expr.items:
-                walk(item)
-        elif isinstance(expr, ast.InSubquery):
-            walk(expr.operand)
-
-    for item in block.items:
-        walk(item.expr)
-    for conjunct in block.conjuncts:
-        walk(conjunct)
-    for expr in block.group_by:
-        walk(expr)
-    if block.having is not None:
-        walk(block.having)
-    for order_item in block.order_by:
-        walk(order_item.expr)
     return order
 
 
@@ -113,9 +92,8 @@ def select_needed_fragments(
     """Which fragments a reconstruction must read ("if a query does not
     reference one of the tables, then there is no need to read it in").
 
-    Shared by the single-tenant and cross-tenant builders — the
-    cross-tenant path also uses the selection as a tenant's *structure
-    signature* for fusing statements across tenants.
+    The selection is also what makes two tenants' reconstructions
+    differ structurally, i.e. what the cross-tenant path groups on.
     """
     if not fragments:
         raise PlanError(f"no fragments for source {binding!r}")
@@ -136,6 +114,15 @@ def select_needed_fragments(
     return needed
 
 
+def tenant_set_predicate(
+    column: ast.ColumnRef, tenant_ids: Sequence[int]
+) -> ast.Expr:
+    """The pushed-down tenant-set filter: ``= t`` or ``IN (t1, ...)``."""
+    if len(tenant_ids) == 1:
+        return ast.BinaryOp("=", column, ast.Literal(tenant_ids[0]))
+    return ast.InList(column, tuple(ast.Literal(t) for t in tenant_ids))
+
+
 def build_reconstruction(
     fragments: list[Fragment],
     used: list[str],
@@ -144,7 +131,7 @@ def build_reconstruction(
     include_row: bool = False,
     soft_delete: bool = False,
     all_fragments: bool = False,
-    tenant_params: TenantParamAllocator | None = None,
+    tenant: TenantParamAllocator | Sequence[int] | None = None,
 ) -> ast.SubquerySource:
     """The table-reconstruction query for one logical source (step 3).
 
@@ -152,17 +139,35 @@ def build_reconstruction(
     additionally exposes the anchor's Row id as ``__row``;
     ``all_fragments`` forces every fragment in (DML over all chunks,
     e.g. soft deletes).
+
+    ``tenant`` says how the Tenant meta-data filter is guarded.  ``None``
+    keeps the fragment's own tenant id as a literal; a
+    :class:`TenantParamAllocator` takes a hidden ``?`` slot per filter
+    (shape-shared cached statements); a sequence of tenant ids widens
+    the filter to that *set* — a single-tenant query is the |set| = 1
+    case of a cross-tenant one.  The set form also exposes the tenant
+    identity as the :data:`TENANT_COLUMN` output column and aligns
+    fragments on (tenant, row) so rows of different tenants never align.
     """
     needed = select_needed_fragments(
         fragments, used, binding, all_fragments=all_fragments
     )
+    tenant_set = (
+        None
+        if tenant is None or isinstance(tenant, TenantParamAllocator)
+        else tuple(tenant)
+    )
 
     aliases = {id(f): f"f{i}" for i, f in enumerate(needed)}
     anchor = needed[0]
+    anchor_alias = aliases[id(anchor)]
     if len(needed) > 1 and any(f.row_column is None for f in needed):
         raise PlanError(
             f"source {binding!r} needs row alignment but a fragment has no row column"
         )
+
+    def has_tenant(fragment: Fragment) -> bool:
+        return any(c == TENANT_META for c, _ in fragment.meta)
 
     items: list[ast.SelectItem] = []
     emitted = set()
@@ -183,22 +188,35 @@ def build_reconstruction(
             raise PlanError(f"source {binding!r} has no row identity for DML")
         items.append(
             ast.SelectItem(
-                ast.ColumnRef(aliases[id(anchor)], anchor.row_column), ROW_ALIAS
+                ast.ColumnRef(anchor_alias, anchor.row_column), ROW_ALIAS
             )
         )
+    if tenant_set is not None:
+        if has_tenant(anchor):
+            tenant_expr: ast.Expr = ast.ColumnRef(anchor_alias, TENANT_META)
+        elif len(tenant_set) == 1:
+            # No tenant meta column (Private Tables): the physical table
+            # IS the tenant scope, so the identity is a constant.
+            tenant_expr = ast.Literal(tenant_set[0])
+        else:
+            raise PlanError(
+                f"source {binding!r} has per-tenant physical tables; "
+                "it cannot fuse multiple tenants into one statement"
+            )
+        items.append(ast.SelectItem(tenant_expr, TENANT_COLUMN))
     if not items:
         # Anchor-only reconstruction for queries that touch no columns
         # (COUNT(*)): expose the row id or the first physical column.
         if anchor.row_column is not None:
             items.append(
                 ast.SelectItem(
-                    ast.ColumnRef(aliases[id(anchor)], anchor.row_column), ROW_ALIAS
+                    ast.ColumnRef(anchor_alias, anchor.row_column), ROW_ALIAS
                 )
             )
         else:
             name, loc = anchor.columns[0]
             items.append(
-                ast.SelectItem(ast.ColumnRef(aliases[id(anchor)], loc.physical), name)
+                ast.SelectItem(ast.ColumnRef(anchor_alias, loc.physical), name)
             )
 
     sources = [ast.TableSource(f.table, aliases[id(f)]) for f in needed]
@@ -207,34 +225,37 @@ def build_reconstruction(
     for fragment in needed:
         alias = aliases[id(fragment)]
         for meta_col, value in fragment.meta:
-            rhs: ast.Expr
-            if tenant_params is not None and meta_col == TENANT_META:
-                rhs = tenant_params.allocate()
+            column = ast.ColumnRef(alias, meta_col)
+            if meta_col != TENANT_META or tenant is None:
+                conjuncts.append(ast.BinaryOp("=", column, ast.Literal(value)))
+            elif tenant_set is None:
+                conjuncts.append(ast.BinaryOp("=", column, tenant.allocate()))
             else:
-                rhs = ast.Literal(value)
-            conjuncts.append(
-                ast.BinaryOp("=", ast.ColumnRef(alias, meta_col), rhs)
-            )
+                conjuncts.append(tenant_set_predicate(column, tenant_set))
         if soft_delete:
             conjuncts.append(
                 ast.BinaryOp("=", ast.ColumnRef(alias, ALIVE), ast.Literal(1))
             )
-    anchor_alias = aliases[id(anchor)]
     for fragment in needed[1:]:
+        alias = aliases[id(fragment)]
+        if tenant_set is not None and has_tenant(anchor) and has_tenant(fragment):
+            conjuncts.append(
+                ast.BinaryOp(
+                    "=",
+                    ast.ColumnRef(anchor_alias, TENANT_META),
+                    ast.ColumnRef(alias, TENANT_META),
+                )
+            )
         conjuncts.append(
             ast.BinaryOp(
                 "=",
                 ast.ColumnRef(anchor_alias, anchor.row_column),
-                ast.ColumnRef(aliases[id(fragment)], fragment.row_column),
+                ast.ColumnRef(alias, fragment.row_column),
             )
         )
 
-    where = None
-    for conjunct in conjuncts:
-        where = conjunct if where is None else ast.BinaryOp("AND", where, conjunct)
-
     select = ast.Select(
-        items=tuple(items), sources=tuple(sources), where=where
+        items=tuple(items), sources=tuple(sources), where=conjoin(conjuncts)
     )
     return ast.SubquerySource(select, binding)
 
@@ -253,50 +274,60 @@ class QueryTransformer:
         tenant_params: TenantParamAllocator | None = None,
     ) -> ast.Expr:
         """Transform ``IN (SELECT ...)`` subqueries inside a predicate."""
-        if isinstance(expr, ast.InSubquery):
-            return ast.InSubquery(
-                self.transform_predicate(tenant_id, expr.operand, tenant_params),
-                self.transform_select(
-                    tenant_id, expr.subquery, tenant_params=tenant_params
-                ),
-                expr.negated,
-            )
-        if isinstance(expr, ast.BinaryOp):
-            return ast.BinaryOp(
-                expr.op,
-                self.transform_predicate(tenant_id, expr.left, tenant_params),
-                self.transform_predicate(tenant_id, expr.right, tenant_params),
-            )
-        if isinstance(expr, ast.UnaryOp):
-            return ast.UnaryOp(
-                expr.op,
-                self.transform_predicate(tenant_id, expr.operand, tenant_params),
-            )
-        if isinstance(expr, ast.IsNull):
-            return ast.IsNull(
-                self.transform_predicate(tenant_id, expr.operand, tenant_params),
-                expr.negated,
-            )
-        if isinstance(expr, ast.FuncCall):
-            return ast.FuncCall(
-                expr.name,
-                tuple(
-                    self.transform_predicate(tenant_id, a, tenant_params)
-                    for a in expr.args
-                ),
-                expr.star,
-                expr.distinct,
-            )
-        if isinstance(expr, ast.InList):
-            return ast.InList(
-                self.transform_predicate(tenant_id, expr.operand, tenant_params),
-                tuple(
-                    self.transform_predicate(tenant_id, i, tenant_params)
-                    for i in expr.items
-                ),
-                expr.negated,
-            )
-        return expr
+
+        def transform(node: ast.Expr) -> ast.Expr:
+            if isinstance(node, ast.InSubquery):
+                return ast.InSubquery(
+                    transform(node.operand),
+                    self.transform_select(
+                        tenant_id, node.subquery, tenant_params=tenant_params
+                    ),
+                    node.negated,
+                )
+            return ast.map_children(node, transform)
+
+        return transform(expr)
+
+    def patch_sources(
+        self,
+        tenant_id: int,
+        sources: Sequence[ast.Source],
+        usage: dict[str, list[str]],
+        *,
+        include_row: bool = False,
+        tenant: TenantParamAllocator | Sequence[int] | None = None,
+    ) -> list[ast.Source]:
+        """Step 4: a qualified statement's FROM clause with every
+        tenant-mapped logical table replaced by its reconstruction
+        (``usage`` is :func:`used_columns` of the statement's block).
+        ``tenant_id`` picks whose fragments are read — any member, when
+        ``tenant`` is a set of structurally identical tenants.  Logical
+        FROM subqueries recurse (single-tenant statements only: ``FOR
+        TENANTS`` statements reject them before they get here)."""
+        patched: list[ast.Source] = []
+        for source in sources:
+            if isinstance(source, ast.SubquerySource):
+                inner = self.transform_select(
+                    tenant_id, source.select, tenant_params=tenant
+                )
+                patched.append(ast.SubquerySource(inner, source.alias))
+            elif not self.schema.has_table(source.name):
+                # Physical / passthrough table (layout internals, results
+                # tables, ...): leave untouched.
+                patched.append(source)
+            else:
+                binding = source.binding.lower()
+                patched.append(
+                    build_reconstruction(
+                        self.layout.fragments(tenant_id, source.name),
+                        usage.get(binding, []),
+                        binding,
+                        include_row=include_row,
+                        soft_delete=self.layout.soft_delete,
+                        tenant=tenant,
+                    )
+                )
+        return patched
 
     def transform_select(
         self,
@@ -310,33 +341,14 @@ class QueryTransformer:
         subqueries)."""
         lookup = self.schema.logical_lookup(tenant_id)
         block = qualify_block(build_block(select), lookup)
-        usage = used_columns(block)
-        sources: list[ast.Source] = []
-        for source in block.sources:
-            if isinstance(source, ast.SubquerySource):
-                inner = self.transform_select(
-                    tenant_id, source.select, tenant_params=tenant_params
-                )
-                sources.append(ast.SubquerySource(inner, source.alias))
-                continue
-            if not self.schema.has_table(source.name):
-                # Physical / passthrough table (layout internals, results
-                # tables, ...): leave untouched.
-                sources.append(source)
-                continue
-            binding = source.binding.lower()
-            fragments = self.layout.fragments(tenant_id, source.name)
-            sources.append(
-                build_reconstruction(
-                    fragments,
-                    usage.get(binding, []),
-                    binding,
-                    include_row=include_row,
-                    soft_delete=self.layout.soft_delete,
-                    tenant_params=tenant_params,
-                )
-            )
-        where = block_to_select(block).where
+        sources = self.patch_sources(
+            tenant_id,
+            block.sources,
+            used_columns(block),
+            include_row=include_row,
+            tenant=tenant_params,
+        )
+        where = conjoin(block.conjuncts)
         return ast.Select(
             items=tuple(block.items),
             sources=tuple(sources),

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import ExecutionError, PlanError, UnknownObjectError
 from .sql import ast
+
+if TYPE_CHECKING:
+    from .plan.logical import QueryBlock
 
 #: A compiled expression: (row, params) -> value.
 Compiled = Callable[[tuple, Sequence[object]], object]
@@ -83,46 +86,21 @@ def referenced_bindings(expr: ast.Expr) -> set[str]:
     Unqualified column references yield the pseudo-binding ``"?"`` so the
     caller knows resolution needs the full schema.
     """
-    out: set[str] = set()
-    _walk_bindings(expr, out)
-    return out
-
-
-def _walk_bindings(expr: ast.Expr, out: set[str]) -> None:
-    if isinstance(expr, ast.ColumnRef):
-        out.add(expr.table.lower() if expr.table else "?")
-    elif isinstance(expr, ast.BinaryOp):
-        _walk_bindings(expr.left, out)
-        _walk_bindings(expr.right, out)
-    elif isinstance(expr, (ast.UnaryOp, ast.IsNull)):
-        _walk_bindings(expr.operand, out)
-    elif isinstance(expr, ast.FuncCall):
-        for arg in expr.args:
-            _walk_bindings(arg, out)
-    elif isinstance(expr, ast.InList):
-        _walk_bindings(expr.operand, out)
-        for item in expr.items:
-            _walk_bindings(item, out)
-    elif isinstance(expr, ast.InSubquery):
-        _walk_bindings(expr.operand, out)
-        # Correlated subqueries are not supported; the subquery's own
-        # references are resolved against its own sources.
+    # An ``IN (SELECT ...)`` contributes its operand only: correlated
+    # subqueries are not supported, so the subquery's own references
+    # resolve against its own sources.
+    return {
+        node.table.lower() if node.table else "?"
+        for node in ast.walk(expr)
+        if isinstance(node, ast.ColumnRef)
+    }
 
 
 def contains_aggregate(expr: ast.Expr | ast.Star) -> bool:
-    if isinstance(expr, ast.FuncCall):
-        if expr.is_aggregate:
-            return True
-        return any(contains_aggregate(a) for a in expr.args)
-    if isinstance(expr, ast.BinaryOp):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, (ast.UnaryOp, ast.IsNull)):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, ast.InList):
-        return contains_aggregate(expr.operand) or any(
-            contains_aggregate(i) for i in expr.items
-        )
-    return False
+    return not isinstance(expr, ast.Star) and any(
+        isinstance(node, ast.FuncCall) and node.is_aggregate
+        for node in ast.walk(expr)
+    )
 
 
 def _like_matcher(pattern: str) -> Callable[[str], bool]:
@@ -452,3 +430,61 @@ class ExprCompiler:
                 return None
             return coalesce
         raise PlanError(f"unknown function {name}")
+
+
+class GroupedScope:
+    """What an expression can see after grouping: the GROUP BY keys and
+    the aggregate results, nothing else.
+
+    HAVING, select items and ORDER BY keys of a grouped ``statement`` (a
+    ``Select`` or its ``QueryBlock``) are evaluated over the pseudo-row
+    ``(key values..., aggregate values...)``.  ``aggregates`` lists the
+    distinct aggregate calls those clauses reach, in first-use order —
+    the order of the pseudo-row's aggregate slots; whoever produces the
+    pseudo-rows (the engine's GRPBY operator, the cross-tenant merge)
+    computes them in that order.
+    """
+
+    def __init__(
+        self,
+        statement: "ast.Select | QueryBlock",
+        subquery_executor: "Callable[[ast.Select, Sequence[object]], set] | None" = None,
+    ) -> None:
+        self.group_by = list(statement.group_by)
+        self.aggregates: list[ast.FuncCall] = []
+        self._agg_slot: dict[ast.FuncCall, int] = {}
+        for item in statement.items:
+            self._register(item.expr)
+        if statement.having is not None:
+            self._register(statement.having)
+        for order_item in statement.order_by:
+            self._register(order_item.expr)
+        slots = [Slot(None, f"__g{i}") for i in range(len(self.group_by))]
+        slots += [Slot(None, f"__a{i}") for i in range(len(self.aggregates))]
+        self._compiler = ExprCompiler(Schema(slots), subquery_executor)
+
+    def _register(self, expr: ast.Expr) -> None:
+        if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
+            if expr not in self._agg_slot:
+                self._agg_slot[expr] = len(self.aggregates)
+                self.aggregates.append(expr)
+            return
+        for child in ast.children(expr):
+            self._register(child)
+
+    def rewrite(self, expr: ast.Expr) -> ast.Expr:
+        """``expr`` over the pseudo-row: whole GROUP BY expressions and
+        aggregate calls become slot reads."""
+        for i, key in enumerate(self.group_by):
+            if expr == key:
+                return ast.ColumnRef(None, f"__g{i}")
+        if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
+            return ast.ColumnRef(None, f"__a{self._agg_slot[expr]}")
+        if isinstance(expr, ast.ColumnRef):
+            raise PlanError(
+                f"column {expr.sql()} must appear in GROUP BY or an aggregate"
+            )
+        return ast.map_children(expr, self.rewrite)
+
+    def compile(self, expr: ast.Expr) -> Compiled:
+        return self._compiler.compile(self.rewrite(expr))

@@ -28,6 +28,7 @@ from .catalog import Catalog, Table
 from .errors import EngineError, PlanError, UnknownObjectError
 from .expr import (
     ExprCompiler,
+    GroupedScope,
     Schema,
     Slot,
     referenced_bindings,
@@ -408,48 +409,25 @@ class Planner:
 
     def _needed_columns(self, block: QueryBlock) -> dict[str, set[str]]:
         """Per-binding referenced columns; the ``""`` key marks the map
-        *incomplete* (an unqualified reference or an expression shape the
-        walk does not enumerate) — consumers that need a proven-complete
+        *incomplete* (an unqualified reference or a node ``ast.walk``
+        rejects as not an expression) — consumers that need a proven-complete
         set (column pruning) must then stand down.  The per-binding sets
         stay usable either way for cost heuristics (index-only covering
         checks re-verify against residuals separately)."""
         needed: dict[str, set[str]] = {}
-
-        def walk(expr) -> None:
-            if isinstance(expr, ast.ColumnRef):
-                if expr.table is not None:
-                    needed.setdefault(expr.table.lower(), set()).add(
-                        expr.column.lower()
-                    )
-                else:
-                    needed[""] = set()
-            elif isinstance(expr, ast.BinaryOp):
-                walk(expr.left)
-                walk(expr.right)
-            elif isinstance(expr, (ast.UnaryOp, ast.IsNull)):
-                walk(expr.operand)
-            elif isinstance(expr, ast.FuncCall):
-                for a in expr.args:
-                    walk(a)
-            elif isinstance(expr, ast.InList):
-                walk(expr.operand)
-                for i in expr.items:
-                    walk(i)
-            elif isinstance(expr, ast.InSubquery):
-                walk(expr.operand)
-            elif not isinstance(expr, (ast.Literal, ast.Param)):
+        for expr in block.expressions():
+            try:
+                for node in ast.walk(expr):
+                    if not isinstance(node, ast.ColumnRef):
+                        continue
+                    if node.table is None:
+                        needed[""] = set()
+                    else:
+                        needed.setdefault(node.table.lower(), set()).add(
+                            node.column.lower()
+                        )
+            except TypeError:  # not an expression (``*``): nothing proven
                 needed[""] = set()
-
-        for item in block.items:
-            walk(item.expr)
-        for conjunct in block.conjuncts:
-            walk(conjunct)
-        for expr in block.group_by:
-            walk(expr)
-        if block.having is not None:
-            walk(block.having)
-        for order_item in block.order_by:
-            walk(order_item.expr)
         return needed
 
     # -- join ordering -----------------------------------------------------------
@@ -980,60 +958,28 @@ class Planner:
     def _strict_columns(expr: ast.Expr, binding: str) -> set[str] | None:
         """Columns of ``binding`` referenced in ``expr``, or ``None``
         when the set cannot be proven complete (an unqualified reference
-        or an unenumerated expression shape)."""
+        or a node ``ast.walk`` rejects as not an expression)."""
         cols: set[str] = set()
-        ok = True
-
-        def walk(node):
-            nonlocal ok
-            if isinstance(node, ast.ColumnRef):
-                if node.table is None:
-                    ok = False
-                elif node.table.lower() == binding:
-                    cols.add(node.column.lower())
-            elif isinstance(node, ast.BinaryOp):
-                walk(node.left)
-                walk(node.right)
-            elif isinstance(node, (ast.UnaryOp, ast.IsNull)):
-                walk(node.operand)
-            elif isinstance(node, ast.FuncCall):
-                for a in node.args:
-                    walk(a)
-            elif isinstance(node, ast.InList):
-                walk(node.operand)
-                for i in node.items:
-                    walk(i)
-            elif isinstance(node, ast.InSubquery):
-                walk(node.operand)
-            elif not isinstance(node, (ast.Literal, ast.Param)):
-                ok = False
-
-        walk(expr)
-        return cols if ok else None
+        try:
+            for node in ast.walk(expr):
+                if isinstance(node, ast.ColumnRef):
+                    if node.table is None:
+                        return None
+                    if node.table.lower() == binding:
+                        cols.add(node.column.lower())
+        except TypeError:
+            return None
+        return cols
 
     @staticmethod
     def _columns_of_binding(expr: ast.Expr, binding: str) -> set[str]:
-        cols: set[str] = set()
-
-        def walk(node):
-            if isinstance(node, ast.ColumnRef):
-                if node.table and node.table.lower() == binding:
-                    cols.add(node.column.lower())
-            elif isinstance(node, ast.BinaryOp):
-                walk(node.left)
-                walk(node.right)
-            elif isinstance(node, (ast.UnaryOp, ast.IsNull)):
-                walk(node.operand)
-            elif isinstance(node, ast.FuncCall):
-                for a in node.args:
-                    walk(a)
-            elif isinstance(node, ast.InList):
-                walk(node.operand)
-                for i in node.items:
-                    walk(i)
-
-        walk(expr)
-        return cols
+        return {
+            node.column.lower()
+            for node in ast.walk(expr)
+            if isinstance(node, ast.ColumnRef)
+            and node.table
+            and node.table.lower() == binding
+        }
 
     def _choose_index(
         self,
@@ -1322,85 +1268,31 @@ class Planner:
         child_compiler = ExprCompiler(node.schema, self._subquery_executor)
         group_exprs = [child_compiler.compile(e) for e in block.group_by]
 
+        # HAVING, select items and ORDER BY keys are compiled against
+        # the (group keys ..., agg values ...) pseudo-row.
+        scope = GroupedScope(block, self._subquery_executor)
+
         aggs: list[phys.AggSpec] = []
-        agg_index: dict[ast.FuncCall, int] = {}
-
-        def register_aggs(expr: ast.Expr) -> None:
-            if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
-                if expr not in agg_index:
-                    if expr.star:
-                        spec = phys.AggSpec("COUNT_STAR", None)
-                    else:
-                        if len(expr.args) != 1:
-                            raise PlanError(
-                                f"{expr.name} takes exactly one argument"
-                            )
-                        spec = phys.AggSpec(
-                            expr.name.upper(),
-                            child_compiler.compile(expr.args[0]),
-                            expr.distinct,
-                        )
-                    agg_index[expr] = len(aggs)
-                    aggs.append(spec)
-                return
-            if isinstance(expr, ast.BinaryOp):
-                register_aggs(expr.left)
-                register_aggs(expr.right)
-            elif isinstance(expr, (ast.UnaryOp, ast.IsNull)):
-                register_aggs(expr.operand)
-            elif isinstance(expr, ast.FuncCall):
-                for a in expr.args:
-                    register_aggs(a)
-
-        for item in block.items:
-            register_aggs(item.expr)
-        if block.having is not None:
-            register_aggs(block.having)
-        for order_item in block.order_by:
-            register_aggs(order_item.expr)
-
-        # Pseudo-schema over (group keys ..., agg values ...).
-        pseudo_slots = [Slot(None, f"__g{i}") for i in range(len(block.group_by))]
-        pseudo_slots += [Slot(None, f"__a{i}") for i in range(len(aggs))]
-        pseudo = Schema(pseudo_slots)
-        pseudo_compiler = ExprCompiler(pseudo, self._subquery_executor)
-
-        def to_pseudo(expr: ast.Expr) -> ast.Expr:
-            for i, g in enumerate(block.group_by):
-                if expr == g:
-                    return ast.ColumnRef(None, f"__g{i}")
-            if isinstance(expr, ast.FuncCall) and expr.is_aggregate:
-                return ast.ColumnRef(None, f"__a{agg_index[expr]}")
-            if isinstance(expr, ast.BinaryOp):
-                return ast.BinaryOp(
-                    expr.op, to_pseudo(expr.left), to_pseudo(expr.right)
+        for call in scope.aggregates:
+            if call.star:
+                aggs.append(phys.AggSpec("COUNT_STAR", None))
+                continue
+            if len(call.args) != 1:
+                raise PlanError(f"{call.name} takes exactly one argument")
+            aggs.append(
+                phys.AggSpec(
+                    call.name.upper(),
+                    child_compiler.compile(call.args[0]),
+                    call.distinct,
                 )
-            if isinstance(expr, ast.UnaryOp):
-                return ast.UnaryOp(expr.op, to_pseudo(expr.operand))
-            if isinstance(expr, ast.IsNull):
-                return ast.IsNull(to_pseudo(expr.operand), expr.negated)
-            if isinstance(expr, ast.FuncCall):
-                return ast.FuncCall(
-                    expr.name,
-                    tuple(to_pseudo(a) for a in expr.args),
-                    expr.star,
-                    expr.distinct,
-                )
-            if isinstance(expr, ast.ColumnRef):
-                raise PlanError(
-                    f"column {expr.sql()} must appear in GROUP BY or an aggregate"
-                )
-            return expr
-
-        outputs = []
-        for item in block.items:
-            outputs.append(
-                phys.OutputSpec(post=pseudo_compiler.compile(to_pseudo(item.expr)))
             )
+
+        outputs = [
+            phys.OutputSpec(post=scope.compile(item.expr))
+            for item in block.items
+        ]
         having = (
-            pseudo_compiler.compile(to_pseudo(block.having))
-            if block.having is not None
-            else None
+            scope.compile(block.having) if block.having is not None else None
         )
         out_schema = Schema(
             [Slot(None, name) for name in block.output_names()]
@@ -1415,8 +1307,7 @@ class Planner:
         )
         # ORDER BY for grouped queries is handled against the pseudo rows
         # by storing compiled order keys on the node via _plan_order.
-        grp._pseudo_compiler = pseudo_compiler  # type: ignore[attr-defined]
-        grp._to_pseudo = to_pseudo  # type: ignore[attr-defined]
+        grp._scope = scope  # type: ignore[attr-defined]
         return grp
 
     @staticmethod
@@ -1451,8 +1342,7 @@ class Planner:
             if not block.order_by:
                 return node
             out_compiler = ExprCompiler(out_schema, self._subquery_executor)
-            pseudo_compiler = node._pseudo_compiler  # type: ignore[attr-defined]
-            to_pseudo = node._to_pseudo  # type: ignore[attr-defined]
+            scope = node._scope  # type: ignore[attr-defined]
             output_width = len(out_schema.slots)
             keys: list[tuple] = []
             hidden = 0
@@ -1479,7 +1369,7 @@ class Planner:
                     # expression not in the select list) becomes a hidden
                     # output computed from the pseudo (keys+aggs) row.
                     try:
-                        post = pseudo_compiler.compile(to_pseudo(expr))
+                        post = scope.compile(expr)
                     except EngineError:
                         raise PlanError(
                             f"ORDER BY {expr.sql()} must reference output "

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..errors import PlanError, UnknownObjectError
 from ..expr import contains_aggregate
@@ -49,6 +49,17 @@ class QueryBlock:
         for i, item in enumerate(self.items):
             names.append(output_name(item, i))
         return names
+
+    def expressions(self) -> Iterator[ast.Expr | ast.Star]:
+        """Every top-level expression of the block, in clause order."""
+        for item in self.items:
+            yield item.expr
+        yield from self.conjuncts
+        yield from self.group_by
+        if self.having is not None:
+            yield self.having
+        for order_item in self.order_by:
+            yield order_item.expr
 
 
 def output_name(item: ast.SelectItem, position: int) -> str:
@@ -141,7 +152,7 @@ def qualify_block(block: QueryBlock, lookup: ColumnLookup) -> QueryBlock:
         scope[binding] = source_output_columns(source, lookup)
 
     def qualify_expr(expr: ast.Expr) -> ast.Expr:
-        return _rewrite(expr, lambda ref: _qualify_ref(ref, scope))
+        return rewrite_refs(expr, lambda ref: _qualify_ref(ref, scope))
 
     items: list[ast.SelectItem] = []
     for item in block.items:
@@ -206,36 +217,13 @@ def _qualify_ref(ref: ast.ColumnRef, scope: dict[str, list[str]]) -> ast.ColumnR
     return ast.ColumnRef(owners[0], column)
 
 
-def _rewrite(
+def rewrite_refs(
     expr: ast.Expr, on_ref: Callable[[ast.ColumnRef], ast.Expr]
 ) -> ast.Expr:
     """Rebuild an expression, applying ``on_ref`` to every column ref."""
     if isinstance(expr, ast.ColumnRef):
         return on_ref(expr)
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(
-            expr.op, _rewrite(expr.left, on_ref), _rewrite(expr.right, on_ref)
-        )
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _rewrite(expr.operand, on_ref))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(_rewrite(expr.operand, on_ref), expr.negated)
-    if isinstance(expr, ast.FuncCall):
-        return ast.FuncCall(
-            expr.name,
-            tuple(_rewrite(a, on_ref) for a in expr.args),
-            expr.star,
-            expr.distinct,
-        )
-    if isinstance(expr, ast.InList):
-        return ast.InList(
-            _rewrite(expr.operand, on_ref),
-            tuple(_rewrite(i, on_ref) for i in expr.items),
-            expr.negated,
-        )
-    if isinstance(expr, ast.InSubquery):
-        return ast.InSubquery(_rewrite(expr.operand, on_ref), expr.subquery, expr.negated)
-    return expr
+    return ast.map_children(expr, lambda child: rewrite_refs(child, on_ref))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +285,7 @@ def flatten_block(block: QueryBlock) -> QueryBlock:
 
     new_items = []
     for i, item in enumerate(block.items):
-        new_expr = _rewrite(item.expr, substitute)
+        new_expr = rewrite_refs(item.expr, substitute)
         alias = item.alias
         if alias is None and new_expr != item.expr:
             # Substitution must not change the statement's output names.
@@ -306,15 +294,15 @@ def flatten_block(block: QueryBlock) -> QueryBlock:
     return QueryBlock(
         items=new_items,
         sources=sources,
-        conjuncts=[_rewrite(c, substitute) for c in conjuncts],
-        group_by=[_rewrite(e, substitute) for e in block.group_by],
+        conjuncts=[rewrite_refs(c, substitute) for c in conjuncts],
+        group_by=[rewrite_refs(e, substitute) for e in block.group_by],
         having=(
-            _rewrite(block.having, substitute)
+            rewrite_refs(block.having, substitute)
             if block.having is not None
             else None
         ),
         order_by=[
-            ast.OrderItem(_rewrite(o.expr, substitute), o.descending)
+            ast.OrderItem(rewrite_refs(o.expr, substitute), o.descending)
             for o in block.order_by
         ],
         limit=block.limit,
@@ -357,11 +345,11 @@ def _rename_inner(
     return (
         QueryBlock(
             items=[
-                ast.SelectItem(_rewrite(i.expr, rebind), i.alias)
+                ast.SelectItem(rewrite_refs(i.expr, rebind), i.alias)
                 for i in inner.items
             ],
             sources=renamed_sources,
-            conjuncts=[_rewrite(c, rebind) for c in inner.conjuncts],
+            conjuncts=[rewrite_refs(c, rebind) for c in inner.conjuncts],
             group_by=list(inner.group_by),
             having=inner.having,
             order_by=list(inner.order_by),

@@ -10,7 +10,7 @@ paper's query-transformation layer emits SQL to DB2/MySQL).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Iterator, Union
 
 # --------------------------------------------------------------------------
 # Expressions
@@ -149,6 +149,65 @@ class InSubquery:
 Expr = Union[
     Literal, Param, ColumnRef, BinaryOp, UnaryOp, IsNull, FuncCall, InList, InSubquery
 ]
+
+
+# The two functions below are the only code that knows which fields of
+# which node kind hold sub-expressions; every traversal and rewrite in
+# the engine and the transformation layer is written on them, so a new
+# node kind is taught to the system here and nowhere else.  An
+# ``InSubquery``'s nested ``Select`` is a statement, not a
+# sub-expression: both leave it alone (it resolves against its own
+# sources), and callers that transform subqueries handle that node
+# themselves.  Anything that is not an ``Expr`` (a ``Star``, a node kind
+# added to the union but not here) raises ``TypeError``, which is what
+# lets proof-carrying walks fail closed.
+
+
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The direct sub-expressions of ``expr``, left to right."""
+    if isinstance(expr, (ColumnRef, Literal, Param)):
+        return ()
+    if isinstance(expr, BinaryOp):
+        return (expr.left, expr.right)
+    if isinstance(expr, (UnaryOp, IsNull, InSubquery)):
+        return (expr.operand,)
+    if isinstance(expr, FuncCall):
+        return expr.args
+    if isinstance(expr, InList):
+        return (expr.operand, *expr.items)
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def map_children(expr: Expr, fn: Callable[[Expr], Expr]) -> Expr:
+    """``expr`` rebuilt with ``fn`` applied to each direct sub-expression."""
+    if isinstance(expr, (ColumnRef, Literal, Param)):
+        return expr
+    if isinstance(expr, BinaryOp):
+        return BinaryOp(expr.op, fn(expr.left), fn(expr.right))
+    if isinstance(expr, UnaryOp):
+        return UnaryOp(expr.op, fn(expr.operand))
+    if isinstance(expr, IsNull):
+        return IsNull(fn(expr.operand), expr.negated)
+    if isinstance(expr, FuncCall):
+        return FuncCall(
+            expr.name, tuple(fn(a) for a in expr.args), expr.star, expr.distinct
+        )
+    if isinstance(expr, InList):
+        return InList(
+            fn(expr.operand), tuple(fn(i) for i in expr.items), expr.negated
+        )
+    if isinstance(expr, InSubquery):
+        return InSubquery(fn(expr.operand), expr.subquery, expr.negated)
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def walk(expr: Expr) -> Iterator[Expr]:
+    """``expr`` and every sub-expression below it, in pre-order."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
 
 
 # --------------------------------------------------------------------------

@@ -169,3 +169,31 @@ class TestMetricLoopRule:
         )
         report = analyze_lint(root=root, census=census)
         assert report.by_rule().get("LNT004", 0) == 0
+
+
+class TestPrivateEngineImportRule:
+    def test_private_engine_names_above_the_engine(self, tmp_path, census):
+        root = write_tree(
+            tmp_path,
+            {
+                # What crosstenant.py used to do, relative and absolute.
+                "core/transform/merge.py": """
+                    from ...engine.expr import _ARITH, Schema
+                    from repro.engine.values import _coerce
+                """,
+                "core/fine.py": """
+                    from ..engine.expr import ExprCompiler
+                    from .transform.merge import _helper
+                """,
+                "engine/plan/inside.py": """
+                    from ..expr import _ARITH
+                """,
+            },
+        )
+        report = analyze_lint(root=root, census=census)
+        findings = [f for f in report.findings if f.rule_id == "LNT005"]
+        assert sorted(f.locus for f in findings) == [
+            "core/transform/merge.py:2",
+            "core/transform/merge.py:3",
+        ]
+        assert "_ARITH" in findings[0].message

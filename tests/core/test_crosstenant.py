@@ -152,6 +152,47 @@ class TestDifferential:
         )
         assert fused.rows == [row for row in merged if row[1] >= 2]
 
+    def test_post_aggregation_shapes_match_fanout(self, layout, execution):
+        """HAVING / select-item / DISTINCT shapes over merged groups:
+        the answer is a function of the data, never of whether the
+        layout fused the tenants into one statement or merged several
+        (``private`` merges one group per tenant)."""
+        mtd = build_plain(layout, execution)
+        merged = fanout_grouped(
+            mtd,
+            (1, 2, 3, 4),
+            "SELECT cat, COUNT(*), SUM(val) FROM item GROUP BY cat",
+        )
+        head = "SELECT cat, COUNT(*), SUM(val) FROM item GROUP BY cat "
+        cases = [
+            (
+                head + "HAVING cat IN ('a', 'c') ORDER BY cat FOR ALL TENANTS",
+                [row for row in merged if row[0] in ("a", "c")],
+            ),
+            (
+                head + "HAVING cat LIKE 'a%' ORDER BY cat FOR ALL TENANTS",
+                [row for row in merged if row[0].startswith("a")],
+            ),
+            (
+                "SELECT cat, TO_STR(COUNT(*)) FROM item GROUP BY cat "
+                "ORDER BY cat FOR ALL TENANTS",
+                [(cat, str(count)) for cat, count, _ in merged],
+            ),
+        ]
+        for sql, expected in cases:
+            assert mtd.execute_cross(sql).rows == expected, sql
+        # Over tenants 1 and 2 categories a and b tie at two rows each:
+        # DISTINCT must collapse the tie after the merge as well.
+        tied = fanout_grouped(
+            mtd, (1, 2), "SELECT cat, COUNT(*), SUM(val) FROM item GROUP BY cat"
+        )
+        assert [count for _, count, _ in tied] == [2, 2]
+        fused = mtd.execute_cross(
+            "SELECT DISTINCT COUNT(*) FROM item GROUP BY cat "
+            "FOR TENANTS IN (1, 2)"
+        )
+        assert fused.rows == [(2,)]
+
     def test_limit_applies_after_global_order(self, layout, execution):
         mtd = build_plain(layout, execution)
         fused = mtd.execute_cross(

@@ -87,6 +87,20 @@ class TestSelect:
         )
         assert result.rows == [(17, 2)]
 
+    def test_in_list_after_grouping(self, db):
+        """IN lists over group keys and aggregates in HAVING / ORDER BY
+        resolve against the grouped row like any other operator."""
+        head = "SELECT tenant, COUNT(*) FROM account GROUP BY tenant "
+        assert db.execute(
+            head + "HAVING tenant IN (17, 42) ORDER BY tenant"
+        ).rows == [(17, 2), (42, 1)]
+        assert db.execute(
+            head + "HAVING COUNT(*) IN (1) ORDER BY tenant"
+        ).rows == [(35, 1), (42, 1)]
+        assert db.execute(
+            head + "HAVING tenant NOT IN (35) ORDER BY COUNT(*) IN (2), tenant"
+        ).rows == [(42, 1), (17, 2)]
+
     def test_group_by_orders_with_alias(self, db):
         result = db.execute(
             "SELECT tenant, COUNT(*) AS n FROM account GROUP BY tenant "

@@ -85,6 +85,9 @@ CASES = [
     "SELECT grp FROM p GROUP BY grp ORDER BY SUM(amount) DESC, grp",
     "SELECT id FROM p WHERE id > 40 AND id <= 45 ORDER BY id",
     "SELECT id FROM p WHERE amount >= 90 ORDER BY id",
+    "SELECT grp, COUNT(*) FROM p GROUP BY grp HAVING grp IN (1, 3, 5)",
+    "SELECT tag, SUM(val) FROM c GROUP BY tag HAVING COUNT(*) NOT IN (1, 2)",
+    "SELECT grp FROM p GROUP BY grp ORDER BY MAX(amount) IN (98, 99), grp",
 ]
 
 

@@ -230,3 +230,64 @@ class TestSqlRoundTrip:
         first = parse_statement(sql)
         second = parse_statement(first.sql())
         assert first == second
+
+
+class TestExprTraversal:
+    """``ast.children`` / ``ast.map_children`` are the only code that
+    knows which fields of a node hold sub-expressions; every traversal
+    in the engine and the transformation layer stands on them."""
+
+    A, B, C = ast.ColumnRef("t", "a"), ast.Literal(1), ast.Param(0)
+    SUBQUERY = ast.Select(
+        (ast.SelectItem(ast.ColumnRef("u", "x")),), (ast.TableSource("u"),)
+    )
+    #: One sample per node kind with its exact sub-expressions.
+    SAMPLES = {
+        ast.Literal: (B, ()),
+        ast.Param: (C, ()),
+        ast.ColumnRef: (A, ()),
+        ast.BinaryOp: (ast.BinaryOp("+", A, B), (A, B)),
+        ast.UnaryOp: (ast.UnaryOp("-", A), (A,)),
+        ast.IsNull: (ast.IsNull(A, negated=True), (A,)),
+        ast.FuncCall: (ast.FuncCall("COALESCE", (A, B, C)), (A, B, C)),
+        ast.InList: (ast.InList(A, (B, C), negated=True), (A, B, C)),
+        ast.InSubquery: (ast.InSubquery(A, SUBQUERY, negated=True), (A,)),
+    }
+
+    def test_every_node_kind_is_covered(self):
+        """A node kind added to ``ast.Expr`` without a sample here (and
+        so without a decision in the two helpers) fails."""
+        import typing
+
+        assert set(typing.get_args(ast.Expr)) == set(self.SAMPLES)
+
+    @pytest.mark.parametrize("kind", list(SAMPLES), ids=lambda k: k.__name__)
+    def test_children_and_identity_map(self, kind):
+        node, expected = self.SAMPLES[kind]
+        assert tuple(ast.children(node)) == expected
+        seen = []
+        rebuilt = ast.map_children(node, lambda c: seen.append(c) or c)
+        assert rebuilt == node
+        assert tuple(seen) == expected
+
+    def test_map_children_replaces_every_child(self):
+        marker = ast.Literal("x")
+        for node, expected in self.SAMPLES.values():
+            mapped = ast.map_children(node, lambda _: marker)
+            assert tuple(ast.children(mapped)) == (marker,) * len(expected)
+
+    def test_nested_select_is_left_alone(self):
+        node, _ = self.SAMPLES[ast.InSubquery]
+        mapped = ast.map_children(node, lambda _: ast.Literal("x"))
+        assert mapped.subquery is self.SUBQUERY
+        assert self.SUBQUERY.items[0].expr not in ast.walk(node)
+
+    def test_non_expressions_are_rejected(self):
+        for helper in (ast.children, lambda e: ast.map_children(e, id)):
+            with pytest.raises(TypeError):
+                helper(ast.Star())
+
+    def test_walk_is_preorder(self):
+        a, b = self.A, self.B
+        expr = ast.BinaryOp("AND", ast.IsNull(a), ast.InList(a, (b,)))
+        assert list(ast.walk(expr)) == [expr, expr.left, a, expr.right, a, b]
