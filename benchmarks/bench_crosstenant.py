@@ -60,7 +60,7 @@ LOOP_SQL = "SELECT COUNT(*), SUM(val), MAX(val) FROM item"
 
 
 def build(layout: str) -> MultiTenantDatabase:
-    mtd = MultiTenantDatabase(layout=layout, execution="vectorized")
+    mtd = MultiTenantDatabase(layout=layout)
     mtd.define_table(
         LogicalTable(
             "item",

@@ -28,17 +28,8 @@ from repro.experiments.chunkqueries import (
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Benchmarks run the vectorized engine (the default); set
-#: ``REPRO_BENCH_TUPLE=1`` to re-run the suite on the tuple-at-a-time
-#: reference interpreter for comparison.
-BENCH_EXECUTION = (
-    "tuple" if os.environ.get("REPRO_BENCH_TUPLE") == "1" else "vectorized"
-)
-
 #: Scaled-down Experiment 2 dataset (paper: 10,000 x 100; DESIGN.md §2).
-BENCH_CONFIG = ChunkQueryConfig(
-    parents=60, children_per_parent=6, execution=BENCH_EXECUTION
-)
+BENCH_CONFIG = ChunkQueryConfig(parents=60, children_per_parent=6)
 
 #: The paper flushed "the database buffer pool and the disk cache
 #: between every run", so Experiment 2 runs on the disk-backed pager by

@@ -85,8 +85,8 @@ def main() -> None:
     print("Transfer 9999 from acct 1 to acct 2:", transfer(1, 2, 9999))
     print("Balances:", db.execute("SELECT * FROM balance ORDER BY acct").rows)
     print(
-        f"(committed={db.transactions.committed}, "
-        f"rolled_back={db.transactions.rolled_back})"
+        f"(committed={db.metrics.value('txn.committed')}, "
+        f"rolled_back={db.metrics.value('txn.rolled_back')})"
     )
 
 

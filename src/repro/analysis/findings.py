@@ -78,7 +78,7 @@ RULES: dict[str, Rule] = {
         Rule("LNT001", Severity.ERROR, "page mutation outside WAL-logged storage helpers"),
         Rule("LNT002", Severity.ERROR, "handler would swallow SimulatedCrash"),
         Rule("LNT003", Severity.ERROR, "crashpoint never exercised by the fault census"),
-        Rule("LNT004", Severity.ERROR, "metrics-registry lookup inside a hot loop"),
+        Rule("LNT004", Severity.ERROR, "metrics-registry lookup on a statement path"),
         Rule("LNT005", Severity.ERROR, "private engine name imported above the engine"),
     )
 }

@@ -22,9 +22,11 @@ them over the :mod:`ast` of the source tree:
   with f-strings become regex patterns (``admin.{op}.begin`` matches
   any hit named ``admin.<something>.begin``).
 * **LNT004** — a metrics-registry lookup (``metrics.counter(...)`` and
-  friends) inside a ``for``/``while`` body re-hashes the metric name
-  per iteration; hot paths pre-bind counters instead (the rule an
-  earlier optimisation pass applied by hand — this makes it stick).
+  friends) re-hashes the metric name per call.  Under ``engine/`` and
+  in ``core/statement_cache.py`` an instrument whose name is written
+  out (a string or f-string) is bound once, in ``__init__`` or a
+  ``_bind_*`` method; a lookup by any name inside a ``for``/``while``
+  body is flagged wherever it sits.
 * **LNT005** — the layers above the engine (``core/``, ``cluster/``,
   ``testbed/``, ``experiments/``) may not import an underscore-private
   name from ``repro.engine.*``.  A private import is how a second copy
@@ -61,9 +63,8 @@ MARK_DIRTY_ALLOWED: tuple[str, ...] = (
 METRIC_RECEIVERS = frozenset({"metrics", "_metrics", "registry"})
 METRIC_LOOKUPS = frozenset({"counter", "histogram", "gauge"})
 
-#: ``file-suffix:function`` sites waived from LNT004 (registry lookups
-#: in loops that are *not* hot: reporting/rendering paths).
-LNT004_WAIVERS: frozenset[str] = frozenset()
+#: The module LNT004 covers besides ``engine/``.
+METRIC_LINTED = os.path.join("core", "statement_cache.py")
 
 
 @dataclass(frozen=True)
@@ -280,49 +281,57 @@ def _check_dead_crashpoints(
             )
 
 
-# -- LNT004: metrics lookups in hot loops -----------------------------------
+# -- LNT004: metrics lookups on statement paths -----------------------------
 
 
 def _check_metric_lookups(module: _Module, report: AnalysisReport) -> None:
-    if not module.rel.startswith("engine" + os.sep):
+    if not module.rel.startswith(("engine" + os.sep, METRIC_LINTED)):
         return
 
-    def scan_loops(scope: ast.AST, func_name: str) -> None:
-        for node in ast.walk(scope):
-            if not isinstance(node, (ast.For, ast.While)):
-                continue
-            for call in ast.walk(node):
-                if not isinstance(call, ast.Call):
-                    continue
-                func = call.func
-                if not (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in METRIC_LOOKUPS
-                ):
-                    continue
-                receiver = func.value
-                name = (
-                    receiver.attr
-                    if isinstance(receiver, ast.Attribute)
-                    else receiver.id if isinstance(receiver, ast.Name) else ""
-                )
-                if name not in METRIC_RECEIVERS:
-                    continue
-                report.checked += 1
-                if f"{module.rel}:{func_name}" in LNT004_WAIVERS:
-                    continue
-                report.add(
-                    Finding(
-                        "LNT004",
-                        f"metrics registry lookup .{func.attr}(...) inside "
-                        "a loop — pre-bind the instrument outside",
-                        f"{module.rel}:{call.lineno}",
-                    )
-                )
-
-    for node in ast.walk(module.tree):
+    def visit(node: ast.AST, binding: bool, looping: bool) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scan_loops(node, node.name)
+            # A helper nested in a constructor still runs once.
+            binding = binding or node.name.startswith(("__init__", "_bind_"))
+            looping = False
+        elif isinstance(node, (ast.For, ast.While)):
+            looping = True
+        elif isinstance(node, ast.Call):
+            check(node, binding, looping)
+        for child in ast.iter_child_nodes(node):
+            visit(child, binding, looping)
+
+    def check(call: ast.Call, binding: bool, looping: bool) -> None:
+        func = call.func
+        if not (isinstance(func, ast.Attribute) and func.attr in METRIC_LOOKUPS):
+            return
+        receiver = func.value
+        name = (
+            receiver.attr
+            if isinstance(receiver, ast.Attribute)
+            else receiver.id if isinstance(receiver, ast.Name) else ""
+        )
+        if name not in METRIC_RECEIVERS:
+            return
+        report.checked += 1
+        written_out = bool(call.args) and isinstance(
+            call.args[0], (ast.Constant, ast.JoinedStr)
+        )
+        if looping:
+            where = "inside a loop"
+        elif written_out and not binding:
+            where = "outside __init__ / a _bind_* method"
+        else:
+            return
+        report.add(
+            Finding(
+                "LNT004",
+                f"metrics registry lookup .{func.attr}(...) {where} — "
+                "bind the instrument once",
+                f"{module.rel}:{call.lineno}",
+            )
+        )
+
+    visit(module.tree, False, False)
 
 
 # -- LNT005: private engine names above the engine ---------------------------

@@ -52,7 +52,6 @@ class ShardOptions:
     #: front door exists to provide.  0 disables.
     storage_latency_ms: float = 0.0
     durability: DurabilityOptions | None = None
-    execution: str | None = None
 
 
 class ShardWorker:
@@ -86,7 +85,6 @@ class ShardWorker:
             self.mtd = MultiTenantDatabase(
                 layout=self.options.layout,
                 db=db,
-                execution=self.options.execution,
                 **self.options.layout_options,
             )
         #: Tenants this shard believes it owns, and the placement

@@ -71,13 +71,10 @@ class MultiTenantDatabase:
         predicate_order: PredicateOrder = PredicateOrder.ORIGINAL_FIRST,
         update_mode: UpdateMode = UpdateMode.BUFFERED,
         statement_cache_size: int = 256,
-        execution: str | None = None,
         _replay: bool = False,
         **layout_options,
     ) -> None:
         self.db = db if db is not None else Database()
-        if execution is not None:
-            self.db.execution = execution
         self.schema = MultiTenantSchema()
         #: True while :meth:`recover` replays logged admin operations:
         #: suppresses admin-op WAL brackets (the ops are already in the

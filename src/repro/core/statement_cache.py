@@ -90,8 +90,12 @@ class StatementCache:
     :class:`~repro.core.api.MultiTenantDatabase`."""
 
     def __init__(self, capacity: int, metrics) -> None:
-        self._metrics = metrics
         self._entries = LruCache(capacity, metrics, METRICS_PREFIX)
+        self._c_hits = metrics.counter(f"{METRICS_PREFIX}.hits")
+        self._c_misses = metrics.counter(f"{METRICS_PREFIX}.misses")
+        self._c_invalidations = metrics.counter(
+            f"{METRICS_PREFIX}.invalidations"
+        )
 
     @property
     def enabled(self) -> bool:
@@ -108,12 +112,12 @@ class StatementCache:
             return None
         entry = self._entries.get(key)
         if entry is not None and entry.context != context:
-            self._metrics.counter(f"{METRICS_PREFIX}.invalidations").inc()
+            self._c_invalidations.inc()
             entry = None
         if entry is None:
-            self._metrics.counter(f"{METRICS_PREFIX}.misses").inc()
+            self._c_misses.inc()
             return None
-        self._metrics.counter(f"{METRICS_PREFIX}.hits").inc()
+        self._c_hits.inc()
         return entry
 
     def store(self, key: tuple, entry: CachedStatement) -> None:
@@ -124,7 +128,7 @@ class StatementCache:
         or physical structure); returns entries dropped."""
         dropped = self._entries.clear()
         if dropped:
-            self._metrics.counter(f"{METRICS_PREFIX}.invalidations").inc(dropped)
+            self._c_invalidations.inc(dropped)
         return dropped
 
 

@@ -36,6 +36,7 @@ from typing import Iterator, Sequence
 
 from .errors import UniqueViolation
 from .heap import RowId
+from .observability.metrics import CounterSet
 from .pager import BufferPool, Page, PageKind
 from .values import sort_key
 
@@ -92,6 +93,18 @@ class _Internal:
     children: list[int] = field(default_factory=list)
 
 
+@dataclass
+class BTreeStats(CounterSet, prefix="btree"):
+    """Operations over every B-tree of one registry (one database)."""
+
+    searches: int = 0
+    descents: int = 0
+    prefix_scans: int = 0
+    range_scans: int = 0
+    inserts: int = 0
+    deletes: int = 0
+
+
 class BTreeIndex:
     """A B+-tree mapping key tuples to one or more heap RIDs."""
 
@@ -102,7 +115,6 @@ class BTreeIndex:
         *,
         unique: bool = False,
         prefix_compression: bool = True,
-        metrics=None,
     ) -> None:
         self._pool = pool
         self.segment_id = segment_id
@@ -110,14 +122,6 @@ class BTreeIndex:
         self.prefix_compression = prefix_compression
         self.entry_count = 0
         self.distinct_keys = 0
-        # Per-structure access counters; engine-wide totals additionally
-        # land in the shared registry under btree.*.
-        self.descents = 0
-        self.searches = 0
-        self.prefix_scans = 0
-        self.range_scans = 0
-        self.inserts = 0
-        self.deletes = 0
         # Distinct-count per key prefix length, maintained incrementally
         # (approximate at leaf boundaries).  Drives the optimizer's
         # rows-per-prefix selectivity estimates.
@@ -134,7 +138,7 @@ class BTreeIndex:
         # the page payloads (re-reading an evicted page reproduces the
         # same keys, so entries survive eviction).
         self._node_dec: dict[int, list[tuple]] = {}
-        self._bind_counters(metrics)
+        self._stats: BTreeStats = pool.metrics.counter_set(BTreeStats)
         root = pool.allocate(segment_id, PageKind.INDEX)
         root.payload = _Leaf()
         self._root_id = root.page_id
@@ -148,7 +152,6 @@ class BTreeIndex:
         *,
         unique: bool,
         prefix_compression: bool,
-        metrics=None,
         root_id: int,
         height: int,
         entry_count: int,
@@ -165,16 +168,10 @@ class BTreeIndex:
         index.prefix_compression = prefix_compression
         index.entry_count = entry_count
         index.distinct_keys = distinct_keys
-        index.descents = 0
-        index.searches = 0
-        index.prefix_scans = 0
-        index.range_scans = 0
-        index.inserts = 0
-        index.deletes = 0
         index._prefix_distinct = list(prefix_distinct)
         index._order_cache = {}
         index._node_dec = {}
-        index._bind_counters(metrics)
+        index._stats = pool.metrics.counter_set(BTreeStats)
         index._root_id = root_id
         index.height = height
         return index
@@ -186,20 +183,6 @@ class BTreeIndex:
     def prefix_distinct_counts(self) -> list[int]:
         """Copy of the per-prefix-length distinct counts (snapshots)."""
         return list(self._prefix_distinct)
-
-    def _bind_counters(self, metrics) -> None:
-        """Every public operation runs per index probe or per row;
-        resolve its registry counter once instead of by name per call."""
-
-        def bind(name: str):
-            return metrics.counter(name) if metrics is not None else None
-
-        self._c_searches = bind("btree.searches")
-        self._c_descents = bind("btree.descents")
-        self._c_prefix_scans = bind("btree.prefix_scans")
-        self._c_range_scans = bind("btree.range_scans")
-        self._c_inserts = bind("btree.inserts")
-        self._c_deletes = bind("btree.deletes")
 
     def _order(self, key: tuple) -> tuple:
         """Memoized ``_key_order``.  Binary searches probe O(log n) keys
@@ -271,9 +254,7 @@ class BTreeIndex:
         """Page ids root→leaf for ``key``, plus the leaf page (each
         level costs exactly one logical index-page read).  ``order``
         lets callers that already decorated the key skip the memo hit."""
-        self.descents += 1
-        if self._c_descents is not None:
-            self._c_descents.inc()
+        self._stats.descents += 1
         path = [self._root_id]
         page = self._pool.read(self._root_id)
         node = page.payload
@@ -297,9 +278,7 @@ class BTreeIndex:
 
     def search(self, key: tuple) -> list[RowId]:
         """Exact-match lookup; [] when absent."""
-        self.searches += 1
-        if self._c_searches is not None:
-            self._c_searches.inc()
+        self._stats.searches += 1
         order = self._order(key)
         path, page = self._descend(key, order)
         leaf = page.payload
@@ -321,12 +300,8 @@ class BTreeIndex:
         vectorized executor's fused probe closures call this once per
         outer row in reconstruction joins.
         """
-        self.searches += 1
-        if self._c_searches is not None:
-            self._c_searches.inc()
-        self.descents += 1
-        if self._c_descents is not None:
-            self._c_descents.inc()
+        self._stats.searches += 1
+        self._stats.descents += 1
         order = self._order(key)
         node_dec = self._node_dec
         read = self._pool.read
@@ -352,9 +327,7 @@ class BTreeIndex:
     def scan_prefix(self, prefix: tuple) -> Iterator[tuple[tuple, RowId]]:
         """Yield (key, rid) for every key whose leading columns equal
         ``prefix``, in key order.  An empty prefix scans everything."""
-        self.prefix_scans += 1
-        if self._c_prefix_scans is not None:
-            self._c_prefix_scans.inc()
+        self._stats.prefix_scans += 1
         n = len(prefix)
         if not n:
             page_id: int | None = self._leftmost_leaf()
@@ -391,9 +364,7 @@ class BTreeIndex:
         self, low: tuple | None, high: tuple | None
     ) -> Iterator[tuple[tuple, RowId]]:
         """Yield entries with low <= key-prefix <= high (inclusive)."""
-        self.range_scans += 1
-        if self._c_range_scans is not None:
-            self._c_range_scans.inc()
+        self._stats.range_scans += 1
         if low:
             path, page = self._descend(low)
             leaf = page.payload
@@ -447,9 +418,7 @@ class BTreeIndex:
     # -- mutation ------------------------------------------------------------
 
     def insert(self, key: tuple, rid: RowId) -> None:
-        self.inserts += 1
-        if self._c_inserts is not None:
-            self._c_inserts.inc()
+        self._stats.inserts += 1
         path, page = self._descend(key)
         leaf: _Leaf = page.payload
         leaf_id = path[-1]
@@ -475,9 +444,7 @@ class BTreeIndex:
 
     def delete(self, key: tuple, rid: RowId) -> bool:
         """Remove one (key, rid) pairing; True if something was removed."""
-        self.deletes += 1
-        if self._c_deletes is not None:
-            self._c_deletes.inc()
+        self._stats.deletes += 1
         path, page = self._descend(key)
         leaf: _Leaf = page.payload
         leaf_id = path[-1]

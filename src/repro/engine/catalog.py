@@ -189,10 +189,8 @@ class Catalog:
         index_metadata_cost: int = INDEX_METADATA_COST,
         insert_strategy: InsertStrategy = InsertStrategy.FIRST_FIT,
         prefix_compression: bool = True,
-        metrics=None,
     ) -> None:
         self._pool = pool
-        self._metrics = metrics
         self._tables: dict[str, Table] = {}
         self._next_segment = 1
         self.table_metadata_cost = table_metadata_cost
@@ -275,14 +273,10 @@ class Catalog:
                 self._next_segment,
                 self.insert_strategy,
                 ncols=len(columns),
-                metrics=self._metrics,
             )
         elif storage == "heap":
             heap = HeapFile(
-                self._pool,
-                self._next_segment,
-                self.insert_strategy,
-                metrics=self._metrics,
+                self._pool, self._next_segment, self.insert_strategy
             )
         else:
             raise UnknownObjectError(
@@ -325,7 +319,6 @@ class Catalog:
             self._next_segment,
             unique=unique,
             prefix_compression=self.prefix_compression,
-            metrics=self._metrics,
         )
         self._next_segment += 1
         info = IndexInfo(

@@ -4,7 +4,7 @@ A :class:`ColumnStore` is a drop-in sibling of
 :class:`~repro.engine.heap.HeapFile`: same public surface (``insert`` /
 ``fetch`` / ``scan`` / ``scan_batches`` / ``update`` / ``delete`` /
 ``restore`` / ``drop``), same page placement policy, same free-space
-accounting, and the same per-structure counters — so indexes, DML,
+accounting, and the same ``heap.*`` counters — so indexes, DML,
 checkpoint snapshots, and logical WAL replay all work unchanged.  The
 difference is the page payload: instead of one ``(row, width)`` entry
 per slot, a column page holds one native value list *per column* plus a
@@ -179,15 +179,9 @@ class ColumnStore(HeapFile):
 
     storage_kind = "columnar"
 
-    def __init__(self, pool, segment_id, strategy, *, ncols: int, metrics=None):
-        super().__init__(pool, segment_id, strategy, metrics=metrics)
+    def __init__(self, pool, segment_id, strategy, *, ncols: int):
+        super().__init__(pool, segment_id, strategy)
         self.ncols = ncols
-        # fetch() is the reconstruction-join hot path; resolve its
-        # registry counter once instead of by name per call (the count
-        # itself stays identical to the heap's).
-        self._fetch_counter = (
-            metrics.counter("heap.fetches") if metrics is not None else None
-        )
 
     # -- inserts ----------------------------------------------------------
 
@@ -215,7 +209,7 @@ class ColumnStore(HeapFile):
         self._free_map[page.page_id] = page.free
         self._pool.mark_dirty(page.page_id)
         self.row_count += 1
-        self._count("inserts", "heap.inserts")
+        self._stats.inserts += 1
         san = self._pool.sanitizer
         if san is not None:
             san.on_row_access(
@@ -251,9 +245,7 @@ class ColumnStore(HeapFile):
 
     def fetch(self, rid: RowId) -> tuple:
         """Assemble one row from its column slots (one logical read)."""
-        self.fetches += 1
-        if self._fetch_counter is not None:
-            self._fetch_counter.inc()
+        self._stats.fetches += 1
         page = self._pool.read(rid.page_id)
         payload: ColumnPage = page.payload
         slot = rid.slot
@@ -274,7 +266,7 @@ class ColumnStore(HeapFile):
         """Row-assembly adapter: full scan in physical order, assembling
         one tuple per live slot — the tuple engine (and index backfill,
         and DML RID matching) runs unchanged over column pages."""
-        self._count("scans", "heap.scans")
+        self._stats.scans += 1
         for pid in list(self._page_ids):
             page = self._pool.read(pid)
             payload: ColumnPage = page.payload
@@ -302,7 +294,7 @@ class ColumnStore(HeapFile):
         NULL-fill if a batch is ever row-assembled.  The planner passes
         this only when it can prove no expression reads a pruned slot.
         """
-        self._count("scans", "heap.scans")
+        self._stats.scans += 1
         keep = None if columns is None else set(columns)
         pending: list[list | None] | None = None
         pending_len = 0
@@ -362,7 +354,7 @@ class ColumnStore(HeapFile):
     # -- updates / deletes -------------------------------------------------
 
     def update(self, rid: RowId, row: tuple, width: int) -> RowId:
-        self._count("updates", "heap.updates")
+        self._stats.updates += 1
         page = self._pool.read(rid.page_id)
         payload: ColumnPage = page.payload
         old_width = (
@@ -389,7 +381,7 @@ class ColumnStore(HeapFile):
         return self.insert(row, width)
 
     def delete(self, rid: RowId) -> None:
-        self._count("deletes", "heap.deletes")
+        self._stats.deletes += 1
         page = self._pool.read(rid.page_id)
         payload: ColumnPage = page.payload
         width = (

@@ -36,6 +36,7 @@ from .heap import InsertStrategy
 from .locks import LockTable
 from .observability import (
     AnalyzeCollector,
+    CounterWindow,
     MetricsRegistry,
     QueryTrace,
     render_analyzed_plan,
@@ -131,7 +132,6 @@ class Database:
             index_metadata_cost=index_metadata_cost,
             insert_strategy=insert_strategy,
             prefix_compression=prefix_compression,
-            metrics=self.metrics,
         )
         self.locks = LockTable(metrics=self.metrics)
         self.transactions = TransactionManager(
@@ -148,7 +148,7 @@ class Database:
         )
         #: Both engines share one ExecStats, so counters stay cumulative
         #: across engine switches and ``exec_stats`` has a single truth.
-        shared_stats = ExecStats()
+        shared_stats = self.metrics.counter_set(ExecStats)
         self._tuple_executor = Executor(self.catalog, shared_stats)
         self._vector_executor = VectorizedExecutor(
             self.catalog,
@@ -163,9 +163,13 @@ class Database:
         self._statements = LruCache(
             plan_cache_size, self.metrics, "db.plan_cache"
         )
-        #: Statement nesting depth; auto-checkpoints only fire between
-        #: top-level statements.
-        self._execute_depth = 0
+        self._c_plan_hits = self.metrics.counter("db.plan_cache.hits")
+        self._c_plan_misses = self.metrics.counter("db.plan_cache.misses")
+        self._c_plan_invalidations = self.metrics.counter(
+            "db.plan_cache.invalidations"
+        )
+        self._c_rejections = self.metrics.counter("analysis.semantic.rejections")
+        self._h_statement_ms = self.metrics.histogram("db.statement_ms")
         #: Dynamic sanitizer (``sanitize=True``, or the REPRO_SANITIZE
         #: environment variable when the argument is left at ``None``).
         #: Attached before recovery so replayed work runs instrumented
@@ -396,53 +400,24 @@ class Database:
         analyze: bool = True,
     ) -> QueryTrace:
         """Execute one statement and return a :class:`QueryTrace` with
-        the buffer-pool / executor / lock deltas it caused.
+        the buffer-pool / executor / lock / WAL deltas it caused.
 
         SELECTs additionally capture the EXPLAIN ANALYZE operator tree
         unless ``analyze=False``.  The experiments build Figure 10 and
         Table 2 from these traces instead of global counter snapshots.
         """
-        pool_before = self.pool.stats.snapshot()
-        exec_before = self._executor.stats.snapshot()
-        lock_before = self.locks.stats.snapshot()
-        wal_before = self.wal_stats.snapshot()
-        plan_text: str | None = None
-        operators: list = []
+        window = CounterWindow(
+            pool=self.pool.stats,
+            exec=self._executor.stats,
+            locks=self.locks.stats,
+            wal=self.wal_stats,
+        )
+        collector = AnalyzeCollector() if analyze else None
         started = time.perf_counter()
-
-        self._execute_depth += 1
-        try:
-            stmt = None
-            prepared = None
-            text_hit = False
-            cache_hit = False
-            head = sql.strip().rstrip(";").upper()
-            if head not in ("BEGIN", "BEGIN TRANSACTION", "START TRANSACTION",
-                            "COMMIT", "ROLLBACK"):
-                stmt, prepared, text_hit = self._lookup_statement(sql)
-            if isinstance(stmt, ast.Select):
-                if prepared is not None:
-                    root, cache_hit = self._prepared_plan(prepared)
-                else:
-                    root = self._planner.plan_select(stmt)
-                collector = AnalyzeCollector() if analyze else None
-                rows = self._executor.run(root, params, collector=collector)
-                columns = [slot.name for slot in root.schema.slots]
-                result = Result(columns, rows, len(rows))
-                if collector is not None:
-                    plan_text = render_analyzed_plan(root, collector)
-                    operators = collector.operators(root)
-            elif prepared is not None:
-                cache_hit = text_hit
-                result = self._execute_prepared(prepared, params)
-            else:
-                result = self.execute(sql, params)
-        finally:
-            self._execute_depth -= 1
-        self._maybe_auto_checkpoint()
-
+        result, root, cache_hit = self._execute_text(sql, params, collector)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        self.metrics.histogram("db.statement_ms").observe(elapsed_ms)
+        self._h_statement_ms.observe(elapsed_ms)
+        analyzed = collector is not None and root is not None
         return QueryTrace(
             sql=sql,
             params=tuple(params),
@@ -450,13 +425,10 @@ class Database:
             rows=result.rows,
             rowcount=result.rowcount,
             elapsed_ms=elapsed_ms,
-            pool=self.pool.stats.delta(pool_before),
-            exec=self._executor.stats.delta(exec_before),
-            locks=self.locks.stats.delta(lock_before),
-            wal=self.wal_stats.delta(wal_before),
-            operators=operators,
-            plan=plan_text,
+            operators=collector.operators(root) if analyzed else [],
+            plan=render_analyzed_plan(root, collector) if analyzed else None,
             cache_hit=cache_hit,
+            **window.deltas(),
         )
 
     # -- execution -----------------------------------------------------------------
@@ -464,6 +436,14 @@ class Database:
     _EXPLAIN_RE = re.compile(r"^\s*EXPLAIN(\s+ANALYZE)?\b", re.IGNORECASE)
 
     def execute(self, sql: str, params: Sequence[object] = ()) -> Result:
+        return self._execute_text(sql, params)[0]
+
+    def _execute_text(
+        self, sql: str, params: Sequence[object], collector=None
+    ) -> tuple[Result, object, bool]:
+        """SQL text, through the plan cache, down the statement path.
+        Returns ``(result, plan root or None, cache_hit)`` — a SELECT's
+        hit is a reused plan, a DML statement's a skipped parse."""
         match = self._EXPLAIN_RE.match(sql)
         if match:
             body = sql[match.end():].strip()
@@ -472,28 +452,24 @@ class Database:
             else:
                 text = self.explain(body)
             lines = text.splitlines()
-            return Result(["plan"], [(line,) for line in lines], len(lines))
+            plan = Result(["plan"], [(line,) for line in lines], len(lines))
+            return plan, None, False
         head = sql.strip().rstrip(";").upper()
         if head in ("BEGIN", "BEGIN TRANSACTION", "START TRANSACTION"):
             self.transactions.begin()
-            return Result([], [], 0)
+            return Result([], [], 0), None, False
         if head == "COMMIT":
             self.transactions.commit()
-            return Result([], [], 0)
+            return Result([], [], 0), None, False
         if head == "ROLLBACK":
             self.transactions.rollback()
-            return Result([], [], 0)
-        self._execute_depth += 1
-        try:
-            stmt, prepared, _ = self._lookup_statement(sql)
-            if prepared is not None:
-                result = self._execute_prepared(prepared, params)
-            else:
-                result = self._execute_statement(stmt, params)
-        finally:
-            self._execute_depth -= 1
+            return Result([], [], 0), None, False
+        stmt, prepared, text_hit = self._lookup_statement(sql)
+        result, root, reused = self._run_statement(
+            stmt, prepared, params, collector
+        )
         self._maybe_auto_checkpoint()
-        return result
+        return result, root, reused if root is not None else text_hit
 
     def _lookup_statement(
         self, sql: str
@@ -506,39 +482,66 @@ class Database:
         if self._statements.enabled:
             prepared = self._statements.get(sql)
             if prepared is not None:
-                self.metrics.counter("db.plan_cache.hits").inc()
+                self._c_plan_hits.inc()
                 return prepared.stmt, prepared, True
         stmt = parse_statement(sql)
         if isinstance(stmt, PREPARABLE):
             prepared = PreparedStatement(self, stmt, sql)
             if self._statements.enabled:
-                self.metrics.counter("db.plan_cache.misses").inc()
+                self._c_plan_misses.inc()
                 self._statements.put(sql, prepared)
             return stmt, prepared, False
         return stmt, None, False
 
-    def _execute_statement(
-        self, stmt: ast.Statement, params: Sequence[object] = ()
-    ) -> Result:
-        """Dispatch one parsed statement (the uncached path)."""
-        if isinstance(
+    def _run_statement(
+        self,
+        stmt: ast.Statement,
+        prepared: PreparedStatement | None,
+        params: Sequence[object],
+        collector=None,
+    ) -> tuple[Result, object, bool]:
+        """The one statement path: ``execute``, ``execute_ast``, a
+        prepared handle and ``trace`` all end here.  ``prepared``, when
+        the caller holds one, supplies the cached plan / INSERT program.
+        Returns ``(result, plan root or None, plan reused)``."""
+        if isinstance(stmt, ast.Select):
+            if prepared is not None:
+                root, reused = self._prepared_plan(prepared)
+            else:
+                root, reused = self._planner.plan_select(stmt), False
+            return self.execute_plan(root, params, collector), root, reused
+        if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
+            try:
+                if isinstance(stmt, ast.Update):
+                    count = self._run_update(stmt, params)
+                elif isinstance(stmt, ast.Delete):
+                    count = self._run_delete(stmt, params)
+                elif prepared is not None:
+                    count = self._run_insert(self._prepared_insert(prepared), params)
+                else:
+                    count = self._run_insert(self._compile_insert(stmt), params)
+            except Exception:
+                # A failed autocommit statement leaves its partial effects
+                # in place (no statement-level rollback here), so the WAL
+                # terminal must make replay reproduce that partial state.
+                # A SimulatedCrash (BaseException) skips this: a crash mid
+                # statement means the statement never committed.
+                self.transactions.end_statement()
+                raise
+            self.transactions.end_statement()
+            self._executor.stats.statements += 1
+            return Result([], [], count), None, False
+        if not isinstance(
             stmt,
             (ast.CreateTable, ast.CreateIndex, ast.DropTable, ast.DropIndex),
         ):
-            # DDL is non-transactional: it commits any open transaction,
-            # matching the online-DDL behaviour Section 3 discusses.
-            self.transactions.commit_if_active()
-        if isinstance(stmt, ast.Select):
-            return self._run_select(stmt, params)
-        if isinstance(stmt, ast.Insert):
-            return self._run_insert(stmt, params)
-        if isinstance(stmt, ast.Update):
-            return self._run_update(stmt, params)
-        if isinstance(stmt, ast.Delete):
-            return self._run_delete(stmt, params)
+            raise PlanError(f"unsupported statement {type(stmt).__name__}")
+        # DDL is non-transactional: it commits any open transaction,
+        # matching the online-DDL behaviour Section 3 discusses.
+        self.transactions.commit_if_active()
         if isinstance(stmt, ast.CreateTable):
-            return self._run_create_table(stmt)
-        if isinstance(stmt, ast.CreateIndex):
+            self._run_create_table(stmt)
+        elif isinstance(stmt, ast.CreateIndex):
             self.catalog.create_index(
                 stmt.index, stmt.table, list(stmt.columns), unique=stmt.unique
             )
@@ -549,19 +552,14 @@ class Database:
                 columns=list(stmt.columns),
                 unique=stmt.unique,
             )
-            self._resize_pool()
-            return Result([], [], 0)
-        if isinstance(stmt, ast.DropTable):
+        elif isinstance(stmt, ast.DropTable):
             self.catalog.drop_table(stmt.table)
             self._log_ddl(op="drop_table", table=stmt.table)
-            self._resize_pool()
-            return Result([], [], 0)
-        if isinstance(stmt, ast.DropIndex):
+        else:
             self.catalog.drop_index(stmt.table, stmt.index)
             self._log_ddl(op="drop_index", table=stmt.table, index=stmt.index)
-            self._resize_pool()
-            return Result([], [], 0)
-        raise PlanError(f"unsupported statement {type(stmt).__name__}")
+        self._resize_pool()
+        return Result([], [], 0), None, False
 
     def _log_ddl(self, **ddl) -> None:
         """WAL a DDL statement *after* it applied — failed DDL must
@@ -575,18 +573,14 @@ class Database:
         """Execute an already-parsed statement — callers holding an AST
         (the schema-mapping layer, migrations) skip the text round
         trip entirely."""
-        self._execute_depth += 1
-        try:
-            result = self._execute_statement(stmt, params)
-        finally:
-            self._execute_depth -= 1
+        result = self._run_statement(stmt, None, params)[0]
         self._maybe_auto_checkpoint()
         return result
 
     def _maybe_auto_checkpoint(self) -> None:
-        """Between top-level statements, checkpoint if enough log has
-        accumulated since the last one."""
-        if self._execute_depth == 0 and self.durability is not None:
+        """Between statements (one never runs inside another),
+        checkpoint if enough log has accumulated since the last one."""
+        if self.durability is not None:
             self.durability.maybe_checkpoint(self)
 
     # -- prepared statements ------------------------------------------------------
@@ -627,24 +621,14 @@ class Database:
             stmt, locus
         )
         if not report.ok:
-            self.metrics.counter("analysis.semantic.rejections").inc()
+            self._c_rejections.inc()
             raise SemanticError(report.errors)
         return report
 
     def _execute_prepared(
         self, prepared: PreparedStatement, params: Sequence[object]
     ) -> Result:
-        stmt = prepared.stmt
-        if isinstance(stmt, ast.Select):
-            root, _ = self._prepared_plan(prepared)
-            rows = self._executor.run(root, params)
-            columns = [slot.name for slot in root.schema.slots]
-            return Result(columns, rows, len(rows))
-        if isinstance(stmt, ast.Insert):
-            return self._run_insert_program(self._prepared_insert(prepared), params)
-        if isinstance(stmt, ast.Update):
-            return self._run_update(stmt, params)
-        return self._run_delete(stmt, params)
+        return self._run_statement(prepared.stmt, prepared, params)[0]
 
     def _prepared_plan(self, prepared: PreparedStatement):
         """The statement's physical plan, reusing the cached one while
@@ -666,7 +650,7 @@ class Database:
         ):
             return prepared.plan, True
         if prepared.plan is not None:
-            self.metrics.counter("db.plan_cache.invalidations").inc()
+            self._c_plan_invalidations.inc()
         prepared.plan = self._planner.plan_select(prepared.stmt)
         prepared.catalog_version = version
         prepared.profile = profile
@@ -680,7 +664,7 @@ class Database:
         if program is not None and prepared.catalog_version == version:
             return program
         if program is not None:
-            self.metrics.counter("db.plan_cache.invalidations").inc()
+            self._c_plan_invalidations.inc()
         program = self._compile_insert(prepared.stmt)
         prepared.insert_program = program
         prepared.catalog_version = version
@@ -688,19 +672,13 @@ class Database:
 
     # -- SELECT -----------------------------------------------------------------
 
-    def _run_select(self, stmt: ast.Select, params: Sequence[object]) -> Result:
-        root = self._planner.plan_select(stmt)
-        rows = self._executor.run(root, params)
-        columns = [slot.name for slot in root.schema.slots]
-        return Result(columns, rows, len(rows))
-
     def _execute_subquery(self, select: ast.Select, params: Sequence[object]) -> set:
         root = self._planner.plan_select(select)
         return {row[0] for row in self._executor.run(root, params)}
 
     # -- DDL ---------------------------------------------------------------------
 
-    def _run_create_table(self, stmt: ast.CreateTable) -> Result:
+    def _run_create_table(self, stmt: ast.CreateTable) -> None:
         if self.enforce_budget:
             projected = (
                 self.catalog.metadata_bytes + self.catalog.table_metadata_cost
@@ -719,8 +697,6 @@ class Database:
             columns=[(c.name, c.type_text, c.not_null) for c in stmt.columns],
             storage=stmt.storage,
         )
-        self._resize_pool()
-        return Result([], [], 0)
 
     def _resize_pool(self) -> None:
         """Meta-data comes out of the same memory the pool uses — the
@@ -748,37 +724,21 @@ class Database:
         )
         return _InsertProgram(table.name, rows, positions, len(table.columns))
 
-    def _run_insert(self, stmt: ast.Insert, params: Sequence[object]) -> Result:
-        return self._run_insert_program(self._compile_insert(stmt), params)
-
-    def _run_insert_program(
+    def _run_insert(
         self, program: "_InsertProgram", params: Sequence[object]
-    ) -> Result:
+    ) -> int:
         table = self.catalog.table(program.table_name)
-        count = 0
-        try:
-            for compiled_row in program.rows:
-                values = [fn((), params) for fn in compiled_row]
-                if program.positions is not None:
-                    full = [None] * program.width
-                    for position, value in zip(program.positions, values):
-                        full[position] = value
-                    values = full
-                row = tuple(values)
-                rid = table.insert_row(row)
-                self.transactions.record_insert(table, rid, row)
-                count += 1
-        except Exception:
-            # A failed autocommit statement leaves its partial effects
-            # in place (no statement-level rollback here), so the WAL
-            # terminal must make replay reproduce that partial state.
-            # A SimulatedCrash (BaseException) skips this: a crash mid
-            # statement means the statement never committed.
-            self.transactions.end_statement()
-            raise
-        self.transactions.end_statement()
-        self._executor.stats.statements += 1
-        return Result([], [], count)
+        for compiled_row in program.rows:
+            values = [fn((), params) for fn in compiled_row]
+            if program.positions is not None:
+                full = [None] * program.width
+                for position, value in zip(program.positions, values):
+                    full[position] = value
+                values = full
+            row = tuple(values)
+            rid = table.insert_row(row)
+            self.transactions.record_insert(table, rid, row)
+        return len(program.rows)
 
     def _match_rids(
         self, table, where: ast.Expr | None, params: Sequence[object]
@@ -836,7 +796,7 @@ class Database:
                     rids.append(rid)
         return rids
 
-    def _run_update(self, stmt: ast.Update, params: Sequence[object]) -> Result:
+    def _run_update(self, stmt: ast.Update, params: Sequence[object]) -> int:
         table = self.catalog.table(stmt.table)
         binding = table.name.lower()
         schema = Schema([Slot(binding, c.lname) for c in table.columns])
@@ -846,35 +806,21 @@ class Database:
             for col, expr in stmt.assignments
         ]
         rids = self._match_rids(table, stmt.where, params)
-        try:
-            for rid in rids:
-                old_row = table.heap.fetch(rid)
-                new_row = list(old_row)
-                # SET expressions all see the pre-update row, per SQL.
-                for position, compiled in assignments:
-                    new_row[position] = compiled(old_row, params)
-                new_tuple = tuple(new_row)
-                new_rid = table.update_row(rid, new_tuple)
-                self.transactions.record_update(
-                    table, rid, old_row, new_rid, new_tuple
-                )
-        except Exception:
-            self.transactions.end_statement()
-            raise
-        self.transactions.end_statement()
-        self._executor.stats.statements += 1
-        return Result([], [], len(rids))
+        for rid in rids:
+            old_row = table.heap.fetch(rid)
+            new_row = list(old_row)
+            # SET expressions all see the pre-update row, per SQL.
+            for position, compiled in assignments:
+                new_row[position] = compiled(old_row, params)
+            new_tuple = tuple(new_row)
+            new_rid = table.update_row(rid, new_tuple)
+            self.transactions.record_update(table, rid, old_row, new_rid, new_tuple)
+        return len(rids)
 
-    def _run_delete(self, stmt: ast.Delete, params: Sequence[object]) -> Result:
+    def _run_delete(self, stmt: ast.Delete, params: Sequence[object]) -> int:
         table = self.catalog.table(stmt.table)
         rids = self._match_rids(table, stmt.where, params)
-        try:
-            for rid in rids:
-                row = table.delete_row(rid)
-                self.transactions.record_delete(table, rid, row)
-        except Exception:
-            self.transactions.end_statement()
-            raise
-        self.transactions.end_statement()
-        self._executor.stats.statements += 1
-        return Result([], [], len(rids))
+        for rid in rids:
+            row = table.delete_row(rid)
+            self.transactions.record_delete(table, rid, row)
+        return len(rids)

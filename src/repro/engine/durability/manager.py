@@ -34,6 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..errors import EngineError
+from ..observability.metrics import MetricsRegistry
 from .faults import FaultInjector, SimulatedCrash
 from .pagestore import DiskPageStore
 from .wal import WriteAheadLog
@@ -75,7 +76,14 @@ class DurabilityManager:
         os.makedirs(path, exist_ok=True)
         self.options = options or DurabilityOptions()
         self.faults = self.options.faults or FaultInjector()
-        self.metrics = metrics
+        metrics = metrics or MetricsRegistry()
+        self._c_checkpoints = metrics.counter("db.checkpoint.count")
+        self._g_checkpoint_ms = metrics.gauge("db.checkpoint.last_ms")
+        #: ``recovery_info`` key -> the gauge recovery publishes it under.
+        self.recovery_gauges = {
+            key: metrics.gauge(f"db.recovery.{key}")
+            for key in ("records_replayed", "losers", "ms")
+        }
         self.wal = WriteAheadLog(
             os.path.join(path, WAL_FILENAME),
             metrics=metrics,
@@ -247,11 +255,8 @@ class DurabilityManager:
         self.wal.checkpoint_reset({"t": "checkpoint", "snapshot": snapshot})
         self.store.compact()
         self.faults.crashpoint("checkpoint.end")
-        if self.metrics is not None:
-            self.metrics.counter("db.checkpoint.count").inc()
-            self.metrics.gauge("db.checkpoint.last_ms").set(
-                (time.perf_counter() - started) * 1000.0
-            )
+        self._c_checkpoints.inc()
+        self._g_checkpoint_ms.set((time.perf_counter() - started) * 1000.0)
         return True
 
     def maybe_checkpoint(self, db) -> bool:
@@ -342,14 +347,10 @@ def restore_snapshot(db, snapshot: dict) -> dict | None:
                 entry["segment"],
                 catalog.insert_strategy,
                 ncols=len(entry["columns"]),
-                metrics=db.metrics,
             )
         else:
             heap = HeapFile(
-                db.pool,
-                entry["segment"],
-                catalog.insert_strategy,
-                metrics=db.metrics,
+                db.pool, entry["segment"], catalog.insert_strategy
             )
         heap.restore(entry["page_ids"], entry["free_map"], entry["row_count"])
         table = Table(entry["name"], list(entry["columns"]), heap)
@@ -359,7 +360,6 @@ def restore_snapshot(db, snapshot: dict) -> dict | None:
                 ix["segment"],
                 unique=ix["unique"],
                 prefix_compression=catalog.prefix_compression,
-                metrics=db.metrics,
                 root_id=ix["root_id"],
                 height=ix["height"],
                 entry_count=ix["entry_count"],

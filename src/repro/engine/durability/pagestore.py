@@ -40,9 +40,11 @@ from __future__ import annotations
 
 import os
 import re
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from ..errors import EngineError
+from ..observability.metrics import CounterSet, MetricsRegistry
 from ..pager import Page, PageKind
 from .codec import HEADER_SIZE, decode_frames, encode_frame, frame_is_intact
 from .faults import FaultInjector, SimulatedCrash
@@ -69,6 +71,17 @@ def _versions(data: bytes) -> Iterator[_Version]:
         yield record["page_id"], offset, frame_length, record["lsn"]
 
 
+@dataclass
+class PageStoreStats(CounterSet, prefix="db.pager"):
+    """Physical page I/O against the segment files."""
+
+    page_writes: int = 0
+    page_reads: int = 0
+    bytes_written: int = 0
+    bytes_read: int = 0
+    fsyncs: int = 0
+
+
 class DiskPageStore:
     """Versioned page images in per-segment append files."""
 
@@ -82,13 +95,8 @@ class DiskPageStore:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
         self._faults = faults or FaultInjector()
-        self._metrics = metrics
-        if metrics is not None:
-            self._c_page_writes = metrics.counter("db.pager.page_writes")
-            self._c_page_reads = metrics.counter("db.pager.page_reads")
-            self._c_bytes_written = metrics.counter("db.pager.bytes_written")
-            self._c_bytes_read = metrics.counter("db.pager.bytes_read")
-            self._c_fsyncs = metrics.counter("db.pager.fsyncs")
+        metrics = metrics or MetricsRegistry()
+        self.stats: PageStoreStats = metrics.counter_set(PageStoreStats)
         #: page_id -> (segment_id, offset, frame_length, lsn) of the
         #: latest version.
         self._index: dict[int, tuple[int, int, int, int]] = {}
@@ -204,9 +212,8 @@ class DiskPageStore:
         self._record_version(
             page.page_id, page.segment_id, offset, len(frame), lsn
         )
-        if self._metrics is not None:
-            self._c_page_writes.inc()
-            self._c_bytes_written.inc(len(frame))
+        self.stats.page_writes += 1
+        self.stats.bytes_written += len(frame)
 
     def read(self, page_id: int) -> Page:
         loc = self._index.get(page_id)
@@ -220,9 +227,8 @@ class DiskPageStore:
         if decoded is None:
             raise EngineError(f"page {page_id}: corrupt frame on disk")
         _, record = decoded
-        if self._metrics is not None:
-            self._c_page_reads.inc()
-            self._c_bytes_read.inc(length)
+        self.stats.page_reads += 1
+        self.stats.bytes_read += length
         page = Page(
             page_id=record["page_id"],
             segment_id=record["segment"],
@@ -265,8 +271,7 @@ class DiskPageStore:
             fh = self._handle(segment_id)
             fh.flush()
             os.fsync(fh.fileno())
-            if self._metrics is not None:
-                self._c_fsyncs.inc()
+            self.stats.fsyncs += 1
         self._unsynced.clear()
 
     # -- version management -----------------------------------------------

@@ -128,10 +128,8 @@ def recover(db) -> None:
             "incomplete_admin_ops": len(incomplete_admin),
             "ms": elapsed_ms,
         }
-        if db.metrics is not None:
-            db.metrics.gauge("db.recovery.records_replayed").set(replayed)
-            db.metrics.gauge("db.recovery.losers").set(losers)
-            db.metrics.gauge("db.recovery.ms").set(elapsed_ms)
+        for key, gauge in durability.recovery_gauges.items():
+            gauge.set(durability.recovery_info[key])
     finally:
         durability.replaying = False
     # Re-anchor: the recovered state becomes the new checkpoint, so a

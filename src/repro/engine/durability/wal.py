@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from ..observability.metrics import CounterSet, MetricsRegistry
 from .codec import decode_frames, encode_frame
 from .faults import FaultInjector, SimulatedCrash
 
@@ -36,21 +37,13 @@ MUTATE_SKIP_FLUSH = "skip-wal-flush"
 
 
 @dataclass
-class WalStats:
-    """WAL activity counters (snapshot/delta like ``PoolStats``)."""
+class WalStats(CounterSet, prefix="db.wal"):
+    """WAL activity counters."""
 
     records: int = 0
     bytes_written: int = 0
     flushes: int = 0
     fsyncs: int = 0
-
-    def snapshot(self) -> "WalStats":
-        return WalStats(**vars(self))
-
-    def delta(self, earlier: "WalStats") -> "WalStats":
-        return WalStats(
-            **{k: getattr(self, k) - getattr(earlier, k) for k in vars(self)}
-        )
 
 
 class WriteAheadLog:
@@ -66,17 +59,12 @@ class WriteAheadLog:
         mutate: str | None = None,
     ) -> None:
         self.path = path
-        self.stats = WalStats()
+        metrics = metrics or MetricsRegistry()
+        self.stats: WalStats = metrics.counter_set(WalStats)
+        self._h_batch = metrics.histogram("db.wal.group_commit_batch")
         self.group_commit = max(1, group_commit)
         self._faults = faults or FaultInjector()
         self._mutate_skip_flush = mutate == MUTATE_SKIP_FLUSH
-        self._metrics = metrics
-        if metrics is not None:
-            self._c_records = metrics.counter("db.wal.records")
-            self._c_bytes = metrics.counter("db.wal.bytes_written")
-            self._c_flushes = metrics.counter("db.wal.flushes")
-            self._c_fsyncs = metrics.counter("db.wal.fsyncs")
-            self._h_batch = metrics.histogram("db.wal.group_commit_batch")
         self.base_lsn = 0
         self._file = None
         #: Bytes durably in the file (after the last flush).
@@ -165,8 +153,6 @@ class WriteAheadLog:
         self._pending += frame
         self._appended += len(frame)
         self.stats.records += 1
-        if self._metrics is not None:
-            self._c_records.inc()
         return lsn
 
     def commit_append(self, record: dict) -> int:
@@ -190,10 +176,8 @@ class WriteAheadLog:
         self._pending.clear()
         self._pending_commits = 0
         self.stats.flushes += 1
-        if self._metrics is not None:
-            self._c_flushes.inc()
-            if batch:
-                self._h_batch.observe(batch)
+        if batch:
+            self._h_batch.observe(batch)
         if self._mutate_skip_flush:
             # The seeded bug: report success, write nothing.
             self._flushed_lsn = self.base_lsn + self._appended
@@ -213,9 +197,6 @@ class WriteAheadLog:
         self._flushed_lsn = self.base_lsn + self._appended
         self.stats.bytes_written += len(pending)
         self.stats.fsyncs += 1
-        if self._metrics is not None:
-            self._c_bytes.inc(len(pending))
-            self._c_fsyncs.inc()
 
     def flush_to(self, lsn: int) -> None:
         """The WAL rule: before a page stamped ``lsn`` reaches disk, the
@@ -252,9 +233,6 @@ class WriteAheadLog:
         self._flushed_lsn = new_base + self._appended
         self.stats.bytes_written += len(header) + len(body)
         self.stats.fsyncs += 1
-        if self._metrics is not None:
-            self._c_bytes.inc(len(header) + len(body))
-            self._c_fsyncs.inc()
         return new_base + len(header)
 
     def close(self) -> None:

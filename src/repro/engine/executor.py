@@ -17,12 +17,13 @@ from typing import Iterator, Sequence
 from .catalog import Catalog
 from .errors import ExecutionError, PlanError
 from .expr_batch import sort_rows
+from .observability.metrics import CounterSet
 from .plan import physical as phys
 from .values import sort_key
 
 
 @dataclass
-class ExecStats:
+class ExecStats(CounterSet, prefix="db.exec"):
     """Row-level work counters for one database (cumulative).
 
     The row counters are engine-independent: the tuple and vectorized
@@ -41,29 +42,10 @@ class ExecStats:
     statements: int = 0
     batches: int = 0
 
-    #: The counters both engines must agree on for identical plans.
-    ROW_COUNTERS = (
-        "rows_scanned",
-        "index_lookups",
-        "rows_fetched",
-        "rows_joined",
-        "rows_output",
-        "sorts",
-        "materialized_rows",
-        "statements",
-    )
-
-    def snapshot(self) -> "ExecStats":
-        return ExecStats(**vars(self))
-
-    def delta(self, earlier: "ExecStats") -> "ExecStats":
-        return ExecStats(
-            **{k: getattr(self, k) - getattr(earlier, k) for k in vars(self)}
-        )
-
     def row_counters(self) -> dict:
-        """The engine-independent counters, for cross-engine asserts."""
-        return {name: getattr(self, name) for name in self.ROW_COUNTERS}
+        """The counters both engines must agree on for identical plans
+        (all but ``batches``), for cross-engine asserts."""
+        return {k: v for k, v in vars(self).items() if k != "batches"}
 
 
 #: Exact types whose native comparisons match ``sort_key`` ordering

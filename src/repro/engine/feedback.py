@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from .observability.metrics import MetricsRegistry
 from .plan import physical as phys
 
 
@@ -42,7 +43,9 @@ class CardinalityFeedback:
         tolerance: float = 1.2,
     ) -> None:
         self._estimates: dict[tuple, float] = {}
-        self._metrics = metrics
+        metrics = metrics or MetricsRegistry()
+        self._c_observations = metrics.counter("db.feedback.observations")
+        self._c_revisions = metrics.counter("db.feedback.revisions")
         #: Weight of the newest observation in the moving average.
         self.smoothing = smoothing
         #: Relative change below which an observation does not bump
@@ -89,8 +92,7 @@ class CardinalityFeedback:
         else:
             value = previous + self.smoothing * (actual - previous)
         self._estimates[key] = value
-        if self._metrics is not None:
-            self._metrics.counter("db.feedback.observations").inc()
+        self._c_observations.inc()
         if previous is None:
             changed = True
         else:
@@ -98,8 +100,7 @@ class CardinalityFeedback:
             changed = hi / lo > self.tolerance
         if changed:
             self.version += 1
-            if self._metrics is not None:
-                self._metrics.counter("db.feedback.revisions").inc()
+            self._c_revisions.inc()
         return changed
 
     def observe_plan(self, root: phys.PNode, collector) -> int:

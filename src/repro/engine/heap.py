@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ExecutionError
+from .observability.metrics import CounterSet
 from .pager import BufferPool, Page, PageKind
 
 #: Per-row slot overhead (slot pointer + record header).
@@ -42,6 +43,18 @@ class RowId:
     slot: int
 
 
+@dataclass
+class HeapStats(CounterSet, prefix="heap"):
+    """Row operations over every heap file (row- or column-major) of
+    one registry (one database)."""
+
+    fetches: int = 0
+    scans: int = 0
+    inserts: int = 0
+    updates: int = 0
+    deletes: int = 0
+
+
 class HeapFile:
     """A heap of rows for one table, stored in DATA pages of one segment."""
 
@@ -56,8 +69,6 @@ class HeapFile:
         pool: BufferPool,
         segment_id: int,
         strategy: InsertStrategy = InsertStrategy.FIRST_FIT,
-        *,
-        metrics=None,
     ) -> None:
         self._pool = pool
         self.segment_id = segment_id
@@ -67,19 +78,7 @@ class HeapFile:
         # delete; FIRST_FIT scans it for the best (tightest) fit.
         self._free_map: dict[int, int] = {}
         self.row_count = 0
-        # Per-structure access counters (engine-wide totals additionally
-        # land in the shared registry under heap.*).
-        self.fetches = 0
-        self.scans = 0
-        self.inserts = 0
-        self.updates = 0
-        self.deletes = 0
-        self._metrics = metrics
-
-    def _count(self, attribute: str, metric: str) -> None:
-        setattr(self, attribute, getattr(self, attribute) + 1)
-        if self._metrics is not None:
-            self._metrics.counter(metric).inc()
+        self._stats: HeapStats = pool.metrics.counter_set(HeapStats)
 
     # -- inserts ----------------------------------------------------------
 
@@ -106,7 +105,7 @@ class HeapFile:
         self._free_map[page.page_id] = page.free
         self._pool.mark_dirty(page.page_id)
         self.row_count += 1
-        self._count("inserts", "heap.inserts")
+        self._stats.inserts += 1
         san = self._pool.sanitizer
         if san is not None:
             san.on_row_access(
@@ -141,7 +140,7 @@ class HeapFile:
 
     def fetch(self, rid: RowId) -> tuple:
         """Read one row by RID (one logical data-page read)."""
-        self._count("fetches", "heap.fetches")
+        self._stats.fetches += 1
         page = self._pool.read(rid.page_id)
         slots: list = page.payload
         if rid.slot >= len(slots) or slots[rid.slot] is None:
@@ -155,7 +154,7 @@ class HeapFile:
 
     def scan(self) -> Iterator[tuple[RowId, tuple]]:
         """Full scan in physical order, reading every page once."""
-        self._count("scans", "heap.scans")
+        self._stats.scans += 1
         for pid in list(self._page_ids):
             page = self._pool.read(pid)
             for slot_no, entry in enumerate(page.payload):
@@ -173,7 +172,7 @@ class HeapFile:
         or mutate them; exact-size batches are handed over as-is instead
         of being sliced out and shifted (the old ``del batch[:n]``
         memmove on every full batch)."""
-        self._count("scans", "heap.scans")
+        self._stats.scans += 1
         batch: list[tuple] = []
         for pid in list(self._page_ids):
             page = self._pool.read(pid)
@@ -195,7 +194,7 @@ class HeapFile:
 
     def update(self, rid: RowId, row: tuple, width: int) -> RowId:
         """Rewrite a row in place; relocate if it no longer fits."""
-        self._count("updates", "heap.updates")
+        self._stats.updates += 1
         page = self._pool.read(rid.page_id)
         slots: list = page.payload
         entry = slots[rid.slot]
@@ -220,7 +219,7 @@ class HeapFile:
         return self.insert(row, width)
 
     def delete(self, rid: RowId) -> None:
-        self._count("deletes", "heap.deletes")
+        self._stats.deletes += 1
         page = self._pool.read(rid.page_id)
         slots: list = page.payload
         entry = slots[rid.slot]

@@ -23,12 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .observability.metrics import CounterSet, MetricsRegistry
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..analysis.sanitizers import Sanitizer
 
 
 @dataclass
-class LockStats:
+class LockStats(CounterSet, prefix="locks"):
     """Monotonic lock counters.  ``waits`` counts conflict events that
     were charged a wait; ``wait_ms`` accumulates the simulated wait
     durations (Experiment 1's contention penalties).  ``upgrades``
@@ -42,22 +44,15 @@ class LockStats:
     wait_ms: float = 0.0
     upgrades: int = 0
 
-    def snapshot(self) -> "LockStats":
-        return LockStats(**vars(self))
-
-    def delta(self, earlier: "LockStats") -> "LockStats":
-        return LockStats(
-            **{k: getattr(self, k) - getattr(earlier, k) for k in vars(self)}
-        )
-
 
 class LockTable:
     """Conflict-accounting lock table (non-blocking)."""
 
     def __init__(self, *, metrics=None) -> None:
         self._holders: dict[object, dict[int, bool]] = {}
-        self.stats = LockStats()
-        self._metrics = metrics
+        metrics = metrics or MetricsRegistry()
+        self.stats: LockStats = metrics.counter_set(LockStats)
+        self._h_wait = metrics.histogram("locks.wait_duration_ms")
         #: Optional dynamic sanitizer (lockset race detection).
         self.sanitizer: "Sanitizer" | None = None
 
@@ -81,13 +76,7 @@ class LockTable:
         self.stats.acquisitions += 1
         if previous is False and exclusive:
             self.stats.upgrades += 1
-            if self._metrics is not None:
-                self._metrics.counter("locks.upgrades").inc()
         self.stats.conflicts += conflicts
-        if self._metrics is not None:
-            self._metrics.counter("locks.acquisitions").inc()
-            if conflicts:
-                self._metrics.counter("locks.conflicts").inc(conflicts)
         if self.sanitizer is not None:
             self.sanitizer.on_lock_acquire(session_id, resource, exclusive)
         return conflicts
@@ -102,12 +91,7 @@ class LockTable:
             return
         self.stats.waits += waits
         self.stats.wait_ms += wait_ms
-        if self._metrics is not None:
-            self._metrics.counter("locks.waits").inc(waits)
-            self._metrics.counter("locks.wait_ms").inc(wait_ms)
-            self._metrics.histogram("locks.wait_duration_ms").observe(
-                wait_ms / waits
-            )
+        self._h_wait.observe(wait_ms / waits)
 
     def release(self, session_id: int, resource: object) -> bool:
         """Release one resource held by one session; returns whether the

@@ -3,13 +3,15 @@ ANALYZE.
 
 Three pieces, layered exactly like the measurements in the paper:
 
-* :mod:`metrics` — a named registry of counters/gauges/histograms fed by
-  every subsystem (buffer pool, heaps, B-trees, locks, transactions,
-  testbed workers).  ``db.metrics`` exposes it.
+* :mod:`metrics` — the one counter mechanism: a component stores its
+  counters as fields of a :class:`CounterSet`, the named
+  :class:`MetricsRegistry` (``db.metrics``) reads those live fields
+  beside its own counters/gauges/histograms, and ``snapshot`` /
+  ``delta`` (:class:`CounterWindow` for several sets) difference them.
 * :mod:`trace` — :class:`QueryTrace`, per-statement deltas of the pool /
-  executor / lock counters plus wall time; ``db.trace(sql)`` returns
-  one.  Experiments attribute page reads to individual queries with it
-  (Figure 10, Table 2).
+  executor / lock / WAL counter sets plus wall time; ``db.trace(sql)``
+  is ``db.execute(sql)`` inside such a window.  Experiments attribute
+  page reads to individual queries with it (Figure 10, Table 2).
 * :mod:`analyze` — per-operator row counts and timings collected while a
   plan runs; rendered as the annotated Figure 8 operator tree by
   ``EXPLAIN ANALYZE`` / ``db.explain_analyze(sql)``.
@@ -22,6 +24,8 @@ from .analyze import (  # noqa: F401
 )
 from .metrics import (  # noqa: F401
     Counter,
+    CounterSet,
+    CounterWindow,
     Gauge,
     Histogram,
     HISTOGRAM_RESERVOIR,

@@ -1,14 +1,21 @@
-"""A process-wide metrics registry: counters, gauges, histograms.
+"""The metrics registry: how a counter is stored, exported and differenced.
 
 The paper's experiments are all *measurements* — Table 2's hit ratios,
 Figure 10's logical page reads, the response-time quantiles of the
-testbed — so the engine exports every counter it maintains through one
-named registry, in the layered-metrics style of the FoundationDB Record
-Layer.  Every :class:`~repro.engine.database.Database` owns a
-:class:`MetricsRegistry` (``db.metrics``); the buffer pool, heap files,
-B-trees, lock table, transaction manager, and testbed workers all feed
-it, so a production deployment would export exactly the numbers the
-benchmarks report.
+testbed — so every counter the engine maintains is exported through one
+named registry (``db.metrics``), in the layered-metrics style of the
+FoundationDB Record Layer.  One mechanism, three roles:
+
+* **storage** — a component keeps the events it counts as plain fields
+  of a :class:`CounterSet` dataclass: one attribute increment per
+  event, written nowhere else.  One-off events keep a :class:`Counter`
+  / :class:`Gauge` / :class:`Histogram` bound once at construction.
+* **read** — :meth:`MetricsRegistry.attach` exports those live fields
+  under registry names; ``value`` / ``snapshot`` / ``render`` /
+  ``names`` are the one read surface for every number.
+* **difference** — :meth:`CounterSet.snapshot` / :meth:`CounterSet.delta`
+  (several sets at once: :class:`CounterWindow`) are the only
+  before/after primitive; ``db.trace`` is built on them.
 
 Naming convention: dotted lowercase paths, ``<subsystem>.<detail>``,
 e.g. ``pool.data.logical_reads`` or ``locks.wait_ms``.  Histogram names
@@ -17,6 +24,10 @@ end in a unit suffix (``_ms``, ``_rows``) where applicable.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from typing import ClassVar
+
 from ..errors import EngineError
 
 #: Histograms keep at most this many samples; beyond it the reservoir is
@@ -24,6 +35,68 @@ from ..errors import EngineError
 #: doubled) so long runs stay bounded without losing the distribution's
 #: shape.  Count / sum / min / max stay exact regardless.
 HISTOGRAM_RESERVOIR = 8192
+
+
+@dataclass
+class CounterSet:
+    """Base of the per-component stats dataclasses (``PoolStats``,
+    ``ExecStats``, ``LockStats``, ``WalStats``, ...): every field is a
+    number the component increments in place, on the instance it got
+    from :meth:`MetricsRegistry.counter_set`."""
+
+    #: field -> exported registry name: ``<prefix>.<field>`` for a
+    #: subclass declared with ``prefix=``, else spelled out by it.
+    EXPORTED: ClassVar[dict[str, str]] = {}
+
+    def __init_subclass__(cls, prefix: str | None = None, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if prefix is not None:
+            cls.EXPORTED = {
+                name: f"{prefix}.{name}" for name in cls.__annotations__
+            }
+
+    def snapshot(self):
+        """A frozen copy to difference against later."""
+        return type(self)(**vars(self))
+
+    def delta(self, earlier):
+        """Counters accumulated since ``earlier`` (a prior snapshot)."""
+        return type(self)(
+            **{k: v - getattr(earlier, k) for k, v in vars(self).items()}
+        )
+
+
+class CounterWindow:
+    """Several counter sets differenced together: snapshots them on
+    construction, :meth:`deltas` is what each accumulated since."""
+
+    def __init__(self, **ledgers: CounterSet) -> None:
+        self._ledgers = ledgers
+        self._before = {
+            name: ledger.snapshot() for name, ledger in ledgers.items()
+        }
+
+    def deltas(self) -> dict[str, CounterSet]:
+        return {
+            name: ledger.delta(self._before[name])
+            for name, ledger in self._ledgers.items()
+        }
+
+
+class Attached:
+    """A live attribute of an object its owner increments, exported
+    read-only under a registry name."""
+
+    __slots__ = ("name", "_owner", "_attribute")
+
+    def __init__(self, name: str, owner: object, attribute: str) -> None:
+        self.name = name
+        self._owner = owner
+        self._attribute = attribute
+
+    @property
+    def value(self) -> float:
+        return getattr(self._owner, self._attribute)
 
 
 class Counter:
@@ -95,8 +168,8 @@ class Histogram:
         if not self._samples:
             return 0.0
         ordered = sorted(self._samples)
-        rank = max(0, min(len(ordered) - 1, round(p / 100 * len(ordered)) - 1))
-        return ordered[rank]
+        rank = math.ceil(p / 100 * len(ordered))
+        return ordered[max(0, min(len(ordered) - 1, rank - 1))]
 
     def summary(self) -> dict:
         return {
@@ -116,11 +189,13 @@ class MetricsRegistry:
 
     ``counter`` / ``gauge`` / ``histogram`` get-or-create, so callers
     never need to pre-register; asking for an existing name with a
-    different type is an error.
+    different type is an error — in particular for a name ``attach``
+    exported, so no second ledger can be opened beside the owner's.
     """
 
     def __init__(self) -> None:
-        self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[str, Counter | Gauge | Histogram | Attached] = {}
+        self._sets: dict[type, CounterSet] = {}
 
     def _get_or_create(self, name: str, cls):
         metric = self._metrics.get(name)
@@ -143,6 +218,27 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Histogram:
         return self._get_or_create(name, Histogram)
 
+    def attach(self, owner, names: dict[str, str]):
+        """Export ``owner``'s attributes (``{attribute: exported name}``:
+        the fields of a :class:`CounterSet`, or a component's size as a
+        gauge), read live by ``value`` / ``snapshot`` / ``render``.
+        Returns ``owner``."""
+        for attribute, name in names.items():
+            if name in self._metrics:
+                raise EngineError(f"metric {name!r} is already registered")
+            self._metrics[name] = Attached(name, owner, attribute)
+        return owner
+
+    def counter_set(self, cls: type[CounterSet]) -> CounterSet:
+        """Get-or-create, like ``counter``: the registry's one ``cls``
+        instance, attached under ``cls.EXPORTED`` on first use.  Every
+        structure that counts into it (each B-tree and heap file of a
+        database, both executors) increments the same ledger."""
+        found = self._sets.get(cls)
+        if found is None:
+            found = self._sets[cls] = self.attach(cls(), cls.EXPORTED)
+        return found
+
     def get(self, name: str):
         return self._metrics.get(name)
 
@@ -161,17 +257,14 @@ class MetricsRegistry:
             return metric.count
         return metric.value
 
+    def _read(self, name: str):
+        metric = self._metrics[name]
+        return metric.summary() if isinstance(metric, Histogram) else metric.value
+
     def snapshot(self) -> dict:
         """A plain-dict view: scalars for counters/gauges, summary dicts
         for histograms.  Suitable for JSON export or diffing."""
-        out: dict = {}
-        for name in self.names():
-            metric = self._metrics[name]
-            if isinstance(metric, Histogram):
-                out[name] = metric.summary()
-            else:
-                out[name] = metric.value
-        return out
+        return {name: self._read(name) for name in self.names()}
 
     def render(self, prefix: str = "") -> str:
         """Plain-text dump of every metric under ``prefix``."""
@@ -179,16 +272,14 @@ class MetricsRegistry:
         for name in self.names():
             if prefix and not name.startswith(prefix):
                 continue
-            metric = self._metrics[name]
-            if isinstance(metric, Histogram):
-                s = metric.summary()
+            value = self._read(name)
+            if isinstance(value, dict):
                 lines.append(
-                    f"{name}  count={s['count']} mean={s['mean']:.3f} "
-                    f"p50={s['p50']:.3f} p95={s['p95']:.3f} "
-                    f"p99={s['p99']:.3f} max={s['max']:.3f}"
+                    f"{name}  count={value['count']} mean={value['mean']:.3f} "
+                    f"p50={value['p50']:.3f} p95={value['p95']:.3f} "
+                    f"p99={value['p99']:.3f} max={value['max']:.3f}"
                 )
             else:
-                value = metric.value
                 text = f"{value:g}" if isinstance(value, float) else str(value)
                 lines.append(f"{name}  {text}")
         return "\n".join(lines)

@@ -11,12 +11,15 @@ counts from traces instead of hand-rolled global snapshot/delta pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from ..durability.wal import WalStats
-from ..executor import ExecStats
-from ..locks import LockStats
-from ..pager import PoolStats
 from .analyze import OperatorStats
+
+if TYPE_CHECKING:  # pragma: no cover - the components import this package
+    from ..durability.wal import WalStats
+    from ..executor import ExecStats
+    from ..locks import LockStats
+    from ..pager import PoolStats
 
 
 @dataclass
@@ -34,7 +37,7 @@ class QueryTrace:
     locks: LockStats
     #: WAL activity (records appended, bytes flushed, fsyncs) caused by
     #: this statement; all-zero in memory mode.
-    wal: WalStats = field(default_factory=WalStats)
+    wal: WalStats
     operators: list[OperatorStats] = field(default_factory=list)
     plan: str | None = None
     #: Whether the statement was served from the plan cache (SELECTs:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import EngineError
+from .observability.metrics import CounterSet, MetricsRegistry
 
 #: Default page size, 8 KB — the page size used for all user data and
 #: indexes in the paper's experiment (Section 5).
@@ -66,7 +67,7 @@ class Page:
 
 
 @dataclass
-class PoolStats:
+class PoolStats(CounterSet):
     """Read/write counters, split by page kind.
 
     *Logical* reads count every page access; *physical* reads count the
@@ -89,6 +90,17 @@ class PoolStats:
     resize_evictions: int = 0
     writebacks: int = 0
 
+    EXPORTED = {
+        "logical_data": "pool.data.logical_reads",
+        "logical_index": "pool.index.logical_reads",
+        "physical_data": "pool.data.physical_reads",
+        "physical_index": "pool.index.physical_reads",
+        "writes": "pool.writes",
+        "evictions": "pool.evictions",
+        "resize_evictions": "pool.resize_evictions",
+        "writebacks": "pool.writebacks",
+    }
+
     @property
     def logical_total(self) -> int:
         return self.logical_data + self.logical_index
@@ -108,15 +120,6 @@ class PoolStats:
         if logical == 0:
             return 1.0
         return 1.0 - physical / logical
-
-    def snapshot(self) -> "PoolStats":
-        return PoolStats(**vars(self))
-
-    def delta(self, earlier: "PoolStats") -> "PoolStats":
-        """Counters accumulated since ``earlier`` (a prior snapshot)."""
-        return PoolStats(
-            **{k: getattr(self, k) - getattr(earlier, k) for k in vars(self)}
-        )
 
 
 @dataclass
@@ -155,7 +158,16 @@ class BufferPool:
             raise EngineError("buffer pool needs at least one frame")
         self.capacity_pages = capacity_pages
         self.page_size = page_size
-        self.stats = PoolStats()
+        #: Tests build pools bare; a private registry keeps one code path.
+        self.metrics = metrics or MetricsRegistry()
+        self.stats: PoolStats = self.metrics.counter_set(PoolStats)
+        self.metrics.attach(
+            self,
+            {
+                "resident_pages": "pool.resident_pages",
+                "capacity_pages": "pool.capacity_pages",
+            },
+        )
         self._store = store
         self._durability = durability
         self._disk: dict[int, Page] = {}
@@ -163,32 +175,6 @@ class BufferPool:
         self._next_page_id = 1
         # Optional dynamic sanitizer (WAL-rule + pin-leak checking).
         self.sanitizer = None
-        # Optional MetricsRegistry; counters are pre-bound so the hot
-        # read path pays one attribute check, not a name lookup.
-        self.metrics = metrics
-        if metrics is not None:
-            # Split per-kind attributes (not an enum-keyed dict): the
-            # read path branches on ``kind is PageKind.DATA`` anyway,
-            # and hashing an enum per logical read is measurable.
-            self._c_logical_data = metrics.counter("pool.data.logical_reads")
-            self._c_logical_index = metrics.counter("pool.index.logical_reads")
-            self._c_physical = {
-                PageKind.DATA: metrics.counter("pool.data.physical_reads"),
-                PageKind.INDEX: metrics.counter("pool.index.physical_reads"),
-            }
-            self._c_writes = metrics.counter("pool.writes")
-            self._c_evictions = metrics.counter("pool.evictions")
-            self._c_resize_evictions = metrics.counter("pool.resize_evictions")
-            self._c_writebacks = metrics.counter("pool.writebacks")
-            self._g_resident = metrics.gauge("pool.resident_pages")
-            self._g_capacity = metrics.gauge("pool.capacity_pages")
-            self._g_capacity.set(capacity_pages)
-        else:
-            self._c_writes = None
-
-    def _sync_resident_gauge(self) -> None:
-        if self.metrics is not None:
-            self._g_resident.set(len(self._frames))
 
     # -- allocation -------------------------------------------------------
 
@@ -210,88 +196,46 @@ class BufferPool:
         if pin:
             frame.pins += 1
         self.stats.writes += 1
-        if self._c_writes is not None:
-            self._c_writes.inc()
         return page
 
     def free_segment(self, segment_id: int) -> int:
         """Drop every page of a segment (DROP TABLE/INDEX). Returns count."""
-        if self._store is not None:
-            doomed = self.pages_in_segment(segment_id)
-            for pid in doomed:
-                self._frames.pop(pid, None)
-            self._store.free_segment(segment_id)
-            self._sync_resident_gauge()
-            return len(doomed)
-        doomed = [pid for pid, p in self._disk.items() if p.segment_id == segment_id]
+        doomed = self.pages_in_segment(segment_id)
         for pid in doomed:
             self._frames.pop(pid, None)
-            del self._disk[pid]
-        self._sync_resident_gauge()
+            self._disk.pop(pid, None)
+        if self._store is not None:
+            self._store.free_segment(segment_id)
         return len(doomed)
 
     # -- access -----------------------------------------------------------
 
     def read(self, page_id: int, *, pin: bool = False) -> Page:
         """Access a page, recording a logical (and possibly physical) read."""
-        if self._store is not None:
-            frame = self._frames.get(page_id)
-            if frame is not None:
-                page = frame.page
-                self._count_logical(page.kind)
-                self._frames.move_to_end(page_id)
-            else:
-                page = self._store.read(page_id)
-                self._count_logical(page.kind)
-                if page.kind is PageKind.DATA:
-                    self.stats.physical_data += 1
-                else:
-                    self.stats.physical_index += 1
-                if self._c_writes is not None:
-                    self._c_physical[page.kind].inc()
-                frame = self._admit(page)
-            if pin:
-                frame.pins += 1
-            return page
-        page = self._disk.get(page_id)
-        if page is None:
-            raise EngineError(f"page {page_id} does not exist")
-        # _count_logical, inlined: this is the all-in-memory hot path
-        # and the call frame itself is measurable at fig9 probe rates.
         stats = self.stats
+        frame = self._frames.get(page_id)
+        if frame is not None:
+            page = frame.page
+            self._frames.move_to_end(page_id)
+        else:
+            if self._store is not None:
+                page = self._store.read(page_id)
+            else:
+                page = self._disk.get(page_id)
+                if page is None:
+                    raise EngineError(f"page {page_id} does not exist")
+            if page.kind is PageKind.DATA:
+                stats.physical_data += 1
+            else:
+                stats.physical_index += 1
+            frame = self._admit(page)
         if page.kind is PageKind.DATA:
             stats.logical_data += 1
-            if self._c_writes is not None:
-                self._c_logical_data.inc()
         else:
             stats.logical_index += 1
-            if self._c_writes is not None:
-                self._c_logical_index.inc()
-        frame = self._frames.get(page_id)
-        if frame is None:
-            if page.kind is PageKind.DATA:
-                self.stats.physical_data += 1
-            else:
-                self.stats.physical_index += 1
-            if self._c_writes is not None:
-                self._c_physical[page.kind].inc()
-            frame = self._admit(page)
-        else:
-            self._frames.move_to_end(page_id)
         if pin:
             frame.pins += 1
         return page
-
-    def _count_logical(self, kind: PageKind) -> None:
-        stats = self.stats
-        if kind is PageKind.DATA:
-            stats.logical_data += 1
-            if self._c_writes is not None:
-                self._c_logical_data.inc()
-        else:
-            stats.logical_index += 1
-            if self._c_writes is not None:
-                self._c_logical_index.inc()
 
     def unpin(self, page_id: int) -> None:
         frame = self._frames.get(page_id)
@@ -315,8 +259,6 @@ class BufferPool:
             # between read and mark_dirty).
             raise EngineError(f"mark_dirty of non-resident page {page_id}")
         self.stats.writes += 1
-        if self._c_writes is not None:
-            self._c_writes.inc()
 
     # -- cache control ------------------------------------------------------
 
@@ -328,9 +270,8 @@ class BufferPool:
             if frame.dirty:
                 if self._store is not None:
                     self._writeback(frame.page)
-                self._record_writeback()
+                self.stats.writebacks += 1
         self._frames.clear()
-        self._sync_resident_gauge()
 
     def write_back_all(self) -> None:
         """Write every dirty frame to the store without dropping it
@@ -350,8 +291,6 @@ class BufferPool:
         if capacity_pages < 1:
             capacity_pages = 1
         self.capacity_pages = capacity_pages
-        if self.metrics is not None:
-            self._g_capacity.set(capacity_pages)
         self._evict_to_capacity(resize=True)
 
     @property
@@ -416,13 +355,7 @@ class BufferPool:
         self._frames[page.page_id] = frame
         self._frames.move_to_end(page.page_id)
         self._evict_to_capacity()
-        self._sync_resident_gauge()
         return frame
-
-    def _record_writeback(self) -> None:
-        self.stats.writebacks += 1
-        if self._c_writes is not None:
-            self._c_writebacks.inc()
 
     def _writeback(self, page: Page) -> None:
         """Persist one dirty page, honoring the WAL rule first."""
@@ -448,13 +381,8 @@ class BufferPool:
             if victim.dirty:
                 if self._store is not None:
                     self._writeback(victim.page)
-                self._record_writeback()
+                self.stats.writebacks += 1
             if resize:
                 self.stats.resize_evictions += 1
-                if self._c_writes is not None:
-                    self._c_resize_evictions.inc()
             else:
                 self.stats.evictions += 1
-                if self._c_writes is not None:
-                    self._c_evictions.inc()
-        self._sync_resident_gauge()

@@ -21,6 +21,7 @@ import dataclasses
 from typing import Sequence
 
 from .errors import PlanError
+from .observability.metrics import MetricsRegistry
 from .sql import ast
 
 #: Statement types that can be prepared (everything else — DDL,
@@ -55,15 +56,13 @@ class LruCache:
     ``capacity == 0`` disables the cache (every ``get`` misses, ``put``
     is a no-op).  Hit/miss accounting stays with the caller — what a
     lookup *means* differs per layer — but evictions are counted here,
-    under ``<prefix>.evictions`` when a metrics registry is supplied.
+    under ``<prefix>.evictions``.
     """
 
     def __init__(self, capacity: int, metrics=None, prefix: str = "") -> None:
         self.capacity = capacity
-        self._c_evictions = (
-            metrics.counter(f"{prefix}.evictions")
-            if metrics is not None
-            else None
+        self._c_evictions = (metrics or MetricsRegistry()).counter(
+            f"{prefix}.evictions"
         )
         self._entries: dict = {}
 
@@ -95,8 +94,7 @@ class LruCache:
         while len(self._entries) > self.capacity:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
-            if self._c_evictions is not None:
-                self._c_evictions.inc()
+            self._c_evictions.inc()
 
     def clear(self) -> int:
         """Drop every entry; returns how many were dropped."""

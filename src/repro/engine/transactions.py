@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 from .errors import EngineError
 from .heap import RowId
+from .observability.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from .catalog import Table
@@ -60,9 +61,11 @@ class TransactionManager:
 
     def __init__(self, *, metrics=None, durability=None) -> None:
         self._log: list[object] | None = None
-        self.committed = 0
-        self.rolled_back = 0
-        self._metrics = metrics
+        metrics = metrics or MetricsRegistry()
+        self._c_begun = metrics.counter("txn.begun")
+        self._c_committed = metrics.counter("txn.committed")
+        self._c_rolled_back = metrics.counter("txn.rolled_back")
+        self._h_undo_entries = metrics.histogram("txn.undo_entries")
         self._durability = durability
         #: WAL transaction id of the current (explicit or implicit)
         #: transaction; None until it logs its first write.
@@ -83,17 +86,14 @@ class TransactionManager:
         if self.active:
             raise EngineError("a transaction is already open")
         self._log = []
-        if self._metrics is not None:
-            self._metrics.counter("txn.begun").inc()
+        self._c_begun.inc()
 
     def commit(self) -> None:
         if not self.active:
             raise EngineError("no open transaction to commit")
         self._log = None
         self._emit_commit()
-        self.committed += 1
-        if self._metrics is not None:
-            self._metrics.counter("txn.committed").inc()
+        self._c_committed.inc()
         if self.sanitizer is not None:
             self.sanitizer.on_statement_end()
 
@@ -105,9 +105,8 @@ class TransactionManager:
         if self._log is None:
             raise EngineError("no open transaction to roll back")
         log, self._log = self._log, None
-        if self._metrics is not None:
-            self._metrics.counter("txn.rolled_back").inc()
-            self._metrics.histogram("txn.undo_entries").observe(len(log))
+        self._c_rolled_back.inc()
+        self._h_undo_entries.observe(len(log))
         remap: dict[tuple[int, RowId], RowId] = {}
 
         def resolve(table: "Table", rid: RowId) -> RowId:
@@ -151,7 +150,6 @@ class TransactionManager:
                     new_row=entry.old_row,
                 )
         self._emit_rollback()
-        self.rolled_back += 1
         if self.sanitizer is not None:
             self.sanitizer.on_statement_end()
 

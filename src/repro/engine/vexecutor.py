@@ -41,6 +41,7 @@ from .expr_batch import (
     node_program,
     sort_rows,
 )
+from .observability.metrics import MetricsRegistry
 from .plan import physical as phys
 from .values import sort_key
 
@@ -152,14 +153,8 @@ class VectorizedExecutor:
         self.stats = stats if stats is not None else ExecStats()
         self.batch_rows = max(1, batch_rows)
         self._collector = None
-        #: Resolved once: per-batch metric updates skip registry lookups.
-        self._batch_counter = (
-            metrics.counter("db.exec.batches") if metrics is not None else None
-        )
-        self._batch_hist = (
-            metrics.histogram("mt.exec.batch_rows")
-            if metrics is not None
-            else None
+        self._batch_hist = (metrics or MetricsRegistry()).histogram(
+            "mt.exec.batch_rows"
         )
 
     # -- public -----------------------------------------------------------
@@ -200,13 +195,10 @@ class VectorizedExecutor:
 
     def _counted(self, gen: Iterator[list]) -> Iterator[list]:
         stats = self.stats
-        counter = self._batch_counter
-        hist = self._batch_hist
+        observe = self._batch_hist.observe
         for batch in gen:
             stats.batches += 1
-            if counter is not None:
-                counter.inc()
-                hist.observe(len(batch))
+            observe(len(batch))
             yield batch
 
     def _program(self, node: phys.PNode, key: str, builder):

@@ -101,8 +101,6 @@ class ChunkQueryConfig:
     #: WAL group-commit batch used in disk-backed mode: the loader is
     #: autocommit-heavy, so batching fsyncs keeps loading tractable.
     group_commit: int = 64
-    #: Execution engine: ``"vectorized"`` (default) or ``"tuple"``.
-    execution: str = "vectorized"
 
 
 @dataclass
@@ -153,7 +151,6 @@ class ChunkQueryExperiment:
             memory_bytes=self.config.memory_bytes,
             path=self.config.db_path,
             durability=DurabilityOptions(group_commit=self.config.group_commit),
-            execution=self.config.execution,
         )
         self.mtd = MultiTenantDatabase(layout=layout, db=db, **options)
         self.cost_model = CostModel()

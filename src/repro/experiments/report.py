@@ -25,20 +25,6 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_metrics(registry, prefixes: Sequence[str] = (), title: str = "Metrics") -> str:
-    """Dump a :class:`~repro.engine.observability.MetricsRegistry` as a
-    titled plain-text block, optionally restricted to name prefixes."""
-    lines = [title, ""]
-    if prefixes:
-        for prefix in prefixes:
-            block = registry.render(prefix)
-            if block:
-                lines.append(block)
-    else:
-        lines.append(registry.render())
-    return "\n".join(lines)
-
-
 def render_series(
     title: str,
     x_label: str,

@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..engine.explain import render_plan
-from ..engine.observability import AnalyzeCollector
+from ..engine.observability import AnalyzeCollector, CounterWindow
 from ..engine.sql.parser import parse_statement
 from .corpus import build_engine_database, build_multitenant, generate_query
 from .planspace import enumerate_plans
@@ -168,16 +168,13 @@ def _measure(db, stmt, directives) -> tuple[object, AnalyzeCollector, PlanMeasur
             db.execution = mode
             root = db.plan_ast(stmt, directives)
             collector = AnalyzeCollector()
-            exec_before = db.exec_stats.snapshot()
-            pool_before = db.pool.stats.snapshot()
+            window = CounterWindow(pool=db.pool_stats, exec=db.exec_stats)
             started = time.perf_counter()
             result = db.execute_plan(root, collector=collector)
             walls[mode] = (time.perf_counter() - started) * 1000.0
             if mode == "tuple":
-                work = work_cost(
-                    db.exec_stats.delta(exec_before),
-                    db.pool.stats.delta(pool_before),
-                )
+                deltas = window.deltas()
+                work = work_cost(deltas["exec"], deltas["pool"])
                 rows = len(result.rows)
                 keep_root, keep_collector = root, collector
                 keep_rows = _normalized(result.rows)

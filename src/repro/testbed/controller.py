@@ -52,9 +52,6 @@ class TestbedConfig:
     #: rooted at this directory (WAL + page segments), so testbed runs
     #: can crash and recover; ``None`` keeps the all-in-memory engine.
     db_path: str | None = None
-    #: Execution engine for the System Under Test: ``"vectorized"``
-    #: (default) or ``"tuple"`` (the reference interpreter).
-    execution: str = "vectorized"
 
 
 class Controller:
@@ -109,11 +106,7 @@ class Testbed:
     def setup(self) -> MultiTenantDatabase:
         """Create schema instances, tenants, and load synthetic data."""
         config = self.config
-        db = Database(
-            memory_bytes=config.memory_bytes,
-            path=config.db_path,
-            execution=config.execution,
-        )
+        db = Database(memory_bytes=config.memory_bytes, path=config.db_path)
         mtd = MultiTenantDatabase(
             layout=config.layout, db=db, **config.layout_options
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine.observability import CounterWindow
 from .actions import ActionClass, ActionExecutor
 from .simtime import CostModel
 
@@ -111,8 +112,7 @@ class Worker:
     ) -> float:
         """Run one action for a session; returns simulated response ms."""
         db = self.mtd.db
-        pool_before = db.pool_stats.snapshot()
-        exec_before = db.exec_stats.snapshot()
+        window = CounterWindow(pool=db.pool_stats, exec=db.exec_stats)
         ddl_before = db.catalog.ddl_statements
 
         if self.transactional:
@@ -135,12 +135,11 @@ class Worker:
             session.session_id, resources, session.clock_ms
         )
 
-        pool_delta = db.pool_stats.delta(pool_before)
-        exec_delta = db.exec_stats.delta(exec_before)
+        deltas = window.deltas()
         ddl_delta = db.catalog.ddl_statements - ddl_before
         response_ms = self.cost_model.response_ms(
-            pool_delta,
-            exec_delta,
+            deltas["pool"],
+            deltas["exec"],
             lock_conflicts=conflicts,
             ddl_statements=ddl_delta,
         )

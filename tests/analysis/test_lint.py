@@ -146,15 +146,58 @@ class TestMetricLoopRule:
             tmp_path,
             {
                 "engine/cool.py": """
-                    def drain(metrics, items):
-                        counter = metrics.counter("engine.drained")
-                        for item in items:
-                            counter.inc()
+                    class Drain:
+                        def __init__(self, metrics):
+                            self._bind_counters(metrics)
+                            self._h_size = metrics.histogram("engine.drain_rows")
+
+                        def _bind_counters(self, metrics):
+                            self._c_drained = metrics.counter("engine.drained")
+
+                        def drain(self, items):
+                            for item in items:
+                                self._c_drained.inc()
                 """,
             },
         )
         report = analyze_lint(root=root, census=census)
         assert report.by_rule().get("LNT004", 0) == 0
+
+    def test_written_out_name_outside_constructor(self, tmp_path, census):
+        """One lookup per statement is still a lookup per statement:
+        ``engine/`` and ``core/statement_cache.py`` bind instruments
+        whose names are written out once, at construction."""
+        root = write_tree(
+            tmp_path,
+            {
+                "engine/lazy.py": """
+                    class Cache:
+                        def __init__(self, metrics):
+                            self._metrics = metrics
+
+                        def lookup(self, key):
+                            self._metrics.counter("engine.cache.hits").inc()
+
+                        def export(self, name):
+                            return self._metrics.gauge(name)
+                """,
+                "core/statement_cache.py": """
+                    PREFIX = "mt.statement_cache"
+
+                    def invalidate(metrics, dropped):
+                        metrics.counter(f"{PREFIX}.invalidations").inc(dropped)
+                """,
+                "core/api.py": """
+                    def count(metrics):
+                        metrics.counter("mt.calls").inc()
+                """,
+            },
+        )
+        report = analyze_lint(root=root, census=census)
+        loci = [f.locus for f in report.findings if f.rule_id == "LNT004"]
+        assert len(loci) == 2
+        assert any(locus.startswith("engine/lazy.py") for locus in loci)
+        assert any(locus.startswith("core/statement_cache.py") for locus in loci)
 
     def test_rule_scoped_to_engine(self, tmp_path, census):
         root = write_tree(

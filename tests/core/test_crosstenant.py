@@ -31,7 +31,8 @@ _ROWS = {
 def build_plain(layout: str, execution: str) -> MultiTenantDatabase:
     """Four tenants over an extension-free schema every layout (basic
     included) can represent."""
-    mtd = MultiTenantDatabase(layout=layout, execution=execution)
+    mtd = MultiTenantDatabase(layout=layout)
+    mtd.execution = execution
     mtd.define_table(
         LogicalTable(
             "item",

@@ -5,9 +5,12 @@ import pytest
 
 from repro import LogicalColumn, LogicalTable, MultiTenantDatabase
 from repro.engine import Database
+from repro.engine.durability import DurabilityOptions
 from repro.engine.errors import EngineError
 from repro.engine.observability import (
     Counter,
+    CounterSet,
+    CounterWindow,
     Gauge,
     Histogram,
     HISTOGRAM_RESERVOIR,
@@ -57,6 +60,14 @@ class TestHistogram:
         assert h.percentile(50) == pytest.approx(50.0, abs=1.0)
         assert h.percentile(95) == pytest.approx(95.0, abs=1.0)
         assert h.percentile(99) == pytest.approx(99.0, abs=1.0)
+        # Nearest rank is ceil(p/100 * n); round() is banker's rounding
+        # and read the p50 of five samples as the second.
+        for samples, p50 in (([1, 2, 3, 4, 5], 3), ([1, 2], 1)):
+            h = Histogram("x")
+            for v in samples:
+                h.observe(v)
+            assert h.percentile(50) == p50
+            assert h.percentile(100) == samples[-1]
 
     def test_empty_percentile_is_zero(self):
         assert Histogram("x").percentile(95) == 0.0
@@ -116,31 +127,27 @@ class TestMetricsRegistry:
 # -- engine wiring ------------------------------------------------------------
 
 
-@pytest.fixture()
-def db():
-    database = Database()
+def build(path=None, **options) -> Database:
+    """The ``db`` fixture's table, optionally disk-backed with a log
+    budget small enough that the script auto-checkpoints."""
+    database = Database(
+        path=path, durability=DurabilityOptions(auto_checkpoint_bytes=600), **options
+    )
     database.execute(
         "CREATE TABLE t (id INTEGER NOT NULL, grp INTEGER, name VARCHAR(20))"
     )
     database.execute("CREATE UNIQUE INDEX t_pk ON t (id)")
     for i in range(40):
-        database.execute(
-            "INSERT INTO t VALUES (?, ?, ?)", [i, i % 4, f"n{i}"]
-        )
+        database.execute("INSERT INTO t VALUES (?, ?, ?)", [i, i % 4, f"n{i}"])
     return database
 
 
-class TestEngineMetrics:
-    def test_pool_counters_match_stats(self, db):
-        db.execute("SELECT name FROM t WHERE id = 3")
-        assert db.metrics.value("pool.data.logical_reads") == (
-            db.pool_stats.logical_data
-        )
-        assert db.metrics.value("pool.index.logical_reads") == (
-            db.pool_stats.logical_index
-        )
-        assert db.metrics.value("pool.writes") == db.pool_stats.writes
+@pytest.fixture()
+def db():
+    return build()
 
+
+class TestEngineMetrics:
     def test_structure_counters_accumulate(self, db):
         before = db.metrics.value("btree.descents")
         db.execute("SELECT name FROM t WHERE id = 5")
@@ -304,3 +311,119 @@ class TestChunkFoldingAcceptance:
         assert trace.logical_reads > 0
         assert trace.index_read_share > 0.0
         assert trace.rows == [("a3", 30)]
+
+
+# -- one ledger per event -----------------------------------------------------
+
+SCRIPT = [
+    ("INSERT INTO t VALUES (?, ?, ?)", [100, 1, "x"]),
+    ("INSERT INTO t VALUES (?, ?, ?)", [101, 1, "y"]),
+    ("SELECT name FROM t WHERE id = ?", [100]),
+    ("SELECT name FROM t WHERE id = ?", [101]),
+    ("UPDATE t SET name = ? WHERE grp = ?", ["z", 1]),
+    ("BEGIN", []),
+    ("DELETE FROM t WHERE id = ?", [100]),
+    ("COMMIT", []),
+    ("SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp", []),
+]
+
+
+def exported(counter_set: CounterSet) -> dict:
+    """``{exported name: field value}`` of one counter set or delta."""
+    return {
+        name: getattr(counter_set, field)
+        for field, name in counter_set.EXPORTED.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def worked(tmp_path_factory):
+    """An in-memory and a disk-backed database after a mixed workload,
+    with the traces the disk-backed one produced and the registry
+    snapshots taken around each."""
+    memory = build()
+    disk = build(str(tmp_path_factory.mktemp("ledger")))
+    traced = []
+    for database in (memory, disk):
+        database.locks.acquire(1, ("table", "t"), exclusive=False)
+        database.locks.acquire(2, ("table", "t"), exclusive=True)
+        database.locks.record_wait(1, 3.0)
+        for sql, params in SCRIPT:
+            before = database.metrics.snapshot()
+            trace = database.trace(sql, params)
+            traced.append((trace, before, database.metrics.snapshot()))
+    yield memory, disk, traced
+    disk.close()
+
+
+class TestCounterSets:
+    @pytest.mark.parametrize(
+        "cls", CounterSet.__subclasses__(), ids=lambda cls: cls.__name__
+    )
+    def test_registry_reads_the_live_fields(self, worked, cls):
+        """Storage is the counter set, the registry only reads it: every
+        field is exported, equal, and closed to a second ledger."""
+        memory, disk, _ = worked
+        live = 0
+        for database in (memory, disk):
+            metrics = database.metrics
+            if not any(name in metrics for name in cls.EXPORTED.values()):
+                continue  # WAL and page store exist on disk only
+            live += 1
+            stats = metrics.counter_set(cls)
+            assert set(cls.EXPORTED) == set(vars(stats))
+            assert set(cls.EXPORTED.values()) <= set(metrics.names())
+            for name, value in exported(stats).items():
+                assert metrics.value(name) == value
+                for instrument in (metrics.counter, metrics.gauge):
+                    with pytest.raises(EngineError):
+                        instrument(name)
+            assert any(exported(stats).values()), "workload never moved it"
+        assert live, f"{cls.__name__} is attached to no database"
+
+    def test_trace_deltas_are_registry_differences(self, worked):
+        for trace, before, after in worked[2]:
+            for delta in (trace.pool, trace.exec, trace.locks, trace.wal):
+                for name, value in exported(delta).items():
+                    assert value == after.get(name, 0) - before.get(name, 0)
+
+    @pytest.mark.parametrize("plan_cache_size", [256, 0])
+    def test_trace_is_execute_between_two_snapshots(
+        self, tmp_path, plan_cache_size
+    ):
+        """Same rows, same four deltas, same cache verdict, and at most
+        one auto-checkpoint, statement by statement."""
+        executed = build(str(tmp_path / "a"), plan_cache_size=plan_cache_size)
+        traced = build(str(tmp_path / "b"), plan_cache_size=plan_cache_size)
+        checkpoints = 0
+        for sql, params in SCRIPT:
+            before = executed.metrics.snapshot()
+            window = CounterWindow(
+                pool=executed.pool_stats,
+                exec=executed.exec_stats,
+                locks=executed.locks.stats,
+                wal=executed.wal_stats,
+            )
+            result = executed.execute(sql, params)
+            deltas = window.deltas()
+            after = executed.metrics.snapshot()
+            count_before = traced.metrics.value("db.checkpoint.count")
+            trace = traced.trace(sql, params)
+            taken = traced.metrics.value("db.checkpoint.count") - count_before
+
+            assert (trace.columns, trace.rows, trace.rowcount) == (
+                result.columns, result.rows, result.rowcount
+            )
+            assert (trace.pool, trace.exec, trace.locks, trace.wal) == (
+                deltas["pool"], deltas["exec"], deltas["locks"], deltas["wal"]
+            )
+            hits = after["db.plan_cache.hits"] - before["db.plan_cache.hits"]
+            assert trace.cache_hit == (hits == 1)
+            assert taken == (
+                after["db.checkpoint.count"] - before["db.checkpoint.count"]
+            )
+            assert taken <= 1
+            checkpoints += taken
+        assert checkpoints, "the script never crossed the log budget"
+        executed.close()
+        traced.close()

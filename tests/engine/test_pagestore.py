@@ -10,7 +10,6 @@ from repro.engine.database import Database
 from repro.engine.durability.faults import FaultInjector, SimulatedCrash
 from repro.engine.durability.pagestore import DiskPageStore
 from repro.engine.errors import EngineError
-from repro.engine.observability.metrics import MetricsRegistry
 from repro.engine.pager import Page, PageKind
 
 
@@ -37,7 +36,7 @@ def file_identity(path: str) -> tuple[int, int]:
 
 @pytest.fixture
 def store(tmp_path):
-    store = DiskPageStore(str(tmp_path / "pages"), metrics=MetricsRegistry())
+    store = DiskPageStore(str(tmp_path / "pages"))
     yield store
     store.close()
 
@@ -182,8 +181,8 @@ class TestCrashMidCompaction:
 
 class TestSync:
     def test_sync_fsyncs_only_written_segments(self, store):
-        def fsyncs() -> float:
-            return store._metrics.value("db.pager.fsyncs")
+        def fsyncs() -> int:
+            return store.stats.fsyncs
 
         fill(store)
         store.sync()
@@ -237,7 +236,7 @@ class TestFreeSegment:
         assert store.pages_in_segment(2) == set()
         assert set(store.segment_ids()) == {1}
         store.sync()
-        assert store._metrics.value("db.pager.fsyncs") == 1
+        assert store.stats.fsyncs == 1
 
     def test_freed_file_outlives_the_drop_until_the_next_compaction(self, store):
         """The checkpoint on disk may still describe the dropped table

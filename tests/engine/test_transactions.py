@@ -116,8 +116,8 @@ class TestErrors:
         db.execute("COMMIT")
         db.execute("BEGIN")
         db.execute("ROLLBACK")
-        assert db.transactions.committed == 1
-        assert db.transactions.rolled_back == 1
+        assert db.metrics.value("txn.committed") == 1
+        assert db.metrics.value("txn.rolled_back") == 1
 
 
 class TestPropertyBased:

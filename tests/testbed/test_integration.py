@@ -122,7 +122,7 @@ class TestTransactionalWorker:
         assert not mtd.db.transactions.active
         # Three non-DDL actions committed explicitly; the ADMIN action's
         # DDL committed its transaction implicitly.
-        assert mtd.db.transactions.committed >= 3
+        assert mtd.db.metrics.value("txn.committed") >= 3
 
 
 class TestVariabilityEffect:
