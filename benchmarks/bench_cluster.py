@@ -9,10 +9,13 @@ mixed insert/select traffic) drives the cluster at shard counts 1, 2,
 and 4.  Each shard's worker thread sleeps ``STORAGE_LATENCY_MS`` per
 write with the GIL released — the simulated stable-storage commit
 (production fsync / replication RTT; the local research engine's real
-fsync is ~0.1 ms, far too fast to need overlapping).  What the harness
-measures is therefore exactly what the architecture provides: with one
-shard every storage stall serializes behind one worker; with four, the
-front door overlaps stalls across shards.  The gate is >= 3x aggregate
+fsync is ~0.1 ms, far too fast to need overlapping).  Writes always run
+on that thread; a session's SELECT runs on the event loop's thread when
+it finds its shard idle and queues behind the sleeping write when not,
+so the front door itself never sleeps.  What the harness measures is
+therefore exactly what the architecture provides: with one shard every
+storage stall serializes behind one worker; with four, the front door
+overlaps stalls across shards.  The gate is >= 3x aggregate
 throughput at 4 shards vs 1 (single-core container; the engine CPU is
 the serial floor).
 

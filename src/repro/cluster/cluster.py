@@ -145,15 +145,15 @@ class Cluster:
                 if self.catalog.shard_for(tenant_id) == shard.name:
                     shard.adopt(tenant_id, self.catalog.version)
 
-    # -- schema & tenants (synchronous admin plane) --------------------------
+    # -- schema & tenants (synchronous, under each shard's engine mutex) ------
 
     def define_table(self, table) -> None:
         for shard in self.shards.values():
-            shard.mtd.define_table(table)
+            shard.run(shard.mtd.define_table, table)
 
     def define_extension(self, extension) -> None:
         for shard in self.shards.values():
-            shard.mtd.define_extension(extension)
+            shard.run(shard.mtd.define_extension, extension)
 
     def create_tenant(
         self, tenant_id: int, extensions: tuple[str, ...] = ()
@@ -161,15 +161,15 @@ class Cluster:
         """Create a tenant on its placed shard; returns the shard name."""
         name = self.catalog.shard_for(tenant_id)
         shard = self.shards[name]
-        shard.mtd.create_tenant(tenant_id, extensions)
-        shard.adopt(tenant_id, self.catalog.version)
+        shard.run(shard.mtd.create_tenant, tenant_id, extensions)
+        shard.run(shard.adopt, tenant_id, self.catalog.version)
         return name
 
     def drop_tenant(self, tenant_id: int) -> None:
         name = self.catalog.shard_for(tenant_id)
         shard = self.shards[name]
-        shard.mtd.drop_tenant(tenant_id)
-        shard.disown(tenant_id, self.catalog.version)
+        shard.run(shard.mtd.drop_tenant, tenant_id)
+        shard.run(shard.disown, tenant_id, self.catalog.version)
         self.catalog.unpin(tenant_id)
         self.catalog.save()
 

@@ -10,6 +10,10 @@ tagging:
   :func:`decode_rows` turns them back into tuples so cluster results
   compare equal to local engine results.
 
+The tagging rides the C JSON codec's own hooks — ``default=`` when it
+meets a value it cannot encode, ``object_hook=`` for each object it
+decodes — so no message is walked cell by cell in Python.
+
 Requests and responses are plain dicts.  Every request carries ``op``
 plus op-specific fields; every response carries ``ok`` (bool) and
 either result fields or ``error`` / ``message`` (plus ``shard`` and
@@ -37,43 +41,55 @@ _LENGTH = struct.Struct(">I")
 # -- value tagging -----------------------------------------------------------
 
 
-def encode_value(value: Any) -> Any:
-    """A JSON-safe encoding of one engine value."""
+def _tag(value: Any) -> dict:
+    """The encoder's ``default=``: called for what JSON has no form for."""
     if isinstance(value, datetime.date) and not isinstance(
         value, datetime.datetime
     ):
         return {"$date": value.isoformat()}
-    if isinstance(value, (list, tuple)):
-        return [encode_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: encode_value(v) for k, v in value.items()}
-    return value
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable"
+    )
 
 
-def decode_value(value: Any) -> Any:
-    """Invert :func:`encode_value` (lists stay lists; use
-    :func:`decode_rows` where tuples are expected)."""
-    if isinstance(value, dict):
-        if set(value) == {"$date"}:
-            return datetime.date.fromisoformat(value["$date"])
-        return {k: decode_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [decode_value(v) for v in value]
-    return value
+def _untag(obj: dict) -> Any:
+    """The decoder's ``object_hook=``: called for every decoded object."""
+    if len(obj) == 1 and "$date" in obj:
+        try:
+            return datetime.date.fromisoformat(obj["$date"])
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(
+                f"malformed $date tag {obj['$date']!r}"
+            ) from exc
+    return obj
+
+
+_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), ensure_ascii=False, default=_tag
+)
+_DECODER = json.JSONDecoder(object_hook=_untag)
 
 
 def decode_rows(rows: list) -> list[tuple]:
-    """Result rows come back as JSON arrays; the engine's are tuples."""
-    return [tuple(decode_value(cell) for cell in row) for row in rows]
+    """Result rows come back as JSON arrays; the engine's are tuples.
+
+    :func:`decode_frame` has untagged every cell already; a cell that
+    is still an object can only be a tag handed in undecoded."""
+    return [
+        tuple(row)
+        if dict not in map(type, row)
+        else tuple(
+            _untag(cell) if type(cell) is dict else cell for cell in row
+        )
+        for row in rows
+    ]
 
 
 # -- framing -----------------------------------------------------------------
 
 
 def encode_frame(message: dict) -> bytes:
-    body = json.dumps(
-        encode_value(message), separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    body = _ENCODER.encode(message).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise ProtocolError(f"frame of {len(body)} bytes exceeds {MAX_FRAME}")
     return _LENGTH.pack(len(body)) + body
@@ -81,12 +97,12 @@ def encode_frame(message: dict) -> bytes:
 
 def decode_frame(body: bytes) -> dict:
     try:
-        message = json.loads(body.decode("utf-8"))
+        message = _DECODER.decode(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError("frame payload must be a JSON object")
-    return decode_value(message)
+    return message
 
 
 async def read_frame(reader: asyncio.StreamReader) -> dict | None:

@@ -7,17 +7,25 @@ the redirect loop: a shard that no longer owns a tenant raises
 updated) catalog and retries, bounded by ``max_redirects``.
 
 Per-tenant ordering: requests for one tenant are serialized through a
-per-tenant ``asyncio.Lock`` *in addition to* the per-shard worker
-thread.  The shard thread alone serializes same-shard work, but during
-a redirect a tenant's next request could otherwise overtake the
-retried one; the lock keeps each tenant's operations in submission
-order across redirects and rebalances.
+per-tenant ``asyncio.Lock`` *in addition to* the per-shard engine
+mutex.  The mutex alone serializes same-shard work, but during a
+redirect a tenant's next request could otherwise overtake the retried
+one; the lock keeps each tenant's operations in submission order across
+redirects and rebalances.
+
+Where a statement runs is the shard's decision, not the router's
+(:meth:`ShardWorker.execute`): a read on an idle shard runs to
+completion on the thread that called the router — the event loop's,
+under :class:`ClusterServer` — and everything that can wait on stable
+storage runs on the shard's worker thread while the loop serves other
+connections.
 
 :class:`ClusterServer` exposes the router over TCP with the
 length-prefixed JSON protocol; :class:`ClusterClient` is the matching
 client.  Frames on one connection are handled sequentially, which maps
 the classic database-session model ("one outstanding statement per
-connection") onto asyncio.
+connection") onto asyncio; a connection yields to the loop after every
+frame it is served, so one that pipelines cannot hold the front door.
 """
 
 from __future__ import annotations
@@ -179,6 +187,10 @@ class ClusterServer:
                 self._c_frames.inc()
                 response = await self._dispatch(request)
                 await protocol.write_frame(writer, response)
+                # An inline read never suspends and neither does a
+                # buffered read or write: without this a connection
+                # with frames queued would be served to the end first.
+                await asyncio.sleep(0)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except asyncio.CancelledError:

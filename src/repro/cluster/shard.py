@@ -1,17 +1,33 @@
-"""One shard: a :class:`MultiTenantDatabase` behind a worker thread.
+"""One shard: a :class:`MultiTenantDatabase` behind an engine mutex and
+a worker thread.
 
-The engine is synchronous, so each shard owns a one-thread
-``ThreadPoolExecutor`` and every operation against the shard runs as a
-job on that thread.  That gives three properties at once:
+The engine is synchronous and single-entry.  Each shard owns one engine
+mutex, held for the whole of every operation against it, and a
+one-thread ``ThreadPoolExecutor`` for the operations that can wait on
+stable storage.  That gives three properties at once:
 
-* the asyncio front door never blocks on engine work — it awaits the
-  executor future while other shards' threads make progress (fsyncs and
-  the simulated storage latency release the GIL);
-* all operations on one shard are serialized, so per-shard state
-  (ownership set, capture log) needs no locks; and
+* the asyncio front door never waits on *stable storage* — everything
+  that commits (a write's fsync, a checkpoint, the simulated storage
+  latency), every admin-plane and rebalance job runs as a job on the
+  worker thread, and the loop awaits its future while other shards'
+  threads make progress (fsyncs and sleeps release the GIL);
+* a shard's engine is entered by one thread at a time — not by one
+  thread ever — so per-shard state (ownership set, capture log) needs
+  no finer locks; and
 * multi-step jobs submitted by the rebalancer (e.g. "mark this table
-  captured *and* snapshot it") are atomic with respect to tenant
-  traffic, because both are jobs on the same thread.
+  captured *and* snapshot it") are atomic with respect to *all* engine
+  access, because a job holds the mutex from its first step to its
+  last.
+
+Reads run to completion where they arrive: :meth:`ShardWorker.execute`
+runs a ``SELECT`` on the calling thread when the shard is idle (the
+mutex is free), because crossing to the worker and back costs two GIL
+hand-offs — several times the resident point read itself.  A read that
+finds the shard busy queues behind the job that holds it, like a write.
+The trade-offs: a long report holds the event loop for its duration
+instead of in 5 ms GIL slices, and a ``SELECT`` that lazily
+materialises a tenant's fragments may fsync one DDL record inline,
+once.
 
 Ownership is enforced here, not just at the router: every request
 carries an implicit "I believe you own tenant T" claim, and a shard
@@ -23,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -32,6 +49,7 @@ from typing import Any, Callable
 from ..core.api import MultiTenantDatabase
 from ..engine.database import Database, Result
 from ..engine.durability import DurabilityOptions
+from ..engine.errors import ParseError
 from ..engine.observability import MetricsRegistry
 from ..engine.sql import ast
 from .errors import ShardClosedError, WrongShardError
@@ -55,7 +73,7 @@ class ShardOptions:
 
 
 class ShardWorker:
-    """A named shard; all engine access funnels through one thread."""
+    """A named shard; all engine access funnels through one mutex."""
 
     def __init__(
         self,
@@ -96,11 +114,17 @@ class ShardWorker:
         self._capture_tenant: int | None = None
         self._captured_tables: set[str] = set()
         self._capture_log: list[dict] = []
+        #: Held by whichever thread is inside the engine: a worker job
+        #: for its whole duration, or the caller of an inline read.
+        self._engine = threading.Lock()
         self.pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"shard-{name}"
         )
         self._c_requests = self.metrics.counter(
             f"cluster.shard.{name}.requests"
+        )
+        self._c_inline = self.metrics.counter(
+            f"cluster.shard.{name}.inline_reads"
         )
         self._c_wrong = self.metrics.counter(
             f"cluster.shard.{name}.wrong_shard"
@@ -109,7 +133,7 @@ class ShardWorker:
             f"cluster.shard.{name}.captured_writes"
         )
 
-    # -- ownership (run on the worker thread) --------------------------------
+    # -- ownership (run holding the engine mutex) ----------------------------
 
     def adopt(self, tenant_id: int, version: int) -> None:
         self.owned.add(tenant_id)
@@ -126,7 +150,7 @@ class ShardWorker:
             self._c_wrong.inc()
             raise WrongShardError(tenant_id, self.name, self.placement_version)
 
-    # -- engine operations (run on the worker thread) ------------------------
+    # -- engine operations (run holding the engine mutex) --------------------
 
     def _storage_stall(self) -> None:
         if self.options.storage_latency_ms > 0:
@@ -141,10 +165,17 @@ class ShardWorker:
             self._c_captured.inc()
 
     def _do_execute(
-        self, tenant_id: int, sql: str, params: tuple = ()
+        self,
+        tenant_id: int,
+        sql: str,
+        params: tuple = (),
+        *,
+        inline: bool = False,
     ) -> Result:
         self._check_owned(tenant_id)
         self._c_requests.inc()
+        if inline:
+            self._c_inline.inc()
         stmt = self.mtd._parse_logical(sql)
         result = self.mtd._execute_parsed(tenant_id, sql, stmt, params)
         if isinstance(stmt, _WRITE_NODES):
@@ -176,7 +207,7 @@ class ShardWorker:
         self._storage_stall()
         return rid
 
-    # -- admin-plane jobs (run on the worker thread) -------------------------
+    # -- admin-plane jobs (worker thread, holding the engine mutex) ----------
 
     def _do_tenant_ids(self) -> list[int]:
         return self.mtd.tenant_ids()
@@ -199,10 +230,10 @@ class ShardWorker:
     ) -> list[tuple[int | None, dict]]:
         """Mark ``table`` captured and snapshot it — one atomic job.
 
-        Because marking and reading happen on the worker thread with no
-        interleaved traffic, every tenant write is either in the
-        snapshot (ran before this job) or in the capture log (ran
-        after) — never both, never neither.
+        Because marking and reading happen under one hold of the engine
+        mutex with no interleaved traffic, every tenant write is either
+        in the snapshot (ran before this job) or in the capture log
+        (ran after) — never both, never neither.
         """
         rows = self.mtd.export_rows(tenant_id, table)
         self._captured_tables.add(table.lower())
@@ -246,20 +277,50 @@ class ShardWorker:
             applied += 1
         return applied
 
-    # -- async facade --------------------------------------------------------
+    # -- entering the engine -------------------------------------------------
+
+    def run(self, fn: Callable, *args: Any, **kwargs: Any) -> Any:
+        """``fn`` on the calling thread, holding the engine mutex."""
+        with self._engine:
+            return fn(*args, **kwargs)
 
     async def submit(self, fn: Callable, *args: Any, **kwargs: Any) -> Any:
-        """Run any shard job on the worker thread."""
+        """Run any shard job on the worker thread, holding the engine
+        mutex for its whole duration."""
         if self._closed:
             raise ShardClosedError(f"shard {self.name!r} is closed")
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
-            self.pool, functools.partial(fn, *args, **kwargs)
+            self.pool, functools.partial(self.run, fn, *args, **kwargs)
         )
+
+    def _is_select(self, sql: str) -> bool:
+        """Whether ``sql`` parses as a SELECT (the cached parse; call
+        holding the engine mutex).  Text that does not parse is "no":
+        the worker job raises the error, after the ownership check."""
+        try:
+            return isinstance(self.mtd._parse_logical(sql), ast.Select)
+        except ParseError:
+            return False
 
     async def execute(
         self, tenant_id: int, sql: str, params: tuple = ()
     ) -> Result:
+        """Run a statement — the one place that decides *where*.
+
+        A SELECT on an idle shard runs to completion on the calling
+        thread: it commits nothing, so it cannot wait on stable storage,
+        and the hop to the worker and back would cost more than the
+        read.  Everything that commits, and any read that finds the
+        shard busy, queues on the worker thread."""
+        if self._engine.acquire(blocking=False):
+            try:
+                if self._is_select(sql):
+                    return self._do_execute(
+                        tenant_id, sql, params, inline=True
+                    )
+            finally:
+                self._engine.release()
         return await self.submit(self._do_execute, tenant_id, sql, params)
 
     async def insert(
@@ -281,7 +342,10 @@ class ShardWorker:
             return
         self._closed = True
         self.pool.shutdown(wait=True)
-        self.mtd.db.close()
+        # An inline read may still be inside the engine on another
+        # thread; it finishes first, and the next one finds us closed.
+        with self._engine:
+            self.mtd.db.close()
 
     def simulate_crash(self) -> None:
         """Die like a power cut: stop the worker and drop the file
@@ -292,10 +356,11 @@ class ShardWorker:
         self.pool.shutdown(wait=True, cancel_futures=True)
         db = self.mtd.db
         durability = db.durability
-        if durability is not None:
-            wal_file = durability.wal._file
-            if wal_file is not None:
-                wal_file.close()
-                durability.wal._file = None
-            durability.store.close()
-        db._closed = True  # keep a later close() from flushing
+        with self._engine:
+            if durability is not None:
+                wal_file = durability.wal._file
+                if wal_file is not None:
+                    wal_file.close()
+                    durability.wal._file = None
+                durability.store.close()
+            db._closed = True  # keep a later close() from flushing

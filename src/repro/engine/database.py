@@ -468,7 +468,7 @@ class Database:
         result, root, reused = self._run_statement(
             stmt, prepared, params, collector
         )
-        self._maybe_auto_checkpoint()
+        self._maybe_auto_checkpoint(stmt)
         return result, root, reused if root is not None else text_hit
 
     def _lookup_statement(
@@ -574,13 +574,16 @@ class Database:
         (the schema-mapping layer, migrations) skip the text round
         trip entirely."""
         result = self._run_statement(stmt, None, params)[0]
-        self._maybe_auto_checkpoint()
+        self._maybe_auto_checkpoint(stmt)
         return result
 
-    def _maybe_auto_checkpoint(self) -> None:
+    def _maybe_auto_checkpoint(self, stmt: ast.Statement) -> None:
         """Between statements (one never runs inside another),
-        checkpoint if enough log has accumulated since the last one."""
-        if self.durability is not None:
+        checkpoint if enough log has accumulated since the last one.
+        Never after a SELECT: it appended no log, so a checkpoint due
+        now was left by an earlier commit, and a read must not be the
+        statement that pays for it."""
+        if self.durability is not None and not isinstance(stmt, ast.Select):
             self.durability.maybe_checkpoint(self)
 
     # -- prepared statements ------------------------------------------------------

@@ -58,6 +58,24 @@ async def seed_rows(cluster: Cluster) -> None:
     )
 
 
+def observe_jobs(shard, names, observe) -> None:
+    """Call ``observe(name)`` just before each call of the named
+    methods of ``shard`` (wrapped on the instance, so both the inline
+    path and the worker's jobs go through it)."""
+
+    def wrap(name):
+        job = getattr(shard, name)
+
+        def observed(*args, **kwargs):
+            observe(name)
+            return job(*args, **kwargs)
+
+        setattr(shard, name, observed)
+
+    for name in names:
+        wrap(name)
+
+
 def other_shard(cluster: Cluster, tenant_id: int) -> str:
     """Any shard that does not currently hold ``tenant_id``."""
     home = cluster.shard_of(tenant_id)

@@ -3,6 +3,8 @@ durable restart."""
 
 import asyncio
 import datetime
+import json
+import struct
 
 import pytest
 
@@ -164,6 +166,41 @@ class TestServer:
                 await client.close()
             finally:
                 await server.stop()
+
+        run(go())
+
+    def test_malformed_date_tag_drops_connection_only(self, mem_cluster):
+        """A well-framed request with a ``$date`` that is no date: the
+        connection is dropped like any unframeable input, its task ends
+        cleanly, and the server keeps serving."""
+        body = json.dumps(
+            {"op": "execute", "tenant_id": 17, "sql": "SELECT 1",
+             "params": [{"$date": "garbage"}]}
+        ).encode()
+
+        async def go():
+            unhandled: list[dict] = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            server = mem_cluster.serve()
+            await server.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                writer.write(struct.pack(">I", len(body)) + body)
+                await writer.drain()
+                assert await reader.read() == b""  # dropped, no frame
+                writer.close()
+                await writer.wait_closed()
+                client = ClusterClient("127.0.0.1", server.port)
+                await client.connect()
+                assert await client.ping()
+                await client.close()
+            finally:
+                await server.stop()
+            assert unhandled == []
 
         run(go())
 

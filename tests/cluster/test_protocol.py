@@ -73,6 +73,14 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             read_one(struct.pack(">I", len(body)) + body)
 
+    @pytest.mark.parametrize("tagged", ["garbage", 5, None, [2001, 2, 3]])
+    def test_malformed_date_tag_refused(self, tagged):
+        """A tag that is not a date is a bad frame like any other — not
+        a ``ValueError``/``TypeError`` out of ``read_frame``."""
+        body = json.dumps({"op": "ping", "params": [{"$date": tagged}]}).encode()
+        with pytest.raises(ProtocolError):
+            read_one(struct.pack(">I", len(body)) + body)
+
 
 class TestValueTagging:
     def test_dates_survive_the_wire(self):

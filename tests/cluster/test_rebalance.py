@@ -2,6 +2,7 @@
 gating, rollback, and the crash matrix."""
 
 import asyncio
+import sys
 
 import pytest
 
@@ -11,7 +12,13 @@ from repro.cluster.rebalance import Rebalancer
 from repro.engine.durability.faults import FaultInjector, SimulatedCrash
 
 from ..core.conftest import account_table
-from .conftest import build_cluster, other_shard, run, seed_rows
+from .conftest import (
+    build_cluster,
+    observe_jobs,
+    other_shard,
+    run,
+    seed_rows,
+)
 
 CRASHPOINTS = [
     "rebalance.copy",
@@ -26,6 +33,27 @@ async def tenant_aids(cluster: Cluster, tenant: int) -> list[int]:
         tenant, "SELECT aid FROM account ORDER BY aid"
     )
     return [aid for (aid,) in result.rows]
+
+
+ENGINE_JOBS = (
+    "_do_execute", "_do_insert", "adopt", "disown", "begin_capture",
+    "snapshot_table", "drain_capture", "end_capture", "apply_captured",
+)
+
+
+def assert_jobs_hold_the_engine(cluster: Cluster) -> list[str]:
+    """Note every data-plane and capture job of every shard called
+    without the shard's engine mutex held; returns the list of
+    offenders (asserted empty by the caller, outside the jobs)."""
+    unlocked: list[str] = []
+    for shard in cluster.shards.values():
+        observe_jobs(
+            shard,
+            ENGINE_JOBS,
+            lambda name, shard=shard: shard._engine.locked()
+            or unlocked.append(f"{shard.name}.{name}"),
+        )
+    return unlocked
 
 
 class TestLiveRebalance:
@@ -50,10 +78,13 @@ class TestLiveRebalance:
 
     def test_move_under_concurrent_writes(self, replay_rng):
         """The acceptance bar: no row lost, none duplicated, while a
-        writer hammers the moving tenant."""
+        writer hammers the moving tenant — and readers, which enter the
+        engine from the loop's thread whenever they find the shard
+        idle, see every committed row throughout."""
         cluster = build_cluster(
             options=ShardOptions(storage_latency_ms=1.0)
         )
+        unlocked = assert_jobs_hold_the_engine(cluster)
 
         async def go():
             for i in range(60):
@@ -71,6 +102,20 @@ class TestLiveRebalance:
                     aid += 1
                     await asyncio.sleep(replay_rng.random() * 0.002)
 
+            async def reader():
+                reads = 0
+                while not moving.is_set():
+                    committed = len(acked)
+                    rows = await tenant_aids(cluster, 17)
+                    # One insert may be in flight past what was acked.
+                    assert rows[: 60 + committed] == (
+                        list(range(60)) + acked[:committed]
+                    ), "a read missed committed rows"
+                    assert len(rows) <= 60 + len(acked) + 1
+                    reads += 1
+                    await asyncio.sleep(replay_rng.random() * 0.002)
+                return reads
+
             async def mover():
                 dest = other_shard(cluster, 17)
                 stats = await cluster.rebalance(
@@ -79,7 +124,10 @@ class TestLiveRebalance:
                 moving.set()
                 return stats
 
-            _, stats = await asyncio.gather(writer(), mover())
+            _, reads, _, stats = await asyncio.gather(
+                writer(), reader(), reader(), mover()
+            )
+            assert reads > 0
             survivors = await tenant_aids(cluster, 17)
             expected = sorted(set(range(60)) | set(acked))
             assert survivors == expected, "rows lost or duplicated"
@@ -90,10 +138,20 @@ class TestLiveRebalance:
             if stats["entries_shipped"] == 0:
                 assert len(acked) == 0 or stats["rows_copied"] >= 60
 
+        # Two threads enter each engine here; switch between them often.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
             run(go())
         finally:
+            sys.setswitchinterval(interval)
             cluster.close()
+        assert unlocked == []
+        inline = sum(
+            cluster.metrics.value(f"cluster.shard.{name}.inline_reads")
+            for name in cluster.shards
+        )
+        assert inline > 0, "no read ever ran on the loop's thread"
 
     def test_writes_after_move_land_on_dest(self, mem_cluster):
         async def go():

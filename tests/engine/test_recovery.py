@@ -26,6 +26,7 @@ from repro.engine.durability import (
     FaultInjector,
     SimulatedCrash,
 )
+from repro.engine.sql.parser import parse_statement
 from repro.engine.values import INTEGER, varchar
 
 
@@ -160,6 +161,24 @@ class TestCheckpoint:
         db.execute("INSERT INTO t VALUES (100, 'one')")
         db.execute("INSERT INTO t VALUES (101, 'two')")
         assert db.metrics.value("db.checkpoint.count") - before <= 1
+        db.close()
+
+    def test_select_never_takes_the_checkpoint(self, tmp_path):
+        """A checkpoint falls due when a commit record crosses the
+        trigger, after that statement's own check.  The statement that
+        then pays for it must be one that writes: a SELECT appends no
+        log, and in a cluster it may be running on the event loop."""
+        db = build(tmp_path, auto_checkpoint_bytes=0)
+        seed_rows(db)
+        # The log is over the trigger, as if the last commit crossed it.
+        db.durability.options.auto_checkpoint_bytes = 1
+        assert db.durability.wal.bytes_since_checkpoint > 1
+        before = db.metrics.value("db.checkpoint.count")
+        assert ids(db) == list(range(8))
+        db.execute_ast(parse_statement("SELECT id FROM t"))
+        assert db.metrics.value("db.checkpoint.count") == before
+        db.execute("INSERT INTO t VALUES (100, 'pays')")
+        assert db.metrics.value("db.checkpoint.count") == before + 1
         db.close()
 
     def test_ddl_survives_crash(self, tmp_path):
