@@ -249,13 +249,20 @@ def run_crashpoint_census() -> dict[str, int]:
             if tenant == 1:
                 row["beds"] = aid * 10
             mtd.insert(tenant, "account", row)
-        # Two checkpoints with writes between them: the second finds
-        # superseded page versions, so compaction has work to cross.
         db.checkpoint()
         mtd.grant_extension(2, "healthcare")
         mtd.migrate_tenant(1, "private")
         mtd.drop_tenant(2)
         db.checkpoint()
+        # A checkpoint compacts only once dead bytes exceed live ones:
+        # rewrite the surviving rows until one does.
+        for round_number in range(8):
+            if db.metrics.value("db.pager.compactions"):
+                break
+            mtd.execute(
+                1, "UPDATE account SET name = ?", (f"r{round_number}",)
+            )
+            db.checkpoint()
         db.close()
     finally:
         shutil.rmtree(path, ignore_errors=True)

@@ -135,23 +135,22 @@ class Rebalancer:
         copy_chunk: int,
         stats: dict,
     ) -> None:
-        config = source.mtd.schema.tenant(tenant_id)
-        extensions = tuple(sorted(config.extensions))
-        if tenant_id in await dest.submit(dest.mtd.tenant_ids):
+        extensions, tables = await source.submit(
+            source.describe_tenant, tenant_id
+        )
+        if tenant_id in await dest.submit(dest._do_tenant_ids):
             # Debris from an earlier abandoned attempt.
             await dest.submit(dest.mtd.drop_tenant, tenant_id)
         await dest.submit(dest.mtd.create_tenant, tenant_id, extensions)
         await source.submit(source.begin_capture, tenant_id)
-        for table in source.mtd.schema.tables():
-            rows = await source.submit(
-                source.snapshot_table, tenant_id, table.name
-            )
+        for table in tables:
+            rows = await source.submit(source.snapshot_table, tenant_id, table)
             self._crashpoint("rebalance.copy")
             stats["tables"] += 1
             for start in range(0, len(rows), copy_chunk):
                 chunk = rows[start : start + copy_chunk]
                 await dest.submit(
-                    self._apply_chunk, dest, tenant_id, table.name, chunk
+                    self._apply_chunk, dest, tenant_id, table, chunk
                 )
                 stats["rows_copied"] += len(chunk)
                 self._c_rows.inc(len(chunk))

@@ -89,10 +89,10 @@ class Router:
                     except WrongShardError:
                         # A tenant no shard has ever heard of is a
                         # user error, not stale placement.
-                        if not any(
-                            tenant_id in s.mtd.tenant_ids()
-                            for s in self.shards.values()
-                        ):
+                        for s in self.shards.values():
+                            if tenant_id in await s.submit(s._do_tenant_ids):
+                                break
+                        else:
                             raise UnknownObjectError(
                                 f"unknown tenant {tenant_id}"
                             ) from None

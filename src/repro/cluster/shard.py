@@ -220,6 +220,13 @@ class ShardWorker:
 
     # -- capture protocol (jobs submitted by the rebalancer) -----------------
 
+    def describe_tenant(self, tenant_id: int) -> tuple[tuple[str, ...], list[str]]:
+        """What a destination needs to recreate the tenant: its
+        extensions, and the logical tables to copy."""
+        config = self.mtd.schema.tenant(tenant_id)
+        tables = [table.name for table in self.mtd.schema.tables()]
+        return tuple(sorted(config.extensions)), tables
+
     def begin_capture(self, tenant_id: int) -> None:
         self._capture_tenant = tenant_id
         self._captured_tables = set()

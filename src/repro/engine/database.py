@@ -346,6 +346,11 @@ class Database:
         sanitizer = getattr(self, "sanitizer", None)
         if sanitizer is not None:
             sanitizer.on_close(self)
+        if durability is not None:
+            # Its store is closed: these pages can be neither read again
+            # nor written.  Let go of them by reference count, not
+            # whenever the cycle collector next finds the database.
+            self.pool.drop_frames()
 
     def __enter__(self) -> "Database":
         return self

@@ -7,8 +7,8 @@ real and recoverable:
   transaction terminals, DDL, admin-operation markers, and checkpoint
   snapshots, with group-commit fsync batching.
 * :mod:`pagestore` — a log-structured disk page store behind
-  :class:`~repro.engine.pager.BufferPool`: per-segment append files of
-  CRC-framed, LSN-stamped page images.
+  :class:`~repro.engine.pager.BufferPool`: one append file per database
+  of CRC-framed, LSN-stamped page images.
 * :mod:`manager` — ties both together: the WAL rule on dirty-page
   writeback, fuzzy checkpoints, admin-operation atomicity markers.
 * :mod:`recovery` — ARIES-lite open-time recovery: load the last

@@ -6,16 +6,18 @@ the page store and enforces the protocol between them:
 * **WAL rule** — before a dirty page reaches the store, the log is
   flushed through that page's LSN (:meth:`before_page_write`).
 * **Fuzzy checkpoints** — flush every dirty frame in place, fsync the
-  segment files those writes (and earlier evictions) touched, then
-  atomically swap in a fresh WAL whose head is a snapshot of the
-  catalog's physical layout (plus the active transaction's undo log, so
-  a checkpoint may run mid-transaction).  Afterwards the store compacts
-  away old page versions and unlinks dropped segments, segment by
-  segment and only where there is something to discard — a checkpoint
-  costs what changed since the last one, not what the database holds.
-  Dying between two segment rewrites (``checkpoint.compact``) is
-  harmless: the new log is already in place and every live version is
-  in either the old or the renamed file.
+  page file (one file, one fsync, however many tables those writes and
+  earlier evictions touched), then atomically swap in a fresh WAL whose
+  head is a snapshot of the catalog's physical layout (plus the active
+  transaction's undo log, so a checkpoint may run mid-transaction).
+  Afterwards the store compacts away old page versions and dropped
+  tables' frames, but only once they outweigh the live ones — a
+  checkpoint costs what changed since the last one, two fsyncs at
+  most, not what the database holds or how many tables it has.  Dying
+  before the compacted copy is renamed into place
+  (``checkpoint.compact``) is harmless: the new log is already in
+  place, the old file still holds every live version, and the next
+  open deletes the copy.
 * **Admin-operation atomicity** — multi-statement administrative
   operations (schema extension grants, tenant migration/deletion) are
   bracketed by begin/end markers.  Recovery replays *nothing* from an

@@ -1,89 +1,85 @@
-"""A log-structured disk page store.
+"""A log-structured disk page store: one append-only file per database.
 
-Each segment (one heap file or B-tree) owns an append-only file of
-CRC-framed page images (``seg_<id>.pages``).  Writing a page appends a
-new version stamped with the WAL LSN current when the page was last
-dirtied; the in-memory index tracks the latest version of every page,
-so reads are one seek.  Old versions accumulate until a checkpoint
-compacts them away; recovery instead *truncates* to the checkpoint LSN,
-discarding every version written after the snapshot being restored.
+Every heap file and B-tree of a database shares ``pages/data.pages``, a
+file of CRC-framed page images.  A segment is a field of the frame, not
+a file: the paper's Experiment 1 is that a per-table fixed cost sinks a
+consolidated database, and a file per table (a handle, an fsync and a
+rewrite each, every checkpoint) is that cost one layer down.  Writing a
+page appends a new version stamped with the WAL LSN current when the
+page was last dirtied; the in-memory index tracks the latest version of
+every page, so reads are one seek.
 
-Maintenance costs what changed, not what is stored.  The index already
-says where the latest version of every page lives, so the store also
-knows, per segment, whether it holds a superseded version (*garbage*)
-and whether it was written since the last fsync (*unsynced*):
+Each frame carries ``(page_id, segment_id, lsn)`` in fixed-width bytes
+ahead of its pickle, inside the checksum, so nothing that walks the
+file (:meth:`_scan` at open, :meth:`truncate_to` at recovery,
+:meth:`compact`) ever unpickles a page.
 
-* :meth:`compact` rewrites only garbage segments, every one of them at
-  every checkpoint (no garbage-ratio threshold: on-disk size cannot
-  grow past one checkpoint interval's writes).  Live frames are copied
-  as bytes — same encoding, same LSN — after re-verifying each frame's
-  CRC; a frame that fails raises :class:`EngineError` instead of being
-  copied.  A segment nobody wrote to is not opened.
-* :meth:`sync` fsyncs only unsynced segments.
-* :meth:`free_segment` forgets a segment at once but leaves its file to
-  the next :meth:`compact`, because the checkpoint on disk may still
-  describe the dropped table.
-* :meth:`truncate_to` must unpickle frames to learn the LSN of
-  superseded versions, so it alone decodes — and only segments that
-  hold garbage or a version above the cutoff.
+* :meth:`sync` is one fsync, whatever the number of tables written.
+* :meth:`compact` rewrites the file to exactly its live frames — in
+  file order, copied as bytes, same LSN, one frame in memory at a time,
+  each re-verified against its CRC (one that fails raises
+  :class:`EngineError` and nothing is replaced) — but only once dead
+  bytes exceed live bytes: amortised O(bytes changed), write
+  amplification at most 2, worst case one O(live bytes) rewrite per at
+  least that many bytes written.  The copy is fsynced and renamed into
+  place; a crash in between leaves a ``.tmp`` the next open deletes.
+* :meth:`free_segment` forgets a dropped table's pages at once; their
+  frames stay in the file until a compaction, because the checkpoint on
+  disk may still describe the table.  An open re-indexes them, so
+  recovery ends with :meth:`retain_segments`.
+* :meth:`truncate_to` cuts a suffix.  A checkpoint fsyncs the file and
+  only then writes its record, whose LSN is above every LSN stamped
+  before it and below every one stamped after; a compaction keeps file
+  order.  So the versions newer than a checkpoint are exactly the
+  frames appended after it, and rolling back to it is one ``truncate``.
 
-A rewrite goes to ``seg_<id>.pages.tmp`` and is renamed into place; a
-crash in between leaves a stray ``.tmp`` that the next open deletes.
-
-Page payloads are Python objects (heap slot lists, B-tree nodes) —
-serialization goes through the same pickle+CRC framing as the WAL, so a
-torn page write from a crash is detected by checksum and simply ends
-that file's readable prefix.
+Page payloads are Python objects (heap slot lists, B-tree nodes) behind
+the same pickle+CRC framing as the WAL, so a torn page write from a
+crash fails its checksum and simply ends the file's readable prefix.
 """
 
 from __future__ import annotations
 
 import os
-import re
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import itemgetter
 
 from ..errors import EngineError
 from ..observability.metrics import CounterSet, MetricsRegistry
 from ..pager import Page, PageKind
-from .codec import HEADER_SIZE, decode_frames, encode_frame, frame_is_intact
+from .codec import HEADER_SIZE, decode_record, encode_frame, read_frame
 from .faults import FaultInjector, SimulatedCrash
 
-_SEGMENT_FILE = re.compile(r"^seg_(\d+)\.pages$")
-_STRAY_REWRITE = re.compile(r"^seg_\d+\.pages\.tmp$")
+PAGE_FILE = "data.pages"
 
-#: One stored version of a page: (page_id, offset, frame_length, lsn).
-_Version = tuple[int, int, int, int]
-#: One version lifted out of its file: (page_id, frame bytes, lsn).
-_Frame = tuple[int, bytes, int]
+#: What a walk of the file reads of each frame: page id, segment id, LSN.
+_HEAD = struct.Struct("<QIQ")
 
-
-def _segment_filename(segment_id: int) -> str:
-    return f"seg_{segment_id:06d}.pages"
-
-
-def _versions(data: bytes) -> Iterator[_Version]:
-    """Every readable page version of a segment file, in file order."""
-    for offset, record in decode_frames(data):
-        frame_length = HEADER_SIZE + int.from_bytes(
-            data[offset : offset + 4], "little"
-        )
-        yield record["page_id"], offset, frame_length, record["lsn"]
+#: :meth:`DiskPageStore.compact` rewrites the file once dead bytes
+#: exceed this many times the live bytes.
+COMPACT_DEAD_PER_LIVE = 1
 
 
 @dataclass
 class PageStoreStats(CounterSet, prefix="db.pager"):
-    """Physical page I/O against the segment files."""
+    """Physical page I/O against the page file."""
 
     page_writes: int = 0
     page_reads: int = 0
     bytes_written: int = 0
     bytes_read: int = 0
+    #: Every fsync of the page file or of its compacted copy.
     fsyncs: int = 0
+    compactions: int = 0
+    #: Gauges: bytes of the file in latest page versions, and in
+    #: superseded or dropped ones (what the next compaction discards).
+    live_bytes: int = 0
+    dead_bytes: int = 0
 
 
 class DiskPageStore:
-    """Versioned page images in per-segment append files."""
+    """Versioned page images in one append file."""
 
     def __init__(
         self,
@@ -94,89 +90,72 @@ class DiskPageStore:
     ) -> None:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
+        self.path = os.path.join(directory, PAGE_FILE)
         self._faults = faults or FaultInjector()
         metrics = metrics or MetricsRegistry()
         self.stats: PageStoreStats = metrics.counter_set(PageStoreStats)
-        #: page_id -> (segment_id, offset, frame_length, lsn) of the
+        #: page_id -> (offset, frame_length, segment_id, lsn) of the
         #: latest version.
         self._index: dict[int, tuple[int, int, int, int]] = {}
         #: segment_id -> ids of the pages whose latest version it holds.
         self._pages: dict[int, set[int]] = {}
-        #: segment_id -> valid byte length of its file.
-        self._sizes: dict[int, int] = {}
-        #: Segments holding at least one superseded page version.
-        self._garbage: set[int] = set()
-        #: Segments appended to since the last :meth:`sync`.
-        self._unsynced: set[int] = set()
-        #: Freed segments whose file the last checkpoint may still need.
-        self._dropped: set[int] = set()
-        self._files: dict[int, object] = {}
+        #: Valid byte length of the file: where the next frame goes.
+        self._size = 0
+        #: Appended to since the last :meth:`sync`.
+        self._unsynced = False
+        if os.path.exists(self.path + ".tmp"):
+            os.remove(self.path + ".tmp")  # a compaction a crash cut short
+        self._file = open(
+            self.path, "r+b" if os.path.exists(self.path) else "w+b"
+        )
         self._scan()
 
-    # -- startup ----------------------------------------------------------
+    # -- the file as it is ---------------------------------------------------
 
-    def _segment_path(self, segment_id: int) -> str:
-        return os.path.join(self.directory, _segment_filename(segment_id))
+    def _scan(self, cutoff_lsn: int | None = None) -> None:
+        """Index the file's readable prefix: every frame up to the
+        first that is torn, fails its checksum or, given a cutoff, is
+        stamped above it.  The file is cut there, so appends always
+        extend a readable file."""
+        fh = self._file
+        end = fh.seek(0, os.SEEK_END)
+        fh.seek(0)
+        index: dict[int, tuple[int, int, int, int]] = {}
+        pages: dict[int, set[int]] = {}
+        offset = 0
+        cut = None
+        while (frame := read_frame(fh, end)) is not None:
+            page_id, segment_id, lsn = _HEAD.unpack_from(frame, HEADER_SIZE)
+            above = cutoff_lsn is not None and lsn > cutoff_lsn
+            if cut is None and above:
+                cut = offset
+            elif cut is None:
+                # File order: the newest version of a page comes last.
+                index[page_id] = (offset, len(frame), segment_id, lsn)
+                pages.setdefault(segment_id, set()).add(page_id)
+            elif not above:
+                raise EngineError(
+                    f"page {page_id}: version at LSN {lsn} (offset {offset}) "
+                    f"follows one above the cutoff {cutoff_lsn} (offset {cut})"
+                )
+            offset += len(frame)
+        if cut is None:
+            cut = offset
+        if cut < end:
+            fh.truncate(cut)
+        self._index, self._pages, self._size = index, pages, cut
+        self.stats.live_bytes = sum(map(itemgetter(1), index.values()))
+        self.stats.dead_bytes = cut - self.stats.live_bytes
 
-    def _scan(self) -> None:
-        """Index every valid frame; truncate torn tails so appends
-        always extend a readable file; delete the half-written output of
-        a rewrite that a crash interrupted."""
-        for name in sorted(os.listdir(self.directory)):
-            path = os.path.join(self.directory, name)
-            if _STRAY_REWRITE.match(name):
-                os.remove(path)
-                continue
-            match = _SEGMENT_FILE.match(name)
-            if match is None:
-                continue
-            segment_id = int(match.group(1))
-            with open(path, "rb") as fh:
-                data = fh.read()
-            valid_end = 0
-            for page_id, offset, length, lsn in _versions(data):
-                valid_end = offset + length
-                self._record_version(page_id, segment_id, offset, length, lsn)
-            if valid_end < len(data):
-                with open(path, "r+b") as fh:
-                    fh.truncate(valid_end)
-            self._sizes[segment_id] = valid_end
-
-    def _record_version(
-        self, page_id: int, segment_id: int, offset: int, length: int, lsn: int
-    ) -> None:
-        # Versions are recorded in file order, so this one is the
-        # newest; a page never moves between segments, so whatever it
-        # supersedes is garbage in the same file.
-        if page_id in self._index:
-            self._garbage.add(segment_id)
-        self._index[page_id] = (segment_id, offset, length, lsn)
-        self._pages.setdefault(segment_id, set()).add(page_id)
-
-    # -- handles ----------------------------------------------------------
-
-    def _handle(self, segment_id: int):
-        fh = self._files.get(segment_id)
-        if fh is None:
-            path = self._segment_path(segment_id)
-            fh = open(path, "r+b" if os.path.exists(path) else "w+b")
-            self._files[segment_id] = fh
-            self._sizes.setdefault(segment_id, os.path.getsize(path))
-        return fh
-
-    def _forget(self, segment_id: int) -> int:
-        """Drop everything the store remembers about a segment but its
-        file and size.  Returns the number of latest-version pages it
-        held."""
-        fh = self._files.pop(segment_id, None)
-        if fh is not None:
-            fh.close()
-        doomed = self._pages.pop(segment_id, ())
-        for page_id in doomed:
-            del self._index[page_id]
-        self._garbage.discard(segment_id)
-        self._unsynced.discard(segment_id)
-        return len(doomed)
+    def _frame_at(self, page_id: int) -> bytes:
+        offset, length, _, _ = self._index[page_id]
+        self._file.seek(offset)
+        frame = read_frame(self._file, offset + length)
+        if frame is None or len(frame) != length:
+            raise EngineError(
+                f"page {page_id}: corrupt frame on disk (offset {offset})"
+            )
+        return frame
 
     # -- write / read -----------------------------------------------------
 
@@ -185,18 +164,16 @@ class DiskPageStore:
         immediately (process-kill durability); fsync happens at
         checkpoints via :meth:`sync`."""
         record = {
-            "page_id": page.page_id,
-            "lsn": lsn,
-            "segment": page.segment_id,
             "kind": page.kind.value,
             "size": page.size,
             "used": page.used,
             "payload": page.payload,
         }
-        frame = encode_frame(record)
-        fh = self._handle(page.segment_id)
-        offset = self._sizes.get(page.segment_id, 0)
-        fh.seek(offset)
+        frame = encode_frame(
+            record, _HEAD.pack(page.page_id, page.segment_id, lsn)
+        )
+        fh = self._file
+        fh.seek(self._size)
         torn = self._faults.torn_write_length(len(frame))
         if torn is not None:
             fh.write(frame[:torn])
@@ -207,43 +184,41 @@ class DiskPageStore:
             )
         fh.write(frame)
         fh.flush()
-        self._sizes[page.segment_id] = offset + len(frame)
-        self._unsynced.add(page.segment_id)
-        self._record_version(
-            page.page_id, page.segment_id, offset, len(frame), lsn
+        stats = self.stats
+        superseded = self._index.get(page.page_id)
+        if superseded is not None:
+            stats.live_bytes -= superseded[1]
+            stats.dead_bytes += superseded[1]
+        self._index[page.page_id] = (
+            self._size, len(frame), page.segment_id, lsn
         )
-        self.stats.page_writes += 1
-        self.stats.bytes_written += len(frame)
+        self._pages.setdefault(page.segment_id, set()).add(page.page_id)
+        self._size += len(frame)
+        self._unsynced = True
+        stats.live_bytes += len(frame)
+        stats.page_writes += 1
+        stats.bytes_written += len(frame)
 
     def read(self, page_id: int) -> Page:
-        loc = self._index.get(page_id)
-        if loc is None:
+        if page_id not in self._index:
             raise EngineError(f"page {page_id} does not exist")
-        segment_id, offset, length, _lsn = loc
-        fh = self._handle(segment_id)
-        fh.seek(offset)
-        data = fh.read(length)
-        decoded = next(iter(decode_frames(data)), None)
-        if decoded is None:
-            raise EngineError(f"page {page_id}: corrupt frame on disk")
-        _, record = decoded
+        frame = self._frame_at(page_id)
+        _, segment_id, lsn = _HEAD.unpack_from(frame, HEADER_SIZE)
+        record = decode_record(frame, _HEAD.size)
         self.stats.page_reads += 1
-        self.stats.bytes_read += length
+        self.stats.bytes_read += len(frame)
         page = Page(
-            page_id=record["page_id"],
-            segment_id=record["segment"],
+            page_id=page_id,
+            segment_id=segment_id,
             kind=PageKind(record["kind"]),
             size=record["size"],
             used=record["used"],
             payload=record["payload"],
         )
-        page.lsn = record["lsn"]
+        page.lsn = lsn
         return page
 
     # -- membership -------------------------------------------------------
-
-    def contains(self, page_id: int) -> bool:
-        return page_id in self._index
 
     def page_ids(self) -> set[int]:
         return set(self._index)
@@ -252,111 +227,79 @@ class DiskPageStore:
         return set(self._pages.get(segment_id, ()))
 
     def free_segment(self, segment_id: int) -> int:
-        """Forget a segment (DROP TABLE/INDEX).  Returns the number of
-        latest-version pages it held.  The file itself goes at the next
-        :meth:`compact`: until a checkpoint replaces it, the last
-        snapshot still describes the table, and recovery un-drops it
-        when the drop sits in an admin operation that never completed."""
-        dropped = self._forget(segment_id)
-        if self._sizes.pop(segment_id, None) is not None:
-            self._dropped.add(segment_id)
-        return dropped
+        """Forget a segment (DROP TABLE/INDEX): its frames are dead.
+        Returns the number of latest-version pages it held.  The frames
+        themselves go at a later :meth:`compact`: until a checkpoint
+        replaces it, the last snapshot still describes the table, and
+        recovery un-drops it when the drop sits in an admin operation
+        that never completed."""
+        doomed = self._pages.pop(segment_id, ())
+        for page_id in doomed:
+            length = self._index.pop(page_id)[1]
+            self.stats.live_bytes -= length
+            self.stats.dead_bytes += length
+        return len(doomed)
+
+    def retain_segments(self, owned: set[int]) -> None:
+        """Forget every segment but ``owned``.  An open indexes whatever
+        the file holds, a dropped table's frames included; recovery
+        says here which segments the restored catalog still has."""
+        for segment_id in set(self._pages) - owned:
+            self.free_segment(segment_id)
 
     # -- durability -------------------------------------------------------
 
     def sync(self) -> None:
-        """fsync every segment file written since the last sync
+        """fsync the file if it was written since the last sync
         (checkpoint barrier)."""
-        for segment_id in sorted(self._unsynced):
-            fh = self._handle(segment_id)
-            fh.flush()
-            os.fsync(fh.fileno())
+        if self._unsynced:
+            self._file.flush()
+            os.fsync(self._file.fileno())
             self.stats.fsyncs += 1
-        self._unsynced.clear()
+            self._unsynced = False
 
     # -- version management -----------------------------------------------
 
     def truncate_to(self, cutoff_lsn: int) -> None:
-        """Keep, per page, only the newest version with
-        ``lsn <= cutoff_lsn``; physically discard everything else.
-        Recovery uses this to roll the store back to the state the
-        checkpoint snapshot describes.  A segment whose pages all have
-        one version, none above the cutoff, is already that state."""
-        for segment_id in sorted(self._sizes):
-            pages = self._pages.get(segment_id)
-            if (
-                pages
-                and segment_id not in self._garbage
-                and all(self._index[p][3] <= cutoff_lsn for p in pages)
-            ):
-                continue
-            data = self._segment_bytes(segment_id)
-            # Only unpickling tells a superseded version's LSN.
-            best: dict[int, _Frame] = {}
-            for page_id, offset, length, lsn in _versions(data):
-                if lsn <= cutoff_lsn:
-                    best[page_id] = (page_id, data[offset : offset + length], lsn)
-            self._replace_segment(segment_id, list(best.values()))
+        """Physically discard every version with ``lsn > cutoff_lsn``
+        and index what is left.  Recovery uses this to roll the store
+        back to the state the checkpoint snapshot describes.  Those
+        versions are a suffix of the file (module docstring); one that
+        is not raises :class:`EngineError`."""
+        self._scan(cutoff_lsn)
 
     def compact(self) -> None:
-        """Keep only the latest version of every page (checkpoint GC):
-        rewrite each segment that holds a superseded version to exactly
-        its live frames, in file order, and unlink freed segments."""
-        for segment_id in sorted(self._dropped):
-            os.remove(self._segment_path(segment_id))
-        self._dropped.clear()
-        for segment_id in sorted(self._garbage):
-            data = self._segment_bytes(segment_id)
-            frames: list[_Frame] = []
-            # Index entries of one segment sort by offset: file order.
-            for _, offset, length, lsn, page_id in sorted(
-                self._index[page_id] + (page_id,)
-                for page_id in self._pages[segment_id]
-            ):
-                frame = data[offset : offset + length]
-                if not frame_is_intact(frame):
-                    raise EngineError(
-                        f"page {page_id}: corrupt frame on disk "
-                        f"(segment {segment_id}, offset {offset})"
-                    )
-                frames.append((page_id, frame, lsn))
-            self._replace_segment(segment_id, frames)
-            self._faults.crashpoint("checkpoint.compact")
-
-    def _segment_bytes(self, segment_id: int) -> bytes:
-        with open(self._segment_path(segment_id), "rb") as src:
-            return src.read(self._sizes[segment_id])
-
-    def _replace_segment(self, segment_id: int, frames: list[_Frame]) -> None:
-        """Make the segment's file hold exactly ``frames``, written
-        verbatim, and re-index it.  With no frame left the file goes
-        away.  What the store remembers changes only once the file has."""
-        path = self._segment_path(segment_id)
-        fh = self._files.pop(segment_id, None)
-        if fh is not None:
-            fh.close()
-        if frames:
-            tmp = path + ".tmp"
+        """Checkpoint GC: once dead bytes exceed live bytes, rewrite
+        the file to the latest version of every page, in file order."""
+        stats = self.stats
+        if stats.dead_bytes <= COMPACT_DEAD_PER_LIVE * stats.live_bytes:
+            return
+        tmp = self.path + ".tmp"
+        index: dict[int, tuple[int, int, int, int]] = {}
+        position = 0
+        try:
             with open(tmp, "wb") as dst:
-                dst.writelines(frame for _, frame, _ in frames)
+                for page_id, (_, length, segment_id, lsn) in sorted(
+                    self._index.items(), key=itemgetter(1)
+                ):
+                    dst.write(self._frame_at(page_id))
+                    index[page_id] = (position, length, segment_id, lsn)
+                    position += length
                 dst.flush()
                 os.fsync(dst.fileno())
-            os.replace(tmp, path)
-        else:
-            os.remove(path)
-        self._forget(segment_id)
-        del self._sizes[segment_id]
-        position = 0
-        for page_id, frame, lsn in frames:
-            self._record_version(page_id, segment_id, position, len(frame), lsn)
-            position += len(frame)
-        if frames:
-            self._sizes[segment_id] = position
-
-    def segment_ids(self) -> Iterable[int]:
-        return set(self._sizes)
+        except EngineError:
+            os.remove(tmp)  # the damaged file stays, whole, as evidence
+            raise
+        stats.fsyncs += 1
+        self._faults.crashpoint("checkpoint.compact")
+        self._file.close()
+        os.replace(tmp, self.path)
+        self._file = open(self.path, "r+b")
+        self._index = index
+        self._size = position
+        self._unsynced = False
+        stats.dead_bytes = 0
+        stats.compactions += 1
 
     def close(self) -> None:
-        for fh in self._files.values():
-            fh.close()
-        self._files.clear()
+        self._file.close()

@@ -7,7 +7,8 @@ Opening a disk-backed database runs :func:`recover`:
    transactions by whether a terminal (commit *or* rollback) record made
    it to disk, and admin operations by whether their end marker did.
 2. **Load** — roll the page store back to exactly the checkpoint's page
-   versions (``truncate_to``) and rebuild the catalog from the snapshot.
+   versions (``truncate_to``: one cut, they are a prefix of the file) and
+   rebuild the catalog from the snapshot.
 3. **Undo** — the checkpoint may have been fuzzy over an in-flight
    transaction; if that transaction never reached a terminal record it
    is a loser: apply its snapshot-carried undo log, newest first.
@@ -117,6 +118,18 @@ def recover(db) -> None:
         )
         durability.next_admin = max(durability.next_admin, max_admin + 1)
         durability.admin_ops = completed
+        # The store indexed whatever its file holds: the frames of a
+        # table dropped since are dead, not pages.
+        durability.store.retain_segments(
+            {
+                structure.segment_id
+                for table in db.catalog.tables()
+                for structure in (
+                    table.heap,
+                    *(info.btree for info in table.indexes.values()),
+                )
+            }
+        )
         db._resize_pool()
 
         elapsed_ms = (time.perf_counter() - started) * 1000.0

@@ -42,6 +42,11 @@ class RowId:
     page_id: int
     slot: int
 
+    def __reduce__(self):
+        # Two integers, not a state dict that names the fields: a B-tree
+        # leaf pickles hundreds of these into every stored page version.
+        return RowId, (self.page_id, self.slot)
+
 
 @dataclass
 class HeapStats(CounterSet, prefix="heap"):

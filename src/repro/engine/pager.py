@@ -273,6 +273,10 @@ class BufferPool:
                 self.stats.writebacks += 1
         self._frames.clear()
 
+    def drop_frames(self) -> None:
+        """Forget every frame, written back or not (a closed database)."""
+        self._frames.clear()
+
     def write_back_all(self) -> None:
         """Write every dirty frame to the store without dropping it
         (checkpoint: the pool stays warm, the disk becomes current)."""

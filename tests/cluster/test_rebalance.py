@@ -2,12 +2,14 @@
 gating, rollback, and the crash matrix."""
 
 import asyncio
+import functools
 import sys
 
 import pytest
 
 from repro.cluster import Cluster, ShardOptions
 from repro.cluster.errors import ClusterError, RebalanceInProgressError
+from repro.engine.errors import UnknownObjectError
 from repro.cluster.rebalance import Rebalancer
 from repro.engine.durability.faults import FaultInjector, SimulatedCrash
 
@@ -38,22 +40,26 @@ async def tenant_aids(cluster: Cluster, tenant: int) -> list[int]:
 ENGINE_JOBS = (
     "_do_execute", "_do_insert", "adopt", "disown", "begin_capture",
     "snapshot_table", "drain_capture", "end_capture", "apply_captured",
+    "_do_tenant_ids", "describe_tenant",
 )
 
 
-def assert_jobs_hold_the_engine(cluster: Cluster) -> list[str]:
-    """Note every data-plane and capture job of every shard called
-    without the shard's engine mutex held; returns the list of
-    offenders (asserted empty by the caller, outside the jobs)."""
+def assert_jobs_hold_the_engine(cluster: Cluster) -> tuple[list[str], set[str]]:
+    """Note every data-plane, probe and capture job of every shard
+    called without the shard's engine mutex held; returns the list of
+    offenders (asserted empty by the caller, outside the jobs) and the
+    set of job names seen at all."""
     unlocked: list[str] = []
+    seen: set[str] = set()
+
+    def observe(shard, name):
+        seen.add(name)
+        if not shard._engine.locked():
+            unlocked.append(f"{shard.name}.{name}")
+
     for shard in cluster.shards.values():
-        observe_jobs(
-            shard,
-            ENGINE_JOBS,
-            lambda name, shard=shard: shard._engine.locked()
-            or unlocked.append(f"{shard.name}.{name}"),
-        )
-    return unlocked
+        observe_jobs(shard, ENGINE_JOBS, functools.partial(observe, shard))
+    return unlocked, seen
 
 
 class TestLiveRebalance:
@@ -84,7 +90,7 @@ class TestLiveRebalance:
         cluster = build_cluster(
             options=ShardOptions(storage_latency_ms=1.0)
         )
-        unlocked = assert_jobs_hold_the_engine(cluster)
+        unlocked, seen = assert_jobs_hold_the_engine(cluster)
 
         async def go():
             for i in range(60):
@@ -116,6 +122,13 @@ class TestLiveRebalance:
                     await asyncio.sleep(replay_rng.random() * 0.002)
                 return reads
 
+            async def stranger():
+                # A tenant no shard has: the router asks each of them.
+                while not moving.is_set():
+                    with pytest.raises(UnknownObjectError):
+                        await cluster.execute(999, "SELECT aid FROM account")
+                    await asyncio.sleep(replay_rng.random() * 0.002)
+
             async def mover():
                 dest = other_shard(cluster, 17)
                 stats = await cluster.rebalance(
@@ -124,8 +137,8 @@ class TestLiveRebalance:
                 moving.set()
                 return stats
 
-            _, reads, _, stats = await asyncio.gather(
-                writer(), reader(), reader(), mover()
+            _, reads, _, _, stats = await asyncio.gather(
+                writer(), reader(), reader(), stranger(), mover()
             )
             assert reads > 0
             survivors = await tenant_aids(cluster, 17)
@@ -147,6 +160,7 @@ class TestLiveRebalance:
             sys.setswitchinterval(interval)
             cluster.close()
         assert unlocked == []
+        assert {"_do_tenant_ids", "describe_tenant"} <= seen
         inline = sum(
             cluster.metrics.value(f"cluster.shard.{name}.inline_reads")
             for name in cluster.shards

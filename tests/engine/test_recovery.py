@@ -361,9 +361,10 @@ def _workload(layout: str):
             lambda m, i=i: m.insert(2, "account", {"aid": i, "name": f"b{i}"}),
             lambda s, i=i: s[2].__setitem__(i, f"b{i}"),
         )
-    # Two checkpoints with DML between them: the second one finds
-    # superseded page versions, so the matrix crosses the checkpoint
-    # protocol (begin, writeback, WAL swap, per-segment compaction, end).
+    # Checkpoints with DML between them: a later one finds superseded
+    # page versions, so the matrix crosses the checkpoint protocol
+    # (begin, writeback, WAL swap, end — and, in the layouts whose dead
+    # bytes come to exceed the live ones, compaction).
     op("checkpoint", lambda m: m.db.checkpoint(), lambda s: None)
     op(
         "update t1 a1",
