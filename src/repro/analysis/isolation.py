@@ -11,9 +11,13 @@ predicate (a guard inside an OR branch dominates nothing).
 
 The discipline differs by statement provenance:
 
-* directly-executed statements (DML fan-out, backfills, migration,
-  ``drop_tenant``) carry *literal* meta values — the literal must match
-  the tenant the statement was issued for;
+* directly-executed statements (backfills, migration, ``drop_tenant``)
+  carry *literal* meta values — the literal must match the tenant the
+  statement was issued for;
+* the DML fan-out runs prepared, shape-shared templates whose tenant
+  guard is a parameter; they are verified as *recorded* executions, the
+  value bound to the guard must be the tenant the statement was issued
+  for (:attr:`GuardContext.bound_params`);
 * shape-shared cached statements must carry hidden *parameters*
   allocated by :class:`~repro.core.transform.query.TenantParamAllocator`
   in the slot range ``[base_params, base_params + count)`` — a literal
@@ -75,6 +79,12 @@ class GuardContext:
     #: guards must be literals (or literal IN-lists) dominated by this
     #: set (rule ISO006); ``None`` for single-tenant statements.
     tenant_set: tuple[int, ...] | None = None
+    #: The parameters a *recorded* statement ran with: a ``tenant = ?``
+    #: guard is then judged by the value bound to it, which must be
+    #: ``expected_tenant`` — the discipline of the DML templates, whose
+    #: every execution is recorded; ``None`` for statements checked
+    #: without having run.
+    bound_params: tuple | None = None
 
 
 class IsolationVerifier:
@@ -184,6 +194,25 @@ class IsolationVerifier:
                         f"tenant guard on {table} uses parameter "
                         f"{rhs.index}, outside the allocator range "
                         f"[{start}, {stop})",
+                    )
+                return True
+            if is_tenant and context.bound_params is not None:
+                bound = (
+                    context.bound_params[rhs.index]
+                    if rhs.index < len(context.bound_params)
+                    else None
+                )
+                if bound is None:
+                    return False
+                if (
+                    context.expected_tenant is not None
+                    and bound != context.expected_tenant
+                ):
+                    self._flag(
+                        "ISO005",
+                        f"{table}.{meta_col} guard is bound to {bound!r}, "
+                        f"statement issued for tenant "
+                        f"{context.expected_tenant}",
                     )
                 return True
             if is_tenant:

@@ -84,9 +84,32 @@ def widen_crosstenant(mtd: Any) -> None:
     mtd._resolve_tenant_set = mutated
 
 
+def drop_dml_guard(mtd: Any) -> None:
+    """Strip the Tenant conjunct from the DML transformer's write
+    templates (per-fragment UPDATE/DELETE, and the direct path) while
+    fragments, SELECTs and phase (a) stay intact: one logical write
+    then hits every tenant's row of that Row id.  Only the recorder on
+    the engine's statement path sees these statements at all."""
+    original = mtd._transformer_for
+
+    def mutated(layout: Any) -> tuple:
+        queries, dml = original(layout)
+        if "_meta_conjuncts" not in vars(dml):
+            guards = dml._meta_conjuncts
+            dml._meta_conjuncts = lambda fragment, tenant: [
+                guard
+                for guard in guards(fragment, tenant)
+                if guard.left.column != TENANT_META
+            ]
+        return queries, dml
+
+    mtd._transformer_for = mutated
+
+
 #: CLI-facing mutation registry.
 MUTATIONS = {
     "drop-tenant-guard": drop_tenant_guard,
+    "drop-dml-guard": drop_dml_guard,
     "drop-read-casts": drop_read_casts,
     "widen-crosstenant": widen_crosstenant,
 }

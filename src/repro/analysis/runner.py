@@ -11,8 +11,8 @@ and then
    and the shape-shared cached shape (hidden parameter guards) — and
    hands each to the isolation verifier,
 3. replays DML and administrative operations (grant, migrate, drop)
-   through a recorder wrapped around the engine, verifying every
-   statement that actually reaches it,
+   through a recorder on the engine's statement path, verifying every
+   statement that actually runs, with the parameters bound to it,
 4. re-checks the invariants after the mutations of step 3.
 
 Findings are counted into the engine's metrics registry under
@@ -90,25 +90,46 @@ class AnalysisConfig:
 
 
 @contextlib.contextmanager
-def record_statements(db: Any) -> Iterator[list[ast.Statement]]:
-    """Capture every statement reaching the engine while active."""
-    recorded: list[ast.Statement] = []
-    original_ast, original_text = db.execute_ast, db.execute
+def record_statements(db: Any) -> Iterator[list[tuple[ast.Statement, tuple]]]:
+    """Capture every statement the engine runs while active, each with
+    the parameters bound to it.  Hooked at the one statement path, so
+    SQL text, ``execute_ast`` and prepared handles are all seen — the
+    DML fan-out runs through handles, whose tenant guard is a bound
+    parameter."""
+    recorded: list[tuple[ast.Statement, tuple]] = []
+    original = db._run_statement
 
-    def rec_ast(stmt: ast.Statement, params: Any = ()) -> Any:
-        recorded.append(stmt)
-        return original_ast(stmt, params)
+    def recording(
+        stmt: ast.Statement, prepared: Any, params: Any, collector: Any = None
+    ) -> Any:
+        recorded.append((stmt, tuple(params)))
+        return original(stmt, prepared, params, collector)
 
-    def rec_text(sql: str, params: Any = ()) -> Any:
-        with contextlib.suppress(Exception):
-            recorded.append(parse_statement(sql))
-        return original_text(sql, params)
-
-    db.execute_ast, db.execute = rec_ast, rec_text
+    db._run_statement = recording
     try:
         yield recorded
     finally:
-        db.execute_ast, db.execute = original_ast, original_text
+        del db._run_statement
+
+
+def verify_recorded(
+    verifier: IsolationVerifier,
+    recorded: list[tuple[ast.Statement, tuple]],
+    tenant_id: int,
+    locus: str,
+) -> AnalysisReport:
+    """Every recorded statement must be guarded for ``tenant_id``: by a
+    literal, or by a parameter bound to that very id."""
+    report = AnalysisReport()
+    for stmt, params in recorded:
+        report.extend(
+            verifier.check_statement(
+                stmt,
+                GuardContext(expected_tenant=tenant_id, bound_params=params),
+                locus,
+            )
+        )
+    return report
 
 
 def build_testbed(
@@ -289,21 +310,19 @@ def analyze_testbed(
                 mtd.execute_cross(statement.sql, statement.params)
 
     # -- DML and administrative paths (recorded at the engine) ------------
-    if config.mutate is None:
+    # A mutated DML template still executes (it just writes too much),
+    # so the corpus replays under that one mutation as well.
+    if config.mutate in (None, "drop-dml-guard"):
         for tenant_id in tenants:
             instance = _tenant_instance(mtd, tenant_id)
             for statement in dml_corpus(instance):
                 locus = f"{locus_prefix}tenant={tenant_id} sql={statement.sql}"
                 with record_statements(mtd.db) as recorded:
                     mtd.execute(tenant_id, statement.sql, statement.params)
-                for emitted in recorded:
-                    report.extend(
-                        verifier.check_statement(
-                            emitted,
-                            GuardContext(expected_tenant=tenant_id),
-                            locus,
-                        )
-                    )
+                report.extend(
+                    verify_recorded(verifier, recorded, tenant_id, locus)
+                )
+    if config.mutate is None:
         if config.admin_ops:
             report.extend(
                 _check_admin_ops(mtd, verifier, locus_prefix)
@@ -338,14 +357,12 @@ def _check_admin_ops(
     if grantable:
         with record_statements(mtd.db) as recorded:
             mtd.grant_extension(subject, "automotive")
-        for emitted in recorded:
-            report.extend(
-                verifier.check_statement(
-                    emitted,
-                    GuardContext(expected_tenant=subject),
-                    f"{locus_prefix}grant tenant={subject}",
-                )
+        report.extend(
+            verify_recorded(
+                verifier, recorded, subject,
+                f"{locus_prefix}grant tenant={subject}",
             )
+        )
 
     # Migration plan preservation + recorded movement.
     target_name = "private" if mtd.layout.name != "private" else "extension"
@@ -356,14 +373,12 @@ def _check_admin_ops(
     }
     with record_statements(mtd.db) as recorded:
         mtd.migrate_tenant(subject, target_name)
-    for emitted in recorded:
-        report.extend(
-            verifier.check_statement(
-                emitted,
-                GuardContext(expected_tenant=subject),
-                f"{locus_prefix}migrate tenant={subject}",
-            )
+    report.extend(
+        verify_recorded(
+            verifier, recorded, subject,
+            f"{locus_prefix}migrate tenant={subject}",
         )
+    )
     target_layout = mtd.layout_for(subject)
     for table in mtd.schema.tables():
         logical = mtd.schema.logical_table(subject, table.name)
@@ -381,14 +396,12 @@ def _check_admin_ops(
     victim = tenants[0]
     with record_statements(mtd.db) as recorded:
         mtd.drop_tenant(victim)
-    for emitted in recorded:
-        report.extend(
-            verifier.check_statement(
-                emitted,
-                GuardContext(expected_tenant=victim),
-                f"{locus_prefix}drop tenant={victim}",
-            )
+    report.extend(
+        verify_recorded(
+            verifier, recorded, victim,
+            f"{locus_prefix}drop tenant={victim}",
         )
+    )
     return report
 
 

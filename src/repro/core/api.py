@@ -43,7 +43,7 @@ from .statement_cache import (
     StatementCache,
 )
 from .transform.crosstenant import CrossPlan, CrossTenantTransformer
-from .transform.dml import DmlTransformer, UpdateMode
+from .transform.dml import DmlPlan, DmlTransformer, UpdateMode, is_direct
 from .transform.flatten import (
     PredicateOrder,
     flatten_transformed,
@@ -375,6 +375,20 @@ class MultiTenantDatabase:
         self._statements.store(key, entry)
         return entry
 
+    def _cached_dml(
+        self, tenant_id: int, text: object, layout: Layout, build
+    ) -> DmlPlan:
+        """The shape-shared plan of one logical write — ``text`` is the
+        logical SQL, or ``("insert", table)`` for :meth:`insert` — kept
+        beside the SELECTs in the statement cache; ``build()`` plans it
+        on a miss, and with caching disabled on every call."""
+        key = (text, id(layout), layout.statement_shape(tenant_id))
+        plan = self._statements.lookup(key, DmlPlan.context)
+        if plan is None:
+            plan = build()
+            self._statements.store(key, plan)
+        return plan
+
     def prepare(self, sql: str) -> LogicalPreparedStatement:
         """Prepare a logical statement for repeated execution.
 
@@ -493,17 +507,27 @@ class MultiTenantDatabase:
             # One logical statement fans out into several physical ones;
             # an atomic block keeps a crash from leaving a logical row
             # with only some of its fragments.  Fragment listing may
-            # lazily CREATE physical tables, so force it before the
-            # transaction opens (DDL commits any open transaction).
-            layout.fragments(tenant_id, stmt.table)
+            # lazily CREATE physical tables, so it happens before the
+            # transaction opens (DDL commits any open transaction) —
+            # once: planning works from this same list.
+            fragments = layout.fragments(tenant_id, stmt.table)
+            if (
+                isinstance(stmt, ast.Update)
+                and self.update_mode is UpdateMode.SUBQUERY
+                and not is_direct(fragments)
+            ):
+                with self.db.atomic():
+                    count = dml.update_subquery(
+                        tenant_id, stmt, params, fragments
+                    )
+                return Result([], [], count)
             with self.db.atomic():
-                if isinstance(stmt, ast.Insert):
-                    count = dml.insert(tenant_id, stmt, params)
-                elif isinstance(stmt, ast.Update):
-                    count = dml.update(tenant_id, stmt, params, self.update_mode)
-                else:
-                    count = dml.delete(tenant_id, stmt, params, self.update_mode)
-            return Result([], [], count)
+                return self._cached_dml(
+                    tenant_id,
+                    sql,
+                    layout,
+                    lambda: dml.plan(tenant_id, stmt, fragments),
+                ).execute(tenant_id, params)
         if isinstance(stmt, ast.CreateTable):
             table = LogicalTable(
                 stmt.table,
@@ -537,10 +561,12 @@ class MultiTenantDatabase:
         # once: the transformer fans out over this same list.
         fragments = layout.fragments(tenant_id, table_name)
         with self.db.atomic():
-            return dml.insert_values(
-                tenant_id, table_name, values, row_id=row_id,
-                fragments=fragments,
-            )
+            return self._cached_dml(
+                tenant_id,
+                ("insert", table_name.lower()),
+                layout,
+                lambda: dml.plan_row_insert(tenant_id, table_name, fragments),
+            ).insert(tenant_id, values, row_id)
 
     def restore(self, tenant_id: int, table_name: str, row_ids: list[int]) -> int:
         """Bring soft-deleted rows back from the Trashcan."""

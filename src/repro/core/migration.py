@@ -95,15 +95,15 @@ class Migrator:
         # admin-op bracket makes a crash here invisible after recovery.
         source.db.crashpoint("migrate.after_purge")
 
-        count = 0
+        if not rows:
+            return 0
+        insert = target_dml.plan_row_insert(
+            tenant_id, table_name, target.fragments(tenant_id, table_name)
+        ).insert
         for row in rows:
             values = dict(zip(column_names, row[: len(column_names)]))
-            row_id = row[len(column_names)] if has_row else None
-            target_dml.insert_values(
-                tenant_id, table_name, values, row_id=row_id
-            )
-            count += 1
-        return count
+            insert(tenant_id, values, row[len(column_names)] if has_row else None)
+        return len(rows)
 
     def _purge_source(
         self, tenant_id: int, table_name: str, source: Layout

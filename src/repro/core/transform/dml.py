@@ -15,24 +15,45 @@ Phase (b) comes in the paper's two variants: ``SUBQUERY`` pushes the
 phase-(a) query into an ``IN`` predicate and lets the database do all
 the work (re-evaluating it per fragment); ``BUFFERED`` (the default)
 buffers the affected row ids in the application and issues per-row
-statements with literal values — which also supports SET expressions
-that span fragments.
+statements — which also supports SET expressions that span fragments.
+
+The transformation is a pure function of (logical statement, layout,
+tenant schema shape), so the transformer *plans*: it returns an object
+holding the prepared phase-(a) SELECT, the compiled SET closures and one
+prepared physical template per target fragment, and running the plan
+only binds values.  The tenant id is a parameter of every template, so
+one plan serves every tenant of a shape; who keeps the plan (the
+shape-keyed statement cache, or nobody) is the caller's business.
 """
 
 from __future__ import annotations
 
 import enum
 
+from ...engine.database import Result
 from ...engine.errors import PlanError, UnknownObjectError
 from ...engine.expr import ExprCompiler, Schema, Slot
-from ...engine.plan.logical import rewrite_refs
+from ...engine.plan.logical import conjoin, rewrite_refs
 from ...engine.sql import ast
-from ..layouts.base import ALIVE, Fragment
+from ...engine.statement_cache import count_params
+from ..layouts.base import ALIVE, TENANT_META, Fragment
 from ..schema import MultiTenantSchema
-from .query import ROW_ALIAS, build_reconstruction
+from .query import (
+    ROW_ALIAS,
+    QueryTransformer,
+    TenantParamAllocator,
+    build_reconstruction,
+)
 
-#: Batch size for ``row IN (...)`` literal lists in buffered mode.
+#: Batch size for ``row IN (...)`` lists in buffered mode.
 IN_BATCH = 200
+
+#: Parameter layout of every per-fragment template: the tenant id, then
+#: the Row id(s), then — in the templates that name one row, INSERT and
+#: the buffered UPDATE — the column values.
+TENANT_SLOT = ast.Param(0)
+ROW_SLOT = 1
+FIRST_VALUE_SLOT = 2
 
 
 class UpdateMode(enum.Enum):
@@ -41,9 +62,9 @@ class UpdateMode(enum.Enum):
 
 
 def substitute_params(expr: ast.Expr, params) -> ast.Expr:
-    """Replace ``?`` parameters with literals so generated statements
-    are self-contained (parameter positions would otherwise shift when
-    one logical statement becomes many physical ones)."""
+    """Replace ``?`` parameters with literals.  ``UpdateMode.SUBQUERY``
+    only: its phase-(a) query is pasted into every per-fragment
+    statement, which must therefore be self-contained."""
     if isinstance(expr, ast.Param):
         return ast.Literal(params[expr.index])
     if isinstance(expr, ast.InSubquery):
@@ -99,98 +120,280 @@ def _column_refs(expr: ast.Expr) -> list[str]:
     )
 
 
-def _qualify_to_binding(expr: ast.Expr, binding: str) -> ast.Expr:
-    """DML statements name one table; give every bare ref that binding."""
-    return rewrite_refs(expr, lambda ref: ast.ColumnRef(binding, ref.column))
+def is_direct(fragments: list[Fragment]) -> bool:
+    """Private / Basic: one fragment, no Row column — a logical write
+    is one physical statement, no phases."""
+    return len(fragments) == 1 and fragments[0].row_column is None
+
+
+# -- plans -------------------------------------------------------------------
+
+
+class DmlPlan:
+    """A transformed logical write, runnable for any tenant of the
+    shape it was planned for: ``execute(tenant_id, params)`` returns the
+    logical :class:`Result` (no rows, ``rowcount`` logical rows)."""
+
+    #: What the statement cache compares entries by; unlike a SELECT, a
+    #: write is never flattened for the SIMPLE optimizer.
+    context = ()
+
+
+class TenantBound(DmlPlan):
+    """A prepared physical statement taking the logical statement's own
+    parameters, then the tenant id in its allocator slots: phase (a),
+    and the whole plan on the direct path."""
+
+    def __init__(self, prepared, tenant_params: TenantParamAllocator) -> None:
+        self.prepared = prepared
+        self.tenant_params = tenant_params
+
+    def execute(self, tenant_id: int, params) -> Result:
+        return self.prepared.execute(self.tenant_params.bind(params, tenant_id))
+
+
+class RowInsert(DmlPlan):
+    """The INSERT fan-out of one logical table: one prepared template
+    per fragment ("a single source DML statement generally has to be
+    mapped into multiple statements over Chunk Tables")."""
+
+    def __init__(self, layout, logical, templates) -> None:
+        self._rows = layout.rows
+        self._table = logical.name
+        self._types = [(c.lname, c.type) for c in logical.columns]
+        self._known = frozenset(name for name, _ in self._types)
+        #: ``(prepared INSERT, the fragment's (logical name, ColumnLoc))``
+        self._templates = templates
+
+    def insert(
+        self, tenant_id: int, values: dict, row_id: int | None = None
+    ) -> int:
+        """Insert one logical row given a {column: value} mapping.
+        Returns the allocated Row id (pass ``row_id`` to keep an
+        existing identity, e.g. during migration)."""
+        provided = {k.lower(): v for k, v in values.items()}
+        unknown = set(provided) - self._known
+        if unknown:
+            raise UnknownObjectError(
+                f"unknown columns {sorted(unknown)} for {self._table}"
+            )
+        # Type-check through the logical schema before fan-out.
+        checked = {
+            name: sql_type.check(provided.get(name))
+            for name, sql_type in self._types
+        }
+        if row_id is None:
+            row_id = self._rows.allocate(tenant_id, self._table)
+        else:
+            self._rows.observe(tenant_id, self._table, row_id)
+        # Every fragment receives a row, NULL-padded where the logical
+        # value is absent: reconstruction uses inner joins on Row, so
+        # fragment rows must exist for every logical row.
+        for prepared, columns in self._templates:
+            prepared.execute(
+                (
+                    tenant_id,
+                    row_id,
+                    *[loc.write(checked.get(name)) for name, loc in columns],
+                )
+            )
+        return row_id
+
+
+class SqlInsert(DmlPlan):
+    """A parsed logical INSERT: its VALUES rows compiled, over the
+    table's :class:`RowInsert`."""
+
+    def __init__(self, rows, row_insert: RowInsert) -> None:
+        #: per VALUES row, ``(column name, compiled expression)``
+        self._rows = rows
+        self._row_insert = row_insert
+
+    def execute(self, tenant_id: int, params) -> Result:
+        for row in self._rows:
+            self._row_insert.insert(
+                tenant_id, {name: fn((), params) for name, fn in row}
+            )
+        return Result([], [], len(self._rows))
+
+
+class BufferedUpdate(DmlPlan):
+    """Phase (a) buffers Row ids and SET inputs; phase (b) binds each
+    row's new values into the template of every target fragment."""
+
+    def __init__(self, phase_a: TenantBound, compiled: dict, targets) -> None:
+        self._phase_a = phase_a
+        #: assigned column -> closure over (phase-(a) row, params)
+        self._compiled = compiled
+        #: ``(prepared UPDATE, its (column, ColumnLoc) in SET order)``
+        self._targets = targets
+
+    def execute(self, tenant_id: int, params) -> Result:
+        affected = self._phase_a.execute(tenant_id, params).rows
+        for row in affected:
+            # SET expressions all see the pre-update row, per SQL.
+            new_values = {
+                name: fn(row, params) for name, fn in self._compiled.items()
+            }
+            for prepared, columns in self._targets:
+                prepared.execute(
+                    (
+                        tenant_id,
+                        row[0],
+                        *[loc.write(new_values[name]) for name, loc in columns],
+                    )
+                )
+        return Result([], [], len(affected))
+
+
+class BufferedDelete(DmlPlan):
+    """Phase (a) buffers Row ids; phase (b) removes them from *every*
+    fragment, in batches of up to :data:`IN_BATCH`.  How many rows a
+    predicate matches varies from call to call, so a batch is padded
+    (its last id repeated, which an ``IN`` list ignores) to the next
+    power of two: a fragment needs nine templates at most, not two
+    hundred."""
+
+    def __init__(self, phase_a: TenantBound, fragments, prepare_rows) -> None:
+        self._phase_a = phase_a
+        self._fragments = fragments
+        self._prepare_rows = prepare_rows
+        #: (fragment index, batch width) -> prepared statement
+        self._templates: dict[tuple[int, int], object] = {}
+
+    def execute(self, tenant_id: int, params) -> Result:
+        row_ids = [row[0] for row in self._phase_a.execute(tenant_id, params).rows]
+        batches = []
+        for start in range(0, len(row_ids), IN_BATCH):
+            batch = row_ids[start : start + IN_BATCH]
+            width = min(IN_BATCH, 1 << (len(batch) - 1).bit_length())
+            batches.append(batch + batch[-1:] * (width - len(batch)))
+        for index, fragment in enumerate(self._fragments):
+            for batch in batches:
+                prepared = self._templates.get((index, len(batch)))
+                if prepared is None:
+                    prepared = self._prepare_rows(fragment, len(batch))
+                    self._templates[index, len(batch)] = prepared
+                prepared.execute((tenant_id, *batch))
+        return Result([], [], len(row_ids))
+
+
+# -- the transformer ---------------------------------------------------------
 
 
 class DmlTransformer:
-    """Executes logical DML through a layout's fragments."""
+    """Plans logical DML over a layout's fragments."""
 
     def __init__(self, layout, schema: MultiTenantSchema) -> None:
         self.layout = layout
         self.schema = schema
-        from .query import QueryTransformer
-
         self._queries = QueryTransformer(layout, schema)
-
-    def _prepare_where(
-        self, tenant_id: int, where: ast.Expr | None, params
-    ) -> ast.Expr | None:
-        """Inline parameters and transform IN-subqueries over logical
-        tables into physical form."""
-        if where is None:
-            return None
-        where = substitute_params(where, params)
-        return self._queries.transform_predicate(tenant_id, where)
 
     @property
     def db(self):
         return self.layout.db
 
+    def plan(
+        self, tenant_id: int, stmt: ast.Statement, fragments: list[Fragment]
+    ) -> DmlPlan:
+        """The plan of one parsed logical INSERT / UPDATE / DELETE over
+        the tenant's already-listed ``fragments`` (BUFFERED, or the
+        direct path where the layout allows it)."""
+        if isinstance(stmt, ast.Insert):
+            return self._plan_sql_insert(tenant_id, stmt, fragments)
+        tenant_params = TenantParamAllocator(count_params(stmt))
+        where = stmt.where
+        if where is not None:
+            where = self._queries.transform_predicate(
+                tenant_id, where, tenant_params
+            )
+        assignments = self._assignments(tenant_id, stmt)
+        if is_direct(fragments):
+            statement = self._direct_statement(
+                fragments[0], assignments, where, tenant_params.allocate()
+            )
+            return TenantBound(self.db.prepare_ast(statement), tenant_params)
+        if assignments is None:
+            extra: list[str] = []
+        else:
+            extra = list(
+                dict.fromkeys(
+                    c for _, expr in assignments for c in _column_refs(expr)
+                )
+            )
+        phase_a = TenantBound(
+            self.db.prepare_ast(
+                self._phase_a(
+                    tenant_id, stmt.table, where, extra, fragments, tenant_params
+                )
+            ),
+            tenant_params,
+        )
+        if assignments is None:
+            return BufferedDelete(phase_a, fragments, self._prepare_rows)
+        compiler = ExprCompiler(
+            Schema([Slot(None, ROW_ALIAS)] + [Slot(None, c) for c in extra])
+        )
+        compiled = {name: compiler.compile(expr) for name, expr in assignments}
+        targets = []
+        for fragment in fragments:
+            column_map = fragment.column_map()
+            columns = [
+                (name, column_map[name]) for name in compiled if name in column_map
+            ]
+            if columns:
+                sets = tuple(
+                    (loc.physical, ast.Param(FIRST_VALUE_SLOT + i))
+                    for i, (_, loc) in enumerate(columns)
+                )
+                update = ast.Update(
+                    fragment.table, sets, self._rows_predicate(fragment, 1)
+                )
+                targets.append((self.db.prepare_ast(update), columns))
+        return BufferedUpdate(phase_a, compiled, targets)
+
+    def _assignments(self, tenant_id: int, stmt) -> list | None:
+        """An UPDATE's validated ``(column, expr)`` pairs; ``None`` for
+        a DELETE."""
+        if not isinstance(stmt, ast.Update):
+            return None
+        logical = self.schema.logical_table(tenant_id, stmt.table)
+        assignments = [(name.lower(), expr) for name, expr in stmt.assignments]
+        for name, _ in assignments:
+            logical.column(name)
+        return assignments
+
     # -- INSERT ------------------------------------------------------------
 
-    def insert_values(
-        self,
-        tenant_id: int,
-        table_name: str,
-        values: dict,
-        *,
-        row_id: int | None = None,
-        fragments: list[Fragment] | None = None,
-    ) -> int:
-        """Insert one logical row given a {column: value} mapping.
-
-        Returns the allocated Row id (pass ``row_id`` to keep an existing
-        identity, e.g. during migration).  Fan-out: one INSERT per
-        fragment ("a single source DML statement generally has to be
-        mapped into multiple statements over Chunk Tables").  A caller
-        that already listed the tenant's ``fragments`` passes them in.
-        """
-        logical = self.schema.logical_table(tenant_id, table_name)
-        known = {c.lname for c in logical.columns}
-        provided = {k.lower(): v for k, v in values.items()}
-        unknown = set(provided) - known
-        if unknown:
-            raise UnknownObjectError(
-                f"unknown columns {sorted(unknown)} for {table_name}"
-            )
-        # Type-check through the logical schema before fan-out.
-        checked = {
-            c.lname: c.type.check(provided.get(c.lname))
-            for c in logical.columns
-        }
-        if row_id is None:
-            row_id = self.layout.rows.allocate(tenant_id, table_name)
-        else:
-            self.layout.rows.observe(tenant_id, table_name, row_id)
-        if fragments is None:
-            fragments = self.layout.fragments(tenant_id, table_name)
+    def plan_row_insert(
+        self, tenant_id: int, table_name: str, fragments: list[Fragment]
+    ) -> RowInsert:
+        templates = []
         for fragment in fragments:
             names: list[str] = []
             exprs: list[ast.Expr] = []
             for meta_col, value in fragment.meta:
                 names.append(meta_col)
-                exprs.append(ast.Literal(value))
+                exprs.append(
+                    TENANT_SLOT if meta_col == TENANT_META else ast.Literal(value)
+                )
             if fragment.row_column is not None:
                 names.append(fragment.row_column)
-                exprs.append(ast.Literal(row_id))
+                exprs.append(ast.Param(ROW_SLOT))
             if self.layout.soft_delete:
                 names.append(ALIVE)
                 exprs.append(ast.Literal(1))
-            # Every fragment receives a row, NULL-padded where the
-            # logical value is absent: reconstruction uses inner joins
-            # on Row, so fragment rows must exist for every logical row.
-            for logical_name, loc in fragment.columns:
-                value = loc.write(checked.get(logical_name))
+            for i, (_, loc) in enumerate(fragment.columns):
                 names.append(loc.physical)
-                exprs.append(ast.Literal(value))
-            stmt = ast.Insert(fragment.table, tuple(names), (tuple(exprs),))
-            self.db.execute_ast(stmt)
-        return row_id
+                exprs.append(ast.Param(FIRST_VALUE_SLOT + i))
+            insert = ast.Insert(fragment.table, tuple(names), (tuple(exprs),))
+            templates.append((self.db.prepare_ast(insert), fragment.columns))
+        logical = self.schema.logical_table(tenant_id, table_name)
+        return RowInsert(self.layout, logical, templates)
 
-    def insert(self, tenant_id: int, stmt: ast.Insert, params=()) -> int:
-        """Insert from a parsed logical INSERT statement."""
+    def _plan_sql_insert(
+        self, tenant_id: int, stmt: ast.Insert, fragments: list[Fragment]
+    ) -> SqlInsert:
         logical = self.schema.logical_table(tenant_id, stmt.table)
         columns = (
             list(stmt.columns)
@@ -198,231 +401,125 @@ class DmlTransformer:
             else [c.name for c in logical.columns]
         )
         compiler = ExprCompiler(Schema([]))
-        count = 0
+        rows = []
         for row_exprs in stmt.rows:
             if len(row_exprs) != len(columns):
                 raise PlanError("INSERT arity mismatch")
-            values = {
-                name: compiler.compile(expr)((), params)
-                for name, expr in zip(columns, row_exprs)
-            }
-            self.insert_values(tenant_id, stmt.table, values)
-            count += 1
-        return count
+            rows.append(
+                [
+                    (name, compiler.compile(expr))
+                    for name, expr in zip(columns, row_exprs)
+                ]
+            )
+        return SqlInsert(
+            rows, self.plan_row_insert(tenant_id, stmt.table, fragments)
+        )
 
     # -- phase (a) ------------------------------------------------------------
 
-    def _affected_rows(
+    def _phase_a(
         self,
         tenant_id: int,
         table_name: str,
         where: ast.Expr | None,
         extra_columns: list[str],
-    ) -> list[dict]:
-        """Collect affected Row ids plus requested column values."""
+        fragments: list[Fragment],
+        tenant: TenantParamAllocator | None,
+    ) -> ast.Select:
+        """The query collecting affected Row ids plus the requested
+        column values; ``where`` is already physical below the top."""
         binding = table_name.lower()
         where_columns = _column_refs(where) if where is not None else []
         needed = list(dict.fromkeys(where_columns + extra_columns))
         logical = self.schema.logical_table(tenant_id, table_name)
         for column in needed:
             logical.column(column)  # validates
-        fragments = self.layout.fragments(tenant_id, table_name)
         recon = build_reconstruction(
             fragments,
             needed,
             binding,
             include_row=True,
             soft_delete=self.layout.soft_delete,
+            tenant=tenant,
         )
         items = [
             ast.SelectItem(ast.ColumnRef(binding, ROW_ALIAS), ROW_ALIAS)
         ] + [ast.SelectItem(ast.ColumnRef(binding, c), c) for c in extra_columns]
-        outer_where = (
-            _qualify_to_binding(where, binding) if where is not None else None
-        )
-        select = ast.Select(
-            items=tuple(items), sources=(recon,), where=outer_where
-        )
-        result = self.db.execute_ast(select)
-        rows = []
-        for values in result.rows:
-            record = {ROW_ALIAS: values[0]}
-            for name, value in zip(extra_columns, values[1:]):
-                record[name] = value
-            rows.append(record)
-        return rows
-
-    def _phase_a_subquery(
-        self, tenant_id: int, table_name: str, where: ast.Expr | None
-    ) -> ast.Select:
-        binding = table_name.lower()
-        where_columns = _column_refs(where) if where is not None else []
-        fragments = self.layout.fragments(tenant_id, table_name)
-        recon = build_reconstruction(
-            fragments,
-            where_columns,
-            binding,
-            include_row=True,
-            soft_delete=self.layout.soft_delete,
-        )
-        outer_where = (
-            _qualify_to_binding(where, binding) if where is not None else None
-        )
-        return ast.Select(
-            items=(ast.SelectItem(ast.ColumnRef(binding, ROW_ALIAS), ROW_ALIAS),),
-            sources=(recon,),
-            where=outer_where,
-        )
-
-    # -- UPDATE -------------------------------------------------------------------
-
-    def update(
-        self,
-        tenant_id: int,
-        stmt: ast.Update,
-        params=(),
-        mode: UpdateMode = UpdateMode.BUFFERED,
-    ) -> int:
-        where = self._prepare_where(tenant_id, stmt.where, params)
-        assignments = [
-            (name.lower(), substitute_params(expr, params))
-            for name, expr in stmt.assignments
-        ]
-        logical = self.schema.logical_table(tenant_id, stmt.table)
-        for name, _ in assignments:
-            logical.column(name)
-        direct = self._direct_fragment(tenant_id, stmt.table)
-        if direct is not None:
-            return self._direct_update(direct, assignments, where)
-        if mode is UpdateMode.SUBQUERY:
-            return self._update_subquery(tenant_id, stmt.table, assignments, where)
-        return self._update_buffered(tenant_id, stmt.table, assignments, where)
+        if where is not None:
+            # DML statements name one table; give every bare ref that
+            # binding.
+            where = rewrite_refs(
+                where, lambda ref: ast.ColumnRef(binding, ref.column)
+            )
+        return ast.Select(items=tuple(items), sources=(recon,), where=where)
 
     # -- direct path (Private / Basic: one fragment, no Row column) -------------
 
-    def _direct_fragment(self, tenant_id: int, table_name: str) -> Fragment | None:
-        fragments = self.layout.fragments(tenant_id, table_name)
-        if len(fragments) == 1 and fragments[0].row_column is None:
-            return fragments[0]
-        return None
-
-    def _direct_where(
-        self, fragment: Fragment, where: ast.Expr | None
-    ) -> ast.Expr | None:
+    def _direct_statement(
+        self,
+        fragment: Fragment,
+        assignments: list | None,
+        where: ast.Expr | None,
+        tenant: ast.Param,
+    ) -> ast.Statement:
         column_map = fragment.column_map()
-        predicate = self._fragment_meta_predicate(fragment)
+        conjuncts = self._meta_conjuncts(fragment, tenant)
         if where is not None:
-            localized = self._localize(where, column_map)
-            predicate = (
-                localized
-                if predicate is None
-                else ast.BinaryOp("AND", predicate, localized)
-            )
+            conjuncts.append(self._localize(where, column_map))
         if self.layout.soft_delete:
-            live = ast.BinaryOp("=", ast.ColumnRef(None, ALIVE), ast.Literal(1))
-            predicate = (
-                live if predicate is None else ast.BinaryOp("AND", predicate, live)
+            conjuncts.append(
+                ast.BinaryOp("=", ast.ColumnRef(None, ALIVE), ast.Literal(1))
             )
-        return predicate
-
-    def _direct_update(self, fragment: Fragment, assignments, where) -> int:
-        column_map = fragment.column_map()
-        sets = tuple(
-            (column_map[name].physical, self._localize(expr, column_map))
-            for name, expr in assignments
-        )
-        update = ast.Update(fragment.table, sets, self._direct_where(fragment, where))
-        return self.db.execute_ast(update).rowcount
-
-    def _direct_delete(self, fragment: Fragment, where) -> int:
-        predicate = self._direct_where(fragment, where)
+        predicate = conjoin(conjuncts)
+        if assignments is not None:
+            sets = tuple(
+                (column_map[name].physical, self._localize(expr, column_map))
+                for name, expr in assignments
+            )
+            return ast.Update(fragment.table, sets, predicate)
         if self.layout.soft_delete:
-            statement: ast.Statement = ast.Update(
+            return ast.Update(
                 fragment.table, ((ALIVE, ast.Literal(0)),), predicate
             )
-        else:
-            statement = ast.Delete(fragment.table, predicate)
-        return self.db.execute_ast(statement).rowcount
+        return ast.Delete(fragment.table, predicate)
 
-    def _fragments_with(self, tenant_id: int, table_name: str, columns: set[str]):
-        return [
-            f
-            for f in self.layout.fragments(tenant_id, table_name)
-            if any(f.covers(c) for c in columns)
-        ]
+    # -- UpdateMode.SUBQUERY ------------------------------------------------------
 
-    def _update_buffered(
-        self, tenant_id, table_name, assignments, where
+    def update_subquery(
+        self, tenant_id: int, stmt: ast.Update, params, fragments: list[Fragment]
     ) -> int:
-        set_inputs = list(
-            dict.fromkeys(
-                c for _, expr in assignments for c in _column_refs(expr)
+        """The paper's second variant: every per-fragment UPDATE carries
+        the phase-(a) query in an ``IN`` predicate, so the statements are
+        built per call, parameter values and tenant id inlined."""
+        where = stmt.where
+        if where is not None:
+            where = self._queries.transform_predicate(
+                tenant_id, substitute_params(where, params)
             )
-        )
-        affected = self._affected_rows(tenant_id, table_name, where, set_inputs)
-        if not affected:
-            return 0
-        schema = Schema(
-            [Slot(None, ROW_ALIAS)] + [Slot(None, c) for c in set_inputs]
-        )
-        compiler = ExprCompiler(schema)
-        compiled = [(name, compiler.compile(expr)) for name, expr in assignments]
-        targets = self._fragments_with(
-            tenant_id, table_name, {name for name, _ in assignments}
-        )
-        count = 0
-        for record in affected:
-            row_tuple = tuple(record[k] for k in [ROW_ALIAS] + set_inputs)
-            new_values = {name: fn(row_tuple, ()) for name, fn in compiled}
-            for fragment in targets:
-                column_map = fragment.column_map()
-                sets = tuple(
-                    (column_map[name].physical,
-                     ast.Literal(column_map[name].write(value)))
-                    for name, value in new_values.items()
-                    if name in column_map
-                )
-                if not sets:
-                    continue
-                update = ast.Update(
-                    fragment.table,
-                    sets,
-                    self._fragment_row_predicate(fragment, [record[ROW_ALIAS]]),
-                )
-                self.db.execute_ast(update)
-            count += 1
-        return count
-
-    def _update_subquery(self, tenant_id, table_name, assignments, where) -> int:
-        phase_a = self._phase_a_subquery(tenant_id, table_name, where)
+        assignments = [
+            (name, substitute_params(expr, params))
+            for name, expr in self._assignments(tenant_id, stmt)
+        ]
+        phase_a = self._phase_a(tenant_id, stmt.table, where, [], fragments, None)
         count = self.db.execute_ast(phase_a).rowcount
         if count == 0:
             return 0
-        targets = self._fragments_with(
-            tenant_id, table_name, {name for name, _ in assignments}
-        )
-        for fragment in targets:
+        for fragment in fragments:
             column_map = fragment.column_map()
-            sets = []
-            for name, expr in assignments:
-                if name not in column_map:
-                    continue
-                sets.append(
-                    (column_map[name].physical, self._localize(expr, column_map))
-                )
-            if not sets:
+            if not any(name in column_map for name, _ in assignments):
                 continue
-            predicate = self._fragment_meta_predicate(fragment)
+            sets = tuple(
+                (column_map[name].physical, self._localize(expr, column_map))
+                for name, expr in assignments
+                if name in column_map
+            )
             membership = ast.InSubquery(
                 ast.ColumnRef(None, fragment.row_column), phase_a
             )
-            predicate = (
-                membership
-                if predicate is None
-                else ast.BinaryOp("AND", predicate, membership)
+            predicate = conjoin(
+                self._meta_conjuncts(fragment, None) + [membership]
             )
-            update = ast.Update(fragment.table, tuple(sets), predicate)
-            self.db.execute_ast(update)
+            self.db.execute_ast(ast.Update(fragment.table, sets, predicate))
         return count
 
     def _localize(self, expr: ast.Expr, column_map) -> ast.Expr:
@@ -440,41 +537,7 @@ class DmlTransformer:
 
         return rewrite_refs(expr, localize)
 
-    # -- DELETE ----------------------------------------------------------------------
-
-    def delete(
-        self,
-        tenant_id: int,
-        stmt: ast.Delete,
-        params=(),
-        mode: UpdateMode = UpdateMode.BUFFERED,
-    ) -> int:
-        where = self._prepare_where(tenant_id, stmt.where, params)
-        direct = self._direct_fragment(tenant_id, stmt.table)
-        if direct is not None:
-            return self._direct_delete(direct, where)
-        affected = self._affected_rows(tenant_id, stmt.table, where, [])
-        if not affected:
-            return 0
-        row_ids = [record[ROW_ALIAS] for record in affected]
-        fragments = self.layout.fragments(tenant_id, stmt.table)
-        for fragment in fragments:
-            for start in range(0, len(row_ids), IN_BATCH):
-                batch = row_ids[start : start + IN_BATCH]
-                predicate = self._fragment_row_predicate(fragment, batch)
-                if self.layout.soft_delete:
-                    # Trashcan: "mark the tuples as invisible instead of
-                    # physically deleting them" — and a delete must mark
-                    # *all* fragments, unlike a normal update.
-                    statement: ast.Statement = ast.Update(
-                        fragment.table,
-                        ((ALIVE, ast.Literal(0)),),
-                        predicate,
-                    )
-                else:
-                    statement = ast.Delete(fragment.table, predicate)
-                self.db.execute_ast(statement)
-        return len(row_ids)
+    # -- the Trashcan ---------------------------------------------------------------
 
     def purge_trashcan(self, tenant_id: int, table_name: str) -> int:
         """Physically delete everything the Trashcan holds for one
@@ -482,21 +545,18 @@ class DmlTransformer:
         if not self.layout.soft_delete:
             raise PlanError("purge_trashcan requires soft_delete layouts")
         fragments = self.layout.fragments(tenant_id, table_name)
-        purged = 0
-        for i, fragment in enumerate(fragments):
-            predicate = self._fragment_meta_predicate(fragment)
-            dead = ast.BinaryOp("=", ast.ColumnRef(None, ALIVE), ast.Literal(0))
-            predicate = (
-                dead
-                if predicate is None
-                else ast.BinaryOp("AND", predicate, dead)
-            )
-            count = self.db.execute_ast(
-                ast.Delete(fragment.table, predicate)
+        dead = ast.BinaryOp("=", ast.ColumnRef(None, ALIVE), ast.Literal(0))
+        counts = [
+            self.db.execute_ast(
+                ast.Delete(
+                    fragment.table,
+                    conjoin(self._meta_conjuncts(fragment, TENANT_SLOT) + [dead]),
+                ),
+                (tenant_id,),
             ).rowcount
-            if i == 0:
-                purged = count
-        return purged
+            for fragment in fragments
+        ]
+        return counts[0] if counts else 0
 
     def restore(self, tenant_id: int, table_name: str, row_ids: list[int]) -> int:
         """Undo soft deletes (the Trashcan's purpose)."""
@@ -505,50 +565,68 @@ class DmlTransformer:
         for fragment in self.layout.fragments(tenant_id, table_name):
             for start in range(0, len(row_ids), IN_BATCH):
                 batch = row_ids[start : start + IN_BATCH]
-                update = ast.Update(
-                    fragment.table,
-                    ((ALIVE, ast.Literal(1)),),
-                    self._fragment_row_predicate(fragment, batch),
+                self.db.execute_ast(
+                    self._rows_statement(fragment, len(batch), alive=1),
+                    (tenant_id, *batch),
                 )
-                self.db.execute_ast(update)
         return len(row_ids)
 
-    # -- predicates over fragments -------------------------------------------------
+    # -- per-fragment templates ------------------------------------------------------
 
     @staticmethod
-    def _fragment_meta_predicate(fragment: Fragment) -> ast.Expr | None:
-        predicate: ast.Expr | None = None
-        for meta_col, value in fragment.meta:
-            conjunct = ast.BinaryOp(
-                "=", ast.ColumnRef(None, meta_col), ast.Literal(value)
+    def _meta_conjuncts(
+        fragment: Fragment, tenant: ast.Param | None
+    ) -> list[ast.Expr]:
+        """The fragment's meta-data guards; the Tenant one compares with
+        the ``tenant`` slot (``None``: the fragment's own id, inlined)."""
+        return [
+            ast.BinaryOp(
+                "=",
+                ast.ColumnRef(None, meta_col),
+                tenant
+                if meta_col == TENANT_META and tenant is not None
+                else ast.Literal(value),
             )
-            predicate = (
-                conjunct
-                if predicate is None
-                else ast.BinaryOp("AND", predicate, conjunct)
-            )
-        return predicate
+            for meta_col, value in fragment.meta
+        ]
 
-    def _fragment_row_predicate(
-        self, fragment: Fragment, row_ids: list[int]
-    ) -> ast.Expr:
-        predicate = self._fragment_meta_predicate(fragment)
-        if fragment.row_column is None:
-            if predicate is None:
-                raise PlanError(
-                    f"fragment {fragment.table} has neither meta filters nor "
-                    "row identity"
-                )
-            return predicate
-        if len(row_ids) == 1:
-            membership: ast.Expr = ast.BinaryOp(
-                "=", ast.ColumnRef(None, fragment.row_column), ast.Literal(row_ids[0])
+    def _rows_predicate(self, fragment: Fragment, width: int) -> ast.Expr:
+        """Meta guards plus ``row = ?`` / ``row IN (?, ...)`` over
+        ``width`` Row-id slots."""
+        conjuncts = self._meta_conjuncts(fragment, TENANT_SLOT)
+        if fragment.row_column is not None:
+            row = ast.ColumnRef(None, fragment.row_column)
+            slots = tuple(ast.Param(ROW_SLOT + i) for i in range(width))
+            conjuncts.append(
+                ast.BinaryOp("=", row, slots[0])
+                if width == 1
+                else ast.InList(row, slots)
             )
-        else:
-            membership = ast.InList(
-                ast.ColumnRef(None, fragment.row_column),
-                tuple(ast.Literal(r) for r in row_ids),
+        elif not conjuncts:
+            raise PlanError(
+                f"fragment {fragment.table} has neither meta filters nor "
+                "row identity"
             )
-        if predicate is None:
-            return membership
-        return ast.BinaryOp("AND", predicate, membership)
+        return conjoin(conjuncts)
+
+    def _rows_statement(
+        self, fragment: Fragment, width: int, alive: int | None = None
+    ) -> ast.Statement:
+        """Set the Trashcan marker of ``width`` rows of one fragment —
+        or, with no marker given, delete them."""
+        predicate = self._rows_predicate(fragment, width)
+        if alive is None:
+            return ast.Delete(fragment.table, predicate)
+        return ast.Update(
+            fragment.table, ((ALIVE, ast.Literal(alive)),), predicate
+        )
+
+    def _prepare_rows(self, fragment: Fragment, width: int):
+        """Phase (b) of a logical DELETE.  Trashcan: "mark the tuples as
+        invisible instead of physically deleting them" — and a delete
+        must mark *all* fragments, unlike a normal update."""
+        return self.db.prepare_ast(
+            self._rows_statement(
+                fragment, width, alive=0 if self.layout.soft_delete else None
+            )
+        )

@@ -23,6 +23,7 @@ from typing import Sequence
 from .catalog import (
     Catalog,
     Column,
+    IndexInfo,
     INDEX_METADATA_COST,
     TABLE_METADATA_COST,
 )
@@ -30,7 +31,7 @@ from .durability import DurabilityManager, DurabilityOptions
 from .durability.wal import WalStats
 from .errors import BudgetExceededError, EngineError, PlanError, SemanticError
 from .executor import ExecStats, Executor
-from .expr import ExprCompiler, Schema, Slot
+from .expr import Compiled, ExprCompiler, Schema, Slot
 from .feedback import CardinalityFeedback
 from .heap import InsertStrategy
 from .locks import LockTable
@@ -79,6 +80,27 @@ class _InsertProgram:
     rows: list[list]
     positions: tuple[int, ...] | None
     width: int
+
+
+@dataclass
+class _WriteProgram:
+    """A precompiled UPDATE or DELETE: everything :meth:`Database.
+    _match_rids` and the SET loop need that does not depend on the
+    parameter values."""
+
+    table_name: str
+    #: ``(column position, compiled SET expression)``; empty for DELETE.
+    assignments: list[tuple[int, Compiled]]
+    #: One closure per WHERE conjunct.
+    predicate: list[Compiled]
+    #: Per ``column = <row-independent expr>`` conjunct, its usable
+    #: orientations as ``(column, compiled constant)``.  Evaluated
+    #: against the parameters of each run; one that raises
+    #: :class:`EngineError` is skipped, so the usable-column set — and
+    #: with it the index — can differ between runs.
+    eq_candidates: list[list[tuple[str, Compiled]]]
+    #: Index chosen per usable-column set, filled on first use.
+    indexes: dict[tuple[str, ...], IndexInfo | None]
 
 
 class Database:
@@ -168,6 +190,12 @@ class Database:
         self._c_plan_invalidations = self.metrics.counter(
             "db.plan_cache.invalidations"
         )
+        #: SELECTs planned and DML programs compiled with no handle to
+        #: keep them — work the two counters above never see.
+        self._c_plan_adhoc = self.metrics.counter("db.plan_cache.adhoc")
+        #: ``id(subquery AST)`` -> value set, for the statement now
+        #: executing (see :meth:`_execute_subquery`).
+        self._subquery_results: dict[int, set] = {}
         self._c_rejections = self.metrics.counter("analysis.semantic.rejections")
         self._h_statement_ms = self.metrics.histogram("db.statement_ms")
         #: Dynamic sanitizer (``sanitize=True``, or the REPRO_SANITIZE
@@ -378,6 +406,7 @@ class Database:
         """Execute a physical plan built by :meth:`plan` /
         :meth:`plan_ast` on the active engine, optionally under an
         :class:`AnalyzeCollector`."""
+        self._subquery_results.clear()
         rows = self._executor.run(root, params, collector=collector)
         columns = [slot.name for slot in root.schema.slots]
         return Result(columns, rows, len(rows))
@@ -473,7 +502,6 @@ class Database:
         result, root, reused = self._run_statement(
             stmt, prepared, params, collector
         )
-        self._maybe_auto_checkpoint(stmt)
         return result, root, reused if root is not None else text_hit
 
     def _lookup_statement(
@@ -482,21 +510,21 @@ class Database:
         """Resolve SQL text through the plan cache.
 
         Returns ``(stmt, prepared, hit)`` — ``prepared`` is ``None`` for
-        non-preparable statements (DDL) and when the cache is disabled.
+        non-preparable statements (DDL) and when the cache is disabled
+        (nothing would keep what the handle caches).
         """
-        if self._statements.enabled:
-            prepared = self._statements.get(sql)
-            if prepared is not None:
-                self._c_plan_hits.inc()
-                return prepared.stmt, prepared, True
+        if not self._statements.enabled:
+            return parse_statement(sql), None, False
+        prepared = self._statements.get(sql)
+        if prepared is not None:
+            self._c_plan_hits.inc()
+            return prepared.stmt, prepared, True
         stmt = parse_statement(sql)
         if isinstance(stmt, PREPARABLE):
             prepared = PreparedStatement(self, stmt, sql)
-            if self._statements.enabled:
-                self._c_plan_misses.inc()
-                self._statements.put(sql, prepared)
-            return stmt, prepared, False
-        return stmt, None, False
+            self._c_plan_misses.inc()
+            self._statements.put(sql, prepared)
+        return stmt, prepared, False
 
     def _run_statement(
         self,
@@ -507,24 +535,30 @@ class Database:
     ) -> tuple[Result, object, bool]:
         """The one statement path: ``execute``, ``execute_ast``, a
         prepared handle and ``trace`` all end here.  ``prepared``, when
-        the caller holds one, supplies the cached plan / INSERT program.
-        Returns ``(result, plan root or None, plan reused)``."""
+        the caller holds one, keeps the plan / DML program between
+        runs; without one both are built for this run and discarded
+        (``db.plan_cache.adhoc``).  Returns ``(result, plan root or
+        None, plan reused)``."""
         if isinstance(stmt, ast.Select):
             if prepared is not None:
                 root, reused = self._prepared_plan(prepared)
             else:
-                root, reused = self._planner.plan_select(stmt), False
+                root, reused = self._plan_adhoc(stmt), False
             return self.execute_plan(root, params, collector), root, reused
         if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
+            self._subquery_results.clear()
             try:
-                if isinstance(stmt, ast.Update):
-                    count = self._run_update(stmt, params)
-                elif isinstance(stmt, ast.Delete):
-                    count = self._run_delete(stmt, params)
-                elif prepared is not None:
-                    count = self._run_insert(self._prepared_insert(prepared), params)
+                if prepared is not None:
+                    program = self._prepared_program(prepared)
                 else:
-                    count = self._run_insert(self._compile_insert(stmt), params)
+                    self._c_plan_adhoc.inc()
+                    program = self._compile_dml(stmt)
+                if isinstance(program, _InsertProgram):
+                    count = self._run_insert(program, params)
+                elif isinstance(stmt, ast.Update):
+                    count = self._run_update(program, params)
+                else:
+                    count = self._run_delete(program, params)
             except Exception:
                 # A failed autocommit statement leaves its partial effects
                 # in place (no statement-level rollback here), so the WAL
@@ -535,6 +569,7 @@ class Database:
                 raise
             self.transactions.end_statement()
             self._executor.stats.statements += 1
+            self._maybe_auto_checkpoint()
             return Result([], [], count), None, False
         if not isinstance(
             stmt,
@@ -564,6 +599,7 @@ class Database:
             self.catalog.drop_index(stmt.table, stmt.index)
             self._log_ddl(op="drop_index", table=stmt.table, index=stmt.index)
         self._resize_pool()
+        self._maybe_auto_checkpoint()
         return Result([], [], 0), None, False
 
     def _log_ddl(self, **ddl) -> None:
@@ -578,17 +614,16 @@ class Database:
         """Execute an already-parsed statement — callers holding an AST
         (the schema-mapping layer, migrations) skip the text round
         trip entirely."""
-        result = self._run_statement(stmt, None, params)[0]
-        self._maybe_auto_checkpoint(stmt)
-        return result
+        return self._run_statement(stmt, None, params)[0]
 
-    def _maybe_auto_checkpoint(self, stmt: ast.Statement) -> None:
-        """Between statements (one never runs inside another),
-        checkpoint if enough log has accumulated since the last one.
-        Never after a SELECT: it appended no log, so a checkpoint due
-        now was left by an earlier commit, and a read must not be the
-        statement that pays for it."""
-        if self.durability is not None and not isinstance(stmt, ast.Select):
+    def _maybe_auto_checkpoint(self) -> None:
+        """After every statement that is not a SELECT, whatever its
+        entry point (one never runs inside another): checkpoint if
+        enough log has accumulated since the last one.  Never after a
+        SELECT: it appended no log, so a checkpoint due now was left by
+        an earlier commit, and a read must not be the statement that
+        pays for it."""
+        if self.durability is not None:
             self.durability.maybe_checkpoint(self)
 
     # -- prepared statements ------------------------------------------------------
@@ -666,23 +701,39 @@ class Database:
         prepared.feedback_version = feedback_version
         return prepared.plan, False
 
-    def _prepared_insert(self, prepared: PreparedStatement) -> "_InsertProgram":
+    def _prepared_program(
+        self, prepared: PreparedStatement
+    ) -> "_InsertProgram | _WriteProgram":
+        """The handle's DML program, recompiled when the catalog moved
+        (an index it chose may be gone, a better one may exist)."""
         version = self.catalog.version
-        program = prepared.insert_program
+        program = prepared.program
         if program is not None and prepared.catalog_version == version:
             return program
         if program is not None:
             self._c_plan_invalidations.inc()
-        program = self._compile_insert(prepared.stmt)
-        prepared.insert_program = program
+        program = self._compile_dml(prepared.stmt)
+        prepared.program = program
         prepared.catalog_version = version
         return program
 
     # -- SELECT -----------------------------------------------------------------
 
+    def _plan_adhoc(self, select: ast.Select):
+        """Plan a SELECT no handle will keep."""
+        self._c_plan_adhoc.inc()
+        return self._planner.plan_select(select)
+
     def _execute_subquery(self, select: ast.Select, params: Sequence[object]) -> set:
-        root = self._planner.plan_select(select)
-        return {row[0] for row in self._executor.run(root, params)}
+        """The value set of an uncorrelated ``IN (SELECT ...)``, run
+        once per statement execution: compiled expressions outlive the
+        execution (cached plans, DML programs), the set must not."""
+        members = self._subquery_results.get(id(select))
+        if members is None:
+            root = self._plan_adhoc(select)
+            members = {row[0] for row in self._executor.run(root, params)}
+            self._subquery_results[id(select)] = members
+        return members
 
     # -- DDL ---------------------------------------------------------------------
 
@@ -748,41 +799,77 @@ class Database:
             self.transactions.record_insert(table, rid, row)
         return len(program.rows)
 
-    def _match_rids(
-        self, table, where: ast.Expr | None, params: Sequence[object]
-    ) -> list:
-        """RIDs matching a DML predicate, using the best index available."""
+    def _compile_dml(
+        self, stmt: ast.Insert | ast.Update | ast.Delete
+    ) -> "_InsertProgram | _WriteProgram":
+        if isinstance(stmt, ast.Insert):
+            return self._compile_insert(stmt)
+        return self._compile_write(stmt)
+
+    def _compile_write(self, stmt: ast.Update | ast.Delete) -> "_WriteProgram":
+        """Precompile an UPDATE/DELETE: SET and conjunct closures, and
+        the constant-equality conjuncts an index prefix can come from."""
+        table = self.catalog.table(stmt.table)
         binding = table.name.lower()
         schema = Schema([Slot(binding, c.lname) for c in table.columns])
         compiler = ExprCompiler(schema, self._execute_subquery)
-        conjuncts = split_conjuncts(where)
-
-        # Constant equality conjuncts usable as an index prefix.
+        assignments = (
+            [
+                (table.column_position(col), compiler.compile(expr))
+                for col, expr in stmt.assignments
+            ]
+            if isinstance(stmt, ast.Update)
+            else []
+        )
+        conjuncts = split_conjuncts(stmt.where)
         const_compiler = ExprCompiler(Schema([]), self._execute_subquery)
-        eq_values: dict[str, object] = {}
+        eq_candidates = []
         for conjunct in conjuncts:
-            if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
-                for lhs, rhs in (
-                    (conjunct.left, conjunct.right),
-                    (conjunct.right, conjunct.left),
+            if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
+                continue
+            alternatives = []
+            for lhs, rhs in (
+                (conjunct.left, conjunct.right),
+                (conjunct.right, conjunct.left),
+            ):
+                if (
+                    isinstance(lhs, ast.ColumnRef)
+                    and table.has_column(lhs.column)
+                    and not isinstance(rhs, ast.ColumnRef)
                 ):
-                    if (
-                        isinstance(lhs, ast.ColumnRef)
-                        and table.has_column(lhs.column)
-                        and not isinstance(rhs, ast.ColumnRef)
-                    ):
-                        try:
-                            value = const_compiler.compile(rhs)((), params)
-                        except EngineError:
-                            continue
-                        eq_values.setdefault(lhs.column.lower(), value)
-                        break
-
-        predicate = (
-            [compiler.compile(c) for c in conjuncts] if conjuncts else []
+                    try:
+                        constant = const_compiler.compile(rhs)
+                    except EngineError:
+                        continue  # reads a column: not a constant
+                    alternatives.append((lhs.column.lower(), constant))
+            if alternatives:
+                eq_candidates.append(alternatives)
+        predicate = [compiler.compile(c) for c in conjuncts]
+        return _WriteProgram(
+            table.name, assignments, predicate, eq_candidates, {}
         )
 
-        info = table.find_index(tuple(eq_values.keys())) if eq_values else None
+    def _match_rids(
+        self, table, program: "_WriteProgram", params: Sequence[object]
+    ) -> list:
+        """RIDs matching a DML predicate, using the best index available."""
+        eq_values: dict[str, object] = {}
+        for alternatives in program.eq_candidates:
+            for column, constant in alternatives:
+                try:
+                    value = constant((), params)
+                except EngineError:
+                    continue
+                eq_values.setdefault(column, value)
+                break
+        predicate = program.predicate
+
+        info = None
+        if eq_values:
+            usable = tuple(eq_values)
+            if usable not in program.indexes:
+                program.indexes[usable] = table.find_index(usable)
+            info = program.indexes[usable]
         rids = []
         if info is not None:
             prefix = []
@@ -804,30 +891,27 @@ class Database:
                     rids.append(rid)
         return rids
 
-    def _run_update(self, stmt: ast.Update, params: Sequence[object]) -> int:
-        table = self.catalog.table(stmt.table)
-        binding = table.name.lower()
-        schema = Schema([Slot(binding, c.lname) for c in table.columns])
-        compiler = ExprCompiler(schema, self._execute_subquery)
-        assignments = [
-            (table.column_position(col), compiler.compile(expr))
-            for col, expr in stmt.assignments
-        ]
-        rids = self._match_rids(table, stmt.where, params)
+    def _run_update(
+        self, program: "_WriteProgram", params: Sequence[object]
+    ) -> int:
+        table = self.catalog.table(program.table_name)
+        rids = self._match_rids(table, program, params)
         for rid in rids:
             old_row = table.heap.fetch(rid)
             new_row = list(old_row)
             # SET expressions all see the pre-update row, per SQL.
-            for position, compiled in assignments:
+            for position, compiled in program.assignments:
                 new_row[position] = compiled(old_row, params)
             new_tuple = tuple(new_row)
             new_rid = table.update_row(rid, new_tuple)
             self.transactions.record_update(table, rid, old_row, new_rid, new_tuple)
         return len(rids)
 
-    def _run_delete(self, stmt: ast.Delete, params: Sequence[object]) -> int:
-        table = self.catalog.table(stmt.table)
-        rids = self._match_rids(table, stmt.where, params)
+    def _run_delete(
+        self, program: "_WriteProgram", params: Sequence[object]
+    ) -> int:
+        table = self.catalog.table(program.table_name)
+        rids = self._match_rids(table, program, params)
         for rid in rids:
             row = table.delete_row(rid)
             self.transactions.record_delete(table, rid, row)

@@ -216,7 +216,8 @@ class ExprCompiler:
     ``subquery_executor`` is a callback used for uncorrelated ``IN
     (SELECT ...)`` predicates; it receives the subquery AST plus the
     statement parameters and returns the set of values the subquery
-    produced (evaluated lazily, once per parameter vector).
+    produced; it is called per row and owns the memoization (once per
+    statement execution).
     """
 
     def __init__(
@@ -312,15 +313,15 @@ class ExprCompiler:
             executor = self._subquery_executor
             subquery = expr.subquery
             negated = expr.negated
-            cache: dict[tuple, set] = {}
             def in_subquery(row, params):
-                key = tuple(params)
-                if key not in cache:
-                    cache[key] = executor(subquery, params)
+                # Asked per row: the executor runs the subquery once per
+                # statement execution.  Nothing is kept here, a compiled
+                # expression outlives the execution it was built for.
+                members = executor(subquery, params)
                 value = operand(row, params)
                 if value is None:
                     return None
-                found = value in cache[key]
+                found = value in members
                 return (not found) if negated else found
             return in_subquery
         raise PlanError(f"cannot compile expression {expr!r}")

@@ -11,7 +11,8 @@ prepared statements keyed by SQL text so repeated ``execute()`` calls
 skip parse *and* plan entirely.
 
 Counters (``db.plan_cache.hits`` / ``misses`` / ``evictions`` /
-``invalidations``) feed the engine's :class:`MetricsRegistry
+``invalidations``, and ``adhoc`` for plans and DML programs built with
+no handle to keep them) feed the engine's :class:`MetricsRegistry
 <repro.engine.observability.MetricsRegistry>`.
 """
 
@@ -109,9 +110,12 @@ class PreparedStatement:
     For SELECTs the physical plan is cached on the handle and reused as
     long as ``(catalog.version, optimizer profile, execution engine)``
     are unchanged; a mismatch triggers a re-plan (counted as
-    ``db.plan_cache.invalidations``).  INSERTs precompile their value expressions and
-    column positions the same way.  UPDATE/DELETE skip re-parsing but
-    re-bind per call — their index selection inspects parameter values.
+    ``db.plan_cache.invalidations``).  INSERT, UPDATE and DELETE keep
+    their compiled program the same way, until ``catalog.version``
+    moves: value / SET / conjunct closures, and for UPDATE/DELETE the
+    constant-equality candidates with the index chosen per usable set —
+    the candidates are evaluated against the parameters of each run, so
+    a parameter value still decides which index serves it.
     """
 
     __slots__ = (
@@ -119,7 +123,7 @@ class PreparedStatement:
         "stmt",
         "_sql",
         "plan",
-        "insert_program",
+        "program",
         "catalog_version",
         "profile",
         "execution",
@@ -136,7 +140,7 @@ class PreparedStatement:
         self.stmt = stmt
         self._sql = sql
         self.plan = None
-        self.insert_program = None
+        self.program = None
         self.catalog_version: int | None = None
         self.profile = None
         #: Execution engine the cached plan was validated under; a

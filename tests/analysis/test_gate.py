@@ -41,6 +41,19 @@ def test_gate_fails_on_dropped_casts(capsys):
     assert "LAY003" in capsys.readouterr().out
 
 
+def test_gate_fails_on_dropped_dml_guard(capsys):
+    """The DML templates run through prepared handles: only a recorder
+    on the engine's statement path sees them lose their tenant guard —
+    on the fan-out path (chunk_folding) and the direct one (basic)."""
+    for layout in ("chunk_folding", "basic"):
+        code = main(
+            ["--strict", "--mutate", "drop-dml-guard",
+             "--layouts", layout, *SMALL]
+        )
+        assert code == 1
+        assert "ISO002" in capsys.readouterr().out
+
+
 def test_findings_flow_into_metrics():
     config = AnalysisConfig(
         layouts=("extension",),

@@ -11,7 +11,12 @@ import pytest
 from repro import MultiTenantDatabase
 from repro.analysis.isolation import GuardContext, IsolationVerifier
 from repro.analysis.mutation import apply_mutation
-from repro.analysis.runner import shared_table_map_from_catalog
+from repro.analysis.runner import (
+    ALL_LAYOUTS as RUNNER_LAYOUTS,
+    record_statements,
+    shared_table_map_from_catalog,
+    verify_recorded,
+)
 from repro.core.transform.query import TenantParamAllocator
 from repro.engine.sql.parser import parse_statement
 from repro.engine.statement_cache import count_params
@@ -156,8 +161,6 @@ def test_chunk_legacy_tenant_after_online_grant():
 
 @pytest.mark.parametrize("layout", ALL_LAYOUTS)
 def test_dml_statements_are_guarded(layout):
-    from repro.analysis.runner import record_statements
-
     mtd = build_running_example(layout)
     verifier = make_verifier(mtd)
     with record_statements(mtd.db) as recorded:
@@ -167,11 +170,50 @@ def test_dml_statements_are_guarded(layout):
         mtd.execute(17, "UPDATE account SET name = 'P2' WHERE aid = ?", (9,))
         mtd.execute(17, "DELETE FROM account WHERE aid = ?", (9,))
     assert recorded
-    for stmt in recorded:
-        report = verifier.check_statement(
-            stmt, GuardContext(expected_tenant=17), "dml"
-        )
-        assert report.ok, [f.message for f in report.findings]
+    report = verify_recorded(verifier, recorded, 17, "dml")
+    assert report.ok, [f.message for f in report.findings]
+    # The same executions, attributed to another tenant: every guard of
+    # a shared table is bound to 17, whether literal or parameter.
+    if verifier.shared:
+        report = verify_recorded(verifier, recorded, 35, "dml")
+        assert "ISO005" in {f.rule_id for f in report.errors}
+
+
+@pytest.mark.parametrize("layout", RUNNER_LAYOUTS)
+def test_dml_corpus_is_recorded_per_target_fragment(layout):
+    """The gate is not vacuous: every DML corpus statement reaches the
+    recorder as at least one write per fragment it must touch — an
+    INSERT or DELETE every fragment of the table, an UPDATE those
+    holding an assigned column."""
+    from collections import Counter
+
+    from repro.analysis.corpus import dml_corpus
+    from repro.analysis.runner import AnalysisConfig, build_testbed
+    from repro.engine.sql import ast
+
+    mtd = build_testbed(layout, AnalysisConfig(tenants=2), 0.0)
+    verifier = make_verifier(mtd)
+    for tenant_id in mtd.tenant_ids():
+        for statement in dml_corpus():
+            logical = parse_statement(statement.sql)
+            fragments = mtd.layout_for(tenant_id).fragments(
+                tenant_id, logical.table
+            )
+            if isinstance(logical, ast.Update):
+                assigned = {name.lower() for name, _ in logical.assignments}
+                fragments = [
+                    f for f in fragments if any(f.covers(c) for c in assigned)
+                ]
+            with record_statements(mtd.db) as recorded:
+                mtd.execute(tenant_id, statement.sql, statement.params)
+            writes = Counter(
+                stmt.table.lower()
+                for stmt, _ in recorded
+                if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete))
+            )
+            needed = Counter(f.table.lower() for f in fragments)
+            assert needed and not needed - writes, (statement.sql, writes)
+            assert verify_recorded(verifier, recorded, tenant_id, "dml").ok
 
 
 # -- fused cross-tenant statements (ISO006) -----------------------------------

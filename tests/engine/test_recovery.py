@@ -181,6 +181,49 @@ class TestCheckpoint:
         assert db.metrics.value("db.checkpoint.count") == before + 1
         db.close()
 
+    @pytest.mark.parametrize("kind", ["insert", "update", "delete"])
+    def test_every_entry_point_auto_checkpoints(self, tmp_path, kind):
+        """The log-volume check belongs to the statement path, not to
+        the entry points: the same 200 statements run as SQL text,
+        through ``execute_ast`` and through a prepared handle take the
+        same checkpoints (the handle used to take none, and its WAL
+        grew without bound)."""
+        sql = {
+            "insert": "INSERT INTO t VALUES (?, ?)",
+            "update": "UPDATE t SET name = ? WHERE id = ?",
+            "delete": "DELETE FROM t WHERE id = ?",
+        }[kind]
+
+        def params(i: int) -> list:
+            return {
+                "insert": [1000 + i, f"name{i}"],
+                "update": [f"renamed{i}", i],
+                "delete": [i],
+            }[kind]
+
+        def entry_point(db: Database, entry: str):
+            if entry == "text":
+                return lambda p: db.execute(sql, p)
+            if entry == "ast":
+                stmt = parse_statement(sql)
+                return lambda p: db.execute_ast(stmt, p)
+            return db.prepare(sql).execute
+
+        counts, wal_sizes = {}, {}
+        for entry in ("text", "ast", "handle"):
+            db = build(tmp_path / entry, auto_checkpoint_bytes=4096)
+            seed_rows(db, 200)
+            before = db.metrics.value("db.checkpoint.count")
+            run = entry_point(db, entry)
+            for i in range(200):
+                run(params(i))
+            counts[entry] = db.metrics.value("db.checkpoint.count") - before
+            wal_sizes[entry] = db.durability.wal.bytes_since_checkpoint
+            db.close()
+        assert counts["text"] >= 2, counts
+        assert counts["ast"] == counts["handle"] == counts["text"], counts
+        assert wal_sizes["ast"] == wal_sizes["handle"] == wal_sizes["text"]
+
     def test_ddl_survives_crash(self, tmp_path):
         db = build(tmp_path)
         seed_rows(db)

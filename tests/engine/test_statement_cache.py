@@ -11,6 +11,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.errors import PlanError, UnknownObjectError
+from repro.engine.optimizer import Planner
 from repro.engine.optimizer import OptimizerProfile
 from repro.engine.sql import ast
 from repro.engine.sql.parser import parse_statement
@@ -196,3 +197,118 @@ class TestInvalidation:
         insert.execute([201, 0, "b"])  # re-compiled against new version
         rows = db.execute("SELECT id FROM t WHERE name = ?", ["b"]).rows
         assert rows == [(201,)]
+
+
+class TestDmlPrograms:
+    """UPDATE/DELETE compile once per handle, like INSERT: the program
+    is kept until ``catalog.version`` moves, and what depends on the
+    parameter values is decided per run."""
+
+    def test_warm_handle_compiles_nothing(self, monkeypatch):
+        db = make_db()
+        compiled = []
+        original = db._compile_dml
+        monkeypatch.setattr(
+            db, "_compile_dml", lambda stmt: compiled.append(stmt) or original(stmt)
+        )
+        update = db.prepare("UPDATE t SET name = ? WHERE id = ?")
+        delete = db.prepare("DELETE FROM t WHERE id = ?")
+        for i in range(5):
+            assert update.execute([f"u{i}", i]).rowcount == 1
+            assert delete.execute([10 + i]).rowcount == 1
+        assert len(compiled) == 2
+        assert counter(db, "adhoc") == 0
+        assert db.execute("SELECT name FROM t WHERE id = 3").rows == [("u3",)]
+
+    def test_adhoc_counts_what_no_handle_keeps(self):
+        db = make_db()
+        before = counter(db, "adhoc")
+        db.execute_ast(parse_statement("UPDATE t SET name = 'a' WHERE id = 1"))
+        db.execute_ast(parse_statement("SELECT name FROM t WHERE id = 1"))
+        assert counter(db, "adhoc") == before + 2
+        db.execute("SELECT name FROM t WHERE id = 1")
+        db.prepare("DELETE FROM t WHERE id = ?").execute([1])
+        assert counter(db, "adhoc") == before + 2  # handles keep theirs
+        off = make_db(plan_cache_size=0)
+        before = counter(off, "adhoc")
+        off.execute("UPDATE t SET name = 'a' WHERE id = 1")
+        assert counter(off, "adhoc") == before + 1  # nothing to keep it in
+
+    def test_create_index_rechooses_program_index(self):
+        db = make_db()
+        update = db.prepare("UPDATE t SET name = ? WHERE grp = ?")
+        scanned = db.exec_stats.rows_scanned
+        assert update.execute(["a", 1]).rowcount == 5
+        assert db.exec_stats.rows_scanned == scanned + 20  # no index on grp
+        db.execute("CREATE INDEX t_grp ON t (grp)")
+        invalidations = counter(db, "invalidations")
+        scanned, lookups = db.exec_stats.rows_scanned, db.exec_stats.index_lookups
+        assert update.execute(["b", 1]).rowcount == 5
+        assert counter(db, "invalidations") == invalidations + 1
+        assert db.exec_stats.rows_scanned == scanned
+        assert db.exec_stats.index_lookups == lookups + 1
+        db.execute("DROP INDEX t_grp ON t")
+        assert update.execute(["c", 1]).rowcount == 5  # index gone: scans
+        assert db.execute("SELECT COUNT(*) FROM t WHERE name = 'c'").scalar() == 5
+
+    def test_unevaluable_constant_falls_back_per_run(self):
+        """A constant-equality candidate whose evaluation raises
+        ``EngineError`` is skipped for that run only: the statement
+        falls back exactly as an ad-hoc one does (here to the scan,
+        where the conjunct itself raises) and the next run with a full
+        parameter list takes the index again."""
+        from repro.engine.errors import ExecutionError
+
+        db = make_db()
+        delete = db.prepare("DELETE FROM t WHERE id = ?")
+        lookups = db.exec_stats.index_lookups
+        assert delete.execute([3]).rowcount == 1
+        assert db.exec_stats.index_lookups == lookups + 1
+        scanned = db.exec_stats.rows_scanned
+        with pytest.raises(ExecutionError):
+            delete.execute([])
+        assert db.exec_stats.rows_scanned == scanned + 1  # reached the scan
+        with pytest.raises(ExecutionError):
+            db.execute_ast(parse_statement("DELETE FROM t WHERE id = ?"), [])
+        assert delete.execute([4]).rowcount == 1
+        assert db.exec_stats.index_lookups == lookups + 2
+        # One unusable candidate leaves the other to pick the index: no
+        # row is fetched, so the short parameter list is never noticed.
+        sql = "UPDATE t SET name = 'x' WHERE id = ? AND grp = ?"
+        both = db.prepare(sql)
+        assert both.execute([5, 1]).rowcount == 1
+        lookups = db.exec_stats.index_lookups
+        assert both.execute([999]).rowcount == 0
+        assert db.execute_ast(parse_statement(sql), [999]).rowcount == 0
+        assert db.exec_stats.index_lookups == lookups + 2
+
+    def test_in_subquery_reruns_per_execution(self):
+        """Compiled expressions outlive one execution (plans, programs);
+        an uncorrelated subquery's value set must not."""
+        db = make_db()
+        db.execute("CREATE TABLE picks (id INTEGER)")
+        db.execute("INSERT INTO picks VALUES (1)")
+        select = db.prepare("SELECT id FROM t WHERE id IN (SELECT id FROM picks)")
+        update = db.prepare(
+            "UPDATE t SET name = 'picked' WHERE id IN (SELECT id FROM picks)"
+        )
+        assert select.execute().rows == [(1,)]
+        assert update.execute().rowcount == 1
+        db.execute("INSERT INTO picks VALUES (2)")
+        assert sorted(select.execute().rows) == [(1,), (2,)]
+        assert update.execute().rowcount == 2
+
+    def test_select_loop_never_replans(self, monkeypatch):
+        db = make_db()
+        sql = "SELECT name FROM t WHERE id = ?"
+        db.execute(sql, [1])
+        planned = []
+        original = Planner.plan_select
+        monkeypatch.setattr(
+            Planner,
+            "plan_select",
+            lambda self, *a, **k: planned.append(1) or original(self, *a, **k),
+        )
+        for i in range(5):
+            db.execute(sql, [i])
+        assert not planned and counter(db, "adhoc") == 0
