@@ -27,6 +27,7 @@ from typing import Sequence
 from ..engine.database import Database, Result
 from ..engine.errors import CatalogError, PlanError
 from ..engine.optimizer import OptimizerProfile
+from ..engine.plan.logical import conjoin
 from ..engine.sql import ast
 from ..engine.sql.parser import parse_statement
 from ..engine.statement_cache import LruCache, count_params
@@ -76,22 +77,20 @@ class MultiTenantDatabase:
     ) -> None:
         self.db = db if db is not None else Database()
         self.schema = MultiTenantSchema()
-        #: True while :meth:`recover` replays logged admin operations:
-        #: suppresses admin-op WAL brackets (the ops are already in the
-        #: log) — see :meth:`_admin`.
+        #: True while :meth:`recover` builds the instance: the state is
+        #: already in the log, so :meth:`_admin` opens no WAL bracket.
         self._replay = _replay
+        #: (name, options): recovery rebuilds the same layout object.
+        self._layout_spec = (layout, dict(layout_options))
         self.layout = make_layout(layout, self.db, self.schema, **layout_options)
         self.flatten_for_simple = flatten_for_simple
         self.predicate_order = predicate_order
         self.update_mode = update_mode
         self._overrides: dict[int, Layout] = {}
-        #: tenant id -> (layout name, options) of its override layout,
-        #: recorded so recovery can rebuild the same layout object.
+        #: tenant id -> (layout name, options) of its override layout.
         self._override_specs: dict[int, tuple[str, dict]] = {}
         self._migrator = Migrator(self.schema)
-        with self._admin(
-            "mtd_init", {"layout": layout, "options": dict(layout_options)}
-        ):
+        with self._admin("mtd_init"):
             self.layout.bootstrap()
         #: Shape-keyed transformed statements; ``statement_cache_size=0``
         #: disables all caching at this layer (every call re-transforms).
@@ -107,51 +106,46 @@ class MultiTenantDatabase:
     # Every administrative method runs inside a WAL admin-operation
     # bracket (:meth:`Database.admin_operation`): a crash mid-operation
     # leaves no partial effect after recovery (the op's records are
-    # skipped during replay), a completed operation is replayed from its
-    # payload by :meth:`recover`, and the closing marker carries a full
-    # bookkeeping snapshot of every layout.  In memory mode the bracket
-    # is a no-op context.
+    # skipped), and the closing marker carries :meth:`_durable_state`,
+    # the one value :meth:`recover` restores from.  In memory mode the
+    # bracket is a no-op context.
 
-    def _admin(self, op: str, payload: dict):
+    def _admin(self, op: str):
         if self._replay:
             return nullcontext()
-        return self.db.admin_operation(op, payload, self._bookkeeping_payload)
+        return self.db.admin_operation(op, self._durable_state)
 
-    def _bookkeeping_payload(self) -> dict:
-        """The ``admin_end`` snapshot: allocator and partition state of
-        the default layout and every override layout."""
+    def _durable_state(self) -> dict:
+        """Everything of this layer that lives only in memory, as one
+        picklable value aliasing nothing live: which layouts exist, the
+        logical schema, and each layout's bookkeeping."""
         return {
+            "layout": self._layout_spec,
+            "schema": self.schema.snapshot(),
             "default": self.layout.bookkeeping(),
             "overrides": {
-                tenant_id: {
-                    "layout": self._override_specs[tenant_id][0],
-                    "options": self._override_specs[tenant_id][1],
-                    "state": layout.bookkeeping(),
-                }
+                tenant_id: (*self._override_specs[tenant_id], layout.bookkeeping())
                 for tenant_id, layout in self._overrides.items()
             },
         }
 
     def define_table(self, table: LogicalTable) -> None:
         """Register (and physically provision) a base table."""
-        with self._admin("define_table", {"table": table}):
+        with self._admin("define_table"):
             self.schema.add_table(table)
             for layout in self._all_layouts():
                 layout.on_table_added(table)
             self._invalidate_statements()
 
     def define_extension(self, extension: Extension) -> None:
-        with self._admin("define_extension", {"extension": extension}):
+        with self._admin("define_extension"):
             self.schema.add_extension(extension)
             for layout in self._all_layouts():
                 layout.on_extension_added(extension)
             self._invalidate_statements()
 
     def create_tenant(self, tenant_id: int, extensions: Sequence[str] = ()) -> None:
-        with self._admin(
-            "create_tenant",
-            {"tenant": tenant_id, "extensions": tuple(extensions)},
-        ):
+        with self._admin("create_tenant"):
             config = self.schema.add_tenant(tenant_id, tuple(extensions))
             self.layout.on_tenant_added(config)
 
@@ -162,8 +156,11 @@ class MultiTenantDatabase:
         bracket, so recovery either replays the whole drop or none of
         it — never a tenant with half its fragments deleted.
         """
-        with self._admin("drop_tenant", {"tenant": tenant_id}):
+        with self._admin("drop_tenant"):
             layout = self.layout_for(tenant_id)
+            # This tenant's transformer: a seeded drop-dml-guard
+            # mutation then reaches the purge's guards too.
+            _, dml = self._transformer_for(layout)
             # Enumerate fragments before the transaction: fragment
             # listing may lazily CREATE missing physical tables, and
             # DDL commits any open transaction.
@@ -176,18 +173,7 @@ class MultiTenantDatabase:
                 for _table_name, fragments in purges:
                     self.db.crashpoint("drop_tenant.table")
                     for fragment in fragments:
-                        predicate = None
-                        for meta_col, value in fragment.meta:
-                            conjunct = ast.BinaryOp(
-                                "=",
-                                ast.ColumnRef(None, meta_col),
-                                ast.Literal(value),
-                            )
-                            predicate = (
-                                conjunct
-                                if predicate is None
-                                else ast.BinaryOp("AND", predicate, conjunct)
-                            )
+                        predicate = conjoin(dml._meta_conjuncts(fragment, None))
                         if predicate is not None:
                             self.db.execute_ast(
                                 ast.Delete(fragment.table, predicate)
@@ -200,10 +186,7 @@ class MultiTenantDatabase:
 
     def grant_extension(self, tenant_id: int, extension_name: str) -> None:
         """Subscribe a tenant to an extension while the system is online."""
-        with self._admin(
-            "grant_extension",
-            {"tenant": tenant_id, "extension": extension_name},
-        ):
+        with self._admin("grant_extension"):
             self.schema.grant_extension(tenant_id, extension_name)
             self.layout_for(tenant_id).on_extension_granted(
                 self.schema.tenant(tenant_id),
@@ -218,10 +201,7 @@ class MultiTenantDatabase:
         NULL for the new columns; generic layouts do this as pure
         bookkeeping (plus NULL backfill), conventional layouts rebuild
         their affected tables."""
-        with self._admin(
-            "alter_extension",
-            {"extension": extension_name, "new_columns": tuple(new_columns)},
-        ):
+        with self._admin("alter_extension"):
             altered = self.schema.alter_extension(
                 extension_name, tuple(new_columns)
             )
@@ -247,10 +227,7 @@ class MultiTenantDatabase:
         Returns rows moved per table.  Other tenants keep the default
         layout; this tenant's queries follow it immediately.
         """
-        with self._admin(
-            "migrate_tenant",
-            {"tenant": tenant_id, "layout": layout_name, "options": dict(options)},
-        ):
+        with self._admin("migrate_tenant"):
             source = self.layout_for(tenant_id)
             target = make_layout(layout_name, self.db, self.schema, **options)
             target.bootstrap()
@@ -588,130 +565,64 @@ class MultiTenantDatabase:
 
         The engine's own recovery (:func:`repro.engine.durability.
         recovery.recover`, run by ``Database(path=...)``) restores the
-        physical tables; this replays the completed administrative
-        operations from the log to rebuild the logical schema, layout
-        objects, per-tenant overrides, and allocator bookkeeping.
-        Incomplete operations (crash mid-``drop_tenant``/
-        ``migrate_tenant``) were already discarded wholesale by the
-        engine, so the replay only ever sees consistent state.
-        ``kwargs`` override non-durable constructor options
+        physical tables and hands back the :meth:`_durable_state` of
+        the last *completed* administrative operation (an incomplete
+        one — a crash mid-``drop_tenant``/``migrate_tenant`` — was
+        discarded wholesale).  That value is restored, not replayed: no
+        ``Layout.on_*`` hook runs, so a call the live instance rejected
+        cannot fail again here.  Row-id allocators then catch up from
+        the data.  ``kwargs`` override non-durable constructor options
         (``flatten_for_simple``, ``update_mode``, ...).
         """
-        ops = db.recovered_admin_ops
-        init = next((op for op in ops if op["op"] == "mtd_init"), None)
-        if init is None:
+        state = db.recovered_admin_state
+        if not state or "schema" not in state:
             raise CatalogError(
                 "log records no multi-tenant schema (was this database "
                 "created through MultiTenantDatabase?)"
             )
-        mtd = cls(
-            init["payload"]["layout"],
-            db=db,
-            _replay=True,
-            **{**init["payload"]["options"], **kwargs},
-        )
-        try:
-            for op in ops:
-                mtd._replay_admin(op)
-            mtd._restore_row_counters()
-        finally:
-            mtd._replay = False
-        mtd._invalidate_statements()
+        name, options = state["layout"]
+        mtd = cls(name, db=db, _replay=True, **{**options, **kwargs})
+        mtd.schema.restore(state["schema"])
+        mtd.layout.restore_bookkeeping(state["default"])
+        for tenant_id, (name, options, bookkeeping) in state["overrides"].items():
+            layout = make_layout(name, db, mtd.schema, **options)
+            layout.restore_bookkeeping(bookkeeping)
+            mtd._overrides[tenant_id] = layout
+            mtd._override_specs[tenant_id] = (name, options)
+        mtd._restore_row_counters()
+        mtd._replay = False
         return mtd
-
-    def _replay_admin(self, op: dict) -> None:
-        """Re-apply one logged administrative operation.
-
-        Structural hooks re-run (their DDL is idempotent — the physical
-        tables survived through engine recovery); data-moving hooks
-        (extension backfills, table rebuilds, the migration copy) are
-        skipped because the engine already replayed their row-level
-        effects, and the closing bookkeeping snapshot overwrites any
-        allocator state the hooks would have computed.
-        """
-        name, payload = op["op"], op["payload"]
-        if name == "mtd_init":
-            pass  # handled by construction in recover()
-        elif name == "define_table":
-            table = payload["table"]
-            self.schema.add_table(table)
-            for layout in self._all_layouts():
-                layout.on_table_added(table)
-        elif name == "define_extension":
-            extension = payload["extension"]
-            self.schema.add_extension(extension)
-            for layout in self._all_layouts():
-                layout.on_extension_added(extension)
-        elif name == "create_tenant":
-            config = self.schema.add_tenant(
-                payload["tenant"], tuple(payload["extensions"])
-            )
-            self.layout.on_tenant_added(config)
-        elif name == "drop_tenant":
-            tenant_id = payload["tenant"]
-            layout = self.layout_for(tenant_id)
-            config = self.schema.remove_tenant(tenant_id)
-            layout.on_tenant_removed(config)
-            self._overrides.pop(tenant_id, None)
-            self._override_specs.pop(tenant_id, None)
-        elif name == "grant_extension":
-            # Schema-level only: the backfill/rebuild DML was replayed
-            # by the engine, and partition widening comes back with the
-            # bookkeeping snapshot below.
-            self.schema.grant_extension(payload["tenant"], payload["extension"])
-        elif name == "alter_extension":
-            self.schema.alter_extension(
-                payload["extension"], tuple(payload["new_columns"])
-            )
-        elif name == "migrate_tenant":
-            tenant_id = payload["tenant"]
-            target = make_layout(
-                payload["layout"], self.db, self.schema, **payload["options"]
-            )
-            target.bootstrap()
-            for table in self.schema.tables():
-                target.on_table_added(table)
-            for extension in self.schema.extensions():
-                target.on_extension_added(extension)
-            target.on_tenant_added(self.schema.tenant(tenant_id))
-            self._overrides[tenant_id] = target
-            self._override_specs[tenant_id] = (
-                payload["layout"],
-                dict(payload["options"]),
-            )
-        else:
-            raise CatalogError(f"unknown logged admin operation {name!r}")
-        end = op.get("end")
-        if end:
-            self.layout.restore_bookkeeping(end["default"])
-            for tenant_id, entry in end["overrides"].items():
-                layout = self._overrides.get(tenant_id)
-                if layout is not None:
-                    layout.restore_bookkeeping(entry["state"])
 
     def _restore_row_counters(self) -> None:
         """Advance Row-id allocators past every id visible in the data.
 
-        The bookkeeping snapshots only capture allocator state as of the
-        last administrative operation; ordinary inserts after it
-        allocated further ids, recoverable from the data itself (MAX of
-        the anchor fragment's Row column).  Layouts without a Row
-        column (Private Tables) have nothing to restore — their row ids
-        are never stored.
+        The durable state only captures allocator state as of the last
+        administrative operation; ordinary inserts after it allocated
+        further ids, recoverable from the data itself (MAX of the
+        anchor fragment's Row column).  One statement is prepared per
+        anchor shape — (table, meta columns) — with the meta values
+        bound, so an open plans O(shapes), not O(tenants × tables),
+        statements.  Layouts without a Row column (Private Tables) have
+        nothing to restore — their row ids are never stored.
         """
+        prepared: dict[tuple, object] = {}
         for config in self.schema.tenants():
             layout = self.layout_for(config.tenant_id)
             for table in self.schema.tables():
                 anchor = layout.fragments(config.tenant_id, table.name)[0]
                 if anchor.row_column is None:
                     continue
-                where = " AND ".join(
-                    f"{column} = {value!r}" for column, value in anchor.meta
-                ) or "1 = 1"
-                top = self.db.execute(
-                    f"SELECT MAX({anchor.row_column}) FROM {anchor.table} "
-                    f"WHERE {where}"
-                ).scalar()
+                key = (anchor.table, tuple(column for column, _ in anchor.meta))
+                statement = prepared.get(key)
+                if statement is None:
+                    where = " AND ".join(f"{c} = ?" for c in key[1]) or "1 = 1"
+                    statement = prepared[key] = self.db.prepare_ast(
+                        parse_statement(
+                            f"SELECT MAX({anchor.row_column}) "
+                            f"FROM {anchor.table} WHERE {where}"
+                        )
+                    )
+                top = statement.execute([v for _, v in anchor.meta]).scalar()
                 if top is not None:
                     layout.rows.observe(config.tenant_id, table.name, top)
 

@@ -215,12 +215,16 @@ class Layout(abc.ABC):
     def bookkeeping(self) -> dict:
         """Picklable snapshot of the layout's in-memory bookkeeping.
 
-        Recorded at the end of every administrative operation (the WAL's
-        ``admin_end`` payload) and restored during replay: the physical
+        Recorded at the end of every administrative operation (in the
+        WAL's ``admin_end`` value) and the *only* source of a recovered
+        layout's state — recovery constructs the layout and calls
+        :meth:`restore_bookkeeping`, no ``on_*`` hook: the physical
         tables survive a crash through the engine's own recovery, but
         row/column allocators and partition caches live only here.
-        Subclasses extend the dict; :meth:`restore_bookkeeping` must
-        accept exactly what this returns.
+        Subclasses extend the dict with copies (every checkpoint
+        pickles the value again: it must not alias live state);
+        :meth:`restore_bookkeeping` must accept exactly what this
+        returns.
         """
         return {
             "rows": self.rows.snapshot(),

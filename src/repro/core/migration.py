@@ -13,6 +13,7 @@ its new representation immediately — other tenants are untouched.
 
 from __future__ import annotations
 
+from ..engine.plan.logical import conjoin
 from ..engine.sql import ast
 from .layouts.base import Layout
 from .schema import MultiTenantSchema
@@ -110,16 +111,7 @@ class Migrator:
     ) -> None:
         """Physically remove the tenant's rows from the old fragments."""
         for fragment in source.fragments(tenant_id, table_name):
-            predicate = None
-            for meta_col, value in fragment.meta:
-                conjunct = ast.BinaryOp(
-                    "=", ast.ColumnRef(None, meta_col), ast.Literal(value)
-                )
-                predicate = (
-                    conjunct
-                    if predicate is None
-                    else ast.BinaryOp("AND", predicate, conjunct)
-                )
+            predicate = conjoin(DmlTransformer._meta_conjuncts(fragment, None))
             if predicate is None and fragment.row_column is None:
                 # Private tables: dropping is cheaper than deleting.
                 source._drop_table(fragment.table)

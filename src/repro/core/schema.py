@@ -156,6 +156,31 @@ class MultiTenantSchema:
         self._extensions[old.lname] = altered
         return altered
 
+    # -- crash recovery ----------------------------------------------------
+
+    def snapshot(self) -> dict:
+        """The whole logical model as one picklable value sharing
+        nothing mutable with this object (tables and extensions are
+        frozen); :meth:`restore` takes exactly this."""
+        return {
+            "tables": dict(self._tables),
+            "table_ids": dict(self._table_ids),
+            "extensions": dict(self._extensions),
+            "tenants": {
+                tenant_id: tuple(sorted(config.extensions))
+                for tenant_id, config in self._tenants.items()
+            },
+        }
+
+    def restore(self, state: dict) -> None:
+        self._tables = dict(state["tables"])
+        self._table_ids = dict(state["table_ids"])
+        self._extensions = dict(state["extensions"])
+        self._tenants = {
+            tenant_id: TenantConfig(tenant_id, set(extensions))
+            for tenant_id, extensions in state["tenants"].items()
+        }
+
     # -- lookup -------------------------------------------------------------
 
     def table(self, name: str) -> LogicalTable:

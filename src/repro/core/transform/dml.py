@@ -223,7 +223,8 @@ class BufferedUpdate(DmlPlan):
 
     def __init__(self, phase_a: TenantBound, compiled: dict, targets) -> None:
         self._phase_a = phase_a
-        #: assigned column -> closure over (phase-(a) row, params)
+        #: assigned column -> (closure over (phase-(a) row, params),
+        #: the logical type's ``check``)
         self._compiled = compiled
         #: ``(prepared UPDATE, its (column, ColumnLoc) in SET order)``
         self._targets = targets
@@ -231,9 +232,12 @@ class BufferedUpdate(DmlPlan):
     def execute(self, tenant_id: int, params) -> Result:
         affected = self._phase_a.execute(tenant_id, params).rows
         for row in affected:
-            # SET expressions all see the pre-update row, per SQL.
+            # SET expressions all see the pre-update row, per SQL; their
+            # values are type-checked through the logical schema before
+            # fan-out, like an INSERT's.
             new_values = {
-                name: fn(row, params) for name, fn in self._compiled.items()
+                name: check(fn(row, params))
+                for name, (fn, check) in self._compiled.items()
             }
             for prepared, columns in self._targets:
                 prepared.execute(
@@ -334,7 +338,11 @@ class DmlTransformer:
         compiler = ExprCompiler(
             Schema([Slot(None, ROW_ALIAS)] + [Slot(None, c) for c in extra])
         )
-        compiled = {name: compiler.compile(expr) for name, expr in assignments}
+        logical = self.schema.logical_table(tenant_id, stmt.table)
+        compiled = {
+            name: (compiler.compile(expr), logical.column(name).type.check)
+            for name, expr in assignments
+        }
         targets = []
         for fragment in fragments:
             column_map = fragment.column_map()

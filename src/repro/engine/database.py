@@ -314,22 +314,22 @@ class Database:
         if self.durability is not None:
             self.durability.faults.crashpoint(name)
 
-    def admin_operation(self, op: str, payload: dict, end_payload):
+    def admin_operation(self, op: str, end_state):
         """Crash-atomicity bracket for a multi-statement administrative
         operation (see :meth:`DurabilityManager.admin_operation`); a
         plain no-op context in memory mode."""
         if self.durability is None:
             return nullcontext()
-        return self.durability.admin_operation(op, payload, end_payload)
+        return self.durability.admin_operation(op, end_state)
 
     @property
-    def recovered_admin_ops(self) -> list[dict]:
-        """Completed admin operations recovered from the log, oldest
-        first — the schema-mapping layer replays these to rebuild its
-        bookkeeping after a crash."""
+    def recovered_admin_state(self):
+        """What the last completed admin operation recorded at its end
+        (``None``: none ever did) — the schema-mapping layer restores
+        itself from this one value after a crash."""
         if self.durability is None:
-            return []
-        return list(self.durability.admin_ops)
+            return None
+        return self.durability.admin_state
 
     @contextmanager
     def atomic(self):

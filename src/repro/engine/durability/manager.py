@@ -23,6 +23,11 @@ the page store and enforces the protocol between them:
   bracketed by begin/end markers.  Recovery replays *nothing* from an
   operation whose end marker never made it to disk, so a crash mid
   operation makes it never-happened instead of half-done.
+  An end marker carries the caller's whole durable state as of that
+  moment; the manager keeps only the newest (:attr:`admin_state`),
+  every checkpoint stores that one value and recovery hands it back —
+  a state that is read, never a history that is replayed, so what a
+  checkpoint costs follows what exists, not what once happened.
 
 Transaction-id and admin-operation-id allocation also live here so the
 counters can be carried through checkpoints.
@@ -98,17 +103,16 @@ class DurabilityManager:
             metrics=metrics,
             faults=self.faults,
         )
-        #: True while recovery (or the multi-tenant layer's replay) is
-        #: re-executing logged work: all logging is suppressed.
+        #: True while recovery is re-executing logged work: all logging
+        #: is suppressed.
         self.replaying = False
         self.next_txid = 1
         self.next_admin = 1
         self._active_admin: int | None = None
-        #: Completed admin operations, oldest first, as
-        #: ``{"id", "op", "payload", "end"}`` — carried through
-        #: checkpoints and handed to the schema-mapping layer on
-        #: recovery so it can rebuild its bookkeeping.
-        self.admin_ops: list[dict] = []
+        #: What the last completed admin operation's end marker
+        #: recorded — carried through checkpoints and handed to the
+        #: schema-mapping layer on recovery.  ``None``: no operation yet.
+        self.admin_state = None
         #: Filled by :func:`~repro.engine.durability.recovery.recover`.
         self.recovery_info: dict = {}
         #: Optional dynamic sanitizer (write-ahead protocol checking).
@@ -197,7 +201,7 @@ class DurabilityManager:
         return self._active_admin is not None
 
     @contextmanager
-    def admin_operation(self, op: str, payload: dict, end_payload):
+    def admin_operation(self, op: str, end_state):
         """Bracket a multi-statement administrative operation.
 
         All records logged inside the bracket are tagged with the
@@ -205,8 +209,11 @@ class DurabilityManager:
         end marker is on disk, making the operation crash-atomic.  On a
         non-crash failure the end marker *is* written (the caller
         observes — and keeps running with — the half-applied state, so
-        replay must reproduce it).  ``end_payload`` is called at end
-        time; its value rides in the end marker.
+        recovery must reproduce it).  ``end_state`` is called at end
+        time; its value rides in the end marker and becomes
+        :attr:`admin_state` — pickled again by every checkpoint, so it
+        must not alias anything the caller goes on mutating.  ``op``
+        only names the ``admin.{op}.begin/end`` crashpoints.
         """
         if self.replaying:
             yield
@@ -215,9 +222,7 @@ class DurabilityManager:
             raise EngineError("nested admin operations are not supported")
         op_id = self.next_admin
         self.next_admin += 1
-        self.wal.append(
-            {"t": "admin_begin", "id": op_id, "op": op, "payload": payload}
-        )
+        self.wal.append({"t": "admin_begin", "id": op_id, "op": op})
         self.wal.flush()
         self._active_admin = op_id
         self.faults.crashpoint(f"admin.{op}.begin")
@@ -226,20 +231,18 @@ class DurabilityManager:
         except SimulatedCrash:
             raise  # died mid-operation: no end marker, never happened
         except BaseException:
-            self._finish_admin(op_id, op, payload, end_payload)
+            self._finish_admin(op_id, end_state)
             raise
         else:
             self.faults.crashpoint(f"admin.{op}.end")
-            self._finish_admin(op_id, op, payload, end_payload)
+            self._finish_admin(op_id, end_state)
 
-    def _finish_admin(self, op_id: int, op: str, payload: dict, end_payload):
+    def _finish_admin(self, op_id: int, end_state) -> None:
         self._active_admin = None
-        end = end_payload() if callable(end_payload) else end_payload
+        end = end_state() if callable(end_state) else end_state
         self.wal.append({"t": "admin_end", "id": op_id, "end": end})
         self.wal.flush()
-        self.admin_ops.append(
-            {"id": op_id, "op": op, "payload": payload, "end": end}
-        )
+        self.admin_state = end
 
     # -- checkpoints -------------------------------------------------------
 
@@ -326,7 +329,7 @@ def capture_snapshot(db, durability: DurabilityManager) -> dict:
         "next_page_id": db.pool.next_page_id,
         "next_txid": durability.next_txid,
         "next_admin": durability.next_admin,
-        "admin_ops": list(durability.admin_ops),
+        "admin_state": durability.admin_state,
         "active_txn": db.transactions.serialize_active(),
     }
 

@@ -5,7 +5,10 @@ Opening a disk-backed database runs :func:`recover`:
 1. **Analysis** — read the WAL.  Its first record (if any) is the last
    checkpoint; everything after it is the redo candidate set.  Classify
    transactions by whether a terminal (commit *or* rollback) record made
-   it to disk, and admin operations by whether their end marker did.
+   it to disk, and admin operations by whether their end marker did;
+   the newest end marker's value (else the checkpoint's) is the admin
+   state handed to the layer above — a value to read, not a history to
+   replay.
 2. **Load** — roll the page store back to exactly the checkpoint's page
    versions (``truncate_to``: one cut, they are a prefix of the file) and
    rebuild the catalog from the snapshot.
@@ -50,33 +53,25 @@ def recover(db) -> None:
         durability.store.truncate_to(checkpoint_lsn)
 
         restored_txn = None
-        completed: list[dict] = []
+        admin_state = None
         if snapshot is not None:
             restored_txn = restore_snapshot(db, snapshot)
             durability.next_txid = snapshot["next_txid"]
             durability.next_admin = snapshot["next_admin"]
-            completed.extend(snapshot["admin_ops"])
+            admin_state = snapshot.get("admin_state")
 
         # -- analysis -----------------------------------------------------
         terminated: set[int] = set()
-        begun_admin: dict[int, dict] = {}
+        incomplete_admin: set[int] = set()
         for _lsn, record in records:
             kind = record.get("t")
             if kind in ("commit", "rollback"):
                 terminated.add(record["tx"])
             elif kind == "admin_begin":
-                begun_admin[record["id"]] = record
+                incomplete_admin.add(record["id"])
             elif kind == "admin_end":
-                begun = begun_admin.pop(record["id"], None)
-                completed.append(
-                    {
-                        "id": record["id"],
-                        "op": begun["op"] if begun else None,
-                        "payload": begun["payload"] if begun else None,
-                        "end": record["end"],
-                    }
-                )
-        incomplete_admin = set(begun_admin)
+                incomplete_admin.discard(record["id"])
+                admin_state = record["end"]  # the newest one wins
 
         # -- undo ---------------------------------------------------------
         losers = 0
@@ -117,7 +112,7 @@ def recover(db) -> None:
             default=0,
         )
         durability.next_admin = max(durability.next_admin, max_admin + 1)
-        durability.admin_ops = completed
+        durability.admin_state = admin_state
         # The store indexed whatever its file holds: the frames of a
         # table dropped since are dead, not pages.
         durability.store.retain_segments(
@@ -138,7 +133,7 @@ def recover(db) -> None:
             "records_scanned": len(records),
             "records_replayed": replayed,
             "losers": losers,
-            "incomplete_admin_ops": len(incomplete_admin),
+            "incomplete_admin": len(incomplete_admin),
             "ms": elapsed_ms,
         }
         for key, gauge in durability.recovery_gauges.items():

@@ -273,6 +273,35 @@ class TestDurability:
         finally:
             reopened.close()
 
+    def test_rejected_admin_call_does_not_brick_the_shard(self, tmp_path):
+        """One bad admin request — a duplicate ``create_tenant``, a
+        ``drop_tenant`` of nobody — left an ``admin_end`` the shard's
+        next open re-interpreted and died on (``tenant 17 already
+        exists`` / ``no tenant 999``): it could never be opened again."""
+        cluster = build_cluster(tmp_path / "c")
+        run(seed_rows(cluster))
+        with pytest.raises(Exception, match="already exists"):
+            cluster.create_tenant(17)
+        with pytest.raises(Exception, match="no tenant"):
+            cluster.drop_tenant(999)
+
+        async def rows(of):
+            return {
+                tenant: (await of.execute(tenant, "SELECT * FROM account")).rows
+                for tenant in (17, 35, 42)
+            }
+
+        live = run(rows(cluster))
+        cluster.simulate_crash()
+        reopened = Cluster.open(tmp_path / "c")
+        try:
+            assert reopened.tenant_ids() == [17, 35, 42]
+            assert run(rows(reopened)) == live
+            reopened.create_tenant(18)  # and it still takes admin calls
+            assert reopened.tenant_ids() == [17, 18, 35, 42]
+        finally:
+            reopened.close()
+
     def test_double_close_is_safe(self, tmp_path):
         cluster = build_cluster(tmp_path / "c")
         cluster.close()

@@ -100,3 +100,35 @@ def build_running_example(layout: str, **options) -> MultiTenantDatabase:
 @pytest.fixture(params=ALL_LAYOUTS)
 def any_layout_mtd(request):
     return build_running_example(request.param)
+
+
+def observable_behaviour(mtd: MultiTenantDatabase) -> dict:
+    """What a schema-mapping instance *does*: logical schema, which
+    layout serves each tenant, where every column lives, which cached
+    statements tenants share, and the rows.  A recovered instance must
+    equal the live one here — not in raw ``bookkeeping()``: the chunk
+    layout's partition cache fills lazily."""
+    seen: dict = {"schema": mtd.schema.snapshot(), "default": mtd.layout.name}
+    for tenant_id in mtd.tenant_ids():
+        layout = mtd.layout_for(tenant_id)
+        seen[tenant_id] = {
+            "layout": layout.name,
+            "override": layout is not mtd.layout,
+            "shape": layout.statement_shape(tenant_id),
+        }
+        for table in mtd.schema.tables():
+            seen[tenant_id][table.name] = (
+                # ColumnLoc.store is a per-call closure on the slot
+                # layouts: compare where a column lives, not that.
+                [
+                    (
+                        f.table,
+                        f.meta,
+                        f.row_column,
+                        [(name, loc.physical, loc.cast) for name, loc in f.columns],
+                    )
+                    for f in layout.fragments(tenant_id, table.name)
+                ],
+                mtd.export_rows(tenant_id, table.name),
+            )
+    return seen

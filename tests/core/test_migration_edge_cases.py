@@ -11,7 +11,7 @@ from repro.engine.durability import (
     SimulatedCrash,
 )
 
-from .conftest import build_running_example
+from .conftest import build_running_example, observable_behaviour
 
 
 class TestMigrationEdgeCases:
@@ -98,12 +98,14 @@ class TestAdminCrashAtomicity:
     def test_crash_mid_migration_leaves_source_intact(self, tmp_path):
         mtd = self._durable_example(tmp_path, ("migrate.after_purge", 1))
         before = self._account_rows(mtd, 17)
+        behaviour = observable_behaviour(mtd)
         with pytest.raises(SimulatedCrash):
             mtd.migrate_tenant(17, "private")
         del mtd
         recovered = MultiTenantDatabase.recover(Database(path=str(tmp_path)))
         assert recovered.layout_for(17) is recovered.layout  # no override
         assert self._account_rows(recovered, 17) == before
+        assert observable_behaviour(recovered) == behaviour
         # The aborted migration left no half-moved state behind: the
         # tenant is fully operational, including a real migration.
         recovered.insert(17, "account", {"aid": 60, "name": "after"})
@@ -114,12 +116,14 @@ class TestAdminCrashAtomicity:
     def test_crash_mid_drop_leaves_tenant_intact(self, tmp_path):
         mtd = self._durable_example(tmp_path, ("drop_tenant.table", 1))
         before = self._account_rows(mtd, 17)
+        behaviour = observable_behaviour(mtd)
         with pytest.raises(SimulatedCrash):
             mtd.drop_tenant(17)
         del mtd
         recovered = MultiTenantDatabase.recover(Database(path=str(tmp_path)))
         assert {t.tenant_id for t in recovered.schema.tenants()} == {17, 35, 42}
         assert self._account_rows(recovered, 17) == before
+        assert observable_behaviour(recovered) == behaviour
         # Dropping again (no crash armed now) completes cleanly.
         recovered.drop_tenant(17)
         assert {t.tenant_id for t in recovered.schema.tenants()} == {35, 42}

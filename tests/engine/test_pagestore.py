@@ -385,7 +385,7 @@ class TestFreeSegment:
 
 def create_tables(db: Database, count: int) -> None:
     """``t0`` .. ``t<count-1>``, one row each, one WAL fsync for all."""
-    with db.admin_operation("create_tables", {}, None):
+    with db.admin_operation("create_tables", None):
         for i in range(count):
             db.execute(f"CREATE TABLE t{i} (id INTEGER NOT NULL, v VARCHAR(20))")
     with db.atomic():

@@ -10,6 +10,8 @@ in-flight operation vanished without a trace — for all seven layouts.
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
 
 import pytest
@@ -28,6 +30,8 @@ from repro.engine.durability import (
 )
 from repro.engine.sql.parser import parse_statement
 from repro.engine.values import INTEGER, varchar
+
+from ..core.conftest import observable_behaviour
 
 
 def build(path, **options) -> Database:
@@ -496,10 +500,24 @@ def _crashpoint_schedule(tmp_path, layout: str, rng: random.Random) -> list[int]
     return sorted(hits)
 
 
+def _reference_behaviours(layout: str) -> list[dict]:
+    """:func:`observable_behaviour` before the workload and after each of its
+    steps, from an in-memory run that never crashes (its own run:
+    listing fragments between steps may create tables lazily, which
+    would shift the armed runs' crashpoint numbering)."""
+    mtd = _build_mtd(Database(), layout)
+    behaviours = [observable_behaviour(mtd)]
+    for _description, apply, _mutate in _workload(layout):
+        apply(mtd)
+        behaviours.append(observable_behaviour(mtd))
+    return behaviours
+
+
 @pytest.mark.parametrize("layout", ALL_LAYOUTS)
 def test_crashpoint_matrix(tmp_path, layout, replay_rng):
     schedule = _crashpoint_schedule(tmp_path, layout, replay_rng)
     assert schedule, "the workload must cross crashpoints"
+    behaviours = _reference_behaviours(layout)
     for hit in schedule:
         path = tmp_path / f"crash-{hit}"
         faults = FaultInjector()
@@ -521,6 +539,7 @@ def test_crashpoint_matrix(tmp_path, layout, replay_rng):
             db.close()
         db2 = Database(path=str(path))
         mtd2 = MultiTenantDatabase.recover(db2)
+        done = len(states) - 1  # steps that completed
         try:
             _verify(mtd2, states[-1])
         except AssertionError:
@@ -530,7 +549,189 @@ def test_crashpoint_matrix(tmp_path, layout, replay_rng):
             # establishing action, but auto-checkpoint points fire
             # after the statement completed — then the in-flight
             # operation IS durable and the next state is the legal one.
-            follow_up = _workload(layout)[len(states) - 1][2]
+            follow_up = _workload(layout)[done][2]
             follow_up(expected)
             _verify(mtd2, expected)
+            done += 1
+        # Recovered == live, beyond the rows: the restored state makes
+        # the instance behave like one that ran exactly ``done`` steps
+        # (the in-flight admin operation never happened, or completed).
+        legal = behaviours[done : done + 2] if crashed else behaviours[-1:]
+        assert observable_behaviour(mtd2) in legal, f"hit {hit} after {done} steps"
         db2.close()
+
+
+# ---------------------------------------------------------------------------
+# State, not history: the schema-mapping layer recovers from one snapshot
+# ---------------------------------------------------------------------------
+
+SEVEN_LAYOUTS = tuple(name for name in ALL_LAYOUTS if "+" not in name)
+
+
+def _rejected(call, *args, **kwargs) -> None:
+    """An admin call the layer refuses with an ordinary exception: the
+    live database keeps running, and so must every later open."""
+    with pytest.raises(Exception) as excinfo:
+        call(*args, **kwargs)
+    assert not isinstance(excinfo.value, SimulatedCrash)
+
+
+@pytest.mark.parametrize("layout", SEVEN_LAYOUTS)
+def test_rejected_admin_calls_do_not_poison_the_log(tmp_path, layout):
+    """One bad admin request used to make the directory un-openable:
+    the failed call's ``admin_end`` is (rightly) on disk, and replaying
+    its *intent* raised ``CatalogError: tenant 1 already exists``."""
+    db = Database(path=str(tmp_path))
+    mtd = _build_mtd(db, layout)
+    mtd.insert(1, "account", {"aid": 1, "name": "one"})
+    _rejected(mtd.create_tenant, 1)
+    mtd.insert(2, "account", {"aid": 2, "name": "two"})
+    _rejected(mtd.drop_tenant, 999)
+    mtd.create_tenant(3)
+    _rejected(mtd.grant_extension, 1, "nope")
+    mtd.insert(3, "account", {"aid": 3, "name": "three"})
+    _rejected(mtd.migrate_tenant, 2, "no_such_layout")
+    mtd.migrate_tenant(2, "universal" if layout != "universal" else "extension")
+    if layout != "basic":
+        mtd.grant_extension(3, "healthcare")
+        mtd.insert(3, "account", {"aid": 4, "name": "four", "beds": 7})
+    mtd.drop_tenant(1)
+    _rejected(mtd.create_tenant, 3)
+    mtd.insert(2, "account", {"aid": 5, "name": "five"})
+    live = observable_behaviour(mtd)
+    db.close()
+
+    db2 = Database(path=str(tmp_path))
+    recovered = MultiTenantDatabase.recover(db2)
+    assert observable_behaviour(recovered) == live
+    # ... and it is a working database, not a read-only relic.
+    recovered.create_tenant(1)
+    recovered.insert(1, "account", {"aid": 6, "name": "six"})
+    assert recovered.execute(1, "SELECT name FROM account").rows == [("six",)]
+    db2.close()
+
+
+def _layout_hook_spy(monkeypatch) -> list[str]:
+    """Record every ``Layout.on_*`` call, on every layout class."""
+    from repro.core.layouts import LAYOUTS, Layout
+
+    calls: list[str] = []
+
+    def spy(cls, name, hook):
+        def spied(self, *args, **kwargs):
+            calls.append(f"{cls.__name__}.{name}")
+            return hook(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, spied)
+
+    for cls in (Layout, *LAYOUTS.values()):
+        for name, hook in list(vars(cls).items()):
+            if name.startswith("on_"):
+                spy(cls, name, hook)
+    return calls
+
+
+@pytest.mark.parametrize("layout", SEVEN_LAYOUTS)
+def test_recover_restores_state_and_runs_no_layout_hook(
+    tmp_path, layout, monkeypatch
+):
+    """Recovery reads a value; it re-interprets nothing.  What a
+    layout needs after a crash is what ``bookkeeping()`` returns."""
+    db = Database(path=str(tmp_path))
+    mtd = _build_mtd(db, layout)
+    for _description, apply, _mutate in _workload(layout):
+        apply(mtd)
+    live = observable_behaviour(mtd)
+    db.close()
+    calls = _layout_hook_spy(monkeypatch)
+    db2 = Database(path=str(tmp_path))
+    recovered = MultiTenantDatabase.recover(db2)
+    assert calls == []
+    assert observable_behaviour(recovered) == live
+    recovered.create_tenant(99)  # the spy does see a live admin call
+    assert any(call.endswith(".on_tenant_added") for call in calls)
+    db2.close()
+
+
+def _log_records(db: Database) -> list[dict]:
+    """The durable WAL records of a live database, header excluded."""
+    from repro.engine.durability.codec import decode_frames
+
+    db.durability.wal.flush()
+    with open(db.durability.wal.path, "rb") as fh:
+        return [record for _offset, record in decode_frames(fh.read())][1:]
+
+
+@pytest.mark.parametrize("layout", ["chunk_folding", "private"])
+def test_checkpoint_cost_follows_state_not_history(tmp_path, layout):
+    """Create and drop the same 50 tenants three times: the state after
+    each round is the same, so the checkpoint record must be too (it
+    grew by a full history of the round, every round)."""
+    db = build(tmp_path, auto_checkpoint_bytes=0)
+    mtd = MultiTenantDatabase(layout=layout, db=db)
+    mtd.define_table(_account_table())
+    mtd.define_extension(_healthcare())
+    sizes = []
+    for _round in range(3):
+        for tenant_id in range(50):
+            mtd.create_tenant(tenant_id, extensions=("healthcare",))
+            mtd.insert(tenant_id, "account", {"aid": 1, "name": "n", "beds": 2})
+        for tenant_id in range(50):
+            mtd.drop_tenant(tenant_id)
+        assert db.checkpoint()
+        (head,) = _log_records(db)
+        assert head["t"] == "checkpoint"
+        sizes.append(os.path.getsize(db.durability.wal.path))
+    assert max(sizes) <= sizes[0] * 1.05, sizes
+    assert min(sizes) >= sizes[0] * 0.95, sizes
+    db.close()
+
+
+@pytest.mark.parametrize("layout", SEVEN_LAYOUTS)
+def test_retained_admin_state_does_not_alias_live_state(tmp_path, layout):
+    """The manager keeps the value of the last ``admin_end`` and every
+    checkpoint pickles it again: if it shared a dict or a set with the
+    running layer, inserts would leak into it."""
+    db = build(tmp_path, auto_checkpoint_bytes=0)
+    mtd = _build_mtd(db, layout)
+    mtd.migrate_tenant(2, "universal" if layout != "universal" else "extension")
+    logged = [r for r in _log_records(db) if r["t"] == "admin_end"][-1]["end"]
+    for i in range(100):
+        mtd.insert(1 + i % 2, "account", {"aid": i, "name": f"n{i}"})
+    assert db.checkpoint()
+    (head,) = _log_records(db)
+    kept = head["snapshot"]["admin_state"]
+    assert kept == logged
+    assert pickle.dumps(kept) == pickle.dumps(logged)
+    db.close()
+
+
+def test_open_plans_per_anchor_shape_not_per_tenant(tmp_path):
+    """``recover()`` reads MAX(row) per tenant × table to catch the
+    Row-id allocators up — through one prepared statement per anchor
+    shape, not one freshly planned text per tenant × table."""
+
+    def planned_by_recover(tenants: int) -> int:
+        path = tmp_path / f"t{tenants}"
+        db = Database(path=str(path))
+        mtd = MultiTenantDatabase(layout="chunk_folding", db=db)
+        mtd.define_table(_account_table())
+        for tenant_id in range(tenants):
+            mtd.create_tenant(tenant_id)
+            mtd.insert(tenant_id, "account", {"aid": 1, "name": "n"})
+        db.close()
+        db2 = Database(path=str(path))
+
+        def planned() -> int:
+            return db2.metrics.value("db.plan_cache.misses") + db2.metrics.value(
+                "db.plan_cache.adhoc"
+            )
+
+        before = planned()
+        recovered = MultiTenantDatabase.recover(db2)
+        after = planned()
+        assert recovered.insert(tenants - 1, "account", {"aid": 2}) == 1
+        db2.close()
+        return after - before
+
+    assert planned_by_recover(40) == planned_by_recover(4) == 0
