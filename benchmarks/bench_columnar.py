@@ -1,25 +1,28 @@
 """Columnar storage — wall-clock, column pages vs row-major heap.
 
-Not a paper figure: this benchmark records what the :class:`ColumnStore`
-buys on the paper's chunk-table workloads.  The paper's "Additional
-Tests" found grouping queries on chunk tables ~2x slower than on
-conventional tables; late-materializing column scans plus the
-vectorized engine are this repo's answer, and the gates here pin that
-answer down on chunk width 6 (the paper's most fragmented plotted
-layout):
+Not a paper figure: this benchmark isolates what the
+:class:`ColumnStore` changes under the database's one executor — the
+same queries over two identically loaded databases that differ in
+storage format only.  Neither format wins everywhere, which is why both
+stay and the layout picks (``docs/columnar_storage.md``); the gates pin
+the two orderings that decision rests on, each with a wide margin:
 
-* **grouping microbench** — full child-table scan feeding GROUP BY with
-  COUNT/MAX aggregates; the columnar stack must be **>= 2x** the
-  row-major tuple baseline;
-* **Figure 9 warm harness** — Q2 at scale 30 swept over parent ids with
-  a warm buffer pool; the columnar stack must be **>= 1.5x**.
+* **chunk width 6, grouping** — a scan of a shared chunk table under
+  selective meta predicates feeding GROUP BY: late-materializing column
+  scans must beat the heap (measured ~1.4x, gate >= 1.1x);
+* **conventional, grouping** — the same query over the wide private
+  table, where column pages pay for assembling full-width rows: the
+  heap must beat them (measured ~8x, gate >= 2x).
 
-Every (storage x engine) cell runs the same queries over identically
-loaded databases; timing rounds are *interleaved* across cells so
-machine noise hits every cell equally, and each cell reports its best
-round.  A parity test asserts rows and warm logical reads are identical
-across all four cells — the columnar format changes how fast pages are
-processed, never which pages are touched or what comes back.
+The Figure 9 warm harness (Q2 at scale 30 swept over parent ids) is
+probe-bound and reported un-gated: the formats are within this
+container's noise of each other on it.
+
+Timing rounds are *interleaved* across the two formats so machine noise
+hits both equally, and each reports its best round.  A parity test
+asserts rows and warm logical reads are identical across formats — the
+columnar format changes how fast pages are processed, never which pages
+are touched or what comes back.
 
 Results land in ``benchmarks/results/BENCH_columnar.json``; CI uploads
 all ``BENCH_*.json`` files as artifacts, so the perf trajectory is
@@ -65,38 +68,21 @@ GROUPING_SQL = (
     "FROM child c GROUP BY c.parent ORDER BY n DESC"
 )
 
-#: (storage, engine) cells measured per layout.  The gate compares the
-#: PR's default stack (columnar pages + vectorized engine) against the
-#: row-major tuple-at-a-time baseline; the off-diagonal cells isolate
-#: how much each half contributes.
-CELLS = (
-    ("heap", "tuple"),
-    ("heap", "vectorized"),
-    ("columnar", "tuple"),
-    ("columnar", "vectorized"),
-)
+STORAGES = ("heap", "columnar")
 
 
-def _build(layout: str, storage: str, **options) -> ChunkQueryExperiment:
-    exp = ChunkQueryExperiment(layout, CONFIG, storage=storage, **options)
-    exp.load()
-    return exp
-
-
-def _runners(exp: ChunkQueryExperiment, engine: str):
-    """(grouping, fig9) timing thunks for one storage x engine cell."""
+def _runners(exp: ChunkQueryExperiment):
+    """(grouping, fig9) timing thunks for one storage format."""
     db = exp.mtd.db
     grouping_sql = exp.mtd.transform_sql(TENANT, GROUPING_SQL)
     q2 = exp.mtd.transform_sql(TENANT, q2_sql(Q2_SCALE))
 
     def run_grouping() -> float:
-        db.execution = engine
         start = time.perf_counter()
         db.execute(grouping_sql)
         return time.perf_counter() - start
 
     def run_fig9() -> float:
-        db.execution = engine
         start = time.perf_counter()
         for parent_id in range(1, Q2_PARENTS + 1):
             db.execute(q2, [parent_id])
@@ -106,42 +92,30 @@ def _runners(exp: ChunkQueryExperiment, engine: str):
 
 
 def measure_layout(layout: str, **options) -> dict:
-    """All four storage x engine cells, interleaved best-of timing."""
-    experiments = {
-        storage: _build(layout, storage, **options)
-        for storage in ("heap", "columnar")
-    }
-    runners = {
-        (storage, engine): _runners(experiments[storage], engine)
-        for storage, engine in CELLS
-    }
-    best: dict[tuple, list[float]] = {
-        cell: [float("inf"), float("inf")] for cell in CELLS
+    """Both storage formats, interleaved best-of timing."""
+    experiments = {}
+    for storage in STORAGES:
+        exp = ChunkQueryExperiment(layout, CONFIG, storage=storage, **options)
+        exp.load()
+        experiments[storage] = exp
+    runners = {storage: _runners(experiments[storage]) for storage in STORAGES}
+    result: dict = {
+        storage: {"grouping_s": float("inf"), "fig9_s": float("inf")}
+        for storage in STORAGES
     }
     for round_no in range(WARMUP + ROUNDS):
-        for cell, (run_grouping, run_fig9) in runners.items():
+        for storage, (run_grouping, run_fig9) in runners.items():
             grouping_s = run_grouping()
             fig9_s = run_fig9()
             if round_no >= WARMUP:
-                best[cell][0] = min(best[cell][0], grouping_s)
-                best[cell][1] = min(best[cell][1], fig9_s)
-    result: dict = {
-        storage: {
-            engine: {
-                "grouping_s": best[(storage, engine)][0],
-                "fig9_s": best[(storage, engine)][1],
-            }
-            for s2, engine in CELLS
-            if s2 == storage
-        }
-        for storage in ("heap", "columnar")
-    }
-    baseline = result["heap"]["tuple"]
-    stack = result["columnar"]["vectorized"]
-    result["speedup_grouping"] = (
-        baseline["grouping_s"] / stack["grouping_s"]
-    )
-    result["speedup_fig9"] = baseline["fig9_s"] / stack["fig9_s"]
+                best = result[storage]
+                best["grouping_s"] = min(best["grouping_s"], grouping_s)
+                best["fig9_s"] = min(best["fig9_s"], fig9_s)
+    for workload in ("grouping", "fig9"):
+        result[f"speedup_{workload}"] = (
+            result["heap"][f"{workload}_s"]
+            / result["columnar"][f"{workload}_s"]
+        )
     result["_experiments"] = experiments
     return result
 
@@ -181,45 +155,44 @@ class TestColumnarSpeedup:
             "Columnar vs row-major storage, wall clock (best of "
             f"{ROUNDS} interleaved), "
             f"{CONFIG.parents}x{CONFIG.children_per_parent}",
-            f"{'layout':>14} {'storage':>9} {'engine':>11} "
-            f"{'grouping ms':>12} {'fig9 ms':>9}",
+            f"{'layout':>14} {'storage':>9} {'grouping ms':>12} {'fig9 ms':>9}",
         ]
         for label in ("chunk6", "conventional"):
             section = measurements[label]
-            for storage, engine in CELLS:
-                cell = section[storage][engine]
+            for storage in STORAGES:
+                cell = section[storage]
                 lines.append(
-                    f"{label:>14} {storage:>9} {engine:>11} "
+                    f"{label:>14} {storage:>9} "
                     f"{cell['grouping_s'] * 1000:>12.2f} "
                     f"{cell['fig9_s'] * 1000:>9.2f}"
                 )
             lines.append(
-                f"{label:>14} columnar+vectorized over heap+tuple: "
+                f"{label:>14} columnar over heap: "
                 f"grouping {section['speedup_grouping']:.2f}x, "
                 f"fig9 {section['speedup_fig9']:.2f}x"
             )
         report("BENCH_columnar", "\n".join(lines))
 
-    def test_chunk6_grouping_gate(self, measurements):
-        """Columnar + vectorized must be >= 2x the row-major tuple
-        baseline on the chunk6 grouping microbench."""
-        assert measurements["chunk6"]["speedup_grouping"] >= 2.0
+    def test_chunk6_grouping_columnar_wins(self, measurements):
+        """Shared chunk table, selective meta predicates: column pages
+        win."""
+        assert measurements["chunk6"]["speedup_grouping"] >= 1.1
 
-    def test_chunk6_fig9_gate(self, measurements):
-        """... and >= 1.5x on the chunk6 Figure 9 warm harness."""
-        assert measurements["chunk6"]["speedup_fig9"] >= 1.5
+    def test_conventional_grouping_heap_wins(self, measurements):
+        """Wide private table, full-width rows: the heap wins — the
+        reason ``storage`` is the layout's choice, not a global one."""
+        assert measurements["conventional"]["speedup_grouping"] <= 0.5
 
     def test_rows_and_logical_read_parity(self, measurements):
-        """Every storage x engine cell returns identical rows and touches
-        identical warm page counts — the format changes speed only."""
+        """Both formats return identical rows and touch identical warm
+        page counts — the format changes speed only."""
         experiments = measurements["chunk6"]["_experiments"]
         grouping_rows: list = []
         q2_rows: list = []
         q2_logical: list = []
-        for storage, engine in CELLS:
+        for storage in STORAGES:
             exp = experiments[storage]
             db = exp.mtd.db
-            db.execution = engine
             grouping_sql = exp.mtd.transform_sql(TENANT, GROUPING_SQL)
             q2 = exp.mtd.transform_sql(TENANT, q2_sql(Q2_SCALE))
             grouping_rows.append(sorted(db.execute(grouping_sql).rows))
@@ -227,9 +200,9 @@ class TestColumnarSpeedup:
             trace = db.trace(q2, [3], analyze=False)
             q2_rows.append(sorted(trace.rows))
             q2_logical.append(trace.logical_reads)
-        assert all(rows == grouping_rows[0] for rows in grouping_rows[1:])
-        assert all(rows == q2_rows[0] for rows in q2_rows[1:])
-        assert all(count == q2_logical[0] for count in q2_logical[1:])
+        assert grouping_rows[0] == grouping_rows[1]
+        assert q2_rows[0] == q2_rows[1]
+        assert q2_logical[0] == q2_logical[1]
 
     def test_json_artifact(self, measurements):
         recorded = json.loads(RESULTS_PATH.read_text())

@@ -31,12 +31,6 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 #: Scaled-down Experiment 2 dataset (paper: 10,000 x 100; DESIGN.md §2).
 BENCH_CONFIG = ChunkQueryConfig(parents=60, children_per_parent=6)
 
-#: The paper flushed "the database buffer pool and the disk cache
-#: between every run", so Experiment 2 runs on the disk-backed pager by
-#: default — cold-cache physical reads are real file reads.  Set
-#: ``REPRO_BENCH_MEMORY=1`` to fall back to the all-in-memory engine.
-BENCH_IN_MEMORY = os.environ.get("REPRO_BENCH_MEMORY") == "1"
-
 #: Q2 scale factors measured (paper sweeps 0..90 in steps of 6).
 BENCH_SCALES = (3, 15, 30, 45, 60, 75, 90)
 
@@ -63,8 +57,10 @@ class _ExperimentPool:
         self._base_dir: str | None = None
 
     def _config(self, label: str) -> ChunkQueryConfig:
-        if BENCH_IN_MEMORY:
-            return BENCH_CONFIG
+        """The paper flushed "the database buffer pool and the disk
+        cache between every run", so Experiment 2 runs on the
+        disk-backed pager — cold-cache physical reads are real file
+        reads."""
         if self._base_dir is None:
             self._base_dir = tempfile.mkdtemp(prefix="repro-bench-")
         return dataclasses.replace(

@@ -4,7 +4,7 @@ The :class:`Router` holds no tenant data — only the placement catalog
 and the shard handles.  Correctness under stale placement comes from
 the redirect loop: a shard that no longer owns a tenant raises
 :class:`WrongShardError`, the router re-reads the (possibly just
-updated) catalog and retries, bounded by ``max_redirects``.
+updated) catalog and retries, bounded by :data:`MAX_REDIRECTS`.
 
 Per-tenant ordering: requests for one tenant are serialized through a
 per-tenant ``asyncio.Lock`` *in addition to* the per-shard engine
@@ -41,6 +41,9 @@ from .errors import ClusterError, ProtocolError, WrongShardError
 from .placement import PlacementCatalog
 from .shard import ShardWorker
 
+#: Redirects one request follows before giving up (a cut-over takes one).
+MAX_REDIRECTS = 4
+
 
 class Router:
     """Routes tenant operations to shards, retrying on WrongShard."""
@@ -51,12 +54,10 @@ class Router:
         shards: dict[str, ShardWorker],
         *,
         metrics: MetricsRegistry | None = None,
-        max_redirects: int = 4,
     ) -> None:
         self.catalog = catalog
         self.shards = shards
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.max_redirects = max_redirects
         self._tenant_locks: dict[int, asyncio.Lock] = {}
         self._c_requests = self.metrics.counter("cluster.router.requests")
         self._c_redirects = self.metrics.counter("cluster.router.redirects")
@@ -82,7 +83,7 @@ class Router:
         started = loop.time()
         try:
             async with self.tenant_lock(tenant_id):
-                for _attempt in range(self.max_redirects + 1):
+                for _attempt in range(MAX_REDIRECTS + 1):
                     shard = self.shard_for(tenant_id)
                     try:
                         return await op(shard)
@@ -107,7 +108,7 @@ class Router:
                         await asyncio.sleep(0)
                 raise ClusterError(
                     f"tenant {tenant_id}: placement did not converge after "
-                    f"{self.max_redirects} redirects"
+                    f"{MAX_REDIRECTS} redirects"
                 )
         finally:
             self._h_latency.observe((loop.time() - started) * 1000.0)

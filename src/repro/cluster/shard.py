@@ -49,12 +49,12 @@ from typing import Any, Callable
 from ..core.api import MultiTenantDatabase
 from ..engine.database import Database, Result
 from ..engine.durability import DurabilityOptions
-from ..engine.errors import ParseError
+from ..engine.errors import ParseError, PlanError
 from ..engine.observability import MetricsRegistry
 from ..engine.sql import ast
 from .errors import ShardClosedError, WrongShardError
 
-_WRITE_NODES = (ast.Insert, ast.Update, ast.Delete, ast.CreateTable)
+_WRITE_NODES = (ast.Insert, ast.Update, ast.Delete)
 
 
 @dataclass
@@ -177,14 +177,20 @@ class ShardWorker:
         if inline:
             self._c_inline.inc()
         stmt = self.mtd._parse_logical(sql)
+        if isinstance(stmt, ast.CreateTable):
+            # Defined here it would exist on this shard only: unknown
+            # to tenants elsewhere, and this tenant could not be moved.
+            raise PlanError(
+                f"CREATE TABLE {stmt.table}: base tables are defined on "
+                "every shard at once, through Cluster.define_table"
+            )
         result = self.mtd._execute_parsed(tenant_id, sql, stmt, params)
         if isinstance(stmt, _WRITE_NODES):
-            if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
-                self._capture(
-                    tenant_id,
-                    stmt.table,
-                    {"kind": "sql", "sql": sql, "params": list(params)},
-                )
+            self._capture(
+                tenant_id,
+                stmt.table,
+                {"kind": "sql", "sql": sql, "params": list(params)},
+            )
             self._storage_stall()
         return result
 

@@ -33,7 +33,7 @@ from ..engine.sql.parser import parse_statement
 from ..engine.statement_cache import LruCache, count_params
 from ..engine.values import parse_type, sort_key
 from .layouts import make_layout
-from .layouts.base import ALIVE, Layout
+from .layouts.base import ALIVE, Fragment, Layout
 from .metadata import MetadataReport
 from .migration import Migrator, read_tenant_rows
 from .schema import Extension, LogicalColumn, LogicalTable, MultiTenantSchema
@@ -96,6 +96,8 @@ class MultiTenantDatabase:
         #: disables all caching at this layer (every call re-transforms).
         self._statements = StatementCache(statement_cache_size, self.db.metrics)
         self._parses = LruCache(statement_cache_size)
+        #: Prepared anchor-fragment aggregates (:meth:`_anchor_scalar`).
+        self._anchor_statements: dict[tuple, object] = {}
         #: One QueryTransformer/DmlTransformer per layout instance.
         self._transformers: dict[
             int, tuple[Layout, QueryTransformer, DmlTransformer]
@@ -252,6 +254,7 @@ class MultiTenantDatabase:
         per-layout transformer memo — override layouts may be gone)."""
         self._statements.invalidate_all()
         self._transformers.clear()
+        self._anchor_statements.clear()
 
     def _transformer_for(
         self, layout: Layout
@@ -312,22 +315,12 @@ class MultiTenantDatabase:
     def _physical_lookup(self, table_name: str) -> list[str]:
         return [c.lname for c in self.db.catalog.table(table_name).columns]
 
-    @property
-    def execution(self) -> str:
-        """The engine's execution mode (``"vectorized"`` / ``"tuple"``)."""
-        return self.db.execution
-
-    @execution.setter
-    def execution(self, mode: str) -> None:
-        self.db.execution = mode
-
     def _statement_context(self) -> tuple:
         """Everything besides (sql, layout, shape) that shapes the
         transformed statement; a cached entry built under a different
         context is rebuilt."""
         return (
             self.db.profile,
-            self.db.execution,
             self.flatten_for_simple,
             self.predicate_order,
         )
@@ -599,32 +592,44 @@ class MultiTenantDatabase:
         The durable state only captures allocator state as of the last
         administrative operation; ordinary inserts after it allocated
         further ids, recoverable from the data itself (MAX of the
-        anchor fragment's Row column).  One statement is prepared per
-        anchor shape — (table, meta columns) — with the meta values
-        bound, so an open plans O(shapes), not O(tenants × tables),
-        statements.  Layouts without a Row column (Private Tables) have
-        nothing to restore — their row ids are never stored.
+        anchor fragment's Row column).  Layouts without a Row column
+        (Private Tables) have nothing to restore — their row ids are
+        never stored.
         """
-        prepared: dict[tuple, object] = {}
         for config in self.schema.tenants():
             layout = self.layout_for(config.tenant_id)
             for table in self.schema.tables():
                 anchor = layout.fragments(config.tenant_id, table.name)[0]
                 if anchor.row_column is None:
                     continue
-                key = (anchor.table, tuple(column for column, _ in anchor.meta))
-                statement = prepared.get(key)
-                if statement is None:
-                    where = " AND ".join(f"{c} = ?" for c in key[1]) or "1 = 1"
-                    statement = prepared[key] = self.db.prepare_ast(
-                        parse_statement(
-                            f"SELECT MAX({anchor.row_column}) "
-                            f"FROM {anchor.table} WHERE {where}"
-                        )
-                    )
-                top = statement.execute([v for _, v in anchor.meta]).scalar()
+                top = self._anchor_scalar(f"MAX({anchor.row_column})", anchor)
                 if top is not None:
                     layout.rows.observe(config.tenant_id, table.name, top)
+
+    def _anchor_scalar(
+        self, aggregate: str, anchor: Fragment, alive_only: bool = False
+    ):
+        """One aggregate over a tenant's rows of an anchor fragment.
+
+        One statement is prepared per anchor shape — (aggregate, table,
+        meta columns, Trashcan filter) — and the tenant's meta values
+        are bound, so walking every tenant plans O(shapes) statements
+        and evicts nothing from the engine's text-keyed plan cache.
+        """
+        columns = tuple(column for column, _ in anchor.meta)
+        key = (aggregate, anchor.table, columns, alive_only)
+        statement = self._anchor_statements.get(key)
+        if statement is None:
+            conjuncts = [f"{column} = ?" for column in columns]
+            if alive_only:
+                conjuncts.append(f"{ALIVE} = 1")
+            where = " AND ".join(conjuncts) or "1 = 1"
+            statement = self._anchor_statements[key] = self.db.prepare_ast(
+                parse_statement(
+                    f"SELECT {aggregate} FROM {anchor.table} WHERE {where}"
+                )
+            )
+        return statement.execute([value for _, value in anchor.meta]).scalar()
 
     # -- introspection ------------------------------------------------------------
 
@@ -650,16 +655,8 @@ class MultiTenantDatabase:
         counts: dict[str, int] = {}
         for table in self.schema.tables():
             anchor = layout.fragments(tenant_id, table.name)[0]
-            conjuncts = [
-                f"{column} = {value!r}" for column, value in anchor.meta
-            ]
-            if layout.soft_delete:
-                conjuncts.append(f"{ALIVE} = 1")
-            where = " AND ".join(conjuncts) or "1 = 1"
             counts[table.name] = int(
-                self.db.execute(
-                    f"SELECT COUNT(*) FROM {anchor.table} WHERE {where}"
-                ).scalar()
+                self._anchor_scalar("COUNT(*)", anchor, layout.soft_delete)
             )
         return counts
 

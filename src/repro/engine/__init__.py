@@ -11,7 +11,6 @@ SIMPLE ≈ MySQL) — everything Experiments 1 and 2 measure.
 from .catalog import Catalog, Column, IndexInfo, Table  # noqa: F401
 from .database import Database, Result  # noqa: F401
 from .errors import (  # noqa: F401
-    BudgetExceededError,
     CatalogError,
     ConstraintError,
     EngineError,
@@ -23,7 +22,6 @@ from .errors import (  # noqa: F401
     UniqueViolation,
     UnknownObjectError,
 )
-from .executor import ExecStats, Executor  # noqa: F401
 from .explain import count_operators, plan_shape, render_plan  # noqa: F401
 from .feedback import CardinalityFeedback  # noqa: F401
 from .heap import InsertStrategy, RowId  # noqa: F401
@@ -40,7 +38,7 @@ from .observability import (  # noqa: F401
 )
 from .optimizer import OptimizerProfile, PlanDirectives, Planner  # noqa: F401
 from .pager import DEFAULT_PAGE_SIZE, BufferPool, PageKind, PoolStats  # noqa: F401
-from .vexecutor import BATCH_ROWS, VectorizedExecutor  # noqa: F401
+from .vexecutor import ExecStats, VectorizedExecutor  # noqa: F401
 from .values import (  # noqa: F401
     BIGINT,
     BOOLEAN,

@@ -264,8 +264,8 @@ class ColumnStore(HeapFile):
 
     def scan(self) -> Iterator[tuple[RowId, tuple]]:
         """Row-assembly adapter: full scan in physical order, assembling
-        one tuple per live slot — the tuple engine (and index backfill,
-        and DML RID matching) runs unchanged over column pages."""
+        one tuple per live slot — index backfill, DML RID matching and
+        the reference interpreter run unchanged over column pages."""
         self._stats.scans += 1
         for pid in list(self._page_ids):
             page = self._pool.read(pid)
@@ -286,8 +286,8 @@ class ColumnStore(HeapFile):
         asks.  Page accounting matches :meth:`scan` exactly (one logical
         read per page, one ``heap.scans`` tick per call), and batch
         boundaries match the heap's ``scan_batches`` (full batches of
-        ``batch_rows``, remainder last) so cross-engine and cross-format
-        batch counts line up.
+        ``batch_rows``, remainder last) so cross-format batch counts
+        line up.
 
         ``columns`` (slot positions) prunes the copy: only the listed
         columns are materialized, the rest ride along as ``None`` and

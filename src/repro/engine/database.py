@@ -2,7 +2,7 @@
 
 One object per simulated database server: a buffer pool sized from a
 memory budget minus the catalog's meta-data consumption, a planner with
-a configurable optimizer profile, and an executor.  ``execute()`` takes
+a configurable optimizer profile, and one executor.  ``execute()`` takes
 SQL text plus positional parameters and returns a :class:`Result`.
 
 >>> db = Database()
@@ -29,8 +29,7 @@ from .catalog import (
 )
 from .durability import DurabilityManager, DurabilityOptions
 from .durability.wal import WalStats
-from .errors import BudgetExceededError, EngineError, PlanError, SemanticError
-from .executor import ExecStats, Executor
+from .errors import EngineError, PlanError, SemanticError
 from .expr import Compiled, ExprCompiler, Schema, Slot
 from .feedback import CardinalityFeedback
 from .heap import InsertStrategy
@@ -50,7 +49,7 @@ from .sql.parser import parse_statement
 from .statement_cache import LruCache, PREPARABLE, PreparedStatement
 from .transactions import TransactionManager
 from .values import parse_type
-from .vexecutor import BATCH_ROWS, VectorizedExecutor
+from .vexecutor import ExecStats, VectorizedExecutor
 
 #: Default server memory budget. The paper's server had 1 GB; the
 #: default here is scaled down with the default workloads (Section 2 of
@@ -116,12 +115,9 @@ class Database:
         index_metadata_cost: int = INDEX_METADATA_COST,
         insert_strategy: InsertStrategy = InsertStrategy.FIRST_FIT,
         prefix_compression: bool = True,
-        enforce_budget: bool = False,
         plan_cache_size: int = 256,
         path: str | None = None,
         durability: DurabilityOptions | None = None,
-        execution: str = "vectorized",
-        batch_rows: int = BATCH_ROWS,
         sanitize: bool | None = None,
     ) -> None:
         #: Set before anything that can fail, so :meth:`close` is safe
@@ -129,7 +125,6 @@ class Database:
         self._closed = False
         self.memory_bytes = memory_bytes
         self.page_size = page_size
-        self.enforce_budget = enforce_budget
         #: Engine-wide observability: every subsystem below feeds this.
         self.metrics = MetricsRegistry()
         #: Disk-backed when a ``path`` is given: WAL + page store live in
@@ -168,18 +163,11 @@ class Database:
             self._execute_subquery,
             feedback=self._feedback,
         )
-        #: Both engines share one ExecStats, so counters stay cumulative
-        #: across engine switches and ``exec_stats`` has a single truth.
-        shared_stats = self.metrics.counter_set(ExecStats)
-        self._tuple_executor = Executor(self.catalog, shared_stats)
-        self._vector_executor = VectorizedExecutor(
+        self._executor = VectorizedExecutor(
             self.catalog,
-            shared_stats,
-            batch_rows=batch_rows,
+            self.metrics.counter_set(ExecStats),
             metrics=self.metrics,
         )
-        self._executor: Executor | VectorizedExecutor
-        self.execution = execution
         #: Prepared statements keyed by SQL text; ``plan_cache_size=0``
         #: disables caching (every statement parses and plans afresh).
         self._statements = LruCache(
@@ -233,31 +221,6 @@ class Database:
     @profile.setter
     def profile(self, profile: OptimizerProfile) -> None:
         self._planner.profile = profile
-
-    @property
-    def execution(self) -> str:
-        """Active execution engine: ``"vectorized"`` (default) or
-        ``"tuple"`` (the reference interpreter, kept for differential
-        testing).  Switchable at any time; cached plans re-dispatch on
-        next use (see :meth:`_prepared_plan`)."""
-        return self._execution
-
-    @execution.setter
-    def execution(self, mode: str) -> None:
-        if mode == "vectorized":
-            self._executor = self._vector_executor
-        elif mode == "tuple":
-            self._executor = self._tuple_executor
-        else:
-            raise EngineError(
-                f"unknown execution mode {mode!r}"
-                " (expected 'vectorized' or 'tuple')"
-            )
-        self._execution = mode
-
-    @property
-    def batch_rows(self) -> int:
-        return self._vector_executor.batch_rows
 
     @property
     def feedback(self) -> CardinalityFeedback:
@@ -404,8 +367,7 @@ class Database:
         self, root, params: Sequence[object] = (), collector=None
     ) -> Result:
         """Execute a physical plan built by :meth:`plan` /
-        :meth:`plan_ast` on the active engine, optionally under an
-        :class:`AnalyzeCollector`."""
+        :meth:`plan_ast`, optionally under an :class:`AnalyzeCollector`."""
         self._subquery_results.clear()
         rows = self._executor.run(root, params, collector=collector)
         columns = [slot.name for slot in root.schema.slots]
@@ -675,12 +637,10 @@ class Database:
 
     def _prepared_plan(self, prepared: PreparedStatement):
         """The statement's physical plan, reusing the cached one while
-        ``(catalog.version, profile, execution)`` still match — a plan
-        cached under one execution engine is never replayed under the
-        other.  Returns ``(plan, reused)``."""
+        ``(catalog.version, profile, feedback version)`` still match.
+        Returns ``(plan, reused)``."""
         version = self.catalog.version
         profile = self._planner.profile
-        execution = self._execution
         feedback_version = (
             self._feedback.version if self._feedback is not None else None
         )
@@ -688,7 +648,6 @@ class Database:
             prepared.plan is not None
             and prepared.catalog_version == version
             and prepared.profile is profile
-            and prepared.execution == execution
             and prepared.feedback_version == feedback_version
         ):
             return prepared.plan, True
@@ -697,7 +656,6 @@ class Database:
         prepared.plan = self._planner.plan_select(prepared.stmt)
         prepared.catalog_version = version
         prepared.profile = profile
-        prepared.execution = execution
         prepared.feedback_version = feedback_version
         return prepared.plan, False
 
@@ -738,14 +696,6 @@ class Database:
     # -- DDL ---------------------------------------------------------------------
 
     def _run_create_table(self, stmt: ast.CreateTable) -> None:
-        if self.enforce_budget:
-            projected = (
-                self.catalog.metadata_bytes + self.catalog.table_metadata_cost
-            )
-            if projected > self.memory_bytes // 2:
-                raise BudgetExceededError(
-                    f"meta-data budget exhausted at {self.catalog.table_count} tables"
-                )
         columns = [
             Column(c.name, parse_type(c.type_text), c.not_null) for c in stmt.columns
         ]

@@ -87,13 +87,3 @@ class LockTimeoutError(EngineError):
 class DeadlockError(LockTimeoutError):
     """Two sessions wait on each other; the victim receives this error."""
 
-
-class BudgetExceededError(EngineError):
-    """The meta-data memory budget would be exceeded by a DDL operation.
-
-    The budget models the fixed per-table memory documented for DB2 V9.1
-    in the paper (4 KB per table).  The engine never raises this by
-    default — the budget is advisory unless ``enforce_budget`` is set on
-    the database — but the counter is always maintained so experiments
-    can report it.
-    """

@@ -1,56 +1,24 @@
-"""Pull-based execution of physical plans.
+"""The reference interpreter: pull-based, tuple at a time.
 
-Every page touch goes through the buffer pool, so the paper's metrics
-(logical/physical page reads, hit ratios) accumulate as a side effect of
-simply running queries.  The executor additionally counts row-level work
-in :class:`ExecStats`; the testbed's cost model turns both into
-simulated response times.
+No :class:`~repro.engine.database.Database` runs this.  It specifies
+what the executor (:mod:`repro.engine.vexecutor`) must do: the
+differential suites, ``bench_vectorized`` and the optimizer-quality
+harness build ``Executor(db.catalog, stats)`` and call
+:meth:`Executor.run` on a plan the database planned — same page touches
+through the same buffer pool, same ``ExecStats`` row counters.
 """
 
 from __future__ import annotations
 
-import datetime
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .catalog import Catalog
-from .errors import ExecutionError, PlanError
+from .errors import PlanError
 from .expr_batch import sort_rows
-from .observability.metrics import CounterSet
 from .plan import physical as phys
 from .values import sort_key
-
-
-@dataclass
-class ExecStats(CounterSet, prefix="db.exec"):
-    """Row-level work counters for one database (cumulative).
-
-    The row counters are engine-independent: the tuple and vectorized
-    executors produce identical values for the same plan (the
-    differential suite asserts this).  ``batches`` counts the batches
-    operators exchanged and is only advanced by the vectorized engine.
-    """
-
-    rows_scanned: int = 0
-    index_lookups: int = 0
-    rows_fetched: int = 0
-    rows_joined: int = 0
-    rows_output: int = 0
-    sorts: int = 0
-    materialized_rows: int = 0
-    statements: int = 0
-    batches: int = 0
-
-    def row_counters(self) -> dict:
-        """The counters both engines must agree on for identical plans
-        (all but ``batches``), for cross-engine asserts."""
-        return {k: v for k, v in vars(self).items() if k != "batches"}
-
-
-#: Exact types whose native comparisons match ``sort_key`` ordering
-#: within a column (bool is excluded: ``sort_key`` segregates it).
-_NATIVE_ORDER = (int, float, str, datetime.date)
+from .vexecutor import ExecStats, _NATIVE_ORDER, index_entries
 
 
 # _AggState per-row dispatch codes, resolved once per group instead of
@@ -143,56 +111,6 @@ class _AggState:
                 return None
             return self.total / self.count
         return self.best
-
-
-def index_entries(
-    catalog: Catalog,
-    stats: ExecStats,
-    node: phys.PIndexScan,
-    outer_row: tuple,
-    params: Sequence[object],
-) -> Iterator[tuple]:
-    """Yield (key, rid) pairs for an index scan's equality prefix.
-
-    Shared by both executors so index access patterns (and the page
-    reads they cause) are identical across engines.
-    """
-    table = catalog.table(node.table_name)
-    info = table.indexes.get(node.index_name.lower())
-    if info is None:
-        raise ExecutionError(
-            f"index {node.index_name} vanished from {node.table_name}"
-        )
-    prefix = tuple(e(outer_row, params) for e in node.key_exprs)
-    stats.index_lookups += 1
-    if node.range_low is None and node.range_high is None:
-        if (
-            info.unique
-            and len(prefix) == len(info.column_names)
-            and None not in prefix
-        ):
-            # Full-key probe on a unique index: exact-match descent
-            # instead of a prefix iteration — the hot case of every
-            # aligning reconstruction join (both engines share this, so
-            # access patterns and counters stay identical across them).
-            for rid in info.btree.search(prefix):
-                yield prefix, rid
-            return
-        yield from info.btree.scan_prefix(prefix)
-        return
-    low = prefix
-    high = prefix
-    if node.range_low is not None:
-        value = node.range_low(outer_row, params)
-        if value is None:
-            return  # NULL bound matches nothing
-        low = prefix + (value,)
-    if node.range_high is not None:
-        value = node.range_high(outer_row, params)
-        if value is None:
-            return
-        high = prefix + (value,)
-    yield from info.btree.scan_range(low or None, high or None)
 
 
 class Executor:

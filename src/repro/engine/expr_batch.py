@@ -1,6 +1,6 @@
 """Batch-level compilation of row expressions.
 
-The tuple-at-a-time executor pays one Python call *per row per
+A tuple-at-a-time interpreter pays one Python call *per row per
 expression* plus a generator/``tuple()``/``all()`` allocation per row
 per operator.  This module turns lists of per-row :data:`Compiled
 <repro.engine.expr.Compiled>` closures into **one closure per batch**:

@@ -16,7 +16,7 @@ static model.  Observations are folded with an exponential moving
 average so one outlier probe does not whipsaw the plan.
 
 Plan-cache coupling: :attr:`version` advances only when an observation
-*moves* a stored estimate by more than ``tolerance`` (or creates one) —
+*moves* a stored estimate by more than :data:`TOLERANCE` (or creates one) —
 i.e. when re-planning could actually change a choice.  Cached plans
 (:class:`~repro.engine.statement_cache.PreparedStatement`) remember the
 feedback version they were planned under and lazily re-plan on
@@ -31,27 +31,21 @@ from typing import Iterable, Mapping
 from .observability.metrics import MetricsRegistry
 from .plan import physical as phys
 
+#: Weight of the newest observation in the moving average.
+SMOOTHING = 0.5
+#: Relative change below which an observation does not bump
+#: :attr:`CardinalityFeedback.version`: too small to expect another plan.
+TOLERANCE = 1.2
+
 
 class CardinalityFeedback:
     """Observed rows-per-access keyed by ``(table, bound columns)``."""
 
-    def __init__(
-        self,
-        metrics=None,
-        *,
-        smoothing: float = 0.5,
-        tolerance: float = 1.2,
-    ) -> None:
+    def __init__(self, metrics=None) -> None:
         self._estimates: dict[tuple, float] = {}
         metrics = metrics or MetricsRegistry()
         self._c_observations = metrics.counter("db.feedback.observations")
         self._c_revisions = metrics.counter("db.feedback.revisions")
-        #: Weight of the newest observation in the moving average.
-        self.smoothing = smoothing
-        #: Relative change below which an observation does not bump
-        #: :attr:`version` (the estimate moved, but not enough to expect
-        #: a different plan).
-        self.tolerance = tolerance
         #: Monotonic revision; plan caches revalidate against this.
         self.version = 0
 
@@ -90,14 +84,14 @@ class CardinalityFeedback:
         if previous is None:
             value = actual
         else:
-            value = previous + self.smoothing * (actual - previous)
+            value = previous + SMOOTHING * (actual - previous)
         self._estimates[key] = value
         self._c_observations.inc()
         if previous is None:
             changed = True
         else:
             lo, hi = sorted((max(previous, 1e-9), max(value, 1e-9)))
-            changed = hi / lo > self.tolerance
+            changed = hi / lo > TOLERANCE
         if changed:
             self.version += 1
             self._c_revisions.inc()

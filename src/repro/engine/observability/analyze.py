@@ -87,10 +87,10 @@ class AnalyzeCollector:
     def wrap_batches(
         self, node: phys.PNode, batches: Iterator[list]
     ) -> Iterator[list]:
-        """Batch-aware sibling of :meth:`wrap` for the vectorized
-        executor: one timing probe per *batch*, rows accumulated from
-        batch lengths, so analyzed trees from both engines report the
-        same row counts."""
+        """Batch-aware sibling of :meth:`wrap` (which serves the
+        reference interpreter): one timing probe per *batch*, rows
+        accumulated from batch lengths, so both report the same row
+        counts."""
         stat = self._ensure(node)
         stat.opens += 1
         it = iter(batches)

@@ -233,7 +233,7 @@ class MetricsRegistry:
         """Get-or-create, like ``counter``: the registry's one ``cls``
         instance, attached under ``cls.EXPORTED`` on first use.  Every
         structure that counts into it (each B-tree and heap file of a
-        database, both executors) increments the same ledger."""
+        database, its executor) increments the same ledger."""
         found = self._sets.get(cls)
         if found is None:
             found = self._sets[cls] = self.attach(cls(), cls.EXPORTED)

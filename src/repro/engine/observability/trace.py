@@ -17,7 +17,7 @@ from .analyze import OperatorStats
 
 if TYPE_CHECKING:  # pragma: no cover - the components import this package
     from ..durability.wal import WalStats
-    from ..executor import ExecStats
+    from ..vexecutor import ExecStats
     from ..locks import LockStats
     from ..pager import PoolStats
 

@@ -108,7 +108,7 @@ class PreparedStatement:
     """A statement parsed once, planned lazily, executable many times.
 
     For SELECTs the physical plan is cached on the handle and reused as
-    long as ``(catalog.version, optimizer profile, execution engine)``
+    long as ``(catalog.version, optimizer profile, feedback version)``
     are unchanged; a mismatch triggers a re-plan (counted as
     ``db.plan_cache.invalidations``).  INSERT, UPDATE and DELETE keep
     their compiled program the same way, until ``catalog.version``
@@ -126,7 +126,6 @@ class PreparedStatement:
         "program",
         "catalog_version",
         "profile",
-        "execution",
         "feedback_version",
     )
 
@@ -143,9 +142,6 @@ class PreparedStatement:
         self.program = None
         self.catalog_version: int | None = None
         self.profile = None
-        #: Execution engine the cached plan was validated under; a
-        #: cached plan never crosses engines without revalidation.
-        self.execution: str | None = None
         #: Cardinality-feedback revision the cached plan was planned
         #: under; new observations that could change a plan choice bump
         #: the store's version and lazily re-plan here.

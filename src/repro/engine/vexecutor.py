@@ -1,38 +1,42 @@
-"""Batch-at-a-time (vectorized) execution of physical plans.
+"""The executor: batch-at-a-time (vectorized) execution of physical plans.
 
-Runs the *same* physical plan trees as the tuple-at-a-time
-:class:`~repro.engine.executor.Executor`, but operators exchange
-fixed-size batches (lists of row tuples, :data:`BATCH_ROWS` by default)
-and every predicate / projection / key extraction is compiled **once
-per plan node** into a batch-level closure by
-:mod:`repro.engine.expr_batch`.  Per-row cost drops from one Python
-dispatch per operator per row (generator resumption + ``all()`` /
-``tuple()`` allocations) to one closure call per batch whose inner loop
-is a C-level comprehension or ``itemgetter``.
+Every :class:`~repro.engine.database.Database` runs its plans here.
+Every page touch goes through the buffer pool, so the paper's metrics
+(logical/physical page reads, hit ratios) accumulate as a side effect
+of simply running queries; row-level work is counted in
+:class:`ExecStats`, and the testbed's cost model turns both into
+simulated response times.
 
-Accounting is bit-identical to the tuple engine where it matters: all
-:class:`~repro.engine.executor.ExecStats` row counters, every buffer
-pool page touch, and every index traversal happen in the same order and
-quantity for the same plan (the differential suite asserts this across
-all seven schema-mapping layouts).  The one intentional divergence:
-under ``LIMIT`` the batched engine may scan up to one batch beyond the
-cutoff where the tuple engine stops mid-row.
+Operators exchange fixed-size batches (lists of row tuples,
+:data:`BATCH_ROWS` each) and every predicate / projection / key
+extraction is compiled **once per plan node** into a batch-level
+closure by :mod:`repro.engine.expr_batch`.  Per-row cost is one closure
+call per batch whose inner loop is a C-level comprehension or
+``itemgetter``, not one Python dispatch per operator per row.
 
-EXPLAIN ANALYZE keeps working: the
-:class:`~repro.engine.observability.AnalyzeCollector` wraps operators
-with its batch-aware shim, so analyzed trees show the same per-operator
-row counts as the tuple engine.
+The semantics are specified by the tuple-at-a-time reference
+interpreter the test suites build beside it (``engine/executor.py``;
+nothing on the serving path imports it).  Accounting is bit-identical
+to it where it matters: all :class:`ExecStats` row counters, every
+buffer pool page touch, and every index traversal happen in the same
+order and quantity for the same plan, and EXPLAIN ANALYZE
+(:class:`~repro.engine.observability.AnalyzeCollector`, batch-aware
+shim) shows the same per-operator rows — the differential suites assert
+this across all seven schema-mapping layouts.  The one intentional
+divergence: under ``LIMIT`` this executor may scan up to one batch
+beyond the cutoff where the reference stops mid-row.
 """
 
 from __future__ import annotations
 
+import datetime
+from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .catalog import Catalog
-from .errors import PlanError
-from .executor import ExecStats, _NATIVE_ORDER, index_entries
+from .errors import ExecutionError, PlanError
 from .expr_batch import (
     _codegen,
     compile_filter,
@@ -41,7 +45,7 @@ from .expr_batch import (
     node_program,
     sort_rows,
 )
-from .observability.metrics import MetricsRegistry
+from .observability.metrics import CounterSet, MetricsRegistry
 from .plan import physical as phys
 from .values import sort_key
 
@@ -52,11 +56,91 @@ BATCH_ROWS = 256
 _row_of = itemgetter(1)  # (rid, row) -> row
 
 
+@dataclass
+class ExecStats(CounterSet, prefix="db.exec"):
+    """Row-level work counters for one database (cumulative).
+
+    The row counters are a property of the plan, not of how it is run:
+    the reference interpreter produces identical values for the same
+    plan (the differential suites assert this).  ``batches`` counts the
+    batches operators exchanged; the reference exchanges none.
+    """
+
+    rows_scanned: int = 0
+    index_lookups: int = 0
+    rows_fetched: int = 0
+    rows_joined: int = 0
+    rows_output: int = 0
+    sorts: int = 0
+    materialized_rows: int = 0
+    statements: int = 0
+    batches: int = 0
+
+    def row_counters(self) -> dict:
+        """The counters the reference interpreter must reproduce for an
+        identical plan (all but ``batches``)."""
+        return {k: v for k, v in vars(self).items() if k != "batches"}
+
+
+#: Exact types whose native comparisons match ``sort_key`` ordering
+#: within a column (bool is excluded: ``sort_key`` segregates it).
+_NATIVE_ORDER = (int, float, str, datetime.date)
+
+
+def index_entries(
+    catalog: Catalog,
+    stats: ExecStats,
+    node: phys.PIndexScan,
+    outer_row: tuple,
+    params: Sequence[object],
+) -> Iterator[tuple]:
+    """Yield (key, rid) pairs for an index scan's equality prefix.
+
+    The reference interpreter calls this same function, so index
+    access patterns (and the page reads they cause) cannot drift apart.
+    """
+    table = catalog.table(node.table_name)
+    info = table.indexes.get(node.index_name.lower())
+    if info is None:
+        raise ExecutionError(
+            f"index {node.index_name} vanished from {node.table_name}"
+        )
+    prefix = tuple(e(outer_row, params) for e in node.key_exprs)
+    stats.index_lookups += 1
+    if node.range_low is None and node.range_high is None:
+        if (
+            info.unique
+            and len(prefix) == len(info.column_names)
+            and None not in prefix
+        ):
+            # Full-key probe on a unique index: exact-match descent
+            # instead of a prefix iteration — the hot case of every
+            # aligning reconstruction join.
+            for rid in info.btree.search(prefix):
+                yield prefix, rid
+            return
+        yield from info.btree.scan_prefix(prefix)
+        return
+    low = prefix
+    high = prefix
+    if node.range_low is not None:
+        value = node.range_low(outer_row, params)
+        if value is None:
+            return  # NULL bound matches nothing
+        low = prefix + (value,)
+    if node.range_high is not None:
+        value = node.range_high(outer_row, params)
+        if value is None:
+            return
+        high = prefix + (value,)
+    yield from info.btree.scan_range(low or None, high or None)
+
+
 def _finalize_agg(spec: phys.AggSpec, acc) -> object:
     """Fold one group's accumulated raw values into the aggregate result.
 
-    Must agree exactly with :class:`~repro.engine.executor._AggState`
-    (the tuple engine's per-row accumulator): NULLs are skipped,
+    Must agree exactly with the reference interpreter's per-row
+    ``_AggState`` accumulator: NULLs are skipped,
     DISTINCT deduplicates by hash equality, SUM chains ``+`` for
     non-numeric operands, and MIN/MAX fall back to ``sort_key`` ordering
     the moment a group's column mixes types.  Homogeneous native columns
@@ -135,10 +219,10 @@ def _index_row_builder(positions: Sequence[int], width: int):
 class VectorizedExecutor:
     """Executes physical plans batch at a time.
 
-    Drop-in peer of :class:`~repro.engine.executor.Executor`: same
-    ``run(root, params, collector=)`` contract, same stats object
-    (shareable so one :class:`~repro.engine.database.Database` keeps a
-    single counter set regardless of the active engine).
+    ``run(root, params, collector=)`` is the whole contract (the
+    reference interpreter offers the same one).  ``stats`` is the
+    database's one :class:`ExecStats`; ``batch_rows`` exists for the
+    tests that cut batches at awkward sizes.
     """
 
     def __init__(
@@ -371,7 +455,7 @@ class VectorizedExecutor:
             for left_row in left_batch:
                 # The inner access node re-runs per outer row, keyed by
                 # it (IXSCAN key_exprs close over the outer schema) —
-                # same access pattern as the tuple engine.
+                # same access pattern as the reference interpreter.
                 if probe is not None:
                     inner_rows = probe(left_row)
                     if inner_rows:

@@ -4,7 +4,7 @@ The differential suites prove the engine returns the *same answers* as
 SQLite and across layouts; this package measures whether it picks *good
 plans*.  For each query in the seeded corpus (:mod:`.corpus`) it
 enumerates the bounded plan space (:mod:`.planspace`), executes every
-alternative under EXPLAIN ANALYZE on both engines (:mod:`.harness`),
+alternative under EXPLAIN ANALYZE (:mod:`.harness`),
 and reports chosen-vs-best cost, per-operator Q-error, and the effect
 of cardinality feedback (:class:`~repro.engine.feedback.CardinalityFeedback`)
 per schema-mapping layout (:mod:`.report`).

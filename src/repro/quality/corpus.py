@@ -1,7 +1,7 @@
 """The shared query corpus: one schema, one dataset, one generator.
 
 Everything that replays queries — the vs-SQLite differential suite, the
-cross-engine parity suite, and the optimizer-quality harness — builds
+reference-interpreter parity suite, and the optimizer-quality harness — builds
 the same two-table parent/child schema with the same deterministic data
 and draws queries from the same seeded generator, so a plan regression
 found by the harness reproduces directly in the differential tests.

@@ -5,10 +5,11 @@ For each corpus query, on each layout, the harness:
 1. transforms the logical SQL through the layout (identity for the
    "conventional" baseline — the raw engine schema, no mapping),
 2. enumerates the bounded plan space (:mod:`.planspace`),
-3. executes every alternative under EXPLAIN ANALYZE on both engines,
-   recording wall time per engine and a deterministic *work* cost
-   (row-level executor counters plus logical page reads — the same
-   units the planner's cost model reasons in, immune to timer noise),
+3. executes every alternative under EXPLAIN ANALYZE on a reference
+   interpreter it builds for itself (:mod:`repro.engine.executor`),
+   recording a deterministic *work* cost (row-level executor counters
+   plus logical page reads — the same units the planner's cost model
+   reasons in, immune to timer noise) and both executors' wall times,
 4. harvests per-operator actual rows into the database's
    :class:`~repro.engine.feedback.CardinalityFeedback` store, re-plans,
    and records which plan the optimizer picks *after* feedback.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from ..engine.executor import Executor
 from ..engine.explain import render_plan
 from ..engine.observability import AnalyzeCollector, CounterWindow
 from ..engine.sql.parser import parse_statement
@@ -34,9 +36,6 @@ def all_layouts() -> list[str]:
     from ..core.layouts import LAYOUTS
 
     return ["conventional"] + sorted(LAYOUTS)
-
-
-ENGINES = ("tuple", "vectorized")
 
 
 def work_cost(exec_delta, pool_delta) -> int:
@@ -151,44 +150,40 @@ def _normalized(rows) -> list:
     return sorted(rows, key=repr)
 
 
-def _measure(db, stmt, directives) -> tuple[object, AnalyzeCollector, PlanMeasurement]:
-    """Plan + execute one alternative on both engines.
+def _measure(
+    db, stmt, directives
+) -> tuple[object, AnalyzeCollector, list, PlanMeasurement]:
+    """Plan one alternative and execute it on a reference interpreter
+    built here, then on the database's executor for its wall time only
+    (the differential suites hold its counters to the reference's).
 
-    Returns the tuple-engine ``(root, collector)`` pair (what feedback
-    learns from) and the measurement.  The work cost comes from the
-    tuple run; both engines produce identical row counters for the same
-    plan (the cross-engine suite asserts exactly that).
+    Returns the reference run's ``(root, collector, rows)`` and the
+    measurement.  Feedback learns from that collector: one row at a
+    time means one open of an NLJOIN inner per outer row, so ``rows /
+    opens`` is the per-probe cardinality the planner estimates.
     """
-    walls: dict[str, float] = {}
-    work = rows = 0
-    keep_root = keep_collector = keep_rows = None
-    signature = ""
-    try:
-        for mode in ENGINES:
-            db.execution = mode
-            root = db.plan_ast(stmt, directives)
-            collector = AnalyzeCollector()
-            window = CounterWindow(pool=db.pool_stats, exec=db.exec_stats)
-            started = time.perf_counter()
-            result = db.execute_plan(root, collector=collector)
-            walls[mode] = (time.perf_counter() - started) * 1000.0
-            if mode == "tuple":
-                deltas = window.deltas()
-                work = work_cost(deltas["exec"], deltas["pool"])
-                rows = len(result.rows)
-                keep_root, keep_collector = root, collector
-                keep_rows = _normalized(result.rows)
-                signature = render_plan(root)
-    finally:
-        db.execution = "vectorized"
+    root = db.plan_ast(stmt, directives)
+    collector = AnalyzeCollector()
+    # Counting into the database's ledger lets one window also see an
+    # uncorrelated IN-subquery, which the plan runs through ``db``.
+    reference = Executor(db.catalog, db.exec_stats)
+    db._subquery_results.clear()
+    window = CounterWindow(pool=db.pool_stats, exec=db.exec_stats)
+    started = time.perf_counter()
+    rows = reference.run(root, collector=collector)
+    walls = {"reference": (time.perf_counter() - started) * 1000.0}
+    deltas = window.deltas()
+    started = time.perf_counter()
+    db.execute_plan(root, collector=AnalyzeCollector())
+    walls["production"] = (time.perf_counter() - started) * 1000.0
     measurement = PlanMeasurement(
-        signature=signature,
-        work=work,
+        signature=render_plan(root),
+        work=work_cost(deltas["exec"], deltas["pool"]),
         wall_ms=walls,
-        rows=rows,
+        rows=len(rows),
         is_default=directives is None,
     )
-    return keep_root, keep_collector, keep_rows, measurement
+    return root, collector, _normalized(rows), measurement
 
 
 def run_layout(

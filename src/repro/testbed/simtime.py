@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine.executor import ExecStats
+from ..engine.vexecutor import ExecStats
 from ..engine.pager import PoolStats
 
 

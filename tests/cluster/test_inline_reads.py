@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterClient, protocol
 from repro.cluster.errors import ShardClosedError
+from repro.engine.errors import PlanError
 
 from .conftest import TENANTS, observe_jobs, run, seed_rows
 
@@ -75,16 +76,31 @@ class TestWhereAStatementRuns:
                 "INSERT INTO account (aid, name) VALUES (2, 'Two')",
                 "UPDATE account SET name = 'Deux' WHERE aid = 2",
                 "DELETE FROM account WHERE aid = 2",
-                "CREATE TABLE extra (id INTEGER)",
             ):
                 await mem_cluster.execute(17, sql)
             await mem_cluster.insert(17, "account", {"aid": 3, "name": "Three"})
-            assert [thread for _, thread in seen] == [worker] * 5
-            assert len(jobs) == 5
+            assert [thread for _, thread in seen] == [worker] * 4
+            assert len(jobs) == 4
 
         run(go())
         inline = f"cluster.shard.{shard.name}.inline_reads"
         assert mem_cluster.metrics.value(inline) == 0
+
+    def test_create_table_is_refused_on_the_data_plane(self, mem_cluster):
+        """One shard would get the table (tenant 2 could not see it and
+        tenant 1 could not be moved): the statement is refused before
+        any shard's schema changes, and names the call that broadcasts."""
+
+        def base_tables():
+            return [
+                sorted(table.name for table in shard.mtd.schema.tables())
+                for shard in mem_cluster.shards.values()
+            ]
+
+        before = base_tables()
+        with pytest.raises(PlanError, match="Cluster.define_table"):
+            run(mem_cluster.execute(17, "CREATE TABLE note (id INTEGER)"))
+        assert base_tables() == before == [before[0]] * len(before)
 
     def test_closed_shard_refuses_the_inline_read(self, mem_cluster):
         shard = mem_cluster.shards[mem_cluster.shard_of(17)]

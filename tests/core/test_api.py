@@ -173,6 +173,23 @@ class TestTenantIntrospection:
         mtd.restore(17, "account", [0])
         assert mtd.tenant_row_counts(17) == {"account": 2}
 
+    @pytest.mark.parametrize("layout", ["chunk_folding", "private"])
+    def test_row_counts_leave_the_plan_cache_alone(self, layout):
+        """The rebalancer counts every tenant of a shard: that walk must
+        not put one entry per (tenant, table) into the engine's plan
+        cache, evicting the statements tenants run."""
+        mtd = build_running_example(layout)
+        tenants = range(100, 140)
+        for tenant in tenants:
+            mtd.create_tenant(tenant)
+            mtd.insert(tenant, "account", {"aid": 1, "name": "x"})
+        mtd.tenant_row_counts(tenants[0])  # warm-up
+        names = [f"db.plan_cache.{n}" for n in ("misses", "adhoc", "evictions")]
+        before = [mtd.metrics.value(name) for name in names]
+        for tenant in tenants:
+            assert mtd.tenant_row_counts(tenant) == {"account": 1}
+        assert [mtd.metrics.value(name) for name in names] == before
+
     def test_row_counts_unknown_tenant(self):
         mtd = build_running_example("chunk")
         with pytest.raises(UnknownObjectError):

@@ -2,10 +2,10 @@
 
 The differential contract: a fused cross-tenant statement must return
 exactly what the per-tenant fan-out loop returns — same rows, same
-aggregates — on every layout and under both execution engines.  The
-fan-out oracle here is written independently of the fusion code (plain
-per-tenant ``execute()`` calls plus Python merging), so the two paths
-share no merge logic.
+aggregates — on every layout, and again with each fused statement
+replayed on the reference interpreter.  The fan-out oracle is written
+independently of the fusion code (plain per-tenant ``execute()`` calls
+plus Python merging), so the two paths share no merge logic.
 """
 
 import pytest
@@ -14,9 +14,11 @@ from repro import LogicalColumn, LogicalTable, MultiTenantDatabase
 from repro.engine.errors import PlanError, UnknownObjectError
 from repro.engine.values import INTEGER, varchar
 
+from ..conftest import assert_matches_reference
 from .conftest import ALL_LAYOUTS, build_running_example
 
 SEVEN_LAYOUTS = ["basic"] + ALL_LAYOUTS
+#: "tuple": the reference interpreter runs the fused statements too.
 ENGINES = ["vectorized", "tuple"]
 
 #: (tenant, rows) for the differential schema; tenant 4 stays empty.
@@ -28,11 +30,25 @@ _ROWS = {
 }
 
 
+def replay_on_reference(mtd: MultiTenantDatabase) -> None:
+    """``mtd.execute_cross`` first holds every fused physical statement
+    to the reference interpreter."""
+    execute_cross = mtd.execute_cross
+
+    def checked(sql, params=()):
+        for physical in mtd.transform_cross_sql(sql):
+            assert_matches_reference(mtd.db, physical, params)
+        return execute_cross(sql, params)
+
+    mtd.execute_cross = checked
+
+
 def build_plain(layout: str, execution: str) -> MultiTenantDatabase:
     """Four tenants over an extension-free schema every layout (basic
     included) can represent."""
     mtd = MultiTenantDatabase(layout=layout)
-    mtd.execution = execution
+    if execution == "tuple":
+        replay_on_reference(mtd)
     mtd.define_table(
         LogicalTable(
             "item",

@@ -22,6 +22,8 @@ from repro.core.layouts import LAYOUTS
 from repro.engine.errors import EngineError
 from repro.engine.values import DATE, INTEGER, varchar
 
+from ..conftest import assert_matches_reference
+
 EXTENSIBLE_LAYOUTS = [name for name in sorted(LAYOUTS) if name != "basic"]
 
 #: Column-type pool for random schemas.  DATE is exercised via the fixed
@@ -204,24 +206,13 @@ def run_query(mtd, scenario: dict, tenant: int, shape: int):
         mtd.prepare(sql).execute(tenant, params).rows, key=repr
     )
     assert prepared == rows, f"prepared != ad-hoc for {sql!r}"
-    # Cross-engine differential check: the vectorized executor and the
-    # tuple-at-a-time reference must agree on rows, ExecStats row
-    # counters, and buffer-pool logical reads — on every layout.
-    engine_counters = {}
-    for mode in ("vectorized", "tuple"):
-        mtd.execution = mode
-        pool_before = mtd.db.pool_stats.snapshot()
-        exec_before = mtd.db.exec_stats.snapshot()
-        result = sorted(mtd.execute(tenant, sql, params).rows, key=repr)
-        assert result == rows, f"{mode} engine diverged on {sql!r}"
-        engine_counters[mode] = (
-            mtd.db.exec_stats.delta(exec_before).row_counters(),
-            mtd.db.pool_stats.delta(pool_before).logical_total,
-        )
-    mtd.execution = "vectorized"
-    assert engine_counters["vectorized"] == engine_counters["tuple"], (
-        f"engine stats diverged for {sql!r}: {engine_counters}"
+    # Differential check against the reference interpreter: same rows,
+    # ExecStats row counters, buffer-pool logical reads and per-operator
+    # rows for the physical statement — on every layout.
+    ours = assert_matches_reference(
+        mtd.db, mtd.transform_sql(tenant, sql), params
     )
+    assert sorted(ours, key=repr) == rows, f"trace diverged on {sql!r}"
     return rows
 
 

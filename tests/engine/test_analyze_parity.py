@@ -1,25 +1,23 @@
-"""Cross-engine EXPLAIN ANALYZE parity over the shared corpus.
+"""EXPLAIN ANALYZE parity with the reference interpreter over the
+shared corpus.
 
-Both executors run the *same* physical plan, so an analyzed run must
-report identical per-operator actual row counts — on the raw engine
-schema and through every schema-mapping layout.  This is what makes the
-optimizer-quality harness's feedback loop engine-independent: the
-cardinalities it learns do not depend on which executor produced them.
-
-(Opens can legitimately differ — the batched engine opens an NLJOIN
-inner once per batch, not once per row — so parity is on rows.)
+The database's executor and the reference run the *same* physical plan,
+so an analyzed run must report identical per-operator actual row counts
+— on the raw engine schema and through every schema-mapping layout.
+This is what lets the optimizer-quality harness learn cardinalities
+from its reference run and have them hold for the executor that serves.
 """
 
 import pytest
 
-from repro.engine.observability import AnalyzeCollector
-from repro.engine.sql.parser import parse_statement
 from repro.quality.corpus import (
     build_engine_database,
     build_multitenant,
     generate_query,
 )
 from repro.quality.harness import all_layouts
+
+from ..conftest import assert_matches_reference, reference_run
 
 SEEDS = range(15)
 TENANT = 1
@@ -35,42 +33,19 @@ def layout_db(request):
     return mtd.db, (lambda sql: mtd.transform_sql(TENANT, sql))
 
 
-def analyzed_rows(db, stmt, mode):
-    """[(op_name, rows)] in plan order for one engine's analyzed run."""
-    try:
-        db.execution = mode
-        root = db.plan_ast(stmt)
-        collector = AnalyzeCollector()
-        db.execute_plan(root, collector=collector)
-    finally:
-        db.execution = "vectorized"
-    return [(stat.op_name, stat.rows) for stat in collector.operators(root)]
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_per_operator_rows_identical_across_engines(layout_db, seed):
     db, transform = layout_db
-    sql = transform(generate_query(seed))
-    stmt = parse_statement(sql)
-    tuple_rows = analyzed_rows(db, stmt, "tuple")
-    vector_rows = analyzed_rows(db, stmt, "vectorized")
-    assert tuple_rows == vector_rows, sql
+    assert_matches_reference(db, transform(generate_query(seed)))
 
 
 def test_analyzed_plans_cover_every_operator(layout_db):
     """Sanity: the collector reports a stat for every plan node (nodes
     never opened still appear, with zero counts)."""
     db, transform = layout_db
-    stmt = parse_statement(transform(generate_query(0)))
-    db.execution = "tuple"
-    try:
-        root = db.plan_ast(stmt)
-        collector = AnalyzeCollector()
-        db.execute_plan(root, collector=collector)
-    finally:
-        db.execution = "vectorized"
+    root = db.plan(transform(generate_query(0)))
 
     def count(node):
         return 1 + sum(count(child) for child in node.children())
 
-    assert len(collector.operators(root)) == count(root)
+    assert len(reference_run(db, root)[3]) == count(root)

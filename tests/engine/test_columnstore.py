@@ -19,6 +19,8 @@ from repro.engine.heap import HeapFile, InsertStrategy
 from repro.engine.pager import BufferPool
 from repro.engine.sql.parser import parse_statement
 
+from ..conftest import assert_matches_reference
+
 
 def make_store(ncols=3, strategy=InsertStrategy.FIRST_FIT, capacity=64):
     pool = BufferPool(capacity_pages=capacity)
@@ -297,24 +299,18 @@ class TestUsingColumnarDDL:
             db.execute("CREATE TABLE t (id INTEGER) USING parquet")
 
     def test_both_engines_agree_on_columnar_tables(self):
-        results = []
-        for execution in ("tuple", "vectorized"):
-            db = Database(execution=execution)
+        db = Database()
+        db.execute("CREATE TABLE t (g INTEGER, v INTEGER) USING columnar")
+        for i in range(100):
             db.execute(
-                "CREATE TABLE t (g INTEGER, v INTEGER) USING columnar"
+                "INSERT INTO t VALUES (?, ?)",
+                [i % 7, None if i % 11 == 0 else i],
             )
-            for i in range(100):
-                db.execute(
-                    "INSERT INTO t VALUES (?, ?)",
-                    [i % 7, None if i % 11 == 0 else i],
-                )
-            results.append(
-                db.execute(
-                    "SELECT g, COUNT(*), COUNT(v), AVG(v), MAX(v) "
-                    "FROM t GROUP BY g ORDER BY g"
-                ).rows
-            )
-        assert results[0] == results[1]
+        assert_matches_reference(
+            db,
+            "SELECT g, COUNT(*), COUNT(v), AVG(v), MAX(v) "
+            "FROM t GROUP BY g ORDER BY g",
+        )
 
 
 class TestColumnarRecovery:

@@ -16,6 +16,7 @@ import sqlite3
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ..conftest import assert_matches_reference, reference_run
 from repro.quality.corpus import (
     ENGINE_DDL,
     ENGINE_INDEXES,
@@ -158,50 +159,30 @@ class TestGeneratedQueries:
         assert any("WHERE" in q and "GROUP BY" not in q for q in queries)
 
 
-def run_both_engines(engine, sql, params=()):
-    """Trace one statement under the tuple and vectorized executors;
-    returns ``(tuple_trace, vectorized_trace)`` with the engine restored
-    to its default mode."""
-    traces = {}
-    try:
-        for mode in ("tuple", "vectorized"):
-            engine.execution = mode
-            traces[mode] = engine.trace(sql, list(params), analyze=False)
-    finally:
-        engine.execution = "vectorized"
-    return traces["tuple"], traces["vectorized"]
-
-
 class TestCrossEngine:
-    """The vectorized executor against the tuple-at-a-time reference:
-    identical rows (in identical order — both engines are
-    order-preserving), identical ExecStats row counters, identical
-    buffer-pool logical reads.  Under LIMIT only the rows must agree:
-    the batched engine may scan up to one batch past the cutoff."""
+    """The database's executor against the tuple-at-a-time reference:
+    identical rows (in identical order — both are order-preserving),
+    ExecStats row counters, buffer-pool logical reads and per-operator
+    rows.  Under LIMIT only the rows must agree: the batched executor
+    may scan up to one batch past the cutoff."""
 
     @pytest.mark.parametrize("seed", range(45))
     def test_generated_query_same_rows_and_stats(self, pair, seed):
-        engine, _ = pair
         sql = generate_query(seed)
-        t, v = run_both_engines(engine, sql)
-        assert t.rows == v.rows, sql
-        assert t.exec.row_counters() == v.exec.row_counters(), sql
-        assert t.pool.logical_total == v.pool.logical_total, sql
+        assert "LIMIT" not in sql
+        assert_matches_reference(pair[0], sql)
 
     @pytest.mark.parametrize("sql", CASES)
     def test_hand_picked_same_rows(self, pair, sql):
-        engine, _ = pair
-        t, v = run_both_engines(engine, sql)
-        assert t.rows == v.rows, sql
-        if "LIMIT" not in sql:
-            assert t.exec.row_counters() == v.exec.row_counters(), sql
-            assert t.pool.logical_total == v.pool.logical_total, sql
+        assert_matches_reference(pair[0], sql)
 
     def test_only_vectorized_counts_batches(self, pair):
         engine, _ = pair
-        t, v = run_both_engines(engine, "SELECT grp, COUNT(*) FROM p GROUP BY grp")
-        assert t.exec.batches == 0
-        assert v.exec.batches > 0
+        sql = "SELECT grp, COUNT(*) FROM p GROUP BY grp"
+        before = engine.exec_stats.batches
+        reference_run(engine, sql)
+        assert engine.exec_stats.batches == before
+        assert engine.trace(sql).exec.batches > 0
 
 
 class TestRandomizedQueries:

@@ -1,25 +1,29 @@
 """Unit tests for the vectorized executor and its batch compiler.
 
-The broad row/stats equivalence versus the tuple engine lives in the
-differential suites (``test_differential_sqlite.py`` cross-engine class,
+The broad row/stats equivalence versus the reference interpreter
+lives in the differential suites (``test_differential_sqlite.py``,
 ``tests/core/test_property_equivalence.py``); this file covers the
-machinery itself: the execution-mode switch, plan-cache keying across
-engines, the batch-size knob, batch metrics, EXPLAIN ANALYZE parity,
+machinery itself: batch sizes, batch metrics, EXPLAIN ANALYZE parity,
 and the edge cases batching could plausibly get wrong (LIMIT cutoffs
 inside a batch, NULL join keys, mixed-direction ORDER BY, empty
 inputs).
 """
 
+import inspect
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.engine import Database
-from repro.engine.errors import EngineError
-from repro.engine.executor import Executor
 from repro.engine.vexecutor import VectorizedExecutor
 
+from ..conftest import assert_matches_reference, reference_run
 
-def make_db(**kwargs) -> Database:
-    db = Database(**kwargs)
+
+def make_db() -> Database:
+    db = Database()
     db.execute(
         "CREATE TABLE t (id INTEGER NOT NULL, g INTEGER, v INTEGER, "
         "name VARCHAR(20))"
@@ -33,62 +37,42 @@ def make_db(**kwargs) -> Database:
     return db
 
 
-class TestExecutionMode:
-    def test_vectorized_is_the_default(self):
-        db = Database()
-        assert db.execution == "vectorized"
-        assert isinstance(db._executor, VectorizedExecutor)
+class TestOneExecutor:
+    def test_nothing_served_imports_the_reference(self):
+        """Whoever compares against the reference builds it."""
+        code = (
+            "import sys, repro, repro.engine, repro.core, repro.cluster, "
+            "repro.testbed, repro.experiments, repro.analysis\n"
+            "assert 'repro.engine.executor' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, timeout=60, env=env
+        )
 
-    def test_switching_engines(self):
-        db = make_db()
-        db.execution = "tuple"
-        assert isinstance(db._executor, Executor)
-        db.execution = "vectorized"
-        assert isinstance(db._executor, VectorizedExecutor)
-
-    def test_unknown_mode_rejected(self):
-        db = Database()
-        with pytest.raises(EngineError):
-            db.execution = "columnar"
-
-    def test_stats_are_shared_across_engines(self):
-        db = make_db()
-        before = db.exec_stats.statements
-        db.execute("SELECT COUNT(*) FROM t")
-        db.execution = "tuple"
-        db.execute("SELECT COUNT(*) FROM t")
-        assert db.exec_stats.statements == before + 2
-
-    def test_cached_plan_never_crosses_engines(self):
-        db = make_db()
-        sql = "SELECT g, COUNT(*) FROM t GROUP BY g"
-        db.execute(sql)
-        prepared = db._statements.get(sql)
-        assert prepared is not None and prepared.execution == "vectorized"
-        invalidations = db.metrics.counter("db.plan_cache.invalidations")
-        before = invalidations.value
-        db.execution = "tuple"
-        db.execute(sql)
-        assert prepared.execution == "tuple"
-        assert invalidations.value == before + 1
+    def test_a_database_has_no_executor_options(self):
+        parameters = inspect.signature(Database.__init__).parameters
+        assert not {"execution", "batch_rows", "enforce_budget"} & set(parameters)
+        assert isinstance(Database()._executor, VectorizedExecutor)
 
 
 class TestBatchSizes:
     @pytest.mark.parametrize("batch_rows", [1, 2, 7, 256, 10_000])
     def test_any_batch_size_same_answers(self, batch_rows):
-        db = make_db(batch_rows=batch_rows)
-        reference = make_db(execution="tuple")
+        db = make_db()
+        executor = VectorizedExecutor(db.catalog, batch_rows=batch_rows)
         for sql in (
             "SELECT id FROM t WHERE g = 3 ORDER BY id",
             "SELECT g, COUNT(*), SUM(v), MIN(name) FROM t GROUP BY g",
             "SELECT DISTINCT name FROM t",
             "SELECT id FROM t ORDER BY v DESC, id LIMIT 9",
         ):
-            assert db.execute(sql).rows == reference.execute(sql).rows, sql
+            assert executor.run(db.plan(sql)) == reference_run(db, sql)[0], sql
 
     def test_limit_cuts_inside_a_batch(self):
-        db = make_db(batch_rows=8)
-        rows = db.execute("SELECT id FROM t ORDER BY id LIMIT 11").rows
+        db = make_db()
+        plan = db.plan("SELECT id FROM t ORDER BY id LIMIT 11")
+        rows = VectorizedExecutor(db.catalog, batch_rows=8).run(plan)
         assert rows == [(i,) for i in range(1, 12)]
 
     def test_limit_zero(self):
@@ -106,11 +90,6 @@ class TestBatchMetrics:
         assert histogram.count > 0
         assert db.exec_stats.batches > 0
 
-    def test_tuple_engine_advances_no_batches(self):
-        db = make_db(execution="tuple")
-        db.execute("SELECT g, COUNT(*) FROM t GROUP BY g")
-        assert db.exec_stats.batches == 0
-
     def test_trace_surfaces_batches(self):
         db = make_db()
         trace = db.trace("SELECT COUNT(*) FROM t")
@@ -120,18 +99,12 @@ class TestBatchMetrics:
 
 class TestAnalyzeParity:
     def test_explain_analyze_rows_match_tuple_engine(self):
+        db = make_db()
         sql = (
             "SELECT a.g, COUNT(*) FROM t a, t b "
             "WHERE a.id = b.id AND a.g = 2 GROUP BY a.g"
         )
-
-        def operator_rows(db):
-            trace = db.trace(sql, analyze=True)
-            return [(op.op_name, op.rows) for op in trace.operators]
-
-        assert operator_rows(make_db()) == operator_rows(
-            make_db(execution="tuple")
-        )
+        assert_matches_reference(db, sql)
 
 
 class TestBatchedEdgeCases:
@@ -157,25 +130,21 @@ class TestBatchedEdgeCases:
 
     def test_mixed_direction_order_by(self):
         db = make_db()
-        reference = make_db(execution="tuple")
-        sql = "SELECT g, id FROM t ORDER BY g DESC, id ASC"
-        ours = db.execute(sql).rows
-        assert ours == reference.execute(sql).rows
+        ours = assert_matches_reference(
+            db, "SELECT g, id FROM t ORDER BY g DESC, id ASC"
+        )
         assert ours[0][0] == 4 and ours[0][1] < ours[1][1]
 
     def test_order_by_with_nulls(self):
         db = make_db()
-        reference = make_db(execution="tuple")
-        sql = "SELECT v, id FROM t ORDER BY v, id"
-        ours = db.execute(sql).rows
-        assert ours == reference.execute(sql).rows
-        assert ours[0][0] is None  # NULLs sort first, both engines
+        ours = assert_matches_reference(db, "SELECT v, id FROM t ORDER BY v, id")
+        assert ours[0][0] is None  # NULLs sort first
 
     def test_count_distinct_and_avg(self):
         db = make_db()
-        reference = make_db(execution="tuple")
-        sql = "SELECT g, COUNT(DISTINCT name), AVG(v) FROM t GROUP BY g"
-        assert db.execute(sql).rows == reference.execute(sql).rows
+        assert_matches_reference(
+            db, "SELECT g, COUNT(DISTINCT name), AVG(v) FROM t GROUP BY g"
+        )
 
 
 class TestHeapScanBatches:
