@@ -16,6 +16,7 @@ from .columnstore import ColumnStore
 from .errors import (
     DuplicateObjectError,
     NotNullViolation,
+    UniqueViolation,
     UnknownObjectError,
 )
 from .heap import HeapFile, InsertStrategy, RowId
@@ -109,11 +110,26 @@ class Table:
 
     # -- mutation (index-maintaining) ----------------------------------------
 
+    # A write a unique index refuses undoes its own heap and index
+    # changes before re-raising: it logs nothing, so anything it left
+    # behind would be live state that recovery never rebuilds.  The
+    # undo runs only on refusal; a write that succeeds reads no page a
+    # uniqueness probe ahead of it would have cost.
+
     def insert_row(self, row: tuple) -> RowId:
         row = self.check_row(row)
         rid = self.heap.insert(row, self.row_width(row))
-        for info in self.indexes.values():
-            info.btree.insert(self._index_key(info, row), rid)
+        info = None
+        try:
+            for info in self.indexes.values():
+                info.btree.insert(self._index_key(info, row), rid)
+        except UniqueViolation:
+            for done in self.indexes.values():
+                if done is info:
+                    break
+                done.btree.delete(self._index_key(done, row), rid)
+            self.heap.delete(rid)
+            raise
         return rid
 
     def delete_row(self, rid: RowId) -> tuple:
@@ -127,13 +143,45 @@ class Table:
         new_row = self.check_row(new_row)
         old_row = self.heap.fetch(rid)
         new_rid = self.heap.update(rid, new_row, self.row_width(new_row))
+        info = None
+        try:
+            for info in self.indexes.values():
+                old_key = self._index_key(info, old_row)
+                new_key = self._index_key(info, new_row)
+                if old_key != new_key or new_rid != rid:
+                    info.btree.delete(old_key, rid)
+                    info.btree.insert(new_key, new_rid)
+        except UniqueViolation:
+            self._undo_update(rid, old_row, new_rid, new_row, info)
+            raise
+        return new_rid
+
+    def _undo_update(
+        self,
+        rid: RowId,
+        old_row: tuple,
+        new_rid: RowId,
+        new_row: tuple,
+        refused: IndexInfo | None,
+    ) -> None:
+        """Put back a row whose update ``refused`` turned down: that
+        index gave up the old key and took no new one, every index
+        before it moved its entry, the row may have moved pages."""
         for info in self.indexes.values():
             old_key = self._index_key(info, old_row)
+            if info is refused:
+                info.btree.insert(old_key, rid)
+                break
             new_key = self._index_key(info, new_row)
             if old_key != new_key or new_rid != rid:
-                info.btree.delete(old_key, rid)
-                info.btree.insert(new_key, new_rid)
-        return new_rid
+                info.btree.delete(new_key, new_rid)
+                info.btree.insert(old_key, rid)
+        width = self.row_width(old_row)
+        if new_rid == rid:
+            self.heap.update(rid, old_row, width)  # fit there before: in place
+        else:
+            self.heap.delete(new_rid)
+            self.heap.reinstate(rid, old_row, width)
 
     def _index_key(self, info: IndexInfo, row: tuple) -> tuple:
         return tuple(row[p] for p in info.column_positions)

@@ -846,6 +846,7 @@ class Database:
     ) -> int:
         table = self.catalog.table(program.table_name)
         rids = self._match_rids(table, program, params)
+        assigned = [position for position, _ in program.assignments]
         for rid in rids:
             old_row = table.heap.fetch(rid)
             new_row = list(old_row)
@@ -854,7 +855,9 @@ class Database:
                 new_row[position] = compiled(old_row, params)
             new_tuple = tuple(new_row)
             new_rid = table.update_row(rid, new_tuple)
-            self.transactions.record_update(table, rid, old_row, new_rid, new_tuple)
+            self.transactions.record_update(
+                table, rid, old_row, new_rid, new_tuple, assigned
+            )
         return len(rids)
 
     def _run_delete(

@@ -19,6 +19,14 @@ Opening a disk-backed database runs :func:`recover`:
    of loser transactions and of incomplete admin operations.  Rolled
    back transactions replay *forward plus their logged compensation*,
    which nets out to nothing while keeping the RID remap coherent.
+   Row records carry what redo reads and no before-image: an ``ins``
+   its full row, a ``del`` its RID, an ``upd`` the columns its SET list
+   assigned (``set``, ``{position: value}``; a compensation ``upd``
+   carries the same positions with their before-values).  Redo of an
+   ``upd`` fetches the row at the remapped RID — from the checkpoint's
+   page image or from earlier redo — patches ``set`` in and rewrites
+   it.  Before-images exist only where undo reads them: the in-memory
+   undo log and the fuzzy checkpoint's snapshot of it (step 3).
 
 Replay is logical, so a replayed insert may land at a different
 physical RID than the original (skipped loser/incomplete-operation rows
@@ -211,8 +219,11 @@ def _replay_dml(
     elif kind == "del":
         logged = tuple(record["rid"])
         table.delete_row(remap.get((key, logged), RowId(*logged)))
-    else:  # upd
+    else:  # upd: patch the assigned columns into the row redo finds
         logged_old = tuple(record["rid"])
         current = remap.get((key, logged_old), RowId(*logged_old))
-        new_rid = table.update_row(current, tuple(record["new_row"]))
+        row = list(table.heap.fetch(current))
+        for position, value in record["set"].items():
+            row[position] = value
+        new_rid = table.update_row(current, tuple(row))
         remap[(key, tuple(record["new_rid"]))] = new_rid

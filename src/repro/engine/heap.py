@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator
 
 from .errors import ExecutionError
 from .observability.metrics import CounterSet
@@ -222,6 +222,21 @@ class HeapFile:
         # modelled; callers maintain indexes and receive the new RID).
         self.delete(rid)
         return self.insert(row, width)
+
+    def reinstate(self, rid: RowId, row: tuple, width: int) -> None:
+        """Put a row back into the slot it was deleted from — undoing a
+        relocation the caller refused, so the row keeps the RID the log
+        knows it by.  The slot is still a tombstone: :meth:`update` only
+        relocates to another page."""
+        page = self._pool.read(rid.page_id)
+        self._write_slot(page.payload, rid.slot, row, width)
+        page.used += width + ROW_OVERHEAD
+        self._free_map[page.page_id] = page.free
+        self._pool.mark_dirty(page.page_id)
+        self.row_count += 1
+
+    def _write_slot(self, payload: Any, slot_no: int, row: tuple, width: int) -> None:
+        payload[slot_no] = (row, width)
 
     def delete(self, rid: RowId) -> None:
         self._stats.deletes += 1

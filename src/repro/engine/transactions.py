@@ -16,7 +16,7 @@ through, keeping earlier entries pointed at the row's current location.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import EngineError
 from .heap import RowId
@@ -45,6 +45,9 @@ class _UpdateEntry:
     old_rid: RowId
     old_row: tuple
     new_rid: RowId
+    #: The positions the UPDATE assigned: its compensation record
+    #: carries their before-values.
+    positions: Sequence[int]
 
 
 class TransactionManager:
@@ -120,13 +123,8 @@ class TransactionManager:
         for entry in reversed(log):
             if isinstance(entry, _InsertEntry):
                 rid = resolve(entry.table, entry.rid)
-                row = entry.table.delete_row(rid)
-                self._emit(
-                    "del",
-                    entry.table,
-                    rid=(rid.page_id, rid.slot),
-                    row=row,
-                )
+                entry.table.delete_row(rid)
+                self._emit("del", entry.table, rid=(rid.page_id, rid.slot))
             elif isinstance(entry, _DeleteEntry):
                 new_rid = entry.table.insert_row(entry.row)
                 remap[(id(entry.table), entry.rid)] = new_rid
@@ -145,9 +143,8 @@ class TransactionManager:
                     "upd",
                     entry.table,
                     rid=(current.page_id, current.slot),
-                    row=None,
                     new_rid=(restored.page_id, restored.slot),
-                    new_row=entry.old_row,
+                    set={p: entry.old_row[p] for p in entry.positions},
                 )
         self._emit_rollback()
         if self.sanitizer is not None:
@@ -176,7 +173,7 @@ class TransactionManager:
     def record_delete(self, table: "Table", rid: RowId, row: tuple) -> None:
         if self._log is not None:
             self._log.append(_DeleteEntry(table, rid, row))
-        self._emit("del", table, rid=(rid.page_id, rid.slot), row=row)
+        self._emit("del", table, rid=(rid.page_id, rid.slot))
 
     def record_update(
         self,
@@ -185,19 +182,43 @@ class TransactionManager:
         old_row: tuple,
         new_rid: RowId,
         new_row: tuple,
+        positions: Sequence[int],
     ) -> None:
+        """``positions`` are the columns the statement assigned (from
+        its SET list, never from comparing the two rows): the only ones
+        the redo record carries."""
         if self._log is not None:
-            self._log.append(_UpdateEntry(table, old_rid, old_row, new_rid))
+            self._log.append(
+                _UpdateEntry(table, old_rid, old_row, new_rid, positions)
+            )
         self._emit(
             "upd",
             table,
             rid=(old_rid.page_id, old_rid.slot),
-            row=old_row,
             new_rid=(new_rid.page_id, new_rid.slot),
-            new_row=new_row,
+            set={p: new_row[p] for p in positions},
         )
 
     # -- WAL plumbing ------------------------------------------------------
+    #
+    # A row record carries what redo reads and nothing else:
+    #
+    # * ``ins`` — ``rid`` and the full ``row`` (redo has no row to start
+    #   from);
+    # * ``del`` — ``rid`` only;
+    # * ``upd`` — ``rid``, ``new_rid`` and ``set``, ``{position: value}``
+    #   for the columns the UPDATE assigned; redo patches them into the
+    #   row it finds at ``rid``;
+    # * compensation records a rollback logs are the same three kinds:
+    #   ``del`` undoes an insert, ``ins`` (full row) a delete, and ``upd``
+    #   carries the same positions with their before-values.
+    #
+    # Before-images live only in the in-memory undo log above and in
+    # :meth:`serialize_active`'s fuzzy-checkpoint snapshot — the two
+    # places undo reads them from.  A ``set`` patch is only correct if
+    # the row redo finds equals the one the UPDATE read, which is why
+    # a write a constraint refuses must leave nothing behind
+    # (:meth:`~repro.engine.catalog.Table.insert_row`).
 
     def _emit(self, kind: str, table: "Table", **fields) -> None:
         durability = self._durability

@@ -28,6 +28,7 @@ from repro.engine.durability import (
     FaultInjector,
     SimulatedCrash,
 )
+from repro.engine.errors import UniqueViolation
 from repro.engine.sql.parser import parse_statement
 from repro.engine.values import INTEGER, varchar
 
@@ -343,6 +344,185 @@ class TestWalMetrics:
         db2.close()
 
 
+def _log_records(db: Database) -> list[dict]:
+    """The durable WAL records of a live database, header excluded."""
+    from repro.engine.durability.codec import decode_frames
+
+    db.durability.wal.flush()
+    with open(db.durability.wal.path, "rb") as fh:
+        return [record for _offset, record in decode_frames(fh.read())][1:]
+
+
+def _all_rows(db: Database, table: str = "t") -> list[tuple]:
+    return sorted(db.execute(f"SELECT * FROM {table}").rows)
+
+
+def _crash_and_reopen(db: Database, path) -> Database:
+    """Power cut: the log reaches disk, nothing else happens."""
+    db.durability.wal.flush()
+    del db
+    return build(path)
+
+
+class TestRefusedWrites:
+    """A write a unique index refuses logs nothing, so it must leave
+    nothing behind: no heap row, no index entry, no changed row.  The
+    scan, every index and the state after a crash must agree — and an
+    UPDATE of the same row afterwards must recover to what it did live,
+    which an UPDATE record carrying only its SET columns depends on."""
+
+    BEFORE = [(1, 10, "x"), (2, 20, "y")]
+
+    def _build(self, path, storage: str) -> Database:
+        db = build(path)
+        db.execute(
+            "CREATE TABLE t (a INTEGER, b INTEGER, c VARCHAR(8000))"
+            + (" USING columnar" if storage == "columnar" else "")
+        )
+        # The plain index first: the unique one refuses after it has
+        # already taken the new entry.
+        db.execute("CREATE INDEX t_b ON t (b)")
+        db.execute("CREATE UNIQUE INDEX t_a ON t (a)")
+        for row in self.BEFORE:
+            db.execute("INSERT INTO t VALUES (?, ?, ?)", list(row))
+        return db
+
+    @staticmethod
+    def _views(db: Database) -> list[list[tuple]]:
+        scan = _all_rows(db)
+        by_a, by_b = [], []
+        for a, b, _c in scan:
+            by_a += db.execute("SELECT * FROM t WHERE a = ?", [a]).rows
+            by_b += db.execute("SELECT * FROM t WHERE b = ?", [b]).rows
+        return [scan, sorted(by_a), sorted(by_b)]
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize(
+        "refused",
+        [
+            "INSERT INTO t VALUES (1, 30, 'z')",
+            "UPDATE t SET a = 1 WHERE a = 2",
+            "UPDATE t SET a = 1, b = 21 WHERE a = 2",
+            # Grows the row off its page before the index refuses.
+            "UPDATE t SET a = 1, b = 21, c = '" + "w" * 7000 + "' WHERE a = 2",
+        ],
+        ids=["insert", "update", "update-two-indexes", "update-moved-row"],
+    )
+    def test_refused_write_leaves_nothing_behind(self, tmp_path, storage, refused):
+        db = self._build(tmp_path, storage)
+        # Fill the page, so the moved-row case really leaves it.
+        db.execute("UPDATE t SET c = ? WHERE a = 1", ["v" * 7000])
+        before = self._views(db)
+        with pytest.raises(UniqueViolation):
+            db.execute(refused)
+        assert self._views(db) == before
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 2
+        db.execute("UPDATE t SET b = b + 5 WHERE a = 2")
+        live = self._views(db)
+        assert live[0][1][:2] == (2, 25)
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert self._views(db2) == live
+        db2.close()
+
+
+class TestRowRecords:
+    """What each WAL row record carries: exactly what redo reads."""
+
+    @staticmethod
+    def _upd_bytes(path, columns: int) -> int:
+        from repro.engine.durability.codec import encode_frame
+
+        db = build(path)
+        names = [f"c{i}" for i in range(1, columns)]
+        db.execute(
+            "CREATE TABLE w (id INTEGER NOT NULL, "
+            + ", ".join(f"{n} VARCHAR(20)" for n in names)
+            + ")"
+        )
+        db.execute("CREATE UNIQUE INDEX w_id ON w (id)")
+        db.execute(
+            f"INSERT INTO w VALUES (1{', ?' * len(names)})",
+            [f"value-{n}" for n in names],
+        )
+        db.execute("UPDATE w SET c3 = 'changed' WHERE id = 1")
+        (upd,) = [r for r in _log_records(db) if r["t"] == "upd"]
+        assert upd["set"] == {3: "changed"}
+        db.close()
+        return len(encode_frame(upd))
+
+    def test_update_record_size_does_not_follow_row_width(self, tmp_path):
+        narrow = self._upd_bytes(tmp_path / "narrow", 10)
+        wide = self._upd_bytes(tmp_path / "wide", 60)
+        assert abs(wide - narrow) <= 4, (narrow, wide)
+
+    def test_no_update_or_delete_record_carries_a_row_image(self, tmp_path):
+        db = build(tmp_path)
+        seed_rows(db)
+        db.execute("UPDATE t SET name = 'renamed' WHERE id = 2")
+        db.execute("DELETE FROM t WHERE id = 3")
+        db.transactions.begin()  # compensation records too
+        db.execute("INSERT INTO t VALUES (100, 'undone')")
+        db.execute("UPDATE t SET name = 'undone' WHERE id = 4")
+        db.execute("DELETE FROM t WHERE id = 5")
+        db.transactions.rollback()
+        records = [r for r in _log_records(db) if r["t"] in ("upd", "del")]
+        assert sorted({r["t"] for r in records}) == ["del", "upd"]
+        assert len(records) == 6
+        for record in records:
+            assert "row" not in record and "new_row" not in record, record
+        db.close()
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    def test_update_that_moves_the_row_recovers(self, tmp_path, storage):
+        db = build(tmp_path)
+        db.execute(
+            "CREATE TABLE t (id INTEGER NOT NULL, n INTEGER, c VARCHAR(6000))"
+            + (" USING columnar" if storage == "columnar" else "")
+        )
+        db.execute("CREATE UNIQUE INDEX t_id ON t (id)")
+        for i in range(2):
+            db.execute("INSERT INTO t VALUES (?, 0, ?)", [i, "x" * 3000])
+        db.execute("UPDATE t SET c = ? WHERE id = 1", ["y" * 5500])
+        db.execute("UPDATE t SET n = 7 WHERE id = 1")  # at its new RID
+        (moved, patched) = [r for r in _log_records(db) if r["t"] == "upd"]
+        assert moved["rid"] != moved["new_rid"]
+        assert patched["rid"] == moved["new_rid"]
+        live = _all_rows(db)
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert _all_rows(db2) == live
+        db2.close()
+
+    def test_rolled_back_updates_of_two_columns_recover(self, tmp_path):
+        db = build(tmp_path)
+        db.execute(
+            "CREATE TABLE t (id INTEGER NOT NULL, a VARCHAR(10), b INTEGER)"
+        )
+        db.execute("INSERT INTO t VALUES (1, 'a0', 0)")
+        db.transactions.begin()
+        db.execute("UPDATE t SET a = 'a1' WHERE id = 1")
+        db.execute("UPDATE t SET b = 1 WHERE id = 1")
+        db.transactions.rollback()
+        db.execute("UPDATE t SET b = 2 WHERE id = 1")
+        live = _all_rows(db)
+        assert live == [(1, "a0", 2)]
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert _all_rows(db2) == live
+        db2.close()
+
+    def test_update_of_a_row_only_the_checkpoint_holds(self, tmp_path):
+        db = build(tmp_path)
+        seed_rows(db)
+        assert db.checkpoint()
+        db.execute("UPDATE t SET name = 'after' WHERE id = 6")
+        # The log holds the patch, not the row it patches.
+        assert [r["t"] for r in _log_records(db)] == ["checkpoint", "upd", "commit"]
+        live = _all_rows(db)
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert _all_rows(db2) == live
+        assert db2.execute("SELECT name FROM t WHERE id = 6").scalar() == "after"
+        db2.close()
+
+
 # ---------------------------------------------------------------------------
 # Crashpoint × layout property test
 # ---------------------------------------------------------------------------
@@ -651,15 +831,6 @@ def test_recover_restores_state_and_runs_no_layout_hook(
     recovered.create_tenant(99)  # the spy does see a live admin call
     assert any(call.endswith(".on_tenant_added") for call in calls)
     db2.close()
-
-
-def _log_records(db: Database) -> list[dict]:
-    """The durable WAL records of a live database, header excluded."""
-    from repro.engine.durability.codec import decode_frames
-
-    db.durability.wal.flush()
-    with open(db.durability.wal.path, "rb") as fh:
-        return [record for _offset, record in decode_frames(fh.read())][1:]
 
 
 @pytest.mark.parametrize("layout", ["chunk_folding", "private"])
