@@ -49,6 +49,7 @@ RULES: dict[str, Rule] = {
         Rule("SEM008", Severity.ERROR, "type-incompatible assignment"),
         Rule("SEM009", Severity.ERROR, "aggregate misuse"),
         Rule("SEM010", Severity.WARNING, "non-boolean predicate"),
+        Rule("SEM011", Severity.ERROR, "unsupported construct (outer join)"),
         # -- tenant-isolation verifier (ISO) -------------------------------
         Rule("ISO001", Severity.ERROR, "unguarded scan of shared table"),
         Rule("ISO002", Severity.ERROR, "unguarded DML on shared table"),

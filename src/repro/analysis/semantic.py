@@ -20,9 +20,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any, Protocol
 
-from ..engine.errors import TypeMismatchError
+from ..engine.errors import TypeMismatchError, UnsupportedSyntaxError
 from ..engine.plan.logical import output_name
 from ..engine.sql import ast
+from ..engine.sql.parser import parse_statement
 from ..engine.values import SqlType, TypeKind
 from .findings import AnalysisReport, Finding
 
@@ -180,6 +181,18 @@ class SemanticAnalyzer:
             self._analyze_delete(stmt)
         # DDL is checked by the catalog itself.
         return report
+
+    def analyze_sql(self, sql: str, locus: str = "") -> AnalysisReport:
+        """Parse and analyze SQL text.  A construct the parser refuses
+        by name (an outer join) is a finding, not an exception; any
+        other parse error propagates."""
+        try:
+            stmt = parse_statement(sql)
+        except UnsupportedSyntaxError as exc:
+            report = AnalysisReport(checked=1)
+            report.add(Finding(exc.rule_id, str(exc), locus or sql))
+            return report
+        return self.analyze(stmt, locus or sql)
 
     # -- helpers -----------------------------------------------------------
 

@@ -52,17 +52,6 @@ def _key_order(key: tuple) -> tuple:
     return tuple(sort_key(v) for v in key)
 
 
-def _head_matches(key: tuple, prefix: tuple) -> bool:
-    """Whether ``key``'s leading columns equal ``prefix`` under
-    ``sort_key`` semantics, without building decorated tuples: raw
-    equality plus a bool/number guard (``sort_key`` segregates bools
-    from numbers; raw ``==`` treats ``False == 0``)."""
-    for a, b in zip(key, prefix):
-        if a != b or (isinstance(a, bool) != isinstance(b, bool)):
-            return False
-    return True
-
-
 def _value_width(value: object) -> int:
     """Byte width of a key column value (schema widths are unknown here,
     so we charge the value's natural storage width)."""
@@ -324,88 +313,96 @@ class BTreeIndex:
             return node.rid_lists[lo][0]
         return None
 
-    def scan_prefix(self, prefix: tuple) -> Iterator[tuple[tuple, RowId]]:
-        """Yield (key, rid) for every key whose leading columns equal
-        ``prefix``, in key order.  An empty prefix scans everything."""
+    def prefix_batches(
+        self, prefix: tuple, batch_rows: int
+    ) -> Iterator[list[tuple[tuple, RowId]]]:
+        """Lists of at most ``batch_rows`` (key, rid) entries for every
+        key whose leading columns equal ``prefix``, in key order.  An
+        empty prefix scans everything."""
         self._stats.prefix_scans += 1
-        n = len(prefix)
-        if not n:
-            page_id: int | None = self._leftmost_leaf()
-            leaf = self._pool.read(page_id).payload
-            while page_id is not None:
-                for key, rids in zip(list(leaf.keys), list(leaf.rid_lists)):
-                    for rid in rids:
-                        yield key, rid
-                page_id = leaf.next_page
-                if page_id is not None:
-                    leaf = self._pool.read(page_id).payload
-            return
-        prefix_order = self._order(prefix)
-        path, page = self._descend(prefix)
-        leaf = page.payload
-        page_id = path[-1]
-        while page_id is not None:
-            keys = list(leaf.keys)
-            rid_lists = list(leaf.rid_lists)
-            # Matching entries are contiguous: binary-search the start,
-            # then a cheap per-entry head check — no decorated tuples
-            # per entry (the historical hot spot of every index lookup).
-            for i in range(self._position(keys, prefix_order), len(keys)):
-                key = keys[i]
-                if not _head_matches(key, prefix):
-                    return
-                for rid in rid_lists[i]:
-                    yield key, rid
-            page_id = leaf.next_page
-            if page_id is not None:
-                leaf = self._pool.read(page_id).payload
+        if prefix:
+            order = self._order(prefix)
+            path, page = self._descend(prefix, order)
+            yield from self._leaf_batches(
+                path[-1], page.payload, order, order, batch_rows
+            )
+        else:
+            page_id = self._leftmost_leaf()
+            yield from self._leaf_batches(
+                page_id, self._pool.read(page_id).payload, None, None,
+                batch_rows,
+            )
 
-    def scan_range(
-        self, low: tuple | None, high: tuple | None
-    ) -> Iterator[tuple[tuple, RowId]]:
-        """Yield entries with low <= key-prefix <= high (inclusive)."""
+    def range_batches(
+        self, low: tuple | None, high: tuple | None, batch_rows: int
+    ) -> Iterator[list[tuple[tuple, RowId]]]:
+        """Like :meth:`prefix_batches` for low <= key-prefix <= high
+        (inclusive; an empty or ``None`` bound is open)."""
         self._stats.range_scans += 1
         if low:
             path, page = self._descend(low)
+            page_id = path[-1]
             leaf = page.payload
-            page_id: int | None = path[-1]
         else:
             page_id = self._leftmost_leaf()
             leaf = self._pool.read(page_id).payload
-        low_order = self._order(low) if low else None
-        high_order = self._order(high) if high else None
-        hn = len(high_order) if high_order is not None else 0
-        while page_id is not None:
-            keys = list(leaf.keys)
-            rid_lists = list(leaf.rid_lists)
-            # The in-range entries are one contiguous run per leaf
-            # (key-prefix comparisons are monotone in key order), so
-            # binary-search both boundaries instead of decorating every
-            # entry.
-            start = (
-                self._position(keys, low_order)
-                if low_order is not None
-                else 0
+        yield from self._leaf_batches(
+            page_id,
+            leaf,
+            self._order(low) if low else None,
+            self._order(high) if high else None,
+            batch_rows,
+        )
+
+    def _leaf_batches(
+        self,
+        page_id: int | None,
+        leaf: _Leaf,
+        low: tuple | None,
+        high: tuple | None,
+        batch_rows: int,
+    ) -> Iterator[list[tuple[tuple, RowId]]]:
+        """Walk the leaf chain from ``leaf`` batching the entries whose
+        decorated key is >= ``low`` and whose head (``len(high)``
+        columns) is <= ``high``.  The matching entries of a leaf are one
+        contiguous run (key-prefix comparisons are monotone in key
+        order): two bisects over the leaf's cached decorated keys bound
+        it and one slice takes it.  The next leaf is read only when the
+        batch being filled needs more entries, so page reads land
+        exactly where a per-entry walk would put them."""
+        node_dec = self._node_dec
+        hn = len(high) if high is not None else 0
+        batch: list[tuple[tuple, RowId]] = []
+        while True:
+            keys = leaf.keys
+            dec = node_dec.get(page_id)
+            if dec is None:
+                dec = node_dec[page_id] = [self._order(k) for k in keys]
+            start = bisect_left(dec, low) if low is not None else 0
+            end = (
+                bisect_right(dec, high, start, key=lambda d: d[:hn])
+                if high is not None
+                else len(keys)
             )
-            end = len(keys)
-            if high_order is not None:
-                lo, hi = start, len(keys)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if self._order(keys[mid])[:hn] > high_order:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                end = lo
-            for i in range(start, end):
-                key = keys[i]
-                for rid in rid_lists[i]:
-                    yield key, rid
-            if end < len(keys):
-                return
-            page_id = leaf.next_page
-            if page_id is not None:
-                leaf = self._pool.read(page_id).payload
+            run = [
+                (key, rid)
+                for key, rids in zip(
+                    keys[start:end], leaf.rid_lists[start:end]
+                )
+                for rid in rids
+            ]
+            batch = batch + run if batch else run
+            if len(batch) >= batch_rows:
+                cut = len(batch) - len(batch) % batch_rows
+                for i in range(0, cut, batch_rows):
+                    yield batch[i : i + batch_rows]
+                batch = batch[cut:]
+            page_id = leaf.next_page if end == len(keys) else None
+            if page_id is None:
+                break
+            leaf = self._pool.read(page_id).payload
+        if batch:
+            yield batch
 
     def _leftmost_leaf(self) -> int:
         page_id = self._root_id

@@ -2,10 +2,10 @@
 
 A :class:`ColumnStore` is a drop-in sibling of
 :class:`~repro.engine.heap.HeapFile`: same public surface (``insert`` /
-``fetch`` / ``scan`` / ``scan_batches`` / ``update`` / ``delete`` /
-``restore`` / ``drop``), same page placement policy, same free-space
-accounting, and the same ``heap.*`` counters — so indexes, DML,
-checkpoint snapshots, and logical WAL replay all work unchanged.  The
+``fetch`` / ``fetch_many`` / ``scan`` / ``scan_batches`` / ``update`` /
+``delete`` / ``restore`` / ``drop``), same page placement policy, same
+free-space accounting, and the same ``heap.*`` counters — so indexes,
+DML, checkpoint snapshots, and logical WAL replay all work unchanged.  The
 difference is the page payload: instead of one ``(row, width)`` entry
 per slot, a column page holds one native value list *per column* plus a
 per-column null bitmap, and the batch scan hands those columns to the
@@ -243,24 +243,22 @@ class ColumnStore(HeapFile):
 
     # -- reads ------------------------------------------------------------
 
-    def fetch(self, rid: RowId) -> tuple:
-        """Assemble one row from its column slots (one logical read)."""
-        self._stats.fetches += 1
-        page = self._pool.read(rid.page_id)
-        payload: ColumnPage = page.payload
-        slot = rid.slot
-        if slot >= len(payload.widths) or payload.widths[slot] is None:
-            raise ExecutionError(f"dangling RID {rid}")
-        san = self._pool.sanitizer
-        if san is not None:
-            san.on_row_access(
-                (self.segment_id, rid.page_id, slot), write=False
-            )
-        row = payload.row_cache.get(slot)
-        if row is None:
-            row = tuple([column[slot] for column in payload.columns])
-            payload.row_cache[slot] = row
-        return row
+    def _page_rows(self, payload: ColumnPage, run: list[RowId]) -> list[tuple]:
+        """Assemble ``run``'s rows from their column slots (cached per
+        page, raising on a dangling RID)."""
+        widths = payload.widths
+        cache = payload.row_cache
+        columns = payload.columns
+        rows = []
+        for rid in run:
+            slot = rid.slot
+            if slot >= len(widths) or widths[slot] is None:
+                raise ExecutionError(f"dangling RID {rid}")
+            row = cache.get(slot)
+            if row is None:
+                row = cache[slot] = tuple([column[slot] for column in columns])
+            rows.append(row)
+        return rows
 
     def scan(self) -> Iterator[tuple[RowId, tuple]]:
         """Row-assembly adapter: full scan in physical order, assembling

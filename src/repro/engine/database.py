@@ -829,7 +829,9 @@ class Database:
                 else:
                     break
             self._executor.stats.index_lookups += 1
-            for _key, rid in info.btree.scan_prefix(tuple(prefix)):
+            # Batch size 1: each row is fetched as its entry arrives.
+            for batch in info.btree.prefix_batches(tuple(prefix), 1):
+                rid = batch[0][1]
                 row = table.heap.fetch(rid)
                 self._executor.stats.rows_fetched += 1
                 if all(p(row, params) is True for p in predicate):

@@ -28,6 +28,21 @@ class ParseError(EngineError):
         super().__init__(message)
 
 
+class UnsupportedSyntaxError(ParseError):
+    """Valid SQL whose semantics the engine does not implement, refused
+    by name rather than run with different semantics (``LEFT [OUTER]
+    JOIN``).  ``construct`` names what was refused; ``rule_id`` is the
+    semantic-analysis rule that reports it."""
+
+    rule_id = "SEM011"
+
+    def __init__(self, construct: str, position: int | None = None) -> None:
+        self.construct = construct
+        super().__init__(
+            f"{construct} is not supported [{self.rule_id}]", position
+        )
+
+
 class CatalogError(EngineError):
     """A referenced table, column, or index does not exist (or already does)."""
 

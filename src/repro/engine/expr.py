@@ -12,12 +12,14 @@ only when the predicate is exactly ``True``.
 
 from __future__ import annotations
 
+import datetime
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import ExecutionError, PlanError, UnknownObjectError
 from .sql import ast
+from .values import sort_key
 
 if TYPE_CHECKING:
     from .plan.logical import QueryBlock
@@ -121,8 +123,8 @@ def _coerce_pair(a: object, b: object) -> tuple[object, object]:
     """Mild cross-type coercion for comparisons, mirroring the lenient
     behaviour of the paper's databases: ISO strings compare against
     DATEs, ints against floats (native in Python)."""
-    import datetime
-
+    if type(a) is type(b):
+        return a, b
     if isinstance(a, datetime.date) and isinstance(b, str):
         try:
             return a, datetime.date.fromisoformat(b)
@@ -159,8 +161,6 @@ _COMPARE = {
 
 
 def _to_date_value(value):
-    import datetime
-
     if isinstance(value, datetime.date):
         return value
     return datetime.date.fromisoformat(str(value))
@@ -305,6 +305,11 @@ class ExprCompiler:
                     return None
                 found = any(item(row, params) == value for item in items)
                 return (not found) if negated else found
+            # Metadata for the batch compiler: ``slot IN (?, ...)`` with
+            # row-independent items evaluates them once per batch.
+            slot = getattr(operand, "slot", None)
+            if slot is not None and all(map(_row_independent, items)):
+                in_list.inlist = (slot, items, negated)
             return in_list
         if isinstance(expr, ast.InSubquery):
             if self._subquery_executor is None:
@@ -386,8 +391,6 @@ class ExprCompiler:
                 except TypeError:
                     # Incompatible types: fall back to the engine's total
                     # order so queries never crash mid-scan.
-                    from .values import sort_key
-
                     return fn(sort_key(a), sort_key(b))
             # Metadata for the batch compiler: <column> <op> <row-
             # independent value> (or mirrored) evaluates against a

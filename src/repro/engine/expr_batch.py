@@ -73,19 +73,85 @@ def node_program(node, key: str, builder):
 
 
 def _row_filter(predicates: Sequence) -> BatchFn:
+    """``[r for r in rows if p0(r) is True and ...]``.  A tagged
+    ``slot IN (?, ...)`` is inlined as one set probe per row, its items
+    evaluated once per batch; an unhashable item or value (TypeError)
+    reruns the batch through the row closures, whose ``==`` test the
+    set probe matches for hashable values (``True == 1`` included)."""
     namespace: dict = {}
-    conditions = []
+    closures, conditions, binds = [], [], []
     for i, predicate in enumerate(predicates):
         namespace[f"p{i}"] = predicate
-        conditions.append(f"p{i}(r, params) is True")
-    source = (
-        f"lambda rows, params: [r for r in rows if {' and '.join(conditions)}]"
+        closures.append(f"p{i}(r, params) is True")
+        inlist = getattr(predicate, "inlist", None)
+        if inlist is None:
+            conditions.append(closures[-1])
+            continue
+        slot, namespace[f"m{i}"], negated = inlist
+        binds.append(
+            f"for s{i} in [frozenset([m(None, params) for m in m{i}])] "
+        )
+        test = "not in" if negated else "in"
+        conditions.append(f"((v := r[{slot}]) is not None and v {test} s{i})")
+    by_closures = _codegen(
+        f"lambda rows, params: [r for r in rows if {' and '.join(closures)}]",
+        namespace,
     )
-    return _codegen(source, namespace)
+    if not binds:
+        return by_closures
+    by_sets = _codegen(
+        f"lambda rows, params: [r {''.join(binds)}for r in rows "
+        f"if {' and '.join(conditions)}]",
+        namespace,
+    )
+
+    def program(rows, params):
+        try:
+            return by_sets(rows, params)
+        except TypeError:
+            return by_closures(rows, params)
+
+    return program
+
+
+def _member_program(predicate):
+    """``(batch, params, sel) -> sel`` for a tagged IN list over a
+    :class:`ColumnBatch`, or ``None``.  NULL operands are never True
+    (the row closures return None for them).  All-literal lists
+    (``.inset``) carry their frozenset; ``.inlist`` items (literals and
+    ``?`` parameters) are evaluated once per batch, falling back to the
+    row closure's ``==`` test when a value is unhashable."""
+    inset = getattr(predicate, "inset", None)
+    inlist = getattr(predicate, "inlist", None)
+    if inset is None and inlist is None:
+        return None
+    slot, values, negated = inset or inlist
+
+    def run(batch: ColumnBatch, params, sel):
+        column = batch.col(slot)
+        rows = range(len(column)) if sel is None else sel
+        listed = values if inset else [item(None, params) for item in values]
+        try:
+            members = values if inset else frozenset(listed)
+            return [
+                i
+                for i in rows
+                if (v := column[i]) is not None and (v in members) != negated
+            ]
+        except TypeError:
+            return [
+                i
+                for i in rows
+                if (v := column[i]) is not None
+                and any(x == v for x in listed) != negated
+            ]
+
+    return run
 
 
 def _columnar_predicate(predicate):
-    """Selection program for one ``.cmp``-tagged comparison, or ``None``.
+    """Selection program for one ``.cmp``-tagged comparison or tagged
+    IN list, or ``None``.
 
     The program maps ``(batch, params, sel)`` to the narrowed selection
     (row positions within the batch where the predicate is exactly
@@ -93,65 +159,30 @@ def _columnar_predicate(predicate):
     are never True, date/ISO-string pairs coerce via ``_coerce_pair``,
     and incompatible types compare under ``sort_key`` total order.
     Stored columns are type-homogeneous (``SqlType.check`` enforces
-    declared types), so one probe value decides per batch whether the
-    slow coercion path is needed at all.
+    declared types), so one probe value decides per batch whether
+    coercion applies at all, and to which side.
     """
-    inset = getattr(predicate, "inset", None)
-    if inset is not None:
-        in_slot, values, negated = inset
-
-        def run_inset(batch: ColumnBatch, params, sel):
-            # NULL operands are never True (the row closure returns
-            # None for them), so membership alone decides; literal
-            # values are hashable, and ``in`` matches the row closure's
-            # ``==`` membership test (bool/int unification included).
-            column = batch.col(in_slot)
-            if negated:
-                if sel is None:
-                    return [
-                        i
-                        for i, v in enumerate(column)
-                        if v is not None and v not in values
-                    ]
-                return [
-                    i
-                    for i in sel
-                    if (v := column[i]) is not None and v not in values
-                ]
-            if sel is None:
-                return [
-                    i
-                    for i, v in enumerate(column)
-                    if v is not None and v in values
-                ]
-            return [
-                i
-                for i in sel
-                if (v := column[i]) is not None and v in values
-            ]
-
-        return run_inset
+    member = _member_program(predicate)
+    if member is not None:
+        return member
     cmp = getattr(predicate, "cmp", None)
     if cmp is None:
         return None
     slot, fn, other, swapped = cmp
-    # Known comparison operators inline as source text, so the hot
-    # non-coercing loop below runs without a per-value lambda call.
-    sym = _CMP_SOURCE.get(fn)
-    if sym is None:
-        dense_fast = sparse_fast = None
-    else:
-        cond = f"(c {sym} v)" if swapped else f"(v {sym} c)"
-        dense_fast = _codegen(
-            "lambda column, c: [i for i, v in enumerate(column) "
-            f"if v is not None and {cond} is True]",
-            {},
-        )
-        sparse_fast = _codegen(
-            "lambda column, c, sel: [i for i in sel "
-            f"if (v := column[i]) is not None and {cond} is True]",
-            {},
-        )
+    # ``.cmp`` tags carry the shared ``_COMPARE`` lambdas, so the
+    # operator inlines as source text: no per-value lambda call.
+    sym = _CMP_SOURCE[fn]
+    cond = f"(c {sym} v)" if swapped else f"(v {sym} c)"
+    dense_fast = _codegen(
+        "lambda column, c: [i for i, v in enumerate(column) "
+        f"if v is not None and {cond} is True]",
+        {},
+    )
+    sparse_fast = _codegen(
+        "lambda column, c, sel: [i for i in sel "
+        f"if (v := column[i]) is not None and {cond} is True]",
+        {},
+    )
 
     def careful(column, c, sel):
         pairs = (
@@ -185,38 +216,19 @@ def _columnar_predicate(predicate):
             return []
         a0, b0 = (c, probe) if swapped else (probe, c)
         ca, cb = _coerce_pair(a0, b0)
+        fast_c = c
         if ca is not a0 or cb is not b0:
-            # Date/string coercion applies to this column/value pair:
-            # take the per-value path for exact row-closure semantics.
-            return careful(column, c, sel)
+            # Date/string coercion applies to this column/value pair.
+            # When the column holds the dates, the ISO constant is what
+            # coerces: parse it once for the batch.  When the column
+            # holds the strings, every value parses: go per value.
+            if (cb if swapped else ca) is not probe:
+                return careful(column, c, sel)
+            fast_c = ca if swapped else cb
         try:
-            if dense_fast is not None:
-                if sel is None:
-                    return dense_fast(column, c)
-                return sparse_fast(column, c, sel)
-            if swapped:
-                if sel is None:
-                    return [
-                        i
-                        for i, v in enumerate(column)
-                        if v is not None and fn(c, v) is True
-                    ]
-                return [
-                    i
-                    for i in sel
-                    if (v := column[i]) is not None and fn(c, v) is True
-                ]
             if sel is None:
-                return [
-                    i
-                    for i, v in enumerate(column)
-                    if v is not None and fn(v, c) is True
-                ]
-            return [
-                i
-                for i in sel
-                if (v := column[i]) is not None and fn(v, c) is True
-            ]
+                return dense_fast(column, fast_c)
+            return sparse_fast(column, fast_c, sel)
         except TypeError:
             # Mixed incomparable types mid-column (never the case for
             # stored data, but stay exact): redo with the total order.

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from typing import Any, Iterator
 
 from .errors import ExecutionError
@@ -46,6 +48,9 @@ class RowId:
         # Two integers, not a state dict that names the fields: a B-tree
         # leaf pickles hundreds of these into every stored page version.
         return RowId, (self.page_id, self.slot)
+
+
+_page_of = attrgetter("page_id")
 
 
 @dataclass
@@ -146,16 +151,41 @@ class HeapFile:
     def fetch(self, rid: RowId) -> tuple:
         """Read one row by RID (one logical data-page read)."""
         self._stats.fetches += 1
-        page = self._pool.read(rid.page_id)
-        slots: list = page.payload
-        if rid.slot >= len(slots) or slots[rid.slot] is None:
-            raise ExecutionError(f"dangling RID {rid}")
+        return self._read_run(rid.page_id, [rid])[0]
+
+    def fetch_many(self, rids: list[RowId]) -> list[tuple]:
+        """Read rows by RID, in order — the executor's FETCH path.
+
+        Consecutive RIDs on one page form a run, read through one
+        :meth:`BufferPool.read_run` call that counts one logical read
+        per row, so page accounting equals one :meth:`fetch` per RID.
+        The dangling-RID check, ``heap.fetches`` and the sanitizer's
+        row access still happen once per row."""
+        self._stats.fetches += len(rids)
+        rows: list[tuple] = []
+        for page_id, run in groupby(rids, _page_of):
+            rows += self._read_run(page_id, list(run))
+        return rows
+
+    def _read_run(self, page_id: int, run: list[RowId]) -> list[tuple]:
+        page = self._pool.read_run(page_id, len(run))
+        rows = self._page_rows(page.payload, run)
         san = self._pool.sanitizer
         if san is not None:
-            san.on_row_access(
-                (self.segment_id, rid.page_id, rid.slot), write=False
-            )
-        return slots[rid.slot][0]
+            for rid in run:
+                san.on_row_access(
+                    (self.segment_id, page_id, rid.slot), write=False
+                )
+        return rows
+
+    def _page_rows(self, slots: list, run: list[RowId]) -> list[tuple]:
+        """The rows at ``run``'s slots of one page (raising on a
+        dangling RID)."""
+        nslots = len(slots)
+        entries = [slots[r.slot] if r.slot < nslots else None for r in run]
+        if None in entries:
+            raise ExecutionError(f"dangling RID {run[entries.index(None)]}")
+        return [entry[0] for entry in entries]
 
     def scan(self) -> Iterator[tuple[RowId, tuple]]:
         """Full scan in physical order, reading every page once."""

@@ -237,6 +237,23 @@ class BufferPool:
             frame.pins += 1
         return page
 
+    def read_run(self, page_id: int, n: int) -> Page:
+        """``n`` back-to-back reads of one page.  Only the first can miss:
+        it leaves the page most recently used, so reads 2..n are hits and
+        count as logical reads alone — the same logical, physical,
+        eviction and LRU outcome as ``n`` calls to :meth:`read`."""
+        page = self.read(page_id)
+        if n > 1:
+            if page_id not in self._frames:
+                # A pool pinned full evicts the page it just admitted.
+                for _ in range(n - 1):
+                    self.read(page_id)
+            elif page.kind is PageKind.DATA:
+                self.stats.logical_data += n - 1
+            else:
+                self.stats.logical_index += n - 1
+        return page
+
     def unpin(self, page_id: int) -> None:
         frame = self._frames.get(page_id)
         if frame is not None and frame.pins > 0:

@@ -5,11 +5,12 @@ joins and explicit ``JOIN ... ON``, nested FROM subqueries (the §6.1
 transformation output), conjunctive and general WHERE predicates,
 GROUP BY / HAVING / ORDER BY / LIMIT, aggregates, ``?`` parameters,
 ``IN`` (lists and subqueries), INSERT / UPDATE / DELETE, and DDL.
+Outer joins are refused with :class:`UnsupportedSyntaxError`.
 """
 
 from __future__ import annotations
 
-from ..errors import ParseError
+from ..errors import ParseError, UnsupportedSyntaxError
 from . import ast
 from .lexer import Token, TokenKind, tokenize
 
@@ -127,12 +128,14 @@ class _Parser:
                 if self._accept_punct(","):
                     sources.append(self._parse_source())
                     continue
-                if self._current.matches("JOIN", "INNER", "LEFT"):
-                    # Inner joins only; LEFT is accepted and treated as
-                    # inner for the dense datasets used here.
+                if self._current.matches("LEFT", "OUTER"):
+                    # Inner joins only: an outer join run as an inner
+                    # one would silently drop the unmatched rows.
+                    raise UnsupportedSyntaxError(
+                        "LEFT [OUTER] JOIN", self._current.position
+                    )
+                if self._current.matches("JOIN", "INNER"):
                     self._accept_keyword("INNER")
-                    self._accept_keyword("LEFT")
-                    self._accept_keyword("OUTER")
                     self._expect_keyword("JOIN")
                     sources.append(self._parse_source())
                     self._expect_keyword("ON")

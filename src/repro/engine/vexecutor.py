@@ -14,6 +14,13 @@ closure by :mod:`repro.engine.expr_batch`.  Per-row cost is one closure
 call per batch whose inner loop is a C-level comprehension or
 ``itemgetter``, not one Python dispatch per operator per row.
 
+Index access is batch-native too (:func:`index_batches`): the B-tree
+hands IXSCAN lists of (key, rid) entries, taking each leaf's matching
+run with one slice, and FETCH reads a batch's rows with
+``heap.fetch_many``, one buffer-pool call per run of RIDs on the same
+page that counts one logical read per row — so page touches, LRU order
+and every counter equal a fetch per RID.
+
 The semantics are specified by the tuple-at-a-time reference
 interpreter the test suites build beside it (``engine/executor.py``;
 nothing on the serving path imports it).  Accounting is bit-identical
@@ -31,7 +38,6 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
-from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -87,17 +93,22 @@ class ExecStats(CounterSet, prefix="db.exec"):
 _NATIVE_ORDER = (int, float, str, datetime.date)
 
 
-def index_entries(
+def index_batches(
     catalog: Catalog,
     stats: ExecStats,
     node: phys.PIndexScan,
     outer_row: tuple,
     params: Sequence[object],
-) -> Iterator[tuple]:
-    """Yield (key, rid) pairs for an index scan's equality prefix.
+    batch_rows: int,
+) -> Iterator[list[tuple]]:
+    """Lists of at most ``batch_rows`` (key, rid) entries for an index
+    scan: its equality prefix, optionally bounded by a range.
 
-    The reference interpreter calls this same function, so index
-    access patterns (and the page reads they cause) cannot drift apart.
+    The one index access routine: the executor consumes the batches,
+    the reference interpreter flattens them (``batch_rows=1``), so
+    index access patterns (and the page reads they cause) cannot drift
+    apart.  The B-tree takes each leaf's matching entries as one slice
+    and reads the next leaf only when a batch needs more entries.
     """
     table = catalog.table(node.table_name)
     info = table.indexes.get(node.index_name.lower())
@@ -116,10 +127,11 @@ def index_entries(
             # Full-key probe on a unique index: exact-match descent
             # instead of a prefix iteration — the hot case of every
             # aligning reconstruction join.
-            for rid in info.btree.search(prefix):
-                yield prefix, rid
+            rids = info.btree.search(prefix)
+            if rids:
+                yield [(prefix, rid) for rid in rids]
             return
-        yield from info.btree.scan_prefix(prefix)
+        yield from info.btree.prefix_batches(prefix, batch_rows)
         return
     low = prefix
     high = prefix
@@ -133,7 +145,22 @@ def index_entries(
         if value is None:
             return
         high = prefix + (value,)
-    yield from info.btree.scan_range(low or None, high or None)
+    yield from info.btree.range_batches(low, high, batch_rows)
+
+
+def index_entries(
+    catalog: Catalog,
+    stats: ExecStats,
+    node: phys.PIndexScan,
+    outer_row: tuple,
+    params: Sequence[object],
+) -> Iterator[tuple]:
+    """:func:`index_batches` flattened at batch size 1: (key, rid) pairs
+    one at a time, each leaf read only once the previous leaf's entries
+    are consumed — the access order of the reference interpreter and of
+    the join probes, which fetch each row as its entry arrives."""
+    for batch in index_batches(catalog, stats, node, outer_row, params, 1):
+        yield from batch
 
 
 def _finalize_agg(spec: phys.AggSpec, acc) -> object:
@@ -180,15 +207,6 @@ def _finalize_agg(spec: phys.AggSpec, acc) -> object:
     if len(kinds) == 1 and next(iter(kinds)) in _NATIVE_ORDER:
         return min(values) if func == "MIN" else max(values)
     return (min if func == "MIN" else max)(values, key=sort_key)
-
-
-def _batched(iterator: Iterator, batch_rows: int) -> Iterator[list]:
-    """Slice an iterator into lists of at most ``batch_rows``."""
-    while True:
-        batch = list(islice(iterator, batch_rows))
-        if not batch:
-            return
-        yield batch
 
 
 def _rebatch(rows: list, batch_rows: int) -> Iterator[list]:
@@ -369,11 +387,10 @@ class VectorizedExecutor:
         residual = self._program(
             node, "residual", lambda: compile_filter(node.residual)
         )
-        entries = index_entries(
-            self._catalog, self.stats, node, outer_row, params
-        )
         stats = self.stats
-        for entry_batch in _batched(entries, self.batch_rows):
+        for entry_batch in index_batches(
+            self._catalog, stats, node, outer_row, params, self.batch_rows
+        ):
             rows = build(entry_batch)
             stats.rows_scanned += len(rows)
             if residual is not None:
@@ -390,18 +407,17 @@ class VectorizedExecutor:
         residual = self._program(
             child, "residual", lambda: compile_filter(child.residual)
         )
-        entries = index_entries(
-            self._catalog, self.stats, child, outer_row, params
+        stats = self.stats
+        entry_batches = index_batches(
+            self._catalog, stats, child, outer_row, params, self.batch_rows
         )
-        entry_batches = _batched(entries, self.batch_rows)
         if self._collector is not None:
             # Attribute (key, rid) production to the IXSCAN child so the
             # analyzed tree shows its row count, not "never executed".
             entry_batches = self._collector.wrap_batches(child, entry_batches)
-        fetch = table.heap.fetch
-        stats = self.stats
+        fetch_many = table.heap.fetch_many
         for entry_batch in entry_batches:
-            rows = [fetch(rid) for _key, rid in entry_batch]
+            rows = fetch_many([rid for _key, rid in entry_batch])
             stats.rows_fetched += len(rows)
             if residual is not None:
                 rows = residual(rows, params)
@@ -488,6 +504,7 @@ class VectorizedExecutor:
         ``None`` when the inner side needs the generic batch path."""
         catalog = self._catalog
         stats = self.stats
+        batch_rows = self.batch_rows
         if isinstance(inner, phys.PFetch):
             child = inner.child
             residual = self._program(
@@ -510,10 +527,10 @@ class VectorizedExecutor:
                 # no per-row generator frames, and ``search_one``
                 # instead of ``search`` so the hit path allocates
                 # nothing but the fetched row.  (NULL keys keep the
-                # generic prefix semantics via scan_prefix, exactly as
-                # index_entries would.)
+                # generic prefix semantics via prefix_batches, exactly
+                # as index_entries would.)
                 search_one = info.btree.search_one
-                scan_prefix = info.btree.scan_prefix
+                prefix_batches = info.btree.prefix_batches
 
                 # Probe keys in reconstruction joins are mostly
                 # constant (Tenant/Table/Chunk literals) with a single
@@ -566,7 +583,11 @@ class VectorizedExecutor:
                     key = make_key(left_row)
                     stats.index_lookups += 1
                     if None in key:
-                        rows = [fetch(rid) for _k, rid in scan_prefix(key)]
+                        rows = [
+                            fetch(rid)
+                            for batch in prefix_batches(key, 1)
+                            for _k, rid in batch
+                        ]
                         stats.rows_fetched += len(rows)
                         if residual is not None and rows:
                             rows = residual(rows, params)
@@ -611,9 +632,13 @@ class VectorizedExecutor:
 
             def probe(left_row: tuple) -> list[tuple]:
                 rows = build(
-                    list(
-                        index_entries(catalog, stats, inner, left_row, params)
-                    )
+                    [
+                        entry
+                        for batch in index_batches(
+                            catalog, stats, inner, left_row, params, batch_rows
+                        )
+                        for entry in batch
+                    ]
                 )
                 stats.rows_scanned += len(rows)
                 if residual is not None and rows:

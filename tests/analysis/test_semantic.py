@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.analysis.findings import RULES, Severity
 from repro.analysis.semantic import CatalogProvider, SemanticAnalyzer
 from repro.engine.database import Database
-from repro.engine.errors import SemanticError
+from repro.engine.errors import SemanticError, UnsupportedSyntaxError
 from repro.engine.sql.parser import parse_statement
 
 
@@ -78,6 +78,29 @@ def test_bad_sql_rule_ids(db, sql, rule_id):
             f"{sql!r}: expected {rule_id}, got "
             f"{[(f.rule_id, f.message) for f in report.findings]}"
         )
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT a.aid FROM account a LEFT JOIN account b ON a.aid = b.beds",
+        "SELECT a.aid FROM account a LEFT OUTER JOIN account b ON a.aid = b.aid",
+    ],
+)
+def test_outer_join_is_flagged_and_refused(db, sql):
+    """An outer join would run as an inner one and lose the unmatched
+    rows: the analyzer reports SEM011 and prepare refuses the text."""
+    report = SemanticAnalyzer(CatalogProvider(db.catalog)).analyze_sql(sql)
+    assert [f.rule_id for f in report.errors] == ["SEM011"]
+    assert "LEFT [OUTER] JOIN" in report.errors[0].message
+    with pytest.raises(UnsupportedSyntaxError, match="SEM011"):
+        db.prepare(sql)
+
+
+def test_analyze_sql_matches_analyze(db):
+    sql = "SELECT nope FROM account"
+    analyzer = SemanticAnalyzer(CatalogProvider(db.catalog))
+    assert analyzer.analyze_sql(sql).errors == analyze(db, sql).errors
 
 
 def test_unknown_table_does_not_cascade(db):

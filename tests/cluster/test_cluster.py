@@ -146,6 +146,40 @@ class TestServer:
 
         run(go())
 
+    def test_left_join_arrives_as_an_error_not_rows(self, mem_cluster):
+        """An outer join run as an inner one would silently lose rows;
+        over the front door the tenant gets a typed refusal instead."""
+
+        async def go():
+            await seed_rows(mem_cluster)
+            server = mem_cluster.serve()
+            await server.start()
+            client = ClusterClient("127.0.0.1", server.port)
+            await client.connect()
+            try:
+                for join in ("LEFT JOIN", "LEFT OUTER JOIN"):
+                    response = await client.request(
+                        {
+                            "op": "execute",
+                            "tenant_id": 35,
+                            "sql": f"SELECT a.name FROM account a {join} "
+                            "account b ON a.aid = b.aid",
+                        }
+                    )
+                    assert not response["ok"]
+                    assert "rows" not in response
+                    assert response["error"] == "UnsupportedSyntaxError"
+                    assert "LEFT [OUTER] JOIN" in response["message"]
+                    assert "SEM011" in response["message"]
+                # The connection still serves the next statement.
+                result = await client.execute(35, "SELECT name FROM account")
+                assert result.rows == [("Ball",)]
+            finally:
+                await client.close()
+                await server.stop()
+
+        run(go())
+
     def test_garbage_frame_drops_connection_only(self, mem_cluster):
         async def go():
             server = mem_cluster.serve()

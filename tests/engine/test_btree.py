@@ -2,6 +2,7 @@
 prefix scans, and prefix compression."""
 
 import datetime
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,14 @@ def make_index(unique=False, prefix_compression=True, capacity=256):
 
 def rid(n):
     return RowId(page_id=n, slot=0)
+
+
+def scan_prefix(index, prefix, batch_rows=7):
+    return [e for b in index.prefix_batches(prefix, batch_rows) for e in b]
+
+
+def scan_range(index, low, high, batch_rows=7):
+    return [e for b in index.range_batches(low, high, batch_rows) for e in b]
 
 
 class TestBasics:
@@ -82,7 +91,7 @@ class TestSplits:
         index, _ = make_index()
         for i in reversed(range(2000)):
             index.insert((i,), rid(i))
-        keys = [k for k, _ in index.scan_prefix(())]
+        keys = [k for k, _ in scan_prefix(index, ())]
         assert keys == [(i,) for i in range(2000)]
 
     def test_descent_reads_one_page_per_level(self):
@@ -101,7 +110,7 @@ class TestPrefixScan:
         for tenant in (17, 35, 42):
             for row in range(10):
                 index.insert((tenant, 0, row), rid(tenant * 100 + row))
-        results = list(index.scan_prefix((17,)))
+        results = list(scan_prefix(index, (17,)))
         assert len(results) == 10
         assert all(k[0] == 17 for k, _ in results)
 
@@ -109,13 +118,13 @@ class TestPrefixScan:
         index, _ = make_index()
         for i in range(100):
             index.insert((i % 5, i), rid(i))
-        assert len(list(index.scan_prefix(()))) == 100
+        assert len(list(scan_prefix(index, ()))) == 100
 
     def test_prefix_scan_in_key_order(self):
         index, _ = make_index()
         for i in reversed(range(50)):
             index.insert((1, i), rid(i))
-        keys = [k for k, _ in index.scan_prefix((1,))]
+        keys = [k for k, _ in scan_prefix(index, (1,))]
         assert keys == sorted(keys, key=lambda k: k[1])
 
     def test_prefix_scan_across_leaf_boundaries(self):
@@ -123,14 +132,103 @@ class TestPrefixScan:
         for i in range(3000):
             index.insert((7, i), rid(i))
         index.insert((8, 0), rid(9999))
-        assert len(list(index.scan_prefix((7,)))) == 3000
+        assert len(list(scan_prefix(index, (7,)))) == 3000
 
     def test_range_scan(self):
         index, _ = make_index()
         for i in range(100):
             index.insert((i,), rid(i))
-        results = [k[0] for k, _ in index.scan_range((10,), (20,))]
+        results = [k[0] for k, _ in scan_range(index, (10,), (20,))]
         assert results == list(range(10, 21))
+
+
+class TestBatchScans:
+    """The batch API against a sorted model: every batch size, prefix
+    and range scans over runs that cross leaves, non-unique keys."""
+
+    @staticmethod
+    @functools.cache
+    def build():
+        index, pool = make_index()
+        model = []
+        for i in range(3000):
+            key = (i % 4, f"{i // 6:030d}")
+            index.insert(key, rid(i))
+            model.append((key, rid(i)))
+        model.sort(key=lambda e: (e[0], e[1].page_id))
+        assert index.height > 1
+        return index, pool, model
+
+    @pytest.mark.parametrize("batch_rows", [1, 3, 256])
+    def test_prefix_batches_match_model(self, batch_rows):
+        index, pool, model = self.build()
+        for prefix in [(), (2,), (1, f"{40:030d}"), (9,)]:
+            batches = list(index.prefix_batches(prefix, batch_rows))
+            assert all(0 < len(b) <= batch_rows for b in batches)
+            assert all(len(b) == batch_rows for b in batches[:-1])
+            expected = [e for e in model if e[0][: len(prefix)] == prefix]
+            assert [e for b in batches for e in b] == expected
+
+    @pytest.mark.parametrize("batch_rows", [1, 3, 256])
+    def test_range_batches_match_model(self, batch_rows):
+        index, _pool, model = self.build()
+        low, high = (1, f"{100:030d}"), (2, f"{20:030d}")
+        got = [e for b in index.range_batches(low, high, batch_rows) for e in b]
+        assert got == [e for e in model if low <= e[0][:2] <= high]
+        assert [e for b in index.range_batches(None, (0,), batch_rows) for e in b] == [
+            e for e in model if e[0][0] == 0
+        ]
+
+    def test_counters_once_per_scan(self):
+        index, pool, _model = self.build()
+        stats = index._stats
+        before = (stats.prefix_scans, stats.range_scans, stats.descents)
+        list(index.prefix_batches((3,), 5))
+        list(index.range_batches((1,), (2,), 5))
+        assert (stats.prefix_scans, stats.range_scans, stats.descents) == (
+            before[0] + 1,
+            before[1] + 1,
+            before[2] + 2,
+        )
+
+    def test_leaf_reads_stop_with_the_run(self):
+        """A scan reads the leaves from its descent to the last match,
+        plus the next leaf only when the run reaches a leaf's end —
+        never the rest of the chain."""
+        index, pool, _model = self.build()
+        chain, leaves = [], []
+        page_id = index._leftmost_leaf()
+        while page_id is not None:
+            chain.append(page_id)
+            leaves.append(pool.read(page_id).payload)
+            page_id = leaves[-1].next_page
+        for prefix in [(0,), (1, f"{40:030d}"), (2,), (3,)]:
+            n = len(prefix)
+            first = chain.index(index._descend(prefix)[0][-1])
+            hits = [
+                i for i, leaf in enumerate(leaves)
+                if any(k[:n] == prefix for k in leaf.keys)
+            ]
+            last = leaves[hits[-1]]
+            reads_next = last.keys[-1][:n] == prefix and last.next_page
+            before = pool.stats.snapshot()
+            list(index.prefix_batches(prefix, 256))
+            delta = pool.stats.delta(before)
+            assert delta.logical_index == (
+                index.height - 1 + hits[-1] - first + 1 + bool(reads_next)
+            )
+
+    def test_bools_are_not_numbers(self):
+        """``sort_key`` keeps booleans apart from numbers, so an integer
+        prefix does not match a boolean key (raw ``True == 1`` would)."""
+        for probe, expected in (((1,), []), ((True,), [rid(1)])):
+            # A fresh tree per probe: the key-order memo is keyed by the
+            # tuple, and (1,) == (True,) in Python.
+            index, _ = make_index()
+            index.insert((True, 1), rid(1))
+            index.insert((2, 1), rid(2))
+            found = [r for b in index.prefix_batches(probe, 8) for _k, r in b]
+            assert found == expected
 
 
 class TestPrefixCompression:
@@ -164,7 +262,7 @@ class TestPropertyBased:
             assert sorted(index.search(key), key=lambda r: r.page_id) == sorted(
                 rids, key=lambda r: r.page_id
             )
-        scanned = list(index.scan_prefix(()))
+        scanned = list(scan_prefix(index, ()))
         assert len(scanned) == sum(len(v) for v in model.values())
         keys = [k for k, _ in scanned]
         assert keys == sorted(keys)

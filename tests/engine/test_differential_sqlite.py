@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ..conftest import assert_matches_reference, reference_run
+from repro.engine.errors import UnsupportedSyntaxError
 from repro.quality.corpus import (
     ENGINE_DDL,
     ENGINE_INDEXES,
@@ -157,6 +158,68 @@ class TestGeneratedQueries:
             for q in queries
         )
         assert any("WHERE" in q and "GROUP BY" not in q for q in queries)
+
+
+def left_join_query(seed: int) -> str | None:
+    """The corpus generator's join query for ``seed`` with its joins
+    written ``LEFT [OUTER] JOIN ... ON`` (``None`` for single-table
+    seeds)."""
+    sql = generate_query(seed)
+    joins = {
+        "FROM p, c WHERE p.id = c.parent": "p.id = c.parent",
+        "FROM p, c, c AS d WHERE p.id = c.parent AND d.parent = p.id": (
+            "p.id = c.parent",
+            "d.parent = p.id",
+        ),
+    }
+    for head, conditions in sorted(joins.items(), key=lambda kv: -len(kv[0])):
+        if head in sql:
+            break
+    else:
+        return None
+    keyword = "LEFT OUTER JOIN" if seed % 2 else "LEFT JOIN"
+    if isinstance(conditions, str):
+        joined = f"FROM p {keyword} c ON {conditions}"
+    else:
+        joined = (
+            f"FROM p {keyword} c ON {conditions[0]} "
+            f"{keyword} c AS d ON {conditions[1]}"
+        )
+    before, after = sql.split(head, 1)
+    if after.startswith(" AND "):
+        after = " WHERE" + after[len(" AND") :]
+    return before + joined + after
+
+
+LEFT_JOIN_SEEDS = [s for s in range(45) if left_join_query(s) is not None]
+
+
+class TestLeftJoinRefused:
+    """Outer joins are not implemented.  Running one as an inner join
+    would drop the unmatched rows without an error, so the engine must
+    refuse every LEFT JOIN shape the generator emits, naming it."""
+
+    @pytest.mark.parametrize("seed", LEFT_JOIN_SEEDS)
+    def test_left_join_shape_is_refused(self, pair, seed):
+        engine, lite = pair
+        sql = left_join_query(seed)
+        lite.execute(sql).fetchall()  # valid SQL: SQLite answers it
+        with pytest.raises(UnsupportedSyntaxError, match="LEFT"):
+            engine.execute(sql)
+
+    def test_refusal_guards_real_answers(self, pair):
+        """No child has val 1000, so LEFT and inner
+        answers differ: an inner-join approximation loses rows."""
+        _, lite = pair
+        on = "ON p.id = c.parent AND c.val = 1000"
+        left = lite.execute(
+            f"SELECT COUNT(*) FROM p LEFT JOIN c {on}"
+        ).fetchone()[0]
+        inner = lite.execute(f"SELECT COUNT(*) FROM p JOIN c {on}").fetchone()[0]
+        assert left > inner
+        assert len(LEFT_JOIN_SEEDS) >= 10
+        assert any("LEFT OUTER JOIN" in left_join_query(s) for s in LEFT_JOIN_SEEDS)
+        assert any(" AS d ON " in left_join_query(s) for s in LEFT_JOIN_SEEDS)
 
 
 class TestCrossEngine:

@@ -2,12 +2,22 @@
 resolution, coercions, and the Universal layout's conversion functions."""
 
 import datetime
+import sqlite3
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.engine.columnstore import ColumnBatch
+from repro.engine.database import Database
 from repro.engine.errors import PlanError, UnknownObjectError
-from repro.engine.expr import ExprCompiler, Schema, Slot, referenced_bindings
+from repro.engine.expr import (
+    ExprCompiler,
+    Schema,
+    Slot,
+    _coerce_pair,
+    referenced_bindings,
+)
+from repro.engine.expr_batch import compile_filter
 from repro.engine.sql.parser import parse_statement
 
 
@@ -196,3 +206,145 @@ class TestPropertyBasedLogic:
     def test_excluded_middle_fails_only_for_null(self, value):
         result = evaluate("a = 1 OR a <> 1", (value, 0, ""))
         assert result is (None if value is None else True)
+
+
+# -- batch programs agree with the row closures -------------------------------
+
+BATCH_SLOTS = [Slot("t", "d"), Slot("t", "i")]
+
+
+def three_ways(predicate_sql, values, params=()):
+    """Positions kept by the row closure, by the batch program over a
+    row list, and by the batch program over a ColumnBatch (which must
+    take its columnar route)."""
+    predicate = compile_predicate(predicate_sql, BATCH_SLOTS)
+    assert any(
+        hasattr(predicate, tag) for tag in ("cmp", "inset", "inlist")
+    ), predicate_sql
+    rows = [(v, i) for i, v in enumerate(values)]
+    by_row = [i for v, i in rows if predicate((v, i), params) is True]
+    program = compile_filter([predicate])
+    by_rows = [i for _v, i in program(rows, params)]
+    batch = ColumnBatch([list(values), list(range(len(values)))])
+    by_columns = [i for _v, i in program(batch, params)]
+    return by_row, by_rows, by_columns
+
+
+DATES = [
+    datetime.date(2004, 5, 6),
+    None,
+    datetime.date(2005, 1, 1),
+    datetime.date(2006, 7, 8),
+    datetime.date(2005, 1, 1),
+]
+OPS = ["=", "<>", "<", "<=", ">", ">="]
+
+
+class TestBatchCoercion:
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize(
+        "literal", ["'2005-01-01'", "'20050101'", "'soon'", "'2005-13-45'"]
+    )
+    def test_date_column_vs_string_either_side(self, op, literal):
+        for sql in (f"d {op} {literal}", f"{literal} {op} d"):
+            by_row, by_rows, by_columns = three_ways(sql, DATES)
+            assert by_row == by_rows == by_columns, sql
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_string_column_vs_date_parameter(self, op):
+        """The column holds the ISO strings: every value parses."""
+        values = ["2004-05-06", None, "2005-01-01", "later", "2006-07-08"]
+        for sql in (f"d {op} ?", f"? {op} d"):
+            by_row, by_rows, by_columns = three_ways(
+                sql, values, [datetime.date(2005, 1, 1)]
+            )
+            assert by_row == by_rows == by_columns, sql
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_datetimes_against_dates_and_strings(self, op):
+        moments = [
+            datetime.datetime(2005, 1, 1, 12),
+            datetime.datetime(2004, 1, 1),
+            None,
+            datetime.date(2005, 1, 1),
+        ]
+        for sql, params in (
+            (f"d {op} '2005-01-01'", ()),
+            (f"d {op} ?", [datetime.date(2005, 1, 1)]),
+            (f"? {op} d", [datetime.datetime(2005, 1, 1)]),
+        ):
+            by_row, by_rows, by_columns = three_ways(sql, moments, params)
+            assert by_row == by_rows == by_columns, sql
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_bools_ints_and_nulls(self, op):
+        values = [True, False, None, True]
+        for sql, params in (
+            (f"d {op} ?", [1]),
+            (f"? {op} d", [0]),
+            (f"d {op} ?", [None]),
+        ):
+            by_row, by_rows, by_columns = three_ways(sql, values, params)
+            assert by_row == by_rows == by_columns, sql
+
+    def test_coerce_pair_same_type_is_untouched(self):
+        assert _coerce_pair("2005-01-01", "x") == ("2005-01-01", "x")
+        a, b = _coerce_pair(datetime.date(2005, 1, 1), "2005-01-01")
+        assert b == datetime.date(2005, 1, 1)
+        assert _coerce_pair("nope", datetime.date(2005, 1, 1))[0] == "nope"
+
+
+class TestBatchInList:
+    @pytest.mark.parametrize("negated", ["", "NOT "])
+    @pytest.mark.parametrize(
+        "params",
+        [(2, 5), (True, 9), (None, 3), ([1], 2), (2.0, "x")],
+    )
+    def test_parameter_list_matches_row_closure(self, negated, params):
+        values = [1, 2, None, 3, 5, 0, 2]
+        sql = f"d {negated}IN (?, 3, ?)"
+        predicate = compile_predicate(sql, BATCH_SLOTS)
+        assert predicate.inlist[0] == 0
+        by_row, by_rows, by_columns = three_ways(sql, values, list(params))
+        assert by_row == by_rows == by_columns, (sql, params)
+
+    def test_unhashable_column_value_falls_back(self):
+        values = [[1], 2, None, 3]
+        by_row, by_rows, by_columns = three_ways("d IN (?, 3)", values, [[1]])
+        assert by_row == by_rows == by_columns == [0, 3]
+
+    def test_row_dependent_items_are_not_tagged(self):
+        predicate = compile_predicate("d IN (i, 3)", BATCH_SLOTS)
+        assert not hasattr(predicate, "inlist")
+
+    def test_stages_keep_conjunction_order(self):
+        """A predicate after the IN list sees only the rows it kept."""
+        first = compile_predicate("d IN (?, 3)", BATCH_SLOTS)
+        second = compile_predicate("i > 0", BATCH_SLOTS)
+        program = compile_filter([first, second])
+        rows = [(3, 0), (1, 1), (3, 2), (4, 3)]
+        assert program(rows, [1]) == [(1, 1), (3, 2)]
+
+
+class TestAgainstSqlite:
+    """DATE columns against ISO literals on either side, on both storage
+    formats, agree with SQLite (which compares the ISO text)."""
+
+    @pytest.mark.parametrize("storage", ["", " USING columnar"])
+    def test_date_comparisons(self, storage):
+        db = Database()
+        lite = sqlite3.connect(":memory:")
+        db.execute(f"CREATE TABLE t (id INTEGER, d DATE){storage}")
+        lite.execute("CREATE TABLE t (id INTEGER, d TEXT)")
+        for i, d in enumerate(
+            ["2004-05-06", None, "2005-01-01", "2006-07-08", "2005-01-01"]
+        ):
+            db.execute("INSERT INTO t VALUES (?, ?)", [i, d])
+            lite.execute("INSERT INTO t VALUES (?, ?)", (i, d))
+        for op in OPS:
+            for literal in ("'2005-01-01'", "'soon'"):
+                for where in (f"d {op} {literal}", f"{literal} {op} d"):
+                    sql = f"SELECT id FROM t WHERE {where} ORDER BY id"
+                    ours = [r[0] for r in db.execute(sql).rows]
+                    theirs = [r[0] for r in lite.execute(sql).fetchall()]
+                    assert ours == theirs, sql

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.errors import ParseError
+from repro.engine.errors import ParseError, UnsupportedSyntaxError
 from repro.engine.sql import ast
 from repro.engine.sql.lexer import TokenKind, tokenize
 from repro.engine.sql.parser import parse_statement
@@ -65,6 +65,22 @@ class TestSelectParsing:
         )
         assert len(stmt.sources) == 2
         assert stmt.where is not None
+
+    def test_inner_keyword_is_accepted(self):
+        stmt = parse_statement(
+            "SELECT p.id FROM parent p INNER JOIN child c ON p.id = c.parent"
+        )
+        assert len(stmt.sources) == 2
+
+    @pytest.mark.parametrize("join", ["LEFT JOIN", "LEFT OUTER JOIN", "OUTER JOIN"])
+    def test_outer_join_is_refused_by_name(self, join):
+        with pytest.raises(UnsupportedSyntaxError) as excinfo:
+            parse_statement(
+                f"SELECT p.id FROM parent p {join} child c ON p.id = c.parent"
+            )
+        assert excinfo.value.construct == "LEFT [OUTER] JOIN"
+        assert "SEM011" in str(excinfo.value)
+        assert isinstance(excinfo.value, ParseError)
 
     def test_nested_subquery_in_from(self):
         stmt = parse_statement(

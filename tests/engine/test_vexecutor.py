@@ -9,15 +9,26 @@ inside a batch, NULL join keys, mixed-direction ORDER BY, empty
 inputs).
 """
 
+import functools
 import inspect
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from repro.engine import Database
-from repro.engine.vexecutor import VectorizedExecutor
+from repro.engine.errors import ExecutionError
+from repro.engine.heap import HeapStats, RowId
+from repro.engine.observability import CounterWindow
+from repro.engine.vexecutor import BATCH_ROWS, VectorizedExecutor
+from repro.quality.corpus import (
+    build_engine_database,
+    build_multitenant,
+    generate_query,
+)
+from repro.quality.harness import all_layouts
 
 from ..conftest import assert_matches_reference, reference_run
 
@@ -166,3 +177,247 @@ class TestHeapScanBatches:
         before = db.pool_stats.snapshot()
         list(heap.scan_batches(64))
         assert db.pool_stats.delta(before).logical_total == via_scan
+
+
+# -- batch index access: IXSCAN -> FETCH moves RID batches --------------------
+
+
+def _heap_stats(db):
+    return db.metrics.counter_set(HeapStats)
+
+
+def untraced_run(db, sql, params=(), batch_rows=BATCH_ROWS):
+    """One SELECT with no collector attached, inside one CounterWindow:
+    ``(rows, row counters, logical reads, heap fetches)``.  At the
+    default batch size it is plain ``db.execute``."""
+    window = CounterWindow(
+        pool=db.pool_stats, exec=db.exec_stats, heap=_heap_stats(db)
+    )
+    if batch_rows == BATCH_ROWS:
+        rows = db.execute(sql, list(params)).rows
+    else:
+        executor = VectorizedExecutor(
+            db.catalog, db.exec_stats, batch_rows=batch_rows
+        )
+        assert executor._collector is None
+        rows = executor.run(db.plan(sql), list(params))
+    deltas = window.deltas()
+    return (
+        rows,
+        deltas["exec"].row_counters(),
+        deltas["pool"].logical_total,
+        deltas["heap"].fetches,
+    )
+
+
+def reference_measures(db, sql, params=()):
+    heap = _heap_stats(db)
+    before = heap.fetches
+    rows, counters, logical, _operators = reference_run(db, sql, params)
+    return rows, counters, logical, heap.fetches - before
+
+
+def assert_untraced_matches_reference(db, sql, params=(), batch_rows=BATCH_ROWS):
+    ours = untraced_run(db, sql, params, batch_rows)
+    assert ours == reference_measures(db, sql, params), (sql, batch_rows)
+    return ours
+
+
+def wide_db(storage: str = "", pool_pages: int | None = None) -> Database:
+    """A table whose (k, s) index spans many leaves: wide string keys,
+    each repeated three times (non-unique keys with several RIDs)."""
+    db = Database()
+    db.execute(
+        "CREATE TABLE w (id INTEGER NOT NULL, k INTEGER, s VARCHAR(60), "
+        f"v INTEGER){storage}"
+    )
+    db.execute("CREATE UNIQUE INDEX w_pk ON w (id)")
+    db.execute("CREATE INDEX w_ks ON w (k, s)")
+    for i in range(1800):
+        db.execute(
+            "INSERT INTO w VALUES (?, ?, ?, ?)",
+            [i, i % 3, f"{i // 9:045d}", (i * 7) % 31 if i % 13 else None],
+        )
+    if pool_pages is not None:
+        db.pool.resize(pool_pages)
+    return db
+
+
+@functools.cache
+def shared_wide_db(storage: str = "") -> Database:
+    """:func:`wide_db`, built once per storage for tests that only read."""
+    return wide_db(storage)
+
+
+#: Index access shapes: prefix scans crossing leaves, range scans, a
+#: unique full-key probe, index-only scans, an NLJOIN inner, a group.
+WIDE_QUERIES = [
+    ("SELECT id, v FROM w WHERE k = 1", ()),
+    ("SELECT id FROM w WHERE k = ? AND v > 3", (2,)),
+    ("SELECT id, s FROM w WHERE k = 0 AND s = ?", (f"{40:045d}",)),
+    ("SELECT id FROM w WHERE k = 2 AND s BETWEEN ? AND ?",
+     (f"{10:045d}", f"{150:045d}")),
+    ("SELECT v FROM w WHERE id = 77", ()),
+    ("SELECT s FROM w WHERE k = 1 ORDER BY s", ()),
+    ("SELECT v, COUNT(*) FROM w WHERE k = 1 GROUP BY v", ()),
+    ("SELECT a.id, b.id FROM w a, w b WHERE a.id = 5 AND b.k = a.k "
+     "AND b.s = a.s", ()),
+]
+
+
+class TestBatchIndexAccess:
+    @pytest.mark.parametrize("storage", ["", " USING columnar"])
+    @pytest.mark.parametrize("batch_rows", [1, 3, BATCH_ROWS])
+    def test_untraced_matches_reference(self, storage, batch_rows):
+        db = shared_wide_db(storage)
+        index = db.catalog.table("w").indexes["w_ks"].btree
+        assert index.height > 1
+        for sql, params in WIDE_QUERIES:
+            assert_untraced_matches_reference(db, sql, params, batch_rows)
+
+    def test_prefix_runs_cross_leaves_and_batches(self):
+        """The k = 1 run spans several leaves and, at 256 rows a batch,
+        more than one batch; the scan still reads each leaf once."""
+        db = shared_wide_db()
+        info = db.catalog.table("w").indexes["w_ks"]
+        before = db.pool_stats.snapshot()
+        batches = list(info.btree.prefix_batches((1,), BATCH_ROWS))
+        index_reads = db.pool_stats.delta(before).logical_index
+        leaves = index_reads - (info.btree.height - 1)
+        assert leaves > 2
+        assert len(batches) == 3 and [len(b) for b in batches] == [256, 256, 88]
+        flat = [entry for batch in batches for entry in batch]
+        assert [key for key, _ in flat] == sorted(key for key, _ in flat)
+        assert len({key for key, _ in flat}) == 200  # three RIDs per key
+
+    def test_next_leaf_is_read_only_when_a_batch_needs_it(self):
+        """A batch boundary on a leaf's last entry leaves the next leaf
+        unread until the consumer asks for more."""
+        db = shared_wide_db()
+        btree = db.catalog.table("w").indexes["w_ks"].btree
+        _path, page = btree._descend((1,))
+        first_leaf = sum(
+            len(rids)
+            for key, rids in zip(page.payload.keys, page.payload.rid_lists)
+            if key[0] == 1
+        )
+        assert 0 < first_leaf < 600  # the run does not fit one leaf
+        before = db.pool_stats.snapshot()
+        batches = btree.prefix_batches((1,), first_leaf)
+        next(batches)
+        reads = db.pool_stats.delta(before).logical_index
+        assert reads == btree.height  # the descent only
+        next(batches)
+        assert db.pool_stats.delta(before).logical_index == reads + 1
+
+    @pytest.mark.parametrize("layout", all_layouts())
+    def test_every_layout_untraced_matches_reference(self, layout):
+        if layout == "conventional":
+            db, transform = build_engine_database(), (lambda sql: sql)
+        else:
+            mtd = build_multitenant(layout, primary_tenant=1)
+            db, transform = mtd.db, (lambda sql: mtd.transform_sql(1, sql))
+        queries = [
+            "SELECT c.id, c.val FROM c WHERE c.parent = 7",
+            "SELECT c.id FROM c WHERE c.parent BETWEEN 5 AND 30",
+            "SELECT p.id, c.val FROM p, c WHERE p.id = c.parent AND p.grp = 3",
+        ] + [generate_query(seed) for seed in (1, 4, 11, 12)]  # not 3-way joins
+        for sql in queries:
+            for batch_rows in (1, 3, BATCH_ROWS):
+                assert_untraced_matches_reference(db, transform(sql), (), batch_rows)
+
+
+class TestFetchMany:
+    @pytest.mark.parametrize("storage", ["", " USING columnar"])
+    def test_small_pool_same_physical_reads_as_per_row(self, storage):
+        """Under an 8-frame pool, fetching runs of RIDs costs the same
+        physical reads and evictions, and leaves the same LRU order, as
+        one fetch per RID."""
+        outcomes = []
+        for batched in (False, True):
+            rng = random.Random(5)
+            db = wide_db(storage, pool_pages=8)
+            heap = db.catalog.table("w").heap
+            rids = [rid for rid, _row in heap.scan()]
+            picks = []
+            for _ in range(60):  # runs of RIDs on one page, random pages
+                start = rng.randrange(len(rids))
+                picks += rids[start : start + rng.randrange(1, 12)]
+            before = db.pool_stats.snapshot()
+            if batched:
+                rows = heap.fetch_many(picks)
+            else:
+                rows = [heap.fetch(rid) for rid in picks]
+            delta = db.pool_stats.delta(before)
+            outcomes.append(
+                (
+                    rows,
+                    delta.logical_data,
+                    delta.physical_data,
+                    delta.evictions,
+                    list(db.pool._frames),
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] > 0 and outcomes[0][3] > 0
+
+    def test_small_pool_executor_same_physical_reads(self):
+        """End to end: at batch size 1 the executor touches pages in the
+        reference's order, so even physical reads and evictions agree."""
+        measures = []
+        for run in ("reference", "executor"):
+            db = wide_db(pool_pages=8)
+            window = CounterWindow(pool=db.pool_stats)
+            for sql, params in WIDE_QUERIES:
+                if run == "reference":
+                    reference_run(db, sql, params)
+                else:
+                    untraced_run(db, sql, params, batch_rows=1)
+            pool = window.deltas()["pool"]
+            measures.append((pool.physical_total, pool.evictions))
+        assert measures[0] == measures[1]
+        assert measures[0][0] > 0
+
+    def test_read_run_counts_each_row(self):
+        db = wide_db()
+        page_id = db.catalog.table("w").heap.page_ids()[0]
+        before = db.pool_stats.snapshot()
+        db.pool.read_run(page_id, 5)
+        assert db.pool_stats.delta(before).logical_data == 5
+
+    @pytest.mark.parametrize("storage", ["", " USING columnar"])
+    def test_dangling_rid_still_raises(self, storage):
+        db = wide_db(storage)
+        heap = db.catalog.table("w").heap
+        rids = [rid for rid, _row in heap.scan()][:5]
+        heap.delete(rids[2])
+        with pytest.raises(ExecutionError, match="dangling RID"):
+            heap.fetch_many(rids)
+        with pytest.raises(ExecutionError, match="dangling RID"):
+            heap.fetch_many([RowId(rids[0].page_id, 10_000)])
+
+    @pytest.mark.parametrize("storage", ["", " USING columnar"])
+    def test_sanitizer_sees_every_fetched_row(self, storage):
+        db = wide_db(storage)
+
+        class Recorder:
+            def __init__(self):
+                self.accesses = []
+
+            def on_row_access(self, resource, *, write):
+                self.accesses.append((resource, write))
+
+        recorder = db.pool.sanitizer = Recorder()
+        heap = db.catalog.table("w").heap
+        window = CounterWindow(exec=db.exec_stats, heap=_heap_stats(db))
+        rows = db.execute("SELECT id, v FROM w WHERE k = 1").rows
+        fetched = window.deltas()["exec"].rows_fetched
+        assert len(rows) == fetched == 600
+        assert window.deltas()["heap"].fetches == fetched
+        info = db.catalog.table("w").indexes["w_ks"]
+        expected = [
+            ((heap.segment_id, rid.page_id, rid.slot), False)
+            for batch in info.btree.prefix_batches((1,), 7)
+            for _key, rid in batch
+        ]
+        assert recorder.accesses == expected
