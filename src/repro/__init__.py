@@ -19,7 +19,6 @@ from .core import (  # noqa: F401
     LogicalTable,
     MultiTenantDatabase,
     PredicateOrder,
-    UpdateMode,
 )
 from .engine import Database, OptimizerProfile  # noqa: F401
 

@@ -34,7 +34,6 @@ The discipline differs by statement provenance:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from ..engine.plan.logical import split_conjuncts
 from ..engine.sql import ast
@@ -42,27 +41,6 @@ from .findings import AnalysisReport, Finding
 
 #: The meta column whose conjunct carries tenant identity.
 TENANT_COLUMN = "tenant"
-
-
-def shared_table_map(mtd: Any) -> dict[str, frozenset[str]]:
-    """Physical table -> required meta discriminator columns.
-
-    Derived from the fragment lists of every (tenant, table) pair:
-    a physical table reached through a fragment with meta predicates is
-    shared, and every meta column of the fragment must be guarded.
-    Private per-tenant tables (empty meta) are exempt.
-    """
-    shared: dict[str, frozenset[str]] = {}
-    for config in mtd.schema.tenants():
-        layout = mtd.layout_for(config.tenant_id)
-        for table in mtd.schema.tables():
-            for fragment in layout.fragments(config.tenant_id, table.name):
-                if not fragment.meta:
-                    continue
-                columns = frozenset(name for name, _ in fragment.meta)
-                key = fragment.table.lower()
-                shared[key] = shared.get(key, frozenset()) | columns
-    return shared
 
 
 @dataclass(frozen=True)

@@ -126,11 +126,6 @@ class Sanitizer:
 
     # -- session / lock tracking ------------------------------------------
 
-    def set_session(self, session_id: int) -> None:
-        """Explicitly enter a session context (tests / harnesses that
-        do not route everything through the lock table)."""
-        self.current_session = session_id
-
     @contextmanager
     def session(self, session_id: int) -> Iterator[None]:
         previous = self.current_session

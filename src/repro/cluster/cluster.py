@@ -25,7 +25,6 @@ import asyncio
 from pathlib import Path
 
 from ..engine.database import Result
-from ..engine.durability import DurabilityOptions
 from ..engine.durability.faults import FaultInjector
 from ..engine.observability import MetricsRegistry
 from .errors import ClusterError
@@ -58,7 +57,6 @@ class Cluster:
         *,
         shards: int | list[str] | tuple[str, ...] = 2,
         options: ShardOptions | None = None,
-        replicas: int = 64,
         faults: FaultInjector | None = None,
         _open: bool = False,
     ) -> None:
@@ -80,9 +78,7 @@ class Cluster:
             names = self.catalog.shards
         else:
             names = _shard_names(shards)
-            self.catalog = PlacementCatalog(
-                names, replicas=replicas, path=catalog_path
-            )
+            self.catalog = PlacementCatalog(names, path=catalog_path)
         self.shards: dict[str, ShardWorker] = {}
         for name in names:
             shard_path = (
@@ -282,8 +278,3 @@ class Cluster:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def default_durability(faults: FaultInjector | None = None) -> DurabilityOptions:
-    """The shard durability options used unless overridden."""
-    return DurabilityOptions(faults=faults)

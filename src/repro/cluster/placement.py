@@ -32,6 +32,9 @@ from typing import Any
 from .errors import ClusterError, RebalanceInProgressError
 
 FORMAT = "repro-placement-v1"
+#: Virtual points per shard on the ring.  The file keeps recording it,
+#: so the format stays ``v1`` in both directions.
+REPLICAS = 64
 
 
 def _hash(key: str) -> int:
@@ -45,12 +48,8 @@ class PlacementCatalog:
         self,
         shards: list[str] | tuple[str, ...] = (),
         *,
-        replicas: int = 64,
         path: str | Path | None = None,
     ) -> None:
-        if replicas < 1:
-            raise ClusterError("replicas must be positive")
-        self.replicas = replicas
         self.path = Path(path) if path is not None else None
         self.version = 0
         self.pins: dict[int, str] = {}
@@ -70,7 +69,7 @@ class PlacementCatalog:
     def _rebuild_ring(self) -> None:
         ring = []
         for shard in self._shards:
-            for replica in range(self.replicas):
+            for replica in range(REPLICAS):
                 ring.append((_hash(f"{shard}#{replica}"), shard))
         ring.sort()
         self._points = [point for point, _ in ring]
@@ -163,7 +162,7 @@ class PlacementCatalog:
         return {
             "format": FORMAT,
             "version": self.version,
-            "replicas": self.replicas,
+            "replicas": REPLICAS,
             "shards": list(self._shards),
             "pins": {str(t): s for t, s in self.pins.items()},
             "rebalance": self.rebalance,
@@ -186,7 +185,7 @@ class PlacementCatalog:
             data = json.load(handle)
         if data.get("format") != FORMAT:
             raise ClusterError(f"not a placement catalog: {path}")
-        catalog = cls(replicas=data["replicas"], path=path)
+        catalog = cls(path=path)
         catalog._shards = list(data["shards"])
         catalog._rebuild_ring()
         catalog.pins = {int(t): s for t, s in data["pins"].items()}
@@ -201,7 +200,6 @@ class PlacementCatalog:
 
     def restore(self, snapshot: dict[str, Any]) -> None:
         self._shards = list(snapshot["shards"])
-        self.replicas = snapshot["replicas"]
         self._rebuild_ring()
         self.pins = {int(t): s for t, s in snapshot["pins"].items()}
         self.rebalance = snapshot["rebalance"]

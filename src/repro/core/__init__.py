@@ -29,6 +29,6 @@ from .schema import (  # noqa: F401
     MultiTenantSchema,
     TenantConfig,
 )
-from .transform.dml import DmlTransformer, UpdateMode  # noqa: F401
+from .transform.dml import DmlTransformer  # noqa: F401
 from .transform.flatten import PredicateOrder  # noqa: F401
 from .transform.query import QueryTransformer, build_reconstruction  # noqa: F401

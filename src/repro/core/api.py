@@ -44,7 +44,7 @@ from .statement_cache import (
     StatementCache,
 )
 from .transform.crosstenant import CrossPlan, CrossTenantTransformer
-from .transform.dml import DmlPlan, DmlTransformer, UpdateMode, is_direct
+from .transform.dml import DmlPlan, DmlTransformer
 from .transform.flatten import (
     PredicateOrder,
     flatten_transformed,
@@ -68,9 +68,7 @@ class MultiTenantDatabase:
         layout: str = "chunk_folding",
         *,
         db: Database | None = None,
-        flatten_for_simple: bool = True,
         predicate_order: PredicateOrder = PredicateOrder.ORIGINAL_FIRST,
-        update_mode: UpdateMode = UpdateMode.BUFFERED,
         statement_cache_size: int = 256,
         _replay: bool = False,
         **layout_options,
@@ -83,9 +81,7 @@ class MultiTenantDatabase:
         #: (name, options): recovery rebuilds the same layout object.
         self._layout_spec = (layout, dict(layout_options))
         self.layout = make_layout(layout, self.db, self.schema, **layout_options)
-        self.flatten_for_simple = flatten_for_simple
         self.predicate_order = predicate_order
-        self.update_mode = update_mode
         self._overrides: dict[int, Layout] = {}
         #: tenant id -> (layout name, options) of its override layout.
         self._override_specs: dict[int, tuple[str, dict]] = {}
@@ -304,10 +300,7 @@ class MultiTenantDatabase:
         """A transformed statement as the engine's optimizer needs it:
         a SIMPLE optimizer cannot unnest the reconstructions itself
         (Test 1), so they are flattened and the conjuncts ordered here."""
-        if (
-            self.db.profile is OptimizerProfile.SIMPLE
-            and self.flatten_for_simple
-        ):
+        if self.db.profile is OptimizerProfile.SIMPLE:
             physical = flatten_transformed(physical, self._physical_lookup)
             physical = order_predicates(physical, self.predicate_order)
         return physical
@@ -321,7 +314,6 @@ class MultiTenantDatabase:
         context is rebuilt."""
         return (
             self.db.profile,
-            self.flatten_for_simple,
             self.predicate_order,
         )
 
@@ -481,16 +473,6 @@ class MultiTenantDatabase:
             # transaction opens (DDL commits any open transaction) —
             # once: planning works from this same list.
             fragments = layout.fragments(tenant_id, stmt.table)
-            if (
-                isinstance(stmt, ast.Update)
-                and self.update_mode is UpdateMode.SUBQUERY
-                and not is_direct(fragments)
-            ):
-                with self.db.atomic():
-                    count = dml.update_subquery(
-                        tenant_id, stmt, params, fragments
-                    )
-                return Result([], [], count)
             with self.db.atomic():
                 return self._cached_dml(
                     tenant_id,
@@ -565,7 +547,7 @@ class MultiTenantDatabase:
         ``Layout.on_*`` hook runs, so a call the live instance rejected
         cannot fail again here.  Row-id allocators then catch up from
         the data.  ``kwargs`` override non-durable constructor options
-        (``flatten_for_simple``, ``update_mode``, ...).
+        (``predicate_order``, ``statement_cache_size``).
         """
         state = db.recovered_admin_state
         if not state or "schema" not in state:

@@ -298,10 +298,6 @@ class FoldingDecision:
     conventional: list[LogicalColumn] = field(default_factory=list)
     chunked: list[ChunkAssignment] = field(default_factory=list)
 
-    @property
-    def chunk_count(self) -> int:
-        return len(self.chunked)
-
 
 class FoldingPlanner:
     """Split a table's columns between a conventional fragment and Chunk

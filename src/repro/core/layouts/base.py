@@ -22,6 +22,7 @@ from typing import Callable, Iterable
 
 from ...engine.database import Database
 from ...engine.errors import UnknownObjectError
+from ...engine.sql.parser import parse_statement
 from ...engine.values import SqlType, TypeKind
 from ..metadata import ColumnIdAllocator, MetadataReport, RowIdAllocator
 from ..schema import Extension, LogicalColumn, LogicalTable, MultiTenantSchema, TenantConfig
@@ -168,7 +169,9 @@ class Layout(abc.ABC):
         self, tenant_id: int, base_table: str, new_names: set[str]
     ) -> None:
         """NULL-backfill this tenant's fragments that hold only columns
-        from ``new_names``, so row-alignment joins keep existing rows."""
+        from ``new_names``, so row-alignment joins keep existing rows.
+        Meta values are bound, not inlined: every tenant's backfill of a
+        fragment shape is one text in the engine's plan cache."""
         fragments = self.fragments(tenant_id, base_table)
         anchor = fragments[0]
         if anchor.row_column is None:
@@ -181,34 +184,26 @@ class Layout(abc.ABC):
         ]
         if not targets:
             return
-        where = " AND ".join(
-            f"{col} = {value!r}" for col, value in anchor.meta
-        ) or "1 = 1"
+        where = " AND ".join(f"{col} = ?" for col, _ in anchor.meta) or "1 = 1"
         select_cols = anchor.row_column
         if self.soft_delete:
             select_cols += f", {ALIVE}"
         rows = self.db.execute(
-            f"SELECT {select_cols} FROM {anchor.table} WHERE {where}"
+            f"SELECT {select_cols} FROM {anchor.table} WHERE {where}",
+            [value for _, value in anchor.meta],
         ).rows
         for fragment in targets:
+            names = [col for col, _ in fragment.meta]
+            names.append(fragment.row_column)
+            if self.soft_delete:
+                names.append(ALIVE)
+            insert = (
+                f"INSERT INTO {fragment.table} ({', '.join(names)}) "
+                f"VALUES ({', '.join('?' * len(names))})"
+            )
+            meta = [value for _, value in fragment.meta]
             for row in rows:
-                # Meta values are inlined as literals (the guard
-                # discipline the isolation verifier proves); only the
-                # row identity travels as a parameter.
-                names = [col for col, _ in fragment.meta]
-                exprs = [f"{v!r}" for _, v in fragment.meta]
-                values: list[object] = [row[0]]
-                names.append(fragment.row_column)
-                exprs.append("?")
-                if self.soft_delete:
-                    names.append(ALIVE)
-                    exprs.append("?")
-                    values.append(row[1])
-                self.db.execute(
-                    f"INSERT INTO {fragment.table} "
-                    f"({', '.join(names)}) VALUES ({', '.join(exprs)})",
-                    values,
-                )
+                self.db.execute(insert, [*meta, *row])
 
     # -- crash-recovery bookkeeping -----------------------------------------
 
@@ -287,6 +282,41 @@ class Layout(abc.ABC):
         self._created_tables.discard(name.lower())
         if self.db.catalog.has_table(name):
             self.db.execute(f"DROP TABLE {name}")
+
+    def _rebuild_wider(
+        self,
+        physical: str,
+        new_columns: Iterable[LogicalColumn],
+        create: Callable[[], None],
+    ) -> None:
+        """Widen a conventional table by ``new_columns``: the engine has
+        no ALTER TABLE, so drop it, ``create()`` it again and copy the
+        rows back NULL-padded.  A missing table is just created; one
+        that already has the columns (shared across layout instances)
+        is left alone.  The texts name one tenant's table, so they run
+        as ASTs and stay out of the engine's text-keyed plan cache."""
+        if not self.db.catalog.has_table(physical):
+            create()
+            return
+        old_columns = [c.lname for c in self.db.catalog.table(physical).columns]
+        added = [c.lname for c in new_columns]
+        if all(name in old_columns for name in added):
+            return
+        rows = self.db.execute_ast(
+            parse_statement(f"SELECT * FROM {physical}")
+        ).rows
+        self._drop_table(physical)
+        create()
+        names = ", ".join(old_columns + added)
+        placeholders = ", ".join("?" * (len(old_columns) + len(added)))
+        insert = self.db.prepare_ast(
+            parse_statement(
+                f"INSERT INTO {physical} ({names}) VALUES ({placeholders})"
+            )
+        )
+        pad = (None,) * len(added)
+        for row in rows:
+            insert.execute(row + pad)
 
     def _alive_ddl(self) -> str:
         return f", {ALIVE} INTEGER NOT NULL" if self.soft_delete else ""

@@ -14,6 +14,8 @@ column) — the comparison baseline of Figure 12/Test 6.
 
 from __future__ import annotations
 
+import dataclasses
+
 from ...engine.errors import PlanError
 from ..folding import (
     ChunkAssignment,
@@ -91,21 +93,9 @@ class ChunkTableLayout(Layout):
         ALTER path); fresh tenants compute their partition from the full
         schema on first use.
         """
-        key = (config.tenant_id, extension.base_table.lower())
-        cached = self._partitions.get(key)
-        if cached is not None:
-            self._legacy_tenants.add(config.tenant_id)
-            start = len(cached)
-            appended = [
-                ChunkAssignment(
-                    chunk_id=start + a.chunk_id,
-                    shape=a.shape,
-                    indexed=a.indexed,
-                    slots=a.slots,
-                )
-                for a in partition_columns(list(extension.columns), self.width)
-            ]
-            self._partitions[key] = cached + appended
+        self._append_chunks(
+            config.tenant_id, extension.base_table, extension.columns
+        )
         super().on_extension_granted(config, extension)
 
     def on_extension_altered(self, extension, new_columns) -> None:
@@ -115,25 +105,26 @@ class ChunkTableLayout(Layout):
         their old partition and gain the new columns as *appended*
         chunks."""
         for tenant_id in self.schema.tenants_with_extension(extension.name):
-            key = (tenant_id, extension.base_table.lower())
-            cached = self._partitions.get(key)
-            if cached is None:
-                continue  # will be computed fresh from the new schema
-            self._legacy_tenants.add(tenant_id)
-            start = len(cached)
-            appended = [
-                ChunkAssignment(
-                    chunk_id=start + a.chunk_id,
-                    shape=a.shape,
-                    indexed=a.indexed,
-                    slots=a.slots,
-                )
-                for a in partition_columns(list(new_columns), self.width)
-            ]
-            self._partitions[key] = cached + appended
+            self._append_chunks(tenant_id, extension.base_table, new_columns)
         # Register ids and backfill AFTER the partitions include the
         # appended chunks.
         super().on_extension_altered(extension, new_columns)
+
+    def _append_chunks(self, tenant_id: int, table_name: str, columns) -> None:
+        """Append ``columns`` to a tenant's cached partition as chunks
+        numbered after its last one, making the tenant a legacy tenant.
+        A tenant with no cached partition is left alone: its partition
+        is computed fresh from the schema on first use."""
+        key = (tenant_id, table_name.lower())
+        cached = self._partitions.get(key)
+        if cached is None:
+            return
+        self._legacy_tenants.add(tenant_id)
+        start = len(cached)
+        self._partitions[key] = cached + [
+            dataclasses.replace(a, chunk_id=start + a.chunk_id)
+            for a in partition_columns(list(columns), self.width)
+        ]
 
     def on_tenant_removed(self, config: TenantConfig) -> None:
         super().on_tenant_removed(config)

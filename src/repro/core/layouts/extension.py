@@ -9,6 +9,8 @@ from the Decomposed Storage Model, but partitioning stops at
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..schema import Extension, LogicalTable
 from .base import ColumnLoc, Fragment, Layout, ROW
 
@@ -70,31 +72,16 @@ class ExtensionTableLayout(Layout):
         pay that generic layouts avoid."""
         super().on_extension_altered(extension, new_columns)
         physical = self.extension_physical(extension.name)
-        if not self.db.catalog.has_table(physical):
-            self._table_ddl(
+        self._rebuild_wider(
+            physical,
+            new_columns,
+            partial(
+                self._table_ddl,
                 physical,
                 extension.columns,
                 [c for c in extension.columns if c.indexed],
-            )
-            return
-        old_columns = [c.lname for c in self.db.catalog.table(physical).columns]
-        if all(c.lname in old_columns for c in new_columns):
-            return  # already widened (shared across layout instances)
-        rows = self.db.execute(f"SELECT * FROM {physical}").rows
-        self._drop_table(physical)
-        self._table_ddl(
-            physical,
-            extension.columns,
-            [c for c in extension.columns if c.indexed],
+            ),
         )
-        pad = (None,) * len(new_columns)
-        names = ", ".join(old_columns + [c.lname for c in new_columns])
-        for row in rows:
-            placeholders = ", ".join("?" for _ in row + pad)
-            self.db.execute(
-                f"INSERT INTO {physical} ({names}) VALUES ({placeholders})",
-                list(row + pad),
-            )
 
     # -- fragments -------------------------------------------------------------
 

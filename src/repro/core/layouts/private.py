@@ -9,6 +9,8 @@ shows collapsing past ~50,000 tables.
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..schema import Extension, LogicalTable, TenantConfig
 from .base import ColumnLoc, Fragment, Layout
 
@@ -55,22 +57,11 @@ class PrivateTableLayout(Layout):
         columns and copy existing rows (our engine has no ALTER TABLE,
         and many databases cannot run such DDL online — the private
         layout's weakness the paper points out)."""
-        physical = self.physical_name(config.tenant_id, extension.base_table)
-        if not self.db.catalog.has_table(physical):
-            self._create_for(config.tenant_id, extension.base_table)
-            return
-        old_columns = [c.lname for c in self.db.catalog.table(physical).columns]
-        rows = self.db.execute(f"SELECT * FROM {physical}").rows
-        self._drop_table(physical)
-        self._create_for(config.tenant_id, extension.base_table)
-        pad = (None,) * len(extension.columns)
-        for row in rows:
-            placeholders = ", ".join("?" for _ in row + pad)
-            names = ", ".join(old_columns + [c.lname for c in extension.columns])
-            self.db.execute(
-                f"INSERT INTO {physical} ({names}) VALUES ({placeholders})",
-                list(row + pad),
-            )
+        self._rebuild_wider(
+            self.physical_name(config.tenant_id, extension.base_table),
+            extension.columns,
+            partial(self._create_for, config.tenant_id, extension.base_table),
+        )
 
     def on_extension_altered(self, extension, new_columns) -> None:
         """Every subscribed tenant's private table must be widened —
@@ -78,25 +69,11 @@ class PrivateTableLayout(Layout):
         super().on_extension_altered(extension, new_columns)
         for tenant_id in self.schema.tenants_with_extension(extension.name):
             physical = self.physical_name(tenant_id, extension.base_table)
-            if not self.db.catalog.has_table(physical):
-                continue
-            old_columns = [
-                c.lname for c in self.db.catalog.table(physical).columns
-            ]
-            if all(c.lname in old_columns for c in new_columns):
-                continue  # already widened
-            rows = self.db.execute(f"SELECT * FROM {physical}").rows
-            self._drop_table(physical)
-            self._create_for(tenant_id, extension.base_table)
-            pad = (None,) * len(new_columns)
-            names = ", ".join(
-                old_columns + [c.lname for c in new_columns]
-            )
-            for row in rows:
-                placeholders = ", ".join("?" for _ in row + pad)
-                self.db.execute(
-                    f"INSERT INTO {physical} ({names}) VALUES ({placeholders})",
-                    list(row + pad),
+            if self.db.catalog.has_table(physical):
+                self._rebuild_wider(
+                    physical,
+                    new_columns,
+                    partial(self._create_for, tenant_id, extension.base_table),
                 )
 
     # -- fragments -------------------------------------------------------------

@@ -6,16 +6,18 @@ which become updates under the Trashcan / soft-delete option) run in two
 phases:
 
 * **phase (a)** — a query, built with the §6.1 transformation, collects
-  the Row ids (and, in buffered mode, current column values) of every
+  the Row ids (and the column values SET expressions read) of every
   affected logical row;
 * **phase (b)** — per affected fragment, an UPDATE/DELETE with local
   conditions on the meta-data columns and ``row`` only.
 
-Phase (b) comes in the paper's two variants: ``SUBQUERY`` pushes the
-phase-(a) query into an ``IN`` predicate and lets the database do all
-the work (re-evaluating it per fragment); ``BUFFERED`` (the default)
-buffers the affected row ids in the application and issues per-row
-statements — which also supports SET expressions that span fragments.
+The paper describes two variants of phase (b).  This module builds the
+buffered one: the affected row ids are buffered in the application and
+bound into per-row statements, which also supports SET expressions that
+span fragments.  The other variant pastes the phase-(a) query into an
+``IN`` predicate of every per-fragment statement; it is not built,
+because it can only SET fragment-local expressions and makes every
+statement it runs unique to one call's parameter values.
 
 The transformation is a pure function of (logical statement, layout,
 tenant schema shape), so the transformer *plans*: it returns an object
@@ -27,8 +29,6 @@ shape-keyed statement cache, or nobody) is the caller's business.
 """
 
 from __future__ import annotations
-
-import enum
 
 from ...engine.database import Result
 from ...engine.errors import PlanError, UnknownObjectError
@@ -45,7 +45,7 @@ from .query import (
     build_reconstruction,
 )
 
-#: Batch size for ``row IN (...)`` lists in buffered mode.
+#: Batch size for ``row IN (...)`` lists of a logical DELETE.
 IN_BATCH = 200
 
 #: Parameter layout of every per-fragment template: the tenant id, then
@@ -54,59 +54,6 @@ IN_BATCH = 200
 TENANT_SLOT = ast.Param(0)
 ROW_SLOT = 1
 FIRST_VALUE_SLOT = 2
-
-
-class UpdateMode(enum.Enum):
-    BUFFERED = "buffered"
-    SUBQUERY = "subquery"
-
-
-def substitute_params(expr: ast.Expr, params) -> ast.Expr:
-    """Replace ``?`` parameters with literals.  ``UpdateMode.SUBQUERY``
-    only: its phase-(a) query is pasted into every per-fragment
-    statement, which must therefore be self-contained."""
-    if isinstance(expr, ast.Param):
-        return ast.Literal(params[expr.index])
-    if isinstance(expr, ast.InSubquery):
-        return ast.InSubquery(
-            substitute_params(expr.operand, params),
-            _substitute_select(expr.subquery, params),
-            expr.negated,
-        )
-    return ast.map_children(expr, lambda child: substitute_params(child, params))
-
-
-def _substitute_select(select: ast.Select, params) -> ast.Select:
-    return ast.Select(
-        items=tuple(
-            ast.SelectItem(
-                item.expr
-                if isinstance(item.expr, ast.Star)
-                else substitute_params(item.expr, params),
-                item.alias,
-            )
-            for item in select.items
-        ),
-        sources=tuple(
-            ast.SubquerySource(_substitute_select(s.select, params), s.alias)
-            if isinstance(s, ast.SubquerySource)
-            else s
-            for s in select.sources
-        ),
-        where=substitute_params(select.where, params)
-        if select.where is not None
-        else None,
-        group_by=tuple(substitute_params(e, params) for e in select.group_by),
-        having=substitute_params(select.having, params)
-        if select.having is not None
-        else None,
-        order_by=tuple(
-            ast.OrderItem(substitute_params(o.expr, params), o.descending)
-            for o in select.order_by
-        ),
-        limit=select.limit,
-        distinct=select.distinct,
-    )
 
 
 def _column_refs(expr: ast.Expr) -> list[str]:
@@ -118,12 +65,6 @@ def _column_refs(expr: ast.Expr) -> list[str]:
             if isinstance(node, ast.ColumnRef)
         )
     )
-
-
-def is_direct(fragments: list[Fragment]) -> bool:
-    """Private / Basic: one fragment, no Row column — a logical write
-    is one physical statement, no phases."""
-    return len(fragments) == 1 and fragments[0].row_column is None
 
 
 # -- plans -------------------------------------------------------------------
@@ -301,8 +242,8 @@ class DmlTransformer:
         self, tenant_id: int, stmt: ast.Statement, fragments: list[Fragment]
     ) -> DmlPlan:
         """The plan of one parsed logical INSERT / UPDATE / DELETE over
-        the tenant's already-listed ``fragments`` (BUFFERED, or the
-        direct path where the layout allows it)."""
+        the tenant's already-listed ``fragments``: buffered, or direct
+        where the layout allows it."""
         if isinstance(stmt, ast.Insert):
             return self._plan_sql_insert(tenant_id, stmt, fragments)
         tenant_params = TenantParamAllocator(count_params(stmt))
@@ -312,7 +253,9 @@ class DmlTransformer:
                 tenant_id, where, tenant_params
             )
         assignments = self._assignments(tenant_id, stmt)
-        if is_direct(fragments):
+        if len(fragments) == 1 and fragments[0].row_column is None:
+            # Private / Basic: one fragment, no Row column — a logical
+            # write is one physical statement, no phases.
             statement = self._direct_statement(
                 fragments[0], assignments, where, tenant_params.allocate()
             )
@@ -432,7 +375,7 @@ class DmlTransformer:
         where: ast.Expr | None,
         extra_columns: list[str],
         fragments: list[Fragment],
-        tenant: TenantParamAllocator | None,
+        tenant: TenantParamAllocator,
     ) -> ast.Select:
         """The query collecting affected Row ids plus the requested
         column values; ``where`` is already physical below the top."""
@@ -491,57 +434,16 @@ class DmlTransformer:
             )
         return ast.Delete(fragment.table, predicate)
 
-    # -- UpdateMode.SUBQUERY ------------------------------------------------------
-
-    def update_subquery(
-        self, tenant_id: int, stmt: ast.Update, params, fragments: list[Fragment]
-    ) -> int:
-        """The paper's second variant: every per-fragment UPDATE carries
-        the phase-(a) query in an ``IN`` predicate, so the statements are
-        built per call, parameter values and tenant id inlined."""
-        where = stmt.where
-        if where is not None:
-            where = self._queries.transform_predicate(
-                tenant_id, substitute_params(where, params)
-            )
-        assignments = [
-            (name, substitute_params(expr, params))
-            for name, expr in self._assignments(tenant_id, stmt)
-        ]
-        phase_a = self._phase_a(tenant_id, stmt.table, where, [], fragments, None)
-        count = self.db.execute_ast(phase_a).rowcount
-        if count == 0:
-            return 0
-        for fragment in fragments:
-            column_map = fragment.column_map()
-            if not any(name in column_map for name, _ in assignments):
-                continue
-            sets = tuple(
-                (column_map[name].physical, self._localize(expr, column_map))
-                for name, expr in assignments
-                if name in column_map
-            )
-            membership = ast.InSubquery(
-                ast.ColumnRef(None, fragment.row_column), phase_a
-            )
-            predicate = conjoin(
-                self._meta_conjuncts(fragment, None) + [membership]
-            )
-            self.db.execute_ast(ast.Update(fragment.table, sets, predicate))
-        return count
-
-    def _localize(self, expr: ast.Expr, column_map) -> ast.Expr:
-        """Rewrite logical column refs to one fragment's physical names;
-        SUBQUERY mode requires SET expressions to stay fragment-local."""
+    @staticmethod
+    def _localize(expr: ast.Expr, column_map) -> ast.Expr:
+        """Rename logical column refs to the fragment's physical names
+        (the direct path's one fragment holds every column)."""
 
         def localize(ref: ast.ColumnRef) -> ast.Expr:
-            name = ref.column.lower()
-            if name not in column_map:
-                raise PlanError(
-                    f"SET expression references {name!r} outside the updated "
-                    "fragment; use UpdateMode.BUFFERED"
-                )
-            return ast.ColumnRef(None, column_map[name].physical)
+            loc = column_map.get(ref.column.lower())
+            if loc is None:
+                raise UnknownObjectError(f"no column {ref.column!r}")
+            return ast.ColumnRef(None, loc.physical)
 
         return rewrite_refs(expr, localize)
 

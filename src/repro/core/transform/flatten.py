@@ -35,7 +35,6 @@ META_COLUMNS = {"tenant", "tbl", "chunk", "col", "row", "alive"}
 class PredicateOrder(enum.Enum):
     """Conjunct orderings studied in Test 1."""
 
-    AS_GENERATED = "as-generated"
     #: All meta-data predicates precede the original query's predicates
     #: (the ordering that performed 5x *worse* on MySQL).
     METADATA_FIRST = "metadata-first"
@@ -68,7 +67,7 @@ def is_metadata_predicate(conjunct: ast.Expr) -> bool:
 
 def order_predicates(select: ast.Select, order: PredicateOrder) -> ast.Select:
     """Reorder the top-level WHERE conjuncts."""
-    if order is PredicateOrder.AS_GENERATED or select.where is None:
+    if select.where is None:
         return select
     conjuncts = split_conjuncts(select.where)
     metadata = [c for c in conjuncts if is_metadata_predicate(c)]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import UniqueViolation
 from .heap import RowId
@@ -583,11 +583,6 @@ class BTreeIndex:
         self._insert_separator(path[:-1], up_key, parent_id, right_page.page_id)
 
     # -- bulk / admin ----------------------------------------------------------------
-
-    def bulk_load(self, entries: Sequence[tuple[tuple, RowId]]) -> None:
-        """Insert many entries (sorted input is fastest but not required)."""
-        for key, rid in sorted(entries, key=lambda e: _key_order(e[0])):
-            self.insert(key, rid)
 
     @property
     def page_count(self) -> int:

@@ -234,7 +234,6 @@ class Catalog:
         pool: BufferPool,
         *,
         table_metadata_cost: int = TABLE_METADATA_COST,
-        index_metadata_cost: int = INDEX_METADATA_COST,
         insert_strategy: InsertStrategy = InsertStrategy.FIRST_FIT,
         prefix_compression: bool = True,
     ) -> None:
@@ -242,7 +241,6 @@ class Catalog:
         self._tables: dict[str, Table] = {}
         self._next_segment = 1
         self.table_metadata_cost = table_metadata_cost
-        self.index_metadata_cost = index_metadata_cost
         self.insert_strategy = insert_strategy
         self.prefix_compression = prefix_compression
         self.metadata_bytes = 0
@@ -342,7 +340,7 @@ class Catalog:
         table = self.table(name)
         for info in list(table.indexes.values()):
             info.btree.drop()
-            self.metadata_bytes -= self.index_metadata_cost
+            self.metadata_bytes -= INDEX_METADATA_COST
         table.heap.drop()
         del self._tables[name.lower()]
         self.metadata_bytes -= self.table_metadata_cost
@@ -376,7 +374,7 @@ class Catalog:
         for rid, row in table.heap.scan():
             btree.insert(tuple(row[p] for p in positions), rid)
         table.indexes[key] = info
-        self.metadata_bytes += self.index_metadata_cost
+        self.metadata_bytes += INDEX_METADATA_COST
         self.ddl_statements += 1
         self.version += 1
         return info
@@ -387,6 +385,6 @@ class Catalog:
         if key not in table.indexes:
             raise UnknownObjectError(f"no index named {index_name!r}")
         table.indexes.pop(key).btree.drop()
-        self.metadata_bytes -= self.index_metadata_cost
+        self.metadata_bytes -= INDEX_METADATA_COST
         self.ddl_statements += 1
         self.version += 1

@@ -24,7 +24,6 @@ from .catalog import (
     Catalog,
     Column,
     IndexInfo,
-    INDEX_METADATA_COST,
     TABLE_METADATA_COST,
 )
 from .durability import DurabilityManager, DurabilityOptions
@@ -109,10 +108,8 @@ class Database:
         self,
         *,
         memory_bytes: int = DEFAULT_MEMORY,
-        page_size: int = DEFAULT_PAGE_SIZE,
         profile: OptimizerProfile = OptimizerProfile.ADVANCED,
         table_metadata_cost: int = TABLE_METADATA_COST,
-        index_metadata_cost: int = INDEX_METADATA_COST,
         insert_strategy: InsertStrategy = InsertStrategy.FIRST_FIT,
         prefix_compression: bool = True,
         plan_cache_size: int = 256,
@@ -124,7 +121,7 @@ class Database:
         #: on a partially constructed instance.
         self._closed = False
         self.memory_bytes = memory_bytes
-        self.page_size = page_size
+        self.page_size = DEFAULT_PAGE_SIZE
         #: Engine-wide observability: every subsystem below feeds this.
         self.metrics = MetricsRegistry()
         #: Disk-backed when a ``path`` is given: WAL + page store live in
@@ -137,8 +134,8 @@ class Database:
             else None
         )
         self.pool = BufferPool(
-            max(1, memory_bytes // page_size),
-            page_size,
+            max(1, memory_bytes // DEFAULT_PAGE_SIZE),
+            DEFAULT_PAGE_SIZE,
             metrics=self.metrics,
             store=self.durability.store if self.durability else None,
             durability=self.durability,
@@ -146,7 +143,6 @@ class Database:
         self.catalog = Catalog(
             self.pool,
             table_metadata_cost=table_metadata_cost,
-            index_metadata_cost=index_metadata_cost,
             insert_strategy=insert_strategy,
             prefix_compression=prefix_compression,
         )

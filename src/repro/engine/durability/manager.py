@@ -196,10 +196,6 @@ class DurabilityManager:
 
     # -- admin operations --------------------------------------------------
 
-    @property
-    def in_admin_operation(self) -> bool:
-        return self._active_admin is not None
-
     @contextmanager
     def admin_operation(self, op: str, end_state):
         """Bracket a multi-statement administrative operation.

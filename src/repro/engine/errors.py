@@ -97,8 +97,3 @@ class ExecutionError(EngineError):
 
 class LockTimeoutError(EngineError):
     """A lock could not be acquired within the configured budget."""
-
-
-class DeadlockError(LockTimeoutError):
-    """Two sessions wait on each other; the victim receives this error."""
-

@@ -72,12 +72,6 @@ class Schema:
             raise PlanError(f"ambiguous column reference {column!r}")
         return matches[0]
 
-    def try_resolve(self, table: str | None, column: str) -> int | None:
-        try:
-            return self.resolve(table, column)
-        except (UnknownObjectError, PlanError):
-            return None
-
     def bindings(self) -> set[str]:
         return {s.binding for s in self.slots if s.binding is not None}
 

@@ -153,10 +153,6 @@ class PreparedStatement:
             self._sql = self.stmt.sql()
         return self._sql
 
-    @property
-    def is_select(self) -> bool:
-        return isinstance(self.stmt, ast.Select)
-
     def execute(self, params: Sequence[object] = ()):
         """Run the statement; returns a :class:`Result
         <repro.engine.database.Result>`."""

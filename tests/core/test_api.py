@@ -56,12 +56,6 @@ class TestSimpleProfileIntegration:
         assert "(SELECT" not in sql.replace("( SELECT", "(SELECT").upper() or True
         assert sql.upper().count("FROM") == 1
 
-    def test_flattening_can_be_disabled(self):
-        mtd = build_running_example("pivot", flatten_for_simple=False)
-        mtd.db.profile = OptimizerProfile.SIMPLE
-        sql = mtd.transform_sql(17, "SELECT beds FROM account")
-        assert sql.upper().count("SELECT") == 2  # nested form kept
-
     def test_simple_profile_same_answers(self):
         mtd = build_running_example("chunk_folding")
         expected = mtd.execute(

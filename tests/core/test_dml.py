@@ -1,11 +1,11 @@
-"""Tests for §6.3 DML transformation: fan-out, the two update modes,
-the Trashcan (soft delete), and restore."""
+"""Tests for §6.3 DML transformation: fan-out, buffered two-phase
+updates, the Trashcan (soft delete), and restore."""
 
 import datetime
 
 import pytest
 
-from repro import MultiTenantDatabase, UpdateMode
+from repro import MultiTenantDatabase
 from repro.engine.errors import PlanError, TypeMismatchError, UnknownObjectError
 
 from .conftest import ALL_LAYOUTS, account_table, build_running_example
@@ -114,10 +114,8 @@ class TestUpdateTypeChecks:
 
 
 class TestUpdateModes:
-    @pytest.mark.parametrize("mode", [UpdateMode.BUFFERED, UpdateMode.SUBQUERY])
-    def test_both_modes_update_chunked_layouts(self, mode):
+    def test_update_chunked_layouts(self):
         mtd = build_running_example("chunk", width=2)
-        mtd.update_mode = mode
         count = mtd.execute(
             17, "UPDATE account SET beds = 999 WHERE hospital = 'State'"
         ).rowcount
@@ -126,17 +124,10 @@ class TestUpdateModes:
             17, "SELECT beds FROM account WHERE aid = 2"
         ).rows == [(999,)]
 
-    def test_subquery_mode_rejects_cross_fragment_set(self):
-        """SET beds = aid + 1 reads a column from another fragment —
-        only BUFFERED can do that."""
-        mtd = build_running_example("chunk", width=1)
-        mtd.update_mode = UpdateMode.SUBQUERY
-        with pytest.raises(PlanError):
-            mtd.execute(17, "UPDATE account SET beds = aid + 1")
-
     def test_buffered_mode_handles_cross_fragment_set(self):
+        """SET beds = aid + 1 reads a column from another fragment: the
+        paper's subquery variant could not run it, the buffered one can."""
         mtd = build_running_example("chunk", width=1)
-        mtd.update_mode = UpdateMode.BUFFERED
         mtd.execute(17, "UPDATE account SET beds = aid + 1")
         rows = mtd.execute(17, "SELECT aid, beds FROM account ORDER BY aid").rows
         assert rows == [(1, 2), (2, 3)]

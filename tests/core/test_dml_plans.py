@@ -10,11 +10,15 @@ schema-administration hook that invalidates SELECTs invalidates writes.
 """
 
 import datetime
+import inspect
 import random
 
 import pytest
 
-from repro import LogicalColumn, MultiTenantDatabase, UpdateMode
+import repro
+from repro import LogicalColumn, MultiTenantDatabase, PredicateOrder
+from repro.cluster import Cluster
+from repro.cluster.placement import PlacementCatalog
 from repro.engine.database import Database
 from repro.engine.optimizer import Planner
 from repro.engine.values import INTEGER
@@ -231,22 +235,77 @@ def test_caches_on_and_off_are_the_same_program(layout, soft_delete, tmp_path):
         assert seen["on"][aspect] == seen["off"][aspect], aspect
 
 
-def test_subquery_mode_is_still_the_second_variant():
-    results = {}
-    for mode in (UpdateMode.BUFFERED, UpdateMode.SUBQUERY):
-        mtd, tenants = build("chunk", update_mode=mode)
-        for aid in range(1, 6):
-            mtd.insert(17, "account", {"aid": aid, "name": "n", "beds": aid})
+class TestOneWritePath:
+    """Every logical write is compile-once, on every layout; the
+    settings that picked another path, or had one value in use, are
+    gone."""
+
+    def test_removed_settings_are_gone(self):
+        for cls, removed in (
+            (MultiTenantDatabase, {"update_mode", "flatten_for_simple"}),
+            (Database, {"page_size", "index_metadata_cost"}),
+            (Cluster, {"replicas"}),
+            (PlacementCatalog, {"replicas"}),
+        ):
+            parameters = inspect.signature(cls.__init__).parameters
+            assert removed.isdisjoint(parameters), cls.__name__
+        assert not hasattr(repro, "UpdateMode")
+        assert [order.name for order in PredicateOrder] == [
+            "METADATA_FIRST",
+            "ORIGINAL_FIRST",
+        ]
+
+    @pytest.mark.parametrize("layout", SEVEN_LAYOUTS)
+    def test_warm_update_reading_another_fragment_plans_nothing(self, layout):
+        mtd, _ = build(layout)
+        # Basic has no extensions: its SET reads another column of its
+        # one fragment.
+        tenant, column = (35, "aid") if layout == "basic" else (17, "beds")
+        for aid in (1, 2, 3):
+            mtd.insert(tenant, "account", {"aid": aid, "name": "n"})
+        sql = f"UPDATE account SET {column} = aid + 1 WHERE name = ?"
+        assert mtd.execute(tenant, sql, ("n",)).rowcount == 3  # warm-up
         adhoc = mtd.db.metrics.value("db.plan_cache.adhoc")
         for _ in range(2):
-            assert mtd.execute(
-                17, "UPDATE account SET beds = beds + ? WHERE aid > ?", (10, 2)
-            ).rowcount == 3
-        results[mode] = mtd.export_rows(17, "account")
-        # SUBQUERY pastes phase (a) into each statement, built per call.
-        built = mtd.db.metrics.value("db.plan_cache.adhoc") - adhoc
-        assert (built > 0) == (mode is UpdateMode.SUBQUERY)
-    assert results[UpdateMode.BUFFERED] == results[UpdateMode.SUBQUERY]
+            assert mtd.execute(tenant, sql, ("n",)).rowcount == 3
+        assert mtd.db.metrics.value("db.plan_cache.adhoc") == adhoc
+        if layout != "basic":
+            assert sorted(
+                mtd.execute(tenant, "SELECT aid, beds FROM account").rows
+            ) == [(1, 2), (2, 3), (3, 4)]
+
+
+@pytest.mark.parametrize(
+    "layout", ["private", "extension", "pivot", "chunk", "chunk_folding"]
+)
+def test_grants_add_one_backfill_plan_per_fragment_shape(layout):
+    """A grant NULL-backfills the tenant's rows into the fragments that
+    hold only the granted columns.  The meta values are bound, so every
+    tenant's backfill of a fragment shape is one engine text: forty
+    grants leave the plan cache where one grant does (the private
+    layout's per-tenant rebuild stays out of it altogether)."""
+    mtd, _ = build(layout)
+    tenants = range(100, 140)
+    for tenant in tenants:
+        mtd.create_tenant(tenant)
+        mtd.insert(tenant, "account", {"aid": 1, "name": "n"})
+    misses = mtd.db.metrics.value("db.plan_cache.misses")
+    for tenant in tenants:
+        mtd.grant_extension(tenant, "healthcare")
+    granted = {c.lname for c in healthcare_extension().columns}
+    shapes = [
+        fragment
+        for fragment in mtd.layout.fragments(100, "account")
+        if fragment.columns
+        and all(name in granted for name, _ in fragment.columns)
+    ]
+    assert mtd.db.metrics.value("db.plan_cache.misses") - misses <= 2 * len(
+        shapes
+    )
+    for tenant in tenants:
+        assert mtd.execute(
+            tenant, "SELECT aid, name, beds FROM account"
+        ).rows == [(1, "n", None)]
 
 
 @pytest.mark.parametrize("layout", ["private", "extension", "chunk_folding"])

@@ -194,5 +194,10 @@ class TestFlattening:
         assert not is_metadata_predicate(conjuncts[0])
 
     def test_as_generated_is_identity(self):
-        stmt = parse_statement("SELECT a.x FROM t a WHERE a.tenant = 17")
-        assert order_predicates(stmt, PredicateOrder.AS_GENERATED) is stmt
+        """Only the SIMPLE profile flattens and reorders: under ADVANCED
+        the transformed statement reaches the engine as generated — the
+        nested form Test 1 then plans under SIMPLE."""
+        mtd = build_running_example("pivot")
+        stmt = parse_statement(mtd.transform_sql(17, "SELECT beds FROM account"))
+        assert mtd._for_engine(stmt) is stmt
+        assert stmt.sql().upper().count("SELECT") == 2
