@@ -14,7 +14,6 @@ from repro.engine.btree import BTreeIndex
 from repro.engine.database import Database
 from repro.engine.heap import InsertStrategy
 from repro.engine.pager import BufferPool
-from repro.engine.heap import RowId
 from repro.experiments.report import render_table
 
 
@@ -32,9 +31,7 @@ class TestPrefixCompressionAblation:
             for tenant in range(8):
                 for chunk in range(4):
                     for row in range(120):
-                        index.insert(
-                            (tenant, 3, chunk, row), RowId(row + 1, 0)
-                        )
+                        index.insert((tenant, 3, chunk, row), (row + 1, 0))
             counts[compression] = index.page_count
         return counts
 

@@ -215,7 +215,7 @@ class ColumnStore(HeapFile):
             san.on_row_access(
                 (self.segment_id, page.page_id, slot_no), write=True
             )
-        return RowId(page.page_id, slot_no)
+        return (page.page_id, slot_no)
 
     def _write_slot(
         self, payload: ColumnPage, slot_no: int, row: tuple, width: int
@@ -251,7 +251,7 @@ class ColumnStore(HeapFile):
         columns = payload.columns
         rows = []
         for rid in run:
-            slot = rid.slot
+            slot = rid[1]
             if slot >= len(widths) or widths[slot] is None:
                 raise ExecutionError(f"dangling RID {rid}")
             row = cache.get(slot)
@@ -272,7 +272,7 @@ class ColumnStore(HeapFile):
             for slot_no, width in enumerate(payload.widths):
                 if width is not None:
                     yield (
-                        RowId(pid, slot_no),
+                        (pid, slot_no),
                         tuple(column[slot_no] for column in columns),
                     )
 
@@ -353,49 +353,41 @@ class ColumnStore(HeapFile):
 
     def update(self, rid: RowId, row: tuple, width: int) -> RowId:
         self._stats.updates += 1
-        page = self._pool.read(rid.page_id)
+        page_id, slot = rid
+        page = self._pool.read(page_id)
         payload: ColumnPage = page.payload
         old_width = (
-            payload.widths[rid.slot]
-            if rid.slot < len(payload.widths)
-            else None
+            payload.widths[slot] if slot < len(payload.widths) else None
         )
         if old_width is None:
             raise ExecutionError(f"update of deleted RID {rid}")
         delta = width - old_width
         if delta <= page.free:
-            self._clear_slot(payload, rid.slot)
-            self._write_slot(payload, rid.slot, row, width)
+            self._clear_slot(payload, slot)
+            self._write_slot(payload, slot, row, width)
             page.used += delta
-            self._free_map[page.page_id] = page.free
-            self._pool.mark_dirty(page.page_id)
+            self._free_map[page_id] = page.free
+            self._pool.mark_dirty(page_id)
             san = self._pool.sanitizer
             if san is not None:
-                san.on_row_access(
-                    (self.segment_id, rid.page_id, rid.slot), write=True
-                )
+                san.on_row_access((self.segment_id, page_id, slot), write=True)
             return rid
         self.delete(rid)
         return self.insert(row, width)
 
     def delete(self, rid: RowId) -> None:
         self._stats.deletes += 1
-        page = self._pool.read(rid.page_id)
+        page_id, slot = rid
+        page = self._pool.read(page_id)
         payload: ColumnPage = page.payload
-        width = (
-            payload.widths[rid.slot]
-            if rid.slot < len(payload.widths)
-            else None
-        )
+        width = payload.widths[slot] if slot < len(payload.widths) else None
         if width is None:
             raise ExecutionError(f"double delete of RID {rid}")
-        self._clear_slot(payload, rid.slot)
+        self._clear_slot(payload, slot)
         page.used -= width + ROW_OVERHEAD
-        self._free_map[page.page_id] = page.free
-        self._pool.mark_dirty(page.page_id)
+        self._free_map[page_id] = page.free
+        self._pool.mark_dirty(page_id)
         self.row_count -= 1
         san = self._pool.sanitizer
         if san is not None:
-            san.on_row_access(
-                (self.segment_id, rid.page_id, rid.slot), write=True
-            )
+            san.on_row_access((self.segment_id, page_id, slot), write=True)

@@ -6,19 +6,31 @@ a file: the paper's Experiment 1 is that a per-table fixed cost sinks a
 consolidated database, and a file per table (a handle, an fsync and a
 rewrite each, every checkpoint) is that cost one layer down.  Writing a
 page appends a new version stamped with the WAL LSN current when the
-page was last dirtied; the in-memory index tracks the latest version of
-every page, so reads are one seek.
+page was last dirtied; the in-memory index tracks the offset and length
+of the latest version of every page.
 
-Each frame carries ``(page_id, segment_id, lsn)`` in fixed-width bytes
-ahead of its pickle, inside the checksum, so nothing that walks the
-file (:meth:`_scan` at open, :meth:`truncate_to` at recovery,
-:meth:`compact`) ever unpickles a page.
+The file is an 8-byte head, magic ``RPPG`` + format version
+(:data:`HEAD`; an open refuses a file without it, or at another
+version, by name), then frames::
+
+    [len u32][crc u32][page_id u64, segment u32, lsn u64,
+                       kind u8, size u32, used i32][payload pickle]
+
+Everything but the payload is fixed-width bytes inside the checksum,
+so nothing that walks the file (:meth:`_scan` at open,
+:meth:`truncate_to` at recovery, :meth:`compact`) ever unpickles a
+page.  A page miss (:meth:`read`) is one ``os.pread`` of the indexed
+frame, its length and checksum checked, and one unpickle of the
+payload alone: heap slot lists, B-tree nodes and column pages of
+tuples, lists and numbers (a RID is a ``(page_id, slot)`` tuple), so
+the unpickler makes a Python call per page, not per entry.
 
 * :meth:`sync` is one fsync, whatever the number of tables written.
-* :meth:`compact` rewrites the file to exactly its live frames — in
-  file order, copied as bytes, same LSN, one frame in memory at a time,
-  each re-verified against its CRC (one that fails raises
-  :class:`EngineError` and nothing is replaced) — but only once dead
+* :meth:`compact` rewrites the file to its head and exactly its live
+  frames — in file order, copied as bytes, same LSN, one frame in
+  memory at a time, each read and re-verified as :meth:`read` does
+  (one that fails raises :class:`EngineError` and nothing is
+  replaced) — but only once dead
   bytes exceed live bytes: amortised O(bytes changed), write
   amplification at most 2, worst case one O(live bytes) rewrite per at
   least that many bytes written.  The copy is fsynced and renamed into
@@ -27,15 +39,16 @@ file (:meth:`_scan` at open, :meth:`truncate_to` at recovery,
   frames stay in the file until a compaction, because the checkpoint on
   disk may still describe the table.  An open re-indexes them, so
   recovery ends with :meth:`retain_segments`.
-* :meth:`truncate_to` cuts a suffix.  A checkpoint fsyncs the file and
-  only then writes its record, whose LSN is above every LSN stamped
-  before it and below every one stamped after; a compaction keeps file
-  order.  So the versions newer than a checkpoint are exactly the
-  frames appended after it, and rolling back to it is one ``truncate``.
+* :meth:`truncate_to` cuts a suffix, never the head.  A checkpoint
+  fsyncs the file and only then writes its record, whose LSN is above
+  every LSN stamped before it and below every one stamped after; a
+  compaction keeps file order.  So the versions newer than a checkpoint
+  are exactly the frames appended after it, and rolling back to it is
+  one ``truncate``.
 
-Page payloads are Python objects (heap slot lists, B-tree nodes) behind
-the same pickle+CRC framing as the WAL, so a torn page write from a
-crash fails its checksum and simply ends the file's readable prefix.
+Page payloads sit behind the same pickle+CRC framing as the WAL, so a
+torn page write from a crash fails its checksum and simply ends the
+file's readable prefix.
 """
 
 from __future__ import annotations
@@ -48,13 +61,31 @@ from operator import itemgetter
 from ..errors import EngineError
 from ..observability.metrics import CounterSet, MetricsRegistry
 from ..pager import Page, PageKind
-from .codec import HEADER_SIZE, decode_record, encode_frame, read_frame
+from .codec import (
+    HEADER_SIZE,
+    decode_record,
+    encode_frame,
+    file_head,
+    frame_intact,
+    has_head,
+    read_frame,
+)
 from .faults import FaultInjector, SimulatedCrash
 
 PAGE_FILE = "data.pages"
 
-#: What a walk of the file reads of each frame: page id, segment id, LSN.
-_HEAD = struct.Struct("<QIQ")
+#: The page file's first bytes: magic + format version.  Version 1 is
+#: the first with a head; before it a frame's pickle held a dict of
+#: kind, size, used and payload, and RIDs were objects.
+HEAD = file_head(b"RPPG", 1)
+
+#: A frame's fixed-width head: page id, segment id, LSN, kind, size,
+#: used.  The pickle after it is the payload alone.
+_HEAD = struct.Struct("<QIQBIi")
+
+#: ``kind`` byte -> page kind, and back.
+_KINDS = tuple(PageKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 
 #: :meth:`DiskPageStore.compact` rewrites the file once dead bytes
 #: exceed this many times the live bytes.
@@ -108,24 +139,34 @@ class DiskPageStore:
         self._file = open(
             self.path, "r+b" if os.path.exists(self.path) else "w+b"
         )
-        self._scan()
+        try:
+            if not has_head(self.path, self._file.read(len(HEAD)), HEAD):
+                # A new file, or one whose creation a crash cut short.
+                self._file.seek(0)
+                self._file.truncate()
+                self._file.write(HEAD)
+                self._file.flush()
+                self._unsynced = True
+            self._scan()
+        except BaseException:
+            self._file.close()
+            raise
 
     # -- the file as it is ---------------------------------------------------
 
     def _scan(self, cutoff_lsn: int | None = None) -> None:
-        """Index the file's readable prefix: every frame up to the
-        first that is torn, fails its checksum or, given a cutoff, is
-        stamped above it.  The file is cut there, so appends always
-        extend a readable file."""
+        """Index the file's readable prefix: every frame after the head
+        up to the first that is torn, fails its checksum or, given a
+        cutoff, is stamped above it.  The file is cut there, so appends
+        always extend a readable file."""
         fh = self._file
         end = fh.seek(0, os.SEEK_END)
-        fh.seek(0)
+        offset = fh.seek(len(HEAD))
         index: dict[int, tuple[int, int, int, int]] = {}
         pages: dict[int, set[int]] = {}
-        offset = 0
         cut = None
         while (frame := read_frame(fh, end)) is not None:
-            page_id, segment_id, lsn = _HEAD.unpack_from(frame, HEADER_SIZE)
+            page_id, segment_id, lsn = _HEAD.unpack_from(frame, HEADER_SIZE)[:3]
             above = cutoff_lsn is not None and lsn > cutoff_lsn
             if cut is None and above:
                 cut = offset
@@ -145,13 +186,14 @@ class DiskPageStore:
             fh.truncate(cut)
         self._index, self._pages, self._size = index, pages, cut
         self.stats.live_bytes = sum(map(itemgetter(1), index.values()))
-        self.stats.dead_bytes = cut - self.stats.live_bytes
+        self.stats.dead_bytes = cut - len(HEAD) - self.stats.live_bytes
 
     def _frame_at(self, page_id: int) -> bytes:
+        """The latest frame of ``page_id``: one ``pread``, its length
+        and checksum checked."""
         offset, length, _, _ = self._index[page_id]
-        self._file.seek(offset)
-        frame = read_frame(self._file, offset + length)
-        if frame is None or len(frame) != length:
+        frame = os.pread(self._file.fileno(), length, offset)
+        if not frame_intact(frame):
             raise EngineError(
                 f"page {page_id}: corrupt frame on disk (offset {offset})"
             )
@@ -163,14 +205,16 @@ class DiskPageStore:
         """Append a new version of ``page``.  The write reaches the OS
         immediately (process-kill durability); fsync happens at
         checkpoints via :meth:`sync`."""
-        record = {
-            "kind": page.kind.value,
-            "size": page.size,
-            "used": page.used,
-            "payload": page.payload,
-        }
         frame = encode_frame(
-            record, _HEAD.pack(page.page_id, page.segment_id, lsn)
+            page.payload,
+            _HEAD.pack(
+                page.page_id,
+                page.segment_id,
+                lsn,
+                _KIND_CODES[page.kind],
+                page.size,
+                page.used,
+            ),
         )
         fh = self._file
         fh.seek(self._size)
@@ -203,20 +247,13 @@ class DiskPageStore:
         if page_id not in self._index:
             raise EngineError(f"page {page_id} does not exist")
         frame = self._frame_at(page_id)
-        _, segment_id, lsn = _HEAD.unpack_from(frame, HEADER_SIZE)
-        record = decode_record(frame, _HEAD.size)
+        _, segment_id, lsn, kind, size, used = _HEAD.unpack_from(
+            frame, HEADER_SIZE
+        )
+        payload = decode_record(frame, _HEAD.size)
         self.stats.page_reads += 1
         self.stats.bytes_read += len(frame)
-        page = Page(
-            page_id=page_id,
-            segment_id=segment_id,
-            kind=PageKind(record["kind"]),
-            size=record["size"],
-            used=record["used"],
-            payload=record["payload"],
-        )
-        page.lsn = lsn
-        return page
+        return Page(page_id, segment_id, _KINDS[kind], size, used, payload, lsn)
 
     # -- membership -------------------------------------------------------
 
@@ -276,9 +313,10 @@ class DiskPageStore:
             return
         tmp = self.path + ".tmp"
         index: dict[int, tuple[int, int, int, int]] = {}
-        position = 0
+        position = len(HEAD)
         try:
             with open(tmp, "wb") as dst:
+                dst.write(HEAD)
                 for page_id, (_, length, segment_id, lsn) in sorted(
                     self._index.items(), key=itemgetter(1)
                 ):

@@ -96,7 +96,7 @@ def recover(db) -> None:
         losers += len(open_txns)
 
         # -- redo ---------------------------------------------------------
-        remap: dict[tuple[str, tuple[int, int]], RowId] = {}
+        remap: dict[tuple[str, RowId], RowId] = {}
         replayed = 0
         for _lsn, record in records:
             if record.get("admin") in incomplete_admin:
@@ -167,16 +167,15 @@ def _apply_undo(db, entries: list[tuple]) -> None:
         kind, name = entry[0], entry[1]
         table = db.catalog.table(name)
         if kind == "ins":
-            table.delete_row(resolve(name, RowId(*entry[2])))
+            table.delete_row(resolve(name, entry[2]))
         elif kind == "del":
             new_rid = table.insert_row(tuple(entry[3]))
-            remap[(name, RowId(*entry[2]))] = new_rid
+            remap[(name, entry[2])] = new_rid
         else:  # upd: (kind, name, old_rid, old_row, new_rid)
-            current = resolve(name, RowId(*entry[4]))
+            current = resolve(name, entry[4])
             restored = table.update_row(current, tuple(entry[3]))
-            old_rid = RowId(*entry[2])
-            if restored != old_rid:
-                remap[(name, old_rid)] = restored
+            if restored != entry[2]:
+                remap[(name, entry[2])] = restored
 
 
 def _replay_ddl(db, record: dict) -> None:
@@ -208,22 +207,22 @@ def _replay_ddl(db, record: dict) -> None:
 
 
 def _replay_dml(
-    db, record: dict, remap: dict[tuple[str, tuple[int, int]], RowId]
+    db, record: dict, remap: dict[tuple[str, RowId], RowId]
 ) -> None:
     table = db.catalog.table(record["table"])
     key = record["table"].lower()
     kind = record["t"]
     if kind == "ins":
         rid = table.insert_row(tuple(record["row"]))
-        remap[(key, tuple(record["rid"]))] = rid
+        remap[(key, record["rid"])] = rid
     elif kind == "del":
-        logged = tuple(record["rid"])
-        table.delete_row(remap.get((key, logged), RowId(*logged)))
+        logged = record["rid"]
+        table.delete_row(remap.get((key, logged), logged))
     else:  # upd: patch the assigned columns into the row redo finds
-        logged_old = tuple(record["rid"])
-        current = remap.get((key, logged_old), RowId(*logged_old))
+        logged = record["rid"]
+        current = remap.get((key, logged), logged)
         row = list(table.heap.fetch(current))
         for position, value in record["set"].items():
             row[position] = value
         new_rid = table.update_row(current, tuple(row))
-        remap[(key, tuple(record["new_rid"]))] = new_rid
+        remap[(key, record["new_rid"])] = new_rid

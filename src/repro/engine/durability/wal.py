@@ -1,10 +1,11 @@
 """The write-ahead log.
 
-One append-only file of CRC-framed records (see :mod:`codec`).  The
-first frame is always a header carrying ``base_lsn``; a record's LSN is
-``base_lsn`` plus the byte offset of its frame, so LSNs stay monotonic
-across checkpoint truncations (the new file starts where the old LSN
-space ended).
+One append-only file of CRC-framed records (see :mod:`codec`) behind a
+16-byte head: magic ``RPWL`` + format version (:data:`HEAD`; an open
+refuses a file without it, or at another version, by name), then
+``base_lsn`` (u64).  A record's LSN is ``base_lsn`` plus the byte
+offset of its frame, so LSNs stay monotonic across checkpoint
+truncations (the new file starts where the old LSN space ended).
 
 Appends are buffered in process — a crash loses everything since the
 last flush, which is exactly the power-loss model the recovery tests
@@ -22,14 +23,21 @@ the last checkpoint.
 from __future__ import annotations
 
 import os
+import struct
 from dataclasses import dataclass
 
 from ..observability.metrics import CounterSet, MetricsRegistry
-from .codec import decode_frames, encode_frame
+from .codec import decode_frames, encode_frame, file_head, has_head
 from .faults import FaultInjector, SimulatedCrash
 
-#: Record type of the file header frame.
-HEADER_RECORD = "wal_header"
+#: The log's first bytes: magic + format version.  Version 1 is the
+#: first with a head; before it the file began with a pickled header
+#: record.
+HEAD = file_head(b"RPWL", 1)
+
+#: What follows the head: the LSN of the file's byte 0.
+_BASE_LSN = struct.Struct("<Q")
+HEAD_SIZE = len(HEAD) + _BASE_LSN.size
 
 #: The seeded mutation the recovery property test must catch: flushes
 #: report success without writing, so "durable" commits are lost.
@@ -84,47 +92,48 @@ class WriteAheadLog:
 
     def open(self) -> list[tuple[int, dict]]:
         """Open (creating if absent) and return the durable records as
-        ``(lsn, record)`` pairs, excluding the header.  A torn tail is
-        truncated away so subsequent appends extend a valid log."""
+        ``(lsn, record)`` pairs.  A torn tail is truncated away so
+        subsequent appends extend a valid log."""
         existed = os.path.exists(self.path)
         records: list[tuple[int, dict]] = []
-        valid_end = 0
+        valid_end = HEAD_SIZE
         if existed:
             with open(self.path, "rb") as fh:
                 data = fh.read()
-            frames = list(decode_frames(data))
-            if frames and (
-                isinstance(frames[0][1], dict)
-                and frames[0][1].get("t") == HEADER_RECORD
-            ):
-                self.base_lsn = frames[0][1]["base_lsn"]
-                for offset, record in frames[1:]:
-                    records.append((self.base_lsn + offset, record))
-                last_offset, last_record = frames[-1]
-                valid_end = last_offset + len(encode_frame(last_record))
-            else:
-                # Unreadable header: treat as an empty log.
-                existed = False
+            # A head a crash cut short is a creation that never
+            # finished: an empty log.
+            existed = has_head(self.path, data, HEAD) and (
+                len(data) >= HEAD_SIZE
+            )
+        if existed:
+            (self.base_lsn,) = _BASE_LSN.unpack_from(data, len(HEAD))
+            for offset, record in decode_frames(data, HEAD_SIZE):
+                records.append((self.base_lsn + offset, record))
+            if records:
+                last_lsn, last_record = records[-1]
+                valid_end = (
+                    last_lsn - self.base_lsn + len(encode_frame(last_record))
+                )
         self._file = open(self.path, "r+b" if existed else "w+b")
         if existed:
-            if valid_end < os.path.getsize(self.path):
+            if valid_end < len(data):
                 self._file.truncate(valid_end)
             self._file.seek(valid_end)
             self._durable = self._appended = valid_end
-            # Anchor past the header, and past the checkpoint head if
-            # the log starts with one (it is always the first record).
-            ends = [off for off, _ in frames[1:]] + [valid_end]
+            # Anchor past the checkpoint head if the log starts with one
+            # (it is always the first record).
+            ends = [lsn - self.base_lsn for lsn, _ in records] + [valid_end]
             anchor = ends[0]
             if records and records[0][1].get("t") == "checkpoint":
-                anchor = ends[1] if len(ends) > 1 else valid_end
+                anchor = ends[1]
             self._checkpoint_anchor = anchor
         else:
-            header = encode_frame({"t": HEADER_RECORD, "base_lsn": 0})
+            head = HEAD + _BASE_LSN.pack(0)
             self.base_lsn = 0
-            self._file.write(header)
+            self._file.write(head)
             self._file.flush()
             os.fsync(self._file.fileno())
-            self._durable = self._appended = len(header)
+            self._durable = self._appended = len(head)
             self._checkpoint_anchor = self._appended
         self._flushed_lsn = self.base_lsn + self._appended
         return records
@@ -213,7 +222,7 @@ class WriteAheadLog:
         growing monotonically."""
         self.flush()
         new_base = self.end_lsn
-        header = encode_frame({"t": HEADER_RECORD, "base_lsn": new_base})
+        header = HEAD + _BASE_LSN.pack(new_base)
         body = encode_frame(checkpoint_record)
         tmp = self.path + ".tmp"
         with open(tmp, "wb") as fh:

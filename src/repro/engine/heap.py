@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 from typing import Any, Iterator
 
 from .errors import ExecutionError
@@ -31,26 +31,19 @@ from .pager import BufferPool, Page, PageKind
 #: Per-row slot overhead (slot pointer + record header).
 ROW_OVERHEAD = 8
 
+#: Physical row address: ``(page_id, slot)``.  Stable until VACUUM
+#: (never).  A plain tuple, so the hundreds a B-tree leaf holds unpickle
+#: inside the C unpickler when a page miss loads the leaf — an object
+#: type would cost a Python call per RID.  The WAL logs it as is.
+RowId = tuple[int, int]
+
 
 class InsertStrategy(enum.Enum):
     FIRST_FIT = "first-fit"
     APPEND = "append"
 
 
-@dataclass(frozen=True)
-class RowId:
-    """Physical row address: page + slot.  Stable until VACUUM (never)."""
-
-    page_id: int
-    slot: int
-
-    def __reduce__(self):
-        # Two integers, not a state dict that names the fields: a B-tree
-        # leaf pickles hundreds of these into every stored page version.
-        return RowId, (self.page_id, self.slot)
-
-
-_page_of = attrgetter("page_id")
+_page_of = itemgetter(0)
 
 
 @dataclass
@@ -121,7 +114,7 @@ class HeapFile:
             san.on_row_access(
                 (self.segment_id, page.page_id, slot_no), write=True
             )
-        return RowId(page.page_id, slot_no)
+        return (page.page_id, slot_no)
 
     def _choose_page(self, need: int) -> Page | None:
         if not self._page_ids:
@@ -151,7 +144,7 @@ class HeapFile:
     def fetch(self, rid: RowId) -> tuple:
         """Read one row by RID (one logical data-page read)."""
         self._stats.fetches += 1
-        return self._read_run(rid.page_id, [rid])[0]
+        return self._read_run(rid[0], [rid])[0]
 
     def fetch_many(self, rids: list[RowId]) -> list[tuple]:
         """Read rows by RID, in order — the executor's FETCH path.
@@ -172,9 +165,9 @@ class HeapFile:
         rows = self._page_rows(page.payload, run)
         san = self._pool.sanitizer
         if san is not None:
-            for rid in run:
+            for _, slot in run:
                 san.on_row_access(
-                    (self.segment_id, page_id, rid.slot), write=False
+                    (self.segment_id, page_id, slot), write=False
                 )
         return rows
 
@@ -182,7 +175,7 @@ class HeapFile:
         """The rows at ``run``'s slots of one page (raising on a
         dangling RID)."""
         nslots = len(slots)
-        entries = [slots[r.slot] if r.slot < nslots else None for r in run]
+        entries = [slots[s] if s < nslots else None for _, s in run]
         if None in entries:
             raise ExecutionError(f"dangling RID {run[entries.index(None)]}")
         return [entry[0] for entry in entries]
@@ -194,7 +187,7 @@ class HeapFile:
             page = self._pool.read(pid)
             for slot_no, entry in enumerate(page.payload):
                 if entry is not None:
-                    yield RowId(pid, slot_no), entry[0]
+                    yield (pid, slot_no), entry[0]
 
     def scan_batches(self, batch_rows: int) -> Iterator[list[tuple]]:
         """Rows only, in the same physical order as :meth:`scan`, in
@@ -230,23 +223,22 @@ class HeapFile:
     def update(self, rid: RowId, row: tuple, width: int) -> RowId:
         """Rewrite a row in place; relocate if it no longer fits."""
         self._stats.updates += 1
-        page = self._pool.read(rid.page_id)
+        page_id, slot = rid
+        page = self._pool.read(page_id)
         slots: list = page.payload
-        entry = slots[rid.slot]
+        entry = slots[slot]
         if entry is None:
             raise ExecutionError(f"update of deleted RID {rid}")
         old_width = entry[1]
         delta = width - old_width
         if delta <= page.free:
-            slots[rid.slot] = (row, width)
+            slots[slot] = (row, width)
             page.used += delta
-            self._free_map[page.page_id] = page.free
-            self._pool.mark_dirty(page.page_id)
+            self._free_map[page_id] = page.free
+            self._pool.mark_dirty(page_id)
             san = self._pool.sanitizer
             if san is not None:
-                san.on_row_access(
-                    (self.segment_id, rid.page_id, rid.slot), write=True
-                )
+                san.on_row_access((self.segment_id, page_id, slot), write=True)
             return rid
         # Doesn't fit: delete here, insert elsewhere (forwarding not
         # modelled; callers maintain indexes and receive the new RID).
@@ -258,8 +250,8 @@ class HeapFile:
         relocation the caller refused, so the row keeps the RID the log
         knows it by.  The slot is still a tombstone: :meth:`update` only
         relocates to another page."""
-        page = self._pool.read(rid.page_id)
-        self._write_slot(page.payload, rid.slot, row, width)
+        page = self._pool.read(rid[0])
+        self._write_slot(page.payload, rid[1], row, width)
         page.used += width + ROW_OVERHEAD
         self._free_map[page.page_id] = page.free
         self._pool.mark_dirty(page.page_id)
@@ -270,21 +262,20 @@ class HeapFile:
 
     def delete(self, rid: RowId) -> None:
         self._stats.deletes += 1
-        page = self._pool.read(rid.page_id)
+        page_id, slot = rid
+        page = self._pool.read(page_id)
         slots: list = page.payload
-        entry = slots[rid.slot]
+        entry = slots[slot]
         if entry is None:
             raise ExecutionError(f"double delete of RID {rid}")
-        slots[rid.slot] = None
+        slots[slot] = None
         page.used -= entry[1] + ROW_OVERHEAD
-        self._free_map[page.page_id] = page.free
-        self._pool.mark_dirty(page.page_id)
+        self._free_map[page_id] = page.free
+        self._pool.mark_dirty(page_id)
         self.row_count -= 1
         san = self._pool.sanitizer
         if san is not None:
-            san.on_row_access(
-                (self.segment_id, rid.page_id, rid.slot), write=True
-            )
+            san.on_row_access((self.segment_id, page_id, slot), write=True)
 
     # -- sizing -----------------------------------------------------------------
 

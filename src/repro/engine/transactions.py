@@ -124,16 +124,11 @@ class TransactionManager:
             if isinstance(entry, _InsertEntry):
                 rid = resolve(entry.table, entry.rid)
                 entry.table.delete_row(rid)
-                self._emit("del", entry.table, rid=(rid.page_id, rid.slot))
+                self._emit("del", entry.table, rid=rid)
             elif isinstance(entry, _DeleteEntry):
                 new_rid = entry.table.insert_row(entry.row)
                 remap[(id(entry.table), entry.rid)] = new_rid
-                self._emit(
-                    "ins",
-                    entry.table,
-                    rid=(new_rid.page_id, new_rid.slot),
-                    row=entry.row,
-                )
+                self._emit("ins", entry.table, rid=new_rid, row=entry.row)
             elif isinstance(entry, _UpdateEntry):
                 current = resolve(entry.table, entry.new_rid)
                 restored = entry.table.update_row(current, entry.old_row)
@@ -142,8 +137,8 @@ class TransactionManager:
                 self._emit(
                     "upd",
                     entry.table,
-                    rid=(current.page_id, current.slot),
-                    new_rid=(restored.page_id, restored.slot),
+                    rid=current,
+                    new_rid=restored,
                     set={p: entry.old_row[p] for p in entry.positions},
                 )
         self._emit_rollback()
@@ -168,12 +163,12 @@ class TransactionManager:
     def record_insert(self, table: "Table", rid: RowId, row: tuple) -> None:
         if self._log is not None:
             self._log.append(_InsertEntry(table, rid))
-        self._emit("ins", table, rid=(rid.page_id, rid.slot), row=row)
+        self._emit("ins", table, rid=rid, row=row)
 
     def record_delete(self, table: "Table", rid: RowId, row: tuple) -> None:
         if self._log is not None:
             self._log.append(_DeleteEntry(table, rid, row))
-        self._emit("del", table, rid=(rid.page_id, rid.slot))
+        self._emit("del", table, rid=rid)
 
     def record_update(
         self,
@@ -194,8 +189,8 @@ class TransactionManager:
         self._emit(
             "upd",
             table,
-            rid=(old_rid.page_id, old_rid.slot),
-            new_rid=(new_rid.page_id, new_rid.slot),
+            rid=old_rid,
+            new_rid=new_rid,
             set={p: new_row[p] for p in positions},
         )
 
@@ -250,20 +245,14 @@ class TransactionManager:
         entries: list[tuple] = []
         for entry in self._log:
             if isinstance(entry, _InsertEntry):
-                entries.append(
-                    ("ins", entry.table.name,
-                     (entry.rid.page_id, entry.rid.slot))
-                )
+                entries.append(("ins", entry.table.name, entry.rid))
             elif isinstance(entry, _DeleteEntry):
                 entries.append(
-                    ("del", entry.table.name,
-                     (entry.rid.page_id, entry.rid.slot), entry.row)
+                    ("del", entry.table.name, entry.rid, entry.row)
                 )
             elif isinstance(entry, _UpdateEntry):
                 entries.append(
-                    ("upd", entry.table.name,
-                     (entry.old_rid.page_id, entry.old_rid.slot),
-                     entry.old_row,
-                     (entry.new_rid.page_id, entry.new_rid.slot))
+                    ("upd", entry.table.name, entry.old_rid, entry.old_row,
+                     entry.new_rid)
                 )
         return {"tx": self._txid, "entries": entries}

@@ -21,8 +21,8 @@ def make_index(unique=False, prefix_compression=True, capacity=256):
     ), pool
 
 
-def rid(n):
-    return RowId(page_id=n, slot=0)
+def rid(n) -> RowId:
+    return (n, 0)
 
 
 def scan_prefix(index, prefix, batch_rows=7):
@@ -155,7 +155,7 @@ class TestBatchScans:
             key = (i % 4, f"{i // 6:030d}")
             index.insert(key, rid(i))
             model.append((key, rid(i)))
-        model.sort(key=lambda e: (e[0], e[1].page_id))
+        model.sort()
         assert index.height > 1
         return index, pool, model
 
@@ -259,9 +259,7 @@ class TestPropertyBased:
             index.insert(key, rid(i))
             model.setdefault(key, []).append(rid(i))
         for key, rids in model.items():
-            assert sorted(index.search(key), key=lambda r: r.page_id) == sorted(
-                rids, key=lambda r: r.page_id
-            )
+            assert sorted(index.search(key)) == sorted(rids)
         scanned = list(scan_prefix(index, ()))
         assert len(scanned) == sum(len(v) for v in model.values())
         keys = [k for k, _ in scanned]

@@ -91,7 +91,7 @@ class TestNullBitmaps:
         store, pool = make_store(ncols=2)
         rid = store.insert((None, "x"), width=10)
         store.delete(rid)
-        payload = pool.read(rid.page_id).payload
+        payload = pool.read(rid[0]).payload
         assert payload.nulls == [0, 0]
         store.insert((1, None), width=10)  # reuses the tombstone slot
         assert payload.nulls == [0, 1]

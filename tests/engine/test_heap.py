@@ -157,7 +157,7 @@ class TestPropertyBased:
                 model[rid] = (counter,)
                 counter += 1
             else:
-                rid = sorted(model, key=lambda r: (r.page_id, r.slot))[
+                rid = sorted(model)[
                     pick % len(model)
                 ]
                 if op == "delete":

@@ -1,18 +1,23 @@
 """Tests for the log-structured page store: one file per database, one
 fsync per sync, compaction once dead bytes exceed live bytes, LSN
-truncation as a cut, and what a crash or a flipped byte may and may not
-do to it."""
+truncation as a cut, what a crash or a flipped byte may and may not do
+to it, what a page miss costs to decode, and what an open does with a
+file another format wrote."""
 
 import os
+import pickletools
 import resource
+import struct
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.durability import DurabilityOptions, codec
+from repro.engine.durability import DurabilityOptions, codec, pagestore, wal
 from repro.engine.durability.faults import FaultInjector, SimulatedCrash
-from repro.engine.durability.pagestore import PAGE_FILE, DiskPageStore
+from repro.engine.durability.manager import PAGES_DIRNAME, WAL_FILENAME
+from repro.engine.durability.pagestore import HEAD, PAGE_FILE, DiskPageStore
 from repro.engine.errors import EngineError
 from repro.engine.pager import Page, PageKind
 
@@ -30,8 +35,11 @@ def appended_frame(store: DiskPageStore, page_id: int) -> bytes:
 
 
 def file_bytes(store: DiskPageStore) -> bytes:
+    """The page file's frames: everything after its format head."""
     with open(store.path, "rb") as fh:
-        return fh.read()
+        data = fh.read()
+    assert data[: len(HEAD)] == HEAD
+    return data[len(HEAD) :]
 
 
 def file_identity(path: str) -> tuple[int, int]:
@@ -84,7 +92,7 @@ class TestCompaction:
         assert file_identity(store.path)[0] != before[0]
         assert store.stats.compactions == 1
         assert (store.stats.dead_bytes, store.stats.live_bytes) == (
-            0, os.path.getsize(store.path)
+            0, os.path.getsize(store.path) - len(HEAD)
         )
 
     def test_dirty_segment_becomes_exactly_its_live_frames(self, store):
@@ -353,7 +361,7 @@ class TestFreeSegment:
         assert store.pages_in_segment(2) == set()
         # Its live versions and its superseded ones are all dead now.
         assert store.stats.live_bytes == sum(len(live[p]) for p in (1, 2, 3))
-        assert store.stats.dead_bytes == size - store.stats.live_bytes
+        assert store.stats.dead_bytes == size - len(HEAD) - store.stats.live_bytes
         assert store.free_segment(2) == 0
         store.sync()
         assert store.stats.fsyncs == 1
@@ -465,7 +473,7 @@ class TestThroughTheEngine:
         assert os.stat(store.path).st_ino != inode
         assert db.metrics.value("db.pager.dead_bytes") == 0
         assert db.metrics.value("db.pager.live_bytes") == (
-            os.path.getsize(store.path)
+            os.path.getsize(store.path) - len(HEAD)
         )
         db.pool.flush()  # every page is re-read from the compacted file
         db.execute("UPDATE hot SET v = 'again' WHERE id = 8")
@@ -556,3 +564,175 @@ class TestThroughTheEngine:
             reopened.close()
         finally:
             resource.setrlimit(resource.RLIMIT_NOFILE, limits)
+
+
+class TestRead:
+    @pytest.mark.parametrize("damage", ["flipped byte", "torn tail"])
+    def test_a_damaged_live_frame_fails_its_read(self, store, damage):
+        """A page miss checks the frame's length and checksum before
+        unpickling anything."""
+        fill(store)
+        offset, length, _, _ = store._index[4]
+        with open(store.path, "r+b") as fh:
+            if damage == "flipped byte":
+                fh.seek(offset + length - 1)
+                byte = fh.read(1)
+                fh.seek(offset + length - 1)
+                fh.write(bytes([byte[0] ^ 0xFF]))
+            else:
+                fh.truncate(offset + length - 1)
+        with pytest.raises(EngineError, match="page 4: corrupt frame"):
+            store.read(4)
+        assert store.read(3).payload == ["row-3"]
+
+
+#: Opcodes that make the unpickler look up a global or call Python: a
+#: stored page that needs one per entry costs a Python call per entry on
+#: every page miss.
+PYTHON_LEVEL_OPS = (
+    "GLOBAL", "STACK_GLOBAL", "REDUCE", "NEWOBJ", "NEWOBJ_EX", "BUILD",
+    "INST", "OBJ",
+)
+
+
+def payload_ops(store: DiskPageStore, page_id: int) -> dict[str, int]:
+    """The Python-level opcodes in the stored pickle of ``page_id``."""
+    frame = appended_frame(store, page_id)
+    start = codec.HEADER_SIZE + pagestore._HEAD.size
+    ops = Counter(op.name for op, _, _ in pickletools.genops(frame[start:]))
+    return {name: ops[name] for name in PYTHON_LEVEL_OPS if ops[name]}
+
+
+class TestDecodeCost:
+    """A page miss unpickles its payload in C: the Python-level steps of
+    a stored page do not grow with the entries it holds.  (With a RID
+    object per entry, a 300-entry leaf made 300 ``REDUCE`` calls.)"""
+
+    @pytest.fixture(scope="class")
+    def stored_pages(self, tmp_path_factory) -> dict[int, dict[str, dict]]:
+        """entries -> page shape -> Python-level opcodes of its page."""
+        out = {}
+        for entries in (30, 300):
+            db = Database(path=str(tmp_path_factory.mktemp(f"db{entries}")))
+            db.execute("CREATE TABLE u (id INTEGER NOT NULL, v VARCHAR(10))")
+            db.execute("CREATE UNIQUE INDEX u_id ON u (id)")
+            db.execute("CREATE TABLE m (k INTEGER NOT NULL)")
+            db.execute("CREATE INDEX m_k ON m (k)")
+            db.execute(
+                "CREATE TABLE c (id INTEGER, v VARCHAR(10)) USING columnar"
+            )
+            with db.atomic():
+                for i in range(entries):
+                    db.execute("INSERT INTO u VALUES (?, ?)", [i, f"v{i}"])
+                    db.execute("INSERT INTO m VALUES (?)", [i // 3])
+                    db.execute("INSERT INTO c VALUES (?, ?)", [i, f"v{i}"])
+            db.checkpoint()
+            store = db.durability.store
+            pages = {
+                "unique leaf": db.catalog.table("u").indexes["u_id"].btree,
+                "3 RIDs per key": db.catalog.table("m").indexes["m_k"].btree,
+            }
+            shapes = {}
+            for shape, btree in pages.items():
+                assert btree.height == 1 and btree.entry_count == entries
+                shapes[shape] = payload_ops(store, btree.root_id)
+            (column_page,) = db.catalog.table("c").heap.page_ids()
+            shapes["column page"] = payload_ops(store, column_page)
+            (heap_page,) = db.catalog.table("u").heap.page_ids()
+            shapes["heap page"] = payload_ops(store, heap_page)
+            out[entries] = shapes
+            db.close()
+        return out
+
+    @pytest.mark.parametrize(
+        "shape", ["unique leaf", "3 RIDs per key", "column page", "heap page"]
+    )
+    def test_python_level_ops_do_not_grow_with_entries(
+        self, stored_pages, shape
+    ):
+        assert stored_pages[300][shape] == stored_pages[30][shape]
+        assert sum(stored_pages[300][shape].values()) <= 3
+
+
+def previous_format_page_frame() -> bytes:
+    """A frame as the page file held it before the format head: page id,
+    segment id and LSN raw, then a pickled dict of the rest."""
+    record = {"kind": "data", "size": 8192, "used": 18, "payload": [((1,), 10)]}
+    return codec.encode_frame(record, struct.pack("<QIQ", 1, 1, 10))
+
+
+def previous_format_wal() -> bytes:
+    """A log as it began before the format head: a pickled header."""
+    return codec.encode_frame({"t": "wal_header", "base_lsn": 0})
+
+
+class TestFormatHead:
+    """Both durable files start with magic + format version; a file
+    without it, or at another version, is refused at open by name —
+    before a query meets it at a page miss — and left as it was."""
+
+    def test_page_file_of_the_previous_format_is_refused(self, tmp_path):
+        pages = tmp_path / PAGES_DIRNAME
+        pages.mkdir()
+        (pages / PAGE_FILE).write_bytes(previous_format_page_frame())
+        with pytest.raises(
+            EngineError,
+            match=r"data\.pages: found no format head, "
+            r"expected RPPG format version 1",
+        ):
+            Database(path=str(tmp_path))
+        assert (pages / PAGE_FILE).read_bytes() == previous_format_page_frame()
+        assert os.listdir(pages) == [PAGE_FILE]
+
+    def test_wal_of_the_previous_format_is_refused(self, tmp_path):
+        db = Database(path=str(tmp_path))
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        db.close()
+        log = tmp_path / WAL_FILENAME
+        log.write_bytes(previous_format_wal())
+        with pytest.raises(
+            EngineError,
+            match=r"wal\.log: found no format head, "
+            r"expected RPWL format version 1",
+        ):
+            Database(path=str(tmp_path))
+        assert log.read_bytes() == previous_format_wal()
+
+    @pytest.mark.parametrize("which", ["pages", "wal"])
+    def test_another_version_is_refused_naming_both_versions(
+        self, tmp_path, which
+    ):
+        db = Database(path=str(tmp_path))
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.close()
+        if which == "pages":
+            target, head = tmp_path / PAGES_DIRNAME / PAGE_FILE, HEAD
+        else:
+            target, head = tmp_path / WAL_FILENAME, wal.HEAD
+        data = target.read_bytes()
+        newer = head[:4] + struct.pack("<I", 2) + data[len(head) :]
+        target.write_bytes(newer)
+        with pytest.raises(
+            EngineError, match=r"found format version 2, expected .* version 1"
+        ):
+            Database(path=str(tmp_path))
+        assert target.read_bytes() == newer
+
+    def test_a_head_a_crash_cut_short_opens_as_a_new_file(self, tmp_path):
+        """Creation writes the head first; a crash inside it leaves a
+        prefix of the head and nothing else to lose."""
+        pages = tmp_path / PAGES_DIRNAME
+        pages.mkdir()
+        (pages / PAGE_FILE).write_bytes(HEAD[:3])
+        (tmp_path / WAL_FILENAME).write_bytes(wal.HEAD[:5])
+        db = Database(path=str(tmp_path))
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.execute("INSERT INTO t VALUES (7)")
+        db.close()
+        reopened = Database(path=str(tmp_path))
+        try:
+            assert reopened.execute("SELECT id FROM t").rows == [(7,)]
+            assert (pages / PAGE_FILE).read_bytes().startswith(HEAD)
+        finally:
+            reopened.close()

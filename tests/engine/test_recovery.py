@@ -345,12 +345,14 @@ class TestWalMetrics:
 
 
 def _log_records(db: Database) -> list[dict]:
-    """The durable WAL records of a live database, header excluded."""
+    """The durable WAL records of a live database."""
     from repro.engine.durability.codec import decode_frames
+    from repro.engine.durability.wal import HEAD_SIZE
 
     db.durability.wal.flush()
     with open(db.durability.wal.path, "rb") as fh:
-        return [record for _offset, record in decode_frames(fh.read())][1:]
+        data = fh.read()
+    return [record for _offset, record in decode_frames(data, HEAD_SIZE)]
 
 
 def _all_rows(db: Database, table: str = "t") -> list[tuple]:

@@ -20,7 +20,7 @@ import pytest
 
 from repro.engine import Database
 from repro.engine.errors import ExecutionError
-from repro.engine.heap import HeapStats, RowId
+from repro.engine.heap import HeapStats
 from repro.engine.observability import CounterWindow
 from repro.engine.vexecutor import BATCH_ROWS, VectorizedExecutor
 from repro.quality.corpus import (
@@ -394,7 +394,7 @@ class TestFetchMany:
         with pytest.raises(ExecutionError, match="dangling RID"):
             heap.fetch_many(rids)
         with pytest.raises(ExecutionError, match="dangling RID"):
-            heap.fetch_many([RowId(rids[0].page_id, 10_000)])
+            heap.fetch_many([(rids[0][0], 10_000)])
 
     @pytest.mark.parametrize("storage", ["", " USING columnar"])
     def test_sanitizer_sees_every_fetched_row(self, storage):
@@ -416,7 +416,7 @@ class TestFetchMany:
         assert window.deltas()["heap"].fetches == fetched
         info = db.catalog.table("w").indexes["w_ks"]
         expected = [
-            ((heap.segment_id, rid.page_id, rid.slot), False)
+            ((heap.segment_id, *rid), False)
             for batch in info.btree.prefix_batches((1,), 7)
             for _key, rid in batch
         ]
