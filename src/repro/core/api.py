@@ -106,7 +106,9 @@ class MultiTenantDatabase:
     # leaves no partial effect after recovery (the op's records are
     # skipped), and the closing marker carries :meth:`_durable_state`,
     # the one value :meth:`recover` restores from.  In memory mode the
-    # bracket is a no-op context.
+    # bracket is a no-op context.  A call that would widen some tenant's
+    # view past what its layout can store (:meth:`Layout.check_widths`)
+    # is refused before anything changes.
 
     def _admin(self, op: str):
         if self._replay:
@@ -130,6 +132,8 @@ class MultiTenantDatabase:
     def define_table(self, table: LogicalTable) -> None:
         """Register (and physically provision) a base table."""
         with self._admin("define_table"):
+            for layout in self._all_layouts():
+                layout.check_widths({table.lname: len(table.columns)})
             self.schema.add_table(table)
             for layout in self._all_layouts():
                 layout.on_table_added(table)
@@ -144,6 +148,7 @@ class MultiTenantDatabase:
 
     def create_tenant(self, tenant_id: int, extensions: Sequence[str] = ()) -> None:
         with self._admin("create_tenant"):
+            self.layout.check_widths(self.schema.view_widths(extensions))
             config = self.schema.add_tenant(tenant_id, tuple(extensions))
             self.layout.on_tenant_added(config)
 
@@ -185,6 +190,12 @@ class MultiTenantDatabase:
     def grant_extension(self, tenant_id: int, extension_name: str) -> None:
         """Subscribe a tenant to an extension while the system is online."""
         with self._admin("grant_extension"):
+            granted = self.schema.tenant(tenant_id).extensions | {
+                extension_name.lower()
+            }
+            self.layout_for(tenant_id).check_widths(
+                self.schema.view_widths(granted)
+            )
             self.schema.grant_extension(tenant_id, extension_name)
             self.layout_for(tenant_id).on_extension_granted(
                 self.schema.tenant(tenant_id),
@@ -200,6 +211,13 @@ class MultiTenantDatabase:
         bookkeeping (plus NULL backfill), conventional layouts rebuild
         their affected tables."""
         with self._admin("alter_extension"):
+            base = self.schema.extension(extension_name).base_table.lower()
+            for tenant_id in self.schema.tenants_with_extension(extension_name):
+                widths = self.schema.view_widths(
+                    self.schema.tenant(tenant_id).extensions
+                )
+                widths[base] += len(new_columns)
+                self.layout_for(tenant_id).check_widths(widths)
             altered = self.schema.alter_extension(
                 extension_name, tuple(new_columns)
             )
@@ -228,6 +246,9 @@ class MultiTenantDatabase:
         with self._admin("migrate_tenant"):
             source = self.layout_for(tenant_id)
             target = make_layout(layout_name, self.db, self.schema, **options)
+            target.check_widths(
+                self.schema.view_widths(self.schema.tenant(tenant_id).extensions)
+            )
             target.bootstrap()
             # Replay schema history into the new layout; physical structures
             # that already exist (shared chunk tables, ...) are reused.

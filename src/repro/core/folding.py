@@ -22,6 +22,7 @@ Two planners are provided:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from ..engine.errors import PlanError
@@ -223,10 +224,8 @@ def select_cover_shapes(
     the Universal-Table trade-off creeping back in, made explicit.
 
     Greedy agglomeration: repeatedly merge the pair of covers whose
-    union adds the least weighted waste.  With networkx available the
-    candidate pair is found via a minimum-weight edge of the complete
-    merge graph; otherwise a plain scan is used (same result, this is
-    just the paper-cited matching machinery doing the search).
+    union adds the least weighted waste (the minimum-weight edge of the
+    complete merge graph; ties go to the first pair in insertion order).
     """
     if budget < 1:
         raise PlanError("shape budget must be >= 1")
@@ -241,27 +240,10 @@ def select_cover_shapes(
         )
 
     while len(covers) > budget:
-        best_pair = None
-        try:
-            import networkx as nx
-
-            graph = nx.Graph()
-            shapes = list(covers)
-            for i, a in enumerate(shapes):
-                for b in shapes[i + 1 :]:
-                    graph.add_edge(a, b, weight=merge_cost(a, b))
-            best_pair = min(
-                graph.edges(data="weight"), key=lambda e: e[2]
-            )[:2]
-        except ImportError:  # pragma: no cover - networkx ships with tests
-            shapes = list(covers)
-            best_cost = None
-            for i, a in enumerate(shapes):
-                for b in shapes[i + 1 :]:
-                    cost = merge_cost(a, b)
-                    if best_cost is None or cost < best_cost:
-                        best_pair, best_cost = (a, b), cost
-        a, b = best_pair
+        a, b = min(
+            itertools.combinations(list(covers), 2),
+            key=lambda pair: merge_cost(*pair),
+        )
         merged = merge_shapes(a, b)
         weight = covers.pop(a) + covers.pop(b)
         covers[merged] = covers.get(merged, 0) + weight

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from ...engine.database import Database
-from ...engine.errors import UnknownObjectError
+from ...engine.errors import CatalogError, UnknownObjectError
 from ...engine.sql.parser import parse_statement
 from ...engine.values import SqlType, TypeKind
 from ..metadata import ColumnIdAllocator, MetadataReport, RowIdAllocator
@@ -112,6 +112,12 @@ class Layout(abc.ABC):
 
     def bootstrap(self) -> None:
         """Create fixed generic structures (no-op for conventional layouts)."""
+
+    def check_widths(self, widths: dict[str, int]) -> None:
+        """Refuse a tenant view this layout cannot store — ``widths``
+        maps each base table to its column count
+        (:meth:`MultiTenantSchema.view_widths`).  The facade asks before
+        an administrative call changes anything; no limit by default."""
 
     def on_table_added(self, table: LogicalTable) -> None:
         self.columns.register_base(table.name, [c.name for c in table.columns])
@@ -215,7 +221,7 @@ class Layout(abc.ABC):
         layout's state — recovery constructs the layout and calls
         :meth:`restore_bookkeeping`, no ``on_*`` hook: the physical
         tables survive a crash through the engine's own recovery, but
-        row/column allocators and partition caches live only here.
+        row/column allocators and chunk assignments live only here.
         Subclasses extend the dict with copies (every checkpoint
         pickles the value again: it must not alias live state);
         :meth:`restore_bookkeeping` must accept exactly what this
@@ -228,6 +234,13 @@ class Layout(abc.ABC):
         }
 
     def restore_bookkeeping(self, state: dict) -> None:
+        expected = self.bookkeeping().keys()
+        if state.keys() != expected:
+            raise CatalogError(
+                f"the {self.name} layout cannot restore the recorded state: "
+                f"it holds {sorted(state)}, this version keeps "
+                f"{sorted(expected)}"
+            )
         self.rows.restore(state["rows"])
         self.columns.restore(state["columns"])
         self._created_tables = set(state["created_tables"])
@@ -277,6 +290,33 @@ class Layout(abc.ABC):
             self.db.execute(index_sql)
         self._created_tables.add(key)
         return True
+
+    def _ensure_conventional(
+        self, physical: str, columns: Sequence[LogicalColumn]
+    ) -> None:
+        """A conventional table shared by tenants: Tenant and Row
+        meta-data columns, then ``columns`` as declared, a unique
+        (tenant, row) index and a (tenant, column) index per indexed
+        column — Figure 4(b)'s AccountExt and Figure 4(f)'s AccountRow."""
+        parts = ["tenant INTEGER NOT NULL", f"{ROW} INTEGER NOT NULL"]
+        parts += [
+            f"{c.lname} {c.type}" + (" NOT NULL" if c.not_null else "")
+            for c in columns
+        ]
+        ddl = (
+            f"CREATE TABLE {physical} ("
+            + ", ".join(parts)
+            + self._alive_ddl()
+            + ")"
+        )
+        indexes = [
+            f"CREATE UNIQUE INDEX {physical}_tr ON {physical} (tenant, {ROW})"
+        ] + [
+            f"CREATE INDEX {physical}_{c.lname} ON {physical} (tenant, {c.lname})"
+            for c in columns
+            if c.indexed
+        ]
+        self._ensure_table(physical, ddl, indexes)
 
     def _drop_table(self, name: str) -> None:
         self._created_tables.discard(name.lower())

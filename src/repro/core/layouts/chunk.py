@@ -1,9 +1,16 @@
 """Chunk Table Layout — Figure 4(e).
 
 A Chunk Table is a Pivot Table generalized to a set of typed data
-columns: logical tables are partitioned into chunks of at most
-``width`` columns, each chunk identified by (Tenant, Table, Chunk) and
-re-aligned on Row.  Varying ``width`` spans the spectrum from Pivot
+columns: each base table and each extension is cut into chunks of at
+most ``width`` columns once, when it is defined, and every tenant's
+rows of that column group live in the same chunks, identified by
+(Tenant, Table, Chunk) and re-aligned on Row.  Chunk ids are numbered
+per base table — its own chunks first, then each extension's in
+definition order, an ALTER appending chunks for its new columns — and
+a tenant's view is the base table's chunks followed by those of its
+extensions.  Tenants with the same extensions therefore have the same
+fragments whatever their history, and a grant or ALTER is bookkeeping
+plus a NULL backfill.  Varying ``width`` spans the spectrum from Pivot
 Tables (width 1) to Universal Tables (width = table width) — the axis
 Figures 9–12 sweep.
 
@@ -24,7 +31,7 @@ from ..folding import (
     chunk_table_ddl,
     partition_columns,
 )
-from ..schema import Extension, TenantConfig
+from ..schema import Extension, LogicalTable
 from .base import (
     ColumnLoc,
     Fragment,
@@ -64,175 +71,170 @@ class ChunkTableLayout(Layout):
         #: stored in the cheapest cover table that fits it, bounding the
         #: number of distinct Chunk Tables at the price of NULL padding.
         self.cover_shapes = cover_shapes
-        self._partitions: dict[tuple[int, str], list[ChunkAssignment]] = {}
-        #: Tenants whose partitions were extended in place by an ALTER
-        #: (appended chunks): their fragments diverge from fresh tenants
-        #: with the same extension set, so they must not share cached
-        #: statements with them.
-        self._legacy_tenants: set[int] = set()
+        #: The chunks of every column group, shared by all tenants: per
+        #: base table (only those with chunks) and per extension.
+        self._table_chunks: dict[str, list[ChunkAssignment]] = {}
+        self._extension_chunks: dict[str, list[ChunkAssignment]] = {}
+        #: Next free chunk id per base table (only those with chunks).
+        self._next_chunk: dict[str, int] = {}
 
-    # -- partitioning ------------------------------------------------------
+    # -- cutting chunks ------------------------------------------------------
 
-    def partition(self, tenant_id: int, table_name: str) -> list[ChunkAssignment]:
-        key = (tenant_id, table_name.lower())
-        cached = self._partitions.get(key)
-        if cached is None:
-            logical = self.schema.logical_table(tenant_id, table_name)
-            cached = partition_columns(list(logical.columns), self.width)
-            self._partitions[key] = cached
-        return cached
+    def _base_chunks(self, table: LogicalTable) -> list[ChunkAssignment]:
+        """The base table's columns cut into chunks, not yet numbered."""
+        return partition_columns(list(table.columns), self.width)
 
-    def on_extension_granted(self, config: TenantConfig, extension: Extension) -> None:
-        """Widen the tenant's partition in place.
+    def _allocate(
+        self, table_name: str, assignments: list[ChunkAssignment]
+    ) -> list[ChunkAssignment]:
+        """Number chunks after the base table's last one and create
+        their physical tables."""
+        if not assignments:
+            return []
+        table = table_name.lower()
+        start = self._next_chunk.get(table, 0)
+        chunks = [
+            dataclasses.replace(a, chunk_id=start + i)
+            for i, a in enumerate(assignments)
+        ]
+        self._next_chunk[table] = start + len(chunks)
+        for chunk in chunks:
+            self._ensure_chunk_table(table_name, chunk)
+        return chunks
 
-        Partitioning is positional, so recomputing it from the new
-        logical schema would shuffle existing columns between chunks and
-        strand the tenant's rows in the old chunk tables.  A tenant with
-        a cached partition therefore keeps it and gains the extension's
-        columns as *appended* chunks (becoming a legacy tenant, like the
-        ALTER path); fresh tenants compute their partition from the full
-        schema on first use.
-        """
-        self._append_chunks(
-            config.tenant_id, extension.base_table, extension.columns
+    def on_table_added(self, table: LogicalTable) -> None:
+        super().on_table_added(table)
+        chunks = self._allocate(table.name, self._base_chunks(table))
+        if chunks:
+            self._table_chunks[table.lname] = chunks
+
+    def on_extension_added(self, extension: Extension) -> None:
+        super().on_extension_added(extension)
+        self._extension_chunks[extension.lname] = self._allocate(
+            extension.base_table,
+            partition_columns(list(extension.columns), self.width),
         )
-        super().on_extension_granted(config, extension)
 
-    def on_extension_altered(self, extension, new_columns) -> None:
-        """Pure bookkeeping — but the width-driven partitioning is
-        positional, so re-partitioning would shuffle existing columns
-        between chunks.  Existing subscribed tenants therefore keep
-        their old partition and gain the new columns as *appended*
-        chunks."""
-        for tenant_id in self.schema.tenants_with_extension(extension.name):
-            self._append_chunks(tenant_id, extension.base_table, new_columns)
-        # Register ids and backfill AFTER the partitions include the
+    def on_extension_altered(self, extension: Extension, new_columns) -> None:
+        """Online ALTER: the new columns get fresh chunks appended to
+        the extension's; stored chunks stay where they are."""
+        self._extension_chunks[extension.lname].extend(
+            self._allocate(
+                extension.base_table,
+                partition_columns(list(new_columns), self.width),
+            )
+        )
+        # Register ids and backfill after the fragments include the
         # appended chunks.
         super().on_extension_altered(extension, new_columns)
 
-    def _append_chunks(self, tenant_id: int, table_name: str, columns) -> None:
-        """Append ``columns`` to a tenant's cached partition as chunks
-        numbered after its last one, making the tenant a legacy tenant.
-        A tenant with no cached partition is left alone: its partition
-        is computed fresh from the schema on first use."""
-        key = (tenant_id, table_name.lower())
-        cached = self._partitions.get(key)
-        if cached is None:
-            return
-        self._legacy_tenants.add(tenant_id)
-        start = len(cached)
-        self._partitions[key] = cached + [
-            dataclasses.replace(a, chunk_id=start + a.chunk_id)
-            for a in partition_columns(list(columns), self.width)
-        ]
-
-    def on_tenant_removed(self, config: TenantConfig) -> None:
-        super().on_tenant_removed(config)
-        self._legacy_tenants.discard(config.tenant_id)
-        for key in [k for k in self._partitions if k[0] == config.tenant_id]:
-            del self._partitions[key]
-
-    def statement_shape(self, tenant_id: int) -> tuple:
-        if tenant_id in self._legacy_tenants:
-            return ("tenant", tenant_id)
-        return super().statement_shape(tenant_id)
-
     def bookkeeping(self) -> dict:
-        # Partitions must survive a crash verbatim: legacy tenants'
-        # appended chunks cannot be recomputed from the current schema.
         state = super().bookkeeping()
-        state["partitions"] = {
-            key: list(assignments)
-            for key, assignments in self._partitions.items()
+        state["table_chunks"] = {
+            name: list(chunks) for name, chunks in self._table_chunks.items()
         }
-        state["legacy_tenants"] = set(self._legacy_tenants)
+        state["extension_chunks"] = {
+            name: list(chunks)
+            for name, chunks in self._extension_chunks.items()
+        }
+        state["next_chunk"] = dict(self._next_chunk)
         return state
 
     def restore_bookkeeping(self, state: dict) -> None:
         super().restore_bookkeeping(state)
-        self._partitions = {
-            key: list(assignments)
-            for key, assignments in state["partitions"].items()
+        self._table_chunks = {
+            name: list(chunks) for name, chunks in state["table_chunks"].items()
         }
-        self._legacy_tenants = set(state["legacy_tenants"])
+        self._extension_chunks = {
+            name: list(chunks)
+            for name, chunks in state["extension_chunks"].items()
+        }
+        self._next_chunk = dict(state["next_chunk"])
 
     # -- physical tables ---------------------------------------------------------
 
-    def _ensure_folded(self, assignment: ChunkAssignment) -> str:
-        shape = assignment.shape
-        if self.cover_shapes is not None and not assignment.indexed:
+    def _host_shape(self, chunk: ChunkAssignment) -> ChunkShape:
+        if self.cover_shapes is not None and not chunk.indexed:
             # Host the chunk in its planned cover table; the slot names
             # stay valid because the cover has at least as many slots of
             # every family.
-            shape = assign_cover(self.cover_shapes, shape)
-        ddl, indexes = chunk_table_ddl(
-            shape,
-            indexed=assignment.indexed,
-            soft_delete=self.soft_delete,
-        )
-        name = shape.table_name(indexed=assignment.indexed)
-        self._ensure_table(name, ddl, indexes)
-        return name
+            return assign_cover(self.cover_shapes, chunk.shape)
+        return chunk.shape
 
-    def _ensure_unfolded(
-        self, table_name: str, assignment: ChunkAssignment
-    ) -> str:
-        """Vertical partitioning: one physical table per (table, chunk),
-        identified by name — no Chunk column (Test 6's baseline)."""
-        physical = f"vp_{table_name.lower()}_c{assignment.chunk_id}"
+    def _chunk_table(self, table_name: str, chunk: ChunkAssignment) -> str:
+        if self.folded:
+            return self._host_shape(chunk).table_name(indexed=chunk.indexed)
+        return f"vp_{table_name.lower()}_c{chunk.chunk_id}"
+
+    def _ensure_chunk_table(self, table_name: str, chunk: ChunkAssignment) -> None:
+        physical = self._chunk_table(table_name, chunk)
+        if self.folded:
+            ddl, indexes = chunk_table_ddl(
+                self._host_shape(chunk),
+                indexed=chunk.indexed,
+                soft_delete=self.soft_delete,
+            )
+            self._ensure_table(physical, ddl, indexes)
+            return
+        # Vertical partitioning: one physical table per (table, chunk),
+        # identified by name — no Chunk column (Test 6's baseline).
         columns = ["tenant INTEGER NOT NULL", f"{ROW} INTEGER NOT NULL"]
         if self.soft_delete:
             columns.append("alive INTEGER NOT NULL")
-        for _logical, slot in assignment.slots:
+        for _logical, slot in chunk.slots:
             family = slot.rstrip("0123456789")
             columns.append(f"{slot} {SLOT_DDL[family]}")
         ddl = f"CREATE TABLE {physical} (" + ", ".join(columns) + ")"
         indexes = [
             f"CREATE UNIQUE INDEX {physical}_tr ON {physical} (tenant, {ROW})"
         ]
-        if assignment.indexed and assignment.shape.ints:
+        if chunk.indexed and chunk.shape.ints:
             indexes.append(
                 f"CREATE INDEX {physical}_vtr ON {physical} "
                 f"(int1, tenant, {ROW})"
             )
         self._ensure_table(physical, ddl, indexes)
-        return physical
 
     # -- fragments -------------------------------------------------------------------
 
     def fragments(self, tenant_id: int, table_name: str) -> list[Fragment]:
-        logical = self.schema.logical_table(tenant_id, table_name)
-        types = {c.lname: c.type for c in logical.columns}
+        base = self.schema.table(table_name)
         table_id = self.schema.table_id(table_name)
+        groups = [(base.columns, self._table_chunks.get(base.lname, ()))]
+        groups += [
+            (extension.columns, self._extension_chunks[extension.lname])
+            for extension in self.schema.extensions_of(tenant_id, table_name)
+        ]
         fragments = []
-        for assignment in self.partition(tenant_id, table_name):
-            if self.folded:
-                physical = self._ensure_folded(assignment)
-                meta = (
-                    ("tenant", tenant_id),
-                    ("tbl", table_id),
-                    ("chunk", assignment.chunk_id),
+        for columns, chunks in groups:
+            if not chunks:
+                continue
+            types = {c.lname: c.type for c in columns}
+            for chunk in chunks:
+                if self.folded:
+                    meta = (
+                        ("tenant", tenant_id),
+                        ("tbl", table_id),
+                        ("chunk", chunk.chunk_id),
+                    )
+                else:
+                    meta = (("tenant", tenant_id),)
+                fragments.append(
+                    Fragment(
+                        table=self._chunk_table(table_name, chunk),
+                        meta=meta,
+                        columns=tuple(
+                            (
+                                name,
+                                ColumnLoc(
+                                    slot,
+                                    cast=slot_cast(types[name]),
+                                    store=slot_store(types[name]),
+                                ),
+                            )
+                            for name, slot in chunk.slots
+                        ),
+                        row_column=ROW,
+                    )
                 )
-            else:
-                physical = self._ensure_unfolded(table_name, assignment)
-                meta = (("tenant", tenant_id),)
-            columns = tuple(
-                (
-                    name,
-                    ColumnLoc(
-                        slot,
-                        cast=slot_cast(types[name]),
-                        store=slot_store(types[name]),
-                    ),
-                )
-                for name, slot in assignment.slots
-            )
-            fragments.append(
-                Fragment(
-                    table=physical,
-                    meta=meta,
-                    columns=columns,
-                    row_column=ROW,
-                )
-            )
         return fragments

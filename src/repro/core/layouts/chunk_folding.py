@@ -1,35 +1,31 @@
 """Chunk Folding — Figure 4(f), the paper's contribution.
 
-The meta-data budget is split between application-specific conventional
-tables and a fixed set of generic Chunk Tables: base tables (the
-heavily-utilized part of every tenant's schema) live in conventional
-shared tables à la the Extension Table Layout, while extensions are
-chunked and *folded* into shared Chunk Tables.  Adding an extension to
-a tenant is pure bookkeeping — no DDL — so logical schema changes happen
-while the database is online.
+Chunk Tables (Figure 4(e), :class:`~.chunk.ChunkTableLayout`) plus
+conventional tables: the meta-data budget is split between
+application-specific conventional tables and a fixed set of generic
+Chunk Tables.  Each base table (the heavily-utilized part of every
+tenant's schema) keeps its hot columns in one conventional shared table
+à la the Extension Table Layout, while extensions are chunked and
+*folded* into shared Chunk Tables exactly as in the Chunk layout.
+Adding an extension to a tenant is pure bookkeeping — no DDL — so
+logical schema changes happen while the database is online.
 
-With a :class:`~repro.core.folding.FoldingPlanner` the split can instead
-be driven by utilization statistics (the paper's ongoing-work
-direction): cold base columns are folded into Chunk Tables too.
+Without a planner every base column is hot.  With a
+:class:`~repro.core.folding.FoldingPlanner` the split is driven by
+utilization statistics (the paper's ongoing-work direction): cold base
+columns are folded into Chunk Tables too, as the base table's chunks.
 """
 
 from __future__ import annotations
 
-from ...engine.errors import PlanError
-from ..folding import (
-    ChunkAssignment,
-    FoldingPlanner,
-    chunk_table_ddl,
-    partition_columns,
-)
-from ..schema import Extension, LogicalTable, TenantConfig
-from .base import ColumnLoc, Fragment, Layout, ROW, slot_cast, slot_store
+from ..folding import ChunkAssignment, FoldingPlanner
+from ..schema import LogicalTable
+from .base import ColumnLoc, Fragment, ROW
+from .chunk import ChunkTableLayout
 
 
-class ChunkFoldingLayout(Layout):
+class ChunkFoldingLayout(ChunkTableLayout):
     name = "chunk_folding"
-    shares_statements = True
-    default_storage = "columnar"
 
     def __init__(
         self,
@@ -38,197 +34,43 @@ class ChunkFoldingLayout(Layout):
         *,
         width: int = 6,
         planner: FoldingPlanner | None = None,
-        **kwargs,
+        soft_delete: bool = False,
+        storage: str | None = None,
     ) -> None:
-        super().__init__(db, schema, **kwargs)
-        if width < 1:
-            raise PlanError("chunk width must be >= 1")
-        self.width = width
+        super().__init__(
+            db, schema, width=width, soft_delete=soft_delete, storage=storage
+        )
         self.planner = planner
-        #: chunk-id ranges: extensions of one base table get disjoint
-        #: chunk ids, shared by every tenant using the extension.
-        self._next_chunk: dict[str, int] = {}
-        self._extension_chunks: dict[str, list[ChunkAssignment]] = {}
-        #: per base table: (conventional columns, folded cold chunks)
-        self._base_split: dict[str, tuple[list, list[ChunkAssignment]]] = {}
 
     def base_physical(self, table_name: str) -> str:
         return f"{table_name.lower()}_cf"
 
-    # -- DDL ----------------------------------------------------------------
-
-    def on_table_added(self, table: LogicalTable) -> None:
-        super().on_table_added(table)
-        if self.planner is not None:
-            decision = self.planner.plan(table.name, list(table.columns))
-            conventional = decision.conventional
-            cold_chunks = self._allocate_chunk_ids(table.name, decision.chunked)
+    def _base_chunks(self, table: LogicalTable) -> list[ChunkAssignment]:
+        """Create the conventional table of the hot columns; only the
+        cold ones are chunked."""
+        if self.planner is None:
+            hot, cold = list(table.columns), []
         else:
-            conventional = list(table.columns)
-            cold_chunks = []
-        self._base_split[table.lname] = (conventional, cold_chunks)
-        physical = self.base_physical(table.name)
-        parts = ["tenant INTEGER NOT NULL", f"{ROW} INTEGER NOT NULL"]
-        parts += [
-            f"{c.lname} {c.type}" + (" NOT NULL" if c.not_null else "")
-            for c in conventional
-        ]
-        ddl = (
-            f"CREATE TABLE {physical} ("
-            + ", ".join(parts)
-            + self._alive_ddl()
-            + ")"
-        )
-        indexes = [
-            f"CREATE UNIQUE INDEX {physical}_tr ON {physical} (tenant, {ROW})"
-        ] + [
-            f"CREATE INDEX {physical}_{c.lname} ON {physical} (tenant, {c.lname})"
-            for c in conventional
-            if c.indexed
-        ]
-        self._ensure_table(physical, ddl, indexes)
-        for assignment in cold_chunks:
-            self._ensure_chunk_table(assignment)
-
-    def _allocate_chunk_ids(
-        self, table_name: str, assignments: list[ChunkAssignment]
-    ) -> list[ChunkAssignment]:
-        start = self._next_chunk.get(table_name.lower(), 0)
-        renumbered = [
-            ChunkAssignment(
-                chunk_id=start + i,
-                shape=a.shape,
-                indexed=a.indexed,
-                slots=a.slots,
-            )
-            for i, a in enumerate(assignments)
-        ]
-        self._next_chunk[table_name.lower()] = start + len(assignments)
-        return renumbered
-
-    def on_extension_added(self, extension: Extension) -> None:
-        super().on_extension_added(extension)
-        assignments = self._allocate_chunk_ids(
-            extension.base_table,
-            partition_columns(list(extension.columns), self.width),
-        )
-        self._extension_chunks[extension.lname] = assignments
-        for assignment in assignments:
-            self._ensure_chunk_table(assignment)
-
-    def _ensure_chunk_table(self, assignment: ChunkAssignment) -> str:
-        ddl, indexes = chunk_table_ddl(
-            assignment.shape,
-            indexed=assignment.indexed,
-            soft_delete=self.soft_delete,
-        )
-        name = assignment.shape.table_name(indexed=assignment.indexed)
-        self._ensure_table(name, ddl, indexes)
-        return name
-
-    def on_extension_granted(self, config: TenantConfig, extension: Extension) -> None:
-        """No DDL — the Chunk Tables already exist and the conventional
-        tables are untouched (the property that lets schema changes
-        happen on-line).  The base-class bookkeeping still NULL-backfills
-        the extension chunks for the tenant's existing rows."""
-        super().on_extension_granted(config, extension)
-
-    def on_extension_altered(self, extension: Extension, new_columns) -> None:
-        """Online ALTER: the new columns get fresh chunks appended to
-        the extension's chunk list; conventional tables are untouched."""
-        appended = self._allocate_chunk_ids(
-            extension.base_table,
-            partition_columns(list(new_columns), self.width),
-        )
-        self._extension_chunks[extension.lname].extend(appended)
-        for assignment in appended:
-            self._ensure_chunk_table(assignment)
-        # Register ids and backfill after the fragments include the
-        # appended chunks.
-        super().on_extension_altered(extension, new_columns)
-
-    def bookkeeping(self) -> dict:
-        state = super().bookkeeping()
-        state["next_chunk"] = dict(self._next_chunk)
-        state["extension_chunks"] = {
-            name: list(assignments)
-            for name, assignments in self._extension_chunks.items()
-        }
-        state["base_split"] = {
-            name: (list(conventional), list(chunks))
-            for name, (conventional, chunks) in self._base_split.items()
-        }
-        return state
-
-    def restore_bookkeeping(self, state: dict) -> None:
-        super().restore_bookkeeping(state)
-        self._next_chunk = dict(state["next_chunk"])
-        self._extension_chunks = {
-            name: list(assignments)
-            for name, assignments in state["extension_chunks"].items()
-        }
-        self._base_split = {
-            name: (list(conventional), list(chunks))
-            for name, (conventional, chunks) in state["base_split"].items()
-        }
-
-    # -- fragments ----------------------------------------------------------------
-
-    def _chunk_fragment(
-        self,
-        tenant_id: int,
-        table_id: int,
-        assignment: ChunkAssignment,
-        types: dict,
-    ) -> Fragment:
-        physical = assignment.shape.table_name(indexed=assignment.indexed)
-        columns = tuple(
-            (
-                name,
-                ColumnLoc(
-                    slot,
-                    cast=slot_cast(types[name]),
-                    store=slot_store(types[name]),
-                ),
-            )
-            for name, slot in assignment.slots
-        )
-        return Fragment(
-            table=physical,
-            meta=(
-                ("tenant", tenant_id),
-                ("tbl", table_id),
-                ("chunk", assignment.chunk_id),
-            ),
-            columns=columns,
-            row_column=ROW,
-        )
+            decision = self.planner.plan(table.name, list(table.columns))
+            hot, cold = decision.conventional, decision.chunked
+        self._ensure_conventional(self.base_physical(table.name), hot)
+        return cold
 
     def fragments(self, tenant_id: int, table_name: str) -> list[Fragment]:
         base = self.schema.table(table_name)
-        logical = self.schema.logical_table(tenant_id, table_name)
-        types = {c.lname: c.type for c in logical.columns}
-        table_id = self.schema.table_id(table_name)
-        conventional, cold_chunks = self._base_split.get(
-            base.lname, (list(base.columns), [])
+        cold = {
+            name
+            for chunk in self._table_chunks.get(base.lname, ())
+            for name, _slot in chunk.slots
+        }
+        conventional = Fragment(
+            table=self.base_physical(table_name),
+            meta=(("tenant", tenant_id),),
+            columns=tuple(
+                (c.lname, ColumnLoc(c.lname))
+                for c in base.columns
+                if c.lname not in cold
+            ),
+            row_column=ROW,
         )
-        fragments = [
-            Fragment(
-                table=self.base_physical(table_name),
-                meta=(("tenant", tenant_id),),
-                columns=tuple(
-                    (c.lname, ColumnLoc(c.lname)) for c in conventional
-                ),
-                row_column=ROW,
-            )
-        ]
-        for assignment in cold_chunks:
-            fragments.append(
-                self._chunk_fragment(tenant_id, table_id, assignment, types)
-            )
-        for extension in self.schema.extensions_of(tenant_id, table_name):
-            for assignment in self._extension_chunks[extension.lname]:
-                fragments.append(
-                    self._chunk_fragment(tenant_id, table_id, assignment, types)
-                )
-        return fragments
+        return [conventional, *super().fragments(tenant_id, table_name)]

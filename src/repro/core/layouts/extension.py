@@ -27,43 +27,14 @@ class ExtensionTableLayout(Layout):
 
     # -- DDL ---------------------------------------------------------------
 
-    def _table_ddl(self, physical: str, columns, indexed_columns) -> None:
-        parts = [
-            "tenant INTEGER NOT NULL",
-            f"{ROW} INTEGER NOT NULL",
-        ]
-        parts += [
-            f"{c.lname} {c.type}" + (" NOT NULL" if c.not_null else "")
-            for c in columns
-        ]
-        ddl = (
-            f"CREATE TABLE {physical} ("
-            + ", ".join(parts)
-            + self._alive_ddl()
-            + ")"
-        )
-        indexes = [
-            f"CREATE UNIQUE INDEX {physical}_tr ON {physical} (tenant, {ROW})"
-        ] + [
-            f"CREATE INDEX {physical}_{c.lname} ON {physical} (tenant, {c.lname})"
-            for c in indexed_columns
-        ]
-        self._ensure_table(physical, ddl, indexes)
-
     def on_table_added(self, table: LogicalTable) -> None:
         super().on_table_added(table)
-        self._table_ddl(
-            self.base_physical(table.name),
-            table.columns,
-            [c for c in table.columns if c.indexed],
-        )
+        self._ensure_conventional(self.base_physical(table.name), table.columns)
 
     def on_extension_added(self, extension: Extension) -> None:
         super().on_extension_added(extension)
-        self._table_ddl(
-            self.extension_physical(extension.name),
-            extension.columns,
-            [c for c in extension.columns if c.indexed],
+        self._ensure_conventional(
+            self.extension_physical(extension.name), extension.columns
         )
 
     def on_extension_altered(self, extension, new_columns) -> None:
@@ -75,12 +46,7 @@ class ExtensionTableLayout(Layout):
         self._rebuild_wider(
             physical,
             new_columns,
-            partial(
-                self._table_ddl,
-                physical,
-                extension.columns,
-                [c for c in extension.columns if c.indexed],
-            ),
+            partial(self._ensure_conventional, physical, extension.columns),
         )
 
     # -- fragments -------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from ...engine.errors import PlanError
 from ...engine.values import TypeKind
-from ..schema import Extension, LogicalTable, TenantConfig
 from .base import ColumnLoc, Fragment, Layout, ROW
 
 #: Read-side casts out of the VARCHAR funnel, per logical type kind.
@@ -60,42 +59,16 @@ class UniversalTableLayout(Layout):
         ]
         self._ensure_table(self.physical, ddl, indexes)
 
-    def on_table_added(self, table: LogicalTable) -> None:
-        super().on_table_added(table)
-        if len(table.columns) > self.width:
-            raise PlanError(
-                f"table {table.name} has {len(table.columns)} columns but the "
-                f"Universal Table only has {self.width} data columns"
-            )
-
-    def on_extension_granted(self, config: TenantConfig, extension: Extension) -> None:
-        logical = self.schema.logical_table(
-            config.tenant_id, extension.base_table
-        )
-        if len(logical.columns) > self.width:
-            raise PlanError(
-                f"extension {extension.name} overflows the Universal Table "
-                f"width ({self.width})"
-            )
-        super().on_extension_granted(config, extension)
-
-    def on_extension_altered(self, extension: Extension, new_columns) -> None:
-        super().on_extension_altered(extension, new_columns)
-        base = self.schema.table(extension.base_table)
-        total = len(base.columns) + len(extension.columns)
-        if total > self.width:
-            raise PlanError(
-                f"altered extension {extension.name} overflows the "
-                f"Universal Table width ({self.width})"
-            )
+    def check_widths(self, widths: dict[str, int]) -> None:
+        for table_name, columns in widths.items():
+            if columns > self.width:
+                raise PlanError(
+                    f"{table_name} would need {columns} data columns, the "
+                    f"Universal Table has {self.width}"
+                )
 
     def fragments(self, tenant_id: int, table_name: str) -> list[Fragment]:
         logical = self.schema.logical_table(tenant_id, table_name)
-        if len(logical.columns) > self.width:
-            raise PlanError(
-                f"{table_name} needs {len(logical.columns)} data columns, "
-                f"Universal Table has {self.width}"
-            )
         columns = []
         for i, column in enumerate(logical.columns):
             # "The n-th column of each logical source table for each

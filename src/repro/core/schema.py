@@ -11,6 +11,7 @@ every layout maps this one logical model to its own physical schema.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from ..engine.errors import CatalogError, UnknownObjectError
 from ..engine.values import SqlType
@@ -232,6 +233,16 @@ class MultiTenantSchema:
         ]
 
     # -- the tenant's view ------------------------------------------------------
+
+    def view_widths(self, extensions: Iterable[str]) -> dict[str, int]:
+        """Column count of every base table as a tenant subscribed to
+        ``extensions`` sees it — what a layout checks before a tenant
+        gains that view."""
+        widths = {name: len(table.columns) for name, table in self._tables.items()}
+        for name in extensions:
+            extension = self.extension(name)
+            widths[extension.base_table.lower()] += len(extension.columns)
+        return widths
 
     def logical_table(self, tenant_id: int, table_name: str) -> LogicalTable:
         """The table as this tenant sees it: base + its extensions."""

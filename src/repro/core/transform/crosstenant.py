@@ -17,7 +17,7 @@ tenant dimension into the physical statement itself, MTBase-style:
   grouped scan over the shared physical tables.
 
 Tenants whose physical representation differs (per-tenant Private
-Tables, legacy unfolded chunk tables, a granted-extension set that
+Tables, a tenant migrated to another layout, a granted-extension set that
 changes which fragments the queried columns live in) cannot share one
 statement.  The transformer groups the tenant set by *reconstruction
 signature* — the physical SQL the tenant needs, modulo the tenant

@@ -230,8 +230,6 @@ def rewrite_refs(
 # Flattening (Fegaras–Maier rule N8)
 # ---------------------------------------------------------------------------
 
-_rename_counter = itertools.count(1)
-
 
 def can_flatten(select: ast.Select) -> bool:
     """A derived table is mergeable when it is a plain conjunctive
@@ -252,8 +250,14 @@ def flatten_block(block: QueryBlock) -> QueryBlock:
 
     ``block`` must already be qualified (see :func:`qualify_block`).
     Non-mergeable subqueries (aggregating, LIMIT, DISTINCT) are kept and
-    later materialized by the planner.
+    later materialized by the planner.  Colliding inner bindings are
+    renamed ``<binding>_u<n>``, ``n`` counting from 1 in each call: the
+    flattened text depends on the statement alone.
     """
+    return _flatten(block, itertools.count(1))
+
+
+def _flatten(block: QueryBlock, numbers: Iterator[int]) -> QueryBlock:
     sources: list[ast.Source] = []
     conjuncts = list(block.conjuncts)
     mapping: dict[tuple[str, str], ast.Expr] = {}
@@ -267,8 +271,8 @@ def flatten_block(block: QueryBlock) -> QueryBlock:
             sources.append(source)
             continue
         changed = True
-        inner = flatten_block(build_block(source.select))
-        inner, renames = _rename_inner(inner, taken, source.alias.lower())
+        inner = _flatten(build_block(source.select), numbers)
+        inner = _rename_inner(inner, taken, source.alias.lower(), numbers)
         taken.update(s.binding.lower() for s in inner.sources)
         alias = source.alias.lower()
         for i, item in enumerate(inner.items):
@@ -311,19 +315,21 @@ def flatten_block(block: QueryBlock) -> QueryBlock:
 
 
 def _rename_inner(
-    inner: QueryBlock, taken: set[str], dropped_alias: str
-) -> tuple[QueryBlock, dict[str, str]]:
-    """Rename inner bindings that would collide with outer bindings."""
+    inner: QueryBlock, taken: set[str], dropped_alias: str, numbers: Iterator[int]
+) -> QueryBlock:
+    """Rename inner bindings that would collide with outer bindings to
+    fresh names numbered from ``numbers`` (skipping any already in use,
+    e.g. from an earlier flatten of the same statement)."""
+    bindings = [source.binding.lower() for source in inner.sources]
     renames: dict[str, str] = {}
-    new_sources: list[ast.Source] = []
-    for source in inner.sources:
-        binding = source.binding.lower()
+    for binding in bindings:
         if binding in taken and binding != dropped_alias:
-            fresh = f"{binding}_u{next(_rename_counter)}"
+            fresh = f"{binding}_u{next(numbers)}"
+            while fresh in taken or fresh in bindings:
+                fresh = f"{binding}_u{next(numbers)}"
             renames[binding] = fresh
-        new_sources.append(source)
     if not renames:
-        return inner, renames
+        return inner
 
     def rebind(ref: ast.ColumnRef) -> ast.Expr:
         binding = ref.table.lower() if ref.table else None
@@ -332,7 +338,7 @@ def _rename_inner(
         return ref
 
     renamed_sources: list[ast.Source] = []
-    for source in new_sources:
+    for source in inner.sources:
         binding = source.binding.lower()
         fresh = renames.get(binding)
         if fresh is None:
@@ -342,19 +348,16 @@ def _rename_inner(
         else:
             renamed_sources.append(ast.SubquerySource(source.select, fresh))
 
-    return (
-        QueryBlock(
-            items=[
-                ast.SelectItem(rewrite_refs(i.expr, rebind), i.alias)
-                for i in inner.items
-            ],
-            sources=renamed_sources,
-            conjuncts=[rewrite_refs(c, rebind) for c in inner.conjuncts],
-            group_by=list(inner.group_by),
-            having=inner.having,
-            order_by=list(inner.order_by),
-            limit=inner.limit,
-            distinct=inner.distinct,
-        ),
-        renames,
+    return QueryBlock(
+        items=[
+            ast.SelectItem(rewrite_refs(i.expr, rebind), i.alias)
+            for i in inner.items
+        ],
+        sources=renamed_sources,
+        conjuncts=[rewrite_refs(c, rebind) for c in inner.conjuncts],
+        group_by=list(inner.group_by),
+        having=inner.having,
+        order_by=list(inner.order_by),
+        limit=inner.limit,
+        distinct=inner.distinct,
     )

@@ -2,8 +2,8 @@
 
 Covers both cache keyings: the directly-executed shape (tenant guards
 inlined as literals) and the shape-shared cached shape (guards as
-hidden parameters in the :class:`TenantParamAllocator` range), plus the
-chunk layout's legacy-tenant fallback after an online grant.
+hidden parameters in the :class:`TenantParamAllocator` range), plus a
+chunk-layout tenant that gained an extension online.
 """
 
 import pytest
@@ -140,17 +140,23 @@ def test_literal_guard_in_shared_statement_is_caught():
     assert "ISO003" in {f.rule_id for f in report.errors}
 
 
-def test_chunk_legacy_tenant_after_online_grant():
+def test_chunk_granted_tenant_shares_fresh_tenant_shape():
     mtd = build_running_example("chunk")
-    before = mtd.layout.statement_shape(35)
     mtd.grant_extension(35, "automotive")
-    # The tenant's chunks were appended, not repartitioned, so it now
-    # keys its cached statements per tenant instead of per shape.
-    assert 35 in mtd.layout._legacy_tenants
-    after = mtd.layout.statement_shape(35)
-    assert after != before
-    assert after != mtd.layout.statement_shape(42)
-    # And the post-ALTER statements stay fully guarded for everyone.
+    mtd.create_tenant(77, extensions=("automotive",))
+    # Chunks are cut per column group, not per tenant: the granted
+    # tenant's fragments are a fresh tenant's, so both share cached
+    # statements and one fused cross-tenant statement.
+    layout = mtd.layout
+    assert layout.statement_shape(35) == layout.statement_shape(77)
+    assert layout.statement_shape(35) == layout.statement_shape(42)
+    assert len(mtd.transform_cross_sql(
+        "SELECT aid, dealers FROM account FOR TENANTS IN (35, 42, 77)"
+    )) == 1
+    assert mtd.execute(35, "SELECT aid, name, dealers FROM account").rows == [
+        (1, "Ball", None)
+    ]
+    # And the post-grant statements stay fully guarded for everyone.
     for tenant_id in (17, 35, 42):
         for sql in LOGICAL:
             assert direct_findings(mtd, tenant_id, sql).ok

@@ -106,8 +106,8 @@ def observable_behaviour(mtd: MultiTenantDatabase) -> dict:
     """What a schema-mapping instance *does*: logical schema, which
     layout serves each tenant, where every column lives, which cached
     statements tenants share, and the rows.  A recovered instance must
-    equal the live one here — not in raw ``bookkeeping()``: the chunk
-    layout's partition cache fills lazily."""
+    equal the live one here — not in raw ``bookkeeping()``: the Pivot
+    layout creates its tables lazily."""
     seen: dict = {"schema": mtd.schema.snapshot(), "default": mtd.layout.name}
     for tenant_id in mtd.tenant_ids():
         layout = mtd.layout_for(tenant_id)

@@ -180,9 +180,15 @@ class TestFigure4e_ChunkTables:
         ]
 
     def test_dealers_chunk(self):
+        """One deliberate deviation: the figure numbers chunks per
+        tenant, so tenant 42's Dealers chunk is chunk 1 there.  Here
+        chunks are cut once per column group and numbered per base
+        table (Account's base chunk 0, health care's 1, automotive's 2),
+        so every tenant with an extension shares its chunk ids — the
+        convention Figure 4(f) below already follows."""
         mtd = build("chunk", width=2)
         rows = physical(mtd, "chunk_i1", "tenant, chunk, row, int1")
-        assert rows == [(42, 1, 0, 65)]
+        assert rows == [(42, 2, 0, 65)]
 
 
 class TestFigure4f_ChunkFolding:

@@ -3,9 +3,9 @@
 Reconstruction inner-joins fragments on Row, so granting an extension
 to a tenant with data has to plant NULL rows in every fragment that
 holds only the new columns — otherwise the tenant's existing rows
-silently vanish from every SELECT.  The chunk layout additionally must
-append chunks instead of repartitioning (repartitioning would strand
-the already-stored values in their old slots).
+silently vanish from every SELECT.  The chunk layouts never repartition
+a tenant: its base chunks stay where they are and the extension's
+chunks are the ones every subscriber uses.
 
 These are regression tests for bugs the isolation/invariant passes
 flagged; the analysis runner replays the same grant path.
@@ -56,18 +56,30 @@ def test_grant_does_not_leak_into_other_tenants(layout):
         mtd.execute(17, "SELECT dealers FROM account")
 
 
-def test_chunk_grant_marks_tenant_legacy_and_keeps_data():
+def test_chunk_grant_shares_fresh_tenant_shape_and_keeps_data():
     mtd = build_running_example("chunk")
     mtd.grant_extension(35, "automotive")
-    assert 35 in mtd.layout._legacy_tenants
-    # Appended chunks: old and new columns answer from one tenant view.
+    mtd.create_tenant(77, extensions=("automotive",))
+    # The granted tenant's base chunks stay where they were and the
+    # extension's chunks are every subscriber's: old and new columns
+    # answer from one tenant view ...
     rows = mtd.execute(
         35, "SELECT aid, name, opened, dealers FROM account"
     ).rows
     assert rows == [(1, "Ball", datetime.date(2006, 7, 8), None)]
-    # Freshly created tenants with the same grant set still share shape.
-    mtd.create_tenant(77, extensions=("automotive",))
-    assert mtd.layout.statement_shape(77) == mtd.layout.statement_shape(42)
+    # ... laid out exactly like a fresh tenant's with the same grants
+    # (meta[0] is the tenant id itself).
+    def layout_of(tenant_id):
+        return [
+            (f.table, f.meta[1:], f.columns)
+            for f in mtd.layout.fragments(tenant_id, "account")
+        ]
+
+    assert layout_of(35) == layout_of(77)
+    assert mtd.layout.statement_shape(35) == mtd.layout.statement_shape(77)
+    assert len(mtd.transform_cross_sql(
+        "SELECT name, dealers FROM account FOR TENANTS IN (35, 77)"
+    )) == 1
 
 
 @pytest.mark.parametrize("layout", ALL_LAYOUTS)

@@ -192,6 +192,13 @@ class TestLayoutRegistry:
         with pytest.raises(ValueError):
             make_layout("nope", None, None)
 
+    @pytest.mark.parametrize("option", [{"folded": False}, {"cover_shapes": []}])
+    def test_chunk_folding_takes_no_chunk_table_options(self, option):
+        # Chunk Folding reuses the Chunk layout's allocator, not its
+        # vertical-partitioning or shape-cover variants.
+        with pytest.raises(TypeError):
+            MultiTenantDatabase(layout="chunk_folding", **option)
+
 
 class TestBasicLayout:
     def test_no_extensions_allowed(self):

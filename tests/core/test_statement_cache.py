@@ -229,29 +229,36 @@ class TestInvalidation:
 
 
 class TestChunkLegacyTenants:
-    def test_altered_tenant_stops_sharing_with_fresh_tenants(self):
-        # Specifically the plain chunk layout: its per-tenant partitions
-        # are extended in place by ALTER, so an altered tenant's chunks
-        # diverge from a fresh tenant's even with equal extension sets.
-        # (chunk_folding shares extension chunks globally and is immune.)
+    """Tenants that predate a grant or an ALTER ("legacy" tenants) lay
+    out their chunks like fresh ones: chunks are cut per column group,
+    once for every tenant, so history never splits a shape."""
+
+    def test_altered_tenant_shares_with_fresh_ones(self):
         mtd = make_mtd("chunk")
         mtd.define_extension(HOSPITAL)
         mtd.create_tenant(1, extensions=("hospital",))
         seed_tenant(mtd, 1, beds=3)
-        # Materialize tenant 1's partition, then widen the extension:
-        # its chunks are appended in place, diverging from the layout a
-        # fresh tenant with the same extension set would get.
-        mtd.execute(1, "SELECT name FROM acct WHERE id = ?", [1])
+        sql = "SELECT name, beds FROM acct WHERE id = ?"
+        assert mtd.execute(1, sql, [1]).rows == [("t1r0", 3)]
+        # Widen the extension under tenant 1's stored rows: its chunks
+        # gain appended ones, exactly those a fresh tenant gets.
         mtd.alter_extension("hospital", [LogicalColumn("wards", INTEGER)])
         mtd.create_tenant(2, extensions=("hospital",))
         layout = mtd.layout
-        assert layout.statement_shape(1) != layout.statement_shape(2)
+        assert layout.statement_shape(1) == layout.statement_shape(2)
+        assert len(mtd.transform_cross_sql(
+            "SELECT name, wards FROM acct FOR TENANTS IN (1, 2)"
+        )) == 1
         mtd.insert(
             2, "acct", {"id": 1, "name": "t2r0", "beds": 3, "wards": None}
         )
         sql = "SELECT name, beds, wards FROM acct WHERE id = ?"
+        seeded = counters(mtd)
         assert mtd.execute(1, sql, [1]).rows == [("t1r0", 3, None)]
         assert mtd.execute(2, sql, [1]).rows == [("t2r0", 3, None)]
+        # One transformation served both tenants.
+        assert counter(mtd, "misses") - seeded["misses"] == 1
+        assert counter(mtd, "hits") - seeded["hits"] == 1
 
     def test_fresh_same_shape_tenants_still_share(self):
         mtd = make_mtd("chunk_folding")

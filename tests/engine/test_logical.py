@@ -158,6 +158,31 @@ class TestFlattening:
         bindings = [s.binding for s in flat.sources]
         assert len(set(bindings)) == 2  # the second p was renamed
 
+    def test_replanning_renders_the_same_plan(self):
+        """Renames are numbered per statement, not per process: the
+        plan text — what plan signatures and fig8_plan.txt compare — is
+        a function of the statement alone."""
+        from repro.engine import Database
+        from repro.engine.explain import render_plan
+
+        db = Database()
+        db.execute("CREATE TABLE p (id INTEGER, a INTEGER, b INTEGER)")
+        sql = (
+            "SELECT a.x, b.x FROM (SELECT p.a AS x FROM p) AS a, "
+            "(SELECT p.b AS x FROM p WHERE p.id = 1) AS b"
+        )
+        first = render_plan(db.plan(sql))
+        assert "p_u1" in first
+        assert render_plan(db.plan(sql)) == first
+
+    def test_rename_skips_names_already_in_use(self):
+        block = qualified(
+            "SELECT a.x, b.x FROM (SELECT p_u1.a AS x FROM p AS p_u1) AS a, "
+            "(SELECT p.b AS x FROM p) AS b, (SELECT p.a AS x FROM p) AS c"
+        )
+        bindings = [s.binding for s in flatten_block(block).sources]
+        assert len(set(bindings)) == 3, bindings
+
     def test_flatten_is_recursive(self):
         block = qualified(
             "SELECT o.y FROM (SELECT d.x AS y FROM "

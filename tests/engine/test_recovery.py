@@ -28,7 +28,7 @@ from repro.engine.durability import (
     FaultInjector,
     SimulatedCrash,
 )
-from repro.engine.errors import UniqueViolation
+from repro.engine.errors import CatalogError, UniqueViolation
 from repro.engine.sql.parser import parse_statement
 from repro.engine.values import INTEGER, varchar
 
@@ -632,9 +632,10 @@ def _workload(layout: str):
     return steps
 
 
-def _build_mtd(db: Database, layout: str) -> MultiTenantDatabase:
+def _build_mtd(db: Database, layout: str, **options) -> MultiTenantDatabase:
     layout, _, storage = layout.partition("+")
-    options: dict = {"width": 3} if layout in ("chunk", "chunk_folding") else {}
+    if layout in ("chunk", "chunk_folding"):
+        options.setdefault("width", 3)
     if storage:
         options["storage"] = storage
     mtd = MultiTenantDatabase(layout=layout, db=db, **options)
@@ -758,13 +759,43 @@ def _rejected(call, *args, **kwargs) -> None:
     assert not isinstance(excinfo.value, SimulatedCrash)
 
 
-@pytest.mark.parametrize("layout", SEVEN_LAYOUTS)
-def test_rejected_admin_calls_do_not_poison_the_log(tmp_path, layout):
+def _grant_past_width(mtd: MultiTenantDatabase) -> None:
+    # Universal width 3: tenant 3's account would need aid, name, beds
+    # and dealers.
+    mtd.grant_extension(3, "automotive")
+
+
+def _alter_past_width(mtd: MultiTenantDatabase) -> None:
+    # Universal width 4: tenant 3's account would need 5 columns.
+    mtd.alter_extension(
+        "healthcare",
+        (LogicalColumn("wards", INTEGER), LogicalColumn("floors", INTEGER)),
+    )
+
+
+@pytest.mark.parametrize(
+    "layout, options, widening",
+    [
+        *(pytest.param(name, {}, None, id=name) for name in SEVEN_LAYOUTS),
+        pytest.param(
+            "universal", {"width": 3}, _grant_past_width, id="universal-grant"
+        ),
+        pytest.param(
+            "universal", {"width": 4}, _alter_past_width, id="universal-alter"
+        ),
+    ],
+)
+def test_rejected_admin_calls_do_not_poison_the_log(
+    tmp_path, layout, options, widening
+):
     """One bad admin request used to make the directory un-openable:
     the failed call's ``admin_end`` is (rightly) on disk, and replaying
-    its *intent* raised ``CatalogError: tenant 1 already exists``."""
+    its *intent* raised ``CatalogError: tenant 1 already exists``.  A
+    grant or ALTER that would overflow the Universal Table used to stay
+    in the schema although refused, leaving the tenant unreadable and
+    the directory unopenable: it must change nothing, live or reopened."""
     db = Database(path=str(tmp_path))
-    mtd = _build_mtd(db, layout)
+    mtd = _build_mtd(db, layout, **options)
     mtd.insert(1, "account", {"aid": 1, "name": "one"})
     _rejected(mtd.create_tenant, 1)
     mtd.insert(2, "account", {"aid": 2, "name": "two"})
@@ -781,6 +812,16 @@ def test_rejected_admin_calls_do_not_poison_the_log(tmp_path, layout):
     _rejected(mtd.create_tenant, 3)
     mtd.insert(2, "account", {"aid": 5, "name": "five"})
     live = observable_behaviour(mtd)
+    if widening is not None:
+        mtd.define_extension(
+            Extension("automotive", "account", (LogicalColumn("dealers", INTEGER),))
+        )
+        live = observable_behaviour(mtd)
+        _rejected(widening, mtd)
+        assert observable_behaviour(mtd) == live
+        assert mtd.execute(3, "SELECT beds FROM account WHERE aid = 4").rows == [
+            (7,)
+        ]
     db.close()
 
     db2 = Database(path=str(tmp_path))
@@ -877,6 +918,68 @@ def test_retained_admin_state_does_not_alias_live_state(tmp_path, layout):
     assert kept == logged
     assert pickle.dumps(kept) == pickle.dumps(logged)
     db.close()
+
+
+@pytest.mark.parametrize(
+    "layout", [name for name in SEVEN_LAYOUTS if name != "private"]
+)
+def test_a_tenant_with_data_adds_no_layout_state(layout):
+    """A tenant costs a shared layout's durable state its Row-id
+    counters and nothing else: everything else is kept per table or
+    per extension, so creating, filling and reading one more tenant
+    with the extensions others already use leaves it as it was.
+    (Private Tables own one physical table per tenant by design.)"""
+    mtd = _build_mtd(Database(), layout)
+    extensions = () if layout == "basic" else ("healthcare",)
+    row = {"aid": 1, "name": "one"}
+    if extensions:
+        mtd.grant_extension(1, "healthcare")
+        row["beds"] = 2
+    mtd.insert(1, "account", row)
+    before = mtd.layout.bookkeeping()
+    mtd.create_tenant(3, extensions)
+    mtd.insert(3, "account", row)
+    assert mtd.execute(3, "SELECT name FROM account").rows == [("one",)]
+    assert mtd.tenant_row_counts(3) == {"account": 1}
+    after = mtd.layout.bookkeeping()
+    new_counters = set(after.pop("rows")) - set(before.pop("rows"))
+    assert {tenant_id for tenant_id, _table in new_counters} <= {3}
+    assert after == before
+
+
+@pytest.mark.parametrize(
+    "layout, recorded",
+    [
+        ("chunk", {"partitions": {}, "legacy_tenants": set()}),
+        (
+            "chunk_folding",
+            {"next_chunk": {}, "extension_chunks": {}, "base_split": {}},
+        ),
+    ],
+    ids=["chunk", "chunk_folding"],
+)
+def test_layout_state_of_another_version_is_refused_by_name(
+    tmp_path, layout, recorded
+):
+    """Before chunks were cut once per column group, the Chunk layout
+    recorded a partition per tenant and Chunk Folding a per-table split.
+    A directory whose last admin call wrote that state is refused at
+    open with an error naming the layout, not a ``KeyError`` mid-way."""
+    db = Database(path=str(tmp_path))
+    mtd = _build_mtd(db, layout)
+    state = mtd._durable_state()
+    common = {
+        key: state["default"][key] for key in ("rows", "columns", "created_tables")
+    }
+    with db.admin_operation(
+        "define_table", {**state, "default": {**common, **recorded}}
+    ):
+        pass
+    db.close()
+    db2 = Database(path=str(tmp_path))
+    with pytest.raises(CatalogError, match=f"the {layout} layout"):
+        MultiTenantDatabase.recover(db2)
+    db2.close()
 
 
 def test_open_plans_per_anchor_shape_not_per_tenant(tmp_path):
