@@ -64,6 +64,7 @@ RULES: dict[str, Rule] = {
         Rule("LAY004", Severity.ERROR, "orphaned meta rows in shared table"),
         Rule("LAY005", Severity.ERROR, "migration does not preserve column set"),
         Rule("LAY006", Severity.ERROR, "row-alignment gap between fragments"),
+        Rule("LAY007", Severity.ERROR, "stored row width, page fill or free map drifted"),
         # -- dynamic concurrency/durability sanitizers (CON) ---------------
         Rule("CON001", Severity.ERROR, "lockset race: disjoint locksets on shared resource"),
         Rule("CON002", Severity.ERROR, "data-page mutation without covering WAL append"),

@@ -18,12 +18,16 @@ correctness conditions checkable:
   Row-id set per tenant; a gap silently drops rows from query results.
 * **Migration plans** (LAY005): source and target fragment column sets
   must both equal the logical column set before data moves.
+* **Width ledger** (LAY007): stored slot widths, page fill and the
+  free-space map agree with the rows the pages hold.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable
 
+from ..engine.columnstore import ColumnPage
+from ..engine.heap import ROW_OVERHEAD
 from ..engine.values import TypeKind
 from .findings import AnalysisReport, Finding
 
@@ -272,9 +276,48 @@ def check_migration_plan(
     return report
 
 
+def check_width_ledger(
+    tables: Iterable[Any], pool: Any, locus_prefix: str = ""
+) -> AnalysisReport:
+    """Width ledger (LAY007): an UPDATE sizes only the cells it assigns,
+    so every live slot's stored width must still equal its row's
+    ``row_width``, each page's ``used`` the sum of its slots' widths
+    plus ``ROW_OVERHEAD``, and the free-space map the pages' free bytes."""
+    report = AnalysisReport()
+    for table in tables:
+        report.checked += 1
+        problems, free = [], {}
+        for page_id in table.heap.page_ids():
+            page = pool.read(page_id)
+            slots = page.payload
+            if isinstance(slots, ColumnPage):
+                columns = slots.columns
+                slots = [
+                    None if w is None else (tuple(c[s] for c in columns), w)
+                    for s, w in enumerate(slots.widths)
+                ]
+            entries = [entry for entry in slots if entry is not None]
+            problems += [
+                f"page {page_id} stores width {width} for {row!r}"
+                for row, width in entries
+                if width != table.row_width(row)
+            ]
+            if page.used != sum(width + ROW_OVERHEAD for _, width in entries):
+                problems.append(f"page {page_id} used={page.used} != its slots")
+            free[page_id] = page.free
+        if table.heap.free_map() != free:
+            problems.append("free-space map disagrees with the pages")
+        for message in problems:
+            report.add(Finding("LAY007", message, f"{locus_prefix}table={table.name}"))
+    return report
+
+
 def check_all(mtd: Any, locus_prefix: str = "") -> AnalysisReport:
     """All data-at-rest invariants for one multi-tenant database."""
     report = check_fragments(mtd, locus_prefix)
     report.extend(check_meta_rows(mtd, locus_prefix))
     report.extend(check_row_alignment(mtd, locus_prefix))
+    report.extend(
+        check_width_ledger(mtd.db.catalog.tables(), mtd.db.pool, locus_prefix)
+    )
     return report

@@ -97,8 +97,9 @@ class Sanitizer:
         self._locks_held: dict[int, set[Hashable]] = {}
         #: Eraser state per shared resource.
         self._resources: dict[Hashable, _ResourceState] = {}
-        #: DATA-page mutations / logical row records this statement.
-        self._data_dirties = 0
+        #: DATA-page mutations / logical row records this statement (a
+        #: write ``Table`` undoes on refusal rewinds ``data_dirties``).
+        self.data_dirties = 0
         self._wal_row_records = 0
         #: Pages already reported for pin leaks (report once per page).
         self._pin_reported: set[int] = set()
@@ -196,7 +197,7 @@ class Sanitizer:
         """A resident page was mutated (``BufferPool.mark_dirty``)."""
         if page.kind.value != "data" or self._replaying():
             return
-        self._data_dirties += 1
+        self.data_dirties += 1
 
     def on_wal_row_record(self) -> None:
         """A logical redo record (ins/del/upd) reached the WAL."""
@@ -227,16 +228,16 @@ class Sanitizer:
             db is not None
             and db.durability is not None
             and not db.durability.replaying
-            and self._data_dirties > 0
+            and self.data_dirties > 0
             and self._wal_row_records == 0
         ):
             self._report(
                 "CON002",
-                f"{self._data_dirties} data-page mutation(s) reached the "
+                f"{self.data_dirties} data-page mutation(s) reached the "
                 "statement boundary without a covering WAL append",
                 f"session={self.current_session}",
             )
-        self._data_dirties = 0
+        self.data_dirties = 0
         self._wal_row_records = 0
         if db is not None:
             self._check_pins(db)

@@ -10,6 +10,7 @@ the mechanism behind the paper's Experiment 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .btree import BTreeIndex
 from .columnstore import ColumnStore
@@ -114,10 +115,13 @@ class Table:
     # changes before re-raising: it logs nothing, so anything it left
     # behind would be live state that recovery never rebuilds.  The
     # undo runs only on refusal; a write that succeeds reads no page a
-    # uniqueness probe ahead of it would have cost.
+    # uniqueness probe ahead of it would have cost.  The pages end as
+    # they began, so the sanitizer forgets the write's mutations.
 
     def insert_row(self, row: tuple) -> RowId:
         row = self.check_row(row)
+        san = self.heap.sanitizer
+        mark = san and san.data_dirties
         rid = self.heap.insert(row, self.row_width(row))
         info = None
         try:
@@ -129,6 +133,8 @@ class Table:
                     break
                 done.btree.delete(self._index_key(done, row), rid)
             self.heap.delete(rid)
+            if san:
+                san.data_dirties = mark
             raise
         return rid
 
@@ -139,20 +145,48 @@ class Table:
         self.heap.delete(rid)
         return row
 
-    def update_row(self, rid: RowId, new_row: tuple) -> RowId:
-        new_row = self.check_row(new_row)
+    def update_row(
+        self, rid: RowId, new_row: Sequence, positions: Sequence[int]
+    ) -> RowId:
+        """Write ``new_row``'s cells at ``positions`` (the columns the
+        write assigns) into the row at ``rid``: only they are checked,
+        sized and rewritten, and only indexes over them are touched
+        unless the row moves.  The other cells stay as stored."""
+        columns = self.columns
+        values = []
+        for p in positions:
+            column = columns[p]
+            value = new_row[p]
+            if value is None and column.not_null:
+                raise NotNullViolation(f"{self.name}.{column.name} is NOT NULL")
+            values.append(column.type.check(value))
         old_row = self.heap.fetch(rid)
-        new_rid = self.heap.update(rid, new_row, self.row_width(new_row))
+        row = list(old_row)
+        delta = 0
+        for p, value in zip(positions, values):
+            value_width = columns[p].type.value_width
+            delta += value_width(value) - value_width(row[p])
+            row[p] = value
+        new_row = tuple(row)
+        san = self.heap.sanitizer
+        mark = san and san.data_dirties
+        new_rid = self.heap.update(rid, new_row, delta, positions)
+        moved = new_rid != rid
+        assigned = set(positions)
         info = None
         try:
             for info in self.indexes.values():
+                if not moved and assigned.isdisjoint(info.column_positions):
+                    continue
                 old_key = self._index_key(info, old_row)
                 new_key = self._index_key(info, new_row)
-                if old_key != new_key or new_rid != rid:
+                if old_key != new_key or moved:
                     info.btree.delete(old_key, rid)
                     info.btree.insert(new_key, new_rid)
         except UniqueViolation:
             self._undo_update(rid, old_row, new_rid, new_row, info)
+            if san:
+                san.data_dirties = mark
             raise
         return new_rid
 
@@ -176,12 +210,9 @@ class Table:
             if old_key != new_key or new_rid != rid:
                 info.btree.delete(new_key, new_rid)
                 info.btree.insert(old_key, rid)
-        width = self.row_width(old_row)
-        if new_rid == rid:
-            self.heap.update(rid, old_row, width)  # fit there before: in place
-        else:
-            self.heap.delete(new_rid)
-            self.heap.reinstate(rid, old_row, width)
+        # Moved or not, the old row goes back into its own slot.
+        self.heap.delete(new_rid)
+        self.heap.reinstate(rid, old_row, self.row_width(old_row))
 
     def _index_key(self, info: IndexInfo, row: tuple) -> tuple:
         return tuple(row[p] for p in info.column_positions)

@@ -34,8 +34,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import ExecutionError
-from .heap import ROW_OVERHEAD, HeapFile, RowId
-from .pager import PageKind
+from .heap import HeapFile, RowId
 
 
 class ColumnPage:
@@ -50,9 +49,10 @@ class ColumnPage:
 
     ``row_cache`` memoizes tuples assembled by point fetches (index
     probes hit the same hot slots over and over in reconstruction
-    joins); it is transient — dropped on page eviction (not pickled)
-    and invalidated per slot on writes — so it never changes what a
-    fetch returns, only how often the tuple is rebuilt.
+    joins); it is transient — dropped on page eviction (not pickled),
+    replaced by the new tuple on an update and dropped per slot on
+    other writes — so it never changes what a fetch returns, only how
+    often the tuple is rebuilt.
     """
 
     __slots__ = ("columns", "nulls", "widths", "live", "row_cache")
@@ -171,10 +171,11 @@ class ColumnBatch:
 class ColumnStore(HeapFile):
     """Column-major row store with heap-identical placement.
 
-    Inherits the free-space map, page choice (FIRST_FIT / APPEND),
-    sizing, ``restore`` and ``drop`` from :class:`HeapFile`; overrides
-    everything that touches page payloads.  ``ncols`` fixes the column
-    count (a physical table's schema never changes shape in place).
+    Inherits insert / update / delete — the free-space map, page choice
+    (FIRST_FIT / APPEND), sizing and relocation — plus ``restore`` and
+    ``drop`` from :class:`HeapFile`; overrides the payload hooks those
+    call and the read paths.  ``ncols`` fixes the column count (a
+    physical table's schema never changes shape in place).
     """
 
     storage_kind = "columnar"
@@ -183,54 +184,47 @@ class ColumnStore(HeapFile):
         super().__init__(pool, segment_id, strategy)
         self.ncols = ncols
 
-    # -- inserts ----------------------------------------------------------
+    # -- page payload hooks (placement and accounting are the heap's) -----
 
-    def insert(self, row: tuple, width: int) -> RowId:
-        need = width + ROW_OVERHEAD
-        page = self._choose_page(need)
-        if page is None:
-            page = self._pool.allocate(self.segment_id, PageKind.DATA)
-            page.payload = ColumnPage(self.ncols)
-            self._page_ids.append(page.page_id)
-        payload: ColumnPage = page.payload
+    def _new_payload(self) -> ColumnPage:
+        return ColumnPage(self.ncols)
+
+    def _free_slot(self, payload: ColumnPage) -> int:
         widths = payload.widths
-        slot_no = None
-        for i, existing in enumerate(widths):
-            if existing is None:
-                slot_no = i
-                break
-        if slot_no is None:
-            slot_no = len(widths)
+        try:
+            return widths.index(None)
+        except ValueError:
             widths.append(None)
             for column in payload.columns:
                 column.append(None)
-        self._write_slot(payload, slot_no, row, width)
-        page.used += need
-        self._free_map[page.page_id] = page.free
-        self._pool.mark_dirty(page.page_id)
-        self.row_count += 1
-        self._stats.inserts += 1
-        san = self._pool.sanitizer
-        if san is not None:
-            san.on_row_access(
-                (self.segment_id, page.page_id, slot_no), write=True
-            )
-        return (page.page_id, slot_no)
+            return len(widths) - 1
+
+    def _stored_width(self, payload: ColumnPage, slot: int) -> int | None:
+        return payload.widths[slot] if slot < len(payload.widths) else None
 
     def _write_slot(
         self, payload: ColumnPage, slot_no: int, row: tuple, width: int
     ) -> None:
+        self._rewrite_slot(payload, slot_no, row, width, range(len(row)))
+        payload.live += 1
+        del payload.row_cache[slot_no]  # only point fetches fill it
+
+    def _rewrite_slot(
+        self, payload: ColumnPage, slot_no: int, row: tuple, width: int, positions
+    ) -> None:
+        """Store ``row``'s cells at ``positions`` and their null bits (an
+        update writes only the cells it assigns); ``row`` becomes the
+        slot's cached tuple."""
         bit = 1 << slot_no
         nulls = payload.nulls
-        for c, value in enumerate(row):
-            payload.columns[c][slot_no] = value
+        for c in positions:
+            value = payload.columns[c][slot_no] = row[c]
             if value is None:
                 nulls[c] |= bit
             else:
                 nulls[c] &= ~bit
         payload.widths[slot_no] = width
-        payload.live += 1
-        payload.row_cache.pop(slot_no, None)
+        payload.row_cache[slot_no] = row
 
     def _clear_slot(self, payload: ColumnPage, slot_no: int) -> None:
         bit = 1 << slot_no
@@ -348,46 +342,3 @@ class ColumnStore(HeapFile):
                     pending_len -= batch_rows
         if pending is not None and pending_len:
             yield ColumnBatch(pending, length=pending_len)
-
-    # -- updates / deletes -------------------------------------------------
-
-    def update(self, rid: RowId, row: tuple, width: int) -> RowId:
-        self._stats.updates += 1
-        page_id, slot = rid
-        page = self._pool.read(page_id)
-        payload: ColumnPage = page.payload
-        old_width = (
-            payload.widths[slot] if slot < len(payload.widths) else None
-        )
-        if old_width is None:
-            raise ExecutionError(f"update of deleted RID {rid}")
-        delta = width - old_width
-        if delta <= page.free:
-            self._clear_slot(payload, slot)
-            self._write_slot(payload, slot, row, width)
-            page.used += delta
-            self._free_map[page_id] = page.free
-            self._pool.mark_dirty(page_id)
-            san = self._pool.sanitizer
-            if san is not None:
-                san.on_row_access((self.segment_id, page_id, slot), write=True)
-            return rid
-        self.delete(rid)
-        return self.insert(row, width)
-
-    def delete(self, rid: RowId) -> None:
-        self._stats.deletes += 1
-        page_id, slot = rid
-        page = self._pool.read(page_id)
-        payload: ColumnPage = page.payload
-        width = payload.widths[slot] if slot < len(payload.widths) else None
-        if width is None:
-            raise ExecutionError(f"double delete of RID {rid}")
-        self._clear_slot(payload, slot)
-        page.used -= width + ROW_OVERHEAD
-        self._free_map[page_id] = page.free
-        self._pool.mark_dirty(page_id)
-        self.row_count -= 1
-        san = self._pool.sanitizer
-        if san is not None:
-            san.on_row_access((self.segment_id, page_id, slot), write=True)

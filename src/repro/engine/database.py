@@ -851,10 +851,9 @@ class Database:
             # SET expressions all see the pre-update row, per SQL.
             for position, compiled in program.assignments:
                 new_row[position] = compiled(old_row, params)
-            new_tuple = tuple(new_row)
-            new_rid = table.update_row(rid, new_tuple)
+            new_rid = table.update_row(rid, new_row, assigned)
             self.transactions.record_update(
-                table, rid, old_row, new_rid, new_tuple, assigned
+                table, rid, old_row, new_rid, new_row, assigned
             )
         return len(rids)
 

@@ -172,8 +172,9 @@ def _apply_undo(db, entries: list[tuple]) -> None:
             new_rid = table.insert_row(tuple(entry[3]))
             remap[(name, entry[2])] = new_rid
         else:  # upd: (kind, name, old_rid, old_row, new_rid)
+            # The snapshot keeps no SET list: every column is assigned.
             current = resolve(name, entry[4])
-            restored = table.update_row(current, tuple(entry[3]))
+            restored = table.update_row(current, entry[3], range(len(entry[3])))
             if restored != entry[2]:
                 remap[(name, entry[2])] = restored
 
@@ -224,5 +225,5 @@ def _replay_dml(
         row = list(table.heap.fetch(current))
         for position, value in record["set"].items():
             row[position] = value
-        new_rid = table.update_row(current, tuple(row))
+        new_rid = table.update_row(current, tuple(row), record["set"].keys())
         remap[(key, record["new_rid"])] = new_rid

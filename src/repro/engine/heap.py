@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 from .errors import ExecutionError
 from .observability.metrics import CounterSet
@@ -83,6 +83,11 @@ class HeapFile:
         self.row_count = 0
         self._stats: HeapStats = pool.metrics.counter_set(HeapStats)
 
+    @property
+    def sanitizer(self):
+        """The dynamic sanitizer watching this store's pool, if any."""
+        return self._pool.sanitizer
+
     # -- inserts ----------------------------------------------------------
 
     def insert(self, row: tuple, width: int) -> RowId:
@@ -91,19 +96,10 @@ class HeapFile:
         page = self._choose_page(need)
         if page is None:
             page = self._pool.allocate(self.segment_id, PageKind.DATA)
-            page.payload = []
+            page.payload = self._new_payload()
             self._page_ids.append(page.page_id)
-        slots: list = page.payload
-        # Reuse a tombstone slot if one exists so RIDs stay dense-ish.
-        slot_no = None
-        for i, existing in enumerate(slots):
-            if existing is None:
-                slot_no = i
-                break
-        if slot_no is None:
-            slot_no = len(slots)
-            slots.append(None)
-        slots[slot_no] = (row, width)
+        slot_no = self._free_slot(page.payload)
+        self._write_slot(page.payload, slot_no, row, width)
         page.used += need
         self._free_map[page.page_id] = page.free
         self._pool.mark_dirty(page.page_id)
@@ -220,19 +216,21 @@ class HeapFile:
 
     # -- updates / deletes ----------------------------------------------------
 
-    def update(self, rid: RowId, row: tuple, width: int) -> RowId:
-        """Rewrite a row in place; relocate if it no longer fits."""
+    def update(
+        self, rid: RowId, row: tuple, delta: int, positions: Sequence[int]
+    ) -> RowId:
+        """Rewrite a row in place; relocate if it no longer fits.
+        ``delta`` is the change to its stored width, ``positions`` the
+        cells that changed."""
         self._stats.updates += 1
         page_id, slot = rid
         page = self._pool.read(page_id)
-        slots: list = page.payload
-        entry = slots[slot]
-        if entry is None:
+        width = self._stored_width(page.payload, slot)
+        if width is None:
             raise ExecutionError(f"update of deleted RID {rid}")
-        old_width = entry[1]
-        delta = width - old_width
+        width += delta
         if delta <= page.free:
-            slots[slot] = (row, width)
+            self._rewrite_slot(page.payload, slot, row, width, positions)
             page.used += delta
             self._free_map[page_id] = page.free
             self._pool.mark_dirty(page_id)
@@ -246,8 +244,8 @@ class HeapFile:
         return self.insert(row, width)
 
     def reinstate(self, rid: RowId, row: tuple, width: int) -> None:
-        """Put a row back into the slot it was deleted from — undoing a
-        relocation the caller refused, so the row keeps the RID the log
+        """Put a row back into the slot it was deleted from — undoing an
+        update the caller refused, so the row keeps the RID the log
         knows it by.  The slot is still a tombstone: :meth:`update` only
         relocates to another page."""
         page = self._pool.read(rid[0])
@@ -257,25 +255,50 @@ class HeapFile:
         self._pool.mark_dirty(page.page_id)
         self.row_count += 1
 
-    def _write_slot(self, payload: Any, slot_no: int, row: tuple, width: int) -> None:
-        payload[slot_no] = (row, width)
-
     def delete(self, rid: RowId) -> None:
         self._stats.deletes += 1
         page_id, slot = rid
         page = self._pool.read(page_id)
-        slots: list = page.payload
-        entry = slots[slot]
-        if entry is None:
+        width = self._stored_width(page.payload, slot)
+        if width is None:
             raise ExecutionError(f"double delete of RID {rid}")
-        slots[slot] = None
-        page.used -= entry[1] + ROW_OVERHEAD
+        self._clear_slot(page.payload, slot)
+        page.used -= width + ROW_OVERHEAD
         self._free_map[page_id] = page.free
         self._pool.mark_dirty(page_id)
         self.row_count -= 1
         san = self._pool.sanitizer
         if san is not None:
             san.on_row_access((self.segment_id, page_id, slot), write=True)
+
+    # -- page payload: one ``(row, width)`` entry per slot, None for a
+    # tombstone.  The column store overrides exactly these hooks.
+
+    def _new_payload(self) -> Any:
+        return []
+
+    def _free_slot(self, slots: list) -> int:
+        """Reuse a tombstone slot if one exists so RIDs stay dense-ish."""
+        try:
+            return slots.index(None)
+        except ValueError:
+            slots.append(None)
+            return len(slots) - 1
+
+    def _stored_width(self, slots: list, slot: int) -> int | None:
+        entry = slots[slot] if slot < len(slots) else None
+        return None if entry is None else entry[1]
+
+    def _write_slot(self, slots: list, slot: int, row: tuple, width: int) -> None:
+        slots[slot] = (row, width)
+
+    def _rewrite_slot(
+        self, slots: list, slot: int, row: tuple, width: int, positions
+    ) -> None:
+        slots[slot] = (row, width)  # a row page stores the whole tuple
+
+    def _clear_slot(self, slots: list, slot: int) -> None:
+        slots[slot] = None
 
     # -- sizing -----------------------------------------------------------------
 

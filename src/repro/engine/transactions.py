@@ -131,7 +131,9 @@ class TransactionManager:
                 self._emit("ins", entry.table, rid=new_rid, row=entry.row)
             elif isinstance(entry, _UpdateEntry):
                 current = resolve(entry.table, entry.new_rid)
-                restored = entry.table.update_row(current, entry.old_row)
+                restored = entry.table.update_row(
+                    current, entry.old_row, entry.positions
+                )
                 if restored != entry.old_rid:
                     remap[(id(entry.table), entry.old_rid)] = restored
                 self._emit(
@@ -176,7 +178,7 @@ class TransactionManager:
         old_rid: RowId,
         old_row: tuple,
         new_rid: RowId,
-        new_row: tuple,
+        new_row: Sequence,
         positions: Sequence[int],
     ) -> None:
         """``positions`` are the columns the statement assigned (from

@@ -85,6 +85,35 @@ def test_row_alignment_gap_is_caught():
     assert "LAY006" in {f.rule_id for f in report.errors}
 
 
+@pytest.mark.parametrize("storage", ["heap", "columnar"])
+def test_width_ledger_drift_is_caught(storage):
+    mtd = build_running_example("extension")
+    db = mtd.db
+    tables = db.catalog.tables()
+    ledger = invariants.check_width_ledger
+    assert ledger(tables, db.pool).ok
+    db.execute(
+        "CREATE TABLE w (a INTEGER, s VARCHAR(20))"
+        + (" USING columnar" if storage == "columnar" else "")
+    )
+    db.execute("INSERT INTO w VALUES (1, 'abc'), (2, NULL)")
+    db.execute("UPDATE w SET s = 'longer value' WHERE a = 2")
+    table = db.catalog.table("w")
+    assert ledger([table], db.pool).ok
+    page = db.pool.read(table.heap.page_ids()[0])
+    if storage == "columnar":
+        page.payload.widths[1] += 1
+    else:
+        row, width = page.payload[1]
+        page.payload[1] = (row, width + 1)
+    page.used += 1  # the page agrees with the slot; the row does not
+    report = ledger([table], db.pool, "drift ")
+    assert [f.rule_id for f in report.errors] == ["LAY007", "LAY007"]
+    assert "stores width" in report.errors[0].message
+    assert "free-space map" in report.errors[1].message
+    assert not invariants.check_all(mtd).ok
+
+
 def test_dropped_casts_are_caught_structurally():
     mtd = build_running_example("universal")
     assert invariants.check_fragments(mtd, "pre ").ok

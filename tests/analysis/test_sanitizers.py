@@ -11,6 +11,7 @@ from repro.analysis.sanitizers import (
 )
 from repro.engine.database import Database
 from repro.engine.durability import DurabilityOptions
+from repro.engine.errors import UniqueViolation
 
 
 @pytest.fixture()
@@ -43,6 +44,33 @@ class TestWriteAheadChecks:
         sdb.execute("UPDATE t SET id = 2 WHERE id = 1")
         sdb.execute("DELETE FROM t WHERE id = 2")
         assert sdb.sanitizer.report.ok
+
+    @pytest.mark.parametrize("mutate", [None, MUTATE_SKIP_APPEND])
+    def test_refused_writes_report_nothing(self, tmp_path, mutate):
+        """A write a unique index refuses is undone before it logs
+        anything: the table is unchanged, so no CON002 — while a write
+        that lands with its append skipped still trips it."""
+        db = Database(
+            path=str(tmp_path / "db"),
+            sanitize=True,
+            durability=DurabilityOptions(mutate=mutate),
+        )
+        db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        db.execute("CREATE UNIQUE INDEX t_a ON t (a)")
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)")
+        db.sanitizer.report.findings.clear()
+        for refused in (
+            "INSERT INTO t VALUES (1, 30)",
+            "UPDATE t SET a = 1 WHERE a = 2",
+        ):
+            with pytest.raises(UniqueViolation):
+                db.execute(refused)
+        assert db.sanitizer.report.findings == []
+        assert sorted(db.execute("SELECT a, b FROM t").rows) == [(1, 10), (2, 20)]
+        db.execute("UPDATE t SET b = 21 WHERE a = 2")
+        expected = 0 if mutate is None else 1
+        assert db.sanitizer.report.by_rule().get("CON002", 0) == expected
+        db.close()
 
     def test_skipped_append_is_caught_per_statement(self, tmp_path):
         db = Database(

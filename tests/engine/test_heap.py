@@ -73,7 +73,7 @@ class TestUpdate:
     def test_in_place_update(self):
         heap, _ = make_heap()
         rid = heap.insert((1, "a"), width=10)
-        new_rid = heap.update(rid, (1, "b"), width=10)
+        new_rid = heap.update(rid, (1, "b"), 0, [1])
         assert new_rid == rid
         assert heap.fetch(rid) == (1, "b")
 
@@ -81,7 +81,7 @@ class TestUpdate:
         heap, _ = make_heap()
         rid = heap.insert((1,), width=8000)
         heap.insert((2,), width=50)
-        new_rid = heap.update(rid, (1,), width=8050)
+        new_rid = heap.update(rid, (1,), 50, [0])
         assert heap.fetch(new_rid) == (1,)
 
     def test_update_deleted_raises(self):
@@ -89,7 +89,7 @@ class TestUpdate:
         rid = heap.insert((1,), width=10)
         heap.delete(rid)
         with pytest.raises(ExecutionError):
-            heap.update(rid, (2,), width=10)
+            heap.update(rid, (2,), 0, [0])
 
 
 class TestStrategies:
@@ -150,11 +150,13 @@ class TestPropertyBased:
         """The heap behaves like a dict keyed by RID."""
         heap, _ = make_heap()
         model: dict = {}
+        widths: dict = {}
         counter = 0
         for op, pick, width in ops:
             if op == "insert" or not model:
                 rid = heap.insert((counter,), width)
                 model[rid] = (counter,)
+                widths[rid] = width
                 counter += 1
             else:
                 rid = sorted(model)[
@@ -164,9 +166,11 @@ class TestPropertyBased:
                     heap.delete(rid)
                     del model[rid]
                 else:
-                    new_rid = heap.update(rid, (counter,), width)
+                    delta = width - widths.pop(rid)
+                    new_rid = heap.update(rid, (counter,), delta, [0])
                     del model[rid]
                     model[new_rid] = (counter,)
+                    widths[new_rid] = width
                     counter += 1
         assert heap.row_count == len(model)
         assert dict(heap.scan()) == model

@@ -10,6 +10,7 @@ in-flight operation vanished without a trace — for all seven layouts.
 
 from __future__ import annotations
 
+import datetime
 import os
 import pickle
 import random
@@ -22,13 +23,14 @@ from repro import (
     LogicalTable,
     MultiTenantDatabase,
 )
+from repro.analysis.invariants import check_width_ledger
 from repro.engine.database import Database
 from repro.engine.durability import (
     DurabilityOptions,
     FaultInjector,
     SimulatedCrash,
 )
-from repro.engine.errors import CatalogError, UniqueViolation
+from repro.engine.errors import CatalogError, NotNullViolation, UniqueViolation
 from repro.engine.sql.parser import parse_statement
 from repro.engine.values import INTEGER, varchar
 
@@ -522,6 +524,133 @@ class TestRowRecords:
         db2 = _crash_and_reopen(db, tmp_path)
         assert _all_rows(db2) == live
         assert db2.execute("SELECT name FROM t WHERE id = 6").scalar() == "after"
+        db2.close()
+
+
+def _consistent_rows(db: Database, table: str = "t") -> list[tuple]:
+    """The table's rows, after checking every index holds exactly the
+    heap's (key, RID) pairs and every stored width its row's width."""
+    physical = db.catalog.table(table)
+    heap = list(physical.heap.scan())
+    for info in physical.indexes.values():
+        entries = [
+            entry
+            for batch in info.btree.prefix_batches((), 1000)
+            for entry in batch
+        ]
+        expected = [
+            (tuple(row[p] for p in info.column_positions), rid)
+            for rid, row in heap
+        ]
+        assert sorted(entries) == sorted(expected), info.name
+    assert check_width_ledger([physical], db.pool).findings == []
+    return sorted(row for _rid, row in heap)
+
+
+class TestAssignedCells:
+    """An UPDATE checks, sizes and rewrites only the cells its SET list
+    assigns; every index, stored width and recovered state must come
+    out as if the whole row had been rewritten."""
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    def test_assigned_cells_are_coerced(self, tmp_path, storage):
+        db = build(tmp_path)
+        db.execute(
+            "CREATE TABLE t (id INTEGER NOT NULL, x DOUBLE, d DATE)"
+            + (" USING columnar" if storage == "columnar" else "")
+        )
+        db.execute("INSERT INTO t VALUES (1, 0.5, NULL)")
+        db.execute("UPDATE t SET x = ?, d = ? WHERE id = 1", [3, "2024-02-29"])
+        (row,) = _consistent_rows(db)
+        assert row == (1, 3.0, datetime.date(2024, 2, 29))
+        assert type(row[1]) is float
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert _consistent_rows(db2) == [row]
+        db2.close()
+
+    def test_null_into_not_null_changes_nothing(self, tmp_path):
+        db = build(tmp_path)
+        db.execute(
+            "CREATE TABLE t (id INTEGER NOT NULL, n INTEGER NOT NULL, s VARCHAR(9))"
+        )
+        db.execute("CREATE INDEX t_n ON t (n)")
+        db.execute("INSERT INTO t VALUES (1, 10, 'a'), (2, 20, 'b')")
+        before, log = _consistent_rows(db), _log_records(db)
+        with pytest.raises(NotNullViolation):
+            db.execute("UPDATE t SET s = 'c', n = NULL WHERE id = 2")
+        assert _consistent_rows(db) == before
+        assert _log_records(db) == log
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert _consistent_rows(db2) == before
+        db2.close()
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    def test_index_scans_follow_updates(self, tmp_path, storage):
+        db = build(tmp_path)
+        db.execute(
+            "CREATE TABLE t (id INTEGER NOT NULL, b INTEGER, c VARCHAR(6000))"
+            + (" USING columnar" if storage == "columnar" else "")
+        )
+        db.execute("CREATE UNIQUE INDEX t_id ON t (id)")
+        db.execute("CREATE INDEX t_b ON t (b)")
+        for i in range(4):
+            db.execute("INSERT INTO t VALUES (?, ?, ?)", [i, i % 2, "x" * 1900])
+        db.execute("UPDATE t SET b = 7 WHERE id = 1")  # an indexed column
+        _consistent_rows(db)
+        rid = db.catalog.table("t").indexes["t_id"].btree.search((2,))
+        db.execute("UPDATE t SET c = ? WHERE id = 2", ["y" * 5000])  # moves
+        assert db.catalog.table("t").indexes["t_id"].btree.search((2,)) != rid
+        db.execute("UPDATE t SET c = 'z' WHERE b = 7")  # no indexed column
+        live = _consistent_rows(db)
+        assert [r[:2] for r in live] == [(0, 0), (1, 7), (2, 0), (3, 1)]
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert _consistent_rows(db2) == live
+        db2.close()
+
+    @staticmethod
+    def _update_column_by_column(db: Database) -> None:
+        db.execute("UPDATE t SET a = ? WHERE id = 1", ["x" * 4000])  # moves
+        db.execute("UPDATE t SET b = 7 WHERE id = 1")
+        db.execute("UPDATE t SET d = '2021-06-30', a = NULL WHERE id = 1")
+        db.execute("UPDATE t SET b = NULL WHERE id = 1")
+
+    def _build_for_undo(self, tmp_path, storage: str) -> Database:
+        db = build(tmp_path)
+        db.execute(
+            "CREATE TABLE t (id INTEGER NOT NULL, a VARCHAR(5000), b DOUBLE, d DATE)"
+            + (" USING columnar" if storage == "columnar" else "")
+        )
+        db.execute("CREATE INDEX t_b ON t (b)")
+        db.execute(
+            "INSERT INTO t VALUES (1, 'a0', 0.5, '2020-01-01'), (2, ?, 1.0, NULL)",
+            ["f" * 4500],
+        )
+        return db
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    def test_column_by_column_updates_roll_back_exactly(self, tmp_path, storage):
+        db = self._build_for_undo(tmp_path, storage)
+        before = _consistent_rows(db)
+        db.transactions.begin()
+        self._update_column_by_column(db)
+        db.transactions.rollback()
+        assert _consistent_rows(db) == before
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert _consistent_rows(db2) == before
+        db2.close()
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    def test_column_by_column_updates_undo_after_crash(self, tmp_path, storage):
+        """The fuzzy checkpoint carries the undo log; the transaction
+        never ends, so recovery undoes it from that snapshot."""
+        db = self._build_for_undo(tmp_path, storage)
+        before = _consistent_rows(db)
+        db.transactions.begin()
+        self._update_column_by_column(db)
+        assert db.checkpoint()
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert db2.durability.recovery_info["losers"] == 1
+        assert _consistent_rows(db2) == before
         db2.close()
 
 
