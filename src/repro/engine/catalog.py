@@ -138,20 +138,22 @@ class Table:
             raise
         return rid
 
-    def delete_row(self, rid: RowId) -> tuple:
-        row = self.heap.fetch(rid)
+    # A delete or update is handed the row stored at ``rid`` (the one
+    # its caller matched or fetched) and reads no page to find it.
+
+    def delete_row(self, rid: RowId, row: tuple) -> None:
         for info in self.indexes.values():
             info.btree.delete(self._index_key(info, row), rid)
         self.heap.delete(rid)
-        return row
 
     def update_row(
-        self, rid: RowId, new_row: Sequence, positions: Sequence[int]
+        self, rid: RowId, old_row: tuple, new_row: Sequence, positions: Sequence[int]
     ) -> RowId:
         """Write ``new_row``'s cells at ``positions`` (the columns the
-        write assigns) into the row at ``rid``: only they are checked,
-        sized and rewritten, and only indexes over them are touched
-        unless the row moves.  The other cells stay as stored."""
+        write assigns) into ``old_row``, the row at ``rid``: only they
+        are checked, sized and rewritten, and only indexes over them
+        are touched unless the row moves.  The other cells stay as
+        stored."""
         columns = self.columns
         values = []
         for p in positions:
@@ -160,7 +162,6 @@ class Table:
             if value is None and column.not_null:
                 raise NotNullViolation(f"{self.name}.{column.name} is NOT NULL")
             values.append(column.type.check(value))
-        old_row = self.heap.fetch(rid)
         row = list(old_row)
         delta = 0
         for p, value in zip(positions, values):

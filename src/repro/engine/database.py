@@ -83,7 +83,7 @@ class _InsertProgram:
 @dataclass
 class _WriteProgram:
     """A precompiled UPDATE or DELETE: everything :meth:`Database.
-    _match_rids` and the SET loop need that does not depend on the
+    _match_rows` and the SET loop need that does not depend on the
     parameter values."""
 
     table_name: str
@@ -795,10 +795,12 @@ class Database:
             table.name, assignments, predicate, eq_candidates, {}
         )
 
-    def _match_rids(
+    def _match_rows(
         self, table, program: "_WriteProgram", params: Sequence[object]
     ) -> list:
-        """RIDs matching a DML predicate, using the best index available."""
+        """``(rid, row)`` pairs matching a DML predicate, using the best
+        index available.  Each row is read once, here, and handed to
+        the write that matched it."""
         eq_values: dict[str, object] = {}
         for alternatives in program.eq_candidates:
             for column, constant in alternatives:
@@ -816,7 +818,7 @@ class Database:
             if usable not in program.indexes:
                 program.indexes[usable] = table.find_index(usable)
             info = program.indexes[usable]
-        rids = []
+        matched = []
         if info is not None:
             prefix = []
             for col in info.column_names:
@@ -825,44 +827,47 @@ class Database:
                 else:
                     break
             self._executor.stats.index_lookups += 1
-            # Batch size 1: each row is fetched as its entry arrives.
-            for batch in info.btree.prefix_batches(tuple(prefix), 1):
-                rid = batch[0][1]
+            if info.unique and len(prefix) == len(info.column_names):
+                rid = info.btree.search_one(tuple(prefix))
+                rids = () if rid is None else (rid,)
+            else:
+                # Batch size 1: each row is fetched as its entry arrives.
+                rids = (b[0][1] for b in info.btree.prefix_batches(tuple(prefix), 1))
+            for rid in rids:
                 row = table.heap.fetch(rid)
                 self._executor.stats.rows_fetched += 1
                 if all(p(row, params) is True for p in predicate):
-                    rids.append(rid)
+                    matched.append((rid, row))
         else:
             for rid, row in table.heap.scan():
                 self._executor.stats.rows_scanned += 1
                 if all(p(row, params) is True for p in predicate):
-                    rids.append(rid)
-        return rids
+                    matched.append((rid, row))
+        return matched
 
     def _run_update(
         self, program: "_WriteProgram", params: Sequence[object]
     ) -> int:
         table = self.catalog.table(program.table_name)
-        rids = self._match_rids(table, program, params)
+        matched = self._match_rows(table, program, params)
         assigned = [position for position, _ in program.assignments]
-        for rid in rids:
-            old_row = table.heap.fetch(rid)
+        for rid, old_row in matched:
             new_row = list(old_row)
             # SET expressions all see the pre-update row, per SQL.
             for position, compiled in program.assignments:
                 new_row[position] = compiled(old_row, params)
-            new_rid = table.update_row(rid, new_row, assigned)
+            new_rid = table.update_row(rid, old_row, new_row, assigned)
             self.transactions.record_update(
                 table, rid, old_row, new_rid, new_row, assigned
             )
-        return len(rids)
+        return len(matched)
 
     def _run_delete(
         self, program: "_WriteProgram", params: Sequence[object]
     ) -> int:
         table = self.catalog.table(program.table_name)
-        rids = self._match_rids(table, program, params)
-        for rid in rids:
-            row = table.delete_row(rid)
+        matched = self._match_rows(table, program, params)
+        for rid, row in matched:
+            table.delete_row(rid, row)
             self.transactions.record_delete(table, rid, row)
-        return len(rids)
+        return len(matched)

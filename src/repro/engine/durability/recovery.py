@@ -167,14 +167,20 @@ def _apply_undo(db, entries: list[tuple]) -> None:
         kind, name = entry[0], entry[1]
         table = db.catalog.table(name)
         if kind == "ins":
-            table.delete_row(resolve(name, entry[2]))
+            rid = resolve(name, entry[2])
+            table.delete_row(rid, table.heap.fetch(rid))
         elif kind == "del":
             new_rid = table.insert_row(tuple(entry[3]))
             remap[(name, entry[2])] = new_rid
         else:  # upd: (kind, name, old_rid, old_row, new_rid)
             # The snapshot keeps no SET list: every column is assigned.
             current = resolve(name, entry[4])
-            restored = table.update_row(current, entry[3], range(len(entry[3])))
+            restored = table.update_row(
+                current,
+                table.heap.fetch(current),
+                entry[3],
+                range(len(entry[3])),
+            )
             if restored != entry[2]:
                 remap[(name, entry[2])] = restored
 
@@ -218,12 +224,14 @@ def _replay_dml(
         remap[(key, record["rid"])] = rid
     elif kind == "del":
         logged = record["rid"]
-        table.delete_row(remap.get((key, logged), logged))
+        rid = remap.get((key, logged), logged)
+        table.delete_row(rid, table.heap.fetch(rid))
     else:  # upd: patch the assigned columns into the row redo finds
         logged = record["rid"]
         current = remap.get((key, logged), logged)
-        row = list(table.heap.fetch(current))
+        old_row = table.heap.fetch(current)
+        row = list(old_row)
         for position, value in record["set"].items():
             row[position] = value
-        new_rid = table.update_row(current, tuple(row), record["set"].keys())
+        new_rid = table.update_row(current, old_row, row, record["set"].keys())
         remap[(key, record["new_rid"])] = new_rid

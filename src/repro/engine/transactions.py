@@ -123,7 +123,7 @@ class TransactionManager:
         for entry in reversed(log):
             if isinstance(entry, _InsertEntry):
                 rid = resolve(entry.table, entry.rid)
-                entry.table.delete_row(rid)
+                entry.table.delete_row(rid, entry.table.heap.fetch(rid))
                 self._emit("del", entry.table, rid=rid)
             elif isinstance(entry, _DeleteEntry):
                 new_rid = entry.table.insert_row(entry.row)
@@ -132,7 +132,10 @@ class TransactionManager:
             elif isinstance(entry, _UpdateEntry):
                 current = resolve(entry.table, entry.new_rid)
                 restored = entry.table.update_row(
-                    current, entry.old_row, entry.positions
+                    current,
+                    entry.table.heap.fetch(current),
+                    entry.old_row,
+                    entry.positions,
                 )
                 if restored != entry.old_rid:
                     remap[(id(entry.table), entry.old_rid)] = restored

@@ -230,14 +230,15 @@ class TestHeapParityProperty:
                         for p in range(3)
                     )
                     placed[i] = table.update_row(
-                        placed[i], new_row, sorted(positions)
+                        placed[i], current, new_row, sorted(positions)
                     )
                     assert table.heap.fetch(placed[i]) == tuple(
                         self.COLUMNS[p].type.check(v)
                         for p, v in enumerate(new_row)
                     )
                 else:
-                    table.delete_row(placed.pop(i))
+                    rid = placed.pop(i)
+                    table.delete_row(rid, table.heap.fetch(rid))
         assert rids[0] == rids[1]  # identical placement decisions
         assert store.row_count == heap.row_count
         assert [r for _rid, r in store.scan()] == [

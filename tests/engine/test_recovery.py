@@ -654,6 +654,143 @@ class TestAssignedCells:
         db2.close()
 
 
+class TestReadOnce:
+    """A written row is read once: an UPDATE or DELETE reads each row
+    where it matches it and hands that row to the write, and a unique
+    index with every column bound is probed, not prefix-scanned."""
+
+    ROWS = 200
+
+    def _build(self, storage: str, path=None) -> Database:
+        db = build(path) if path is not None else Database()
+        db.execute(
+            "CREATE TABLE t (id INTEGER NOT NULL, g INTEGER, k INTEGER, "
+            "s VARCHAR(3000))"
+            + (" USING columnar" if storage == "columnar" else "")
+        )
+        db.execute("CREATE UNIQUE INDEX t_id ON t (id)")
+        db.execute("CREATE INDEX t_g ON t (g)")
+        db.execute("CREATE UNIQUE INDEX t_kg ON t (k, g)")
+        for i in range(self.ROWS):
+            db.execute("INSERT INTO t VALUES (?, ?, ?, 'x')", [i, i % 5, i])
+        return db
+
+    @staticmethod
+    def _cost(db: Database, sql: str, params=()) -> dict:
+        """What one statement cost: its rowcount, logical data and index
+        page reads, and the heap/B-tree counters that tell them apart."""
+        names = ("heap.fetches", "btree.searches", "btree.prefix_scans")
+        before = db.pool_stats.snapshot(), [db.metrics.value(n) for n in names]
+        rowcount = db.execute(sql, list(params)).rowcount
+        pool = db.pool_stats.delta(before[0])
+        return {
+            "rows": rowcount,
+            "data": pool.logical_data,
+            "index": pool.logical_index,
+            **{
+                n.split(".")[1]: db.metrics.value(n) - b
+                for n, b in zip(names, before[1])
+            },
+        }
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize(
+        "where, params",
+        [("id = ?", [7]), ("k = ? AND g = ?", [7, 2])],
+        ids=["one-column", "two-column"],
+    )
+    def test_update_by_unique_key_is_one_probe_and_one_fetch(
+        self, storage, where, params
+    ):
+        db = self._build(storage)
+        index = "t_id" if where.startswith("id") else "t_kg"
+        height = db.catalog.table("t").indexes[index].btree.height
+        cost = self._cost(db, f"UPDATE t SET s = 'y' WHERE {where}", params)
+        # The descent, the fetch that matches the row, the page it is
+        # rewritten on — and nothing else.
+        assert cost == {
+            "rows": 1, "data": 2, "index": height,
+            "fetches": 1, "searches": 1, "prefix_scans": 0,
+        }
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    def test_multi_row_update_reads_each_row_twice(self, storage):
+        db = self._build(storage)
+        cost = self._cost(db, "UPDATE t SET s = 'y' WHERE g = ?", [3])
+        matched = self.ROWS // 5
+        assert cost["rows"] == matched
+        assert cost["data"] == 2 * matched  # fetch + rewrite per row
+        assert cost["fetches"] == matched
+        assert cost["prefix_scans"] == 1 and cost["searches"] == 0
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    def test_partial_unique_key_takes_the_prefix_scan(self, storage):
+        db = self._build(storage)
+        cost = self._cost(db, "UPDATE t SET s = 'y' WHERE k = ?", [9])
+        assert cost["rows"] == 1 and cost["fetches"] == 1
+        assert cost["prefix_scans"] == 1 and cost["searches"] == 0
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    def test_delete_reads_its_row_once(self, storage):
+        db = self._build(storage)
+        cost = self._cost(db, "DELETE FROM t WHERE id = ?", [9])
+        assert (cost["rows"], cost["data"], cost["fetches"]) == (1, 2, 1)
+        assert db.execute("SELECT COUNT(*) FROM t WHERE g = 4").scalar() == (
+            self.ROWS // 5 - 1
+        )
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    def test_null_key_parameter_updates_nothing(self, storage):
+        db = self._build(storage)
+        db.execute("INSERT INTO t VALUES (-1, NULL, NULL, 'null-keyed')")
+        for where, params in [("id = ?", [None]), ("k = ? AND g = ?", [None, None])]:
+            cost = self._cost(db, f"UPDATE t SET s = 'y' WHERE {where}", params)
+            assert cost["rows"] == 0
+        # The probe finds the NULL-keyed entry; the predicate refuses it.
+        assert cost["fetches"] == 1 and cost["searches"] == 1
+        assert db.execute("SELECT COUNT(*) FROM t WHERE s = 'y'").scalar() == 0
+        assert db.execute("SELECT s FROM t WHERE id = -1").scalar() == "null-keyed"
+
+    @staticmethod
+    def _write(db: Database) -> None:
+        db.execute("INSERT INTO t VALUES (1000, 1, 1000, 'new')")
+        db.execute("UPDATE t SET g = 4, s = ? WHERE id = 3", ["m" * 2500])  # moves
+        db.execute("UPDATE t SET s = 'z' WHERE g = 1")
+        db.execute("DELETE FROM t WHERE id = 8 OR g = 2")
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    def test_rollback_restores_rows_and_indexes(self, tmp_path, storage):
+        db = self._build(storage, tmp_path)
+        before = _consistent_rows(db)
+        db.transactions.begin()
+        self._write(db)
+        db.transactions.rollback()
+        assert _consistent_rows(db) == before
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert _consistent_rows(db2) == before
+        db2.close()
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    def test_redo_restores_rows_and_indexes(self, tmp_path, storage):
+        db = self._build(storage, tmp_path)
+        assert db.checkpoint()
+        self._write(db)
+        live = _consistent_rows(db)
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert _consistent_rows(db2) == live
+        db2.close()
+
+    def test_redo_of_an_update_reads_its_row_once(self, tmp_path):
+        db = self._build("heap", tmp_path)
+        assert db.checkpoint()
+        db.execute("UPDATE t SET s = 'after' WHERE id = 5")
+        assert [r["t"] for r in _log_records(db)] == ["checkpoint", "upd", "commit"]
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert db2.metrics.value("heap.fetches") == 1
+        assert db2.execute("SELECT s FROM t WHERE id = 5").scalar() == "after"
+        db2.close()
+
+
 # ---------------------------------------------------------------------------
 # Crashpoint × layout property test
 # ---------------------------------------------------------------------------
