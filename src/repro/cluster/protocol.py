@@ -1,9 +1,12 @@
 """The cluster wire protocol: length-prefixed JSON frames.
 
 One frame is a 4-byte big-endian length followed by a UTF-8 JSON
-object.  JSON keeps the protocol debuggable (``nc`` + eyeballs) and the
-engine's value domain is JSON-friendly except for two cases handled by
-tagging:
+object, read by :class:`FrameProtocol` with ``recv_into`` into one
+buffer per connection (a stream transport's ``recv(256 KiB)`` allocates
+a quarter-megabyte ``bytes`` per message) within the bounds the module
+constants below set.  JSON keeps the protocol debuggable (``nc`` +
+eyeballs) and the engine's value domain is JSON-friendly except for two
+cases handled by tagging:
 
 * ``DATE`` values travel as ``{"$date": "YYYY-MM-DD"}``;
 * result rows are tuples in the engine and travel as JSON arrays —
@@ -27,6 +30,7 @@ import asyncio
 import datetime
 import json
 import struct
+from collections import deque
 from typing import Any
 
 from .errors import ProtocolError
@@ -36,6 +40,13 @@ from .errors import ProtocolError
 MAX_FRAME = 16 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
+
+#: A connection's buffer starts at this size and returns to it after a
+#: larger frame; reading pauses while more bytes of complete frames than
+#: ``PAUSE_AT`` wait to be asked for, and resumes at ``RESUME_AT``.
+INITIAL_BUFFER = 64 * 1024
+PAUSE_AT = 128 * 1024
+RESUME_AT = PAUSE_AT // 2
 
 
 # -- value tagging -----------------------------------------------------------
@@ -105,27 +116,115 @@ def decode_frame(body: bytes) -> dict:
     return message
 
 
-async def read_frame(reader: asyncio.StreamReader) -> dict | None:
-    """Read one frame; ``None`` on clean EOF at a frame boundary."""
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError("connection died mid frame header") from exc
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame of {length} bytes exceeds {MAX_FRAME}")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection died mid frame body") from exc
-    return decode_frame(body)
+class FrameProtocol(asyncio.BufferedProtocol):
+    """One connection's framing, either end: :meth:`buffer_updated`
+    cuts every complete body out of one buffer (resized only in
+    :meth:`get_buffer`: the transport holds its view until then) for the
+    oldest waiting :meth:`next_body`, else queues it.  EOF leaves the
+    write side open, so frames sent before a half-close are answered."""
 
+    def __init__(self) -> None:
+        self.transport: asyncio.Transport  # set by connection_made
+        self._buffer = bytearray(INITIAL_BUFFER)
+        self._start = self._end = 0  # unconsumed: _buffer[_start:_end]
+        self._frame = _LENGTH.size  # size of the frame being assembled
+        self._bodies: deque[bytearray] = deque()
+        self.buffered = 0  # bytes of complete frames not yet asked for
+        self._waiters: deque[asyncio.Future] = deque()
+        self._error: ProtocolError | None = None
+        self._eof = False
+        self._writable: asyncio.Future | None = None
 
-async def write_frame(writer: asyncio.StreamWriter, message: dict) -> None:
-    writer.write(encode_frame(message))
-    await writer.drain()
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        start, end, size = self._start, self._end, max(INITIAL_BUFFER, self._frame)
+        if start == end or start + self._frame > len(self._buffer):
+            # Move the pending part of one frame to a buffer that fits it.
+            pending = self._buffer[start:end]
+            if len(self._buffer) != size:
+                self._buffer = bytearray(size)
+            self._buffer[: len(pending)] = pending
+            self._start, self._end = 0, len(pending)
+        return memoryview(self._buffer)[self._end :]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        buffer, start, header = self._buffer, self._start, _LENGTH.size
+        end = self._end = self._end + nbytes
+        self._frame = header
+        while end - start >= header:
+            (length,) = _LENGTH.unpack_from(buffer, start)
+            if length > MAX_FRAME:
+                self.transport.pause_reading()
+                error = f"frame of {length} bytes exceeds {MAX_FRAME}"
+                self._finish(ProtocolError(error))
+                return
+            if end - start < header + length:
+                self._frame = header + length
+                break
+            body = buffer[start + header : start + header + length]
+            start += header + length
+            if not self._waiters:
+                self._bodies.append(body)
+                self.buffered += len(body)
+            elif not (waiter := self._waiters.popleft()).cancelled():
+                waiter.set_result(body)  # a cancelled request's is dropped
+        self._start = start
+        if self.buffered > PAUSE_AT:
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self._finish()
+        return True  # keep the write side open
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._finish()
+        self.resume_writing()  # nothing more will drain
+
+    def pause_writing(self) -> None:
+        self._writable = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        if self._writable is not None:
+            self._writable.set_result(None)
+        self._writable = None
+
+    def _finish(self, error: ProtocolError | None = None) -> None:
+        """No more frames will come after those queued."""
+        if self._error is None and error is None and self._end > self._start:
+            error = ProtocolError("connection died mid frame")
+        self._error = self._error or error
+        self._eof = True
+        for waiter in self._waiters:
+            if not waiter.cancelled() and self._error is not None:
+                waiter.set_exception(self._error)
+            elif not waiter.cancelled():
+                waiter.set_result(None)
+        self._waiters.clear()
+
+    def next_body(self) -> asyncio.Future:
+        """The next frame's body, in the order asked; ``None`` at a clean
+        end of stream, :class:`ProtocolError` for an unreadable frame."""
+        waiter = asyncio.get_running_loop().create_future()
+        if self._bodies:
+            body = self._bodies.popleft()
+            self.buffered -= len(body)
+            waiter.set_result(body)
+            if self.buffered <= RESUME_AT and not self._eof:
+                self.transport.resume_reading()
+        else:
+            self._waiters.append(waiter)
+            if self._eof:
+                self._finish()
+        return waiter
+
+    async def send(self, frame: bytes) -> None:
+        """Write ``frame`` (dropped once the connection is lost); wait
+        while the transport is paused."""
+        self.transport.write(frame)
+        if self._writable is not None:
+            await asyncio.shield(self._writable)
 
 
 # -- response helpers --------------------------------------------------------

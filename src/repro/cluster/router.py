@@ -22,10 +22,11 @@ connections.
 
 :class:`ClusterServer` exposes the router over TCP with the
 length-prefixed JSON protocol; :class:`ClusterClient` is the matching
-client.  Frames on one connection are handled sequentially, which maps
-the classic database-session model ("one outstanding statement per
-connection") onto asyncio; a connection yields to the loop after every
-frame it is served, so one that pipelines cannot hold the front door.
+client, which coroutines may share.  A connection's frames are served
+one at a time and answered in order — the classic database-session
+model ("one outstanding statement per connection") on asyncio — and it
+yields to the loop after a frame when another of its frames is already
+buffered, so one that pipelines cannot hold the front door.
 """
 
 from __future__ import annotations
@@ -134,6 +135,19 @@ class Router:
         )
 
 
+class _Session(protocol.FrameProtocol):
+    """One server-side connection; a task of its own serves its frames."""
+
+    def __init__(self, server: ClusterServer) -> None:
+        super().__init__()
+        self.server = server
+
+    def connection_made(self, transport) -> None:
+        super().connection_made(transport)
+        self.task = asyncio.ensure_future(self.server._serve_connection(self))
+        self.server._sessions.add(self)
+
+
 class ClusterServer:
     """Serves the router over TCP (length-prefixed JSON frames)."""
 
@@ -141,7 +155,7 @@ class ClusterServer:
         self.router = router
         self.host = host
         self._server: asyncio.base_events.Server | None = None
-        self._connections: set[asyncio.Task] = set()
+        self._sessions: set[_Session] = set()
         self._c_connections = self.router.metrics.counter(
             "cluster.server.connections"
         )
@@ -154,8 +168,8 @@ class ClusterServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self, port: int = 0) -> None:
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Session(self), self.host, port
         )
 
     async def stop(self) -> None:
@@ -163,47 +177,33 @@ class ClusterServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        for task in list(self._connections):
+        tasks = [session.task for session in self._sessions]
+        for task in tasks:
             task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self._connections.clear()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        self._sessions.clear()
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _serve_connection(self, session: _Session) -> None:
         self._c_connections.inc()
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
         try:
             while True:
-                try:
-                    request = await protocol.read_frame(reader)
-                except ProtocolError:
-                    break  # unframeable input: drop the connection
-                if request is None:
+                body = await session.next_body()
+                if body is None:
                     break
+                request = protocol.decode_frame(body)
                 self._c_frames.inc()
                 response = await self._dispatch(request)
-                await protocol.write_frame(writer, response)
+                await session.send(protocol.encode_frame(response))
                 # An inline read never suspends and neither does a
                 # buffered read or write: without this a connection
                 # with frames queued would be served to the end first.
-                await asyncio.sleep(0)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancels us mid-read; end the task cleanly
-            # (3.11's stream wrapper logs tasks that die cancelled).
-            pass
+                if session.buffered:
+                    await asyncio.sleep(0)
+        except ProtocolError:
+            pass  # unframeable input: drop the connection
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+            self._sessions.discard(session)
+            session.transport.close()
 
     async def _dispatch(self, request: dict) -> dict:
         op = request.get("op")
@@ -258,31 +258,31 @@ class ClusterClient:
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._connection: protocol.FrameProtocol | None = None
 
     async def connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
+        _, self._connection = await asyncio.get_running_loop().create_connection(
+            protocol.FrameProtocol, self.host, self.port
         )
 
     async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except ConnectionError:
-                pass
-            self._reader = self._writer = None
+        if self._connection is not None:
+            self._connection.transport.close()
+            self._connection = None
 
     async def request(self, message: dict) -> dict:
-        if self._reader is None or self._writer is None:
+        """Send one request and wait for its response; concurrent callers
+        each claim the next response as they send (answers are FIFO)."""
+        connection = self._connection
+        if connection is None:
             raise ClusterError("client is not connected")
-        await protocol.write_frame(self._writer, message)
-        response = await protocol.read_frame(self._reader)
-        if response is None:
+        frame = protocol.encode_frame(message)
+        response = connection.next_body()
+        await connection.send(frame)
+        body = await response
+        if body is None:
             raise ClusterError("server closed the connection")
-        return response
+        return protocol.decode_frame(body)
 
     async def call(self, message: dict) -> dict:
         """``request`` + raise :class:`ClusterError` on error responses."""

@@ -5,7 +5,7 @@ import asyncio
 
 import pytest
 
-from repro.cluster import Cluster, ShardOptions
+from repro.cluster import Cluster, ShardOptions, protocol
 
 from ..core.conftest import (
     account_table,
@@ -20,6 +20,15 @@ def run(coro):
     """Drive one coroutine to completion (the suite has no async
     plugin; each test owns a short-lived event loop)."""
     return asyncio.run(coro)
+
+
+async def framed_connection(port: int) -> protocol.FrameProtocol:
+    """A bare connection to a server: frames go out as written and
+    bodies come back undecoded, in order, from ``next_body()``."""
+    _, connection = await asyncio.get_running_loop().create_connection(
+        protocol.FrameProtocol, "127.0.0.1", port
+    )
+    return connection
 
 
 def build_cluster(

@@ -4,14 +4,23 @@ durable restart."""
 import asyncio
 import datetime
 import json
+import socket
 import struct
+import threading
 
 import pytest
 
-from repro.cluster import Cluster, ClusterClient, ShardOptions
+from repro.cluster import Cluster, ClusterClient, ShardOptions, protocol
 from repro.cluster.errors import ClusterError
 
-from .conftest import build_cluster, other_shard, run, seed_rows
+from .conftest import (
+    TENANTS,
+    build_cluster,
+    framed_connection,
+    other_shard,
+    run,
+    seed_rows,
+)
 
 
 class TestRouting:
@@ -185,14 +194,10 @@ class TestServer:
             server = mem_cluster.serve()
             await server.start()
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                writer.write(b"\xff\xff\xff\xffnonsense")
-                await writer.drain()
-                assert await reader.read() == b""  # dropped, no frame
-                writer.close()
-                await writer.wait_closed()
+                raw = await framed_connection(server.port)
+                raw.transport.write(b"\xff\xff\xff\xffnonsense")
+                assert await raw.next_body() is None  # dropped, no frame
+                raw.transport.close()
                 # The server is still healthy for framed clients.
                 client = ClusterClient("127.0.0.1", server.port)
                 await client.connect()
@@ -220,14 +225,10 @@ class TestServer:
             server = mem_cluster.serve()
             await server.start()
             try:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", server.port
-                )
-                writer.write(struct.pack(">I", len(body)) + body)
-                await writer.drain()
-                assert await reader.read() == b""  # dropped, no frame
-                writer.close()
-                await writer.wait_closed()
+                raw = await framed_connection(server.port)
+                raw.transport.write(struct.pack(">I", len(body)) + body)
+                assert await raw.next_body() is None  # dropped, no frame
+                raw.transport.close()
                 client = ClusterClient("127.0.0.1", server.port)
                 await client.connect()
                 assert await client.ping()
@@ -265,6 +266,194 @@ class TestServer:
                 assert counts == [5, 5, 5]
             finally:
                 await server.stop()
+
+        run(go())
+
+    def test_one_client_shared_by_concurrent_coroutines(self, mem_cluster):
+        """Responses are matched to requests in the order they were
+        sent: 30 coroutines on one client each get their own tenant's
+        rows, and the client still answers the next request right."""
+        names = {17: "Acme", 35: "Ball", 42: "Big"}
+        tenants = [TENANTS[i % len(TENANTS)] for i in range(30)]
+
+        async def go():
+            await seed_rows(mem_cluster)
+            server = mem_cluster.serve()
+            await server.start()
+            client = ClusterClient("127.0.0.1", server.port)
+            await client.connect()
+            try:
+                results = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(
+                            client.execute(t, "SELECT name FROM account")
+                            for t in tenants
+                        )
+                    ),
+                    timeout=10,
+                )
+                assert [r.rows for r in results] == [
+                    [(names[t],)] for t in tenants
+                ]
+                result = await client.execute(35, "SELECT name FROM account")
+                assert result.rows == [("Ball",)]
+            finally:
+                await client.close()
+                await server.stop()
+
+        run(go())
+
+
+class TestSlowAndVanishingClients:
+    """What asyncio streams gave the front door for free: bounded
+    buffering for a client that does not read, answers after a
+    half-close, and a clean end for a client that leaves mid-request."""
+
+    def test_unread_pipeline_is_bounded_then_answered_in_order(
+        self, mem_cluster
+    ):
+        count, pad = 5000, "x" * 200
+        requests = b"".join(
+            protocol.encode_frame(
+                {
+                    "op": "execute",
+                    "tenant_id": 17,
+                    "sql": "SELECT ? FROM account",
+                    "params": [f"{i}{pad}"],
+                }
+            )
+            for i in range(count)
+        )
+        bound = protocol.PAUSE_AT + protocol.INITIAL_BUFFER
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            await seed_rows(mem_cluster)
+            server = mem_cluster.serve()
+            await server.start()
+            client = await framed_connection(server.port)
+            client.transport.pause_reading()
+            try:
+                while not server._sessions:
+                    await asyncio.sleep(0.001)
+                (session,) = server._sessions
+                # A small kernel send buffer, so the front door's own
+                # buffering is what the client's silence runs into.
+                session.transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                )
+                client.transport.write(requests)
+                frames = mem_cluster.metrics.counter("cluster.server.frames")
+                peak, quiet, deadline = 0, 0, loop.time() + 10
+                while quiet < 200:  # until no frame is served for a while
+                    peak = max(peak, session.buffered)
+                    served = frames.value
+                    await asyncio.sleep(0)
+                    quiet = quiet + 1 if frames.value == served else 0
+                    assert loop.time() < deadline
+                assert peak <= bound, (peak, bound)
+                assert frames.value < count  # the client's reads throttle it
+                client.transport.resume_reading()
+                for i in range(count):
+                    response = protocol.decode_frame(await client.next_body())
+                    assert response["rows"] == [[f"{i}{pad}"]]
+            finally:
+                client.transport.close()
+                await server.stop()
+
+        run(go())
+
+    def test_frames_before_a_half_close_are_answered(self, mem_cluster):
+        async def go():
+            await seed_rows(mem_cluster)
+            server = mem_cluster.serve()
+            await server.start()
+            client = await framed_connection(server.port)
+            try:
+                for tenant in TENANTS:
+                    client.transport.write(
+                        protocol.encode_frame(
+                            {
+                                "op": "execute",
+                                "tenant_id": tenant,
+                                "sql": "SELECT name FROM account",
+                            }
+                        )
+                    )
+                client.transport.write_eof()
+                answers = [
+                    protocol.decode_frame(await client.next_body())["rows"]
+                    for _ in TENANTS
+                ]
+                assert answers == [[["Acme"]], [["Ball"]], [["Big"]]]
+                assert await client.next_body() is None
+            finally:
+                client.transport.close()
+                await server.stop()
+
+        run(go())
+
+    def test_client_gone_while_its_insert_is_queued(self, mem_cluster):
+        """The INSERT commits, its answer has nowhere to go, nothing
+        reaches the loop's exception handler, and other connections are
+        served as before."""
+        shard = mem_cluster.shards[mem_cluster.shard_of(17)]
+        holding, release = threading.Event(), threading.Event()
+        queued: list = []
+        submit = shard.pool.submit
+
+        def counting(fn, *args, **kwargs):
+            queued.append(fn)
+            return submit(fn, *args, **kwargs)
+
+        def park():
+            holding.set()
+            assert release.wait(10)
+
+        async def go():
+            unhandled: list[dict] = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(
+                lambda loop, context: unhandled.append(context)
+            )
+            await seed_rows(mem_cluster)
+            server = mem_cluster.serve()
+            await server.start()
+            other = ClusterClient("127.0.0.1", server.port)
+            await other.connect()
+            shard.pool.submit = counting
+            parked = asyncio.ensure_future(shard.submit(park))
+            try:
+                while not holding.is_set():
+                    await asyncio.sleep(0.001)
+                gone = await framed_connection(server.port)
+                gone.transport.write(
+                    protocol.encode_frame(
+                        {
+                            "op": "insert",
+                            "tenant_id": 17,
+                            "table": "account",
+                            "values": {"aid": 7, "name": "Gone"},
+                        }
+                    )
+                )
+                while len(queued) < 2:  # the park, then the insert
+                    await asyncio.sleep(0.001)
+                gone.transport.close()
+                await asyncio.sleep(0.01)
+            finally:
+                release.set()
+                await parked
+            try:
+                for _ in range(3):
+                    result = await other.execute(
+                        17, "SELECT name FROM account WHERE aid = 7"
+                    )
+                    assert result.rows == [("Gone",)]
+            finally:
+                await other.close()
+                await server.stop()
+            assert unhandled == []
 
         run(go())
 

@@ -14,7 +14,7 @@ from repro.cluster import ClusterClient, protocol
 from repro.cluster.errors import ShardClosedError
 from repro.engine.errors import PlanError
 
-from .conftest import TENANTS, observe_jobs, run, seed_rows
+from .conftest import TENANTS, framed_connection, observe_jobs, run, seed_rows
 
 SELECT = "SELECT aid FROM account ORDER BY aid"
 
@@ -170,18 +170,16 @@ class TestFairness:
             await server.start()
             b = ClusterClient("127.0.0.1", server.port)
             await b.connect()
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
+            a = await framed_connection(server.port)
             try:
-                writer.write(request * frames)
-                await writer.drain()
+                a.transport.write(request * frames)
                 assert (await b.execute(17, SELECT)).rows == [(1,)]
                 served = mem_cluster.metrics.value("cluster.server.frames")
                 for _ in range(frames):
-                    assert (await protocol.read_frame(reader))["ok"]
+                    body = await a.next_body()
+                    assert protocol.decode_frame(body)["ok"]
             finally:
-                writer.close()
+                a.transport.close()
                 await b.close()
                 await server.stop()
             assert served < frames
