@@ -217,11 +217,11 @@ class TestRecoveryBench:
             assert info["checkpoint_restored"]
 
     def test_update_logs_its_set_list_not_the_row(self, update_sweep):
-        """Bytes only — never milliseconds: a third of the full-image
+        """Bytes only — never milliseconds: a sixth of the full-image
         record at most, and every logged UPDATE replays to the state
         the crash interrupted."""
         for log_length, info in update_sweep:
-            assert info["bytes_per_update"] <= FULL_IMAGE_UPDATE_BYTES / 3
+            assert info["bytes_per_update"] <= FULL_IMAGE_UPDATE_BYTES / 6
             assert info["records_replayed"] == log_length
             assert info["recovered"]
 

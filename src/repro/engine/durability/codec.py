@@ -1,11 +1,21 @@
 """CRC-framed record serialization shared by the WAL and page store.
 
-Records are pickled Python objects wrapped in a ``[length][crc32]``
-frame.  Readers validate length and checksum and treat the first bad
-frame as the end of the durable log — a torn tail from a crash mid
-write is silently discarded, matching standard WAL semantics.
+Every record is wrapped in a ``[length][crc32]`` frame.  Readers
+validate length and checksum and treat the first bad frame as the end
+of the durable log — a torn tail from a crash mid write is silently
+discarded, matching standard WAL semantics.  A frame that passes its
+checksum but does not decode is refused, not taken for a tail.
 
-A frame may carry raw bytes ahead of its pickle, inside the checksum
+A payload's first byte tells its two kinds apart.  The five records
+the write path emits per row change and per transaction — ``ins``,
+``del``, ``upd``, ``commit``, ``rollback`` — are fixed-shape
+(:func:`encode_log_frame`): a kind byte below ``0x80``, the tx id, the
+admin-operation id if any, the table name, the RID as packed integers,
+``new_rid`` only if the row moved, and each value behind a one-byte
+type tag, so they decode type-exact without pickle.  Every other
+record (checkpoints, DDL, admin brackets, page images) is a pickle,
+whose protocol-4 ``PROTO`` opcode is ``0x80``.  A page-store frame may
+carry raw bytes ahead of its pickle, inside the checksum
 (``encode_frame(record, head)``): :func:`read_frame` hands them to a
 reader without unpickling, :func:`decode_record` unpickles the rest.
 
@@ -17,6 +27,7 @@ instead of failing at its first read, in the middle of a query.
 
 from __future__ import annotations
 
+import datetime
 import pickle
 import struct
 import zlib
@@ -65,35 +76,184 @@ def has_head(path: str, data: bytes, head: bytes) -> bool:
 def encode_frame(record: object, head: bytes = b"") -> bytes:
     """Serialize one record, behind ``head``, into a self-checking
     frame."""
-    payload = head + pickle.dumps(record, protocol=_PROTOCOL)
+    return _frame(head + pickle.dumps(record, protocol=_PROTOCOL))
+
+
+def _frame(payload: bytes) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
+# -- fixed-shape log records ------------------------------------------------
+
+#: Kind codes: a fixed-shape payload's low three bits.  Flag bits above
+#: them stay below a pickle's first byte.
+_KIND_NAME = dict(enumerate(("ins", "del", "upd", "commit", "rollback"), 1))
+_KIND_CODE = {kind: code for code, kind in _KIND_NAME.items()}
+_ADMIN, _MOVED, _PICKLED = 0x08, 0x10, 0x80
+_KIND_TX = struct.Struct("<BI")
+_U32, _U16 = struct.Struct("<I"), struct.Struct("<H")
+_RID = struct.Struct("<IH")  # page id, slot
+
+#: Value tags.  A tag with a fixed-width field packs with it: an int, a
+#: float, a date's ordinal, a str's or a big int's byte length.
+_NULL, _FALSE, _TRUE, _INT, _BIG_INT, _FLOAT, _STR, _DATE = range(8)
+_TAG_INT = struct.Struct("<Bq")
+_TAG_FLOAT = struct.Struct("<Bd")
+_TAG_U32 = struct.Struct("<BI")
+_TAGGED = {_INT: _TAG_INT, _FLOAT: _TAG_FLOAT}
+_TAGGED.update(dict.fromkeys((_BIG_INT, _STR, _DATE), _TAG_U32))
+_INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
+
+
+def encode_log_frame(record: dict) -> bytes:
+    """One WAL record in its frame: fixed-shape for a row change or a
+    transaction terminal, a pickle for any other kind.  A field outside
+    its packed width raises :class:`EngineError`; nothing wraps."""
+    code = _KIND_CODE.get(record["t"])
+    if code is None:
+        return encode_frame(record)
+    rid = record.get("rid")
+    if record.get("new_rid", rid) != rid:
+        code |= _MOVED
+    admin = record.get("admin")
+    try:
+        if admin is None:
+            out = bytearray(_KIND_TX.pack(code, record["tx"]))
+        else:
+            out = bytearray(_KIND_TX.pack(code | _ADMIN, record["tx"]))
+            out += _U32.pack(admin)
+        if rid is None:
+            return _frame(out)  # a terminal
+        name = record["table"].encode("utf-8", "surrogatepass")
+        out += _U16.pack(len(name)) + name + _RID.pack(*rid)
+        if code & _MOVED:
+            out += _RID.pack(*record["new_rid"])
+        if "row" in record:
+            out += _U16.pack(len(record["row"]))
+            _put_values(out, record["row"])
+        elif "set" in record:
+            cells = record["set"]
+            out += struct.pack(f"<{len(cells) + 1}H", len(cells), *cells)
+            _put_values(out, cells.values())
+    except struct.error as exc:
+        raise EngineError(
+            f"WAL {record['t']} record: a field outside its width ({exc})"
+        ) from None
+    return _frame(out)
+
+
+def _put_values(out: bytearray, values) -> None:
+    for value in values:
+        kind = type(value)
+        if kind is str:
+            data = value.encode("utf-8", "surrogatepass")
+            out += _TAG_U32.pack(_STR, len(data)) + data
+        elif kind is int and _INT_MIN <= value <= _INT_MAX:
+            out += _TAG_INT.pack(_INT, value)
+        elif value is None:
+            out.append(_NULL)
+        elif kind is bool:
+            out.append(_TRUE if value else _FALSE)
+        elif kind is float:
+            out += _TAG_FLOAT.pack(_FLOAT, value)
+        elif kind is datetime.date:
+            out += _TAG_U32.pack(_DATE, value.toordinal())
+        elif kind is int:
+            data = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
+            out += _TAG_U32.pack(_BIG_INT, len(data)) + data
+        else:
+            raise EngineError(f"the WAL cannot log a {kind.__name__} value")
+
+
+def _decode_fixed(payload: bytes) -> dict:
+    at = 0
+
+    def take(layout: struct.Struct) -> tuple:
+        nonlocal at
+        at += layout.size
+        return layout.unpack_from(payload, at - layout.size)
+
+    def take_bytes(length: int) -> bytes:
+        nonlocal at
+        at += length
+        if at > len(payload):
+            raise ValueError("a field runs past the record's end")
+        return payload[at - length : at]
+
+    def take_values(count: int) -> list:
+        values = []
+        for _ in range(count):
+            layout = _TAGGED.get(payload[at])
+            if layout is None:
+                values.append((None, False, True)[take_bytes(1)[0]])
+                continue
+            tag, value = take(layout)
+            if tag == _DATE:
+                value = datetime.date.fromordinal(value)
+            elif tag == _STR:
+                value = take_bytes(value).decode("utf-8", "surrogatepass")
+            elif tag == _BIG_INT:
+                value = int.from_bytes(take_bytes(value), "little", signed=True)
+            values.append(value)
+        return values
+
+    code, tx = take(_KIND_TX)
+    kind = _KIND_NAME[code & 0x07]
+    if code & ~(0x07 | _ADMIN | _MOVED) or (code & _MOVED and kind != "upd"):
+        raise ValueError(f"unknown kind byte {code:#x}")
+    record: dict = {"t": kind, "tx": tx}
+    if code & _ADMIN:
+        (record["admin"],) = take(_U32)
+    if kind in ("ins", "del", "upd"):
+        record["table"] = take_bytes(*take(_U16)).decode("utf-8", "surrogatepass")
+        record["rid"] = take(_RID)
+    if kind == "ins":
+        record["row"] = tuple(take_values(*take(_U16)))
+    elif kind == "upd":
+        record["new_rid"] = take(_RID) if code & _MOVED else record["rid"]
+        (count,) = take(_U16)
+        positions = take(struct.Struct(f"<{count}H"))
+        record["set"] = dict(zip(positions, take_values(count)))
+    if at != len(payload):
+        raise ValueError(f"{len(payload) - at} bytes past the record's end")
+    return record
+
+
 def decode_frames(
-    data: bytes, offset: int = 0
-) -> Iterator[tuple[int, object]]:
-    """Yield ``(offset, record)`` for each valid frame in ``data`` from
-    ``offset`` on.
+    data: bytes, offset: int = 0, path: str = "log"
+) -> Iterator[tuple[int, int, object]]:
+    """Yield ``(offset, end, record)`` for each valid frame in ``data``
+    from ``offset`` on; ``end`` is the offset past the frame.
 
     Stops at the first torn or corrupt frame: a crash mid-append leaves
     a short or checksum-failing tail, which is simply not part of the
-    durable log.
+    durable log; so is a zero-length frame, since an all-zero header
+    passes ``crc32(b"") == 0``.  A frame that passes its checksum but
+    does not decode raises :class:`EngineError` naming ``path`` and its
+    offset: what follows it may be committed.
     """
     total = len(data)
     while offset + HEADER_SIZE <= total:
         length, crc = _HEADER.unpack_from(data, offset)
         start = offset + HEADER_SIZE
         end = start + length
-        if end > total:
-            return  # torn tail
+        if length == 0 or end > total:
+            return  # end of log, or a torn tail
         payload = data[start:end]
         if zlib.crc32(payload) != crc:
             return  # corrupt frame: stop, do not resynchronize
         try:
-            record = pickle.loads(payload)
-        except Exception:
-            return
-        yield offset, record
+            if payload[0] == _PICKLED:
+                record = pickle.loads(payload)
+            else:
+                record = _decode_fixed(payload)
+        # Unpickling bytes pickle did not write raises almost anything.
+        except Exception as exc:
+            raise EngineError(
+                f"{path}: the frame at offset {offset} passes its checksum "
+                f"but does not decode ({exc!r})"
+            ) from exc
+        yield offset, end, record
         offset = end
 
 

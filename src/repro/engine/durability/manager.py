@@ -144,19 +144,13 @@ class DurabilityManager:
             self.sanitizer.on_wal_row_record()
         return self.wal.append(record)
 
-    def log_commit(self, txid: int) -> None:
+    def log_terminal(self, kind: str, txid: int) -> None:
+        """Append a transaction's ``commit`` or ``rollback`` record."""
         if self.replaying:
             return
-        self.faults.crashpoint("txn.commit")
-        record: dict = {"t": "commit", "tx": txid}
-        if self._active_admin is not None:
-            record["admin"] = self._active_admin
-        self.wal.commit_append(record)
-
-    def log_rollback(self, txid: int) -> None:
-        if self.replaying:
-            return
-        record: dict = {"t": "rollback", "tx": txid}
+        if kind == "commit":
+            self.faults.crashpoint("txn.commit")
+        record: dict = {"t": kind, "tx": txid}
         if self._active_admin is not None:
             record["admin"] = self._active_admin
         self.wal.commit_append(record)
@@ -341,8 +335,7 @@ def restore_snapshot(db, snapshot: dict) -> dict | None:
 
     catalog = db.catalog
     for entry in snapshot["tables"]:
-        # Snapshots from before the columnar format carry no storage key.
-        if entry.get("storage", "heap") == "columnar":
+        if entry["storage"] == "columnar":
             heap: HeapFile = ColumnStore(
                 db.pool,
                 entry["segment"],

@@ -22,10 +22,12 @@ Opening a disk-backed database runs :func:`recover`:
    Row records carry what redo reads and no before-image: an ``ins``
    its full row, a ``del`` its RID, an ``upd`` the columns its SET list
    assigned (``set``, ``{position: value}``; a compensation ``upd``
-   carries the same positions with their before-values).  Redo of an
-   ``upd`` fetches the row at the remapped RID — from the checkpoint's
-   page image or from earlier redo — patches ``set`` in and rewrites
-   it.  Before-images exist only where undo reads them: the in-memory
+   carries the same positions with their before-values) and its
+   ``new_rid``.  All three, and the terminals, are fixed-shape binary
+   payloads (:mod:`codec`) that decode type-exact into these dicts.
+   Redo of an ``upd`` fetches the row at the remapped RID — from the
+   checkpoint's page image or from earlier redo — patches ``set`` in
+   and rewrites it.  Before-images exist only where undo reads them: the in-memory
    undo log and the fuzzy checkpoint's snapshot of it (step 3).
 
 Replay is logical, so a replayed insert may land at a different
@@ -196,10 +198,7 @@ def _replay_ddl(db, record: dict) -> None:
             Column(name, parse_type(type_text), not_null)
             for name, type_text, not_null in record["columns"]
         ]
-        # Older WALs predate the storage field; default is heap.
-        catalog.create_table(
-            record["table"], columns, storage=record.get("storage")
-        )
+        catalog.create_table(record["table"], columns, storage=record["storage"])
     elif op == "drop_table":
         catalog.drop_table(record["table"])
     elif op == "create_index":

@@ -3,9 +3,12 @@
 One append-only file of CRC-framed records (see :mod:`codec`) behind a
 16-byte head: magic ``RPWL`` + format version (:data:`HEAD`; an open
 refuses a file without it, or at another version, by name), then
-``base_lsn`` (u64).  A record's LSN is ``base_lsn`` plus the byte
-offset of its frame, so LSNs stay monotonic across checkpoint
-truncations (the new file starts where the old LSN space ended).
+``base_lsn`` (u64).  Format version 2 logs row changes and transaction
+terminals as fixed-shape binary records and every other record as a
+pickle; version 1 pickled them all, and is refused, not converted.  A
+record's LSN is ``base_lsn`` plus the byte offset of its frame, so LSNs
+stay monotonic across checkpoint truncations (the new file starts where
+the old LSN space ended).
 
 Appends are buffered in process — a crash loses everything since the
 last flush, which is exactly the power-loss model the recovery tests
@@ -27,13 +30,14 @@ import struct
 from dataclasses import dataclass
 
 from ..observability.metrics import CounterSet, MetricsRegistry
-from .codec import decode_frames, encode_frame, file_head, has_head
+from .codec import decode_frames, encode_log_frame, file_head, has_head
 from .faults import FaultInjector, SimulatedCrash
 
-#: The log's first bytes: magic + format version.  Version 1 is the
-#: first with a head; before it the file began with a pickled header
-#: record.
-HEAD = file_head(b"RPWL", 1)
+#: The log's first bytes: magic + format version.  Version 2 writes
+#: fixed-shape row and terminal records; version 1, the first with a
+#: head, pickled every record; before it the file began with a pickled
+#: header record.
+HEAD = file_head(b"RPWL", 2)
 
 #: What follows the head: the LSN of the file's byte 0.
 _BASE_LSN = struct.Struct("<Q")
@@ -93,10 +97,12 @@ class WriteAheadLog:
     def open(self) -> list[tuple[int, dict]]:
         """Open (creating if absent) and return the durable records as
         ``(lsn, record)`` pairs.  A torn tail is truncated away so
-        subsequent appends extend a valid log."""
+        subsequent appends extend a valid log; a frame that passes its
+        checksum but does not decode raises, leaving the file as it
+        was."""
         existed = os.path.exists(self.path)
         records: list[tuple[int, dict]] = []
-        valid_end = HEAD_SIZE
+        valid_end = anchor = HEAD_SIZE
         if existed:
             with open(self.path, "rb") as fh:
                 data = fh.read()
@@ -107,25 +113,18 @@ class WriteAheadLog:
             )
         if existed:
             (self.base_lsn,) = _BASE_LSN.unpack_from(data, len(HEAD))
-            for offset, record in decode_frames(data, HEAD_SIZE):
+            for offset, end, record in decode_frames(data, HEAD_SIZE, self.path):
                 records.append((self.base_lsn + offset, record))
-            if records:
-                last_lsn, last_record = records[-1]
-                valid_end = (
-                    last_lsn - self.base_lsn + len(encode_frame(last_record))
-                )
+                valid_end = end
+                # Auto-checkpoint volume counts from past a checkpoint head.
+                if offset == HEAD_SIZE and record.get("t") == "checkpoint":
+                    anchor = end
         self._file = open(self.path, "r+b" if existed else "w+b")
         if existed:
             if valid_end < len(data):
                 self._file.truncate(valid_end)
             self._file.seek(valid_end)
             self._durable = self._appended = valid_end
-            # Anchor past the checkpoint head if the log starts with one
-            # (it is always the first record).
-            ends = [lsn - self.base_lsn for lsn, _ in records] + [valid_end]
-            anchor = ends[0]
-            if records and records[0][1].get("t") == "checkpoint":
-                anchor = ends[1]
             self._checkpoint_anchor = anchor
         else:
             head = HEAD + _BASE_LSN.pack(0)
@@ -158,7 +157,7 @@ class WriteAheadLog:
     def append(self, record: dict) -> int:
         """Buffer one record; returns its LSN.  Not yet durable."""
         lsn = self.base_lsn + self._appended
-        frame = encode_frame(record)
+        frame = encode_log_frame(record)
         self._pending += frame
         self._appended += len(frame)
         self.stats.records += 1
@@ -223,7 +222,7 @@ class WriteAheadLog:
         self.flush()
         new_base = self.end_lsn
         header = HEAD + _BASE_LSN.pack(new_base)
-        body = encode_frame(checkpoint_record)
+        body = encode_log_frame(checkpoint_record)
         tmp = self.path + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(header + body)

@@ -95,7 +95,7 @@ class TransactionManager:
         if not self.active:
             raise EngineError("no open transaction to commit")
         self._log = None
-        self._emit_commit()
+        self._emit_terminal("commit")
         self._c_committed.inc()
         if self.sanitizer is not None:
             self.sanitizer.on_statement_end()
@@ -146,7 +146,7 @@ class TransactionManager:
                     new_rid=restored,
                     set={p: entry.old_row[p] for p in entry.positions},
                 )
-        self._emit_rollback()
+        self._emit_terminal("rollback")
         if self.sanitizer is not None:
             self.sanitizer.on_statement_end()
 
@@ -155,7 +155,7 @@ class TransactionManager:
         transaction, if one logged anything."""
         if self.active:
             return  # inside an explicit transaction: nothing ends yet
-        self._emit_commit()
+        self._emit_terminal("commit")
         if self.sanitizer is not None:
             self.sanitizer.on_statement_end()
 
@@ -230,14 +230,9 @@ class TransactionManager:
             {"t": kind, "tx": self._txid, "table": table.name, **fields}
         )
 
-    def _emit_commit(self) -> None:
+    def _emit_terminal(self, kind: str) -> None:
         if self._txid is not None:
-            self._durability.log_commit(self._txid)
-            self._txid = None
-
-    def _emit_rollback(self) -> None:
-        if self._txid is not None:
-            self._durability.log_rollback(self._txid)
+            self._durability.log_terminal(kind, self._txid)
             self._txid = None
 
     # -- checkpoint support ------------------------------------------------

@@ -694,10 +694,29 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"wal\.log: found no format head, "
-            r"expected RPWL format version 1",
+            r"expected RPWL format version 2",
         ):
             Database(path=str(tmp_path))
         assert log.read_bytes() == previous_format_wal()
+
+    def test_wal_of_version_1_is_refused_naming_both_versions(self, tmp_path):
+        """Version 1 pickled every record; its log is refused, not
+        converted."""
+        log = tmp_path / WAL_FILENAME
+        version_1 = (
+            codec.file_head(b"RPWL", 1)
+            + struct.pack("<Q", 0)
+            + codec.encode_frame({"t": "ddl", "op": "drop_table", "table": "t"})
+            + codec.encode_frame({"t": "commit", "tx": 1})
+        )
+        log.write_bytes(version_1)
+        with pytest.raises(
+            EngineError,
+            match=r"wal\.log: found format version 1, "
+            r"expected RPWL format version 2",
+        ):
+            Database(path=str(tmp_path))
+        assert log.read_bytes() == version_1
 
     @pytest.mark.parametrize("which", ["pages", "wal"])
     def test_another_version_is_refused_naming_both_versions(
@@ -711,13 +730,16 @@ class TestFormatHead:
         else:
             target, head = tmp_path / WAL_FILENAME, wal.HEAD
         data = target.read_bytes()
-        newer = head[:4] + struct.pack("<I", 2) + data[len(head) :]
-        target.write_bytes(newer)
+        (version,) = struct.unpack_from("<I", head, 4)
+        other = head[:4] + struct.pack("<I", version + 1) + data[len(head) :]
+        target.write_bytes(other)
         with pytest.raises(
-            EngineError, match=r"found format version 2, expected .* version 1"
+            EngineError,
+            match=rf"found format version {version + 1}, "
+            rf"expected .* version {version}",
         ):
             Database(path=str(tmp_path))
-        assert target.read_bytes() == newer
+        assert target.read_bytes() == other
 
     def test_a_head_a_crash_cut_short_opens_as_a_new_file(self, tmp_path):
         """Creation writes the head first; a crash inside it leaves a

@@ -11,11 +11,17 @@ in-flight operation vanished without a trace — for all seven layouts.
 from __future__ import annotations
 
 import datetime
+import math
 import os
 import pickle
 import random
+import shutil
+import struct
+import tempfile
+import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     Extension,
@@ -29,8 +35,21 @@ from repro.engine.durability import (
     DurabilityOptions,
     FaultInjector,
     SimulatedCrash,
+    WriteAheadLog,
 )
-from repro.engine.errors import CatalogError, NotNullViolation, UniqueViolation
+from repro.engine.durability.codec import (
+    HEADER_SIZE,
+    decode_frames,
+    encode_log_frame,
+)
+from repro.engine.durability.manager import WAL_FILENAME
+from repro.engine.durability.wal import HEAD_SIZE
+from repro.engine.errors import (
+    CatalogError,
+    EngineError,
+    NotNullViolation,
+    UniqueViolation,
+)
 from repro.engine.sql.parser import parse_statement
 from repro.engine.values import INTEGER, varchar
 
@@ -347,14 +366,13 @@ class TestWalMetrics:
 
 
 def _log_records(db: Database) -> list[dict]:
-    """The durable WAL records of a live database."""
-    from repro.engine.durability.codec import decode_frames
-    from repro.engine.durability.wal import HEAD_SIZE
-
+    """The durable WAL records of a live database, through the decoder
+    the WAL's open reads them with."""
     db.durability.wal.flush()
-    with open(db.durability.wal.path, "rb") as fh:
+    path = db.durability.wal.path
+    with open(path, "rb") as fh:
         data = fh.read()
-    return [record for _offset, record in decode_frames(data, HEAD_SIZE)]
+    return [record for _offset, _end, record in decode_frames(data, HEAD_SIZE, path)]
 
 
 def _all_rows(db: Database, table: str = "t") -> list[tuple]:
@@ -434,8 +452,8 @@ class TestRowRecords:
 
     @staticmethod
     def _upd_bytes(path, columns: int) -> int:
-        from repro.engine.durability.codec import encode_frame
-
+        """What the WAL writes for a one-column UPDATE: its ``upd``
+        record and the commit terminal."""
         db = build(path)
         names = [f"c{i}" for i in range(1, columns)]
         db.execute(
@@ -448,16 +466,35 @@ class TestRowRecords:
             f"INSERT INTO w VALUES (1{', ?' * len(names)})",
             [f"value-{n}" for n in names],
         )
+        before = db.wal_stats.bytes_written
         db.execute("UPDATE w SET c3 = 'changed' WHERE id = 1")
+        written = db.wal_stats.bytes_written - before
         (upd,) = [r for r in _log_records(db) if r["t"] == "upd"]
         assert upd["set"] == {3: "changed"}
         db.close()
-        return len(encode_frame(upd))
+        return written
 
     def test_update_record_size_does_not_follow_row_width(self, tmp_path):
         narrow = self._upd_bytes(tmp_path / "narrow", 10)
         wide = self._upd_bytes(tmp_path / "wide", 60)
         assert abs(wide - narrow) <= 4, (narrow, wide)
+
+    def test_one_integer_update_and_its_commit_are_small(self, tmp_path):
+        """Framed sizes as the WAL writes them: a one-INTEGER ``upd``
+        at most 48 bytes, a ``commit`` at most 16."""
+        db = build(tmp_path)
+        db.execute("CREATE TABLE campaign (id INTEGER NOT NULL, n INTEGER)")
+        db.execute("INSERT INTO campaign VALUES (1, 0)")
+        db.transactions.begin()
+        db.execute("UPDATE campaign SET n = 7 WHERE id = 1")
+        before = db.wal_stats.bytes_written
+        db.durability.wal.flush()
+        upd = db.wal_stats.bytes_written - before
+        db.transactions.commit()
+        commit = db.wal_stats.bytes_written - before - upd
+        assert [r["t"] for r in _log_records(db)[-2:]] == ["upd", "commit"]
+        assert upd <= 48 and commit <= 16, (upd, commit)
+        db.close()
 
     def test_no_update_or_delete_record_carries_a_row_image(self, tmp_path):
         db = build(tmp_path)
@@ -526,6 +563,223 @@ class TestRowRecords:
         assert db2.execute("SELECT name FROM t WHERE id = 6").scalar() == "after"
         db2.close()
 
+
+#: Values at the edges of each column type the fixed-shape log records
+#: carry: each must come back as the same type and value.
+EDGE_VALUES = {
+    "b": [True, False],
+    "i": [0, 1, -1, 2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**200, -(2**200)],
+    "f": [1.0, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.8e308],
+    "s": ["", "\ud800", "a\udfffz", "\U0001f600", "x" * 300],
+    "d": [datetime.date.min, datetime.date.max],
+}
+COLUMN_VALUES = {
+    "b": st.booleans(),
+    "i": st.integers(),
+    "f": st.floats(),
+    "s": st.text(max_size=40),
+    "d": st.dates(),
+}
+TYPED_ROW = st.fixed_dictionaries(
+    {
+        column: st.one_of(st.none(), st.sampled_from(EDGE_VALUES[column]), values)
+        for column, values in COLUMN_VALUES.items()
+    }
+)
+
+
+def _cells(rows: list[tuple]) -> list[tuple]:
+    """Rows as (type, repr) per cell: ``True`` is not ``1``, ``-0.0`` is
+    not ``0.0`` and NaN equals NaN."""
+    return [tuple((type(v), repr(v)) for v in row) for row in rows]
+
+
+def _frame(payload: bytes) -> bytes:
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+class TestLogFormat:
+    """Row changes and transaction terminals are fixed-shape binary
+    records; everything else stays a pickle."""
+
+    ROW = {"table": "t", "rid": (4, 2)}
+    RECORDS = [
+        {"t": "ins", "tx": 3, **ROW, "row": (1, "a", None)},
+        {"t": "upd", "tx": 3, **ROW, "new_rid": (4, 2), "set": {1: "b"}},
+        {"t": "upd", "tx": 3, **ROW, "new_rid": (9, 0), "set": {0: 2, 2: 1.5}},
+        {"t": "del", "tx": 3, "table": "t", "rid": (9, 0)},
+        {"t": "commit", "tx": 3},
+        {"t": "ins", "tx": 4, **ROW, "row": (True,), "admin": 7},
+        {"t": "upd", "tx": 4, **ROW, "new_rid": (4, 2), "set": {}, "admin": 7},
+        {"t": "rollback", "tx": 4, "admin": 7},
+    ]
+
+    def test_row_and_terminal_records_run_no_pickle(self, monkeypatch):
+        from repro.engine.durability import codec
+
+        class NoPickle:
+            def dumps(self, *args, **kwargs):
+                raise AssertionError("pickled a fixed-shape record")
+
+            loads = dumps
+
+        monkeypatch.setattr(codec, "pickle", NoPickle())
+        row = tuple(v for values in EDGE_VALUES.values() for v in values)
+        records = self.RECORDS + [
+            {"t": "ins", "tx": 5, "table": "t", "rid": (1, 0), "row": row}
+        ]
+        data = b"".join(encode_log_frame(r) for r in records)
+        decoded = [r for _offset, _end, r in decode_frames(data)]
+        assert decoded[:-1] == self.RECORDS
+        assert _cells([decoded[-1]["row"]]) == _cells([row])
+
+    def test_row_records_in_an_admin_bracket_keep_the_fixed_shape(self, tmp_path):
+        db = build(tmp_path)
+        seed_rows(db)
+        with db.durability.admin_operation("grant", {"granted": 1}):
+            db.execute("UPDATE t SET name = 'in-op' WHERE id = 1")
+            db.execute("INSERT INTO t VALUES (50, 'in-op')")
+        db.durability.wal.flush()
+        data = open(db.durability.wal.path, "rb").read()
+        kinds = {}
+        for offset, _end, record in decode_frames(data, HEAD_SIZE):
+            pickled = data[offset + HEADER_SIZE] == 0x80
+            kinds[record["t"], "admin" in record] = pickled
+        assert kinds == {
+            ("checkpoint", False): True,
+            ("ddl", False): True,
+            ("ins", False): False,
+            ("commit", False): False,
+            ("admin_begin", False): True,
+            ("upd", True): False,
+            ("ins", True): False,
+            ("commit", True): False,
+            ("admin_end", False): True,
+        }
+        db.close()
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"tx": 2**32},
+            {"admin": 2**32},
+            {"rid": (2**32, 0), "new_rid": (2**32, 0)},
+            {"rid": (1, 2**16), "new_rid": (1, 2**16)},
+            {"set": {2**16: 1}},
+        ],
+        ids=["tx", "admin", "page", "slot", "position"],
+    )
+    def test_a_field_outside_its_width_raises_at_append(self, tmp_path, field):
+        db = build(tmp_path)
+        wal = db.durability.wal
+        end = wal.end_lsn
+        record = {"t": "upd", "tx": 1, **self.ROW, "new_rid": (4, 2), "set": {0: 1}}
+        with pytest.raises(EngineError, match="outside its width"):
+            wal.append({**record, **field})
+        assert wal.end_lsn == end
+        db.close()
+
+    @pytest.mark.parametrize(
+        "garbage",
+        [b"\x01\x00", b"\x41garbage", b"\x80garbage"],
+        ids=["short", "kind", "pickle"],
+    )
+    def test_a_checksummed_frame_that_does_not_decode_is_refused(
+        self, tmp_path, garbage
+    ):
+        """Committed insert, CRC-valid garbage, committed insert: the
+        open refuses the log by offset and leaves it as it was — it
+        does not truncate the committed insert after the garbage."""
+        db = build(tmp_path)
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        db.execute("INSERT INTO t VALUES (2)")
+        db.durability.wal.flush()
+        del db
+        log = tmp_path / WAL_FILENAME
+        data = log.read_bytes()
+        (second, *_) = [
+            offset
+            for offset, _end, record in decode_frames(data, HEAD_SIZE)
+            if record["t"] == "ins" and record["row"] == (2,)
+        ]
+        spliced = data[:second] + _frame(garbage) + data[second:]
+        log.write_bytes(spliced)
+        refused = rf"wal\.log: the frame at offset {second} "
+        with pytest.raises(EngineError, match=refused):
+            build(tmp_path)
+        assert log.read_bytes() == spliced
+
+    def test_a_zero_length_frame_ends_the_log(self, tmp_path):
+        db = build(tmp_path)
+        seed_rows(db)
+        db.durability.wal.flush()
+        del db
+        log = tmp_path / WAL_FILENAME
+        log.write_bytes(log.read_bytes() + bytes(64))
+        db2 = build(tmp_path)
+        assert ids(db2) == list(range(8))
+        db2.close()
+
+    @pytest.mark.parametrize("last", ["row", "admin"])
+    def test_reopen_append_reopen_keeps_every_record_once(self, tmp_path, last):
+        """The open finds where the log ends from the frames it read,
+        whichever encoding the last one has."""
+        path = str(tmp_path / WAL_FILENAME)
+        records = list(self.RECORDS)
+        if last == "admin":
+            records.append({"t": "admin_end", "id": 7, "end": {"tenants": [1]}})
+        wal = WriteAheadLog(path)
+        wal.open()
+        for record in records:
+            wal.append(record)
+        wal.close()
+        size = os.path.getsize(path)
+        extra = {"t": "del", "tx": 8, "table": "t", "rid": (4, 3)}
+        for expected in (records, records + [extra]):
+            wal = WriteAheadLog(path)
+            assert [r for _lsn, r in wal.open()] == expected
+            assert wal.end_lsn == os.path.getsize(path)
+            wal.append(extra)
+            wal.close()
+        assert os.path.getsize(path) == size + 2 * len(encode_log_frame(extra))
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rows=st.lists(TYPED_ROW, min_size=1, max_size=4),
+        updates=st.lists(TYPED_ROW, max_size=4),
+    )
+    def test_values_of_every_type_recover_type_exact(self, storage, rows, updates):
+        directory = tempfile.mkdtemp(prefix="repro-typed-")
+        try:
+            db = build(directory)
+            db.execute(
+                "CREATE TABLE v (id INTEGER NOT NULL, b BOOLEAN, i BIGINT, "
+                "f DOUBLE, s VARCHAR(400), d DATE)"
+                + (" USING columnar" if storage == "columnar" else "")
+            )
+            for k, row in enumerate(rows):
+                db.execute(
+                    "INSERT INTO v VALUES (?, ?, ?, ?, ?, ?)",
+                    [k] + [row[column] for column in COLUMN_VALUES],
+                )
+            for k, row in enumerate(updates):
+                # Each UPDATE assigns a different subset of the columns.
+                assigned = [(column, row[column]) for column in COLUMN_VALUES]
+                assigned = assigned[k % 5 :]
+                db.execute(
+                    "UPDATE v SET "
+                    + ", ".join(f"{column} = ?" for column, _ in assigned)
+                    + " WHERE id = ?",
+                    [value for _, value in assigned] + [k % len(rows)],
+                )
+            live = _cells(db.execute("SELECT * FROM v ORDER BY id").rows)
+            db2 = _crash_and_reopen(db, directory)
+            assert _cells(db2.execute("SELECT * FROM v ORDER BY id").rows) == live
+            db2.close()
+        finally:
+            shutil.rmtree(directory, ignore_errors=True)
 
 def _consistent_rows(db: Database, table: str = "t") -> list[tuple]:
     """The table's rows, after checking every index holds exactly the
