@@ -12,6 +12,13 @@ table.  Its record carries the assigned column, not the row, so its
 bytes are gated against the two-full-image record it replaced; redo
 then has to fetch the row it patches, and the report shows that cost
 (heap fetches and milliseconds during recovery) beside the bytes.
+
+The admin-record section charts the schema-mapping layer's durable
+state: every administrative call logs it whole, so one more tenant's
+``create_tenant`` is weighed once with the other tenants empty and once
+with a row in each of their ten CRM tables.  Row ids are derived from
+the stored rows, not logged, so the two must log the same bytes; and
+``MultiTenantDatabase.recover`` runs no statement.
 """
 
 from __future__ import annotations
@@ -22,8 +29,11 @@ import time
 
 import pytest
 
+from repro import MultiTenantDatabase
 from repro.engine.database import Database
 from repro.engine.durability import DurabilityOptions
+from repro.testbed.crm import crm_tables
+from repro.testbed.generator import DataGenerator, TenantDataProfile
 
 ROWS = 400
 
@@ -40,6 +50,10 @@ UPDATE_LOG_LENGTHS = (200, 800)
 #: plus the commit terminal) when an ``upd`` record pickled the whole
 #: old row and the whole new row.
 FULL_IMAGE_UPDATE_BYTES = 489
+
+#: Chunk Folding tenants already present when the admin-record section
+#: weighs one more ``create_tenant``.
+ADMIN_TENANTS = 200
 
 
 def _workload(db: Database, rows: int = ROWS, offset: int = 0) -> None:
@@ -161,9 +175,65 @@ def update_sweep():
     return points
 
 
+def _admin_record(populated: bool) -> dict:
+    """WAL bytes of one ``create_tenant`` after :data:`ADMIN_TENANTS`
+    CRM tenants, empty or with one row per table, then the reopen: ms in
+    ``Database(path=...)`` and in ``MultiTenantDatabase.recover``."""
+    directory = tempfile.mkdtemp(prefix="repro-bench-admin-")
+    try:
+        db = Database(
+            path=directory,
+            durability=DurabilityOptions(
+                auto_checkpoint_bytes=0, group_commit=64
+            ),
+        )
+        mtd = MultiTenantDatabase(layout="chunk_folding", db=db)
+        tables = crm_tables()
+        for table in tables:
+            mtd.define_table(table)
+        generator = DataGenerator()
+        one_row = TenantDataProfile(default_rows=1)
+        for tenant_id in range(ADMIN_TENANTS):
+            mtd.create_tenant(tenant_id)
+            if populated:
+                generator.load_tenant(mtd, tenant_id, tables, one_row)
+        wal = db.durability.wal
+        before = wal.bytes_since_checkpoint
+        mtd.create_tenant(ADMIN_TENANTS)
+        logged = wal.bytes_since_checkpoint - before
+        db.close()
+        start = time.perf_counter()
+        reopened = Database(path=directory)
+        opened = time.perf_counter()
+        MultiTenantDatabase.recover(reopened)
+        recovered = time.perf_counter()
+        reopened.close()
+    finally:
+        shutil.rmtree(directory, ignore_errors=True)
+    return {
+        "create_tenant_bytes": logged,
+        "open_ms": (opened - start) * 1e3,
+        "recover_ms": (recovered - opened) * 1e3,
+    }
+
+
+@pytest.fixture(scope="module")
+def admin_records():
+    return {
+        label: _admin_record(populated)
+        for label, populated in (("empty", False), ("populated", True))
+    }
+
+
 class TestRecoveryBench:
     def test_report(
-        self, benchmark, wal_overhead, recovery_sweep, update_sweep, report
+        self,
+        benchmark,
+        wal_overhead,
+        recovery_sweep,
+        update_sweep,
+        admin_records,
+        report,
     ):
         lines = ["Durability: WAL overhead and recovery time", ""]
         memory_s = wal_overhead["memory"][0]
@@ -197,6 +267,18 @@ class TestRecoveryBench:
                 f"heap fetches={info['heap_fetches']:5d} "
                 f"recovery={info['ms']:7.2f} ms"
             )
+        lines += [
+            "",
+            f"Admin records: one create_tenant after {ADMIN_TENANTS} "
+            "chunk_folding CRM tenants, then reopen",
+        ]
+        for label, info in admin_records.items():
+            lines.append(
+                f"{label:9s} tenants: create_tenant wal bytes="
+                f"{info['create_tenant_bytes']:7d} "
+                f"open={info['open_ms']:7.1f} ms "
+                f"recover()={info['recover_ms']:6.2f} ms"
+            )
         benchmark.pedantic(lambda: None, rounds=1)
         report("recovery", "\n".join(lines))
 
@@ -224,6 +306,13 @@ class TestRecoveryBench:
             assert info["bytes_per_update"] <= FULL_IMAGE_UPDATE_BYTES / 6
             assert info["records_replayed"] == log_length
             assert info["recovered"]
+
+    def test_admin_record_is_flat_in_tenant_data(self, admin_records):
+        """Bytes only — never milliseconds: rows in the other tenants
+        add nothing to the state an admin call logs."""
+        empty = admin_records["empty"]["create_tenant_bytes"]
+        populated = admin_records["populated"]["create_tenant_bytes"]
+        assert populated <= empty * 1.05
 
     def test_benchmark_recovery(self, benchmark):
         directory = tempfile.mkdtemp(prefix="repro-bench-reopen-")

@@ -33,7 +33,7 @@ from ..engine.sql.parser import parse_statement
 from ..engine.statement_cache import LruCache, count_params
 from ..engine.values import parse_type, sort_key
 from .layouts import make_layout
-from .layouts.base import ALIVE, Fragment, Layout
+from .layouts.base import Layout
 from .metadata import MetadataReport
 from .migration import Migrator, read_tenant_rows
 from .schema import Extension, LogicalColumn, LogicalTable, MultiTenantSchema
@@ -92,8 +92,6 @@ class MultiTenantDatabase:
         #: disables all caching at this layer (every call re-transforms).
         self._statements = StatementCache(statement_cache_size, self.db.metrics)
         self._parses = LruCache(statement_cache_size)
-        #: Prepared anchor-fragment aggregates (:meth:`_anchor_scalar`).
-        self._anchor_statements: dict[tuple, object] = {}
         #: One QueryTransformer/DmlTransformer per layout instance.
         self._transformers: dict[
             int, tuple[Layout, QueryTransformer, DmlTransformer]
@@ -271,7 +269,8 @@ class MultiTenantDatabase:
         per-layout transformer memo — override layouts may be gone)."""
         self._statements.invalidate_all()
         self._transformers.clear()
-        self._anchor_statements.clear()
+        for layout in self._all_layouts():
+            layout.anchor_statements.clear()
 
     def _transformer_for(
         self, layout: Layout
@@ -566,9 +565,10 @@ class MultiTenantDatabase:
         one — a crash mid-``drop_tenant``/``migrate_tenant`` — was
         discarded wholesale).  That value is restored, not replayed: no
         ``Layout.on_*`` hook runs, so a call the live instance rejected
-        cannot fail again here.  Row-id allocators then catch up from
-        the data.  ``kwargs`` override non-durable constructor options
-        (``predicate_order``, ``statement_cache_size``).
+        cannot fail again here.  No statement runs either: Row-id
+        counters seed from the data on first use.  ``kwargs`` override
+        non-durable constructor options (``predicate_order``,
+        ``statement_cache_size``).
         """
         state = db.recovered_admin_state
         if not state or "schema" not in state:
@@ -585,54 +585,8 @@ class MultiTenantDatabase:
             layout.restore_bookkeeping(bookkeeping)
             mtd._overrides[tenant_id] = layout
             mtd._override_specs[tenant_id] = (name, options)
-        mtd._restore_row_counters()
         mtd._replay = False
         return mtd
-
-    def _restore_row_counters(self) -> None:
-        """Advance Row-id allocators past every id visible in the data.
-
-        The durable state only captures allocator state as of the last
-        administrative operation; ordinary inserts after it allocated
-        further ids, recoverable from the data itself (MAX of the
-        anchor fragment's Row column).  Layouts without a Row column
-        (Private Tables) have nothing to restore — their row ids are
-        never stored.
-        """
-        for config in self.schema.tenants():
-            layout = self.layout_for(config.tenant_id)
-            for table in self.schema.tables():
-                anchor = layout.fragments(config.tenant_id, table.name)[0]
-                if anchor.row_column is None:
-                    continue
-                top = self._anchor_scalar(f"MAX({anchor.row_column})", anchor)
-                if top is not None:
-                    layout.rows.observe(config.tenant_id, table.name, top)
-
-    def _anchor_scalar(
-        self, aggregate: str, anchor: Fragment, alive_only: bool = False
-    ):
-        """One aggregate over a tenant's rows of an anchor fragment.
-
-        One statement is prepared per anchor shape — (aggregate, table,
-        meta columns, Trashcan filter) — and the tenant's meta values
-        are bound, so walking every tenant plans O(shapes) statements
-        and evicts nothing from the engine's text-keyed plan cache.
-        """
-        columns = tuple(column for column, _ in anchor.meta)
-        key = (aggregate, anchor.table, columns, alive_only)
-        statement = self._anchor_statements.get(key)
-        if statement is None:
-            conjuncts = [f"{column} = ?" for column in columns]
-            if alive_only:
-                conjuncts.append(f"{ALIVE} = 1")
-            where = " AND ".join(conjuncts) or "1 = 1"
-            statement = self._anchor_statements[key] = self.db.prepare_ast(
-                parse_statement(
-                    f"SELECT {aggregate} FROM {anchor.table} WHERE {where}"
-                )
-            )
-        return statement.execute([value for _, value in anchor.meta]).scalar()
 
     # -- introspection ------------------------------------------------------------
 
@@ -659,7 +613,7 @@ class MultiTenantDatabase:
         for table in self.schema.tables():
             anchor = layout.fragments(tenant_id, table.name)[0]
             counts[table.name] = int(
-                self._anchor_scalar("COUNT(*)", anchor, layout.soft_delete)
+                layout.anchor_scalar("COUNT(*)", anchor, layout.soft_delete)
             )
         return counts
 

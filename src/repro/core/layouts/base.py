@@ -104,9 +104,11 @@ class Layout(abc.ABC):
         self.schema = schema
         self.soft_delete = soft_delete
         self.storage = storage if storage is not None else self.default_storage
-        self.rows = RowIdAllocator()
+        self.rows = RowIdAllocator(self._next_row_id)
         self.columns = ColumnIdAllocator()
         self._created_tables: set[str] = set()
+        #: Prepared anchor-fragment aggregates (:meth:`anchor_scalar`).
+        self.anchor_statements: dict[tuple, object] = {}
 
     # -- physical lifecycle (online DDL / bookkeeping) ----------------------
 
@@ -221,14 +223,13 @@ class Layout(abc.ABC):
         layout's state — recovery constructs the layout and calls
         :meth:`restore_bookkeeping`, no ``on_*`` hook: the physical
         tables survive a crash through the engine's own recovery, but
-        row/column allocators and chunk assignments live only here.
-        Subclasses extend the dict with copies (every checkpoint
+        column ids and chunk assignments live only here (Row ids are
+        derived from the rows: :meth:`_next_row_id`).  Subclasses extend the dict with copies (every checkpoint
         pickles the value again: it must not alias live state);
         :meth:`restore_bookkeeping` must accept exactly what this
         returns.
         """
         return {
-            "rows": self.rows.snapshot(),
             "columns": self.columns.snapshot(),
             "created_tables": set(self._created_tables),
         }
@@ -241,9 +242,43 @@ class Layout(abc.ABC):
                 f"it holds {sorted(state)}, this version keeps "
                 f"{sorted(expected)}"
             )
-        self.rows.restore(state["rows"])
         self.columns.restore(state["columns"])
         self._created_tables = set(state["created_tables"])
+
+    def _next_row_id(self, tenant_id: int, table_name: str) -> int:
+        """Seed of :attr:`rows`: one past the tenant's largest stored
+        Row id, Trashcan rows included.  Basic and Private Tables store
+        no Row column and read nothing."""
+        anchor = self.fragments(tenant_id, table_name)[0]
+        if anchor.row_column is None:
+            return 0
+        top = self.anchor_scalar(f"MAX({anchor.row_column})", anchor)
+        return 0 if top is None else top + 1
+
+    def anchor_scalar(
+        self, aggregate: str, anchor: Fragment, alive_only: bool = False
+    ):
+        """One aggregate over a tenant's rows of an anchor fragment.
+
+        One statement is prepared per anchor shape — (aggregate, table,
+        meta columns, Trashcan filter) — and the tenant's meta values
+        are bound, so walking every tenant plans O(shapes) statements
+        and evicts nothing from the engine's text-keyed plan cache.
+        """
+        columns = tuple(column for column, _ in anchor.meta)
+        key = (aggregate, anchor.table, columns, alive_only)
+        statement = self.anchor_statements.get(key)
+        if statement is None:
+            conjuncts = [f"{column} = ?" for column in columns]
+            if alive_only:
+                conjuncts.append(f"{ALIVE} = 1")
+            where = " AND ".join(conjuncts) or "1 = 1"
+            statement = self.anchor_statements[key] = self.db.prepare_ast(
+                parse_statement(
+                    f"SELECT {aggregate} FROM {anchor.table} WHERE {where}"
+                )
+            )
+        return statement.execute([value for _, value in anchor.meta]).scalar()
 
     # -- the fragment model ---------------------------------------------------
 

@@ -12,6 +12,7 @@ consumes (the budget Chunk Folding tries to spend well).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 
 class RowIdAllocator:
@@ -19,33 +20,33 @@ class RowIdAllocator:
 
     "For any insert, the application logic has to ... assign each
     inserted new row a unique row identifier." (Section 6.3)
+    Not durable state: the first time a process meets a (tenant, table),
+    ``seed(tenant_id, table)`` derives its next id from the stored rows.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, seed: Callable[[int, str], int]) -> None:
+        self._seed = seed
         self._next: dict[tuple[int, str], int] = {}
 
-    def allocate(self, tenant_id: int, table_name: str) -> int:
+    def _key(self, tenant_id: int, table_name: str) -> tuple[int, str]:
         key = (tenant_id, table_name.lower())
-        value = self._next.get(key, 0)
-        self._next[key] = value + 1
-        return value
+        if key not in self._next:
+            self._next[key] = self._seed(*key)
+        return key
+
+    def allocate(self, tenant_id: int, table_name: str) -> int:
+        key = self._key(tenant_id, table_name)
+        self._next[key] += 1
+        return self._next[key] - 1
 
     def observe(self, tenant_id: int, table_name: str, row_id: int) -> None:
         """Bump the counter past an externally-seen row id (migration)."""
-        key = (tenant_id, table_name.lower())
-        if row_id >= self._next.get(key, 0):
-            self._next[key] = row_id + 1
+        key = self._key(tenant_id, table_name)
+        self._next[key] = max(self._next[key], row_id + 1)
 
     def forget_tenant(self, tenant_id: int) -> None:
         for key in [k for k in self._next if k[0] == tenant_id]:
             del self._next[key]
-
-    def snapshot(self) -> dict:
-        """Picklable counter state (crash-recovery bookkeeping)."""
-        return dict(self._next)
-
-    def restore(self, state: dict) -> None:
-        self._next = dict(state)
 
 
 class ColumnIdAllocator:

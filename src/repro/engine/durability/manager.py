@@ -57,8 +57,9 @@ AUTO_CHECKPOINT_BYTES = 256 * 1024
 class DurabilityOptions:
     """Tuning and test knobs for one disk-backed database."""
 
-    #: Commit terminals per fsync: 1 = classic synchronous commit; N > 1
-    #: batches N commits behind one fsync (group commit).
+    #: Commit terminals per fsync: 1 = synchronous commit.  With N > 1 a
+    #: commit is answered before its batch is fsynced, so a crash can lose
+    #: up to N - 1 commits reported as committed (bulk loads only).
     group_commit: int = 1
     #: Checkpoint automatically once this much log has accumulated
     #: (checked between top-level statements).  0 disables.

@@ -12,10 +12,10 @@ the old LSN space ended).
 
 Appends are buffered in process — a crash loses everything since the
 last flush, which is exactly the power-loss model the recovery tests
-exercise.  ``commit_append`` implements group commit: the flush+fsync
-is deferred until ``group_commit`` commit records have accumulated, so
-one fsync amortizes over a batch (the classic group-commit trade:
-bounded loss window, much higher commit throughput).
+exercise.  ``commit_append`` defers the flush+fsync until
+``group_commit`` commit records have accumulated.  With N > 1 that is
+not group commit: a commit is answered before its batch is fsynced, and
+a crash loses up to N - 1 commits that were reported as committed.
 
 A checkpoint swaps the whole file atomically (write temp + fsync +
 ``os.replace``) for a fresh one whose only payload is the checkpoint

@@ -29,7 +29,7 @@ from repro import (
     LogicalTable,
     MultiTenantDatabase,
 )
-from repro.analysis.invariants import check_width_ledger
+from repro.analysis.invariants import check_row_alignment, check_width_ledger
 from repro.engine.database import Database
 from repro.engine.durability import (
     DurabilityOptions,
@@ -1440,15 +1440,22 @@ def test_retained_admin_state_does_not_alias_live_state(tmp_path, layout):
     db.close()
 
 
+#: Layouts whose fragments store a Row column (Basic and Private Tables
+#: keep plain conventional rows).
+ROW_LAYOUTS = tuple(
+    name for name in SEVEN_LAYOUTS if name not in ("private", "basic")
+)
+
+
 @pytest.mark.parametrize(
     "layout", [name for name in SEVEN_LAYOUTS if name != "private"]
 )
 def test_a_tenant_with_data_adds_no_layout_state(layout):
-    """A tenant costs a shared layout's durable state its Row-id
-    counters and nothing else: everything else is kept per table or
-    per extension, so creating, filling and reading one more tenant
-    with the extensions others already use leaves it as it was.
-    (Private Tables own one physical table per tenant by design.)"""
+    """A tenant costs a shared layout's durable state nothing: it is
+    kept per table or per extension, and Row-id counters are not part
+    of it, so creating, filling and reading one more tenant with the
+    extensions others already use leaves it as it was.  (Private
+    Tables own one physical table per tenant by design.)"""
     mtd = _build_mtd(Database(), layout)
     extensions = () if layout == "basic" else ("healthcare",)
     row = {"aid": 1, "name": "one"}
@@ -1461,10 +1468,7 @@ def test_a_tenant_with_data_adds_no_layout_state(layout):
     mtd.insert(3, "account", row)
     assert mtd.execute(3, "SELECT name FROM account").rows == [("one",)]
     assert mtd.tenant_row_counts(3) == {"account": 1}
-    after = mtd.layout.bookkeeping()
-    new_counters = set(after.pop("rows")) - set(before.pop("rows"))
-    assert {tenant_id for tenant_id, _table in new_counters} <= {3}
-    assert after == before
+    assert mtd.layout.bookkeeping() == before
 
 
 @pytest.mark.parametrize(
@@ -1475,22 +1479,23 @@ def test_a_tenant_with_data_adds_no_layout_state(layout):
             "chunk_folding",
             {"next_chunk": {}, "extension_chunks": {}, "base_split": {}},
         ),
+        ("basic", {"rows": {(1, "account"): 3}}),
     ],
-    ids=["chunk", "chunk_folding"],
+    ids=["chunk", "chunk_folding", "rows"],
 )
 def test_layout_state_of_another_version_is_refused_by_name(
     tmp_path, layout, recorded
 ):
     """Before chunks were cut once per column group, the Chunk layout
-    recorded a partition per tenant and Chunk Folding a per-table split.
-    A directory whose last admin call wrote that state is refused at
-    open with an error naming the layout, not a ``KeyError`` mid-way."""
+    recorded a partition per tenant and Chunk Folding a per-table split;
+    before Row-id counters seeded from the data, every layout recorded
+    them under ``"rows"``.  A directory whose last admin call wrote such
+    a state is refused at open with an error naming the layout, not a
+    ``KeyError`` mid-way."""
     db = Database(path=str(tmp_path))
     mtd = _build_mtd(db, layout)
     state = mtd._durable_state()
-    common = {
-        key: state["default"][key] for key in ("rows", "columns", "created_tables")
-    }
+    common = {key: state["default"][key] for key in ("columns", "created_tables")}
     with db.admin_operation(
         "define_table", {**state, "default": {**common, **recorded}}
     ):
@@ -1502,12 +1507,16 @@ def test_layout_state_of_another_version_is_refused_by_name(
     db2.close()
 
 
-def test_open_plans_per_anchor_shape_not_per_tenant(tmp_path):
-    """``recover()`` reads MAX(row) per tenant × table to catch the
-    Row-id allocators up — through one prepared statement per anchor
-    shape, not one freshly planned text per tenant × table."""
+def test_open_plans_per_anchor_shape_not_per_tenant(
+    tmp_path, monkeypatch
+):
+    """``recover()`` runs no statement, whatever the tenant count: the
+    Row-id counters are not restored, they seed on first use.  The
+    first insert into every tenant then seeds through one prepared
+    MAX(row) per anchor shape, not one freshly planned text per
+    tenant × table."""
 
-    def planned_by_recover(tenants: int) -> int:
+    def reopen_and_insert(tenants: int) -> tuple[dict, dict, int]:
         path = tmp_path / f"t{tenants}"
         db = Database(path=str(path))
         mtd = MultiTenantDatabase(layout="chunk_folding", db=db)
@@ -1517,17 +1526,104 @@ def test_open_plans_per_anchor_shape_not_per_tenant(tmp_path):
             mtd.insert(tenant_id, "account", {"aid": 1, "name": "n"})
         db.close()
         db2 = Database(path=str(path))
+        plans = []
+        plan_select = db2._planner.plan_select
+        monkeypatch.setattr(
+            db2._planner,
+            "plan_select",
+            lambda stmt: plans.append(stmt) or plan_select(stmt),
+        )
 
-        def planned() -> int:
-            return db2.metrics.value("db.plan_cache.misses") + db2.metrics.value(
-                "db.plan_cache.adhoc"
-            )
+        def counters() -> dict:
+            return {
+                name: db2.metrics.value(name)
+                for name in (
+                    "db.exec.statements",
+                    "db.plan_cache.misses",
+                    "db.plan_cache.adhoc",
+                )
+            } | {"plans": len(plans)}
 
-        before = planned()
+        before = counters()
         recovered = MultiTenantDatabase.recover(db2)
-        after = planned()
-        assert recovered.insert(tenants - 1, "account", {"aid": 2}) == 1
+        by_recover = {k: v - before[k] for k, v in counters().items()}
+        before = counters()
+        for tenant_id in range(tenants):
+            assert recovered.insert(tenant_id, "account", {"aid": 2}) == 1
+        by_inserts = {k: v - before[k] for k, v in counters().items()}
+        shapes = len(recovered.layout.anchor_statements)
         db2.close()
-        return after - before
+        return by_recover, by_inserts, shapes
 
-    assert planned_by_recover(40) == planned_by_recover(4) == 0
+    nothing = {
+        "db.exec.statements": 0,
+        "db.plan_cache.misses": 0,
+        "db.plan_cache.adhoc": 0,
+        "plans": 0,
+    }
+    recover_4, inserts_4, shapes_4 = reopen_and_insert(4)
+    recover_40, inserts_40, shapes_40 = reopen_and_insert(40)
+    assert recover_4 == recover_40 == nothing
+    assert shapes_4 == shapes_40 == 1
+    assert inserts_4["plans"] == inserts_40["plans"] == 1
+    for name in ("db.plan_cache.misses", "db.plan_cache.adhoc"):
+        assert inserts_4[name] == inserts_40[name]
+
+
+def _anchor_row_ids(mtd: MultiTenantDatabase, tenant_id: int) -> list[int]:
+    """Every Row id stored in the tenant's account anchor, Trashcan
+    rows included, read without going through the layer."""
+    anchor = mtd.layout_for(tenant_id).fragments(tenant_id, "account")[0]
+    where = " AND ".join(f"{column} = ?" for column, _ in anchor.meta)
+    return sorted(
+        row[0]
+        for row in mtd.db.execute(
+            f"SELECT {anchor.row_column} FROM {anchor.table} WHERE {where}",
+            [value for _, value in anchor.meta],
+        ).rows
+    )
+
+
+@pytest.mark.parametrize("layout", ROW_LAYOUTS)
+def test_reopened_allocator_starts_above_every_stored_row(tmp_path, layout):
+    """After close and reopen the next Row id is above every stored one,
+    also when the top row sits in the Trashcan (soft delete keeps it
+    stored, so its id must not be handed out again)."""
+    db = Database(path=str(tmp_path))
+    mtd = _build_mtd(db, layout, soft_delete=True)
+    for aid in range(4):
+        mtd.insert(1, "account", {"aid": aid, "name": f"a{aid}"})
+    mtd.execute(1, "DELETE FROM account WHERE aid = 3")
+    stored = _anchor_row_ids(mtd, 1)
+    assert stored == [0, 1, 2, 3]
+    db.close()
+    recovered = MultiTenantDatabase.recover(Database(path=str(tmp_path)))
+    assert recovered.insert(1, "account", {"aid": 9, "name": "z"}) > max(stored)
+    assert recovered.insert(2, "account", {"aid": 9, "name": "z"}) == 0
+    recovered.db.close()
+
+
+@pytest.mark.parametrize("layout", ROW_LAYOUTS)
+def test_explicit_row_id_below_the_top_then_a_plain_insert(tmp_path, layout):
+    """On a reopened database an explicit ``row_id=`` below the stored
+    top must not pull the counter under it: the plain insert that
+    follows gets a fresh id, and every fragment still holds the same
+    Row-id set (LAY006)."""
+    db = Database(path=str(tmp_path))
+    mtd = _build_mtd(db, layout)
+    mtd.grant_extension(1, "healthcare")
+    row = {"aid": 0, "name": "a", "beds": 1}
+    for aid in range(4):
+        mtd.insert(1, "account", {**row, "aid": aid})
+    mtd.execute(1, "DELETE FROM account WHERE aid = 1")
+    assert _anchor_row_ids(mtd, 1) == [0, 2, 3]
+    db.close()
+    recovered = MultiTenantDatabase.recover(Database(path=str(tmp_path)))
+    assert recovered.insert(1, "account", {**row, "aid": 11}, row_id=1) == 1
+    assert recovered.insert(1, "account", {**row, "aid": 12}) == 4
+    assert _anchor_row_ids(recovered, 1) == [0, 1, 2, 3, 4]
+    assert check_row_alignment(recovered).findings == []
+    assert sorted(
+        recovered.execute(1, "SELECT aid FROM account").rows
+    ) == [(0,), (2,), (3,), (11,), (12,)]
+    recovered.db.close()

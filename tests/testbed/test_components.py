@@ -4,7 +4,7 @@ results, cost model, and lock overlap."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine.executor import ExecStats
+from repro.engine.vexecutor import ExecStats
 from repro.engine.pager import PoolStats
 from repro.testbed.actions import ACTION_DISTRIBUTION, ActionClass
 from repro.testbed.crm import crm_tables
