@@ -18,6 +18,19 @@ The Figure 9 warm harness (Q2 at scale 30 swept over parent ids) is
 probe-bound and reported un-gated: the formats are within this
 container's noise of each other on it.
 
+**Page miss** — per column page of a disk-backed chunk-folding load:
+a read (``pread``, checksum, the image's shape), a read plus one row, a
+read plus the whole page, an encode, and the image's bytes next to the
+pickle of the same page.  The gated load is the CRM schema (Figure 5)
+on chunk folding, the pages ``point_read_cold`` misses on (about 40
+rows each); two orderings are gated there: a read for one row costs at
+most half a read of the whole page, and the image is no larger than
+the pickle.  The same numbers for the 90-column Experiment 2 load
+above, whose wide rows leave three to a page (a row is then a third of
+the page, so a one-row read saves less), and decoding a whole image
+against unpickling the page and encoding against pickling it (aims:
+within 1.25x and 1.5x), are reported only.
+
 Timing rounds are *interleaved* across the two formats so machine noise
 hits both equally, and each reports its best round.  A parity test
 asserts rows and warm logical reads are identical across formats — the
@@ -29,18 +42,27 @@ all ``BENCH_*.json`` files as artifacts, so the perf trajectory is
 recorded run over run.
 """
 
+import dataclasses
 import json
 import pathlib
+import pickle
+import tempfile
 import time
 
 import pytest
 
+from repro.core.api import MultiTenantDatabase
+from repro.engine.columnstore import ColumnPage
+from repro.engine.database import Database
+from repro.engine.durability import DurabilityOptions
 from repro.experiments.chunkqueries import (
     ChunkQueryConfig,
     ChunkQueryExperiment,
     TENANT,
     q2_sql,
 )
+from repro.testbed.crm import CRM_PARENTS, crm_extensions, crm_tables
+from repro.testbed.generator import DataGenerator
 
 RESULTS_PATH = (
     pathlib.Path(__file__).parent / "results" / "BENCH_columnar.json"
@@ -120,6 +142,121 @@ def measure_layout(layout: str, **options) -> dict:
     return result
 
 
+#: The CRM load: tenants, and rows per table and tenant.
+CRM_TENANTS = 6
+CRM_ROWS = 50
+
+
+def load_crm(path: str) -> Database:
+    """The CRM schema and its healthcare extension on chunk folding,
+    rows from the testbed's generator."""
+    db = Database(path=path, durability=DurabilityOptions(group_commit=64))
+    mtd = MultiTenantDatabase(layout="chunk_folding", db=db)
+    tables = crm_tables()
+    for table in tables:
+        mtd.define_table(table)
+    for extension in crm_extensions():
+        mtd.define_extension(extension)
+    generator = DataGenerator(2008)
+    for tenant in range(1, CRM_TENANTS + 1):
+        mtd.create_tenant(tenant, ("healthcare",) if tenant % 2 else ())
+        for table in tables:
+            view = mtd.schema.logical_table(tenant, table.name)
+            parents = CRM_ROWS if table.name in CRM_PARENTS else None
+            for number in range(CRM_ROWS):
+                values = generator.row(tenant, view, number, parents)
+                mtd.insert(tenant, table.name, values)
+    return db
+
+
+def load_wide(path: str) -> Database:
+    exp = ChunkQueryExperiment(
+        "chunk_folding", dataclasses.replace(CONFIG, db_path=path)
+    )
+    exp.load()
+    return exp.mtd.db
+
+
+def measure_page_miss(load) -> dict:
+    """Per column page of what ``load`` stores, best of interleaved
+    rounds."""
+    with tempfile.TemporaryDirectory() as path:
+        db = load(path)
+        db.checkpoint()
+        store = db.durability.store
+        page_ids = [
+            page_id
+            for table in db.catalog.tables()
+            if table.heap.storage_kind == "columnar"
+            for page_id in table.heap.page_ids()
+        ]
+        pages = [store.read(page_id).payload for page_id in page_ids]
+        slots = [  # each page's first live slot
+            next(s for s, width in enumerate(page.widths) if width is not None)
+            for page in pages
+        ]
+        images = [page.to_image() for page in pages]
+        for page in pages:
+            page.decode()
+        pickles = [pickle.dumps(page, protocol=4) for page in pages]
+
+        def read():
+            for page_id in page_ids:
+                store.read(page_id)
+
+        def read_row():
+            for page_id, slot in zip(page_ids, slots):
+                store.read(page_id).payload.decode_slot(slot)
+
+        def read_page():
+            for page_id in page_ids:
+                store.read(page_id).payload.decode()
+
+        def encode():
+            for page in pages:
+                page.to_image()
+
+        def dumps():
+            for page in pages:
+                pickle.dumps(page, protocol=4)
+
+        def decode():
+            for image in images:
+                ColumnPage.from_image(image).decode()
+
+        def unpickle():
+            for data in pickles:
+                pickle.loads(data)
+
+        timed = {
+            "read": read,
+            "read_row": read_row,
+            "read_page": read_page,
+            "encode": encode,
+            "pickle_dumps": dumps,
+            "decode": decode,
+            "unpickle": unpickle,
+        }
+        best = dict.fromkeys(timed, float("inf"))
+        for round_no in range(WARMUP + ROUNDS):
+            for name, run in timed.items():
+                start = time.perf_counter()
+                run()
+                if round_no >= WARMUP:
+                    best[name] = min(best[name], time.perf_counter() - start)
+        db.close()
+    result = {f"{name}_us": best[name] / len(page_ids) * 1e6 for name in timed}
+    result.update(
+        pages=len(page_ids),
+        rows=sum(page.live for page in pages),
+        image_bytes=sum(map(len, images)),
+        pickle_bytes=sum(map(len, pickles)),
+        decode_over_unpickle=best["decode"] / best["unpickle"],
+        encode_over_pickle_dumps=best["encode"] / best["pickle_dumps"],
+    )
+    return result
+
+
 @pytest.fixture(scope="module")
 def measurements():
     results = {
@@ -132,6 +269,8 @@ def measurements():
         },
         "chunk6": measure_layout("chunk", width=6),
         "conventional": measure_layout("private"),
+        "page_miss": measure_page_miss(load_crm),
+        "page_miss_wide": measure_page_miss(load_wide),
     }
     recorded = {
         label: {
@@ -171,6 +310,23 @@ class TestColumnarSpeedup:
                 f"grouping {section['speedup_grouping']:.2f}x, "
                 f"fig9 {section['speedup_fig9']:.2f}x"
             )
+        for label, load in (("page_miss", "CRM"), ("page_miss_wide", "90-column")):
+            miss = measurements[label]
+            lines += [
+                f"page miss, {load} load on chunk folding, per column page "
+                f"({miss['pages']} pages, {miss['rows']} rows):",
+                f"  read {miss['read_us']:.1f} us, read + one row "
+                f"{miss['read_row_us']:.1f} us, read + whole page "
+                f"{miss['read_page_us']:.1f} us",
+                f"  decode {miss['decode_us']:.1f} us vs unpickle "
+                f"{miss['unpickle_us']:.1f} us "
+                f"({miss['decode_over_unpickle']:.2f}x); encode "
+                f"{miss['encode_us']:.1f} us vs pickle "
+                f"{miss['pickle_dumps_us']:.1f} us "
+                f"({miss['encode_over_pickle_dumps']:.2f}x)",
+                f"  image {miss['image_bytes']} B vs pickle "
+                f"{miss['pickle_bytes']} B",
+            ]
         report("BENCH_columnar", "\n".join(lines))
 
     def test_chunk6_grouping_columnar_wins(self, measurements):
@@ -182,6 +338,15 @@ class TestColumnarSpeedup:
         """Wide private table, full-width rows: the heap wins — the
         reason ``storage`` is the layout's choice, not a global one."""
         assert measurements["conventional"]["speedup_grouping"] <= 0.5
+
+    def test_a_miss_for_one_row_reads_at_most_half_the_page(self, measurements):
+        """A point fetch after a miss decodes its own row, not the page."""
+        miss = measurements["page_miss"]
+        assert miss["read_row_us"] <= 0.5 * miss["read_page_us"]
+
+    def test_image_is_no_larger_than_the_pickle(self, measurements):
+        miss = measurements["page_miss"]
+        assert miss["image_bytes"] <= miss["pickle_bytes"]
 
     def test_rows_and_logical_read_parity(self, measurements):
         """Both formats return identical rows and touch identical warm

@@ -291,6 +291,7 @@ def check_width_ledger(
             page = pool.read(page_id)
             slots = page.payload
             if isinstance(slots, ColumnPage):
+                slots.decode()
                 columns = slots.columns
                 slots = [
                     None if w is None else (tuple(c[s] for c in columns), w)

@@ -13,11 +13,15 @@ the write path emits per row change and per transaction — ``ins``,
 admin-operation id if any, the table name, the RID as packed integers,
 ``new_rid`` only if the row moved, and each value behind a one-byte
 type tag, so they decode type-exact without pickle.  Every other
-record (checkpoints, DDL, admin brackets, page images) is a pickle,
-whose protocol-4 ``PROTO`` opcode is ``0x80``.  A page-store frame may
-carry raw bytes ahead of its pickle, inside the checksum
-(``encode_frame(record, head)``): :func:`read_frame` hands them to a
-reader without unpickling, :func:`decode_record` unpickles the rest.
+log record (checkpoints, DDL, admin brackets) is a pickle, whose
+protocol-4 ``PROTO`` opcode is ``0x80``.  A page-store frame carries
+raw bytes ahead of its payload, inside the checksum
+(``encode_frame(record, head)``, :func:`frame_payload`):
+:func:`read_frame` hands them to a reader without decoding anything,
+:func:`decode_record` decodes the rest by the same first-byte rule — a
+pickled heap page or B-tree node, or a column-page image
+(:meth:`~repro.engine.columnstore.ColumnPage.from_image`) whose first
+byte is below ``0x80``.
 
 Both files start with a format head (:func:`file_head`): a magic naming
 the kind of file and the version of its format.  An open checks it
@@ -27,13 +31,13 @@ instead of failing at its first read, in the middle of a query.
 
 from __future__ import annotations
 
-import datetime
 import pickle
 import struct
 import zlib
 from typing import BinaryIO, Iterator
 
 from ..errors import EngineError
+from ..values import put_values, take_values
 
 #: Frame header: payload length (u32) + payload crc32 (u32).
 _HEADER = struct.Struct("<II")
@@ -76,10 +80,11 @@ def has_head(path: str, data: bytes, head: bytes) -> bool:
 def encode_frame(record: object, head: bytes = b"") -> bytes:
     """Serialize one record, behind ``head``, into a self-checking
     frame."""
-    return _frame(head + pickle.dumps(record, protocol=_PROTOCOL))
+    return frame_payload(head + pickle.dumps(record, protocol=_PROTOCOL))
 
 
-def _frame(payload: bytes) -> bytes:
+def frame_payload(payload: bytes) -> bytes:
+    """Frame bytes already encoded."""
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
@@ -93,17 +98,6 @@ _ADMIN, _MOVED, _PICKLED = 0x08, 0x10, 0x80
 _KIND_TX = struct.Struct("<BI")
 _U32, _U16 = struct.Struct("<I"), struct.Struct("<H")
 _RID = struct.Struct("<IH")  # page id, slot
-
-#: Value tags.  A tag with a fixed-width field packs with it: an int, a
-#: float, a date's ordinal, a str's or a big int's byte length.
-_NULL, _FALSE, _TRUE, _INT, _BIG_INT, _FLOAT, _STR, _DATE = range(8)
-_TAG_INT = struct.Struct("<Bq")
-_TAG_FLOAT = struct.Struct("<Bd")
-_TAG_U32 = struct.Struct("<BI")
-_TAGGED = {_INT: _TAG_INT, _FLOAT: _TAG_FLOAT}
-_TAGGED.update(dict.fromkeys((_BIG_INT, _STR, _DATE), _TAG_U32))
-_INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
-
 
 def encode_log_frame(record: dict) -> bytes:
     """One WAL record in its frame: fixed-shape for a row change or a
@@ -123,46 +117,23 @@ def encode_log_frame(record: dict) -> bytes:
             out = bytearray(_KIND_TX.pack(code | _ADMIN, record["tx"]))
             out += _U32.pack(admin)
         if rid is None:
-            return _frame(out)  # a terminal
+            return frame_payload(out)  # a terminal
         name = record["table"].encode("utf-8", "surrogatepass")
         out += _U16.pack(len(name)) + name + _RID.pack(*rid)
         if code & _MOVED:
             out += _RID.pack(*record["new_rid"])
         if "row" in record:
             out += _U16.pack(len(record["row"]))
-            _put_values(out, record["row"])
+            put_values(out, record["row"])
         elif "set" in record:
             cells = record["set"]
             out += struct.pack(f"<{len(cells) + 1}H", len(cells), *cells)
-            _put_values(out, cells.values())
+            put_values(out, cells.values())
     except struct.error as exc:
         raise EngineError(
             f"WAL {record['t']} record: a field outside its width ({exc})"
         ) from None
-    return _frame(out)
-
-
-def _put_values(out: bytearray, values) -> None:
-    for value in values:
-        kind = type(value)
-        if kind is str:
-            data = value.encode("utf-8", "surrogatepass")
-            out += _TAG_U32.pack(_STR, len(data)) + data
-        elif kind is int and _INT_MIN <= value <= _INT_MAX:
-            out += _TAG_INT.pack(_INT, value)
-        elif value is None:
-            out.append(_NULL)
-        elif kind is bool:
-            out.append(_TRUE if value else _FALSE)
-        elif kind is float:
-            out += _TAG_FLOAT.pack(_FLOAT, value)
-        elif kind is datetime.date:
-            out += _TAG_U32.pack(_DATE, value.toordinal())
-        elif kind is int:
-            data = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
-            out += _TAG_U32.pack(_BIG_INT, len(data)) + data
-        else:
-            raise EngineError(f"the WAL cannot log a {kind.__name__} value")
+    return frame_payload(out)
 
 
 def _decode_fixed(payload: bytes) -> dict:
@@ -180,21 +151,9 @@ def _decode_fixed(payload: bytes) -> dict:
             raise ValueError("a field runs past the record's end")
         return payload[at - length : at]
 
-    def take_values(count: int) -> list:
-        values = []
-        for _ in range(count):
-            layout = _TAGGED.get(payload[at])
-            if layout is None:
-                values.append((None, False, True)[take_bytes(1)[0]])
-                continue
-            tag, value = take(layout)
-            if tag == _DATE:
-                value = datetime.date.fromordinal(value)
-            elif tag == _STR:
-                value = take_bytes(value).decode("utf-8", "surrogatepass")
-            elif tag == _BIG_INT:
-                value = int.from_bytes(take_bytes(value), "little", signed=True)
-            values.append(value)
+    def take_tagged(count: int) -> list:
+        nonlocal at
+        values, at = take_values(payload, at, count)
         return values
 
     code, tx = take(_KIND_TX)
@@ -208,12 +167,12 @@ def _decode_fixed(payload: bytes) -> dict:
         record["table"] = take_bytes(*take(_U16)).decode("utf-8", "surrogatepass")
         record["rid"] = take(_RID)
     if kind == "ins":
-        record["row"] = tuple(take_values(*take(_U16)))
+        record["row"] = tuple(take_tagged(*take(_U16)))
     elif kind == "upd":
         record["new_rid"] = take(_RID) if code & _MOVED else record["rid"]
         (count,) = take(_U16)
         positions = take(struct.Struct(f"<{count}H"))
-        record["set"] = dict(zip(positions, take_values(count)))
+        record["set"] = dict(zip(positions, take_tagged(count)))
     if at != len(payload):
         raise ValueError(f"{len(payload) - at} bytes past the record's end")
     return record
@@ -283,7 +242,12 @@ def frame_intact(frame: bytes) -> bool:
     ) == crc
 
 
-def decode_record(frame: bytes, head_size: int = 0) -> object:
+def decode_record(frame: bytes, head_size: int, raw) -> object:
     """The record of an intact frame whose first ``head_size`` payload
-    bytes are raw."""
-    return pickle.loads(memoryview(frame)[HEADER_SIZE + head_size :])
+    bytes are raw: a pickle, or, where the first byte after them is
+    below ``0x80`` (:func:`decode_frames`'s rule), what ``raw`` makes of
+    the bytes."""
+    body = memoryview(frame)[HEADER_SIZE + head_size :]
+    if body[0] == _PICKLED:
+        return pickle.loads(body)
+    return raw(bytes(body))

@@ -14,16 +14,22 @@ The file is an 8-byte head, magic ``RPPG`` + format version
 version, by name), then frames::
 
     [len u32][crc u32][page_id u64, segment u32, lsn u64,
-                       kind u8, size u32, used i32][payload pickle]
+                       kind u8, size u32, used i32][payload]
 
 Everything but the payload is fixed-width bytes inside the checksum,
 so nothing that walks the file (:meth:`_scan` at open,
-:meth:`truncate_to` at recovery, :meth:`compact`) ever unpickles a
-page.  A page miss (:meth:`read`) is one ``os.pread`` of the indexed
-frame, its length and checksum checked, and one unpickle of the
-payload alone: heap slot lists, B-tree nodes and column pages of
-tuples, lists and numbers (a RID is a ``(page_id, slot)`` tuple), so
-the unpickler makes a Python call per page, not per entry.
+:meth:`truncate_to` at recovery, :meth:`compact`) ever decodes a page.
+A page miss (:meth:`read`) is one ``os.pread`` of the indexed frame,
+its length and checksum checked, and the payload's first byte says
+what it is.  A column page is an image
+(:meth:`~repro.engine.columnstore.ColumnPage.from_image`, first byte
+below ``0x80``): the miss checks its shape and keeps it undecoded, so
+a point fetch decodes the one row it reads and a scan the page once.
+A heap page or a B-tree node is a pickle (``0x80``) of slot lists and
+nodes of tuples and numbers (a RID is a ``(page_id, slot)`` tuple):
+one unpickle that makes a Python call per page, not per entry.  A
+frame whose checksum holds but whose image does not parse raises
+:class:`EngineError` naming the page.
 
 * :meth:`sync` is one fsync, whatever the number of tables written.
 * :meth:`compact` rewrites the file to its head and exactly its live
@@ -46,9 +52,9 @@ the unpickler makes a Python call per page, not per entry.
   are exactly the frames appended after it, and rolling back to it is
   one ``truncate``.
 
-Page payloads sit behind the same pickle+CRC framing as the WAL, so a
-torn page write from a crash fails its checksum and simply ends the
-file's readable prefix.
+Page payloads sit behind the same CRC framing as the WAL, so a torn
+page write from a crash fails its checksum and simply ends the file's
+readable prefix.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ import struct
 from dataclasses import dataclass
 from operator import itemgetter
 
+from ..columnstore import ColumnPage
 from ..errors import EngineError
 from ..observability.metrics import CounterSet, MetricsRegistry
 from ..pager import Page, PageKind
@@ -67,6 +74,7 @@ from .codec import (
     encode_frame,
     file_head,
     frame_intact,
+    frame_payload,
     has_head,
     read_frame,
 )
@@ -75,12 +83,13 @@ from .faults import FaultInjector, SimulatedCrash
 PAGE_FILE = "data.pages"
 
 #: The page file's first bytes: magic + format version.  Version 1 is
-#: the first with a head; before it a frame's pickle held a dict of
-#: kind, size, used and payload, and RIDs were objects.
-HEAD = file_head(b"RPPG", 1)
+#: the first with a head (before it a frame's pickle held a dict of
+#: kind, size, used and payload, and RIDs were objects); it pickled
+#: column pages too.  Version 2 stores them as images.
+HEAD = file_head(b"RPPG", 2)
 
 #: A frame's fixed-width head: page id, segment id, LSN, kind, size,
-#: used.  The pickle after it is the payload alone.
+#: used.  The payload after it is the page's alone.
 _HEAD = struct.Struct("<QIQBIi")
 
 #: ``kind`` byte -> page kind, and back.
@@ -205,17 +214,19 @@ class DiskPageStore:
         """Append a new version of ``page``.  The write reaches the OS
         immediately (process-kill durability); fsync happens at
         checkpoints via :meth:`sync`."""
-        frame = encode_frame(
-            page.payload,
-            _HEAD.pack(
-                page.page_id,
-                page.segment_id,
-                lsn,
-                _KIND_CODES[page.kind],
-                page.size,
-                page.used,
-            ),
+        head = _HEAD.pack(
+            page.page_id,
+            page.segment_id,
+            lsn,
+            _KIND_CODES[page.kind],
+            page.size,
+            page.used,
         )
+        payload = page.payload
+        if type(payload) is ColumnPage:
+            frame = frame_payload(head + payload.to_image())
+        else:
+            frame = encode_frame(payload, head)
         fh = self._file
         fh.seek(self._size)
         torn = self._faults.torn_write_length(len(frame))
@@ -250,7 +261,14 @@ class DiskPageStore:
         _, segment_id, lsn, kind, size, used = _HEAD.unpack_from(
             frame, HEADER_SIZE
         )
-        payload = decode_record(frame, _HEAD.size)
+        try:
+            payload = decode_record(frame, _HEAD.size, ColumnPage.from_image)
+        # An image ColumnPage.to_image did not write raises one of these.
+        except (ValueError, IndexError, struct.error) as exc:
+            raise EngineError(
+                f"page {page_id}: the frame passes its checksum but does "
+                f"not decode ({exc!r})"
+            ) from exc
         self.stats.page_reads += 1
         self.stats.bytes_read += len(frame)
         return Page(page_id, segment_id, _KINDS[kind], size, used, payload, lsn)

@@ -11,15 +11,21 @@ Types supported: INTEGER, BIGINT, DOUBLE, VARCHAR(n), DATE, BOOLEAN.
 ``DATE`` values are ``datetime.date`` instances.  NULL is represented by
 ``None`` and occupies a null-bitmap bit plus nothing else (we charge one
 byte, the common slotted-page approximation).
+
+Where a value does reach bytes — a WAL row record, a column-page image
+column that fits no typed array — it is written behind a one-byte type
+tag (:func:`put_values` / :func:`take_values`), so it reads back
+type-exact without pickle.
 """
 
 from __future__ import annotations
 
 import datetime
 import enum
+import struct
 from dataclasses import dataclass
 
-from .errors import TypeMismatchError
+from .errors import EngineError, TypeMismatchError
 
 
 class TypeKind(enum.Enum):
@@ -212,3 +218,71 @@ def sort_key(value: object) -> tuple[int, object]:
     if isinstance(value, datetime.date):
         return (3, value.toordinal())
     return (4, str(value))
+
+
+# -- type-exact value tags ----------------------------------------------------
+
+#: Value tags.  A tag with a fixed-width field packs with it: an int, a
+#: float, a date's ordinal, a str's or a big int's byte length.
+_NULL, _FALSE, _TRUE, _INT, _BIG_INT, _FLOAT, _STR, _DATE = range(8)
+_TAG_INT = struct.Struct("<Bq")
+_TAG_FLOAT = struct.Struct("<Bd")
+_TAG_U32 = struct.Struct("<BI")
+_TAGGED = {_INT: _TAG_INT, _FLOAT: _TAG_FLOAT}
+_TAGGED.update(dict.fromkeys((_BIG_INT, _STR, _DATE), _TAG_U32))
+_INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
+
+
+def put_values(out: bytearray, values) -> None:
+    """Append each value behind its tag.  A value of no SQL kind raises
+    :class:`EngineError`."""
+    for value in values:
+        kind = type(value)
+        if kind is str:
+            data = value.encode("utf-8", "surrogatepass")
+            out += _TAG_U32.pack(_STR, len(data)) + data
+        elif kind is int and _INT_MIN <= value <= _INT_MAX:
+            out += _TAG_INT.pack(_INT, value)
+        elif value is None:
+            out.append(_NULL)
+        elif kind is bool:
+            out.append(_TRUE if value else _FALSE)
+        elif kind is float:
+            out += _TAG_FLOAT.pack(_FLOAT, value)
+        elif kind is datetime.date:
+            out += _TAG_U32.pack(_DATE, value.toordinal())
+        elif kind is int:
+            data = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
+            out += _TAG_U32.pack(_BIG_INT, len(data)) + data
+        else:
+            raise EngineError(f"no value tag for a {kind.__name__} value")
+
+
+def take_values(data: bytes, at: int, count: int) -> tuple[list, int]:
+    """``count`` tagged values of ``data`` from offset ``at`` on, and the
+    offset past them.  Bytes that :func:`put_values` did not write raise
+    ``ValueError``, ``IndexError`` or ``struct.error``; the caller names
+    the record."""
+    values = []
+    for _ in range(count):
+        tag = data[at]
+        layout = _TAGGED.get(tag)
+        if layout is None:
+            values.append((None, False, True)[tag])
+            at += 1
+            continue
+        value = layout.unpack_from(data, at)[1]
+        at += layout.size
+        if tag == _DATE:
+            value = datetime.date.fromordinal(value)
+        elif tag == _STR or tag == _BIG_INT:
+            if at + value > len(data):
+                raise ValueError("a value runs past the record's end")
+            raw = data[at : at + value]
+            at += value
+            if tag == _STR:
+                value = str(raw, "utf-8", "surrogatepass")
+            else:
+                value = int.from_bytes(raw, "little", signed=True)
+        values.append(value)
+    return values, at

@@ -9,6 +9,10 @@ shadow heap), the null bitmap maintenance across batch boundaries, the
 tables.
 """
 
+import datetime
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -248,6 +252,163 @@ class TestHeapParityProperty:
         assert store.page_ids() == heap.page_ids()
         for table, pool in zip(tables, pools):
             assert check_width_ledger([table], pool).findings == []
+
+
+def exact(value) -> tuple:
+    """A value compared type-exactly: ``True`` is not ``1``, ``-0.0`` is
+    not ``0.0``, and a NaN equals itself."""
+    if type(value) is float:
+        return (float, struct.pack("<d", value))
+    return (type(value), value)
+
+
+def page_state(payload: ColumnPage) -> tuple:
+    """Everything a column page holds, decoded, type-exactly."""
+    payload.decode()
+    return (
+        [[exact(v) for v in column] for column in payload.columns],
+        payload.nulls,
+        payload.widths,
+        payload.live,
+    )
+
+
+#: One strategy per SQL kind, each reaching its edges; ``mixed`` puts
+#: ``True`` next to ``1`` in one column.
+SQL_KINDS = {
+    "int": st.one_of(
+        st.integers(-(2**63), 2**63 - 1),
+        st.sampled_from([2**70, -(2**63), 2**63 - 1, -1, 0, 127, -129, 2**31]),
+    ),
+    "float": st.one_of(st.floats(), st.sampled_from([-0.0, math.nan, math.inf])),
+    "date": st.one_of(
+        st.dates(), st.sampled_from([datetime.date.min, datetime.date.max])
+    ),
+    "bool": st.booleans(),
+    "text": st.one_of(
+        st.text(st.characters(exclude_categories=()), max_size=12),
+        st.sampled_from(["", "é", "\ud800", "\udfff\ud800", "a\0b", "x" * 70_000]),
+    ),
+    "mixed": st.sampled_from([True, 1, False, 0, 1.0, "1"]),
+}
+
+IMAGE_WIDTH = 400  # 19 rows fill a page: every example stays on one
+
+
+@st.composite
+def column_pages(draw):
+    """``(kinds, rows, tombstones)``: up to 15 rows of one column kind
+    each, NULL anywhere, and the slots to delete."""
+    kinds = draw(st.lists(st.sampled_from(sorted(SQL_KINDS)), min_size=1, max_size=6))
+    cells = [st.one_of(st.none(), SQL_KINDS[kind]) for kind in kinds]
+    rows = draw(st.lists(st.tuples(*cells), min_size=1, max_size=15))
+    tombstones = draw(st.sets(st.integers(0, len(rows) - 1)))
+    return kinds, rows, tombstones
+
+
+def image_store(rows, tombstones) -> tuple[ColumnStore, list]:
+    store, _ = make_store(ncols=len(rows[0]))
+    rids = [store.insert(row, width=IMAGE_WIDTH) for row in rows]
+    for slot in sorted(tombstones):
+        store.delete(rids[slot])
+    assert len(store.page_ids()) == 1
+    return store, rids
+
+
+def reread(store: ColumnStore) -> ColumnPage:
+    """Swap the store's page for one read back from its own image, as a
+    page miss leaves it: undecoded."""
+    page = store._pool.read(store.page_ids()[0])
+    page.payload = ColumnPage.from_image(page.payload.to_image())
+    assert page.payload.columns is None
+    return page.payload
+
+
+class TestColumnImage:
+    """A column page's image decodes type-exactly, slot by slot as well
+    as whole, and a write after a lazy read leaves the same page as the
+    write on a page that was never stored."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(column_pages())
+    def test_encode_then_decode_is_type_exact(self, page):
+        _, rows, tombstones = page
+        store, _ = image_store(rows, tombstones)
+        eager = store._pool.read(store.page_ids()[0]).payload
+        expected = page_state(eager)
+        lazy = reread(store)
+        assert lazy.widths == eager.widths and lazy.live == eager.live
+        slots = {
+            s: lazy.decode_slot(s)
+            for s, width in enumerate(lazy.widths)
+            if width is not None
+        }
+        assert lazy.columns is None  # slot decodes leave it undecoded
+        assert page_state(lazy) == expected
+        for s, row in slots.items():
+            assert [exact(v) for v in row] == [
+                exact(column[s]) for column in lazy.columns
+            ]
+        assert lazy.image is None and lazy.to_image() == eager.to_image()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        column_pages(),
+        st.sampled_from(["append", "reuse", "update", "delete"]),
+        st.data(),
+    )
+    def test_a_write_after_a_lazy_read_matches_an_eager_page(
+        self, page, op, data
+    ):
+        kinds, rows, tombstones = page
+        if op == "append":
+            tombstones = set()
+        elif op == "reuse" and not tombstones:
+            tombstones = {0}
+        live = [slot for slot in range(len(rows)) if slot not in tombstones]
+        if op in ("update", "delete") and not live:
+            live, tombstones = [0], set()
+        new_row = data.draw(
+            st.tuples(*[st.one_of(st.none(), SQL_KINDS[k]) for k in kinds])
+        )
+        positions = sorted(
+            data.draw(st.sets(st.integers(0, len(kinds) - 1), min_size=1))
+        )
+        stores = [image_store(rows, tombstones) for _ in range(2)]
+        reread(stores[1][0])
+        if live:  # a point fetch fills the lazy page's row cache
+            stores[1][0].fetch(stores[1][1][live[-1]])
+
+        def write(store: ColumnStore, rids: list):
+            if op in ("append", "reuse"):
+                return store.insert(new_row, width=IMAGE_WIDTH)
+            rid = rids[live[0]]
+            if op == "delete":
+                return store.delete(rid)
+            current = store.fetch(rid)
+            updated = tuple(
+                new_row[p] if p in positions else current[p]
+                for p in range(len(kinds))
+            )
+            assert store.update(rid, updated, 0, positions) == rid
+            return [exact(v) for v in store.fetch(rid)]
+
+        eager, lazy = (write(store, rids) for store, rids in stores)
+        assert lazy == eager
+        if op == "append":
+            assert eager[1] == len(rows)
+        elif op == "reuse":
+            assert eager[1] == min(tombstones)
+        eager_page, lazy_page = (
+            store._pool.read(store.page_ids()[0]) for store, _ in stores
+        )
+        assert lazy_page.payload.image is None  # a write decodes first
+        assert page_state(lazy_page.payload) == page_state(eager_page.payload)
+        assert lazy_page.used == eager_page.used
+        assert stores[0][0].free_map() == stores[1][0].free_map()
+        assert [
+            [exact(v) for v in row] for _, row in stores[1][0].scan()
+        ] == [[exact(v) for v in row] for _, row in stores[0][0].scan()]
 
 
 class TestHeapScanBatchesNoCopy:

@@ -4,6 +4,7 @@ truncation as a cut, what a crash or a flipped byte may and may not do
 to it, what a page miss costs to decode, and what an open does with a
 file another format wrote."""
 
+import datetime
 import os
 import pickletools
 import resource
@@ -13,13 +14,15 @@ from collections import Counter
 
 import pytest
 
+from repro.engine.columnstore import ColumnPage, ColumnStore
 from repro.engine.database import Database
 from repro.engine.durability import DurabilityOptions, codec, pagestore, wal
 from repro.engine.durability.faults import FaultInjector, SimulatedCrash
 from repro.engine.durability.manager import PAGES_DIRNAME, WAL_FILENAME
 from repro.engine.durability.pagestore import HEAD, PAGE_FILE, DiskPageStore
 from repro.engine.errors import EngineError
-from repro.engine.pager import Page, PageKind
+from repro.engine.heap import InsertStrategy
+from repro.engine.pager import BufferPool, Page, PageKind
 
 
 def make_page(page_id: int, segment_id: int, payload, used: int = 0) -> Page:
@@ -604,9 +607,11 @@ def payload_ops(store: DiskPageStore, page_id: int) -> dict[str, int]:
 
 
 class TestDecodeCost:
-    """A page miss unpickles its payload in C: the Python-level steps of
-    a stored page do not grow with the entries it holds.  (With a RID
-    object per entry, a 300-entry leaf made 300 ``REDUCE`` calls.)"""
+    """A page miss costs what the read needs.  A pickled page unpickles
+    in C: the Python-level steps of a stored B-tree node or heap page do
+    not grow with the entries it holds.  (With a RID object per entry, a
+    300-entry leaf made 300 ``REDUCE`` calls.)  A column page is an
+    image, not a pickle, and a point fetch decodes only its own slots."""
 
     @pytest.fixture(scope="class")
     def stored_pages(self, tmp_path_factory) -> dict[int, dict[str, dict]]:
@@ -618,14 +623,10 @@ class TestDecodeCost:
             db.execute("CREATE UNIQUE INDEX u_id ON u (id)")
             db.execute("CREATE TABLE m (k INTEGER NOT NULL)")
             db.execute("CREATE INDEX m_k ON m (k)")
-            db.execute(
-                "CREATE TABLE c (id INTEGER, v VARCHAR(10)) USING columnar"
-            )
             with db.atomic():
                 for i in range(entries):
                     db.execute("INSERT INTO u VALUES (?, ?)", [i, f"v{i}"])
                     db.execute("INSERT INTO m VALUES (?)", [i // 3])
-                    db.execute("INSERT INTO c VALUES (?, ?)", [i, f"v{i}"])
             db.checkpoint()
             store = db.durability.store
             pages = {
@@ -636,22 +637,77 @@ class TestDecodeCost:
             for shape, btree in pages.items():
                 assert btree.height == 1 and btree.entry_count == entries
                 shapes[shape] = payload_ops(store, btree.root_id)
-            (column_page,) = db.catalog.table("c").heap.page_ids()
-            shapes["column page"] = payload_ops(store, column_page)
             (heap_page,) = db.catalog.table("u").heap.page_ids()
             shapes["heap page"] = payload_ops(store, heap_page)
             out[entries] = shapes
             db.close()
         return out
 
-    @pytest.mark.parametrize(
-        "shape", ["unique leaf", "3 RIDs per key", "column page", "heap page"]
-    )
+    @pytest.mark.parametrize("shape", ["unique leaf", "3 RIDs per key", "heap page"])
     def test_python_level_ops_do_not_grow_with_entries(
         self, stored_pages, shape
     ):
         assert stored_pages[300][shape] == stored_pages[30][shape]
         assert sum(stored_pages[300][shape].values()) <= 3
+
+    @pytest.fixture
+    def column_db(self, tmp_path):
+        """A columnar table of 200 rows, checkpointed, its pages out of
+        the pool."""
+        db = Database(path=str(tmp_path))
+        db.execute(
+            "CREATE TABLE c (id INTEGER NOT NULL, v VARCHAR(10), d DATE) "
+            "USING columnar"
+        )
+        db.execute("CREATE UNIQUE INDEX c_id ON c (id)")
+        with db.atomic():
+            for i in range(200):
+                v = None if i % 7 == 0 else f"v{i}"
+                d = datetime.date(2008, 1, 1 + i % 28)
+                db.execute("INSERT INTO c VALUES (?, ?, ?)", [i, v, d])
+        db.checkpoint()
+        db.pool.flush()
+        yield db
+        db.close()
+
+    def test_column_page_image_holds_no_pickle(self, column_db, monkeypatch):
+        """The stored payload of a column page starts below a pickle's
+        ``PROTO`` byte and holds no pickle; reading it unpickles
+        nothing."""
+        store = column_db.durability.store
+        page_ids = column_db.catalog.table("c").heap.page_ids()
+        assert page_ids
+
+        def unpickled(*args, **kwargs):
+            raise AssertionError("a column page was unpickled")
+
+        monkeypatch.setattr(codec.pickle, "loads", unpickled)
+        for page_id in page_ids:
+            payload = appended_frame(store, page_id)[
+                codec.HEADER_SIZE + pagestore._HEAD.size :
+            ]
+            assert payload[0] < 0x80
+            assert b"\x80\x04" not in payload  # pickle protocol 4's PROTO
+            assert store.read(page_id).payload.live > 0
+
+    def test_point_fetch_after_a_miss_leaves_the_page_undecoded(self, column_db):
+        """An index probe that misses on the data page decodes the one
+        row it fetches: no column list is built, and the row cache holds
+        that slot alone."""
+        table = column_db.catalog.table("c")
+        physical = column_db.pool_stats.physical_data
+        rows = column_db.execute("SELECT id, v, d FROM c WHERE id = ?", [150]).rows
+        assert rows == [(150, "v150", datetime.date(2008, 1, 1 + 150 % 28))]
+        assert column_db.pool_stats.physical_data == physical + 1
+        (rid,) = table.indexes["c_id"].btree.search((150,))
+        payload = column_db.pool.read(rid[0]).payload
+        assert payload.columns is None and payload.nulls is None
+        assert payload.image is not None
+        assert set(payload.row_cache) == {rid[1]}
+        # A scan needs the whole page: it decodes it once, and drops
+        # the image.
+        assert len(column_db.execute("SELECT id FROM c").rows) == 200
+        assert payload.image is None and len(payload.columns) == 3
 
 
 def previous_format_page_frame() -> bytes:
@@ -678,7 +734,7 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"data\.pages: found no format head, "
-            r"expected RPPG format version 1",
+            r"expected RPPG format version 2",
         ):
             Database(path=str(tmp_path))
         assert (pages / PAGE_FILE).read_bytes() == previous_format_page_frame()
@@ -717,6 +773,65 @@ class TestFormatHead:
         ):
             Database(path=str(tmp_path))
         assert log.read_bytes() == version_1
+
+    def test_page_file_of_version_1_is_refused_naming_both_versions(
+        self, tmp_path
+    ):
+        """Version 1 pickled column pages; its file is refused, not
+        converted."""
+        pages = tmp_path / PAGES_DIRNAME
+        pages.mkdir()
+        head = pagestore._HEAD.pack(1, 1, 10, 0, 8192, 18)
+        version_1 = codec.file_head(b"RPPG", 1) + codec.encode_frame(
+            ColumnPage(1), head
+        )
+        (pages / PAGE_FILE).write_bytes(version_1)
+        with pytest.raises(
+            EngineError,
+            match=r"data\.pages: found format version 1, "
+            r"expected RPPG format version 2",
+        ):
+            Database(path=str(tmp_path))
+        assert (pages / PAGE_FILE).read_bytes() == version_1
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated column", "offset past the end", "unknown tag"]
+    )
+    def test_a_malformed_column_image_is_refused_naming_the_page(
+        self, store, monkeypatch, damage
+    ):
+        """A column-page frame whose checksum holds but whose image does
+        not parse raises EngineError naming the page — not IndexError or
+        struct.error, and never by way of the unpickler."""
+        column_store = ColumnStore(
+            BufferPool(capacity_pages=4), 1, InsertStrategy.FIRST_FIT, ncols=2
+        )
+        for i in range(10):
+            column_store.insert((i, f"v{i}"), width=10)
+        (page_id,) = column_store.page_ids()
+        image = bytearray(column_store._pool.read(page_id).payload.to_image())
+        blob = "\0".join(f"v{i}" for i in range(10)).encode()
+        assert image.endswith(blob)  # the text group ends the image
+        if damage == "truncated column":
+            del image[-3:]
+        elif damage == "offset past the end":  # the text's last end offset
+            struct.pack_into("<H", image, len(image) - len(blob) - 2, 0xFFF0)
+        else:
+            image[8] = 0x7F  # the first column's tag, after the widths' one
+        head = pagestore._HEAD.pack(9, 1, 10, 0, 8192, 0)
+        with open(store.path, "ab") as fh:
+            fh.write(codec.frame_payload(head + bytes(image)))
+        reopened = DiskPageStore(store.directory)
+
+        def unpickled(*args, **kwargs):
+            raise AssertionError("a column image fell through to pickle")
+
+        monkeypatch.setattr(codec.pickle, "loads", unpickled)
+        try:
+            with pytest.raises(EngineError, match="page 9: .* does not decode"):
+                reopened.read(9)
+        finally:
+            reopened.close()
 
     @pytest.mark.parametrize("which", ["pages", "wal"])
     def test_another_version_is_refused_naming_both_versions(
