@@ -52,6 +52,7 @@ import time
 import pytest
 
 from repro.core.api import MultiTenantDatabase
+from repro.engine.btree import _Leaf, node_from_image
 from repro.engine.columnstore import ColumnPage
 from repro.engine.database import Database
 from repro.engine.durability import DurabilityOptions
@@ -177,6 +178,18 @@ def load_wide(path: str) -> Database:
     return exp.mtd.db
 
 
+def best_rounds(timed: dict) -> dict[str, float]:
+    """Each thunk's best time, rounds interleaved across them."""
+    best = dict.fromkeys(timed, float("inf"))
+    for round_no in range(WARMUP + ROUNDS):
+        for name, run in timed.items():
+            start = time.perf_counter()
+            run()
+            if round_no >= WARMUP:
+                best[name] = min(best[name], time.perf_counter() - start)
+    return best
+
+
 def measure_page_miss(load) -> dict:
     """Per column page of what ``load`` stores, best of interleaved
     rounds."""
@@ -228,27 +241,99 @@ def measure_page_miss(load) -> dict:
             for data in pickles:
                 pickle.loads(data)
 
-        timed = {
-            "read": read,
-            "read_row": read_row,
-            "read_page": read_page,
-            "encode": encode,
-            "pickle_dumps": dumps,
-            "decode": decode,
-            "unpickle": unpickle,
-        }
-        best = dict.fromkeys(timed, float("inf"))
-        for round_no in range(WARMUP + ROUNDS):
-            for name, run in timed.items():
-                start = time.perf_counter()
-                run()
-                if round_no >= WARMUP:
-                    best[name] = min(best[name], time.perf_counter() - start)
+        best = best_rounds(
+            {
+                "read": read,
+                "read_row": read_row,
+                "read_page": read_page,
+                "encode": encode,
+                "pickle_dumps": dumps,
+                "decode": decode,
+                "unpickle": unpickle,
+            }
+        )
         db.close()
-    result = {f"{name}_us": best[name] / len(page_ids) * 1e6 for name in timed}
+    result = {f"{name}_us": best[name] / len(page_ids) * 1e6 for name in best}
     result.update(
         pages=len(page_ids),
         rows=sum(page.live for page in pages),
+        image_bytes=sum(map(len, images)),
+        pickle_bytes=sum(map(len, pickles)),
+        decode_over_unpickle=best["decode"] / best["unpickle"],
+        encode_over_pickle_dumps=best["encode"] / best["pickle_dumps"],
+    )
+    return result
+
+
+def measure_index_miss(load) -> dict:
+    """Per leaf of the ``(tenant, id)`` indexes ``load`` stores, best of
+    interleaved rounds.  A probe after a miss finds the leaf's decorated
+    keys resident and decodes the entry it bisected to."""
+    with tempfile.TemporaryDirectory() as path:
+        db = load(path)
+        db.checkpoint()
+        store = db.durability.store
+        page_ids = [
+            page_id
+            for table in db.catalog.tables()
+            for index in table.indexes.values()
+            if index.column_names == ("tenant", "id")
+            for page_id in sorted(store.pages_in_segment(index.btree.segment_id))
+            if type(store.read(page_id).payload) is _Leaf
+        ]
+        leaves = [store.read(page_id).payload for page_id in page_ids]
+        for leaf in leaves:
+            leaf.decode()
+        middles = [len(leaf.keys) // 2 for leaf in leaves]
+        images = [leaf.to_image() for leaf in leaves]
+        pickles = [pickle.dumps(leaf, protocol=4) for leaf in leaves]
+
+        def read():
+            for page_id in page_ids:
+                store.read(page_id)
+
+        def read_probe():  # what a one-entry prefix scan decodes
+            for page_id, i in zip(page_ids, middles):
+                image = store.read(page_id).payload.image
+                image.keys.row(i)
+                image.rid_list(i)
+
+        def read_node():
+            for page_id in page_ids:
+                store.read(page_id).payload.decode()
+
+        def encode():
+            for leaf in leaves:
+                leaf.to_image()
+
+        def dumps():
+            for leaf in leaves:
+                pickle.dumps(leaf, protocol=4)
+
+        def decode():
+            for image in images:
+                node_from_image(image).decode()
+
+        def unpickle():
+            for data in pickles:
+                pickle.loads(data)
+
+        best = best_rounds(
+            {
+                "read": read,
+                "read_probe": read_probe,
+                "read_node": read_node,
+                "encode": encode,
+                "pickle_dumps": dumps,
+                "decode": decode,
+                "unpickle": unpickle,
+            }
+        )
+        db.close()
+    result = {f"{name}_us": best[name] / len(page_ids) * 1e6 for name in best}
+    result.update(
+        leaves=len(page_ids),
+        entries=sum(len(leaf.keys) for leaf in leaves),
         image_bytes=sum(map(len, images)),
         pickle_bytes=sum(map(len, pickles)),
         decode_over_unpickle=best["decode"] / best["unpickle"],
@@ -271,6 +356,7 @@ def measurements():
         "conventional": measure_layout("private"),
         "page_miss": measure_page_miss(load_crm),
         "page_miss_wide": measure_page_miss(load_wide),
+        "page_miss_index": measure_index_miss(load_crm),
     }
     recorded = {
         label: {
@@ -327,6 +413,22 @@ class TestColumnarSpeedup:
                 f"  image {miss['image_bytes']} B vs pickle "
                 f"{miss['pickle_bytes']} B",
             ]
+        miss = measurements["page_miss_index"]
+        lines += [
+            "page miss, CRM load on chunk folding, per (tenant, id) B-tree "
+            f"leaf ({miss['leaves']} leaves, {miss['entries']} entries):",
+            f"  read {miss['read_us']:.1f} us, read + one probe "
+            f"{miss['read_probe_us']:.1f} us, read + whole node "
+            f"{miss['read_node_us']:.1f} us",
+            f"  decode {miss['decode_us']:.1f} us vs unpickle "
+            f"{miss['unpickle_us']:.1f} us "
+            f"({miss['decode_over_unpickle']:.2f}x); encode "
+            f"{miss['encode_us']:.1f} us vs pickle "
+            f"{miss['pickle_dumps_us']:.1f} us "
+            f"({miss['encode_over_pickle_dumps']:.2f}x)",
+            f"  image {miss['image_bytes']} B vs pickle "
+            f"{miss['pickle_bytes']} B",
+        ]
         report("BENCH_columnar", "\n".join(lines))
 
     def test_chunk6_grouping_columnar_wins(self, measurements):
@@ -346,6 +448,18 @@ class TestColumnarSpeedup:
 
     def test_image_is_no_larger_than_the_pickle(self, measurements):
         miss = measurements["page_miss"]
+        assert miss["image_bytes"] <= miss["pickle_bytes"]
+
+    def test_a_leaf_miss_for_one_probe_reads_at_most_half_the_node(
+        self, measurements
+    ):
+        """A probe after a leaf miss decodes its own entry, not the
+        node."""
+        miss = measurements["page_miss_index"]
+        assert miss["read_probe_us"] <= 0.5 * miss["read_node_us"]
+
+    def test_leaf_image_is_no_larger_than_the_pickle(self, measurements):
+        miss = measurements["page_miss_index"]
         assert miss["image_bytes"] <= miss["pickle_bytes"]
 
     def test_rows_and_logical_read_parity(self, measurements):

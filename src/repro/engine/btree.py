@@ -30,10 +30,14 @@ write costs work proportional to the entry, not to the node:
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
+from operator import gt
 from typing import Iterator
 
+from .columncodec import Columns, encode_columns
 from .errors import UniqueViolation
 from .heap import RowId
 from .observability.metrics import CounterSet
@@ -68,11 +72,170 @@ def _value_width(value: object) -> int:
     return 4  # dates and anything else fixed-width
 
 
-@dataclass
+# -- node images ------------------------------------------------------------
+#
+# The page file stores a node as an image (a memory pool never builds
+# one): blocks of the typed-column codec (:mod:`.columncodec`), each
+# behind its tags and stored without fillers, so it decodes type-exact
+# alone:
+#
+#   leaf:     [kind u8 = _LEAF][key columns u16][entries u32][RIDs u32]
+#             [next page i64, -1 for none]
+#             [keys: a row per entry]
+#             [if RIDs != entries — some key holds several — the RID
+#              offsets: a row per entry, one past its last RID]
+#             [RIDs: a row per RID, its page and slot]
+#
+# A key holds at least one RID: a delete that empties it removes it.
+#   internal: [kind u8 = _INTERNAL][key columns u16][separators u32]
+#             [separators: a row each][children: a row each]
+#
+# The first byte is below a pickle's ``0x80`` and apart from a column
+# page's ``0x01``.
+
+_LEAF, _INTERNAL = 0x02, 0x03
+_LEAF_HEAD = struct.Struct("<BHIIq")
+_INTERNAL_HEAD = struct.Struct("<BHI")
+
+
+def _key_columns(keys: list[tuple]) -> list[tuple]:
+    """A node's keys, column by column; keys of different widths raise
+    ``ValueError``."""
+    return list(zip(*keys, strict=True))
+
+
+def _block(columns: list) -> bytes:
+    tags, groups = encode_columns(columns, fill=False)
+    return b"".join([bytes(tags), *groups])
+
+
+class _LeafImage:
+    """An undecoded leaf: its keys' block, its RIDs' block, and, when
+    a key holds several RIDs, ``bounds``: entry ``i``'s RIDs are rows
+    ``bounds[i]`` .. ``bounds[i + 1] - 1`` of the RIDs."""
+
+    __slots__ = ("data", "keys", "bounds", "rids")
+
+    def __init__(self, data: bytes) -> None:
+        _, k, n, count, _ = _LEAF_HEAD.unpack_from(data)
+        self.data = data
+        self.keys = Columns.after_tags(data, _LEAF_HEAD.size, n, k)
+        at = self.keys.end
+        self.bounds = None
+        if count != n:
+            offsets = Columns.after_tags(data, at, n, 1)
+            bounds = self.bounds = [0, *offsets.columns()[0]]
+            if bounds[-1] != count or any(map(gt, bounds, bounds[1:])):
+                raise ValueError(f"RID offsets {bounds[1:]} for {count} RIDs")
+            at = offsets.end
+        self.rids = Columns.after_tags(data, at, count, 2)
+        if self.rids.end != len(data):
+            raise ValueError(f"the RIDs end at {self.rids.end}, the image at {len(data)}")
+
+    def rid(self, i: int) -> RowId:
+        """Entry ``i``'s first RID."""
+        bounds = self.bounds
+        return self.rids.row(i if bounds is None else bounds[i])
+
+    def rid_list(self, i: int) -> list[RowId]:
+        bounds = self.bounds
+        if bounds is None:
+            return [self.rids.row(i)]
+        return list(map(self.rids.row, range(bounds[i], bounds[i + 1])))
+
+    def decode(self) -> tuple[list[tuple], list[list[RowId]]]:
+        """Every key, and every key's RIDs."""
+        rids = self.rids.rows()
+        bounds = self.bounds
+        if bounds is None:
+            rid_lists = list(map(list, zip(rids)))
+        else:
+            rid_lists = list(map(rids.__getitem__, map(slice, bounds, bounds[1:])))
+        return self.keys.rows(), rid_lists
+
+
 class _Leaf:
-    keys: list[tuple] = field(default_factory=list)
-    rid_lists: list[list[RowId]] = field(default_factory=list)
-    next_page: int | None = None
+    """A leaf's keys in order, each key's RIDs, and its right sibling.
+
+    A leaf read from the page file (:meth:`from_image`) starts
+    *undecoded*: ``image`` holds it parsed, and ``keys`` and
+    ``rid_lists`` are unset.  A probe bisects on the tree's decorated
+    keys (``BTreeIndex._node_dec``) and decodes only the entry it
+    returns.  Anything that touches ``keys`` or ``rid_lists`` — a scan
+    of more than one entry, a write, a split, the occupancy recompute,
+    a pickle — decodes the whole node first (``__getattr__``), which
+    drops the image."""
+
+    __slots__ = ("keys", "rid_lists", "next_page", "image")
+
+    def __init__(
+        self,
+        keys: list[tuple] | None = None,
+        rid_lists: list[list[RowId]] | None = None,
+        next_page: int | None = None,
+    ) -> None:
+        self.keys = [] if keys is None else keys
+        self.rid_lists = [] if rid_lists is None else rid_lists
+        self.next_page = next_page
+        self.image: _LeafImage | None = None
+
+    def __getattr__(self, name: str):
+        # Reached for an unset slot only: the entries of an undecoded leaf.
+        if name in ("keys", "rid_lists") and self.image is not None:
+            self.decode()
+            return getattr(self, name)
+        raise AttributeError(name)
+
+    def decode(self) -> None:
+        """Decode the whole node and drop the image (no-op when
+        decoded)."""
+        image = self.image
+        if image is not None:
+            self.keys, self.rid_lists = image.decode()
+            self.image = None
+
+    def to_image(self) -> bytes:
+        """The leaf as the page file stores it."""
+        if self.image is not None:
+            return self.image.data
+        keys, rid_lists = self.keys, self.rid_lists
+        rids = list(zip(*chain.from_iterable(rid_lists))) or [(), ()]
+        count = len(rids[0])
+        columns = _key_columns(keys)
+        blocks = [_block(columns)]
+        if count != len(keys):
+            blocks.append(_block([list(accumulate(map(len, rid_lists)))]))
+        blocks.append(_block(rids))
+        next_page = -1 if self.next_page is None else self.next_page
+        head = _LEAF_HEAD.pack(_LEAF, len(columns), len(keys), count, next_page)
+        return b"".join([head, *blocks])
+
+    @classmethod
+    def from_image(cls, data: bytes) -> "_Leaf":
+        """An undecoded leaf over ``data``; raises ``ValueError`` (or
+        ``struct.error``) on an image :meth:`to_image` did not write."""
+        leaf = cls.__new__(cls)
+        leaf.image = _LeafImage(data)
+        next_page = _LEAF_HEAD.unpack_from(data)[-1]
+        leaf.next_page = None if next_page == -1 else next_page
+        return leaf
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not _Leaf:
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return "_Leaf(%r, %r, %r)" % self.__getstate__()
+
+    def __getstate__(self) -> tuple:
+        return (self.keys, self.rid_lists, self.next_page)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.keys, self.rid_lists, self.next_page = state
+        self.image = None
 
 
 @dataclass
@@ -80,6 +243,34 @@ class _Internal:
     # children[i] holds keys < separators[i] <= children[i+1] ...
     separators: list[tuple] = field(default_factory=list)
     children: list[int] = field(default_factory=list)
+
+    def to_image(self) -> bytes:
+        """The node as the page file stores it."""
+        columns = _key_columns(self.separators)
+        head = _INTERNAL_HEAD.pack(_INTERNAL, len(columns), len(self.separators))
+        return b"".join([head, _block(columns), _block([self.children])])
+
+    @classmethod
+    def from_image(cls, data: bytes) -> "_Internal":
+        """The node, decoded whole: internal nodes are read far less
+        often than they are probed."""
+        _, k, n = _INTERNAL_HEAD.unpack_from(data)
+        separators = Columns.after_tags(data, _INTERNAL_HEAD.size, n, k)
+        children = Columns.after_tags(data, separators.end, n + 1, 1)
+        if children.end != len(data):
+            raise ValueError(
+                f"the children end at {children.end}, the image at {len(data)}"
+            )
+        return cls(separators.rows(), children.columns()[0])
+
+
+def node_from_image(data: bytes) -> _Leaf | _Internal:
+    """The B-tree node a page image holds."""
+    if data[0] == _LEAF:
+        return _Leaf.from_image(data)
+    if data[0] == _INTERNAL:
+        return _Internal.from_image(data)
+    raise ValueError(f"unknown page image kind {data[0]:#x}")
 
 
 @dataclass
@@ -123,9 +314,10 @@ class BTreeIndex:
         # internal node, keys of a leaf).  Spares every descent the
         # per-comparison ``_order`` memo hits; each mutation pops only
         # the nodes whose key lists it changes, so bulk loads keep the
-        # hot upper levels decorated.  Runtime-only, never pickled with
-        # the page payloads (re-reading an evicted page reproduces the
-        # same keys, so entries survive eviction).
+        # hot upper levels decorated.  Runtime-only, never stored with
+        # the node images (re-reading an evicted page reproduces the
+        # same keys, so entries survive eviction): a probe after a leaf
+        # miss bisects here and decodes only the entries it returns.
         self._node_dec: dict[int, list[tuple]] = {}
         self._stats: BTreeStats = pool.metrics.counter_set(BTreeStats)
         root = pool.allocate(segment_id, PageKind.INDEX)
@@ -265,18 +457,28 @@ class BTreeIndex:
             node = page.payload
         return path, page
 
+    def _decorate_leaf(self, page_id: int, leaf: _Leaf) -> list[tuple]:
+        """Cache and return the decorated keys of a leaf; an undecoded
+        one decodes its keys for it, not its RIDs."""
+        image = leaf.image
+        keys = leaf.keys if image is None else image.keys.rows()
+        dec = self._node_dec[page_id] = list(map(self._order, keys))
+        return dec
+
     def search(self, key: tuple) -> list[RowId]:
         """Exact-match lookup; [] when absent."""
         self._stats.searches += 1
         order = self._order(key)
         path, page = self._descend(key, order)
         leaf = page.payload
-        keys = leaf.keys
         dec = self._node_dec.get(path[-1])
         if dec is None:
-            dec = self._node_dec[path[-1]] = [self._order(k) for k in keys]
+            dec = self._decorate_leaf(path[-1], leaf)
         lo = bisect_left(dec, order)
-        if lo < len(keys) and dec[lo] == order:
+        if lo < len(dec) and dec[lo] == order:
+            image = leaf.image
+            if image is not None:
+                return image.rid_list(lo)
             return list(leaf.rid_lists[lo])
         return []
 
@@ -304,12 +506,14 @@ class BTreeIndex:
                 ]
             pid = node.children[bisect_right(dec, order)]
             node = read(pid).payload
-        keys = node.keys
         dec = node_dec.get(pid)
         if dec is None:
-            dec = node_dec[pid] = [self._order(k) for k in keys]
+            dec = self._decorate_leaf(pid, node)
         lo = bisect_left(dec, order)
-        if lo < len(keys) and dec[lo] == order:
+        if lo < len(dec) and dec[lo] == order:
+            image = node.image
+            if image is not None:
+                return image.rid(lo)
             return node.rid_lists[lo][0]
         return None
 
@@ -374,30 +578,38 @@ class BTreeIndex:
         hn = len(high) if high is not None else 0
         batch: list[tuple[tuple, RowId]] = []
         while True:
-            keys = leaf.keys
             dec = node_dec.get(page_id)
             if dec is None:
-                dec = node_dec[page_id] = [self._order(k) for k in keys]
+                dec = self._decorate_leaf(page_id, leaf)
             start = bisect_left(dec, low) if low is not None else 0
             end = (
                 bisect_right(dec, high, start, key=lambda d: d[:hn])
                 if high is not None
-                else len(keys)
+                else len(dec)
             )
-            run = [
-                (key, rid)
-                for key, rids in zip(
-                    keys[start:end], leaf.rid_lists[start:end]
-                )
-                for rid in rids
-            ]
+            image = leaf.image
+            if image is None or end - start > 1:
+                # A scan decodes an undecoded leaf whole, once (touching
+                # ``keys`` does), as a scan of a column page does.
+                run = [
+                    (key, rid)
+                    for key, rids in zip(
+                        leaf.keys[start:end], leaf.rid_lists[start:end]
+                    )
+                    for rid in rids
+                ]
+            elif end > start:  # a probe decodes its one entry
+                key = image.keys.row(start)
+                run = [(key, rid) for rid in image.rid_list(start)]
+            else:
+                run = []
             batch = batch + run if batch else run
             if len(batch) >= batch_rows:
                 cut = len(batch) - len(batch) % batch_rows
                 for i in range(0, cut, batch_rows):
                     yield batch[i : i + batch_rows]
                 batch = batch[cut:]
-            page_id = leaf.next_page if end == len(keys) else None
+            page_id = leaf.next_page if end == len(dec) else None
             if page_id is None:
                 break
             leaf = self._pool.read(page_id).payload

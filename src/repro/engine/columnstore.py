@@ -33,199 +33,34 @@ top of this.
 
 from __future__ import annotations
 
-import datetime
 import struct
-from itertools import accumulate, chain, count, groupby, repeat
-from operator import add, getitem, is_, itemgetter
 from typing import Iterator
 
+from .columncodec import CODES, INT8, INT16, INT32, Columns, encode_columns, int_tag
 from .errors import ExecutionError
 from .heap import HeapFile, RowId
-from .values import put_values, take_values
 
 # -- the page image -----------------------------------------------------------
 #
-# On disk a column page is an *image*: typed arrays a reader indexes by
-# slot, so a page miss for one row decodes that row and nothing else.
-# Each column gets one tag, chosen from its values; the columns of one
-# tag are stored together, slot by slot, so one ``struct`` call reads a
-# slot's values of a whole group, and one reads the group for a scan:
+# On disk a column page is an *image*: its columns are one block of the
+# typed-column codec (:mod:`.columncodec`), one row per slot, after the
+# page's own widths and null bitmaps:
 #
 #   [kind u8 = _IMAGE][slots u16][live u16][columns u16]
 #   [tags u8: the widths', then one per column]
 #   [widths: one int per slot, -1 for a tombstone]
 #   [null columns: their count u16, positions u16, null bitmaps]
-#   [a group per tag present, by ascending tag: its columns' values,
-#    slot by slot, with a filler where the value is None]
+#   [the columns' groups]
 #
 # A null bitmap is the column's ``nulls`` entry in (slots + 7) // 8
-# bytes; a column whose bitmap is 0 is not listed.  The tags:
-
-_NULLS = 0  # every value None: nothing stored
-_INT8, _INT16, _INT32, _INT64 = 1, 2, 3, 4  # the narrowest ints that fit
-_FLOAT, _DATE, _BOOL = 5, 6, 7  # f64; a date's ordinal as i32; a byte
-_TEXT16, _TEXT32 = 8, 9  # u16 / u32 codes, then byte end offsets, then
-# the values joined by NUL in UTF-8 (a column with a NUL in it is _CELLS).
-# A value's code is the position of its first occurrence in the group,
-# or one past the last value for None (which stores an empty string).
-# A scan's decode so gives equal values one object, as a pickle's memo
-# gave the objects a page shared (a status or an industry drawn from a
-# few words); otherwise a decoded page would hold more objects, and a
-# checkpoint that pickles rows of it would write each out in full.
-_CELLS = 10  # anything else: value by value behind the WAL's value tags
+# bytes; a column whose bitmap is 0 is not listed.
 
 #: The image's first byte: below a pickle's ``0x80``.
 _IMAGE = 0x01
 _IMAGE_HEAD = struct.Struct("<BHHH")
 _COUNT = struct.Struct("<H")
-#: A tag's struct code; for text, the code of its codes and end offsets.
-_CODES = dict(zip(range(_INT8, _CELLS), "bhiqdi?HI"))
-_ONE = {tag: struct.Struct("<" + code) for tag, code in _CODES.items()}
-_TAGS = frozenset(range(_CELLS + 1))
-_NONE = type(None)
-#: A column of one kind: its tag (an int's is narrowed) and the filler a
-#: None slot stores.
-_KINDS = {
-    _NONE: (_NULLS, None),
-    int: (_INT64, 0),
-    float: (_FLOAT, 0.0),
-    datetime.date: (_DATE, datetime.date.min),
-    bool: (_BOOL, False),
-    str: (_TEXT16, ""),
-}
-_UTF8, _SP = "utf-8", "surrogatepass"  # as the WAL encodes text
-_fromordinal = datetime.date.fromordinal
-
-#: Dates by ordinal, shared by every decode: a dict lookup instead of a
-#: constructor call, and one object per day however many pages hold it.
-#: Stops growing at about ``_DATES_KEPT`` days; a day past them is built
-#: each time it is decoded.
-_DATES: dict[int, datetime.date] = {}
-_DATES_KEPT = 1 << 14
-
-
-def _int_tag(low: int, high: int) -> int:
-    if -(2**7) <= low and high < 2**7:
-        return _INT8
-    if -(2**15) <= low and high < 2**15:
-        return _INT16
-    if -(2**31) <= low and high < 2**31:
-        return _INT32
-    return _INT64 if -(2**63) <= low and high < 2**63 else _CELLS
-
-
-def _column_tag(values: list) -> tuple[int, list]:
-    """A column's tag, and the values its group stores: a filler for
-    each None in a typed array."""
-    kinds = set(map(type, values))
-    nulls = len(kinds) > 1 and _NONE in kinds
-    if nulls:
-        kinds.discard(_NONE)
-    if len(kinds) != 1:
-        return (_CELLS if kinds else _NULLS), values
-    tag, filler = _KINDS.get(kinds.pop(), (_CELLS, None))
-    if tag == _CELLS or tag == _NULLS:
-        return tag, values
-    filled = [filler if v is None else v for v in values] if nulls else values
-    if tag == _INT64:
-        tag = _int_tag(min(filled), max(filled))
-    elif tag == _TEXT16:  # the codes stand in for None
-        return (_CELLS if "\0" in "".join(filled) else tag), values
-    return tag, values if tag == _CELLS else filled
-
-
-def _dates(ordinals: tuple) -> list:
-    try:
-        return list(map(_DATES.__getitem__, ordinals))
-    except KeyError:
-        dates = list(map(_fromordinal, ordinals))
-        if len(_DATES) < _DATES_KEPT:
-            _DATES.update(zip(ordinals, dates))
-        return dates
-
-
-def _group_values(data: bytes, tag: int, count: int, at: int) -> list:
-    """The ``count`` values of a group stored at ``at``."""
-    if tag == _NULLS:
-        return [None] * count
-    if tag == _CELLS:
-        return take_values(data, at, count)[0]
-    values = struct.unpack_from(f"<{count}{_CODES[tag]}", data, at)
-    if tag >= _TEXT16:
-        if not count:
-            return []
-        one = _ONE[tag]
-        at += 2 * count * one.size  # past the codes and the end offsets
-        end = at + one.unpack_from(data, at - one.size)[0]
-        text = str(data[at:end], _UTF8, _SP).split("\0")
-        text.append(None)
-        return list(map(text.__getitem__, values))
-    return _dates(values) if tag == _DATE else list(values)
-
-
-class _Layout:
-    """What an image's slot count and tags alone decide — the groups and
-    where each starts after the null bitmaps — shared by every page of
-    that shape."""
-
-    __slots__ = (
-        "widths",
-        "widths_size",
-        "groups",
-        "perm",
-        "take",
-        "fixed",
-        "text",
-        "cells",
-        "patched",
-    )
-
-    def __init__(self, n: int, width_tag: int, tags: bytes) -> None:
-        if width_tag not in (_INT8, _INT16, _INT32) or not _TAGS.issuperset(tags):
-            raise ValueError(f"unknown tag in {bytes([width_tag]) + tags!r}")
-        if _TEXT16 in tags and _TEXT32 in tags:
-            raise ValueError("two text groups")
-        self.widths = f"<{n}{_CODES[width_tag]}"
-        self.widths_size = n * _ONE[width_tag].size
-        order = sorted(range(len(tags)), key=tags.__getitem__)
-        #: Column ``c``'s value is the ``perm[c]``-th of a slot's values
-        #: taken group after group.
-        self.perm = sorted(range(len(tags)), key=order.__getitem__)
-        #: A slot's values in group order -> its row.
-        self.take = itemgetter(*self.perm) if len(tags) > 1 else tuple
-        #: Per group: its tag, its columns, its offset, the format of
-        #: one slot's values and their size (a text group: of its codes,
-        #: and of its end offsets).  Fixed-size groups come first, then
-        #: the text's codes and end offsets, ``fixed`` bytes in all; the
-        #: text blob and the cells follow.
-        self.groups = []
-        self.fixed = 0
-        self.text = self.cells = 0
-        #: The columns whose decoded values need their Nones put in.
-        self.patched = frozenset()
-        for tag, members in groupby(order, tags.__getitem__):
-            members = tuple(members)
-            one = _ONE.get(tag)
-            size = one.size * len(members) if one else 0
-            self.groups.append(
-                (tag, members, self.fixed, f"<{len(members)}{_CODES.get(tag)}", size)
-            )
-            self.fixed += n * size
-            if tag in (_TEXT16, _TEXT32):
-                self.text = tag
-                self.fixed += n * size
-            elif tag == _CELLS:
-                self.cells = len(members)
-            elif tag != _NULLS:
-                self.patched |= frozenset(members)
-
-
-#: Layouts by slot count and tags, so a page miss derives none: a table's
-#: pages share a handful.  Emptied when it outgrows ``_LAYOUTS_KEPT``;
-#: an entry depends on its key alone, so shards sharing it in threads
-#: at worst build one twice.
-_LAYOUTS: dict[bytes, _Layout] = {}
-_LAYOUTS_KEPT = 1024
+#: The widths' tags, and the bytes of one width.
+_WIDTH_SIZES = {INT8: 1, INT16: 2, INT32: 4}
 
 
 class ColumnPage:
@@ -254,15 +89,17 @@ class ColumnPage:
 
     __slots__ = ("columns", "nulls", "widths", "live", "row_cache", "image")
 
+    #: The first byte of the page's image.
+    IMAGE_KIND = _IMAGE
+
     def __init__(self, ncols: int) -> None:
         self.columns: list[list] | None = [[] for _ in range(ncols)]
         self.nulls: list[int] | None = [0] * ncols
         self.widths: list[int | None] = []
         self.live = 0
         self.row_cache: dict[int, tuple] = {}
-        #: Undecoded: the image, the tombstone bitmap, where the null
-        #: bitmaps are and of which columns, where each group is, and
-        #: each column's place in the groups' order.
+        #: Undecoded: the columns' block of the image, the tombstone
+        #: bitmap, the columns with a null bitmap and where those start.
         self.image: tuple | None = None
 
     # -- the image ------------------------------------------------------
@@ -272,52 +109,18 @@ class ColumnPage:
         self.decode()
         widths, nulls = self.widths, self.nulls
         n = len(widths)
-        tags, stored = map(list, zip(*map(_column_tag, self.columns)))
+        tags, groups = encode_columns(self.columns)
         if None in widths:
             widths = [-1 if w is None else w for w in widths]
-        width_tag = _int_tag(min(widths, default=0), max(widths, default=0))
+        width_tag = int_tag(min(widths, default=0), max(widths, default=0))
         null_columns = [c for c, bits in enumerate(nulls) if bits]
-        groups = []
-        order = sorted(range(len(tags)), key=tags.__getitem__)
-        for tag, members in groupby(order, tags.__getitem__):
-            members = list(members)
-            columns = [stored[c] for c in members]
-            flat = columns[0]
-            if len(columns) > 1:
-                flat = list(chain.from_iterable(zip(*columns)))
-            if tag == _CELLS:
-                out = bytearray()
-                put_values(out, flat)
-                groups.append(out)
-            elif tag == _TEXT16:
-                first = {None: len(flat)}
-                codes = map(first.setdefault, flat, count())
-                stored_text = list(  # "" for None
-                    map(getitem, zip(flat, repeat("")), map(is_, flat, repeat(None)))
-                )
-                joined = "\0".join(stored_text)
-                blob = joined.encode(_UTF8, _SP)
-                lengths = map(len, stored_text)  # ASCII: a char is a byte
-                if len(blob) != len(joined):
-                    encoded = map(str.encode, stored_text, repeat(_UTF8), repeat(_SP))
-                    lengths = map(len, encoded)
-                if len(blob) > 0xFFFF or len(flat) >= 0xFFFF:
-                    tag = _TEXT32
-                    tags = [_TEXT32 if t == _TEXT16 else t for t in tags]
-                ends = map(add, accumulate(lengths), count())  # the NULs before
-                fmt = f"<{len(flat)}{_CODES[tag]}"
-                groups += [struct.pack(fmt, *codes), struct.pack(fmt, *ends), blob]
-            elif tag != _NULLS:
-                if tag == _DATE:
-                    flat = map(datetime.date.toordinal, flat)
-                groups.append(struct.pack(f"<{n * len(columns)}{_CODES[tag]}", *flat))
         listed = len(null_columns)
         nbytes = (n + 7) >> 3
         return b"".join(
             [
                 _IMAGE_HEAD.pack(_IMAGE, n, self.live, len(tags)),
                 bytes([width_tag, *tags]),
-                struct.pack(f"<{n}{_CODES[width_tag]}", *widths),
+                struct.pack(f"<{n}{CODES[width_tag]}", *widths),
                 struct.pack(f"<H{listed}H", listed, *null_columns),
                 *[nulls[c].to_bytes(nbytes, "little") for c in null_columns],
                 *groups,
@@ -333,17 +136,18 @@ class ColumnPage:
         kind, n, live, k = _IMAGE_HEAD.unpack_from(data)
         if kind != _IMAGE:
             raise ValueError(f"unknown page image kind {kind:#x}")
-        at = _IMAGE_HEAD.size + 1 + k
-        key = data[1:3] + data[_IMAGE_HEAD.size : at]  # slots and tags
-        layout = _LAYOUTS.get(key)
-        if layout is None:
-            if len(key) != 3 + k:
-                raise ValueError(f"{k} columns, {len(key) - 3} tags")
-            if len(_LAYOUTS) > _LAYOUTS_KEPT:
-                _LAYOUTS.clear()
-            layout = _LAYOUTS[key] = _Layout(n, key[2], key[3:])
-        widths = list(struct.unpack_from(layout.widths, data, at))
-        at += layout.widths_size
+        at = _IMAGE_HEAD.size
+        width_tag = data[at]
+        width_size = _WIDTH_SIZES.get(width_tag)
+        if width_size is None:
+            raise ValueError(f"unknown width tag {width_tag:#x}")
+        at += 1
+        tags = data[at : at + k]
+        if len(tags) != k:
+            raise ValueError(f"{k} columns, {len(tags)} tags")
+        at += k
+        widths = list(struct.unpack_from(f"<{n}{CODES[width_tag]}", data, at))
+        at += n * width_size
         tombs = 0
         if -1 in widths:
             for slot, width in enumerate(widths):
@@ -357,20 +161,14 @@ class ColumnPage:
         if listed and max(null_columns) >= k:
             raise ValueError(f"a null bitmap of column {max(null_columns)}")
         nulls_at = at + 2 + 2 * listed
-        base = nulls_at + listed * ((n + 7) >> 3)
-        at = tail = base + layout.fixed
-        if layout.text and n:  # the blob after the text's end offsets
-            one = _ONE[layout.text]
-            at = tail = at + one.unpack_from(data, at - one.size)[0]
-        if layout.cells:
-            at = take_values(data, at, n * layout.cells)[1]
-        if at != len(data):
-            raise ValueError(f"the groups end at {at}, the image at {len(data)}")
+        block = Columns(data, nulls_at + listed * ((n + 7) >> 3), n, tags)
+        if block.end != len(data):
+            raise ValueError(f"the groups end at {block.end}, the image at {len(data)}")
         page = cls.__new__(cls)
         page.widths, page.live = widths, live
         page.columns = page.nulls = None
         page.row_cache = {}
-        page.image = (data, tombs, null_columns, nulls_at, base, tail, layout)
+        page.image = (block, tombs, null_columns, nulls_at)
         return page
 
     def decode(self) -> None:
@@ -379,25 +177,16 @@ class ColumnPage:
         image = self.image
         if image is None:
             return
-        data, tombs, null_columns, nulls_at, base, tail, layout = image
-        n = len(self.widths)
-        k = len(layout.perm)
-        nbytes = (n + 7) >> 3
-        nulls = [0] * k
+        block, tombs, null_columns, nulls_at = image
+        data = block.data
+        nbytes = (block.n + 7) >> 3
+        nulls = [0] * block.layout.width
         for c in null_columns:
             nulls[c] = int.from_bytes(data[nulls_at : nulls_at + nbytes], "little")
             nulls_at += nbytes
-        columns: list = [None] * k
-        for tag, members, offset, _, _ in layout.groups:
-            m = len(members)
-            at = tail if tag == _CELLS else base + offset
-            flat = _group_values(data, tag, n * m, at)
-            if m == 1:
-                columns[members[0]] = flat
-            else:
-                for j, c in enumerate(members):
-                    columns[c] = flat[j::m]
-        for c in layout.patched if tombs else layout.patched.intersection(null_columns):
+        columns = block.columns()
+        patched = block.layout.patched
+        for c in patched if tombs else patched.intersection(null_columns):
             values, none = columns[c], nulls[c] | tombs
             while none:
                 low = none & -none
@@ -410,33 +199,13 @@ class ColumnPage:
 
     def decode_slot(self, slot: int) -> tuple:
         """Slot ``slot``'s row, read from the image of an undecoded page."""
-        data, _, null_columns, nulls_at, base, tail, layout = self.image
-        n = len(self.widths)
-        values: list = []
-        for tag, members, offset, one_slot, size in layout.groups:
-            m = len(members)
-            if tag < _TEXT16:
-                if tag == _NULLS:
-                    values += repeat(None, m)
-                    continue
-                got = struct.unpack_from(one_slot, data, base + offset + slot * size)
-                values += _dates(got) if tag == _DATE else got
-            elif tag == _CELLS:
-                values += take_values(data, tail, n * m)[0][slot * m : slot * m + m]
-            else:  # text: from the NUL before the slot's first value
-                one = _ONE[tag]
-                ends = base + offset + n * size  # past the codes
-                at = ends + slot * size
-                blob = ends + n * size
-                end = blob + one.unpack_from(data, at + size - one.size)[0]
-                if slot:
-                    blob += one.unpack_from(data, at - one.size)[0] + 1
-                values += str(data[blob:end], _UTF8, _SP).split("\0")
-        row = layout.take(values)
+        block, _, null_columns, nulls_at = self.image
+        row = block.row(slot, text_nones=False)
         if null_columns:
+            data = block.data
             row = list(row)
             byte, bit = nulls_at + (slot >> 3), 1 << (slot & 7)
-            nbytes = (n + 7) >> 3
+            nbytes = (block.n + 7) >> 3
             for c in null_columns:
                 if data[byte] & bit:
                     row[c] = None

@@ -19,9 +19,8 @@ raw bytes ahead of its payload, inside the checksum
 (``encode_frame(record, head)``, :func:`frame_payload`):
 :func:`read_frame` hands them to a reader without decoding anything,
 :func:`decode_record` decodes the rest by the same first-byte rule — a
-pickled heap page or B-tree node, or a column-page image
-(:meth:`~repro.engine.columnstore.ColumnPage.from_image`) whose first
-byte is below ``0x80``.
+pickled heap page, or the image of a column page or a B-tree node
+(:mod:`~repro.engine.columncodec`) whose first byte is below ``0x80``.
 
 Both files start with a format head (:func:`file_head`): a magic naming
 the kind of file and the version of its format.  An open checks it
@@ -240,6 +239,22 @@ def frame_intact(frame: bytes) -> bool:
     return length == len(frame) - HEADER_SIZE and zlib.crc32(
         memoryview(frame)[HEADER_SIZE:]
     ) == crc
+
+
+#: What decoding a payload no encoder wrote raises: a pickle that does
+#: not unpickle, or an image that does not parse.
+UNDECODABLE = (
+    pickle.UnpicklingError,
+    EOFError,
+    ValueError,
+    IndexError,
+    KeyError,
+    TypeError,
+    AttributeError,
+    ImportError,
+    OverflowError,
+    struct.error,
+)
 
 
 def decode_record(frame: bytes, head_size: int, raw) -> object:

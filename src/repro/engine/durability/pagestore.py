@@ -21,14 +21,16 @@ so nothing that walks the file (:meth:`_scan` at open,
 :meth:`truncate_to` at recovery, :meth:`compact`) ever decodes a page.
 A page miss (:meth:`read`) is one ``os.pread`` of the indexed frame,
 its length and checksum checked, and the payload's first byte says
-what it is.  A column page is an image
-(:meth:`~repro.engine.columnstore.ColumnPage.from_image`, first byte
-below ``0x80``): the miss checks its shape and keeps it undecoded, so
-a point fetch decodes the one row it reads and a scan the page once.
-A heap page or a B-tree node is a pickle (``0x80``) of slot lists and
-nodes of tuples and numbers (a RID is a ``(page_id, slot)`` tuple):
-one unpickle that makes a Python call per page, not per entry.  A
-frame whose checksum holds but whose image does not parse raises
+what it is.  A column page or a B-tree node is an image of typed
+columns (:mod:`~repro.engine.columncodec`), first byte below ``0x80``:
+a column page (:meth:`~repro.engine.columnstore.ColumnPage.from_image`)
+and a leaf (:func:`~repro.engine.btree.node_from_image`) are checked
+for shape and kept undecoded, so a point fetch decodes the one row it
+reads, a probe the entries it returns, and a scan the page once; an
+internal node is decoded whole.  A heap page is a pickle (``0x80``) of
+a slot list of tuples and numbers: one unpickle that makes a Python
+call per page, not per entry.  A frame whose checksum holds but whose
+payload does not decode — an image or a pickle — raises
 :class:`EngineError` naming the page.
 
 * :meth:`sync` is one fsync, whatever the number of tables written.
@@ -64,12 +66,14 @@ import struct
 from dataclasses import dataclass
 from operator import itemgetter
 
+from ..btree import node_from_image
 from ..columnstore import ColumnPage
 from ..errors import EngineError
 from ..observability.metrics import CounterSet, MetricsRegistry
 from ..pager import Page, PageKind
 from .codec import (
     HEADER_SIZE,
+    UNDECODABLE,
     decode_record,
     encode_frame,
     file_head,
@@ -85,8 +89,9 @@ PAGE_FILE = "data.pages"
 #: The page file's first bytes: magic + format version.  Version 1 is
 #: the first with a head (before it a frame's pickle held a dict of
 #: kind, size, used and payload, and RIDs were objects); it pickled
-#: column pages too.  Version 2 stores them as images.
-HEAD = file_head(b"RPPG", 2)
+#: column pages too.  Version 2 stores them as images, and pickles
+#: B-tree nodes; version 3 stores those as images as well.
+HEAD = file_head(b"RPPG", 3)
 
 #: A frame's fixed-width head: page id, segment id, LSN, kind, size,
 #: used.  The payload after it is the page's alone.
@@ -116,6 +121,13 @@ class PageStoreStats(CounterSet, prefix="db.pager"):
     #: superseded or dropped ones (what the next compaction discards).
     live_bytes: int = 0
     dead_bytes: int = 0
+
+
+def _from_image(data: bytes) -> object:
+    """A column page or a B-tree node, by the image's first byte."""
+    if data[0] == ColumnPage.IMAGE_KIND:
+        return ColumnPage.from_image(data)
+    return node_from_image(data)
 
 
 class DiskPageStore:
@@ -222,11 +234,11 @@ class DiskPageStore:
             page.size,
             page.used,
         )
-        payload = page.payload
-        if type(payload) is ColumnPage:
-            frame = frame_payload(head + payload.to_image())
+        to_image = getattr(page.payload, "to_image", None)
+        if to_image is not None:  # a column page or a B-tree node
+            frame = frame_payload(head + to_image())
         else:
-            frame = encode_frame(payload, head)
+            frame = encode_frame(page.payload, head)
         fh = self._file
         fh.seek(self._size)
         torn = self._faults.torn_write_length(len(frame))
@@ -262,9 +274,8 @@ class DiskPageStore:
             frame, HEADER_SIZE
         )
         try:
-            payload = decode_record(frame, _HEAD.size, ColumnPage.from_image)
-        # An image ColumnPage.to_image did not write raises one of these.
-        except (ValueError, IndexError, struct.error) as exc:
+            payload = decode_record(frame, _HEAD.size, _from_image)
+        except UNDECODABLE as exc:
             raise EngineError(
                 f"page {page_id}: the frame passes its checksum but does "
                 f"not decode ({exc!r})"

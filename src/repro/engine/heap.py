@@ -32,9 +32,9 @@ from .pager import BufferPool, Page, PageKind
 ROW_OVERHEAD = 8
 
 #: Physical row address: ``(page_id, slot)``.  Stable until VACUUM
-#: (never).  A plain tuple, so the hundreds a B-tree leaf holds unpickle
-#: inside the C unpickler when a page miss loads the leaf — an object
-#: type would cost a Python call per RID.  The WAL logs it as is.
+#: (never).  A plain tuple: a B-tree leaf's image stores it as two int
+#: columns and one ``struct`` call gives it back, where an object type
+#: would cost a Python call per RID.  The WAL logs it as is.
 RowId = tuple[int, int]
 
 

@@ -14,6 +14,8 @@ from collections import Counter
 
 import pytest
 
+from repro.engine import columncodec
+from repro.engine.btree import _LEAF_HEAD, _Internal, _Leaf
 from repro.engine.columnstore import ColumnPage, ColumnStore
 from repro.engine.database import Database
 from repro.engine.durability import DurabilityOptions, codec, pagestore, wal
@@ -607,11 +609,10 @@ def payload_ops(store: DiskPageStore, page_id: int) -> dict[str, int]:
 
 
 class TestDecodeCost:
-    """A page miss costs what the read needs.  A pickled page unpickles
-    in C: the Python-level steps of a stored B-tree node or heap page do
-    not grow with the entries it holds.  (With a RID object per entry, a
-    300-entry leaf made 300 ``REDUCE`` calls.)  A column page is an
-    image, not a pickle, and a point fetch decodes only its own slots."""
+    """A page miss costs what the read needs.  A pickled heap page
+    unpickles in C: its Python-level steps do not grow with the entries
+    it holds.  A column page and a B-tree node are images, not pickles,
+    and a point fetch or probe decodes only what it returns."""
 
     @pytest.fixture(scope="class")
     def stored_pages(self, tmp_path_factory) -> dict[int, dict[str, dict]]:
@@ -620,35 +621,154 @@ class TestDecodeCost:
         for entries in (30, 300):
             db = Database(path=str(tmp_path_factory.mktemp(f"db{entries}")))
             db.execute("CREATE TABLE u (id INTEGER NOT NULL, v VARCHAR(10))")
-            db.execute("CREATE UNIQUE INDEX u_id ON u (id)")
-            db.execute("CREATE TABLE m (k INTEGER NOT NULL)")
-            db.execute("CREATE INDEX m_k ON m (k)")
             with db.atomic():
                 for i in range(entries):
                     db.execute("INSERT INTO u VALUES (?, ?)", [i, f"v{i}"])
-                    db.execute("INSERT INTO m VALUES (?)", [i // 3])
             db.checkpoint()
-            store = db.durability.store
-            pages = {
-                "unique leaf": db.catalog.table("u").indexes["u_id"].btree,
-                "3 RIDs per key": db.catalog.table("m").indexes["m_k"].btree,
-            }
-            shapes = {}
-            for shape, btree in pages.items():
-                assert btree.height == 1 and btree.entry_count == entries
-                shapes[shape] = payload_ops(store, btree.root_id)
             (heap_page,) = db.catalog.table("u").heap.page_ids()
-            shapes["heap page"] = payload_ops(store, heap_page)
-            out[entries] = shapes
+            out[entries] = {"heap page": payload_ops(db.durability.store, heap_page)}
             db.close()
         return out
 
-    @pytest.mark.parametrize("shape", ["unique leaf", "3 RIDs per key", "heap page"])
+    @pytest.mark.parametrize("shape", ["heap page"])
     def test_python_level_ops_do_not_grow_with_entries(
         self, stored_pages, shape
     ):
         assert stored_pages[300][shape] == stored_pages[30][shape]
         assert sum(stored_pages[300][shape].values()) <= 3
+
+    @pytest.fixture
+    def index_db(self, tmp_path):
+        """A unique index and a 3-RIDs-a-key index, two levels each,
+        checkpointed, their pages out of the pool."""
+        db = Database(path=str(tmp_path))
+        db.execute("CREATE TABLE u (id INTEGER NOT NULL, v VARCHAR(10))")
+        db.execute("CREATE UNIQUE INDEX u_id ON u (id)")
+        db.execute("CREATE TABLE m (k INTEGER NOT NULL)")
+        db.execute("CREATE INDEX m_k ON m (k)")
+        with db.atomic():
+            for i in range(1500):
+                db.execute("INSERT INTO u VALUES (?, ?)", [i, f"v{i}"])
+                db.execute("INSERT INTO m VALUES (?)", [i // 3])
+        db.checkpoint()
+        db.pool.flush()
+        yield db
+        db.close()
+
+    def test_stored_nodes_hold_no_pickle(self, index_db, monkeypatch):
+        """Every stored leaf and internal node starts with its kind byte,
+        which no pickle opcode has, and reads without the unpickler."""
+        store = index_db.durability.store
+
+        def unpickled(*args, **kwargs):
+            raise AssertionError("a B-tree node was unpickled")
+
+        monkeypatch.setattr(codec.pickle, "loads", unpickled)
+        kinds = Counter()
+        for name, index in (("u", "u_id"), ("m", "m_k")):
+            btree = index_db.catalog.table(name).indexes[index].btree
+            assert btree.height == 2
+            for page_id in store.pages_in_segment(btree.segment_id):
+                payload = appended_frame(store, page_id)[
+                    codec.HEADER_SIZE + pagestore._HEAD.size :
+                ]
+                with pytest.raises(ValueError, match="at position 0"):
+                    next(pickletools.genops(payload))
+                node = store.read(page_id).payload
+                kinds[type(node).__name__] += 1
+                if type(node) is _Leaf:
+                    assert node.image is not None
+                    node.decode()
+                    assert node.to_image() == payload
+        assert kinds["_Internal"] == 2 and kinds["_Leaf"] >= 4
+
+    def test_no_b_tree_page_is_unpickled(self, index_db, tmp_path, monkeypatch):
+        """A cold probe, a leaf-chain scan, and a reopen whose recovery
+        redoes inserts into stored leaves unpickle no node: heap row
+        pages are the only pickled page kind."""
+        loads = codec.pickle.loads
+
+        def refusing_nodes(*args, **kwargs):
+            value = loads(*args, **kwargs)
+            assert type(value) not in (_Leaf, _Internal), "a node was unpickled"
+            return value
+
+        monkeypatch.setattr(codec.pickle, "loads", refusing_nodes)
+        db = index_db
+        assert db.execute("SELECT v FROM u WHERE id = ?", [5]).rows == [("v5",)]
+        m_k = db.catalog.table("m").indexes["m_k"].btree
+        scanned = [key for batch in m_k.range_batches((10,), (400,), 64) for key, _ in batch]
+        assert scanned == [(k,) for k in range(10, 401) for _ in range(3)]
+        with db.atomic():
+            for i in range(1500, 1600):
+                db.execute("INSERT INTO u VALUES (?, ?)", [i, f"v{i}"])
+                db.execute("INSERT INTO m VALUES (?)", [i // 3])
+        db.close()  # no checkpoint: the reopen redoes the inserts
+        reopened = Database(path=str(tmp_path))
+        try:
+            assert reopened.execute(
+                "SELECT v FROM u WHERE id = ?", [1599]
+            ).rows == [("v1599",)]
+            assert reopened.execute("SELECT COUNT(*) FROM m WHERE k = ?", [520]).scalar() == 3
+        finally:
+            reopened.close()
+
+    def test_point_probe_after_a_leaf_miss_leaves_the_leaf_undecoded(
+        self, index_db, monkeypatch
+    ):
+        """A probe that misses on a leaf decodes the RIDs it returns and
+        nothing else: no RID list of another key is built, and once the
+        tree holds the leaf's decorated keys, no key either."""
+        calls = []
+        for method in ("rows", "row"):
+            original = getattr(columncodec.Columns, method)
+
+            def spy(block, *args, _original=original, _method=method):
+                calls.append((_method, block, args))
+                return _original(block, *args)
+
+            monkeypatch.setattr(columncodec.Columns, method, spy)
+
+        def leaf_decodes(btree, key) -> list[tuple[str, str, tuple]]:
+            """What a probe for ``key`` after a pool flush decodes of
+            its leaf: (method, "keys" or "rids", arguments)."""
+            leaf_id = btree._descend(key)[0][-1]
+            index_db.pool.flush()
+            del calls[:]
+            rids = btree.search(key)
+            leaf = index_db.pool.read(leaf_id).payload
+            assert leaf.image is not None
+            blocks = {id(leaf.image.keys): "keys", id(leaf.image.rids): "rids"}
+            decodes = [
+                (method, blocks[id(block)], args)
+                for method, block, args in calls
+                if id(block) in blocks
+            ]
+            return rids, leaf.image, decodes
+
+        u_id = index_db.catalog.table("u").indexes["u_id"].btree
+        u_id._node_dec.clear()
+        rids, image, decodes = leaf_decodes(u_id, (700,))
+        (slot,) = [i for i in range(image.keys.n) if image.keys.row(i) == (700,)]
+        assert rids == [image.rids.row(slot)]
+        # Without decorated keys the probe decodes the keys, not the RIDs.
+        assert decodes == [("rows", "keys", ()), ("row", "rids", (slot,))]
+        rids, image, decodes = leaf_decodes(u_id, (701,))
+        assert decodes == [("row", "rids", (slot + 1,))]
+        assert leaf_decodes(u_id, (700.5,))[::2] == ([], [])
+
+        m_k = index_db.catalog.table("m").indexes["m_k"].btree
+        m_k.search((101,))  # the leaf's decorated keys
+        rids, image, decodes = leaf_decodes(m_k, (101,))
+        assert len(rids) == 3
+        assert [(method, block) for method, block, _ in decodes] == [("row", "rids")] * 3
+        assert sorted(rids) == sorted(image.rids.row(i) for (_, _, (i,)) in decodes)
+        # A scan of more than one entry decodes the leaf whole, once.
+        leaf_id = m_k._descend((101,))[0][-1]
+        scanned = [key for batch in m_k.range_batches((101,), (103,), 8) for key, _ in batch]
+        assert scanned == [(k,) for k in (101, 102, 103) for _ in range(3)]
+        leaf = index_db.pool.read(leaf_id).payload
+        assert leaf.image is None
 
     @pytest.fixture
     def column_db(self, tmp_path):
@@ -734,7 +854,7 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"data\.pages: found no format head, "
-            r"expected RPPG format version 2",
+            r"expected RPPG format version 3",
         ):
             Database(path=str(tmp_path))
         assert (pages / PAGE_FILE).read_bytes() == previous_format_page_frame()
@@ -789,7 +909,7 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"data\.pages: found format version 1, "
-            r"expected RPPG format version 2",
+            r"expected RPPG format version 3",
         ):
             Database(path=str(tmp_path))
         assert (pages / PAGE_FILE).read_bytes() == version_1
@@ -829,6 +949,82 @@ class TestFormatHead:
         monkeypatch.setattr(codec.pickle, "loads", unpickled)
         try:
             with pytest.raises(EngineError, match="page 9: .* does not decode"):
+                reopened.read(9)
+        finally:
+            reopened.close()
+
+    def test_page_file_of_version_2_is_refused_naming_both_versions(
+        self, tmp_path
+    ):
+        """Version 2 pickled B-tree nodes; its file is refused, not
+        converted."""
+        pages = tmp_path / PAGES_DIRNAME
+        pages.mkdir()
+        head = pagestore._HEAD.pack(1, 1, 10, 1, 8192, 16)
+        version_2 = codec.file_head(b"RPPG", 2) + codec.encode_frame(
+            _Leaf([(1,)], [[(2, 0)]]), head
+        )
+        (pages / PAGE_FILE).write_bytes(version_2)
+        with pytest.raises(
+            EngineError,
+            match=r"data\.pages: found format version 2, "
+            r"expected RPPG format version 3",
+        ):
+            Database(path=str(tmp_path))
+        assert (pages / PAGE_FILE).read_bytes() == version_2
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated column", "RID offset past the end", "unknown tag"]
+    )
+    def test_a_malformed_node_image_is_refused_naming_the_page(
+        self, store, monkeypatch, damage
+    ):
+        """A B-tree node frame whose checksum holds but whose image does
+        not parse raises EngineError naming the page, never by way of
+        the unpickler."""
+        leaf = _Leaf(
+            [(i, f"k{i}") for i in range(10)],
+            [[(7, 2 * i), (7, 2 * i + 1)] if i % 2 else [(7, 2 * i)] for i in range(10)],
+        )
+        image = bytearray(leaf.to_image())
+        assert _Leaf.from_image(bytes(image)) == leaf
+        if damage == "truncated column":
+            del image[-1:]  # the last RID's slot
+        elif damage == "RID offset past the end":
+            # The offsets follow the keys: a tag, then one byte each.
+            offsets = _Leaf.from_image(bytes(image)).image.keys.end + 1
+            assert image[offsets + 9] == 15
+            image[offsets + 9] = 0x7F
+        else:
+            image[_LEAF_HEAD.size] = 0x7F  # the first key column's tag
+        head = pagestore._HEAD.pack(9, 1, 10, 1, 8192, 0)
+        with open(store.path, "ab") as fh:
+            fh.write(codec.frame_payload(head + bytes(image)))
+        reopened = DiskPageStore(store.directory)
+
+        def unpickled(*args, **kwargs):
+            raise AssertionError("a node image fell through to pickle")
+
+        monkeypatch.setattr(codec.pickle, "loads", unpickled)
+        try:
+            with pytest.raises(EngineError, match="page 9: .* does not decode"):
+                reopened.read(9)
+        finally:
+            reopened.close()
+
+    def test_a_heap_page_that_does_not_unpickle_is_refused_naming_the_page(
+        self, store
+    ):
+        """A pickled page that does not unpickle is refused like an
+        image that does not parse: EngineError naming the page."""
+        head = pagestore._HEAD.pack(9, 1, 10, 0, 8192, 0)
+        with open(store.path, "ab") as fh:
+            fh.write(codec.frame_payload(head + b"\x80\x05garbage"))
+        reopened = DiskPageStore(store.directory)
+        try:
+            with pytest.raises(
+                EngineError, match="page 9: .* does not decode .*Unpickling"
+            ):
                 reopened.read(9)
         finally:
             reopened.close()
