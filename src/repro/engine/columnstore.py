@@ -34,6 +34,7 @@ top of this.
 from __future__ import annotations
 
 import struct
+from operator import add
 from typing import Iterator
 
 from .columncodec import CODES, INT8, INT16, INT32, Columns, encode_columns, int_tag
@@ -236,9 +237,14 @@ class ColumnBatch:
     ten-column chunk table never touches the other eight unless rows
     survive.  Operators without a columnar fast path just iterate it and
     transparently get assembled row tuples.
+
+    A column is a value list, ``None`` (pruned by the scan: all-NULL), or
+    gathered from another source on first read (:meth:`gathered`).
     """
 
-    __slots__ = ("_base", "_sel", "_cols", "_rows", "_len", "_base_len")
+    __slots__ = (
+        "_base", "_sel", "_cols", "_rows", "_len", "_base_len", "_gather"
+    )
 
     def __init__(
         self,
@@ -246,9 +252,11 @@ class ColumnBatch:
         sel: list[int] | None = None,
         *,
         length: int | None = None,
+        gather: list[tuple] | None = None,
     ):
         self._base = columns
         self._sel = sel
+        self._gather = gather
         self._cols: dict[int, list] | None = {} if sel is not None else None
         self._rows: list[tuple] | None = None
         if length is None:
@@ -261,9 +269,38 @@ class ColumnBatch:
         self._base_len = length
         self._len = len(sel) if sel is not None else length
 
+    @classmethod
+    def gathered(cls, parts: list[tuple]) -> "ColumnBatch":
+        """A batch of ``parts``' columns side by side: ``(source, width,
+        index)`` gives ``width`` columns of ``source`` (a ``ColumnBatch``,
+        a list of row tuples, or anything with ``col(k)`` and ``rows()``)
+        taken at the positions ``index``.  Nothing is copied until read."""
+        width = sum(part[1] for part in parts)
+        return cls([None] * width, length=len(parts[0][2]), gather=parts)
+
     @property
     def width(self) -> int:
         return len(self._base)
+
+    def _base_col(self, i: int) -> list:
+        """Column ``i`` unselected, gathered or NULL-filled on first read."""
+        base = self._base[i]
+        if base is None:
+            if self._gather is None:
+                base = [None] * self._base_len
+            else:
+                k = i
+                for source, width, index in self._gather:
+                    if k < width:
+                        break
+                    k -= width
+                if type(source) is list:
+                    base = [source[j][k] for j in index]
+                else:
+                    column = source.col(k)
+                    base = [column[j] for j in index]
+            self._base[i] = base
+        return base
 
     def col(self, i: int) -> list:
         """Column ``i`` as a value list (selection applied, cached).
@@ -273,33 +310,40 @@ class ColumnBatch:
         prove no expression reads, so these values feed nothing but
         positional row assembly."""
         if self._sel is None:
-            base = self._base[i]
-            if base is None:
-                base = self._base[i] = [None] * self._base_len
-            return base
+            return self._base_col(i)
         assert self._cols is not None
         cached = self._cols.get(i)
         if cached is None:
-            base, sel = self._base[i], self._sel
-            if base is None:
-                cached = self._cols[i] = [None] * len(sel)
-            else:
-                cached = self._cols[i] = [base[j] for j in sel]
+            base, sel = self._base_col(i), self._sel
+            cached = self._cols[i] = [base[j] for j in sel]
         return cached
 
     def take(self, sel: list[int]) -> "ColumnBatch":
-        """Narrow to the given row positions (composes lazily)."""
+        """Narrow to the given row positions (composes lazily; a gathered
+        column read through either batch is gathered once)."""
         if self._sel is not None:
             prior = self._sel
             sel = [prior[j] for j in sel]
-        return ColumnBatch(self._base, sel, length=self._base_len)
+        return ColumnBatch(
+            self._base, sel, length=self._base_len, gather=self._gather
+        )
 
     def rows(self) -> list[tuple]:
-        """Assemble (and cache) the row tuples."""
+        """Assemble (and cache) the row tuples; an unselected gathered
+        batch joins its parts' rows pairwise, reading no column."""
         assembled = self._rows
         if assembled is None:
             if self._len == 0:
                 assembled = []
+            elif self._gather is not None and self._sel is None:
+                for source, _width, index in self._gather:
+                    if type(source) is not list:
+                        source = source.rows()
+                    part = list(map(source.__getitem__, index))
+                    assembled = (
+                        part if assembled is None
+                        else list(map(add, assembled, part))
+                    )
             else:
                 cols = [self.col(i) for i in range(len(self._base))]
                 assembled = list(zip(*cols))

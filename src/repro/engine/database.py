@@ -344,8 +344,7 @@ class Database:
         :meth:`plan_ast`, optionally under an :class:`AnalyzeCollector`."""
         self._subquery_results.clear()
         rows = self._executor.run(root, params, collector=collector)
-        columns = [slot.name for slot in root.schema.slots]
-        return Result(columns, rows, len(rows))
+        return Result(list(root.column_names), rows, len(rows))
 
     def explain(self, sql: str) -> str:
         from .explain import render_plan

@@ -13,6 +13,7 @@ the tree and pulls rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..expr import Compiled, Schema
 
@@ -288,6 +289,11 @@ class PReturn(PNode):
     @property
     def op_name(self) -> str:
         return "RETURN"
+
+    @cached_property
+    def column_names(self) -> list[str]:
+        """Once per plan; each result gets a copy."""
+        return [slot.name for slot in self.schema.slots]
 
     def children(self) -> list[PNode]:
         return [self.child]

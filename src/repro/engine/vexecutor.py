@@ -7,12 +7,15 @@ of simply running queries; row-level work is counted in
 :class:`ExecStats`, and the testbed's cost model turns both into
 simulated response times.
 
-Operators exchange fixed-size batches (lists of row tuples,
-:data:`BATCH_ROWS` each) and every predicate / projection / key
-extraction is compiled **once per plan node** into a batch-level
-closure by :mod:`repro.engine.expr_batch`.  Per-row cost is one closure
-call per batch whose inner loop is a C-level comprehension or
-``itemgetter``, not one Python dispatch per operator per row.
+Operators exchange batches of at most :data:`BATCH_ROWS` rows (row
+tuple lists, or column-major :class:`~repro.engine.columnstore.
+ColumnBatch` objects), and every predicate / projection / key /
+aggregate fold is compiled **once per plan node** into a batch-level
+closure (:mod:`repro.engine.expr_batch`): one call per batch whose
+inner loop is a C-level comprehension or ``itemgetter``.  HSJOIN emits
+column batches gathered from its probe batch and build input through
+two index lists, so a GROUP BY over a join reads the key and argument
+columns it needs and never builds a joined row.
 
 Index access is batch-native too (:func:`index_batches`): the B-tree
 hands IXSCAN lists of (key, rid) entries, taking each leaf's matching
@@ -37,11 +40,13 @@ beyond the cutoff where the reference stops mid-row.
 from __future__ import annotations
 
 import datetime
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .catalog import Catalog
+from .columnstore import ColumnBatch
 from .errors import ExecutionError, PlanError
 from .expr_batch import (
     _codegen,
@@ -207,6 +212,68 @@ def _finalize_agg(spec: phys.AggSpec, acc) -> object:
     if len(kinds) == 1 and next(iter(kinds)) in _NATIVE_ORDER:
         return min(values) if func == "MIN" else max(values)
     return (min if func == "MIN" else max)(values, key=sort_key)
+
+
+def _group_programs(node: phys.PGroup):
+    """``(pseudo, having, outputs)`` for a GRPBY node.  ``pseudo`` is one
+    generated comprehension from (groups, argument columns) to the (keys
+    + aggregate results) rows HAVING and the outputs read: a
+    COUNT(*)-only node's groups map each key to its row count, any
+    other's to its row positions, whose values :func:`_finalize_agg`
+    folds per aggregate."""
+    counted = all(spec.func == "COUNT_STAR" for spec in node.aggs)
+    namespace: dict = {"fin": _finalize_agg}
+    parts = ["k" if len(node.group_exprs) == 1 else "*k"]
+    for j, spec in enumerate(node.aggs):
+        if counted:
+            parts.append("a")
+        elif spec.func == "COUNT_STAR":
+            parts.append("len(a)")
+        else:
+            namespace[f"s{j}"] = spec
+            parts.append(f"fin(s{j}, list(map(c[{j}].__getitem__, a)))")
+    body = ", ".join(parts) + ("," if len(parts) == 1 else "")
+    pseudo = _codegen(
+        f"lambda groups, c: [({body}) for k, a in groups.items()]", namespace
+    )
+    having = compile_filter([node.having] if node.having else [])
+    return pseudo, having, compile_tuples([out.post for out in node.outputs])
+
+
+def _projection(node: phys.PProject):
+    """The PROJECT program: ``SELECT *`` hands batches on as they are,
+    so a join's gathered columns reach the consumer unread."""
+    slots = [getattr(e, "slot", None) for e in node.exprs]
+    if slots == list(range(len(node.child.schema.slots))):
+        return lambda rows, params: rows
+    return compile_tuples(node.exprs)
+
+
+class _BuildSide:
+    """A hash join's build input, kept as its batches arrived, read as
+    one source of a gathered batch: its column ``k`` is the batches'
+    columns ``k`` end to end, concatenated on first read."""
+
+    def __init__(self, batches: list) -> None:
+        self.batches = batches
+        self._cols: dict[int, list] = {}
+        self._rows: list[tuple] | None = None
+
+    def col(self, k: int) -> list:
+        column = self._cols.get(k)
+        if column is None:
+            column = self._cols[k] = []
+            for batch in self.batches:
+                if type(batch) is ColumnBatch:
+                    column += batch.col(k)
+                else:
+                    column += [row[k] for row in batch]
+        return column
+
+    def rows(self) -> list[tuple]:
+        if self._rows is None:
+            self._rows = [row for batch in self.batches for row in batch]
+        return self._rows
 
 
 def _rebatch(rows: list, batch_rows: int) -> Iterator[list]:
@@ -661,27 +728,47 @@ class VectorizedExecutor:
         right_keys = self._program(
             node, "right_keys", lambda: compile_tuples(node.right_keys)
         )
-        table: dict[tuple, list[tuple]] = {}
-        setdefault = table.setdefault
+        # Build: each key maps to the positions of its rows in the right
+        # input, which stays as its batches arrived.
+        batches: list = []
+        positions: dict[tuple, list[int]] = {}
+        get = positions.get
+        start = 0
         for batch in self._batches(node.right, (), params, cache):
-            for row, key in zip(batch, right_keys(batch, params)):
+            batches.append(batch)
+            for position, key in enumerate(right_keys(batch, params), start):
                 if None in key:
                     continue  # NULL join keys never match
-                setdefault(key, []).append(row)
+                hits = get(key)
+                if hits is None:
+                    positions[key] = [position]
+                else:
+                    hits.append(position)
+            start += len(batch)
+        build = _BuildSide(batches)
+        # Probe: each left batch becomes two index lists (left order,
+        # build order within a key; a key holding NULL finds nothing),
+        # and its output a batch gathered through them.
         stats = self.stats
-        get = table.get
+        left_width = len(node.left.schema.slots)
+        right_width = len(node.right.schema.slots)
         for batch in self._batches(node.left, outer_row, params, cache):
-            out: list[tuple] = []
-            extend = out.extend
-            for row, key in zip(batch, left_keys(batch, params)):
-                if None in key:
-                    continue
-                matches = get(key)
-                if matches:
-                    stats.rows_joined += len(matches)
-                    extend(row + match for match in matches)
-            if out:
-                yield out
+            hits = [
+                (i, m)
+                for i, m in enumerate(map(get, left_keys(batch, params)))
+                if m
+            ]
+            if not hits:
+                continue
+            right = [p for _, m in hits for p in m]
+            if len(right) == len(hits):
+                left = [i for i, _ in hits]
+            else:
+                left = [i for i, m in hits for _ in m]
+            stats.rows_joined += len(right)
+            yield ColumnBatch.gathered(
+                [(batch, left_width, left), (build, right_width, right)]
+            )
 
     # -- row transforms ---------------------------------------------------
 
@@ -709,9 +796,7 @@ class VectorizedExecutor:
         params: Sequence[object],
         cache: dict[int, list[tuple]],
     ) -> Iterator[list]:
-        project = self._program(
-            node, "project", lambda: compile_tuples(node.exprs)
-        )
+        project = self._program(node, "project", lambda: _projection(node))
         for batch in self._batches(node.child, outer_row, params, cache):
             yield project(batch, params)
 
@@ -772,8 +857,7 @@ class VectorizedExecutor:
         params: Sequence[object],
         cache: dict[int, list[tuple]],
     ) -> Iterator[list]:
-        single_key = len(node.group_exprs) == 1
-        if single_key:
+        if len(node.group_exprs) == 1:
             # One grouping column: key on the raw values (often the
             # stored column itself) instead of allocating a 1-tuple per
             # row — tuples reappear only on output.
@@ -794,56 +878,41 @@ class VectorizedExecutor:
                 for spec in node.aggs
             ],
         )
-        specs = node.aggs
-        stars = [spec.func == "COUNT_STAR" for spec in specs]
-        # key -> one accumulator per aggregate: a running count for
-        # COUNT(*), a raw value list otherwise.  Per-row Python work is
-        # one dict probe plus one int append; value movement and the
-        # aggregate folds happen batch-at-a-time at C speed.
-        groups: dict[tuple, list] = {}
-        get = groups.get
-        for batch in self._batches(node.child, (), params, cache):
-            keys = group_keys(batch, params)
-            columns = [
-                program(batch, params) if program is not None else None
-                for program in arg_programs
-            ]
-            index_lists: dict[tuple, list[int]] = {}
-            index_get = index_lists.get
-            for i, key in enumerate(keys):
-                rows = index_get(key)
-                if rows is None:
-                    index_lists[key] = [i]
-                else:
-                    rows.append(i)
-            for key, idxs in index_lists.items():
-                accs = groups.get(key)
-                if accs is None:
-                    accs = groups[key] = [
-                        0 if star else [] for star in stars
-                    ]
-                for j, column in enumerate(columns):
-                    if stars[j]:
-                        accs[j] += len(idxs)
-                    elif column is not None:
-                        accs[j].extend([column[i] for i in idxs])
+        # key -> its row count when every aggregate is COUNT(*), else
+        # its rows' positions in the argument columns (concatenated
+        # across batches).  Per-row Python work is one dict probe plus
+        # one int append; the folds run once per group.
+        columns = [None if program is None else [] for program in arg_programs]
+        groups: dict
+        if all(spec.func == "COUNT_STAR" for spec in node.aggs):
+            groups = Counter()
+            for batch in self._batches(node.child, (), params, cache):
+                groups.update(group_keys(batch, params))
+            empty: object = 0
+        else:
+            groups = {}
+            get = groups.get
+            base = 0
+            for batch in self._batches(node.child, (), params, cache):
+                keys = group_keys(batch, params)
+                for column, program in zip(columns, arg_programs):
+                    if program is not None:
+                        column += program(batch, params)
+                for position, key in enumerate(keys, base):
+                    rows = get(key)
+                    if rows is None:
+                        groups[key] = [position]
+                    else:
+                        rows.append(position)
+                base += len(keys)
+            empty = []
         if not groups and not node.group_exprs:
             # Global aggregate over the empty input still yields one row.
-            groups[()] = [0 if star else [] for star in stars]
-        having = node.having
-        outputs = node.outputs
-        out: list[tuple] = []
-        batch_rows = self.batch_rows
-        for key, accs in groups.items():
-            key_tuple = (key,) if single_key else key
-            pseudo = key_tuple + tuple(
-                _finalize_agg(spec, acc) for spec, acc in zip(specs, accs)
-            )
-            if having is not None and having(pseudo, params) is not True:
-                continue
-            out.append(tuple(spec.post(pseudo, params) for spec in outputs))
-            if len(out) >= batch_rows:
-                yield out
-                out = []
-        if out:
-            yield out
+            groups[()] = empty
+        pseudo, having, outputs = self._program(
+            node, "fold", lambda: _group_programs(node)
+        )
+        rows = pseudo(groups, columns)
+        if having is not None:
+            rows = having(rows, params)
+        yield from _rebatch(outputs(rows, params), self.batch_rows)

@@ -182,6 +182,36 @@ class TestColumnBatch:
         assert not batch
         assert batch.rows() == []
 
+    def _gathered(self):
+        """Rows 2, 0, 0 of a row list beside rows 1, 1, 0 of a filtered
+        column batch whose second column the scan pruned."""
+        left = [(10, "a"), (11, "b"), (12, "c")]
+        right = ColumnBatch([[7, 8, 9], None], length=3).take([2, 0])
+        return ColumnBatch.gathered([(left, 2, [2, 0, 0]), (right, 2, [1, 1, 0])])
+
+    def test_gathered_columns_are_taken_when_read(self):
+        batch = self._gathered()
+        assert len(batch) == 3 and batch.width == 4
+        assert batch._base == [None] * 4
+        assert batch.col(2) == [7, 7, 9]
+        assert batch._base == [None, None, [7, 7, 9], None]
+        assert batch.col(1) == ["c", "a", "a"]
+        assert batch.col(3) == [None] * 3
+
+    def test_gathered_rows_join_each_part_at_its_positions(self):
+        rows = [(12, "c", 7, None), (10, "a", 7, None), (10, "a", 9, None)]
+        assert self._gathered().rows() == rows
+        batch = self._gathered()
+        batch.col(0)
+        assert list(zip(*[batch.col(i) for i in range(4)])) == rows
+
+    def test_take_of_a_gathered_batch_gathers_once(self):
+        batch = self._gathered()
+        narrowed = batch.take([2, 0]).take([1])
+        assert narrowed.rows() == [(12, "c", 7, None)]
+        assert batch._base[0] == [12, 10, 10]  # shared with the parent
+        assert batch.take([0, 2]).col(2) == [7, 9]
+
 
 class TestHeapParityProperty:
     """The same operation sequence applied through a Table to a

@@ -123,6 +123,17 @@ class TestPlanCacheReuse:
         assert counter(db, "hits") >= 2
         assert counter(db, "misses") == misses  # no new parse
 
+    def test_cached_plan_hands_each_result_its_own_column_names(self):
+        db = make_db()
+        sql = "SELECT id, name AS label FROM t WHERE grp = ?"
+        first = db.execute(sql, [1])
+        second = db.execute(sql, [2])
+        assert counter(db, "hits") >= 1
+        assert first.columns == second.columns == ["id", "label"]
+        assert first.columns is not second.columns
+        first.columns.append("mutated")
+        assert db.execute(sql, [3]).columns == ["id", "label"]
+
     def test_trace_flags_cache_hit(self):
         db = make_db()
         sql = "SELECT name FROM t WHERE grp = ?"
