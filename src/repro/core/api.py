@@ -358,16 +358,18 @@ class MultiTenantDatabase:
         return entry
 
     def _cached_dml(
-        self, tenant_id: int, text: object, layout: Layout, build
+        self, tenant_id: int, text: object, layout: Layout, table: str, build
     ) -> DmlPlan:
-        """The shape-shared plan of one logical write — ``text`` is the
-        logical SQL, or ``("insert", table)`` for :meth:`insert` — kept
-        beside the SELECTs in the statement cache; ``build()`` plans it
-        on a miss, and with caching disabled on every call."""
+        """The shape-shared plan of one logical write on ``table`` —
+        ``text`` is the logical SQL, or ``("insert", table)`` for
+        :meth:`insert` — kept beside the SELECTs in the statement cache.
+        Only a miss (every call, with caching disabled) lists the
+        tenant's fragments, and ``build(fragments)`` plans over them: a
+        hit binds values into the stored plan and lists nothing."""
         key = (text, id(layout), layout.statement_shape(tenant_id))
         plan = self._statements.lookup(key, DmlPlan.context)
         if plan is None:
-            plan = build()
+            plan = build(layout.fragments(tenant_id, table))
             self._statements.store(key, plan)
         return plan
 
@@ -488,18 +490,19 @@ class MultiTenantDatabase:
         if isinstance(stmt, (ast.Insert, ast.Update, ast.Delete)):
             # One logical statement fans out into several physical ones;
             # an atomic block keeps a crash from leaving a logical row
-            # with only some of its fragments.  Fragment listing may
-            # lazily CREATE physical tables, so it happens before the
-            # transaction opens (DDL commits any open transaction) —
-            # once: planning works from this same list.
-            fragments = layout.fragments(tenant_id, stmt.table)
+            # with only some of its fragments.  The plan is found (or,
+            # on a miss, its fragments listed and planned) before the
+            # transaction opens: listing may lazily CREATE physical
+            # tables, and DDL commits any open transaction.
+            plan = self._cached_dml(
+                tenant_id,
+                sql,
+                layout,
+                stmt.table,
+                lambda fragments: dml.plan(tenant_id, stmt, fragments),
+            )
             with self.db.atomic():
-                return self._cached_dml(
-                    tenant_id,
-                    sql,
-                    layout,
-                    lambda: dml.plan(tenant_id, stmt, fragments),
-                ).execute(tenant_id, params)
+                return plan.execute(tenant_id, params)
         if isinstance(stmt, ast.CreateTable):
             table = LogicalTable(
                 stmt.table,
@@ -528,17 +531,16 @@ class MultiTenantDatabase:
         self.schema.tenant(tenant_id)
         layout = self.layout_for(tenant_id)
         _, dml = self._transformer_for(layout)
-        # Listed before the transaction opens (it may lazily CREATE
-        # physical tables, and DDL commits any open transaction), and
-        # once: the transformer fans out over this same list.
-        fragments = layout.fragments(tenant_id, table_name)
+        # Planned before the transaction opens, as in _execute_parsed.
+        plan = self._cached_dml(
+            tenant_id,
+            ("insert", table_name.lower()),
+            layout,
+            table_name,
+            lambda fragments: dml.plan_row_insert(tenant_id, table_name, fragments),
+        )
         with self.db.atomic():
-            return self._cached_dml(
-                tenant_id,
-                ("insert", table_name.lower()),
-                layout,
-                lambda: dml.plan_row_insert(tenant_id, table_name, fragments),
-            ).insert(tenant_id, values, row_id)
+            return plan.insert(tenant_id, values, row_id)
 
     def restore(self, tenant_id: int, table_name: str, row_ids: list[int]) -> int:
         """Bring soft-deleted rows back from the Trashcan."""

@@ -101,8 +101,8 @@ class RowInsert(DmlPlan):
     def __init__(self, layout, logical, templates) -> None:
         self._rows = layout.rows
         self._table = logical.name
-        self._types = [(c.lname, c.type) for c in logical.columns]
-        self._known = frozenset(name for name, _ in self._types)
+        self._checkers = [(c.lname, c.type.checker) for c in logical.columns]
+        self._known = frozenset(name for name, _ in self._checkers)
         #: ``(prepared INSERT, the fragment's (logical name, ColumnLoc))``
         self._templates = templates
 
@@ -120,8 +120,7 @@ class RowInsert(DmlPlan):
             )
         # Type-check through the logical schema before fan-out.
         checked = {
-            name: sql_type.check(provided.get(name))
-            for name, sql_type in self._types
+            name: check(provided.get(name)) for name, check in self._checkers
         }
         if row_id is None:
             row_id = self._rows.allocate(tenant_id, self._table)
@@ -165,7 +164,7 @@ class BufferedUpdate(DmlPlan):
     def __init__(self, phase_a: TenantBound, compiled: dict, targets) -> None:
         self._phase_a = phase_a
         #: assigned column -> (closure over (phase-(a) row, params),
-        #: the logical type's ``check``)
+        #: the logical type's ``checker``)
         self._compiled = compiled
         #: ``(prepared UPDATE, its (column, ColumnLoc) in SET order)``
         self._targets = targets
@@ -283,7 +282,7 @@ class DmlTransformer:
         )
         logical = self.schema.logical_table(tenant_id, stmt.table)
         compiled = {
-            name: (compiler.compile(expr), logical.column(name).type.check)
+            name: (compiler.compile(expr), logical.column(name).type.checker)
             for name, expr in assignments
         }
         targets = []

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .heap import HeapFile, InsertStrategy, RowId
 from .pager import BufferPool
-from .values import SqlType
+from .values import NULL_WIDTH, SqlType, TypeKind
 
 #: Default meta-data memory charged per table object (DB2 V9.1 figure).
 TABLE_METADATA_COST = 4096
@@ -90,6 +90,19 @@ class Table:
         }
         if len(self._position) != len(columns):
             raise DuplicateObjectError(f"duplicate column names in {name}")
+        #: Per column: its type's checker, NOT NULL, VARCHAR, and what a
+        #: NULL adds to ``_width``, the width of a row of no NULLs and
+        #: only empty strings (see :meth:`_checked_row`).
+        self._program = [
+            (
+                c.type.checker,
+                c.not_null,
+                c.type.kind is TypeKind.VARCHAR,
+                NULL_WIDTH - c.type.value_width(""),
+            )
+            for c in columns
+        ]
+        self._width = sum(c.type.value_width("") for c in columns)
         #: Per-column statistics (in memory only) and the row count
         #: they were gathered at; see :meth:`column_stats`.
         self._stats: list[ColumnStats] | None = None
@@ -114,18 +127,28 @@ class Table:
             col.type.value_width(value) for col, value in zip(self.columns, row)
         )
 
-    def check_row(self, row: tuple) -> tuple:
-        """Type-check and coerce a full row."""
+    def _checked_row(self, row: tuple) -> tuple[tuple, int]:
+        """Type-check and coerce a full row, and size it, in one pass:
+        the width is :meth:`row_width` of the row returned."""
         if len(row) != len(self.columns):
             raise NotNullViolation(
                 f"{self.name}: expected {len(self.columns)} values, got {len(row)}"
             )
         out = []
-        for col, value in zip(self.columns, row):
-            if value is None and col.not_null:
-                raise NotNullViolation(f"{self.name}.{col.name} is NOT NULL")
-            out.append(col.type.check(value))
-        return tuple(out)
+        width = self._width
+        for (check, not_null, varchar, null_delta), value in zip(
+            self._program, row
+        ):
+            value = check(value)
+            if value is None:
+                if not_null:
+                    column = self.columns[len(out)]
+                    raise NotNullViolation(f"{self.name}.{column.name} is NOT NULL")
+                width += null_delta
+            elif varchar:
+                width += len(value)
+            out.append(value)
+        return tuple(out), width
 
     # -- mutation (index-maintaining) ----------------------------------------
 
@@ -137,10 +160,10 @@ class Table:
     # they began, so the sanitizer forgets the write's mutations.
 
     def insert_row(self, row: tuple) -> RowId:
-        row = self.check_row(row)
+        row, width = self._checked_row(row)
         san = self.heap.sanitizer
         mark = san and san.data_dirties
-        rid = self.heap.insert(row, self.row_width(row))
+        rid = self.heap.insert(row, width)
         info = None
         try:
             for info in self.indexes.values():
@@ -177,11 +200,11 @@ class Table:
         columns = self.columns
         values = []
         for p in positions:
-            column = columns[p]
-            value = new_row[p]
-            if value is None and column.not_null:
-                raise NotNullViolation(f"{self.name}.{column.name} is NOT NULL")
-            values.append(column.type.check(value))
+            check, not_null, _, _ = self._program[p]
+            value = check(new_row[p])
+            if value is None and not_null:
+                raise NotNullViolation(f"{self.name}.{columns[p].name} is NOT NULL")
+            values.append(value)
         row = list(old_row)
         delta = 0
         for p, value in zip(positions, values):

@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import datetime
 import enum
+import functools
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import EngineError, TypeMismatchError
 
@@ -134,6 +136,15 @@ class SqlType:
             raise TypeMismatchError(f"expected BOOLEAN, got {value!r}")
         raise TypeMismatchError(f"unsupported type {kind}")  # pragma: no cover
 
+    @property
+    def checker(self) -> Callable[[object], object]:
+        """:meth:`check`, specialised once per type: NULL or a value of
+        the stored Python type (an in-length ``str`` for VARCHAR) comes
+        back at once, anything else goes through :meth:`check`.  Cached
+        outside the instance: a type is pickled with the schema in
+        admin records, and a closure does not pickle."""
+        return _checker(self)
+
     def to_varchar(self, value: object) -> str | None:
         """Render a value into the flexible VARCHAR funnel.
 
@@ -169,6 +180,21 @@ class SqlType:
         if self.kind is TypeKind.VARCHAR:
             return f"VARCHAR({self.length})"
         return self.kind.value
+
+
+#: The Python type each fixed-width kind stores (INTEGER, BIGINT: int).
+_EXACT = {TypeKind.DOUBLE: float, TypeKind.DATE: datetime.date, TypeKind.BOOLEAN: bool}
+
+
+@functools.cache
+def _checker(sql_type: SqlType) -> Callable[[object], object]:
+    slow, length = sql_type.check, sql_type.length
+    if sql_type.kind is TypeKind.VARCHAR:
+        return lambda v: (
+            v if type(v) is str and len(v) <= length or v is None else slow(v)
+        )
+    exact = _EXACT.get(sql_type.kind, int)
+    return lambda v: v if type(v) is exact or v is None else slow(v)
 
 
 # Convenience singletons used across the code base.

@@ -42,7 +42,8 @@ from __future__ import annotations
 import datetime
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter
 from typing import Iterator, Sequence
 
 from .catalog import Catalog
@@ -173,8 +174,8 @@ def _finalize_agg(spec: phys.AggSpec, acc) -> object:
 
     Must agree exactly with the reference interpreter's per-row
     ``_AggState`` accumulator: NULLs are skipped,
-    DISTINCT deduplicates by hash equality, SUM chains ``+`` for
-    non-numeric operands, and MIN/MAX fall back to ``sort_key`` ordering
+    DISTINCT deduplicates by hash equality, SUM chains ``+`` left to
+    right, and MIN/MAX fall back to ``sort_key`` ordering
     the moment a group's column mixes types.  Homogeneous native columns
     — the overwhelmingly common case — fold with C-speed builtins.
     """
@@ -201,12 +202,9 @@ def _finalize_agg(spec: phys.AggSpec, acc) -> object:
     if not values:
         return None
     if func in ("SUM", "AVG"):
-        if set(map(type, values)) <= {int, float}:
-            total = sum(values)
-        else:
-            total = values[0]
-            for v in values[1:]:
-                total = total + v
+        # Left to right, as the reference and SQLite add: ``sum``
+        # compensates float rounding from Python 3.12 on.
+        total = reduce(add, values)
         return total / len(values) if func == "AVG" else total
     kinds = set(map(type, values))
     if len(kinds) == 1 and next(iter(kinds)) in _NATIVE_ORDER:

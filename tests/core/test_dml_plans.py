@@ -19,6 +19,8 @@ import repro
 from repro import LogicalColumn, MultiTenantDatabase, PredicateOrder
 from repro.cluster import Cluster
 from repro.cluster.placement import PlacementCatalog
+from repro.core.layouts import LAYOUTS
+from repro.core.layouts.base import Layout
 from repro.engine.database import Database
 from repro.engine.optimizer import Planner
 from repro.engine.values import INTEGER
@@ -122,6 +124,76 @@ def test_same_shape_tenants_share_one_plan():
         assert mtd.execute(tenant, "SELECT name FROM account").rows == [
             (f"t{tenant}",)
         ]
+
+
+def listing_spy(monkeypatch, layout: str) -> list:
+    """Every fragment listing of ``layout``'s class from here on, as
+    ``(tenant, table, transaction open)``, except the one the Row-id
+    allocator makes to seed a (tenant, table) counter — that is once
+    per pair and process, not per statement.  Installed before the
+    database is built: the allocator binds its seed at construction."""
+    cls = LAYOUTS[layout]
+    listed, seed = cls.fragments, Layout._next_row_id
+    calls: list = []
+    seeding: list = []
+
+    def fragments(self, tenant_id, table_name):
+        if not seeding:
+            active = self.db.transactions.active
+            calls.append((tenant_id, table_name.lower(), active))
+        return listed(self, tenant_id, table_name)
+
+    def next_row_id(self, tenant_id, table_name):
+        seeding.append(True)
+        try:
+            return seed(self, tenant_id, table_name)
+        finally:
+            seeding.pop()
+
+    monkeypatch.setattr(cls, "fragments", fragments)
+    monkeypatch.setattr(Layout, "_next_row_id", next_row_id)
+    return calls
+
+
+WRITES = {
+    "insert": lambda mtd, t, aid: mtd.insert(t, "account", {"aid": aid}),
+    "INSERT": lambda mtd, t, aid: mtd.execute(
+        t, "INSERT INTO account (aid, name) VALUES (?, ?)", (aid + 1, "n")
+    ),
+    "UPDATE": lambda mtd, t, aid: mtd.execute(
+        t, "UPDATE account SET name = ? WHERE aid = ?", ("u", aid)
+    ),
+    "DELETE": lambda mtd, t, aid: mtd.execute(
+        t, "DELETE FROM account WHERE aid = ?", (aid + 1,)
+    ),
+}
+
+
+@pytest.mark.parametrize("layout", SEVEN_LAYOUTS)
+def test_a_hit_lists_no_fragments(layout, monkeypatch, tmp_path):
+    """A statement-cache miss lists the tenant's fragments once, before
+    its transaction opens; a hit — the second tenant of a shape, or the
+    same tenant again where tenants share no plans — lists none; a
+    grant's new shape misses and lists again."""
+    calls = listing_spy(monkeypatch, layout)
+    mtd, tenants = build(layout, db=Database(path=str(tmp_path)))
+    first, second = tenants[-2:]
+    if not mtd.layout.shares_statements:
+        second = first
+    miss = [(first, "account", False)]
+    for kind, write in WRITES.items():
+        del calls[:]
+        write(mtd, first, 10)
+        assert calls == miss, kind
+        write(mtd, second, 20)
+        assert calls == miss, kind
+    if mtd.layout.supports_extensions:
+        mtd.grant_extension(second, "healthcare")
+        for kind, write in WRITES.items():
+            del calls[:]
+            write(mtd, second, 30)
+            assert calls == [(second, "account", False)], kind
+    mtd.db.close()
 
 
 # -- caches on == caches off ---------------------------------------------------

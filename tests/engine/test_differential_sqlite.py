@@ -11,12 +11,15 @@ GROUP BY/HAVING, ORDER BY expressions — that must match SQLite row for
 row.
 """
 
+import functools
+import operator
 import sqlite3
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ..conftest import assert_matches_reference, reference_run
+from repro.engine import Database
 from repro.engine.errors import UnsupportedSyntaxError
 from repro.quality.corpus import (
     ENGINE_DDL,
@@ -246,6 +249,44 @@ class TestCrossEngine:
         reference_run(engine, sql)
         assert engine.exec_stats.batches == before
         assert engine.trace(sql).exec.batches > 0
+
+
+#: Added left to right, the 1.0 is absorbed by 1e16 and the sum is 0.0;
+#: compensated (Python's ``sum`` from 3.12 gives 2.0; SQLite's from
+#: 3.43) it is not.
+CANCELLING = [0.1] * 10 + [1e16, 1.0, -1e16]
+
+
+class TestFloatSummation:
+    """SUM and AVG over DOUBLEs add left to right on every interpreter,
+    as the reference interpreter and SQLite (before 3.43) do, so an
+    answer does not depend on the Python version running it."""
+
+    @pytest.fixture(scope="class")
+    def floats(self):
+        engine = Database()
+        lite = sqlite3.connect(":memory:")
+        for db in (engine, lite):
+            db.execute("CREATE TABLE f (g INTEGER, x DOUBLE)")
+            for x in CANCELLING:
+                db.execute("INSERT INTO f VALUES (1, ?)", [x])
+        return engine, lite
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT g, SUM(x), AVG(x) FROM f GROUP BY g",
+            "SELECT SUM(x), AVG(x) FROM f",
+        ],
+    )
+    def test_doubles_add_left_to_right(self, floats, sql):
+        engine, lite = floats
+        rows = assert_matches_reference(engine, sql)
+        total = functools.reduce(operator.add, CANCELLING)
+        assert total == 0.0
+        assert rows[0][-2:] == (total, total / len(CANCELLING))
+        if sqlite3.sqlite_version_info < (3, 43):
+            assert rows == lite.execute(sql).fetchall()
 
 
 class TestRandomizedQueries:

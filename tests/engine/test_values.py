@@ -1,11 +1,14 @@
 """Tests for SQL types, widths, and the VARCHAR funnel."""
 
 import datetime
+import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.engine.errors import TypeMismatchError
+from repro.analysis.invariants import check_width_ledger
+from repro.engine import Database
+from repro.engine.errors import NotNullViolation, TypeMismatchError
 from repro.engine.values import (
     BIGINT,
     BOOLEAN,
@@ -88,6 +91,104 @@ class TestChecking:
     def test_null_passes_all_types(self):
         for sql_type in (INTEGER, DOUBLE, DATE, BOOLEAN, varchar(5)):
             assert sql_type.check(None) is None
+
+
+class MyInt(int):
+    pass
+
+
+class MyFloat(float):
+    pass
+
+
+EVERY_TYPE = [INTEGER, BIGINT, DOUBLE, DATE, BOOLEAN, varchar(1), varchar(6)]
+
+#: What a caller may hand a checker: every Python kind a column meets,
+#: the exact types beside subclasses and near misses of each.
+ANY_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63 - 2, max_value=2**70),
+    st.builds(MyInt, st.integers()),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0]),
+    st.builds(MyFloat, st.floats()),
+    st.text(max_size=8),
+    st.dates().map(datetime.date.isoformat),
+    st.sampled_from(["2008-02-30", "2008-6-9", "June 9", ""]),
+    st.dates(),
+    st.datetimes(),
+)
+
+
+def outcome(check, value):
+    """What ``check(value)`` does, comparable across NaN and -0.0: the
+    value's type and repr, or the exception's type and message."""
+    try:
+        out = check(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(out), repr(out)
+
+
+class TestChecker:
+    """:attr:`SqlType.checker` is :meth:`SqlType.check`, specialised."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(sql_type=st.sampled_from(EVERY_TYPE), value=ANY_VALUE)
+    def test_checker_is_check(self, sql_type, value):
+        assert outcome(sql_type.checker, value) == outcome(sql_type.check, value)
+
+    def test_one_checker_per_type_and_types_still_pickle(self):
+        for sql_type in EVERY_TYPE:
+            assert sql_type.checker is sql_type.checker
+            assert pickle.loads(pickle.dumps(sql_type)) == sql_type
+
+
+ROW = st.tuples(
+    st.integers(-(2**31), 2**31 - 1),
+    st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1)),
+    st.one_of(st.none(), st.floats(allow_nan=False), st.integers(-9, 9)),
+    st.one_of(st.none(), st.text(max_size=20)),
+    st.one_of(st.none(), st.dates(), st.dates().map(datetime.date.isoformat)),
+    st.one_of(st.none(), st.booleans()),
+)
+
+
+class TestOnePassWidth:
+    """A table checks and sizes a row in one pass; the width is
+    ``row_width`` of the stored row, so every slot's width and every
+    page's ``used`` are what they were when a row was sized apart."""
+
+    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.lists(ROW, min_size=1, max_size=120))
+    def test_width_is_row_width(self, storage, rows):
+        db = Database()
+        db.execute(
+            "CREATE TABLE t (a INTEGER NOT NULL, b BIGINT, c DOUBLE, "
+            f"d VARCHAR(20), e DATE, f BOOLEAN) USING {storage}"
+        )
+        table = db.catalog.table("t")
+        for row in rows:
+            checked, width = table._checked_row(row)
+            assert checked == tuple(c.type.check(v) for c, v in zip(table.columns, row))
+            assert width == table.row_width(checked)
+            table.insert_row(row)
+        assert table.row_count == len(rows)
+        assert check_width_ledger([table], db.pool).findings == []
+
+    def test_refusals_are_unchanged(self):
+        db = Database()
+        db.execute("CREATE TABLE t (a INTEGER NOT NULL, d VARCHAR(2))")
+        table = db.catalog.table("t")
+        with pytest.raises(NotNullViolation, match=r"^t\.a is NOT NULL$"):
+            table.insert_row((None, "x"))
+        with pytest.raises(NotNullViolation, match=r"^t: expected 2 values, got 1$"):
+            table.insert_row((1,))
+        with pytest.raises(TypeMismatchError, match="exceeds VARCHAR"):
+            table.insert_row((1, "xyz"))
 
 
 class TestVarcharFunnel:
