@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from ..engine.columnstore import ColumnPage
 from ..engine.heap import ROW_OVERHEAD
 from ..engine.values import TypeKind
 from .findings import AnalysisReport, Finding
@@ -289,15 +288,14 @@ def check_width_ledger(
         problems, free = [], {}
         for page_id in table.heap.page_ids():
             page = pool.read(page_id)
-            slots = page.payload
-            if isinstance(slots, ColumnPage):
-                slots.decode()
-                columns = slots.columns
-                slots = [
-                    None if w is None else (tuple(c[s] for c in columns), w)
-                    for s, w in enumerate(slots.widths)
-                ]
-            entries = [entry for entry in slots if entry is not None]
+            payload = page.payload
+            payload.decode()
+            columns = payload.columns
+            entries = [
+                (tuple(c[s] for c in columns), w)
+                for s, w in enumerate(payload.widths)
+                if w is not None
+            ]
             problems += [
                 f"page {page_id} stores width {width} for {row!r}"
                 for row, width in entries

@@ -54,7 +54,6 @@ SRC_ROOT = os.path.join(os.path.dirname(__file__), "..")
 #: the WAL-coupled storage layer itself.
 MARK_DIRTY_ALLOWED: tuple[str, ...] = (
     os.path.join("engine", "heap.py"),
-    os.path.join("engine", "columnstore.py"),
     os.path.join("engine", "btree.py"),
     os.path.join("engine", "pager.py"),
 )

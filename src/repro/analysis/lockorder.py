@@ -6,11 +6,11 @@ into whom" becomes "who acquires whose latch while holding their own".
 This pass extracts that acquisition graph *statically*, before any of
 it can deadlock:
 
-1. Engine classes are mapped to **resource classes** (``HeapFile`` and
-   ``ColumnStore`` are both the ``heap`` resource, ``WriteAheadLog`` is
-   ``wal``, ...).  The :class:`~repro.engine.database.Database` facade
-   and the executors are orchestrators, not resources — they hold
-   nothing while calling, so they are deliberately absent.
+1. Engine classes are mapped to **resource classes** (``HeapFile`` is
+   the ``heap`` resource, ``WriteAheadLog`` is ``wal``, ...).  The
+   :class:`~repro.engine.database.Database` facade and the executors
+   are orchestrators, not resources — they hold nothing while calling,
+   so they are deliberately absent.
 2. Every method body of a resource class is walked with :mod:`ast`; a
    call through a receiver that names another resource
    (``self._pool.read(...)``, ``db.pool.write_back_all(...)``,
@@ -70,7 +70,6 @@ CLASS_RESOURCES: dict[str, str] = {
     "Catalog": "catalog",
     "Table": "catalog",
     "HeapFile": "heap",
-    "ColumnStore": "heap",
     "BTreeIndex": "btree",
     "DurabilityManager": "durability",
     "BufferPool": "pool",

@@ -85,12 +85,6 @@ class Layout(abc.ABC):
     #: (Table 1: many tenants, few distinct schema shapes); layouts with
     #: per-tenant physical structure (Private Tables) must not.
     shares_statements: bool = False
-    #: Storage format for this layout's physical tables (``None`` = the
-    #: engine default, row-major heap pages).  Layouts whose shared
-    #: tables co-locate all tenants and get scanned with selective meta
-    #: predicates (chunk/pivot/universal) default to ``"columnar"``;
-    #: a ``storage=`` layout option overrides either way.
-    default_storage: str | None = None
 
     def __init__(
         self,
@@ -98,12 +92,10 @@ class Layout(abc.ABC):
         schema: MultiTenantSchema,
         *,
         soft_delete: bool = False,
-        storage: str | None = None,
     ) -> None:
         self.db = db
         self.schema = schema
         self.soft_delete = soft_delete
-        self.storage = storage if storage is not None else self.default_storage
         self.rows = RowIdAllocator(self._next_row_id)
         self.columns = ColumnIdAllocator()
         self._created_tables: set[str] = set()
@@ -308,18 +300,11 @@ class Layout(abc.ABC):
     # -- helpers shared by concrete layouts --------------------------------------
 
     def _ensure_table(self, name: str, ddl: str, indexes: Iterable[str] = ()) -> bool:
-        """Create a physical table once; True when created now.
-
-        All layout DDL funnels through here, so the layout's storage
-        choice is appended uniformly (every caller's DDL string ends
-        with the closing paren of its column list).
-        """
+        """Create a physical table once; True when created now."""
         key = name.lower()
         if key in self._created_tables or self.db.catalog.has_table(name):
             self._created_tables.add(key)
             return False
-        if self.storage is not None:
-            ddl = f"{ddl} USING {self.storage}"
         self.db.execute(ddl)
         for index_sql in indexes:
             self.db.execute(index_sql)

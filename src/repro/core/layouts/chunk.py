@@ -46,10 +46,6 @@ from .base import (
 class ChunkTableLayout(Layout):
     name = "chunk"
     shares_statements = True
-    # Shared chunk tables co-locate every tenant and are scanned with
-    # selective tenant/tbl/chunk meta predicates: column-major pages let
-    # those predicates run before row assembly.
-    default_storage = "columnar"
 
     def __init__(
         self,

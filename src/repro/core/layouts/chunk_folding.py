@@ -35,11 +35,8 @@ class ChunkFoldingLayout(ChunkTableLayout):
         width: int = 6,
         planner: FoldingPlanner | None = None,
         soft_delete: bool = False,
-        storage: str | None = None,
     ) -> None:
-        super().__init__(
-            db, schema, width=width, soft_delete=soft_delete, storage=storage
-        )
+        super().__init__(db, schema, width=width, soft_delete=soft_delete)
         self.planner = planner
 
     def base_physical(self, table_name: str) -> str:

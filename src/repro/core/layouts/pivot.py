@@ -31,7 +31,6 @@ from .base import (
 class PivotTableLayout(Layout):
     name = "pivot"
     shares_statements = True
-    default_storage = "columnar"
 
     def physical_name(self, family: str, *, indexed: bool) -> str:
         return f"pivot_{family}" + ("_ix" if indexed else "")

@@ -28,7 +28,6 @@ _CASTS = {
 class UniversalTableLayout(Layout):
     name = "universal"
     shares_statements = True
-    default_storage = "columnar"
 
     def __init__(self, db, schema, *, width: int = 60, **kwargs) -> None:
         super().__init__(db, schema, **kwargs)

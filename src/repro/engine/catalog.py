@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .btree import BTreeIndex
-from .columnstore import ColumnStore
 from .errors import (
     DuplicateObjectError,
     NotNullViolation,
@@ -264,11 +263,6 @@ class Table:
     # -- stats ------------------------------------------------------------------
 
     @property
-    def storage(self) -> str:
-        """Storage format of the backing row store: heap | columnar."""
-        return self.heap.storage_kind
-
-    @property
     def row_count(self) -> int:
         return self.heap.row_count
 
@@ -409,31 +403,15 @@ class Catalog:
 
     # -- DDL ---------------------------------------------------------------
 
-    def create_table(
-        self,
-        name: str,
-        columns: list[Column],
-        *,
-        storage: str | None = None,
-    ) -> Table:
+    def create_table(self, name: str, columns: list[Column]) -> Table:
         if self.has_table(name):
             raise DuplicateObjectError(f"table {name!r} already exists")
-        storage = storage or "heap"
-        if storage == "columnar":
-            heap: HeapFile = ColumnStore(
-                self._pool,
-                self._next_segment,
-                self.insert_strategy,
-                ncols=len(columns),
-            )
-        elif storage == "heap":
-            heap = HeapFile(
-                self._pool, self._next_segment, self.insert_strategy
-            )
-        else:
-            raise UnknownObjectError(
-                f"unknown storage format {storage!r} (heap or columnar)"
-            )
+        heap = HeapFile(
+            self._pool,
+            self._next_segment,
+            self.insert_strategy,
+            ncols=len(columns),
+        )
         self._next_segment += 1
         table = Table(name, columns, heap)
         self._tables[name.lower()] = table

@@ -1,45 +1,30 @@
-"""Column-major storage for shared tables.
+"""Column pages and column batches: the page format of every heap.
 
-A :class:`ColumnStore` is a drop-in sibling of
-:class:`~repro.engine.heap.HeapFile`: same public surface (``insert`` /
-``fetch`` / ``fetch_many`` / ``scan`` / ``scan_batches`` / ``update`` /
-``delete`` / ``restore`` / ``drop``), same page placement policy, same
-free-space accounting, and the same ``heap.*`` counters — so indexes,
-DML, checkpoint snapshots, and logical WAL replay all work unchanged.  The
-difference is the page payload: instead of one ``(row, width)`` entry
-per slot, a column page holds one native value list *per column* plus a
-per-column null bitmap, and the batch scan hands those columns to the
-vectorized executor directly (:class:`ColumnBatch`) so predicates run
-against columns before any row tuple is assembled.  On disk the page is
-a typed, slot-addressable image rather than a pickle (below), so a page
-miss for one row decodes that row.
+A :class:`ColumnPage` is the payload of one data page of a
+:class:`~repro.engine.heap.HeapFile`: one native value list *per
+column*, a per-column null bitmap and a byte width per slot.  The heap's
+batch scan hands those columns to the vectorized executor directly
+(:class:`ColumnBatch`), copying only the columns a query names, so
+predicates run against columns before any row tuple is assembled.  On
+disk the page is a typed, slot-addressable image rather than a pickle
+(below), so a page miss for one row decodes that row.
 
 Why this matters for the paper: the chunk/pivot/universal layouts store
 *all* tenants in a handful of wide shared tables, and reconstruction
 queries scan them with highly selective meta predicates (``tenant`` /
-``tbl`` / ``chunk``).  Row-major pages force the scan to materialize
-every row before the predicate rejects ~(C-1)/C of them; column pages
-evaluate the predicate on two or three meta columns and only assemble
-the survivors.  That is the storage-side half of closing the paper's
-chunk-table grouping gap (Section 5's "Additional Tests").
-
-Placement parity is deliberate: byte widths, ``ROW_OVERHEAD``, the
-FIRST_FIT tightest-fit search (including its runner-up page read), and
-tombstone slot reuse are identical to the heap, so a table stores the
-same rows on the same number of pages with the same free map whichever
-format it uses — the differential suites assert logical-read parity on
-top of this.
+``tbl`` / ``chunk``).  Column pages evaluate the predicate on two or
+three meta columns and only assemble the survivors, and a query over a
+wide conventional table copies only the columns it reads.  Byte widths,
+``ROW_OVERHEAD`` and placement are the row-store model's, so a table
+stores the same rows on the same number of pages whatever it holds.
 """
 
 from __future__ import annotations
 
 import struct
 from operator import add
-from typing import Iterator
 
 from .columncodec import CODES, INT8, INT16, INT32, Columns, encode_columns, int_tag
-from .errors import ExecutionError
-from .heap import HeapFile, RowId
 
 # -- the page image -----------------------------------------------------------
 #
@@ -361,192 +346,3 @@ class ColumnBatch:
 
     def __getitem__(self, item):
         return self.rows()[item]
-
-
-class ColumnStore(HeapFile):
-    """Column-major row store with heap-identical placement.
-
-    Inherits insert / update / delete — the free-space map, page choice
-    (FIRST_FIT / APPEND), sizing and relocation — plus ``restore`` and
-    ``drop`` from :class:`HeapFile`; overrides the payload hooks those
-    call and the read paths.  ``ncols`` fixes the column count (a
-    physical table's schema never changes shape in place).
-    """
-
-    storage_kind = "columnar"
-
-    def __init__(self, pool, segment_id, strategy, *, ncols: int):
-        super().__init__(pool, segment_id, strategy)
-        self.ncols = ncols
-
-    # -- page payload hooks (placement and accounting are the heap's) -----
-
-    def _new_payload(self) -> ColumnPage:
-        return ColumnPage(self.ncols)
-
-    # Every write decodes an undecoded page first, before any slot list
-    # grows or changes.
-
-    def _free_slot(self, payload: ColumnPage) -> int:
-        payload.decode()
-        widths = payload.widths
-        try:
-            return widths.index(None)
-        except ValueError:
-            widths.append(None)
-            for column in payload.columns:
-                column.append(None)
-            return len(widths) - 1
-
-    def _stored_width(self, payload: ColumnPage, slot: int) -> int | None:
-        return payload.widths[slot] if slot < len(payload.widths) else None
-
-    def _write_slot(
-        self, payload: ColumnPage, slot_no: int, row: tuple, width: int
-    ) -> None:
-        self._rewrite_slot(payload, slot_no, row, width, range(len(row)))
-        payload.live += 1
-        del payload.row_cache[slot_no]  # only point fetches fill it
-
-    def _rewrite_slot(
-        self, payload: ColumnPage, slot_no: int, row: tuple, width: int, positions
-    ) -> None:
-        """Store ``row``'s cells at ``positions`` and their null bits (an
-        update writes only the cells it assigns); ``row`` becomes the
-        slot's cached tuple."""
-        payload.decode()
-        bit = 1 << slot_no
-        nulls = payload.nulls
-        for c in positions:
-            value = payload.columns[c][slot_no] = row[c]
-            if value is None:
-                nulls[c] |= bit
-            else:
-                nulls[c] &= ~bit
-        payload.widths[slot_no] = width
-        payload.row_cache[slot_no] = row
-
-    def _clear_slot(self, payload: ColumnPage, slot_no: int) -> None:
-        payload.decode()
-        bit = 1 << slot_no
-        for c, column in enumerate(payload.columns):
-            column[slot_no] = None
-            payload.nulls[c] &= ~bit
-        payload.widths[slot_no] = None
-        payload.live -= 1
-        payload.row_cache.pop(slot_no, None)
-
-    # -- reads ------------------------------------------------------------
-
-    def _page_rows(self, payload: ColumnPage, run: list[RowId]) -> list[tuple]:
-        """Assemble ``run``'s rows from their column slots (cached per
-        page, raising on a dangling RID).  An undecoded page decodes
-        just these slots."""
-        widths = payload.widths
-        cache = payload.row_cache
-        columns = payload.columns
-        rows = []
-        for rid in run:
-            slot = rid[1]
-            if slot >= len(widths) or widths[slot] is None:
-                raise ExecutionError(f"dangling RID {rid}")
-            row = cache.get(slot)
-            if row is None:
-                if columns is None:
-                    row = payload.decode_slot(slot)
-                else:
-                    row = tuple([column[slot] for column in columns])
-                cache[slot] = row
-            rows.append(row)
-        return rows
-
-    def scan(self) -> Iterator[tuple[RowId, tuple]]:
-        """Row-assembly adapter: full scan in physical order, assembling
-        one tuple per live slot — index backfill, DML RID matching and
-        the reference interpreter run unchanged over column pages."""
-        self._stats.scans += 1
-        for pid in list(self._page_ids):
-            payload: ColumnPage = self._pool.read(pid).payload
-            if payload.image is not None:
-                payload.decode()
-            columns = payload.columns
-            for slot_no, width in enumerate(payload.widths):
-                if width is not None:
-                    yield (
-                        (pid, slot_no),
-                        tuple(column[slot_no] for column in columns),
-                    )
-
-    def scan_batches(
-        self, batch_rows: int, columns: list[int] | None = None
-    ) -> Iterator[ColumnBatch]:
-        """Late-materializing scan: yields :class:`ColumnBatch` objects
-        whose row tuples are only assembled if a downstream operator
-        asks.  Page accounting matches :meth:`scan` exactly (one logical
-        read per page, one ``heap.scans`` tick per call), and batch
-        boundaries match the heap's ``scan_batches`` (full batches of
-        ``batch_rows``, remainder last) so cross-format batch counts
-        line up.
-
-        ``columns`` (slot positions) prunes the copy: only the listed
-        columns are materialized, the rest ride along as ``None`` and
-        NULL-fill if a batch is ever row-assembled.  The planner passes
-        this only when it can prove no expression reads a pruned slot.
-        """
-        self._stats.scans += 1
-        keep = None if columns is None else set(columns)
-        pending: list[list | None] | None = None
-        pending_len = 0
-        for pid in list(self._page_ids):
-            payload: ColumnPage = self._pool.read(pid).payload
-            if payload.live == 0:
-                continue
-            if payload.image is not None:
-                payload.decode()
-            widths = payload.widths
-            if payload.live == len(widths):
-                # Dense page: copy columns wholesale (the page's own
-                # lists stay private — later inserts must not mutate a
-                # batch already yielded downstream).
-                cols = [
-                    list(column) if keep is None or i in keep else None
-                    for i, column in enumerate(payload.columns)
-                ]
-                nrows = len(widths)
-            else:
-                live = [i for i, w in enumerate(widths) if w is not None]
-                cols = [
-                    [column[j] for j in live]
-                    if keep is None or i in keep
-                    else None
-                    for i, column in enumerate(payload.columns)
-                ]
-                nrows = len(live)
-            if pending is None:
-                pending = cols
-                pending_len = nrows
-            else:
-                for out, col in zip(pending, cols):
-                    if out is not None:
-                        out.extend(col)
-                pending_len += nrows
-            while pending is not None and pending_len >= batch_rows:
-                if pending_len == batch_rows:
-                    yield ColumnBatch(pending, length=pending_len)
-                    pending = None
-                    pending_len = 0
-                else:
-                    yield ColumnBatch(
-                        [
-                            col[:batch_rows] if col is not None else None
-                            for col in pending
-                        ],
-                        length=batch_rows,
-                    )
-                    pending = [
-                        col[batch_rows:] if col is not None else None
-                        for col in pending
-                    ]
-                    pending_len -= batch_rows
-        if pending is not None and pending_len:
-            yield ColumnBatch(pending, length=pending_len)

@@ -667,12 +667,11 @@ class Database:
         columns = [
             Column(c.name, parse_type(c.type_text), c.not_null) for c in stmt.columns
         ]
-        self.catalog.create_table(stmt.table, columns, storage=stmt.storage)
+        self.catalog.create_table(stmt.table, columns)
         self._log_ddl(
             op="create_table",
             table=stmt.table,
             columns=[(c.name, c.type_text, c.not_null) for c in stmt.columns],
-            storage=stmt.storage,
         )
 
     def _resize_pool(self) -> None:

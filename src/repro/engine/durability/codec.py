@@ -14,13 +14,10 @@ admin-operation id if any, the table name, the RID as packed integers,
 ``new_rid`` only if the row moved, and each value behind a one-byte
 type tag, so they decode type-exact without pickle.  Every other
 log record (checkpoints, DDL, admin brackets) is a pickle, whose
-protocol-4 ``PROTO`` opcode is ``0x80``.  A page-store frame carries
-raw bytes ahead of its payload, inside the checksum
-(``encode_frame(record, head)``, :func:`frame_payload`):
-:func:`read_frame` hands them to a reader without decoding anything,
-:func:`decode_record` decodes the rest by the same first-byte rule — a
-pickled heap page, or the image of a column page or a B-tree node
-(:mod:`~repro.engine.columncodec`) whose first byte is below ``0x80``.
+protocol-4 ``PROTO`` opcode is ``0x80``.  A page-store frame
+(:func:`frame_payload`) holds a page's fixed-width head and its image
+(:mod:`~repro.engine.columncodec`), never a pickle: :func:`read_frame`
+hands it to a reader without decoding anything.
 
 Both files start with a format head (:func:`file_head`): a magic naming
 the kind of file and the version of its format.  An open checks it
@@ -76,10 +73,9 @@ def has_head(path: str, data: bytes, head: bytes) -> bool:
     )
 
 
-def encode_frame(record: object, head: bytes = b"") -> bytes:
-    """Serialize one record, behind ``head``, into a self-checking
-    frame."""
-    return frame_payload(head + pickle.dumps(record, protocol=_PROTOCOL))
+def encode_frame(record: object) -> bytes:
+    """Pickle one log record into a self-checking frame."""
+    return frame_payload(pickle.dumps(record, protocol=_PROTOCOL))
 
 
 def frame_payload(payload: bytes) -> bytes:
@@ -240,29 +236,3 @@ def frame_intact(frame: bytes) -> bool:
         memoryview(frame)[HEADER_SIZE:]
     ) == crc
 
-
-#: What decoding a payload no encoder wrote raises: a pickle that does
-#: not unpickle, or an image that does not parse.
-UNDECODABLE = (
-    pickle.UnpicklingError,
-    EOFError,
-    ValueError,
-    IndexError,
-    KeyError,
-    TypeError,
-    AttributeError,
-    ImportError,
-    OverflowError,
-    struct.error,
-)
-
-
-def decode_record(frame: bytes, head_size: int, raw) -> object:
-    """The record of an intact frame whose first ``head_size`` payload
-    bytes are raw: a pickle, or, where the first byte after them is
-    below ``0x80`` (:func:`decode_frames`'s rule), what ``raw`` makes of
-    the bytes."""
-    body = memoryview(frame)[HEADER_SIZE + head_size :]
-    if body[0] == _PICKLED:
-        return pickle.loads(body)
-    return raw(bytes(body))

@@ -303,7 +303,6 @@ def capture_snapshot(db, durability: DurabilityManager) -> dict:
             {
                 "name": table.name,
                 "columns": list(table.columns),
-                "storage": heap.storage_kind,
                 "segment": heap.segment_id,
                 "page_ids": heap.page_ids(),
                 "free_map": heap.free_map(),
@@ -331,22 +330,16 @@ def restore_snapshot(db, snapshot: dict) -> dict | None:
     checkpoint was fuzzy over, or ``None``."""
     from ..btree import BTreeIndex
     from ..catalog import IndexInfo, Table
-    from ..columnstore import ColumnStore
     from ..heap import HeapFile
 
     catalog = db.catalog
     for entry in snapshot["tables"]:
-        if entry["storage"] == "columnar":
-            heap: HeapFile = ColumnStore(
-                db.pool,
-                entry["segment"],
-                catalog.insert_strategy,
-                ncols=len(entry["columns"]),
-            )
-        else:
-            heap = HeapFile(
-                db.pool, entry["segment"], catalog.insert_strategy
-            )
+        heap = HeapFile(
+            db.pool,
+            entry["segment"],
+            catalog.insert_strategy,
+            ncols=len(entry["columns"]),
+        )
         heap.restore(entry["page_ids"], entry["free_map"], entry["row_count"])
         table = Table(entry["name"], list(entry["columns"]), heap)
         for ix in entry["indexes"]:

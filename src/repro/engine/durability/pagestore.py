@@ -21,17 +21,15 @@ so nothing that walks the file (:meth:`_scan` at open,
 :meth:`truncate_to` at recovery, :meth:`compact`) ever decodes a page.
 A page miss (:meth:`read`) is one ``os.pread`` of the indexed frame,
 its length and checksum checked, and the payload's first byte says
-what it is.  A column page or a B-tree node is an image of typed
-columns (:mod:`~repro.engine.columncodec`), first byte below ``0x80``:
-a column page (:meth:`~repro.engine.columnstore.ColumnPage.from_image`)
-and a leaf (:func:`~repro.engine.btree.node_from_image`) are checked
-for shape and kept undecoded, so a point fetch decodes the one row it
-reads, a probe the entries it returns, and a scan the page once; an
-internal node is decoded whole.  A heap page is a pickle (``0x80``) of
-a slot list of tuples and numbers: one unpickle that makes a Python
-call per page, not per entry.  A frame whose checksum holds but whose
-payload does not decode — an image or a pickle — raises
-:class:`EngineError` naming the page.
+what it is.  Every page is an image of typed columns
+(:mod:`~repro.engine.columncodec`), nothing is a pickle: a column page
+(:meth:`~repro.engine.columnstore.ColumnPage.from_image`) and a leaf
+(:func:`~repro.engine.btree.node_from_image`) are checked for shape and
+kept undecoded, so a point fetch decodes the one row it reads, a probe
+the entries it returns, and a scan the page once; an internal node is
+decoded whole.  A frame whose checksum holds but whose payload is no
+image — one cut short, one of an unknown kind, a pickle — raises
+:class:`EngineError` naming the page; nothing in it is executed.
 
 * :meth:`sync` is one fsync, whatever the number of tables written.
 * :meth:`compact` rewrites the file to its head and exactly its live
@@ -73,9 +71,6 @@ from ..observability.metrics import CounterSet, MetricsRegistry
 from ..pager import Page, PageKind
 from .codec import (
     HEADER_SIZE,
-    UNDECODABLE,
-    decode_record,
-    encode_frame,
     file_head,
     frame_intact,
     frame_payload,
@@ -90,8 +85,9 @@ PAGE_FILE = "data.pages"
 #: the first with a head (before it a frame's pickle held a dict of
 #: kind, size, used and payload, and RIDs were objects); it pickled
 #: column pages too.  Version 2 stores them as images, and pickles
-#: B-tree nodes; version 3 stores those as images as well.
-HEAD = file_head(b"RPPG", 3)
+#: B-tree nodes; version 3 stores those as images as well, but may hold
+#: pickled row-major heap pages.  Version 4 holds images only.
+HEAD = file_head(b"RPPG", 4)
 
 #: A frame's fixed-width head: page id, segment id, LSN, kind, size,
 #: used.  The payload after it is the page's alone.
@@ -121,6 +117,17 @@ class PageStoreStats(CounterSet, prefix="db.pager"):
     #: superseded or dropped ones (what the next compaction discards).
     live_bytes: int = 0
     dead_bytes: int = 0
+
+
+#: What parsing bytes no image encoder wrote raises.
+_UNDECODABLE = (
+    ValueError,
+    IndexError,
+    KeyError,
+    TypeError,
+    OverflowError,
+    struct.error,
+)
 
 
 def _from_image(data: bytes) -> object:
@@ -234,11 +241,7 @@ class DiskPageStore:
             page.size,
             page.used,
         )
-        to_image = getattr(page.payload, "to_image", None)
-        if to_image is not None:  # a column page or a B-tree node
-            frame = frame_payload(head + to_image())
-        else:
-            frame = encode_frame(page.payload, head)
+        frame = frame_payload(head + page.payload.to_image())
         fh = self._file
         fh.seek(self._size)
         torn = self._faults.torn_write_length(len(frame))
@@ -274,8 +277,8 @@ class DiskPageStore:
             frame, HEADER_SIZE
         )
         try:
-            payload = decode_record(frame, _HEAD.size, _from_image)
-        except UNDECODABLE as exc:
+            payload = _from_image(frame[HEADER_SIZE + _HEAD.size :])
+        except _UNDECODABLE as exc:
             raise EngineError(
                 f"page {page_id}: the frame passes its checksum but does "
                 f"not decode ({exc!r})"

@@ -198,7 +198,7 @@ def _replay_ddl(db, record: dict) -> None:
             Column(name, parse_type(type_text), not_null)
             for name, type_text, not_null in record["columns"]
         ]
-        catalog.create_table(record["table"], columns, storage=record["storage"])
+        catalog.create_table(record["table"], columns)
     elif op == "drop_table":
         catalog.drop_table(record["table"])
     elif op == "create_index":

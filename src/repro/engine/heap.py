@@ -1,9 +1,15 @@
-"""Heap files: slotted-page row storage.
+"""Heap files: every table's row store, on column pages.
 
-Rows live in pages as Python tuples; the byte width of each row is
-computed by the caller (the table knows its column types) and used for
-placement so rows-per-page matches what the declared schema would give
-on a real 8 KB page.
+A row's byte width is computed by the caller (the table knows its
+column types) and used for placement, so rows-per-page matches what the
+declared schema would give on a real 8 KB page.  A page holds its rows
+column-major (:class:`~repro.engine.columnstore.ColumnPage`): one native
+value list per column, a null bitmap per column and a width per slot.
+A point fetch assembles one tuple; :meth:`HeapFile.scan_batches` hands
+the vectorized executor column batches, copying only the columns the
+query names, so predicates run against columns before any row tuple is
+assembled.  On disk a page is a typed, slot-addressable image, so a page
+miss for one row decodes that row.
 
 Two insert strategies model the DB2 behaviour hypothesised in Section 5
 of the paper ("DB2 is switching between the two insert methods it
@@ -22,8 +28,9 @@ import enum
 from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
+from .columnstore import ColumnBatch, ColumnPage
 from .errors import ExecutionError
 from .observability.metrics import CounterSet
 from .pager import BufferPool, Page, PageKind
@@ -48,8 +55,8 @@ _page_of = itemgetter(0)
 
 @dataclass
 class HeapStats(CounterSet, prefix="heap"):
-    """Row operations over every heap file (row- or column-major) of
-    one registry (one database)."""
+    """Row operations over every heap file of one registry (one
+    database)."""
 
     fetches: int = 0
     scans: int = 0
@@ -59,23 +66,22 @@ class HeapStats(CounterSet, prefix="heap"):
 
 
 class HeapFile:
-    """A heap of rows for one table, stored in DATA pages of one segment."""
-
-    #: Storage discriminator surfaced through the catalog (``Table.storage``)
-    #: and persisted in checkpoint snapshots / DDL WAL records.  The
-    #: column-major sibling (:class:`~repro.engine.columnstore.ColumnStore`)
-    #: overrides this with ``"columnar"``.
-    storage_kind = "heap"
+    """A heap of rows for one table, stored in DATA pages of one segment.
+    ``ncols`` fixes the column count (a physical table's schema never
+    changes shape in place)."""
 
     def __init__(
         self,
         pool: BufferPool,
         segment_id: int,
         strategy: InsertStrategy = InsertStrategy.FIRST_FIT,
+        *,
+        ncols: int,
     ) -> None:
         self._pool = pool
         self.segment_id = segment_id
         self.strategy = strategy
+        self.ncols = ncols
         self._page_ids: list[int] = []
         # Free-space map: page_id -> free bytes. Maintained on insert and
         # delete; FIRST_FIT scans it for the best (tightest) fit.
@@ -96,10 +102,19 @@ class HeapFile:
         page = self._choose_page(need)
         if page is None:
             page = self._pool.allocate(self.segment_id, PageKind.DATA)
-            page.payload = self._new_payload()
+            page.payload = ColumnPage(self.ncols)
             self._page_ids.append(page.page_id)
-        slot_no = self._free_slot(page.payload)
-        self._write_slot(page.payload, slot_no, row, width)
+        payload: ColumnPage = page.payload
+        payload.decode()  # a write decodes first, before any list grows
+        widths = payload.widths
+        try:  # reuse a tombstone slot if one exists so RIDs stay dense-ish
+            slot_no = widths.index(None)
+        except ValueError:
+            slot_no = len(widths)
+            widths.append(None)
+            for column in payload.columns:
+                column.append(None)
+        self._write_slot(payload, slot_no, row, width)
         page.used += need
         self._free_map[page.page_id] = page.free
         self._pool.mark_dirty(page.page_id)
@@ -167,52 +182,113 @@ class HeapFile:
                 )
         return rows
 
-    def _page_rows(self, slots: list, run: list[RowId]) -> list[tuple]:
-        """The rows at ``run``'s slots of one page (raising on a
-        dangling RID)."""
-        nslots = len(slots)
-        entries = [slots[s] if s < nslots else None for _, s in run]
-        if None in entries:
-            raise ExecutionError(f"dangling RID {run[entries.index(None)]}")
-        return [entry[0] for entry in entries]
+    @staticmethod
+    def _page_rows(payload: ColumnPage, run: list[RowId]) -> list[tuple]:
+        """Assemble ``run``'s rows from their column slots (cached per
+        page, raising on a dangling RID).  An undecoded page decodes
+        just these slots."""
+        widths = payload.widths
+        cache = payload.row_cache
+        columns = payload.columns
+        rows = []
+        for rid in run:
+            slot = rid[1]
+            if slot >= len(widths) or widths[slot] is None:
+                raise ExecutionError(f"dangling RID {rid}")
+            row = cache.get(slot)
+            if row is None:
+                if columns is None:
+                    row = payload.decode_slot(slot)
+                else:
+                    row = tuple([column[slot] for column in columns])
+                cache[slot] = row
+            rows.append(row)
+        return rows
 
     def scan(self) -> Iterator[tuple[RowId, tuple]]:
-        """Full scan in physical order, reading every page once."""
+        """Full scan in physical order, reading every page once and
+        assembling one tuple per live slot — index backfill, DML RID
+        matching and the reference interpreter read rows through it."""
         self._stats.scans += 1
         for pid in list(self._page_ids):
-            page = self._pool.read(pid)
-            for slot_no, entry in enumerate(page.payload):
-                if entry is not None:
-                    yield (pid, slot_no), entry[0]
+            payload: ColumnPage = self._pool.read(pid).payload
+            if payload.image is not None:
+                payload.decode()
+            columns = payload.columns
+            for slot_no, width in enumerate(payload.widths):
+                if width is not None:
+                    yield (
+                        (pid, slot_no),
+                        tuple(column[slot_no] for column in columns),
+                    )
 
-    def scan_batches(self, batch_rows: int) -> Iterator[list[tuple]]:
-        """Rows only, in the same physical order as :meth:`scan`, in
-        lists of at most ``batch_rows`` — the vectorized executor's scan
-        path.  Page accounting is identical to :meth:`scan` (one logical
-        read per page, one ``heap.scans`` tick per call); rows of one
-        page are gathered with a single comprehension instead of a
-        per-row generator resumption.  Yielded lists are freshly built
-        and never touched again by this generator, so consumers may keep
-        or mutate them; exact-size batches are handed over as-is instead
-        of being sliced out and shifted (the old ``del batch[:n]``
-        memmove on every full batch)."""
+    def scan_batches(
+        self, batch_rows: int, columns: list[int] | None = None
+    ) -> Iterator[ColumnBatch]:
+        """Late-materializing scan, in the same physical order as
+        :meth:`scan`: yields :class:`ColumnBatch` objects whose row
+        tuples are only assembled if a downstream operator asks.  Page
+        accounting matches :meth:`scan` exactly (one logical read per
+        page, one ``heap.scans`` tick per call); batches are full
+        batches of ``batch_rows``, the remainder last.
+
+        ``columns`` (slot positions) prunes the copy: only the listed
+        columns are copied off each page, the rest ride along as
+        ``None`` and NULL-fill if a batch is ever row-assembled.  The
+        planner passes this only when it can prove no expression reads
+        a pruned slot.  Yielded column lists are freshly built and
+        never touched again by this generator, so consumers may keep
+        them."""
         self._stats.scans += 1
-        batch: list[tuple] = []
+        ncols = self.ncols
+        keep = range(ncols) if columns is None else columns
+
+        def batch(kept: list[list], length: int) -> ColumnBatch:
+            if columns is None:
+                return ColumnBatch(kept, length=length)
+            base: list[list | None] = [None] * ncols
+            for i, column in zip(keep, kept):
+                base[i] = column
+            return ColumnBatch(base, length=length)
+
+        pending: list[list] | None = None
+        pending_len = 0
         for pid in list(self._page_ids):
-            page = self._pool.read(pid)
-            rows = [entry[0] for entry in page.payload if entry is not None]
-            if batch:
-                batch.extend(rows)
+            payload: ColumnPage = self._pool.read(pid).payload
+            if payload.live == 0:
+                continue
+            if payload.image is not None:
+                payload.decode()
+            page_columns = payload.columns
+            widths = payload.widths
+            if payload.live == len(widths):
+                # Dense page: copy the kept columns wholesale (the
+                # page's own lists stay private — later inserts must not
+                # mutate a batch already yielded downstream).
+                if pending is None:
+                    pending = [page_columns[i][:] for i in keep]
+                else:
+                    for out, i in zip(pending, keep):
+                        out += page_columns[i]
             else:
-                batch = rows
-            while len(batch) > batch_rows:
-                yield batch[:batch_rows]
-                batch = batch[batch_rows:]
-            if len(batch) == batch_rows:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
+                slots = [s for s, w in enumerate(widths) if w is not None]
+                if pending is None:
+                    pending = [[] for _ in keep]
+                for out, i in zip(pending, keep):
+                    column = page_columns[i]
+                    out += [column[s] for s in slots]
+            pending_len += payload.live
+            while pending_len >= batch_rows:
+                if pending_len == batch_rows:
+                    yield batch(pending, pending_len)
+                    pending = None
+                    pending_len = 0
+                else:
+                    yield batch([col[:batch_rows] for col in pending], batch_rows)
+                    pending = [col[batch_rows:] for col in pending]
+                    pending_len -= batch_rows
+        if pending_len:
+            yield batch(pending, pending_len)
 
     # -- updates / deletes ----------------------------------------------------
 
@@ -225,7 +301,8 @@ class HeapFile:
         self._stats.updates += 1
         page_id, slot = rid
         page = self._pool.read(page_id)
-        width = self._stored_width(page.payload, slot)
+        widths = page.payload.widths
+        width = widths[slot] if slot < len(widths) else None
         if width is None:
             raise ExecutionError(f"update of deleted RID {rid}")
         width += delta
@@ -259,10 +336,20 @@ class HeapFile:
         self._stats.deletes += 1
         page_id, slot = rid
         page = self._pool.read(page_id)
-        width = self._stored_width(page.payload, slot)
+        payload: ColumnPage = page.payload
+        widths = payload.widths
+        width = widths[slot] if slot < len(widths) else None
         if width is None:
             raise ExecutionError(f"double delete of RID {rid}")
-        self._clear_slot(page.payload, slot)
+        payload.decode()
+        bit = 1 << slot
+        nulls = payload.nulls
+        for c, column in enumerate(payload.columns):
+            column[slot] = None
+            nulls[c] &= ~bit
+        widths[slot] = None
+        payload.live -= 1
+        payload.row_cache.pop(slot, None)
         page.used -= width + ROW_OVERHEAD
         self._free_map[page_id] = page.free
         self._pool.mark_dirty(page_id)
@@ -271,34 +358,35 @@ class HeapFile:
         if san is not None:
             san.on_row_access((self.segment_id, page_id, slot), write=True)
 
-    # -- page payload: one ``(row, width)`` entry per slot, None for a
-    # tombstone.  The column store overrides exactly these hooks.
+    # -- slot writes: every write decodes an undecoded page first.
 
-    def _new_payload(self) -> Any:
-        return []
-
-    def _free_slot(self, slots: list) -> int:
-        """Reuse a tombstone slot if one exists so RIDs stay dense-ish."""
-        try:
-            return slots.index(None)
-        except ValueError:
-            slots.append(None)
-            return len(slots) - 1
-
-    def _stored_width(self, slots: list, slot: int) -> int | None:
-        entry = slots[slot] if slot < len(slots) else None
-        return None if entry is None else entry[1]
-
-    def _write_slot(self, slots: list, slot: int, row: tuple, width: int) -> None:
-        slots[slot] = (row, width)
-
-    def _rewrite_slot(
-        self, slots: list, slot: int, row: tuple, width: int, positions
+    @classmethod
+    def _write_slot(
+        cls, payload: ColumnPage, slot: int, row: tuple, width: int
     ) -> None:
-        slots[slot] = (row, width)  # a row page stores the whole tuple
+        """Store a whole row in a tombstone slot."""
+        cls._rewrite_slot(payload, slot, row, width, range(len(row)))
+        payload.live += 1
+        del payload.row_cache[slot]  # only point fetches fill it
 
-    def _clear_slot(self, slots: list, slot: int) -> None:
-        slots[slot] = None
+    @staticmethod
+    def _rewrite_slot(
+        payload: ColumnPage, slot: int, row: tuple, width: int, positions
+    ) -> None:
+        """Store ``row``'s cells at ``positions`` and their null bits (an
+        update writes only the cells it assigns); ``row`` becomes the
+        slot's cached tuple."""
+        payload.decode()
+        bit = 1 << slot
+        nulls = payload.nulls
+        for c in positions:
+            value = payload.columns[c][slot] = row[c]
+            if value is None:
+                nulls[c] |= bit
+            else:
+                nulls[c] &= ~bit
+        payload.widths[slot] = width
+        payload.row_cache[slot] = row
 
     # -- sizing -----------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import datetime
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 from .catalog import Catalog, Table
@@ -51,19 +52,17 @@ class OptimizerProfile(enum.Enum):
     ADVANCED = "advanced"
 
 
-#: Work units per row for one sequential scan, by storage format.  A
-#: columnar scan evaluates residual predicates as comprehensions over
-#: native column lists and assembles only surviving rows, so its
-#: per-row unit is well under the heap's tuple-at-a-time unit; 0.25 is
-#: calibrated against the bench_columnar microbenchmarks (selective
-#: meta-predicate scans over chunk tables).
-_SCAN_UNITS = {"columnar": 0.25}
+#: Work units per row for one sequential scan.  A scan evaluates
+#: residual predicates as comprehensions over native column lists and
+#: assembles only surviving rows, so its per-row unit is well under a
+#: tuple-at-a-time unit; 0.25 is calibrated against the bench_columnar
+#: microbenchmarks (selective meta-predicate scans over chunk tables).
+_SCAN_UNIT = 0.25
 
 
 def _seq_scan_cost(table: Table) -> float:
     """Work units for one full sequential scan of ``table``."""
-    unit = _SCAN_UNITS.get(table.storage, 1.0)
-    return float(max(1, table.row_count)) * unit
+    return float(max(1, table.row_count)) * _SCAN_UNIT
 
 
 @dataclass(frozen=True)
@@ -498,9 +497,24 @@ class Planner:
         rejects as not an expression) — consumers that need a proven-complete
         set (column pruning) must then stand down.  The per-binding sets
         stay usable either way for cost heuristics (index-only covering
-        checks re-verify against residuals separately)."""
+        checks re-verify against residuals separately).
+
+        An ORDER BY key that :meth:`_output_position` resolves to a
+        select item adds nothing: it sorts on that item, whose own
+        columns are counted (``_plan_order`` evaluates it as the item)."""
         needed: dict[str, set[str]] = {}
-        for expr in block.expressions():
+        expressions = chain(
+            [item.expr for item in block.items],
+            block.conjuncts,
+            block.group_by,
+            [] if block.having is None else [block.having],
+            [
+                order_item.expr
+                for order_item in block.order_by
+                if self._output_position(block, order_item.expr) is None
+            ],
+        )
+        for expr in expressions:
             try:
                 for node in ast.walk(expr):
                     if not isinstance(node, ast.ColumnRef):
@@ -1194,19 +1208,13 @@ class Planner:
                 )
                 _, const_prefix = self._choose_index(entry, const_only, conjuncts)
                 if const_prefix:
-                    inner_access = 3.0 + 2.5 * est_const
-                    if entry.table.storage == "columnar":
-                        # Hash-build scans are cheaper per row on
-                        # columnar tables (predicates run as column
-                        # comprehensions before row assembly), so the
-                        # build may beat even a const-prefix index
-                        # access; ADVANCED plans shift toward hash
-                        # joins over columnar inners.  Heap costing is
-                        # deliberately untouched — the optimizer-quality
-                        # harness pins conventional-layout plans.
-                        inner_access = min(
-                            inner_access, _seq_scan_cost(entry.table)
-                        )
+                    # A hash build's scan is cheap per row (predicates
+                    # run as column comprehensions before row
+                    # assembly), so it may beat even a const-prefix
+                    # index access.
+                    inner_access = min(
+                        3.0 + 2.5 * est_const, _seq_scan_cost(entry.table)
+                    )
                 else:
                     inner_access = _seq_scan_cost(entry.table)
                 nl_cost = outer_est * (3.0 + 2.5 * est_full)
@@ -1514,10 +1522,20 @@ class Planner:
         if ok:
             return phys.PSort(schema=out_schema, child=project, keys=post_keys)
         try:
-            pre_keys = [
-                (child_compiler.compile(o.expr), o.descending)
-                for o in block.order_by
-            ]
+            # A key that denotes a select item sorts on the item (the
+            # columns _needed_columns counted for it), never on a source
+            # column its alias happens to share a name with.
+            pre_keys = []
+            for order_item in block.order_by:
+                position = self._output_position(block, order_item.expr)
+                pre_keys.append(
+                    (
+                        child_compiler.compile(order_item.expr)
+                        if position is None
+                        else exprs[position],
+                        order_item.descending,
+                    )
+                )
         except EngineError:
             # Expressions over output aliases (ORDER BY alias + 1): only
             # the projected row can evaluate them.

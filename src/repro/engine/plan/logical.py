@@ -171,10 +171,19 @@ def qualify_block(block: QueryBlock, lookup: ColumnLookup) -> QueryBlock:
             items.append(ast.SelectItem(qualify_expr(item.expr), item.alias))
 
     # ORDER BY may reference select-list aliases; leave those unqualified
-    # (the planner resolves them against the output schema).
+    # (the planner resolves them against the output schema).  As in
+    # SQLite, a bare key names the alias; inside an expression a source
+    # column of the same name wins.
     alias_names = {
         item.alias.lower() for item in block.items if item.alias is not None
     }
+    source_names = {column for columns in scope.values() for column in columns}
+
+    def qualify_order_ref(ref: ast.ColumnRef) -> ast.ColumnRef:
+        name = ref.column.lower()
+        if ref.table is None and name in alias_names and name not in source_names:
+            return ref
+        return _qualify_ref(ref, scope)
 
     def qualify_order(expr: ast.Expr) -> ast.Expr:
         if (
@@ -183,7 +192,7 @@ def qualify_block(block: QueryBlock, lookup: ColumnLookup) -> QueryBlock:
             and expr.column.lower() in alias_names
         ):
             return expr
-        return qualify_expr(expr)
+        return rewrite_refs(expr, qualify_order_ref)
 
     return QueryBlock(
         items=items,

@@ -48,7 +48,7 @@ class PTableScan(PNode):
     residual: list[Compiled] = field(default_factory=list)
     residual_sql: list[str] = field(default_factory=list)
     #: Slot positions the plan can prove it reads (``None`` = all).  A
-    #: columnar scan materializes only these columns; the rest stay on
+    #: scan materializes only these columns; the rest stay on
     #: their pages (NULL-filled if a batch is ever row-assembled).  Big
     #: win for the Universal Table, whose physical row is ~60 columns
     #: wide while a typical fused cross-tenant query touches a handful.

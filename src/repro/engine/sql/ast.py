@@ -394,18 +394,13 @@ class ColumnDef:
 class CreateTable:
     table: str
     columns: tuple[ColumnDef, ...]
-    #: Storage format from ``USING <format>`` (None = engine default, heap).
-    storage: str | None = None
 
     def sql(self) -> str:
-        text = (
+        return (
             f"CREATE TABLE {self.table} ("
             + ", ".join(c.sql() for c in self.columns)
             + ")"
         )
-        if self.storage is not None:
-            text += f" USING {self.storage}"
-        return text
 
 
 @dataclass(frozen=True)

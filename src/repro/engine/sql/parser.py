@@ -68,7 +68,7 @@ class _Parser:
         return self._advance().text
 
     def _accept_word(self, word: str) -> bool:
-        """Accept a non-reserved keyword (lexed as IDENT), like USING/FOR."""
+        """Accept a non-reserved keyword (lexed as IDENT), like FOR."""
         if (
             self._current.kind is TokenKind.IDENT
             and self._current.text.upper() == word
@@ -507,16 +507,7 @@ class _Parser:
             if not self._accept_punct(","):
                 break
         self._expect_punct(")")
-        # Optional storage clause: CREATE TABLE t (...) USING columnar.
-        # USING is not a reserved word, so match it as an identifier.
-        storage: str | None = None
-        if (
-            self._current.kind is TokenKind.IDENT
-            and self._current.text.upper() == "USING"
-        ):
-            self._advance()
-            storage = self._expect_ident().lower()
-        return ast.CreateTable(table, tuple(columns), storage)
+        return ast.CreateTable(table, tuple(columns))
 
     def _parse_drop(self) -> ast.Statement:
         self._expect_keyword("DROP")

@@ -420,15 +420,7 @@ class VectorizedExecutor:
             node, "residual", lambda: compile_filter(node.residual)
         )
         stats = self.stats
-        if (
-            node.used_columns is not None
-            and getattr(table.heap, "storage_kind", None) == "columnar"
-        ):
-            batches = table.heap.scan_batches(
-                self.batch_rows, node.used_columns
-            )
-        else:
-            batches = table.heap.scan_batches(self.batch_rows)
+        batches = table.heap.scan_batches(self.batch_rows, node.used_columns)
         for batch in batches:
             stats.rows_scanned += len(batch)
             if residual is not None:

@@ -131,17 +131,12 @@ class ChunkQueryExperiment:
         *,
         width: int | None = None,
         folded: bool = True,
-        storage: str | None = None,
     ) -> None:
         self.config = config or ChunkQueryConfig()
         self.layout_name = layout
         options: dict = {}
         if layout == "chunk":
             options = {"width": width or 6, "folded": folded}
-        if storage is not None:
-            # Override the layout's storage default (bench_columnar pins
-            # row-major heap baselines against columnar runs).
-            options["storage"] = storage
         self.label = (
             f"chunk{width}" + ("" if folded else "-vp")
             if layout == "chunk"

@@ -7,6 +7,7 @@ from repro.analysis import invariants
 from repro.analysis.mutation import apply_mutation
 from repro.core.layouts.base import TENANT_META
 
+from ..conftest import FORMER_STORAGES
 from ..core.conftest import ALL_LAYOUTS, build_running_example
 
 
@@ -85,27 +86,20 @@ def test_row_alignment_gap_is_caught():
     assert "LAY006" in {f.rule_id for f in report.errors}
 
 
-@pytest.mark.parametrize("storage", ["heap", "columnar"])
+@pytest.mark.parametrize("storage", FORMER_STORAGES)
 def test_width_ledger_drift_is_caught(storage):
     mtd = build_running_example("extension")
     db = mtd.db
     tables = db.catalog.tables()
     ledger = invariants.check_width_ledger
     assert ledger(tables, db.pool).ok
-    db.execute(
-        "CREATE TABLE w (a INTEGER, s VARCHAR(20))"
-        + (" USING columnar" if storage == "columnar" else "")
-    )
+    db.execute("CREATE TABLE w (a INTEGER, s VARCHAR(20))")
     db.execute("INSERT INTO w VALUES (1, 'abc'), (2, NULL)")
     db.execute("UPDATE w SET s = 'longer value' WHERE a = 2")
     table = db.catalog.table("w")
     assert ledger([table], db.pool).ok
     page = db.pool.read(table.heap.page_ids()[0])
-    if storage == "columnar":
-        page.payload.widths[1] += 1
-    else:
-        row, width = page.payload[1]
-        page.payload[1] = (row, width + 1)
+    page.payload.widths[1] += 1
     page.used += 1  # the page agrees with the slot; the row does not
     report = ledger([table], db.pool, "drift ")
     assert [f.rule_id for f in report.errors] == ["LAY007", "LAY007"]

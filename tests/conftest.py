@@ -13,6 +13,12 @@ always shows the exact seed to replay it with.
 ``reference_run`` runs a plan on the tuple-at-a-time reference
 interpreter (``repro.engine.executor``, which no database runs);
 ``assert_matches_reference`` holds the database's executor to it.
+
+``FORMER_STORAGES`` and ``FORMER_STORAGE_SUFFIXES`` are the case ids of
+tests that once ran on each of two page formats (a row-major heap page
+and a column page).  There is one format now: such a test keeps both
+cases so each keeps the name it has always been reported under, and
+both build the same table.
 """
 
 import os
@@ -23,6 +29,9 @@ import pytest
 
 from repro.engine.executor import Executor
 from repro.engine.observability import AnalyzeCollector, CounterWindow
+
+FORMER_STORAGES = ("heap", "columnar")
+FORMER_STORAGE_SUFFIXES = ("", " USING columnar")
 
 
 @pytest.fixture

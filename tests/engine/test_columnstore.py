@@ -1,12 +1,11 @@
-"""Tests for column-major storage: pages, batches, DDL, and recovery.
+"""Tests for the heap's column pages: pages, batches, DDL, and recovery.
 
-The :class:`ColumnStore` must behave exactly like a :class:`HeapFile`
-observed through any public surface — same rows, same placement, same
-counters — while holding values column-major with per-column null
-bitmaps.  These tests pin that equivalence (property-tested against a
-shadow heap), the null bitmap maintenance across batch boundaries, the
-``USING columnar`` DDL surface, and WAL/checkpoint recovery of columnar
-tables.
+Every table's :class:`HeapFile` holds its rows column-major with
+per-column null bitmaps.  These tests pin its behaviour against a dict
+model and the width ledger (property-tested, with a second store
+replaying the same operations), the null bitmap maintenance across
+batch boundaries, the page image, the DDL surface (there is no storage
+clause), and WAL/checkpoint recovery.
 """
 
 import datetime
@@ -18,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.invariants import check_width_ledger
 from repro.engine.catalog import Column, Table
-from repro.engine.columnstore import ColumnBatch, ColumnPage, ColumnStore
+from repro.engine.columnstore import ColumnBatch, ColumnPage
 from repro.engine.database import Database
-from repro.engine.errors import ExecutionError, UnknownObjectError
+from repro.engine.errors import ExecutionError, ParseError
 from repro.engine.heap import HeapFile, InsertStrategy
 from repro.engine.pager import BufferPool
 from repro.engine.sql.parser import parse_statement
@@ -31,7 +30,7 @@ from ..conftest import assert_matches_reference
 
 def make_store(ncols=3, strategy=InsertStrategy.FIRST_FIT, capacity=64):
     pool = BufferPool(capacity_pages=capacity)
-    store = ColumnStore(pool, segment_id=1, strategy=strategy, ncols=ncols)
+    store = HeapFile(pool, segment_id=1, strategy=strategy, ncols=ncols)
     return store, pool
 
 
@@ -121,8 +120,7 @@ class TestScanBatches:
             store.insert(row, width=16)
         batches = list(store.scan_batches(batch_rows))
         assert [tuple(r) for b in batches for r in b] == rows
-        # Full batches except possibly the last — identical carving to
-        # the heap's scan_batches.
+        # Full batches except possibly the last.
         assert all(len(b) == batch_rows for b in batches[:-1])
         assert 0 < len(batches[-1]) <= batch_rows
 
@@ -214,18 +212,22 @@ class TestColumnBatch:
 
 
 class TestHeapParityProperty:
-    """The same operation sequence applied through a Table to a
-    ColumnStore and to a HeapFile must be observationally identical:
-    rows, row_count, page placement, and free-space accounting.  The
-    updates assign random column subsets and grow VARCHARs far enough
-    to relocate rows; every stored width must still equal a
-    from-scratch ``row_width`` of the row it sizes."""
+    """An operation sequence applied through a Table must match a dict
+    model of RID -> checked row and its row count, keep the width
+    ledger (LAY007) clean, and make exactly the placement decisions of
+    a second store replaying the same operations: the same RIDs, pages
+    and free-space map.  The updates assign random column subsets and
+    grow VARCHARs far enough to relocate rows; every stored width must
+    still equal a from-scratch ``row_width`` of the row it sizes."""
 
     COLUMNS = [
         Column("a", INTEGER),
         Column("s", varchar(4000)),
         Column("d", DOUBLE),
     ]
+
+    def checked(self, row: tuple) -> tuple:
+        return tuple(c.type.check(v) for c, v in zip(self.COLUMNS, row))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -245,20 +247,24 @@ class TestHeapParityProperty:
     )
     def test_operation_sequences_match(self, ops):
         pools = [BufferPool(capacity_pages=64) for _ in range(2)]
-        store = ColumnStore(pools[0], 1, InsertStrategy.FIRST_FIT, ncols=3)
-        heap = HeapFile(pools[1], segment_id=1)
-        tables = [Table("t", self.COLUMNS, s) for s in (store, heap)]
+        tables = [
+            Table("t", self.COLUMNS, HeapFile(pool, 1, ncols=3)) for pool in pools
+        ]
         rids: list[list] = [[], []]
+        model: dict = {}
         for kind, pick, (a, length, d), positions in ops:
             row = (a, None if length is None else "v" * length, d)
             if kind == "insert" or not rids[0]:
                 for table, placed in zip(tables, rids):
                     placed.append(table.insert_row(row))
+                model[rids[0][-1]] = self.checked(row)
                 continue
             i = pick % len(rids[0])
+            old_rid = rids[0][i]
+            current = model.pop(old_rid)
             for table, placed in zip(tables, rids):
+                assert table.heap.fetch(placed[i]) == current
                 if kind == "update":
-                    current = table.heap.fetch(placed[i])
                     new_row = tuple(
                         row[p] if p in positions else current[p]
                         for p in range(3)
@@ -266,22 +272,20 @@ class TestHeapParityProperty:
                     placed[i] = table.update_row(
                         placed[i], current, new_row, sorted(positions)
                     )
-                    assert table.heap.fetch(placed[i]) == tuple(
-                        self.COLUMNS[p].type.check(v)
-                        for p, v in enumerate(new_row)
-                    )
                 else:
-                    rid = placed.pop(i)
-                    table.delete_row(rid, table.heap.fetch(rid))
+                    table.delete_row(placed.pop(i), current)
+            if kind == "update":
+                model[rids[0][i]] = self.checked(new_row)
         assert rids[0] == rids[1]  # identical placement decisions
-        assert store.row_count == heap.row_count
-        assert [r for _rid, r in store.scan()] == [
-            r for _rid, r in heap.scan()
-        ]
-        assert store.free_map() == heap.free_map()
-        assert store.page_ids() == heap.page_ids()
         for table, pool in zip(tables, pools):
+            store = table.heap
+            assert store.row_count == len(model)
+            assert dict(store.scan()) == model
+            assert {rid: store.fetch(rid) for rid in model} == model
             assert check_width_ledger([table], pool).findings == []
+        stores = [table.heap for table in tables]
+        assert stores[0].free_map() == stores[1].free_map()
+        assert stores[0].page_ids() == stores[1].page_ids()
 
 
 def exact(value) -> tuple:
@@ -336,7 +340,7 @@ def column_pages(draw):
     return kinds, rows, tombstones
 
 
-def image_store(rows, tombstones) -> tuple[ColumnStore, list]:
+def image_store(rows, tombstones) -> tuple[HeapFile, list]:
     store, _ = make_store(ncols=len(rows[0]))
     rids = [store.insert(row, width=IMAGE_WIDTH) for row in rows]
     for slot in sorted(tombstones):
@@ -345,7 +349,7 @@ def image_store(rows, tombstones) -> tuple[ColumnStore, list]:
     return store, rids
 
 
-def reread(store: ColumnStore) -> ColumnPage:
+def reread(store: HeapFile) -> ColumnPage:
     """Swap the store's page for one read back from its own image, as a
     page miss leaves it: undecoded."""
     page = store._pool.read(store.page_ids()[0])
@@ -409,7 +413,7 @@ class TestColumnImage:
         if live:  # a point fetch fills the lazy page's row cache
             stores[1][0].fetch(stores[1][1][live[-1]])
 
-        def write(store: ColumnStore, rids: list):
+        def write(store: HeapFile, rids: list):
             if op in ("append", "reuse"):
                 return store.insert(new_row, width=IMAGE_WIDTH)
             rid = rids[live[0]]
@@ -442,12 +446,12 @@ class TestColumnImage:
 
 
 class TestHeapScanBatchesNoCopy:
-    """Micro-assertions for the heap's copy-free batch scan: yielded
-    lists are fresh objects the generator never touches again."""
+    """Micro-assertions for the heap's batch scan: yielded batches and
+    their column lists are fresh objects the generator never touches
+    again."""
 
     def _heap_with(self, n):
-        pool = BufferPool(capacity_pages=64)
-        heap = HeapFile(pool, segment_id=1, strategy=InsertStrategy.FIRST_FIT)
+        heap, _ = make_store(ncols=1)
         for i in range(n):
             heap.insert((i,), width=10)
         return heap
@@ -456,12 +460,13 @@ class TestHeapScanBatchesNoCopy:
         heap = self._heap_with(64)
         batches = list(heap.scan_batches(8))
         assert len({id(b) for b in batches}) == len(batches)
+        assert len({id(b.col(0)) for b in batches}) == len(batches)
 
     def test_consumer_may_mutate_yielded_batches(self):
         heap = self._heap_with(40)
         gen = heap.scan_batches(16)
         first = next(gen)
-        first.clear()  # a consumer-side mutation...
+        first.col(0).clear()  # a consumer-side mutation...
         rest = [v for batch in gen for (v,) in batch]
         # ...must not disturb what the generator yields next.
         assert rest == list(range(16, 40))
@@ -474,29 +479,43 @@ class TestHeapScanBatchesNoCopy:
             assert [v for b in batches for (v,) in b] == list(range(37))
             assert all(len(b) == batch_rows for b in batches[:-1])
 
+    def test_a_pruned_scan_copies_only_the_kept_columns(self):
+        """Dense and sparse pages alike: the kept columns in scan order,
+        every other column ``None`` (NULL if a row is assembled)."""
+        heap, _ = make_store(ncols=4)
+        rids = [heap.insert((i, -i, f"s{i}", i * 0.5), width=900) for i in range(30)]
+        for rid in rids[1::3]:
+            heap.delete(rid)  # leaves sparse pages among the dense ones
+        live = [i for i in range(30) if i % 3 != 1]
+        for batch_rows in (1, 4, 7, 64):
+            batches = list(heap.scan_batches(batch_rows, [0, 2]))
+            assert all(b._base[1] is None and b._base[3] is None for b in batches)
+            assert [v for b in batches for v in b.col(0)] == live
+            assert [v for b in batches for v in b.col(2)] == [f"s{i}" for i in live]
+            assert [r for b in batches for r in b] == [
+                (i, None, f"s{i}", None) for i in live
+            ]
+        assert [b._base for b in heap.scan_batches(64, [])] == [[None] * 4]
+        assert len(next(heap.scan_batches(64, []))) == len(live)
+
 
 class TestUsingColumnarDDL:
-    def test_parse_and_sql_round_trip(self):
-        stmt = parse_statement("CREATE TABLE t (id INTEGER, v VARCHAR(10)) USING columnar")
-        assert stmt.storage == "columnar"
-        assert stmt.sql().endswith("USING columnar")
-        assert parse_statement(stmt.sql()) == stmt
+    """There is one page format and no storage clause: a plain CREATE
+    TABLE stores column pages, and ``USING <format>`` is refused."""
 
-    def test_default_storage_is_heap(self):
-        stmt = parse_statement("CREATE TABLE t (id INTEGER)")
-        assert stmt.storage is None
-        db = Database()
-        db.execute("CREATE TABLE t (id INTEGER)")
-        assert db.catalog.table("t").storage == "heap"
+    def test_parse_and_sql_round_trip(self):
+        stmt = parse_statement("CREATE TABLE t (id INTEGER, v VARCHAR(10))")
+        assert stmt.sql() == "CREATE TABLE t (id INTEGER, v VARCHAR(10))"
+        assert parse_statement(stmt.sql()) == stmt
 
     def test_create_columnar_table_and_query(self):
         db = Database()
-        db.execute("CREATE TABLE t (id INTEGER, v VARCHAR(20)) USING columnar")
+        db.execute("CREATE TABLE t (id INTEGER, v VARCHAR(20))")
         table = db.catalog.table("t")
-        assert table.storage == "columnar"
-        assert isinstance(table.heap, ColumnStore)
+        assert isinstance(table.heap, HeapFile) and table.heap.ncols == 2
         for i in range(10):
             db.execute("INSERT INTO t VALUES (?, ?)", [i, f"v{i}"])
+        assert isinstance(db.pool.read(table.heap.page_ids()[0]).payload, ColumnPage)
         db.execute("UPDATE t SET v = 'changed' WHERE id = 3")
         db.execute("DELETE FROM t WHERE id = 7")
         rows = db.execute("SELECT id, v FROM t ORDER BY id").rows
@@ -506,12 +525,14 @@ class TestUsingColumnarDDL:
 
     def test_unknown_storage_rejected(self):
         db = Database()
-        with pytest.raises(UnknownObjectError):
-            db.execute("CREATE TABLE t (id INTEGER) USING parquet")
+        for storage in ("columnar", "heap", "parquet"):
+            with pytest.raises(ParseError):
+                db.execute(f"CREATE TABLE t (id INTEGER) USING {storage}")
+        assert not db.catalog.has_table("t")
 
     def test_both_engines_agree_on_columnar_tables(self):
         db = Database()
-        db.execute("CREATE TABLE t (g INTEGER, v INTEGER) USING columnar")
+        db.execute("CREATE TABLE t (g INTEGER, v INTEGER)")
         for i in range(100):
             db.execute(
                 "INSERT INTO t VALUES (?, ?)",
@@ -528,21 +549,20 @@ class TestColumnarRecovery:
     def test_columnar_table_survives_crash(self, tmp_path):
         path = str(tmp_path / "db")
         db = Database(path=path)
-        db.execute("CREATE TABLE t (id INTEGER, v VARCHAR(10)) USING columnar")
+        db.execute("CREATE TABLE t (id INTEGER, v VARCHAR(10))")
         for i in range(20):
             db.execute("INSERT INTO t VALUES (?, ?)", [i, f"v{i}"])
         del db  # crash: no close(), recovery replays the WAL
         recovered = Database(path=path)
         table = recovered.catalog.table("t")
-        assert table.storage == "columnar"
-        assert isinstance(table.heap, ColumnStore)
+        assert table.heap.ncols == 2
         rows = recovered.execute("SELECT id, v FROM t ORDER BY id").rows
         assert rows == [(i, f"v{i}") for i in range(20)]
 
     def test_checkpoint_snapshot_restores_columnar_store(self, tmp_path):
         path = str(tmp_path / "db")
         db = Database(path=path)
-        db.execute("CREATE TABLE t (id INTEGER, v INTEGER) USING columnar")
+        db.execute("CREATE TABLE t (id INTEGER, v INTEGER)")
         for i in range(10):
             db.execute("INSERT INTO t VALUES (?, ?)", [i, None if i % 2 else i])
         db.checkpoint()
@@ -551,7 +571,7 @@ class TestColumnarRecovery:
         del db  # crash after the checkpoint: snapshot restore + tail replay
         recovered = Database(path=path)
         table = recovered.catalog.table("t")
-        assert isinstance(table.heap, ColumnStore)
+        assert table.heap.ncols == 2
         rows = recovered.execute("SELECT id, v FROM t ORDER BY id").rows
         assert rows == [
             (i, None if i % 2 else i) for i in range(10)
@@ -560,17 +580,13 @@ class TestColumnarRecovery:
 
 class TestOptimizerColumnarCosting:
     def test_columnar_scan_is_discounted(self):
+        """Every table's scan is costed at a quarter of a work unit per
+        row: predicates run as column comprehensions."""
         from repro.engine.optimizer import _seq_scan_cost
 
         db = Database()
-        db.execute("CREATE TABLE h (id INTEGER)")
-        db.execute("CREATE TABLE c (id INTEGER) USING columnar")
+        db.execute("CREATE TABLE c (id INTEGER)")
+        assert _seq_scan_cost(db.catalog.table("c")) == 0.25  # at least a row
         for i in range(50):
-            db.execute("INSERT INTO h VALUES (?)", [i])
             db.execute("INSERT INTO c VALUES (?)", [i])
-        heap_cost = _seq_scan_cost(db.catalog.table("h"))
-        col_cost = _seq_scan_cost(db.catalog.table("c"))
-        assert col_cost < heap_cost
-        # Heap costing itself is pinned by the optimizer-quality gate:
-        # one work unit per row.
-        assert heap_cost == 50.0
+        assert _seq_scan_cost(db.catalog.table("c")) == 12.5

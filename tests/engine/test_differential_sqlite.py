@@ -117,6 +117,36 @@ class TestHandPickedCases:
         compare(pair, sql, params)
 
 
+#: ORDER BY keys naming output aliases, compared in order: plain and
+#: grouped, inside an expression, an alias shadowing a source column
+#: (a bare key names the alias; inside an expression the source column
+#: wins), and an alias key beside a key that is no output column.
+ALIAS_ORDER_CASES = [
+    "SELECT grp, COUNT(*) AS n FROM p GROUP BY grp ORDER BY n DESC, grp",
+    "SELECT id AS k, amount FROM p WHERE grp = 3 ORDER BY k DESC",
+    "SELECT id AS k, name FROM p ORDER BY k + 1 DESC",
+    "SELECT amount AS a, id FROM p ORDER BY a + 1, id",
+    "SELECT grp AS g, SUM(amount) AS total FROM p GROUP BY grp "
+    "ORDER BY total + 1 DESC",
+    "SELECT id AS grp, grp AS id FROM p ORDER BY grp",
+    "SELECT id AS grp, grp AS id FROM p ORDER BY id, grp",
+    "SELECT id AS grp, name, amount FROM p ORDER BY grp + 0 DESC, id",
+    "SELECT id AS grp, name FROM p ORDER BY grp DESC, amount",
+    "SELECT id AS grp, name FROM p ORDER BY amount, grp DESC",
+    "SELECT p.id AS grp, c.val FROM p, c WHERE p.id = c.parent "
+    "ORDER BY grp DESC, c.id",
+]
+
+
+class TestOrderByOutputAlias:
+    @pytest.mark.parametrize("sql", ALIAS_ORDER_CASES)
+    def test_same_rows_in_the_same_order(self, pair, sql):
+        engine, lite = pair
+        ours = engine.execute(sql).rows
+        assert ours == lite.execute(sql).fetchall(), sql
+        assert ours == assert_matches_reference(engine, sql)
+
+
 class TestDmlAgreement:
     def test_update_then_select(self, pair):
         engine, lite = pair

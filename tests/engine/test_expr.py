@@ -20,6 +20,8 @@ from repro.engine.expr import (
 from repro.engine.expr_batch import compile_filter
 from repro.engine.sql.parser import parse_statement
 
+from ..conftest import FORMER_STORAGE_SUFFIXES
+
 
 def compile_predicate(sql_predicate, slots, subquery_executor=None):
     stmt = parse_statement(f"SELECT a FROM t WHERE {sql_predicate}")
@@ -327,14 +329,14 @@ class TestBatchInList:
 
 
 class TestAgainstSqlite:
-    """DATE columns against ISO literals on either side, on both storage
-    formats, agree with SQLite (which compares the ISO text)."""
+    """DATE columns against ISO literals on either side agree with SQLite
+    (which compares the ISO text)."""
 
-    @pytest.mark.parametrize("storage", ["", " USING columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGE_SUFFIXES)
     def test_date_comparisons(self, storage):
         db = Database()
         lite = sqlite3.connect(":memory:")
-        db.execute(f"CREATE TABLE t (id INTEGER, d DATE){storage}")
+        db.execute("CREATE TABLE t (id INTEGER, d DATE)")
         lite.execute("CREATE TABLE t (id INTEGER, d TEXT)")
         for i, d in enumerate(
             ["2004-05-06", None, "2005-01-01", "2006-07-08", "2005-01-01"]

@@ -8,14 +8,14 @@ from repro.engine.heap import HeapFile, InsertStrategy
 from repro.engine.pager import BufferPool
 
 
-def make_heap(strategy=InsertStrategy.FIRST_FIT, capacity=64):
+def make_heap(strategy=InsertStrategy.FIRST_FIT, capacity=64, ncols=1):
     pool = BufferPool(capacity_pages=capacity)
-    return HeapFile(pool, segment_id=1, strategy=strategy), pool
+    return HeapFile(pool, segment_id=1, strategy=strategy, ncols=ncols), pool
 
 
 class TestInsertFetch:
     def test_roundtrip(self):
-        heap, _ = make_heap()
+        heap, _ = make_heap(ncols=2)
         rid = heap.insert(("a", 1), width=10)
         assert heap.fetch(rid) == ("a", 1)
 
@@ -32,7 +32,7 @@ class TestInsertFetch:
         assert heap.page_count >= 3
 
     def test_scan_returns_all_rows(self):
-        heap, _ = make_heap()
+        heap, _ = make_heap(ncols=2)
         rows = [(i, f"r{i}") for i in range(20)]
         for row in rows:
             heap.insert(row, width=20)
@@ -71,7 +71,7 @@ class TestDelete:
 
 class TestUpdate:
     def test_in_place_update(self):
-        heap, _ = make_heap()
+        heap, _ = make_heap(ncols=2)
         rid = heap.insert((1, "a"), width=10)
         new_rid = heap.update(rid, (1, "b"), 0, [1])
         assert new_rid == rid

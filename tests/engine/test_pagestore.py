@@ -6,6 +6,7 @@ file another format wrote."""
 
 import datetime
 import os
+import pickle
 import pickletools
 import resource
 import struct
@@ -16,19 +17,30 @@ import pytest
 
 from repro.engine import columncodec
 from repro.engine.btree import _LEAF_HEAD, _Internal, _Leaf
-from repro.engine.columnstore import ColumnPage, ColumnStore
+from repro.engine.columnstore import ColumnPage
 from repro.engine.database import Database
 from repro.engine.durability import DurabilityOptions, codec, pagestore, wal
 from repro.engine.durability.faults import FaultInjector, SimulatedCrash
 from repro.engine.durability.manager import PAGES_DIRNAME, WAL_FILENAME
 from repro.engine.durability.pagestore import HEAD, PAGE_FILE, DiskPageStore
 from repro.engine.errors import EngineError
-from repro.engine.heap import InsertStrategy
+from repro.engine.heap import HeapFile, InsertStrategy
 from repro.engine.pager import BufferPool, Page, PageKind
 
 
-def make_page(page_id: int, segment_id: int, payload, used: int = 0) -> Page:
+def make_page(page_id: int, segment_id: int, texts: list, used: int = 0) -> Page:
+    """A data page whose one column holds ``texts``."""
+    payload = ColumnPage(1)
+    payload.columns[0].extend(texts)
+    payload.widths.extend(map(len, texts))
+    payload.live = len(texts)
     return Page(page_id, segment_id, PageKind.DATA, 8192, used, payload)
+
+
+def texts(page: Page) -> list:
+    """What :func:`make_page` stored."""
+    page.payload.decode()
+    return page.payload.columns[0]
 
 
 def appended_frame(store: DiskPageStore, page_id: int) -> bytes:
@@ -112,7 +124,7 @@ class TestCompaction:
         fill(store)
         store.compact()
         page = store.read(4)
-        assert (page.payload, page.used, page.lsn) == (["row-4-v6"], 40, 110)
+        assert (texts(page), page.used, page.lsn) == (["row-4-v6"], 40, 110)
         assert (page.segment_id, page.kind) == (2, PageKind.DATA)
         assert store.read(5).lsn == 50
 
@@ -183,7 +195,7 @@ class TestCompaction:
         # Nothing was replaced: the damaged file is still the evidence.
         assert os.path.getsize(store.path) == size
         assert not os.path.exists(store.path + ".tmp")
-        assert store.read(4).payload == ["row-4-v6"]
+        assert texts(store.read(4)) == ["row-4-v6"]
         assert live[5] not in file_bytes(store)
 
     def test_flipped_byte_in_a_dead_version_is_dropped_silently(self, store):
@@ -193,7 +205,7 @@ class TestCompaction:
             fh.seek(offset - 1)  # page 4's first, superseded version
             fh.write(b"\xff")
         store.compact()
-        assert store.read(4).payload == ["row-4-v6"]
+        assert texts(store.read(4)) == ["row-4-v6"]
         assert store.page_ids() == {1, 2, 3, 4, 5}
 
 
@@ -214,7 +226,7 @@ class TestCrashMidCompaction:
         reopened = DiskPageStore(str(tmp_path))
         try:
             assert os.listdir(tmp_path) == [PAGE_FILE]
-            assert reopened.read(4).payload == ["row-4-v6"]
+            assert texts(reopened.read(4)) == ["row-4-v6"]
             reopened.compact()
             assert file_bytes(store) == (
                 live[1] + live[2] + live[3] + live[5] + live[4]
@@ -249,7 +261,7 @@ class TestCrashMidCompaction:
             assert os.path.getsize(store.path) == whole
             assert reopened.page_ids() == {1, 2, 3, 4, 5}
             reopened.write(make_page(6, 2, ["whole"]), 210)
-            assert reopened.read(6).payload == ["whole"]
+            assert texts(reopened.read(6)) == ["whole"]
         finally:
             reopened.close()
 
@@ -286,7 +298,7 @@ class TestTruncate:
     def test_truncate_rolls_pages_back_to_the_cutoff(self, store):
         fill(store)
         store.truncate_to(70)  # page 4: versions at 40, 60, 70, 80, ...
-        assert store.read(4).payload == ["row-4-v2"]
+        assert texts(store.read(4)) == ["row-4-v2"]
         assert store.read(4).lsn == 70
         assert store.page_ids() == {1, 2, 3, 4, 5}
         offset, length, _, _ = store._index[4]
@@ -296,7 +308,7 @@ class TestTruncate:
         fill(store)
         store.truncate_to(45)
         assert store.page_ids() == {1, 2, 3, 4}
-        assert store.read(4).payload == ["row-4"]
+        assert texts(store.read(4)) == ["row-4"]
         with pytest.raises(EngineError):
             store.read(5)
 
@@ -336,6 +348,7 @@ class TestTruncate:
         assert os.path.getsize(store.path) == size
 
     def test_neither_scan_nor_truncate_unpickles(self, store, monkeypatch):
+        """Nor does a read: nothing in the page file is a pickle."""
         fill(store)
 
         def unpickled(*args, **kwargs):
@@ -351,8 +364,7 @@ class TestTruncate:
             reopened.write(make_page(4, 2, ["and again"]), 210)
             reopened.compact()
             assert reopened.stats.compactions == 0  # 3 dead, 5 live
-            with pytest.raises(AssertionError, match="unpickled"):
-                reopened.read(4)
+            assert texts(reopened.read(4)) == ["and again"]
         finally:
             reopened.close()
 
@@ -381,7 +393,7 @@ class TestFreeSegment:
         resurrected = DiskPageStore(store.directory)
         try:
             assert resurrected.page_ids() == {1, 2, 3, 4, 5}
-            assert resurrected.read(4).payload == ["row-4-v6"]
+            assert texts(resurrected.read(4)) == ["row-4-v6"]
             resurrected.retain_segments({1})
             assert resurrected.page_ids() == {1, 2, 3}
             assert resurrected.stats.dead_bytes == store.stats.dead_bytes
@@ -588,54 +600,13 @@ class TestRead:
                 fh.truncate(offset + length - 1)
         with pytest.raises(EngineError, match="page 4: corrupt frame"):
             store.read(4)
-        assert store.read(3).payload == ["row-3"]
-
-
-#: Opcodes that make the unpickler look up a global or call Python: a
-#: stored page that needs one per entry costs a Python call per entry on
-#: every page miss.
-PYTHON_LEVEL_OPS = (
-    "GLOBAL", "STACK_GLOBAL", "REDUCE", "NEWOBJ", "NEWOBJ_EX", "BUILD",
-    "INST", "OBJ",
-)
-
-
-def payload_ops(store: DiskPageStore, page_id: int) -> dict[str, int]:
-    """The Python-level opcodes in the stored pickle of ``page_id``."""
-    frame = appended_frame(store, page_id)
-    start = codec.HEADER_SIZE + pagestore._HEAD.size
-    ops = Counter(op.name for op, _, _ in pickletools.genops(frame[start:]))
-    return {name: ops[name] for name in PYTHON_LEVEL_OPS if ops[name]}
+        assert texts(store.read(3)) == ["row-3"]
 
 
 class TestDecodeCost:
-    """A page miss costs what the read needs.  A pickled heap page
-    unpickles in C: its Python-level steps do not grow with the entries
-    it holds.  A column page and a B-tree node are images, not pickles,
-    and a point fetch or probe decodes only what it returns."""
-
-    @pytest.fixture(scope="class")
-    def stored_pages(self, tmp_path_factory) -> dict[int, dict[str, dict]]:
-        """entries -> page shape -> Python-level opcodes of its page."""
-        out = {}
-        for entries in (30, 300):
-            db = Database(path=str(tmp_path_factory.mktemp(f"db{entries}")))
-            db.execute("CREATE TABLE u (id INTEGER NOT NULL, v VARCHAR(10))")
-            with db.atomic():
-                for i in range(entries):
-                    db.execute("INSERT INTO u VALUES (?, ?)", [i, f"v{i}"])
-            db.checkpoint()
-            (heap_page,) = db.catalog.table("u").heap.page_ids()
-            out[entries] = {"heap page": payload_ops(db.durability.store, heap_page)}
-            db.close()
-        return out
-
-    @pytest.mark.parametrize("shape", ["heap page"])
-    def test_python_level_ops_do_not_grow_with_entries(
-        self, stored_pages, shape
-    ):
-        assert stored_pages[300][shape] == stored_pages[30][shape]
-        assert sum(stored_pages[300][shape].values()) <= 3
+    """A page miss costs what the read needs.  A column page and a
+    B-tree node are images, not pickles, and a point fetch or probe
+    decodes only what it returns."""
 
     @pytest.fixture
     def index_db(self, tmp_path):
@@ -684,8 +655,8 @@ class TestDecodeCost:
 
     def test_no_b_tree_page_is_unpickled(self, index_db, tmp_path, monkeypatch):
         """A cold probe, a leaf-chain scan, and a reopen whose recovery
-        redoes inserts into stored leaves unpickle no node: heap row
-        pages are the only pickled page kind."""
+        redoes inserts into stored leaves unpickle no node (the log's
+        checkpoint and DDL records are the only pickles left)."""
         loads = codec.pickle.loads
 
         def refusing_nodes(*args, **kwargs):
@@ -772,13 +743,10 @@ class TestDecodeCost:
 
     @pytest.fixture
     def column_db(self, tmp_path):
-        """A columnar table of 200 rows, checkpointed, its pages out of
-        the pool."""
+        """A table of 200 rows, checkpointed, its pages out of the
+        pool."""
         db = Database(path=str(tmp_path))
-        db.execute(
-            "CREATE TABLE c (id INTEGER NOT NULL, v VARCHAR(10), d DATE) "
-            "USING columnar"
-        )
+        db.execute("CREATE TABLE c (id INTEGER NOT NULL, v VARCHAR(10), d DATE)")
         db.execute("CREATE UNIQUE INDEX c_id ON c (id)")
         with db.atomic():
             for i in range(200):
@@ -830,11 +798,16 @@ class TestDecodeCost:
         assert payload.image is None and len(payload.columns) == 3
 
 
+def pickled_frame(head: bytes, value) -> bytes:
+    """A page frame whose payload, after ``head``, is a pickle."""
+    return codec.frame_payload(head + pickle.dumps(value, protocol=4))
+
+
 def previous_format_page_frame() -> bytes:
     """A frame as the page file held it before the format head: page id,
     segment id and LSN raw, then a pickled dict of the rest."""
     record = {"kind": "data", "size": 8192, "used": 18, "payload": [((1,), 10)]}
-    return codec.encode_frame(record, struct.pack("<QIQ", 1, 1, 10))
+    return pickled_frame(struct.pack("<QIQ", 1, 1, 10), record)
 
 
 def previous_format_wal() -> bytes:
@@ -854,7 +827,7 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"data\.pages: found no format head, "
-            r"expected RPPG format version 3",
+            r"expected RPPG format version 4",
         ):
             Database(path=str(tmp_path))
         assert (pages / PAGE_FILE).read_bytes() == previous_format_page_frame()
@@ -902,14 +875,12 @@ class TestFormatHead:
         pages = tmp_path / PAGES_DIRNAME
         pages.mkdir()
         head = pagestore._HEAD.pack(1, 1, 10, 0, 8192, 18)
-        version_1 = codec.file_head(b"RPPG", 1) + codec.encode_frame(
-            ColumnPage(1), head
-        )
+        version_1 = codec.file_head(b"RPPG", 1) + pickled_frame(head, ColumnPage(1))
         (pages / PAGE_FILE).write_bytes(version_1)
         with pytest.raises(
             EngineError,
             match=r"data\.pages: found format version 1, "
-            r"expected RPPG format version 3",
+            r"expected RPPG format version 4",
         ):
             Database(path=str(tmp_path))
         assert (pages / PAGE_FILE).read_bytes() == version_1
@@ -923,7 +894,7 @@ class TestFormatHead:
         """A column-page frame whose checksum holds but whose image does
         not parse raises EngineError naming the page — not IndexError or
         struct.error, and never by way of the unpickler."""
-        column_store = ColumnStore(
+        column_store = HeapFile(
             BufferPool(capacity_pages=4), 1, InsertStrategy.FIRST_FIT, ncols=2
         )
         for i in range(10):
@@ -961,14 +932,14 @@ class TestFormatHead:
         pages = tmp_path / PAGES_DIRNAME
         pages.mkdir()
         head = pagestore._HEAD.pack(1, 1, 10, 1, 8192, 16)
-        version_2 = codec.file_head(b"RPPG", 2) + codec.encode_frame(
-            _Leaf([(1,)], [[(2, 0)]]), head
+        version_2 = codec.file_head(b"RPPG", 2) + pickled_frame(
+            head, _Leaf([(1,)], [[(2, 0)]])
         )
         (pages / PAGE_FILE).write_bytes(version_2)
         with pytest.raises(
             EngineError,
             match=r"data\.pages: found format version 2, "
-            r"expected RPPG format version 3",
+            r"expected RPPG format version 4",
         ):
             Database(path=str(tmp_path))
         assert (pages / PAGE_FILE).read_bytes() == version_2
@@ -1012,22 +983,68 @@ class TestFormatHead:
         finally:
             reopened.close()
 
+    def test_page_file_of_version_3_is_refused_naming_both_versions(
+        self, tmp_path
+    ):
+        """Version 3 may hold pickled row-major heap pages; its file is
+        refused, not converted."""
+        pages = tmp_path / PAGES_DIRNAME
+        pages.mkdir()
+        head = pagestore._HEAD.pack(1, 1, 10, 0, 8192, 18)
+        version_3 = codec.file_head(b"RPPG", 3) + pickled_frame(
+            head, [((1, "a"), 10)]
+        )
+        (pages / PAGE_FILE).write_bytes(version_3)
+        with pytest.raises(
+            EngineError,
+            match=r"data\.pages: found format version 3, "
+            r"expected RPPG format version 4",
+        ):
+            Database(path=str(tmp_path))
+        assert (pages / PAGE_FILE).read_bytes() == version_3
+
     def test_a_heap_page_that_does_not_unpickle_is_refused_naming_the_page(
         self, store
     ):
-        """A pickled page that does not unpickle is refused like an
-        image that does not parse: EngineError naming the page."""
+        """A pickle where a page image belongs — a stray heap page that
+        would not even unpickle — is refused like an image that does not
+        parse: EngineError naming the page."""
         head = pagestore._HEAD.pack(9, 1, 10, 0, 8192, 0)
         with open(store.path, "ab") as fh:
             fh.write(codec.frame_payload(head + b"\x80\x05garbage"))
         reopened = DiskPageStore(store.directory)
         try:
             with pytest.raises(
-                EngineError, match="page 9: .* does not decode .*Unpickling"
+                EngineError, match="page 9: .* does not decode .*kind 0x80"
             ):
                 reopened.read(9)
         finally:
             reopened.close()
+
+    def test_a_pickle_in_a_page_frame_is_refused_and_never_executed(
+        self, store, tmp_path
+    ):
+        """An intact frame whose payload is a pickle that would call
+        ``os.system`` is refused as undecodable: the call never runs."""
+        marker = tmp_path / "executed"
+
+        class Exploit:
+            def __reduce__(self):
+                return (os.system, (f"touch {marker}",))
+
+        head = pagestore._HEAD.pack(9, 1, 10, 0, 8192, 0)
+        frame = pickled_frame(head, Exploit())
+        assert b"system" in frame and codec.frame_intact(frame)
+        with open(store.path, "ab") as fh:
+            fh.write(frame)
+        reopened = DiskPageStore(store.directory)
+        try:
+            assert reopened.page_ids() == {9}
+            with pytest.raises(EngineError, match="page 9: .* does not decode"):
+                reopened.read(9)
+        finally:
+            reopened.close()
+        assert not marker.exists()
 
     @pytest.mark.parametrize("which", ["pages", "wal"])
     def test_another_version_is_refused_naming_both_versions(

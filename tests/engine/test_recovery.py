@@ -53,6 +53,7 @@ from repro.engine.errors import (
 from repro.engine.sql.parser import parse_statement
 from repro.engine.values import INTEGER, varchar
 
+from ..conftest import FORMER_STORAGES
 from ..core.conftest import observable_behaviour
 
 
@@ -395,11 +396,10 @@ class TestRefusedWrites:
 
     BEFORE = [(1, 10, "x"), (2, 20, "y")]
 
-    def _build(self, path, storage: str) -> Database:
+    def _build(self, path) -> Database:
         db = build(path)
         db.execute(
             "CREATE TABLE t (a INTEGER, b INTEGER, c VARCHAR(8000))"
-            + (" USING columnar" if storage == "columnar" else "")
         )
         # The plain index first: the unique one refuses after it has
         # already taken the new entry.
@@ -418,7 +418,7 @@ class TestRefusedWrites:
             by_b += db.execute("SELECT * FROM t WHERE b = ?", [b]).rows
         return [scan, sorted(by_a), sorted(by_b)]
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     @pytest.mark.parametrize(
         "refused",
         [
@@ -431,7 +431,7 @@ class TestRefusedWrites:
         ids=["insert", "update", "update-two-indexes", "update-moved-row"],
     )
     def test_refused_write_leaves_nothing_behind(self, tmp_path, storage, refused):
-        db = self._build(tmp_path, storage)
+        db = self._build(tmp_path)
         # Fill the page, so the moved-row case really leaves it.
         db.execute("UPDATE t SET c = ? WHERE a = 1", ["v" * 7000])
         before = self._views(db)
@@ -513,12 +513,11 @@ class TestRowRecords:
             assert "row" not in record and "new_row" not in record, record
         db.close()
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     def test_update_that_moves_the_row_recovers(self, tmp_path, storage):
         db = build(tmp_path)
         db.execute(
             "CREATE TABLE t (id INTEGER NOT NULL, n INTEGER, c VARCHAR(6000))"
-            + (" USING columnar" if storage == "columnar" else "")
         )
         db.execute("CREATE UNIQUE INDEX t_id ON t (id)")
         for i in range(2):
@@ -744,7 +743,7 @@ class TestLogFormat:
             wal.close()
         assert os.path.getsize(path) == size + 2 * len(encode_log_frame(extra))
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     @settings(max_examples=25, deadline=None)
     @given(
         rows=st.lists(TYPED_ROW, min_size=1, max_size=4),
@@ -757,8 +756,7 @@ class TestLogFormat:
             db.execute(
                 "CREATE TABLE v (id INTEGER NOT NULL, b BOOLEAN, i BIGINT, "
                 "f DOUBLE, s VARCHAR(400), d DATE)"
-                + (" USING columnar" if storage == "columnar" else "")
-            )
+                )
             for k, row in enumerate(rows):
                 db.execute(
                     "INSERT INTO v VALUES (?, ?, ?, ?, ?, ?)",
@@ -806,12 +804,11 @@ class TestAssignedCells:
     assigns; every index, stored width and recovered state must come
     out as if the whole row had been rewritten."""
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     def test_assigned_cells_are_coerced(self, tmp_path, storage):
         db = build(tmp_path)
         db.execute(
             "CREATE TABLE t (id INTEGER NOT NULL, x DOUBLE, d DATE)"
-            + (" USING columnar" if storage == "columnar" else "")
         )
         db.execute("INSERT INTO t VALUES (1, 0.5, NULL)")
         db.execute("UPDATE t SET x = ?, d = ? WHERE id = 1", [3, "2024-02-29"])
@@ -838,12 +835,11 @@ class TestAssignedCells:
         assert _consistent_rows(db2) == before
         db2.close()
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     def test_index_scans_follow_updates(self, tmp_path, storage):
         db = build(tmp_path)
         db.execute(
             "CREATE TABLE t (id INTEGER NOT NULL, b INTEGER, c VARCHAR(6000))"
-            + (" USING columnar" if storage == "columnar" else "")
         )
         db.execute("CREATE UNIQUE INDEX t_id ON t (id)")
         db.execute("CREATE INDEX t_b ON t (b)")
@@ -868,11 +864,10 @@ class TestAssignedCells:
         db.execute("UPDATE t SET d = '2021-06-30', a = NULL WHERE id = 1")
         db.execute("UPDATE t SET b = NULL WHERE id = 1")
 
-    def _build_for_undo(self, tmp_path, storage: str) -> Database:
+    def _build_for_undo(self, tmp_path) -> Database:
         db = build(tmp_path)
         db.execute(
             "CREATE TABLE t (id INTEGER NOT NULL, a VARCHAR(5000), b DOUBLE, d DATE)"
-            + (" USING columnar" if storage == "columnar" else "")
         )
         db.execute("CREATE INDEX t_b ON t (b)")
         db.execute(
@@ -881,9 +876,9 @@ class TestAssignedCells:
         )
         return db
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     def test_column_by_column_updates_roll_back_exactly(self, tmp_path, storage):
-        db = self._build_for_undo(tmp_path, storage)
+        db = self._build_for_undo(tmp_path)
         before = _consistent_rows(db)
         db.transactions.begin()
         self._update_column_by_column(db)
@@ -893,11 +888,11 @@ class TestAssignedCells:
         assert _consistent_rows(db2) == before
         db2.close()
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     def test_column_by_column_updates_undo_after_crash(self, tmp_path, storage):
         """The fuzzy checkpoint carries the undo log; the transaction
         never ends, so recovery undoes it from that snapshot."""
-        db = self._build_for_undo(tmp_path, storage)
+        db = self._build_for_undo(tmp_path)
         before = _consistent_rows(db)
         db.transactions.begin()
         self._update_column_by_column(db)
@@ -915,12 +910,11 @@ class TestReadOnce:
 
     ROWS = 200
 
-    def _build(self, storage: str, path=None) -> Database:
+    def _build(self, path=None) -> Database:
         db = build(path) if path is not None else Database()
         db.execute(
             "CREATE TABLE t (id INTEGER NOT NULL, g INTEGER, k INTEGER, "
             "s VARCHAR(3000))"
-            + (" USING columnar" if storage == "columnar" else "")
         )
         db.execute("CREATE UNIQUE INDEX t_id ON t (id)")
         db.execute("CREATE INDEX t_g ON t (g)")
@@ -947,7 +941,7 @@ class TestReadOnce:
             },
         }
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     @pytest.mark.parametrize(
         "where, params",
         [("id = ?", [7]), ("k = ? AND g = ?", [7, 2])],
@@ -956,7 +950,7 @@ class TestReadOnce:
     def test_update_by_unique_key_is_one_probe_and_one_fetch(
         self, storage, where, params
     ):
-        db = self._build(storage)
+        db = self._build()
         index = "t_id" if where.startswith("id") else "t_kg"
         height = db.catalog.table("t").indexes[index].btree.height
         cost = self._cost(db, f"UPDATE t SET s = 'y' WHERE {where}", params)
@@ -967,9 +961,9 @@ class TestReadOnce:
             "fetches": 1, "searches": 1, "prefix_scans": 0,
         }
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     def test_multi_row_update_reads_each_row_twice(self, storage):
-        db = self._build(storage)
+        db = self._build()
         cost = self._cost(db, "UPDATE t SET s = 'y' WHERE g = ?", [3])
         matched = self.ROWS // 5
         assert cost["rows"] == matched
@@ -977,25 +971,25 @@ class TestReadOnce:
         assert cost["fetches"] == matched
         assert cost["prefix_scans"] == 1 and cost["searches"] == 0
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     def test_partial_unique_key_takes_the_prefix_scan(self, storage):
-        db = self._build(storage)
+        db = self._build()
         cost = self._cost(db, "UPDATE t SET s = 'y' WHERE k = ?", [9])
         assert cost["rows"] == 1 and cost["fetches"] == 1
         assert cost["prefix_scans"] == 1 and cost["searches"] == 0
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     def test_delete_reads_its_row_once(self, storage):
-        db = self._build(storage)
+        db = self._build()
         cost = self._cost(db, "DELETE FROM t WHERE id = ?", [9])
         assert (cost["rows"], cost["data"], cost["fetches"]) == (1, 2, 1)
         assert db.execute("SELECT COUNT(*) FROM t WHERE g = 4").scalar() == (
             self.ROWS // 5 - 1
         )
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     def test_null_key_parameter_updates_nothing(self, storage):
-        db = self._build(storage)
+        db = self._build()
         db.execute("INSERT INTO t VALUES (-1, NULL, NULL, 'null-keyed')")
         for where, params in [("id = ?", [None]), ("k = ? AND g = ?", [None, None])]:
             cost = self._cost(db, f"UPDATE t SET s = 'y' WHERE {where}", params)
@@ -1012,9 +1006,9 @@ class TestReadOnce:
         db.execute("UPDATE t SET s = 'z' WHERE g = 1")
         db.execute("DELETE FROM t WHERE id = 8 OR g = 2")
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     def test_rollback_restores_rows_and_indexes(self, tmp_path, storage):
-        db = self._build(storage, tmp_path)
+        db = self._build(tmp_path)
         before = _consistent_rows(db)
         db.transactions.begin()
         self._write(db)
@@ -1024,9 +1018,9 @@ class TestReadOnce:
         assert _consistent_rows(db2) == before
         db2.close()
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     def test_redo_restores_rows_and_indexes(self, tmp_path, storage):
-        db = self._build(storage, tmp_path)
+        db = self._build(tmp_path)
         assert db.checkpoint()
         self._write(db)
         live = _consistent_rows(db)
@@ -1035,7 +1029,7 @@ class TestReadOnce:
         db2.close()
 
     def test_redo_of_an_update_reads_its_row_once(self, tmp_path):
-        db = self._build("heap", tmp_path)
+        db = self._build(tmp_path)
         assert db.checkpoint()
         db.execute("UPDATE t SET s = 'after' WHERE id = 5")
         assert [r["t"] for r in _log_records(db)] == ["checkpoint", "upd", "commit"]
@@ -1049,11 +1043,10 @@ class TestReadOnce:
 # Crashpoint × layout property test
 # ---------------------------------------------------------------------------
 
-#: The seven layouts, plus one storage-override variant: chunk, pivot,
-#: universal and chunk_folding already recover *columnar* tables (their
-#: shared tables default to column pages), and ``private+columnar``
-#: forces column pages onto a layout whose default is the row-major
-#: heap — so both storage formats cross every crashpoint either way.
+#: The seven layouts, plus ``private+columnar``: the private layout
+#: again, under the id it had when it forced column pages onto a layout
+#: that stored row-major heap pages.  Every table is on column pages
+#: now; its node id still seeds a second sample of crashpoints.
 ALL_LAYOUTS = (
     "private",
     "private+columnar",
@@ -1153,11 +1146,9 @@ def _workload(layout: str):
 
 
 def _build_mtd(db: Database, layout: str, **options) -> MultiTenantDatabase:
-    layout, _, storage = layout.partition("+")
+    layout = layout.partition("+")[0]
     if layout in ("chunk", "chunk_folding"):
         options.setdefault("width", 3)
-    if storage:
-        options["storage"] = storage
     mtd = MultiTenantDatabase(layout=layout, db=db, **options)
     mtd.define_table(_account_table())
     if layout != "basic":

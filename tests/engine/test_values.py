@@ -23,6 +23,8 @@ from repro.engine.values import (
     varchar,
 )
 
+from ..conftest import FORMER_STORAGES
+
 
 class TestTypeConstruction:
     def test_varchar_requires_length(self):
@@ -161,14 +163,14 @@ class TestOnePassWidth:
     ``row_width`` of the stored row, so every slot's width and every
     page's ``used`` are what they were when a row was sized apart."""
 
-    @pytest.mark.parametrize("storage", ["heap", "columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGES)
     @settings(max_examples=25, deadline=None)
     @given(rows=st.lists(ROW, min_size=1, max_size=120))
     def test_width_is_row_width(self, storage, rows):
         db = Database()
         db.execute(
             "CREATE TABLE t (a INTEGER NOT NULL, b BIGINT, c DOUBLE, "
-            f"d VARCHAR(20), e DATE, f BOOLEAN) USING {storage}"
+            "d VARCHAR(20), e DATE, f BOOLEAN)"
         )
         table = db.catalog.table("t")
         for row in rows:

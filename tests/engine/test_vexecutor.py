@@ -33,7 +33,11 @@ from repro.quality.corpus import (
 )
 from repro.quality.harness import all_layouts
 
-from ..conftest import assert_matches_reference, reference_run
+from ..conftest import (
+    FORMER_STORAGE_SUFFIXES,
+    assert_matches_reference,
+    reference_run,
+)
 
 
 def make_db() -> Database:
@@ -207,6 +211,17 @@ class RowSemantics(VectorizedExecutor):
             yield out[start : start + self.batch_rows]
 
 
+class RowScans(VectorizedExecutor):
+    """Scans of the tables in ``row_tables`` hand their batches on as
+    row-tuple lists, the batches a FETCH feeds a join."""
+
+    row_tables: frozenset = frozenset()
+
+    def _scan_table(self, node, params):
+        for batch in super()._scan_table(node, params):
+            yield list(batch) if node.table_name in self.row_tables else batch
+
+
 _JOIN_ROW = st.tuples(
     st.sampled_from([0, 1, 2, None]),
     st.sampled_from([True, False, None]),
@@ -255,41 +270,37 @@ def _sqlite_normalized(rows):
 class TestColumnarJoinAndGroup:
     """A hash join hands its consumer gathered columns and GROUP BY folds
     them: answers equal SQLite's, and rows, counters and batch counts
-    equal row-at-a-time semantics at every batch size, over heap (row
-    list) and columnar (``ColumnBatch``) inputs."""
+    equal row-at-a-time semantics at every batch size, over column
+    (``ColumnBatch``) inputs and over the row lists a FETCH feeds."""
 
     @given(
         left=st.lists(_JOIN_ROW, max_size=12),
         right=st.lists(_JOIN_ROW, max_size=12),
-        storages=st.tuples(
-            st.sampled_from(["", " USING columnar"]),
-            st.sampled_from(["", " USING columnar"]),
-        ),
+        row_tables=st.sampled_from(["", "l", "r", "lr"]),
         on=st.sampled_from(_JOIN_KEYS),
         narrowed=st.booleans(),
         shape=st.sampled_from(_JOIN_SHAPES),
     )
     @example(
-        left=[(1, True, 1.0, "a")], right=[], storages=("", ""),
+        left=[(1, True, 1.0, "a")], right=[], row_tables="lr",
         on=_JOIN_KEYS[0], narrowed=False, shape=_JOIN_SHAPES[7],
     )
     @example(
-        left=[], right=[(1, True, 1.0, "a")] * 3,
-        storages=(" USING columnar",) * 2, on=_JOIN_KEYS[1], narrowed=True,
-        shape=_JOIN_SHAPES[0],
+        left=[], right=[(1, True, 1.0, "a")] * 3, row_tables="",
+        on=_JOIN_KEYS[1], narrowed=True, shape=_JOIN_SHAPES[0],
     )
     @settings(max_examples=120, deadline=None)
     def test_column_at_a_time_equals_row_semantics(
-        self, left, right, storages, on, narrowed, shape
+        self, left, right, row_tables, on, narrowed, shape
     ):
         db = Database()
         lite = sqlite3.connect(":memory:")
-        for name, rows, storage in zip("lr", (left, right), storages):
+        for name, rows in zip("lr", (left, right)):
             ddl = (
                 f"CREATE TABLE {name} (i INTEGER, b BOOLEAN, d DOUBLE, "
                 "s VARCHAR(5))"
             )
-            db.execute(ddl + storage)
+            db.execute(ddl)
             lite.execute(ddl)
             for row in rows:
                 db.execute(f"INSERT INTO {name} VALUES (?, ?, ?, ?)", list(row))
@@ -304,9 +315,11 @@ class TestColumnarJoinAndGroup:
         for batch_rows in (1, 3, BATCH_ROWS):
             assert_untraced_matches_reference(db, sql, (), batch_rows)
             runs = []
-            for executor in (VectorizedExecutor, RowSemantics):
+            for executor in (RowScans, RowSemantics):
                 stats = ExecStats()
-                rows = executor(db.catalog, stats, batch_rows=batch_rows).run(plan)
+                executor = executor(db.catalog, stats, batch_rows=batch_rows)
+                executor.row_tables = frozenset(row_tables)
+                rows = executor.run(plan)
                 runs.append((rows, vars(stats)))
             assert runs[0] == runs[1], (sql, batch_rows)
 
@@ -378,13 +391,13 @@ def assert_untraced_matches_reference(db, sql, params=(), batch_rows=BATCH_ROWS)
     return ours
 
 
-def wide_db(storage: str = "", pool_pages: int | None = None) -> Database:
+def wide_db(pool_pages: int | None = None) -> Database:
     """A table whose (k, s) index spans many leaves: wide string keys,
     each repeated three times (non-unique keys with several RIDs)."""
     db = Database()
     db.execute(
         "CREATE TABLE w (id INTEGER NOT NULL, k INTEGER, s VARCHAR(60), "
-        f"v INTEGER){storage}"
+        "v INTEGER)"
     )
     db.execute("CREATE UNIQUE INDEX w_pk ON w (id)")
     db.execute("CREATE INDEX w_ks ON w (k, s)")
@@ -399,9 +412,9 @@ def wide_db(storage: str = "", pool_pages: int | None = None) -> Database:
 
 
 @functools.cache
-def shared_wide_db(storage: str = "") -> Database:
-    """:func:`wide_db`, built once per storage for tests that only read."""
-    return wide_db(storage)
+def shared_wide_db() -> Database:
+    """:func:`wide_db`, built once for tests that only read."""
+    return wide_db()
 
 
 #: Index access shapes: prefix scans crossing leaves, range scans, a
@@ -421,10 +434,10 @@ WIDE_QUERIES = [
 
 
 class TestBatchIndexAccess:
-    @pytest.mark.parametrize("storage", ["", " USING columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGE_SUFFIXES)
     @pytest.mark.parametrize("batch_rows", [1, 3, BATCH_ROWS])
     def test_untraced_matches_reference(self, storage, batch_rows):
-        db = shared_wide_db(storage)
+        db = shared_wide_db()
         index = db.catalog.table("w").indexes["w_ks"].btree
         assert index.height > 1
         for sql, params in WIDE_QUERIES:
@@ -483,7 +496,7 @@ class TestBatchIndexAccess:
 
 
 class TestFetchMany:
-    @pytest.mark.parametrize("storage", ["", " USING columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGE_SUFFIXES)
     def test_small_pool_same_physical_reads_as_per_row(self, storage):
         """Under an 8-frame pool, fetching runs of RIDs costs the same
         physical reads and evictions, and leaves the same LRU order, as
@@ -491,7 +504,7 @@ class TestFetchMany:
         outcomes = []
         for batched in (False, True):
             rng = random.Random(5)
-            db = wide_db(storage, pool_pages=8)
+            db = wide_db(pool_pages=8)
             heap = db.catalog.table("w").heap
             rids = [rid for rid, _row in heap.scan()]
             picks = []
@@ -540,9 +553,9 @@ class TestFetchMany:
         db.pool.read_run(page_id, 5)
         assert db.pool_stats.delta(before).logical_data == 5
 
-    @pytest.mark.parametrize("storage", ["", " USING columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGE_SUFFIXES)
     def test_dangling_rid_still_raises(self, storage):
-        db = wide_db(storage)
+        db = wide_db()
         heap = db.catalog.table("w").heap
         rids = [rid for rid, _row in heap.scan()][:5]
         heap.delete(rids[2])
@@ -551,9 +564,9 @@ class TestFetchMany:
         with pytest.raises(ExecutionError, match="dangling RID"):
             heap.fetch_many([(rids[0][0], 10_000)])
 
-    @pytest.mark.parametrize("storage", ["", " USING columnar"])
+    @pytest.mark.parametrize("storage", FORMER_STORAGE_SUFFIXES)
     def test_sanitizer_sees_every_fetched_row(self, storage):
-        db = wide_db(storage)
+        db = wide_db()
 
         class Recorder:
             def __init__(self):
