@@ -20,12 +20,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
-from .catalog import (
-    Catalog,
-    Column,
-    IndexInfo,
-    TABLE_METADATA_COST,
-)
+from .catalog import Catalog, Column, TABLE_METADATA_COST
 from .durability import DurabilityManager, DurabilityOptions
 from .durability.wal import WalStats
 from .errors import EngineError, PlanError, SemanticError
@@ -41,13 +36,13 @@ from .observability import (
 )
 from .optimizer import OptimizerProfile, Planner
 from .pager import DEFAULT_PAGE_SIZE, BufferPool, PoolStats
-from .plan.logical import split_conjuncts
+from .plan import physical as phys
 from .sql import ast
 from .sql.parser import parse_statement
 from .statement_cache import LruCache, PREPARABLE, PreparedStatement
 from .transactions import TransactionManager
 from .values import parse_type
-from .vexecutor import ExecStats, VectorizedExecutor
+from .vexecutor import ExecStats, VectorizedExecutor, index_entries
 
 #: Default server memory budget. The paper's server had 1 GB; the
 #: default here is scaled down with the default workloads (Section 2 of
@@ -88,16 +83,9 @@ class _WriteProgram:
     table_name: str
     #: ``(column position, compiled SET expression)``; empty for DELETE.
     assignments: list[tuple[int, Compiled]]
-    #: One closure per WHERE conjunct.
-    predicate: list[Compiled]
-    #: Per ``column = <row-independent expr>`` conjunct, its usable
-    #: orientations as ``(column, compiled constant)``.  Evaluated
-    #: against the parameters of each run; one that raises
-    #: :class:`EngineError` is skipped, so the usable-column set — and
-    #: with it the index — can differ between runs.
-    eq_candidates: list[list[tuple[str, Compiled]]]
-    #: Index chosen per usable-column set, filled on first use.
-    indexes: dict[tuple[str, ...], IndexInfo | None]
+    #: Where the rows come from (:meth:`Planner.plan_rows`): a TBSCAN,
+    #: or an IXSCAN under a FETCH, perhaps under a FILTER.
+    access: phys.PNode
 
 
 class Database:
@@ -147,7 +135,7 @@ class Database:
         )
         self.locks = LockTable(metrics=self.metrics)
         self.transactions = TransactionManager(
-            metrics=self.metrics, durability=self.durability
+            self.catalog, metrics=self.metrics, durability=self.durability
         )
         self._planner = Planner(self.catalog, profile, self._execute_subquery)
         self._executor = VectorizedExecutor(
@@ -514,34 +502,10 @@ class Database:
         # DDL is non-transactional: it commits any open transaction,
         # matching the online-DDL behaviour Section 3 discusses.
         self.transactions.commit_if_active()
-        if isinstance(stmt, ast.CreateTable):
-            self._run_create_table(stmt)
-        elif isinstance(stmt, ast.CreateIndex):
-            self.catalog.create_index(
-                stmt.index, stmt.table, list(stmt.columns), unique=stmt.unique
-            )
-            self._log_ddl(
-                op="create_index",
-                index=stmt.index,
-                table=stmt.table,
-                columns=list(stmt.columns),
-                unique=stmt.unique,
-            )
-        elif isinstance(stmt, ast.DropTable):
-            self.catalog.drop_table(stmt.table)
-            self._log_ddl(op="drop_table", table=stmt.table)
-        else:
-            self.catalog.drop_index(stmt.table, stmt.index)
-            self._log_ddl(op="drop_index", table=stmt.table, index=stmt.index)
+        self.apply_ddl(stmt)
         self._resize_pool()
         self._maybe_auto_checkpoint()
         return Result([], [], 0), None, False
-
-    def _log_ddl(self, **ddl) -> None:
-        """WAL a DDL statement *after* it applied — failed DDL must
-        never replay."""
-        if self.durability is not None:
-            self.durability.log_ddl(ddl)
 
     def execute_ast(
         self, stmt: ast.Statement, params: Sequence[object] = ()
@@ -630,17 +594,24 @@ class Database:
     def _prepared_program(
         self, prepared: PreparedStatement
     ) -> "_InsertProgram | _WriteProgram":
-        """The handle's DML program, recompiled when the catalog moved
-        (an index it chose may be gone, a better one may exist)."""
+        """The handle's DML program, recompiled when the catalog or the
+        profile moved (the index its access path chose may be gone, or
+        no longer the one a SELECT would take)."""
         version = self.catalog.version
+        profile = self._planner.profile
         program = prepared.program
-        if program is not None and prepared.catalog_version == version:
+        if (
+            program is not None
+            and prepared.catalog_version == version
+            and prepared.profile is profile
+        ):
             return program
         if program is not None:
             self._c_plan_invalidations.inc()
         program = self._compile_dml(prepared.stmt)
         prepared.program = program
         prepared.catalog_version = version
+        prepared.profile = profile
         return program
 
     # -- SELECT -----------------------------------------------------------------
@@ -663,16 +634,32 @@ class Database:
 
     # -- DDL ---------------------------------------------------------------------
 
-    def _run_create_table(self, stmt: ast.CreateTable) -> None:
-        columns = [
-            Column(c.name, parse_type(c.type_text), c.not_null) for c in stmt.columns
-        ]
-        self.catalog.create_table(stmt.table, columns)
-        self._log_ddl(
-            op="create_table",
-            table=stmt.table,
-            columns=[(c.name, c.type_text, c.not_null) for c in stmt.columns],
-        )
+    def apply_ddl(
+        self,
+        stmt: ast.CreateTable | ast.CreateIndex | ast.DropTable | ast.DropIndex,
+    ) -> None:
+        """Apply one DDL statement to the catalog, then log its SQL text
+        — after it applied: failed DDL must never replay.  Recovery's
+        redo of a DDL record comes here too (replay logs nothing)."""
+        catalog = self.catalog
+        if isinstance(stmt, ast.CreateTable):
+            catalog.create_table(
+                stmt.table,
+                [
+                    Column(c.name, parse_type(c.type_text), c.not_null)
+                    for c in stmt.columns
+                ],
+            )
+        elif isinstance(stmt, ast.CreateIndex):
+            catalog.create_index(
+                stmt.index, stmt.table, list(stmt.columns), unique=stmt.unique
+            )
+        elif isinstance(stmt, ast.DropTable):
+            catalog.drop_table(stmt.table)
+        else:
+            catalog.drop_index(stmt.table, stmt.index)
+        if self.durability is not None:
+            self.durability.log_ddl(stmt.sql())
 
     def _resize_pool(self) -> None:
         """Meta-data comes out of the same memory the pool uses — the
@@ -724,8 +711,8 @@ class Database:
         return self._compile_write(stmt)
 
     def _compile_write(self, stmt: ast.Update | ast.Delete) -> "_WriteProgram":
-        """Precompile an UPDATE/DELETE: SET and conjunct closures, and
-        the constant-equality conjuncts an index prefix can come from."""
+        """Precompile an UPDATE/DELETE: its SET closures, and the access
+        path the planner picks for ``SELECT * FROM t WHERE <same WHERE>``."""
         table = self.catalog.table(stmt.table)
         binding = table.name.lower()
         schema = Schema([Slot(binding, c.lname) for c in table.columns])
@@ -738,82 +725,34 @@ class Database:
             if isinstance(stmt, ast.Update)
             else []
         )
-        conjuncts = split_conjuncts(stmt.where)
-        const_compiler = ExprCompiler(Schema([]), self._execute_subquery)
-        eq_candidates = []
-        for conjunct in conjuncts:
-            if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
-                continue
-            alternatives = []
-            for lhs, rhs in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                if (
-                    isinstance(lhs, ast.ColumnRef)
-                    and table.has_column(lhs.column)
-                    and not isinstance(rhs, ast.ColumnRef)
-                ):
-                    try:
-                        constant = const_compiler.compile(rhs)
-                    except EngineError:
-                        continue  # reads a column: not a constant
-                    alternatives.append((lhs.column.lower(), constant))
-            if alternatives:
-                eq_candidates.append(alternatives)
-        predicate = [compiler.compile(c) for c in conjuncts]
-        return _WriteProgram(
-            table.name, assignments, predicate, eq_candidates, {}
-        )
+        access = self._planner.plan_rows(table.name, stmt.where)
+        return _WriteProgram(table.name, assignments, access)
 
     def _match_rows(
         self, table, program: "_WriteProgram", params: Sequence[object]
     ) -> list:
-        """``(rid, row)`` pairs matching a DML predicate, using the best
-        index available.  Each row is read once, here, and handed to
-        the write that matched it."""
-        eq_values: dict[str, object] = {}
-        for alternatives in program.eq_candidates:
-            for column, constant in alternatives:
-                try:
-                    value = constant((), params)
-                except EngineError:
-                    continue
-                eq_values.setdefault(column, value)
-                break
-        predicate = program.predicate
-
-        info = None
-        if eq_values:
-            usable = tuple(eq_values)
-            if usable not in program.indexes:
-                program.indexes[usable] = table.find_index(usable)
-            info = program.indexes[usable]
+        """``(rid, row)`` pairs the program's access path yields, walked
+        row by row.  Each row is read once, here, and handed to the
+        write that matched it."""
+        node, predicates = program.access, []
+        if isinstance(node, phys.PFilter):
+            node, predicates = node.child, node.predicates
+        if isinstance(node, phys.PFetch):
+            node = node.child
+        predicates = [*node.residual, *predicates]
+        stats = self._executor.stats
         matched = []
-        if info is not None:
-            prefix = []
-            for col in info.column_names:
-                if col.lower() in eq_values:
-                    prefix.append(eq_values[col.lower()])
-                else:
-                    break
-            self._executor.stats.index_lookups += 1
-            if info.unique and len(prefix) == len(info.column_names):
-                rid = info.btree.search_one(tuple(prefix))
-                rids = () if rid is None else (rid,)
-            else:
-                # Batch size 1: each row is fetched as its entry arrives.
-                rids = (b[0][1] for b in info.btree.prefix_batches(tuple(prefix), 1))
-            for rid in rids:
-                row = table.heap.fetch(rid)
-                self._executor.stats.rows_fetched += 1
-                if all(p(row, params) is True for p in predicate):
-                    matched.append((rid, row))
-        else:
+        if isinstance(node, phys.PTableScan):
             for rid, row in table.heap.scan():
-                self._executor.stats.rows_scanned += 1
-                if all(p(row, params) is True for p in predicate):
+                stats.rows_scanned += 1
+                if all(p(row, params) is True for p in predicates):
                     matched.append((rid, row))
+            return matched
+        for _key, rid in index_entries(self.catalog, stats, node, (), params):
+            row = table.heap.fetch(rid)
+            stats.rows_fetched += 1
+            if all(p(row, params) is True for p in predicates):
+                matched.append((rid, row))
         return matched
 
     def _run_update(

@@ -13,8 +13,8 @@ the write path emits per row change and per transaction — ``ins``,
 admin-operation id if any, the table name, the RID as packed integers,
 ``new_rid`` only if the row moved, and each value behind a one-byte
 type tag, so they decode type-exact without pickle.  Every other
-log record (checkpoints, DDL, admin brackets) is a pickle, whose
-protocol-4 ``PROTO`` opcode is ``0x80``.  A page-store frame
+log record (checkpoints, DDL statements as SQL text, admin brackets)
+is a pickle, whose protocol-4 ``PROTO`` opcode is ``0x80``.  A page-store frame
 (:func:`frame_payload`) holds a page's fixed-width head and its image
 (:mod:`~repro.engine.columncodec`), never a pickle: :func:`read_frame`
 hands it to a reader without decoding anything.

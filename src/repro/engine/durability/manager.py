@@ -156,13 +156,14 @@ class DurabilityManager:
             record["admin"] = self._active_admin
         self.wal.commit_append(record)
 
-    def log_ddl(self, ddl: dict) -> None:
-        """Log a DDL statement *after* it applied successfully (failed
-        DDL must never replay).  Self-committing: flushed immediately
-        unless inside an admin operation, whose end marker flushes."""
+    def log_ddl(self, sql: str) -> None:
+        """Log a DDL statement's SQL text *after* it applied successfully
+        (failed DDL must never replay).  Self-committing: flushed
+        immediately unless inside an admin operation, whose end marker
+        flushes."""
         if self.replaying:
             return
-        record = {"t": "ddl", **ddl}
+        record = {"t": "ddl", "sql": sql}
         if self._active_admin is not None:
             record["admin"] = self._active_admin
             self.wal.append(record)

@@ -14,7 +14,9 @@ Opening a disk-backed database runs :func:`recover`:
    rebuild the catalog from the snapshot.
 3. **Undo** — the checkpoint may have been fuzzy over an in-flight
    transaction; if that transaction never reached a terminal record it
-   is a loser: apply its snapshot-carried undo log, newest first.
+   is a loser: the snapshot carries its undo log, and
+   :meth:`TransactionManager.undo` — the routine ``rollback()`` runs —
+   applies it, newest first.
 4. **Redo** — replay the post-checkpoint log in order, skipping records
    of loser transactions and of incomplete admin operations.  Rolled
    back transactions replay *forward plus their logged compensation*,
@@ -27,8 +29,10 @@ Opening a disk-backed database runs :func:`recover`:
    payloads (:mod:`codec`) that decode type-exact into these dicts.
    Redo of an ``upd`` fetches the row at the remapped RID — from the
    checkpoint's page image or from earlier redo — patches ``set`` in
-   and rewrites it.  Before-images exist only where undo reads them: the in-memory
-   undo log and the fuzzy checkpoint's snapshot of it (step 3).
+   and rewrites it.  Before-images exist only where undo reads them:
+   the in-memory undo log and the fuzzy checkpoint's snapshot of it
+   (step 3).  A ``ddl`` record is its statement's SQL text; redo parses
+   it and hands it to :meth:`Database.apply_ddl`, the live path.
 
 Replay is logical, so a replayed insert may land at a different
 physical RID than the original (skipped loser/incomplete-operation rows
@@ -41,6 +45,7 @@ from __future__ import annotations
 import time
 
 from ..heap import RowId
+from ..sql.parser import parse_statement
 from .manager import DurabilityManager, restore_snapshot
 
 
@@ -86,7 +91,7 @@ def recover(db) -> None:
         # -- undo ---------------------------------------------------------
         losers = 0
         if restored_txn is not None and restored_txn["tx"] not in terminated:
-            _apply_undo(db, restored_txn["entries"])
+            db.transactions.undo(restored_txn["entries"])
             losers = 1
         # Log-suffix losers (records on disk, no terminal) need no undo —
         # redo simply skips them below — but they are losers all the same.
@@ -105,7 +110,7 @@ def recover(db) -> None:
                 continue
             kind = record["t"]
             if kind == "ddl":
-                _replay_ddl(db, record)
+                db.apply_ddl(parse_statement(record["sql"]))
                 replayed += 1
             elif kind in ("ins", "del", "upd"):
                 if record["tx"] in terminated:
@@ -154,62 +159,6 @@ def recover(db) -> None:
     # second crash before any new work recovers instantly.  On a fresh
     # directory this writes the initial empty checkpoint.
     durability.checkpoint(db)
-
-
-def _apply_undo(db, entries: list[tuple]) -> None:
-    """Roll back the checkpoint-loser transaction from its serialized
-    undo log (same newest-first + RID-remap discipline as the runtime
-    rollback path)."""
-    remap: dict[tuple[str, RowId], RowId] = {}
-
-    def resolve(name: str, rid: RowId) -> RowId:
-        return remap.get((name, rid), rid)
-
-    for entry in reversed(entries):
-        kind, name = entry[0], entry[1]
-        table = db.catalog.table(name)
-        if kind == "ins":
-            rid = resolve(name, entry[2])
-            table.delete_row(rid, table.heap.fetch(rid))
-        elif kind == "del":
-            new_rid = table.insert_row(tuple(entry[3]))
-            remap[(name, entry[2])] = new_rid
-        else:  # upd: (kind, name, old_rid, old_row, new_rid)
-            # The snapshot keeps no SET list: every column is assigned.
-            current = resolve(name, entry[4])
-            restored = table.update_row(
-                current,
-                table.heap.fetch(current),
-                entry[3],
-                range(len(entry[3])),
-            )
-            if restored != entry[2]:
-                remap[(name, entry[2])] = restored
-
-
-def _replay_ddl(db, record: dict) -> None:
-    from ..catalog import Column
-    from ..values import parse_type
-
-    op = record["op"]
-    catalog = db.catalog
-    if op == "create_table":
-        columns = [
-            Column(name, parse_type(type_text), not_null)
-            for name, type_text, not_null in record["columns"]
-        ]
-        catalog.create_table(record["table"], columns)
-    elif op == "drop_table":
-        catalog.drop_table(record["table"])
-    elif op == "create_index":
-        catalog.create_index(
-            record["index"],
-            record["table"],
-            list(record["columns"]),
-            unique=record["unique"],
-        )
-    elif op == "drop_index":
-        catalog.drop_index(record["table"], record["index"])
 
 
 def _replay_dml(

@@ -93,7 +93,3 @@ class PlanError(EngineError):
 
 class ExecutionError(EngineError):
     """Runtime failure while executing a plan."""
-
-
-class LockTimeoutError(EngineError):
-    """A lock could not be acquired within the configured budget."""

@@ -304,6 +304,27 @@ class Planner:
         _inherit_estimates(ret)
         return ret
 
+    def plan_rows(self, table: str, where: ast.Expr | None) -> phys.PNode:
+        """The access path ``SELECT * FROM table WHERE where`` starts
+        from: the scan or index probe :meth:`_access` picks, under a
+        FILTER for conjuncts that bind no column (``? = 1``).  UPDATE and
+        DELETE find their rows through it, so a write chooses the index
+        a read of the same WHERE does."""
+        select = ast.Select(
+            (ast.SelectItem(ast.Star()),), (ast.TableSource(table),), where
+        )
+        block = qualify_block(build_block(select), self._column_lookup)
+        entry = self._make_entry(block.sources[0])
+        conjuncts = self._classify(block.conjuncts, [entry])
+        if self.profile is OptimizerProfile.ADVANCED:
+            conjuncts = self._propagate_equalities(conjuncts)
+        consumed: set[int] = set()
+        node = self._access(
+            entry, conjuncts, Schema([]), None, consumed,
+            self._needed_columns(block),
+        )
+        return self._apply_filters(node, conjuncts, {entry.binding}, consumed)
+
     def source_count(self, select: ast.Select) -> int:
         """How many FROM sources the outermost block has after this
         profile's flattening — the position space

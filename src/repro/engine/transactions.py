@@ -15,7 +15,6 @@ through, keeping earlier entries pointed at the row's current location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import EngineError
@@ -23,31 +22,7 @@ from .heap import RowId
 from .observability.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .catalog import Table
-
-
-@dataclass
-class _InsertEntry:
-    table: "Table"
-    rid: RowId
-
-
-@dataclass
-class _DeleteEntry:
-    table: "Table"
-    rid: RowId
-    row: tuple
-
-
-@dataclass
-class _UpdateEntry:
-    table: "Table"
-    old_rid: RowId
-    old_row: tuple
-    new_rid: RowId
-    #: The positions the UPDATE assigned: its compensation record
-    #: carries their before-values.
-    positions: Sequence[int]
+    from .catalog import Catalog, Table
 
 
 class TransactionManager:
@@ -62,8 +37,15 @@ class TransactionManager:
     :meth:`end_statement`.
     """
 
-    def __init__(self, *, metrics=None, durability=None) -> None:
-        self._log: list[object] | None = None
+    def __init__(
+        self, catalog: "Catalog", *, metrics=None, durability=None
+    ) -> None:
+        self._catalog = catalog
+        #: The open transaction's undo entries, oldest first; each a
+        #: tuple that names its table: ``("ins", table, rid)``, ``("del",
+        #: table, rid, row)`` or ``("upd", table, old_rid, old_row,
+        #: new_rid, positions)`` with the positions the UPDATE assigned.
+        self._log: list[tuple] | None = None
         metrics = metrics or MetricsRegistry()
         self._c_begun = metrics.counter("txn.begun")
         self._c_committed = metrics.counter("txn.committed")
@@ -110,45 +92,48 @@ class TransactionManager:
         log, self._log = self._log, None
         self._c_rolled_back.inc()
         self._h_undo_entries.observe(len(log))
-        remap: dict[tuple[int, RowId], RowId] = {}
-
-        def resolve(table: "Table", rid: RowId) -> RowId:
-            return remap.get((id(table), rid), rid)
-
         # Each inverse operation is WAL-logged as a compensation record
         # under the same transaction id, followed by a rollback
         # terminal: recovery replays the forward records *and* the
         # compensation, netting out to nothing while keeping the RID
         # remap coherent (the CLR idea from ARIES).
-        for entry in reversed(log):
-            if isinstance(entry, _InsertEntry):
-                rid = resolve(entry.table, entry.rid)
-                entry.table.delete_row(rid, entry.table.heap.fetch(rid))
-                self._emit("del", entry.table, rid=rid)
-            elif isinstance(entry, _DeleteEntry):
-                new_rid = entry.table.insert_row(entry.row)
-                remap[(id(entry.table), entry.rid)] = new_rid
-                self._emit("ins", entry.table, rid=new_rid, row=entry.row)
-            elif isinstance(entry, _UpdateEntry):
-                current = resolve(entry.table, entry.new_rid)
-                restored = entry.table.update_row(
-                    current,
-                    entry.table.heap.fetch(current),
-                    entry.old_row,
-                    entry.positions,
-                )
-                if restored != entry.old_rid:
-                    remap[(id(entry.table), entry.old_rid)] = restored
-                self._emit(
-                    "upd",
-                    entry.table,
-                    rid=current,
-                    new_rid=restored,
-                    set={p: entry.old_row[p] for p in entry.positions},
-                )
+        self.undo(log)
         self._emit_terminal("rollback")
         if self.sanitizer is not None:
             self.sanitizer.on_statement_end()
+
+    def undo(self, entries: Sequence[tuple]) -> None:
+        """Apply the inverse of each undo entry, newest first: the one
+        undo routine, behind :meth:`rollback` and recovery's undo of the
+        checkpoint loser, whose entries the checkpoint carried (replay
+        logs nothing)."""
+        remap: dict[tuple[str, RowId], RowId] = {}
+        for kind, name, rid, *rest in reversed(entries):
+            table = self._catalog.table(name)
+            if kind == "ins":
+                current = remap.get((name, rid), rid)
+                table.delete_row(current, table.heap.fetch(current))
+                self._emit("del", table, rid=current)
+            elif kind == "del":
+                (row,) = rest
+                new_rid = table.insert_row(row)
+                remap[(name, rid)] = new_rid
+                self._emit("ins", table, rid=new_rid, row=row)
+            else:
+                old_row, new_rid, positions = rest
+                current = remap.get((name, new_rid), new_rid)
+                restored = table.update_row(
+                    current, table.heap.fetch(current), old_row, positions
+                )
+                if restored != rid:
+                    remap[(name, rid)] = restored
+                self._emit(
+                    "upd",
+                    table,
+                    rid=current,
+                    new_rid=restored,
+                    set={p: old_row[p] for p in positions},
+                )
 
     def end_statement(self) -> None:
         """Statement boundary: commit the implicit autocommit
@@ -167,12 +152,12 @@ class TransactionManager:
 
     def record_insert(self, table: "Table", rid: RowId, row: tuple) -> None:
         if self._log is not None:
-            self._log.append(_InsertEntry(table, rid))
+            self._log.append(("ins", table.name, rid))
         self._emit("ins", table, rid=rid, row=row)
 
     def record_delete(self, table: "Table", rid: RowId, row: tuple) -> None:
         if self._log is not None:
-            self._log.append(_DeleteEntry(table, rid, row))
+            self._log.append(("del", table.name, rid, row))
         self._emit("del", table, rid=rid)
 
     def record_update(
@@ -189,7 +174,7 @@ class TransactionManager:
         the redo record carries."""
         if self._log is not None:
             self._log.append(
-                _UpdateEntry(table, old_rid, old_row, new_rid, positions)
+                ("upd", table.name, old_rid, old_row, new_rid, positions)
             )
         self._emit(
             "upd",
@@ -238,21 +223,8 @@ class TransactionManager:
     # -- checkpoint support ------------------------------------------------
 
     def serialize_active(self) -> dict | None:
-        """The open transaction's id and undo log in a picklable form
-        (fuzzy checkpoints snapshot mid-transaction state)."""
+        """The open transaction's id and undo log (fuzzy checkpoints
+        snapshot mid-transaction state)."""
         if self._log is None:
             return None
-        entries: list[tuple] = []
-        for entry in self._log:
-            if isinstance(entry, _InsertEntry):
-                entries.append(("ins", entry.table.name, entry.rid))
-            elif isinstance(entry, _DeleteEntry):
-                entries.append(
-                    ("del", entry.table.name, entry.rid, entry.row)
-                )
-            elif isinstance(entry, _UpdateEntry):
-                entries.append(
-                    ("upd", entry.table.name, entry.old_rid, entry.old_row,
-                     entry.new_rid)
-                )
-        return {"tx": self._txid, "entries": entries}
+        return {"tx": self._txid, "entries": list(self._log)}

@@ -124,12 +124,10 @@ def index_batches(
         )
     prefix = tuple(e(outer_row, params) for e in node.key_exprs)
     stats.index_lookups += 1
+    if None in prefix:
+        return  # ``col = NULL`` is never true: no entry matches
     if node.range_low is None and node.range_high is None:
-        if (
-            info.unique
-            and len(prefix) == len(info.column_names)
-            and None not in prefix
-        ):
+        if info.unique and len(prefix) == len(info.column_names):
             # Full-key probe on a unique index: exact-match descent
             # instead of a prefix iteration — the hot case of every
             # aligning reconstruction join.
@@ -583,11 +581,9 @@ class VectorizedExecutor:
                 # index_entries generator: same descent, same counters,
                 # no per-row generator frames, and ``search_one``
                 # instead of ``search`` so the hit path allocates
-                # nothing but the fetched row.  (NULL keys keep the
-                # generic prefix semantics via prefix_batches, exactly
-                # as index_entries would.)
+                # nothing but the fetched row.  A key holding NULL
+                # matches nothing, exactly as in index_entries.
                 search_one = info.btree.search_one
-                prefix_batches = info.btree.prefix_batches
 
                 # Probe keys in reconstruction joins are mostly
                 # constant (Tenant/Table/Chunk literals) with a single
@@ -640,15 +636,7 @@ class VectorizedExecutor:
                     key = make_key(left_row)
                     stats.index_lookups += 1
                     if None in key:
-                        rows = [
-                            fetch(rid)
-                            for batch in prefix_batches(key, 1)
-                            for _k, rid in batch
-                        ]
-                        stats.rows_fetched += len(rows)
-                        if residual is not None and rows:
-                            rows = residual(rows, params)
-                        return rows
+                        return []
                     rid = search_one(key)
                     if rid is None:
                         return []

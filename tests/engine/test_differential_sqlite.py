@@ -21,6 +21,10 @@ from hypothesis import given, settings, strategies as st
 from ..conftest import assert_matches_reference, reference_run
 from repro.engine import Database
 from repro.engine.errors import UnsupportedSyntaxError
+from repro.engine.explain import plan_shape
+from repro.engine.optimizer import PlanDirectives
+from repro.engine.plan import physical as phys
+from repro.engine.sql.parser import parse_statement
 from repro.quality.corpus import (
     ENGINE_DDL,
     ENGINE_INDEXES,
@@ -358,3 +362,182 @@ class TestRandomizedQueries:
             "GROUP BY p.id"
         )
         compare(pair, sql, [grp, threshold])
+
+
+# -- NULL index keys -------------------------------------------------------------
+
+#: ``(table, columns, index)``: one- and two-column keys, unique and
+#: not, each holding NULL in some rows.
+NULL_KEY_TABLES = [
+    ("a", "id INTEGER NOT NULL, x INTEGER, z INTEGER",
+     "CREATE UNIQUE INDEX a_x ON a (x)"),
+    ("b", "id INTEGER NOT NULL, y INTEGER, w INTEGER",
+     "CREATE INDEX b_y ON b (y)"),
+    ("u2", "id INTEGER NOT NULL, p INTEGER, q INTEGER",
+     "CREATE UNIQUE INDEX u2_pq ON u2 (p, q)"),
+    ("n2", "id INTEGER NOT NULL, p INTEGER, q INTEGER",
+     "CREATE INDEX n2_pq ON n2 (p, q)"),
+]
+
+NULL_KEY_ROWS = {
+    "a": [(1, 1, 1), (2, 2, 2), (3, None, 3), (4, 4, None)],
+    "b": [(1, 1, 1), (2, None, 2), (3, None, 3), (4, 2, None), (5, 2, 5)],
+    "u2": [(1, 1, 1), (2, 1, None), (3, None, 2), (4, 2, 2), (5, None, None)],
+    "n2": [(1, 1, 1), (2, 1, None), (3, 1, None), (4, None, 2), (5, None, 2),
+           (6, None, None), (7, 2, 2)],
+}
+
+
+@pytest.fixture(scope="module")
+def null_pair():
+    engine, lite = Database(), sqlite3.connect(":memory:")
+    for table, columns, index in NULL_KEY_TABLES:
+        for db in (engine, lite):
+            db.execute(f"CREATE TABLE {table} ({columns})")
+            db.execute(index)
+            for row in NULL_KEY_ROWS[table]:
+                db.execute(f"INSERT INTO {table} VALUES (?, ?, ?)", row)
+    return engine, lite
+
+
+NULL_KEY_CASES = [
+    ("SELECT id FROM a WHERE x = NULL", ()),
+    ("SELECT id FROM a WHERE x = ?", (None,)),
+    ("SELECT COUNT(*) FROM a WHERE x = ?", (None,)),
+    ("SELECT id FROM b WHERE y = NULL", ()),
+    ("SELECT id FROM b WHERE y = ?", (None,)),
+    ("SELECT id FROM u2 WHERE p = ? AND q = ?", (1, None)),
+    ("SELECT id FROM u2 WHERE p = ? AND q = ?", (None, 2)),
+    ("SELECT id FROM u2 WHERE p = NULL AND q = NULL", ()),
+    ("SELECT id FROM u2 WHERE p = ?", (None,)),
+    ("SELECT id FROM n2 WHERE p = ? AND q = ?", (1, None)),
+    ("SELECT id FROM n2 WHERE p = ? AND q = ?", (None, 2)),
+    ("SELECT id FROM n2 WHERE p = NULL", ()),
+    ("SELECT id FROM n2 WHERE p = ? AND q > ?", (None, 0)),
+]
+
+#: Index-probe NLJOINs whose outer side holds NULL keys: through a
+#: non-unique index, a unique one (the fused probe) and a two-column
+#: unique one.
+NULL_KEY_JOINS = [
+    "SELECT a.id, b.id FROM a, b WHERE a.x = b.y",
+    "SELECT b.id, a.id FROM b, a WHERE b.y = a.x",
+    "SELECT n2.id, u2.id FROM n2, u2 WHERE n2.p = u2.p AND n2.q = u2.q",
+    "SELECT u2.id, n2.id FROM u2, n2 WHERE u2.p = n2.p AND u2.q = n2.q",
+]
+
+
+class TestNullIndexKeys:
+    """``col = NULL`` is never true, so an index key holding NULL
+    matches nothing — in an IXSCAN and in an NLJOIN's probe, on both
+    executors, as in SQLite."""
+
+    @pytest.mark.parametrize("sql, params", NULL_KEY_CASES)
+    def test_equality_on_null_matches_nothing(self, null_pair, sql, params):
+        engine, lite = null_pair
+        assert "IXSCAN" in engine.explain(sql)
+        ours = engine.execute(sql, list(params)).rows
+        assert normalize(ours) == normalize(lite.execute(sql, params).fetchall())
+        assert ours == assert_matches_reference(engine, sql, params)
+
+    @pytest.mark.parametrize("sql", NULL_KEY_JOINS)
+    def test_probe_with_a_null_outer_key_finds_nothing(self, null_pair, sql):
+        engine, lite = null_pair
+        root = engine.plan_ast(
+            parse_statement(sql),
+            PlanDirectives(join_order=(0, 1), join_methods=(None, "nl")),
+        )
+        assert "NLJOIN(" in plan_shape(root) and "IXSCAN" in plan_shape(root)
+        ours = engine.execute_plan(root).rows
+        assert normalize(ours) == normalize(lite.execute(sql).fetchall())
+        assert ours == reference_run(engine, root)[0]
+
+
+# -- UPDATE/DELETE find their rows as SELECT does ---------------------------------
+
+WRITE_DDL = [
+    "CREATE TABLE w (id INTEGER NOT NULL, g INTEGER, k INTEGER, v INTEGER, "
+    "s VARCHAR(10))",
+    "CREATE TABLE picks (id INTEGER)",
+]
+WRITE_INDEXES = [
+    "CREATE UNIQUE INDEX w_id ON w (id)",
+    "CREATE INDEX w_gk ON w (g, k)",
+]
+WRITE_ROWS = [
+    (i, None if i % 13 == 0 else i % 4, i % 7, i % 5, "x") for i in range(60)
+]
+
+#: ``(shape, WHERE, params)``: one per access path the planner picks.
+WRITE_SHAPES = [
+    ("unique full key", "id = ?", (17,)),
+    ("non-unique prefix", "g = ?", (2,)),
+    ("prefix and range", "g = ? AND k > ?", (1, 3)),
+    ("range only", "id > ?", (50,)),
+    ("in list", "id IN (3, 5, 7, 99)", ()),
+    ("or", "id = 4 OR g = 3", ()),
+    ("no usable index", "v = ?", (3,)),
+    ("null key", "g = ?", (None,)),
+    ("binds no column, true", "? = 1 AND g = ?", (1, 0)),
+    ("binds no column, false", "? = 1 AND g = ?", (0, 0)),
+    ("in subquery", "id IN (SELECT id FROM picks)", ()),
+]
+
+
+def _index_of(node) -> str | None:
+    """The index an access path reads, or ``None`` for a scan."""
+    if isinstance(node, phys.PIndexScan):
+        return node.index_name
+    for child in node.children():
+        found = _index_of(child)
+        if found is not None:
+            return found
+    return None
+
+
+class TestWritesFindRowsLikeSelect:
+    """UPDATE and DELETE find their rows through the access path the
+    planner picks for ``SELECT * FROM w WHERE <same WHERE>``: they
+    change the rows SQLite changes and read through the index (or none)
+    that the SELECT's plan names."""
+
+    @staticmethod
+    def _pair():
+        engine, lite = Database(), sqlite3.connect(":memory:")
+        for db in (engine, lite):
+            for sql in WRITE_DDL + WRITE_INDEXES:
+                db.execute(sql)
+            for row in WRITE_ROWS:
+                db.execute("INSERT INTO w VALUES (?, ?, ?, ?, ?)", row)
+            for pick in (2, 8, 40):
+                db.execute("INSERT INTO picks VALUES (?)", (pick,))
+        return engine, lite
+
+    @pytest.mark.parametrize(
+        "verb", ["UPDATE w SET s = 'hit', v = v + 10", "DELETE FROM w"]
+    )
+    @pytest.mark.parametrize(
+        "where, params",
+        [shape[1:] for shape in WRITE_SHAPES],
+        ids=[shape[0] for shape in WRITE_SHAPES],
+    )
+    def test_same_rows_through_the_same_index(self, verb, where, params):
+        engine, lite = self._pair()
+        sql = f"{verb} WHERE {where}"
+        write = engine.prepare(sql)
+        count = write.execute(list(params)).rowcount
+        assert count == lite.execute(sql, params).rowcount
+        everything = "SELECT * FROM w"
+        assert normalize(engine.execute(everything).rows) == normalize(
+            lite.execute(everything).fetchall()
+        )
+        select = engine.plan(f"SELECT * FROM w WHERE {where}")
+        assert _index_of(write.program.access) == _index_of(select)
+
+    def test_the_shapes_cover_scans_and_both_indexes(self):
+        engine, _ = self._pair()
+        chosen = {
+            _index_of(engine.plan(f"SELECT * FROM w WHERE {where}"))
+            for _, where, _ in WRITE_SHAPES
+        }
+        assert chosen == {None, "w_id", "w_gk"}

@@ -843,7 +843,7 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"wal\.log: found no format head, "
-            r"expected RPWL format version 2",
+            r"expected RPWL format version 3",
         ):
             Database(path=str(tmp_path))
         assert log.read_bytes() == previous_format_wal()
@@ -862,10 +862,28 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"wal\.log: found format version 1, "
-            r"expected RPWL format version 2",
+            r"expected RPWL format version 3",
         ):
             Database(path=str(tmp_path))
         assert log.read_bytes() == version_1
+
+    def test_wal_of_version_2_is_refused_naming_both_versions(self, tmp_path):
+        """Version 2 logged a DDL statement as per-operation fields, not
+        as its SQL text; its log is refused, not converted."""
+        log = tmp_path / WAL_FILENAME
+        version_2 = (
+            codec.file_head(b"RPWL", 2)
+            + struct.pack("<Q", 0)
+            + codec.encode_frame({"t": "ddl", "op": "drop_table", "table": "t"})
+        )
+        log.write_bytes(version_2)
+        with pytest.raises(
+            EngineError,
+            match=r"wal\.log: found format version 2, "
+            r"expected RPWL format version 3",
+        ):
+            Database(path=str(tmp_path))
+        assert log.read_bytes() == version_2
 
     def test_page_file_of_version_1_is_refused_naming_both_versions(
         self, tmp_path

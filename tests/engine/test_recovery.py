@@ -994,8 +994,11 @@ class TestReadOnce:
         for where, params in [("id = ?", [None]), ("k = ? AND g = ?", [None, None])]:
             cost = self._cost(db, f"UPDATE t SET s = 'y' WHERE {where}", params)
             assert cost["rows"] == 0
-        # The probe finds the NULL-keyed entry; the predicate refuses it.
-        assert cost["fetches"] == 1 and cost["searches"] == 1
+            # A key holding NULL matches nothing and reads nothing, as
+            # the SELECT with the same WHERE does.
+            assert cost["fetches"] == cost["searches"] == 0
+            assert cost["prefix_scans"] == 0
+            assert cost == self._cost(db, f"SELECT * FROM t WHERE {where}", params)
         assert db.execute("SELECT COUNT(*) FROM t WHERE s = 'y'").scalar() == 0
         assert db.execute("SELECT s FROM t WHERE id = -1").scalar() == "null-keyed"
 
@@ -1036,6 +1039,122 @@ class TestReadOnce:
         db2 = _crash_and_reopen(db, tmp_path)
         assert db2.metrics.value("heap.fetches") == 1
         assert db2.execute("SELECT s FROM t WHERE id = 5").scalar() == "after"
+        db2.close()
+
+
+def _index_keys(db: Database, table: str = "t") -> dict[str, list[tuple]]:
+    """Every index's keys, sorted (RIDs may differ between two states
+    that hold the same rows)."""
+    return {
+        info.name: sorted(
+            key
+            for batch in info.btree.prefix_batches((), 1000)
+            for key, _rid in batch
+        )
+        for info in db.catalog.table(table).indexes.values()
+    }
+
+
+class TestOneUndoRoutine:
+    """``rollback()`` and recovery's undo of a transaction a crash left
+    open over a checkpoint run one routine, ``TransactionManager.undo``,
+    over one entry shape: every kind of write comes back the same."""
+
+    def _build(self, path) -> Database:
+        db = build(path)
+        db.execute(
+            "CREATE TABLE t (id INTEGER NOT NULL, g INTEGER, s VARCHAR(3000))"
+        )
+        db.execute("CREATE UNIQUE INDEX t_id ON t (id)")
+        db.execute("CREATE INDEX t_g ON t (g)")
+        for i in range(12):  # one nearly full page
+            db.execute("INSERT INTO t VALUES (?, ?, ?)", [i, i % 3, "x" * 600])
+        return db
+
+    @staticmethod
+    def _write(db: Database) -> None:
+        db.execute("INSERT INTO t VALUES (100, 1, 'new')")
+        db.execute("DELETE FROM t WHERE id = 4")
+        db.execute("UPDATE t SET g = 7 WHERE id = 5")  # a subset SET list
+        db.execute("UPDATE t SET s = ? WHERE id = 6", ["m" * 2500])  # moves
+
+    def test_checkpoint_loser_is_undone_as_rollback_undoes_it(self, tmp_path):
+        rolled = self._build(tmp_path / "rolled")
+        before = _consistent_rows(rolled), _index_keys(rolled)
+        rolled.transactions.begin()
+        self._write(rolled)
+        rolled.transactions.rollback()
+        after_rollback = _consistent_rows(rolled), _index_keys(rolled)
+        assert after_rollback == before
+        rolled.close()
+
+        db = self._build(tmp_path / "crashed")
+        db.transactions.begin()
+        self._write(db)
+        moved = db.transactions.serialize_active()["entries"][-1]
+        assert moved[0] == "upd" and moved[2] != moved[4]
+        assert db.checkpoint()  # carries all four undo entries
+        db.execute("UPDATE t SET g = 9 WHERE id = 7")  # after it: skipped
+        db2 = _crash_and_reopen(db, tmp_path / "crashed")
+        assert db2.durability.recovery_info["losers"] == 1
+        assert db2.metrics.value("txn.rolled_back") == 0
+        assert (_consistent_rows(db2), _index_keys(db2)) == after_rollback
+        db2.close()
+
+
+class TestOneDdlPath:
+    """A DDL record is its statement's SQL text, logged once after the
+    statement applied; redo parses it and applies it through
+    ``Database.apply_ddl``, the live path."""
+
+    STATEMENTS = [
+        "CREATE TABLE u (k INTEGER NOT NULL, v VARCHAR(10), d DATE, x DOUBLE)",
+        "CREATE INDEX u_k ON u (k)",
+        "CREATE UNIQUE INDEX u_kv ON u (k, v)",
+        "DROP INDEX u_k ON u",
+        "DROP TABLE u",
+    ]
+
+    @pytest.mark.parametrize("sql", STATEMENTS)
+    def test_sql_text_reparses_to_an_equal_ast(self, sql):
+        stmt = parse_statement(sql)
+        assert parse_statement(stmt.sql()) == stmt
+
+    @staticmethod
+    def _catalog(db: Database) -> list[tuple]:
+        return sorted(
+            (
+                table.name,
+                [(c.name, c.type, c.not_null) for c in table.columns],
+                sorted(
+                    (info.name, info.column_names, info.unique)
+                    for info in table.indexes.values()
+                ),
+            )
+            for table in db.catalog.tables()
+        ) + [("metadata_bytes", db.catalog.metadata_bytes)]
+
+    def test_each_kind_in_and_out_of_an_admin_bracket_reopens(self, tmp_path):
+        db = build(tmp_path)
+        assert db.checkpoint()
+        for sql in self.STATEMENTS:
+            db.execute(sql)
+        with db.admin_operation("ddl", {"done": 1}):
+            for sql in self.STATEMENTS:
+                db.execute(sql.replace(" u", " w"))
+        for sql in self.STATEMENTS[:3]:  # leave a table behind
+            db.execute(sql.replace(" u", " z"))
+        ddl = [r for r in _log_records(db) if r["t"] == "ddl"]
+        assert [r["sql"] for r in ddl] == (
+            self.STATEMENTS
+            + [sql.replace(" u", " w") for sql in self.STATEMENTS]
+            + [sql.replace(" u", " z") for sql in self.STATEMENTS[:3]]
+        )
+        assert {frozenset(r) - {"admin"} for r in ddl} == {frozenset({"t", "sql"})}
+        live = self._catalog(db)
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert db2.durability.recovery_info["records_replayed"] == len(ddl)
+        assert self._catalog(db2) == live
         db2.close()
 
 
