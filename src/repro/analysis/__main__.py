@@ -39,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Static analysis over the multi-tenant CRM testbed, "
-        "plus the concurrency/durability sanitizer and lint passes.",
+        "plus the durability sanitizer, lock-order and lint passes.",
     )
     parser.add_argument(
         "--strict",

@@ -65,12 +65,10 @@ RULES: dict[str, Rule] = {
         Rule("LAY005", Severity.ERROR, "migration does not preserve column set"),
         Rule("LAY006", Severity.ERROR, "row-alignment gap between fragments"),
         Rule("LAY007", Severity.ERROR, "stored row width, page fill or free map drifted"),
-        # -- dynamic concurrency/durability sanitizers (CON) ---------------
-        Rule("CON001", Severity.ERROR, "lockset race: disjoint locksets on shared resource"),
+        # -- dynamic durability/leak sanitizers (CON; 001 and 005 retired) --
         Rule("CON002", Severity.ERROR, "data-page mutation without covering WAL append"),
         Rule("CON003", Severity.ERROR, "dirty page written back beyond flushed WAL tail"),
         Rule("CON004", Severity.ERROR, "buffer-pool pin leaked past statement end"),
-        Rule("CON005", Severity.ERROR, "session ended while still holding locks"),
         Rule("CON006", Severity.ERROR, "transaction left open at close"),
         # -- static lock-order pass (LCK) ----------------------------------
         Rule("LCK001", Severity.ERROR, "cycle in resource acquisition graph"),

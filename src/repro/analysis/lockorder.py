@@ -1,10 +1,10 @@
 """Static lock-order / resource-acquisition analysis (the ``LCK`` rules).
 
-The engine is cooperative today, but the ROADMAP's MVCC and sharding
-work will run its subsystems concurrently — at which point "who calls
-into whom" becomes "who acquires whose latch while holding their own".
-This pass extracts that acquisition graph *statically*, before any of
-it can deadlock:
+The engine takes no locks today: a shard lets one thread into its
+engine at a time, behind one mutex.  Once its subsystems run
+concurrently, "who calls into whom" becomes "who acquires whose latch
+while holding their own".  This pass extracts that acquisition graph
+*statically*, before any of it can deadlock:
 
 1. Engine classes are mapped to **resource classes** (``HeapFile`` is
    the ``heap`` resource, ``WriteAheadLog`` is ``wal``, ...).  The
@@ -50,8 +50,8 @@ MUTATE_LOCK_INVERSION = "lock-order-inversion"
 #: The declared global acquisition order, outermost first: code may
 #: enter resources to the *right* of its own while working, never to
 #: the left.  Transactions sit outermost (a statement enters everything
-#: else under its transaction), the lock table is a leaf (nothing may
-#: call out of it while it updates its ledger).
+#: else under its transaction), the page store is a leaf (it calls
+#: into no other resource).
 HIERARCHY: list[str] = [
     "txn",
     "catalog",
@@ -61,7 +61,6 @@ HIERARCHY: list[str] = [
     "pool",
     "wal",
     "store",
-    "locks",
 ]
 
 #: Engine class name → resource class.
@@ -75,7 +74,6 @@ CLASS_RESOURCES: dict[str, str] = {
     "BufferPool": "pool",
     "WriteAheadLog": "wal",
     "DiskPageStore": "store",
-    "LockTable": "locks",
 }
 
 #: Receiver attribute/variable name → resource class.  This is how call
@@ -83,7 +81,6 @@ CLASS_RESOURCES: dict[str, str] = {
 #: disciplined (``self._pool`` is always the buffer pool, a ``table``
 #: is always a catalog Table, ...).
 ATTR_RESOURCES: dict[str, str] = {
-    "locks": "locks",
     "catalog": "catalog",
     "table": "catalog",
     "transactions": "txn",

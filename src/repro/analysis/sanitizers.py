@@ -1,31 +1,25 @@
-"""Dynamic concurrency & durability sanitizers (the ``CON`` rules).
+"""Dynamic durability & leak sanitizers (the ``CON`` rules).
 
 The static passes prove properties of *emitted statements*; the
 sanitizers instrument the *running engine* — the FoundationDB idea of
 running the real system under checking rather than a model of it.  A
 :class:`Sanitizer` is attached by ``Database(sanitize=True)`` (or the
 ``REPRO_SANITIZE=1`` environment variable) and receives callbacks from
-the lock table, the buffer pool, the heap/column stores, the
-transaction manager, and the durability manager:
+the buffer pool, the transaction manager, and the durability manager
+(``Table`` reads it through its heap to rewind a refused write):
 
-* **Lockset race detection (CON001)** — the Eraser algorithm: every
-  shared resource (a heap/columnstore row here) keeps a candidate set
-  of locks, refined on each access to the intersection with the locks
-  the accessing session holds.  A resource written by two sessions
-  whose candidate set becomes empty has no lock consistently protecting
-  it — a data race once execution stops being cooperative.  Sessions
-  are identified by the lock table's session ids; engine-internal work
-  runs as session 0, so single-session usage never reports.
 * **Write-ahead protocol (CON002/CON003)** — every statement that
   dirties a DATA page must append at least one logical redo record
   before its commit terminal, and no dirty page may reach the page
   store with an LSN beyond the flushed WAL tail.  The ``skip-wal-append``
   seeded mutation (a transaction manager that "forgets" its redo
   records) exists to prove CON002 fires.
-* **Resource leaks (CON004/CON005/CON006)** — buffer-pool pins still
-  held at a statement boundary, lock-table sessions never released by
-  ``release_session``, and a transaction still open when the database
+* **Resource leaks (CON004/CON006)** — buffer-pool pins still held at
+  a statement boundary, and a transaction still open when the database
   closes.
+
+CON001 (a lockset race checker) and CON005 (a lock-table leak) are
+retired with the lock table they read; their ids are not reused.
 
 Findings accumulate in an :class:`AnalysisReport` and feed the
 ``analysis.rule.CON*`` metrics as they are found; nothing raises — the
@@ -37,8 +31,7 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Hashable, Iterator
+from typing import TYPE_CHECKING, Any
 
 from .findings import AnalysisReport, Finding
 
@@ -55,26 +48,6 @@ def env_sanitize_enabled() -> bool:
     return os.environ.get(SANITIZE_ENV, "") not in ("", "0")
 
 
-# -- Eraser lockset state ---------------------------------------------------
-
-_VIRGIN = 0  #: never accessed
-_EXCLUSIVE = 1  #: accessed by exactly one session so far
-_SHARED = 2  #: read by several sessions, never written since shared
-_SHARED_MODIFIED = 3  #: written while shared: lockset violations report
-
-
-class _ResourceState:
-    """Per-resource Eraser state: owner, phase, candidate lockset."""
-
-    __slots__ = ("state", "owner", "lockset", "reported")
-
-    def __init__(self, owner: int) -> None:
-        self.state = _EXCLUSIVE
-        self.owner = owner
-        self.lockset: frozenset[Hashable] | None = None
-        self.reported = False
-
-
 class Sanitizer:
     """Dynamic checker state for one :class:`Database`.
 
@@ -88,15 +61,6 @@ class Sanitizer:
         self.report = AnalysisReport()
         self._metrics = metrics
         self._db: "Database" | None = None
-        #: The session whose work the engine is currently executing.
-        #: Cooperative scheduling means "the last session to acquire a
-        #: lock" — the testbed and the stress suites acquire before they
-        #: execute.  Session 0 is the engine-internal default.
-        self.current_session = 0
-        #: session id -> resources currently held (from the lock table).
-        self._locks_held: dict[int, set[Hashable]] = {}
-        #: Eraser state per shared resource.
-        self._resources: dict[Hashable, _ResourceState] = {}
         #: DATA-page mutations / logical row records this statement (a
         #: write ``Table`` undoes on refusal rewinds ``data_dirties``).
         self.data_dirties = 0
@@ -109,7 +73,6 @@ class Sanitizer:
     def attach(self, db: "Database") -> None:
         """Hook every subsystem of ``db`` up to this sanitizer."""
         self._db = db
-        db.locks.sanitizer = self
         db.pool.sanitizer = self
         db.transactions.sanitizer = self
         if db.durability is not None:
@@ -124,64 +87,6 @@ class Sanitizer:
         if self._metrics is not None:
             self._metrics.counter("analysis.sanitizer.findings").inc()
             self._metrics.counter(f"analysis.rule.{rule_id}").inc()
-
-    # -- session / lock tracking ------------------------------------------
-
-    @contextmanager
-    def session(self, session_id: int) -> Iterator[None]:
-        previous = self.current_session
-        self.current_session = session_id
-        try:
-            yield
-        finally:
-            self.current_session = previous
-
-    def on_lock_acquire(
-        self, session_id: int, resource: Hashable, exclusive: bool
-    ) -> None:
-        self.current_session = session_id
-        self._locks_held.setdefault(session_id, set()).add(resource)
-
-    def on_lock_release(self, session_id: int) -> None:
-        self._locks_held.pop(session_id, None)
-        if self.current_session == session_id:
-            self.current_session = 0
-
-    # -- lockset race detection (CON001) ----------------------------------
-
-    def on_row_access(self, resource: Hashable, *, write: bool) -> None:
-        """One session touched one shared row (Eraser state machine)."""
-        session = self.current_session
-        state = self._resources.get(resource)
-        if state is None:
-            self._resources[resource] = _ResourceState(session)
-            return
-        if state.state == _EXCLUSIVE:
-            if state.owner == session:
-                return
-            # Second session: the candidate lockset starts as whatever
-            # the new accessor holds (first-access locks are unknowable
-            # after the fact; Eraser refines from here).
-            state.lockset = frozenset(self._locks_held.get(session, ()))
-            state.state = _SHARED_MODIFIED if write else _SHARED
-        else:
-            held = self._locks_held.get(session, ())
-            assert state.lockset is not None
-            state.lockset = state.lockset & frozenset(held)
-            if write:
-                state.state = _SHARED_MODIFIED
-        if (
-            state.state == _SHARED_MODIFIED
-            and not state.lockset
-            and not state.reported
-        ):
-            state.reported = True
-            self._report(
-                "CON001",
-                f"resource {resource!r} written by concurrent sessions "
-                "with no common lock",
-                f"session={session}",
-            )
 
     # -- write-ahead protocol (CON002/CON003) ------------------------------
 
@@ -235,7 +140,6 @@ class Sanitizer:
                 "CON002",
                 f"{self.data_dirties} data-page mutation(s) reached the "
                 "statement boundary without a covering WAL append",
-                f"session={self.current_session}",
             )
         self.data_dirties = 0
         self._wal_row_records = 0
@@ -255,13 +159,6 @@ class Sanitizer:
     def on_close(self, db: "Database") -> None:
         """End-of-life checks, run by ``Database.close``."""
         self.report.checked += 1
-        for resource, holders in db.locks._holders.items():
-            for session_id in holders:
-                self._report(
-                    "CON005",
-                    f"session {session_id} never released {resource!r} "
-                    "(missing release_session)",
-                )
         if db.transactions.active:
             self._report("CON006", "transaction still open at close")
         self._check_pins(db)
@@ -270,18 +167,17 @@ class Sanitizer:
 # -- the CLI scenario -------------------------------------------------------
 #
 # ``python -m repro.analysis --sanitize`` needs a workload that drives
-# every instrumented path with a *correct* locking and logging
-# discipline: multi-session locked read-modify-writes, index and scan
-# reads, a checkpoint mid-run (write-ahead rule under writeback), a
-# rollback, and a clean close.  On an unmutated engine the report must
-# come back empty; the ``skip-wal-append`` seeded mutation must make
-# CON002 fire.
+# every instrumented path with a *correct* logging discipline:
+# read-modify-write transactions, index and scan reads, a checkpoint
+# mid-run (write-ahead rule under writeback), a rollback, and a clean
+# close.  On an unmutated engine the report must come back empty; the
+# ``skip-wal-append`` seeded mutation must make CON002 fire.
 
 #: Seeded defect: the transaction manager drops its logical redo
 #: records (see ``DurabilityManager.log``).
 MUTATE_SKIP_APPEND = "skip-wal-append"
 
-_SESSIONS = 3
+_WRITERS = 3
 _ROUNDS = 8
 _ROWS = 4
 _TIMING_SAMPLES = 3
@@ -334,12 +230,9 @@ def _run_scenario(
         for row_id in range(_ROWS):
             db.execute("INSERT INTO counters VALUES (?, ?)", [row_id, 0])
         for round_no in range(_ROUNDS):
-            for session in range(1, _SESSIONS + 1):
-                row_id = (round_no + session) % _ROWS
+            for writer in range(1, _WRITERS + 1):
+                row_id = (round_no + writer) % _ROWS
                 db.execute("BEGIN")
-                db.locks.acquire(
-                    session, ("rows", "counters", row_id), exclusive=True
-                )
                 current = db.execute(
                     "SELECT value FROM counters WHERE id = ?", [row_id]
                 ).scalar()
@@ -349,23 +242,15 @@ def _run_scenario(
                 )
                 # Every third transaction aborts: the rollback path
                 # must log its compensation records too.
-                if (round_no + session) % 3 == 0:
+                if (round_no + writer) % 3 == 0:
                     db.execute("ROLLBACK")
                 else:
                     db.execute("COMMIT")
-                db.locks.release_session(session)
             if round_no == _ROUNDS // 2:
                 # Mid-run checkpoint: dirty frames write back under the
                 # WAL rule while the sanitizer watches (CON003 path).
                 db.checkpoint()
-        # A shared scan.  The reader takes the *same row locks* the
-        # writers used (shared mode): Eraser has no lock-granularity
-        # model, so a table-level lock would read as a disjoint lockset.
-        db.locks.acquire(1, ("table", "counters"), exclusive=False)
-        for row_id in range(_ROWS):
-            db.locks.acquire(1, ("rows", "counters", row_id), exclusive=False)
         db.execute("SELECT id, value FROM counters WHERE id >= 0")
-        db.locks.release_session(1)
         db.close()
         report = (
             db.sanitizer.report if db.sanitizer is not None else AnalysisReport()

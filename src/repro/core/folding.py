@@ -89,12 +89,6 @@ class ChunkAssignment:
     indexed: bool
     slots: tuple[tuple[str, str], ...]  # (logical column, slot name)
 
-    def slot_of(self, column: str) -> str:
-        for name, slot in self.slots:
-            if name == column:
-                return slot
-        raise PlanError(f"column {column!r} not in chunk {self.chunk_id}")
-
 
 def _assign_slots(columns: list[LogicalColumn]) -> tuple[ChunkShape, tuple]:
     shape = ChunkShape.of_columns(columns)

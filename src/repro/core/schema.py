@@ -261,19 +261,3 @@ class MultiTenantSchema:
             ]
 
         return lookup
-
-    def column_origin(
-        self, tenant_id: int, table_name: str, column_name: str
-    ) -> Extension | None:
-        """None when the column is part of the base table; otherwise the
-        extension that contributes it."""
-        base = self.table(table_name)
-        if base.has_column(column_name):
-            return None
-        for extension in self.extensions_of(tenant_id, table_name):
-            for col in extension.columns:
-                if col.lname == column_name.lower():
-                    return extension
-        raise UnknownObjectError(
-            f"tenant {tenant_id} has no column {column_name!r} in {table_name}"
-        )

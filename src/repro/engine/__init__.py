@@ -24,7 +24,6 @@ from .errors import (  # noqa: F401
 )
 from .explain import count_operators, plan_shape, render_plan  # noqa: F401
 from .heap import InsertStrategy, RowId  # noqa: F401
-from .locks import LockStats, LockTable  # noqa: F401
 from .observability import (  # noqa: F401
     AnalyzeCollector,
     Counter,

@@ -112,14 +112,16 @@ def _block(columns: list) -> bytes:
 class _LeafImage:
     """An undecoded leaf: its keys' block, its RIDs' block, and, when
     a key holds several RIDs, ``bounds``: entry ``i``'s RIDs are rows
-    ``bounds[i]`` .. ``bounds[i + 1] - 1`` of the RIDs."""
+    ``bounds[i]`` .. ``bounds[i + 1] - 1`` of the RIDs.  ``key_rows``
+    holds the keys once :meth:`decoded_keys` has decoded them."""
 
-    __slots__ = ("data", "keys", "bounds", "rids")
+    __slots__ = ("data", "keys", "bounds", "rids", "key_rows")
 
     def __init__(self, data: bytes) -> None:
         _, k, n, count, _ = _LEAF_HEAD.unpack_from(data)
         self.data = data
         self.keys = Columns.after_tags(data, _LEAF_HEAD.size, n, k)
+        self.key_rows: list[tuple] | None = None
         at = self.keys.end
         self.bounds = None
         if count != n:
@@ -143,6 +145,12 @@ class _LeafImage:
             return [self.rids.row(i)]
         return list(map(self.rids.row, range(bounds[i], bounds[i + 1])))
 
+    def decoded_keys(self) -> list[tuple]:
+        """Every key, decoded on the first call only."""
+        if self.key_rows is None:
+            self.key_rows = self.keys.rows()
+        return self.key_rows
+
     def decode(self) -> tuple[list[tuple], list[list[RowId]]]:
         """Every key, and every key's RIDs."""
         rids = self.rids.rows()
@@ -151,7 +159,7 @@ class _LeafImage:
             rid_lists = list(map(list, zip(rids)))
         else:
             rid_lists = list(map(rids.__getitem__, map(slice, bounds, bounds[1:])))
-        return self.keys.rows(), rid_lists
+        return self.decoded_keys(), rid_lists
 
 
 class _Leaf:
@@ -461,7 +469,7 @@ class BTreeIndex:
         """Cache and return the decorated keys of a leaf; an undecoded
         one decodes its keys for it, not its RIDs."""
         image = leaf.image
-        keys = leaf.keys if image is None else image.keys.rows()
+        keys = leaf.keys if image is None else image.decoded_keys()
         dec = self._node_dec[page_id] = list(map(self._order, keys))
         return dec
 

@@ -26,7 +26,6 @@ from .durability.wal import WalStats
 from .errors import EngineError, PlanError, SemanticError
 from .expr import Compiled, ExprCompiler, Schema, Slot
 from .heap import InsertStrategy
-from .locks import LockTable
 from .observability import (
     AnalyzeCollector,
     CounterWindow,
@@ -133,7 +132,6 @@ class Database:
             insert_strategy=insert_strategy,
             prefix_compression=prefix_compression,
         )
-        self.locks = LockTable(metrics=self.metrics)
         self.transactions = TransactionManager(
             self.catalog, metrics=self.metrics, durability=self.durability
         )
@@ -357,7 +355,7 @@ class Database:
         analyze: bool = True,
     ) -> QueryTrace:
         """Execute one statement and return a :class:`QueryTrace` with
-        the buffer-pool / executor / lock / WAL deltas it caused.
+        the buffer-pool / executor / WAL deltas it caused.
 
         SELECTs additionally capture the EXPLAIN ANALYZE operator tree
         unless ``analyze=False``.  The experiments build Figure 10 and
@@ -366,7 +364,6 @@ class Database:
         window = CounterWindow(
             pool=self.pool.stats,
             exec=self._executor.stats,
-            locks=self.locks.stats,
             wal=self.wal_stats,
         )
         collector = AnalyzeCollector() if analyze else None

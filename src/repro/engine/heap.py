@@ -120,11 +120,6 @@ class HeapFile:
         self._pool.mark_dirty(page.page_id)
         self.row_count += 1
         self._stats.inserts += 1
-        san = self._pool.sanitizer
-        if san is not None:
-            san.on_row_access(
-                (self.segment_id, page.page_id, slot_no), write=True
-            )
         return (page.page_id, slot_no)
 
     def _choose_page(self, need: int) -> Page | None:
@@ -163,8 +158,8 @@ class HeapFile:
         Consecutive RIDs on one page form a run, read through one
         :meth:`BufferPool.read_run` call that counts one logical read
         per row, so page accounting equals one :meth:`fetch` per RID.
-        The dangling-RID check, ``heap.fetches`` and the sanitizer's
-        row access still happen once per row."""
+        The dangling-RID check and ``heap.fetches`` still happen once
+        per row."""
         self._stats.fetches += len(rids)
         rows: list[tuple] = []
         for page_id, run in groupby(rids, _page_of):
@@ -173,14 +168,7 @@ class HeapFile:
 
     def _read_run(self, page_id: int, run: list[RowId]) -> list[tuple]:
         page = self._pool.read_run(page_id, len(run))
-        rows = self._page_rows(page.payload, run)
-        san = self._pool.sanitizer
-        if san is not None:
-            for _, slot in run:
-                san.on_row_access(
-                    (self.segment_id, page_id, slot), write=False
-                )
-        return rows
+        return self._page_rows(page.payload, run)
 
     @staticmethod
     def _page_rows(payload: ColumnPage, run: list[RowId]) -> list[tuple]:
@@ -311,9 +299,6 @@ class HeapFile:
             page.used += delta
             self._free_map[page_id] = page.free
             self._pool.mark_dirty(page_id)
-            san = self._pool.sanitizer
-            if san is not None:
-                san.on_row_access((self.segment_id, page_id, slot), write=True)
             return rid
         # Doesn't fit: delete here, insert elsewhere (forwarding not
         # modelled; callers maintain indexes and receive the new RID).
@@ -354,9 +339,6 @@ class HeapFile:
         self._free_map[page_id] = page.free
         self._pool.mark_dirty(page_id)
         self.row_count -= 1
-        san = self._pool.sanitizer
-        if san is not None:
-            san.on_row_access((self.segment_id, page_id, slot), write=True)
 
     # -- slot writes: every write decodes an undecoded page first.
 

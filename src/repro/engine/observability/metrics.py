@@ -18,7 +18,7 @@ FoundationDB Record Layer.  One mechanism, three roles:
   before/after primitive; ``db.trace`` is built on them.
 
 Naming convention: dotted lowercase paths, ``<subsystem>.<detail>``,
-e.g. ``pool.data.logical_reads`` or ``locks.wait_ms``.  Histogram names
+e.g. ``pool.data.logical_reads`` or ``db.wal.fsyncs``.  Histogram names
 end in a unit suffix (``_ms``, ``_rows``) where applicable.
 """
 
@@ -40,7 +40,7 @@ HISTOGRAM_RESERVOIR = 8192
 @dataclass
 class CounterSet:
     """Base of the per-component stats dataclasses (``PoolStats``,
-    ``ExecStats``, ``LockStats``, ``WalStats``, ...): every field is a
+    ``ExecStats``, ``WalStats``, ...): every field is a
     number the component increments in place, on the instance it got
     from :meth:`MetricsRegistry.counter_set`."""
 

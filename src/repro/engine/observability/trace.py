@@ -1,7 +1,7 @@
 """Per-query traces: one statement's engine work, attributed.
 
 A :class:`QueryTrace` is the unit the experiments consume: it snapshots
-the buffer-pool, executor, and lock counters around one statement and
+the buffer-pool, executor, and WAL counters around one statement and
 keeps the deltas, the wall time, the result, and — for SELECTs — the
 EXPLAIN ANALYZE operator tree.  ``Database.trace(sql)`` produces one;
 the Figure 10 / 11 benchmarks and Experiment 2 harness read page-read
@@ -18,7 +18,6 @@ from .analyze import OperatorStats
 if TYPE_CHECKING:  # pragma: no cover - the components import this package
     from ..durability.wal import WalStats
     from ..vexecutor import ExecStats
-    from ..locks import LockStats
     from ..pager import PoolStats
 
 
@@ -34,7 +33,6 @@ class QueryTrace:
     elapsed_ms: float
     pool: PoolStats
     exec: ExecStats
-    locks: LockStats
     #: WAL activity (records appended, bytes flushed, fsyncs) caused by
     #: this statement; all-zero in memory mode.
     wal: WalStats
@@ -92,11 +90,6 @@ class QueryTrace:
                 f"lookups={self.exec.index_lookups} "
                 f"sorts={self.exec.sorts} "
                 f"batches={self.exec.batches}"
-            ),
-            (
-                f"locks: acquisitions={self.locks.acquisitions} "
-                f"conflicts={self.locks.conflicts} "
-                f"waits={self.locks.waits} wait_ms={self.locks.wait_ms:.3f}"
             ),
         ]
         if self.wal.records or self.wal.bytes_written:

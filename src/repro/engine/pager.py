@@ -345,30 +345,6 @@ class BufferPool:
             pid for pid, p in self._disk.items() if p.segment_id == segment_id
         }
 
-    def resident_ratio(self, segment_ids: set[int]) -> float:
-        """Fraction of a segment set's pages currently resident."""
-        if self._store is not None:
-            total_pids: set[int] = set()
-            for segment_id in segment_ids:
-                total_pids |= self.pages_in_segment(segment_id)
-            if not total_pids:
-                return 1.0
-            resident = sum(
-                1
-                for pid, frame in self._frames.items()
-                if frame.page.segment_id in segment_ids
-            )
-            return resident / len(total_pids)
-        total = sum(1 for p in self._disk.values() if p.segment_id in segment_ids)
-        if total == 0:
-            return 1.0
-        resident = sum(
-            1
-            for pid in self._frames
-            if self._disk[pid].segment_id in segment_ids
-        )
-        return resident / total
-
     # -- internals ----------------------------------------------------------
 
     def _admit(self, page: Page) -> _Frame:

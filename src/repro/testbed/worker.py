@@ -143,13 +143,6 @@ class Worker:
             lock_conflicts=conflicts,
             ddl_statements=ddl_delta,
         )
-        if conflicts:
-            # The cost model charged the wait; record it in the engine's
-            # lock ledger so ``locks.waits`` / ``locks.wait_ms`` reflect
-            # the contention the run simulated.
-            db.locks.record_wait(
-                conflicts, conflicts * self.cost_model.lock_conflict_ms
-            )
         db.metrics.histogram(
             f"testbed.action.{action.value.lower().replace(' ', '_')}.ms"
         ).observe(response_ms)

@@ -66,14 +66,14 @@ class TestSeededInversion:
 
 class TestScanner:
     def test_synthetic_source_backward_edge(self, tmp_path):
-        """A lock-table implementation that calls back into the heap is
-        exactly the inversion the pass must flag on real code too."""
+        """A log method that calls back into the heap is exactly the
+        inversion the pass must flag on real code too."""
         (tmp_path / "bad.py").write_text(
             textwrap.dedent(
                 """
-                class LockTable:
-                    def acquire(self, session_id, resource):
-                        self._heap.fetch(resource)
+                class WriteAheadLog:
+                    def append(self, record):
+                        self._heap.fetch(record)
                 """
             )
         )

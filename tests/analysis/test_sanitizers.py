@@ -97,45 +97,7 @@ class TestWriteAheadChecks:
         recovered.close()
 
 
-class TestLocksetRaces:
-    def test_disjoint_locksets_report_once(self):
-        db = Database(sanitize=True)
-        db.execute("CREATE TABLE t (id INTEGER NOT NULL)")
-        db.execute("CREATE UNIQUE INDEX t_pk ON t (id)")
-        db.execute("INSERT INTO t VALUES (1)")
-        for worker in (1, 2, 1, 2):
-            db.locks.acquire(worker, ("mine", worker), exclusive=True)
-            db.execute("UPDATE t SET id = 1 WHERE id = 1")
-            db.locks.release_session(worker)
-        rules = db.sanitizer.report.by_rule()
-        assert rules.get("CON001", 0) == 1  # reported once per resource
-
-    def test_common_lock_is_clean(self):
-        db = Database(sanitize=True)
-        db.execute("CREATE TABLE t (id INTEGER NOT NULL)")
-        db.execute("CREATE UNIQUE INDEX t_pk ON t (id)")
-        db.execute("INSERT INTO t VALUES (1)")
-        for worker in (1, 2, 3):
-            db.locks.acquire(worker, ("rows", "t", 1), exclusive=True)
-            db.execute("UPDATE t SET id = 1 WHERE id = 1")
-            db.locks.release_session(worker)
-        assert db.sanitizer.report.ok
-
-    def test_single_session_never_reports(self):
-        db = Database(sanitize=True)
-        db.execute("CREATE TABLE t (id INTEGER NOT NULL)")
-        for i in range(5):
-            db.execute("INSERT INTO t VALUES (?)", [i])
-        db.execute("UPDATE t SET id = 9 WHERE id = 0")
-        assert db.sanitizer.report.ok
-
-
 class TestLeakChecks:
-    def test_unreleased_session_reports_con005(self, sdb):
-        sdb.locks.acquire(7, ("table", "t"), exclusive=True)
-        sdb.close()
-        assert sdb.sanitizer.report.by_rule().get("CON005") == 1
-
     def test_open_transaction_reports_con006(self, sdb):
         sdb.execute("CREATE TABLE t (id INTEGER NOT NULL)")
         sdb.execute("BEGIN")
@@ -173,12 +135,12 @@ class TestWiring:
     def test_attach_points(self):
         db = Database(sanitize=True)
         assert isinstance(db.sanitizer, Sanitizer)
-        assert db.locks.sanitizer is db.sanitizer
         assert db.pool.sanitizer is db.sanitizer
         assert db.transactions.sanitizer is db.sanitizer
 
     def test_findings_feed_metrics(self, sdb):
-        sdb.locks.acquire(5, ("table", "x"), exclusive=True)
+        sdb.execute("CREATE TABLE t (id INTEGER NOT NULL)")
+        sdb.execute("BEGIN")
         sdb.close()
-        assert sdb.metrics.value("analysis.rule.CON005") == 1
+        assert sdb.metrics.value("analysis.rule.CON006") == 1
         assert sdb.metrics.value("analysis.sanitizer.findings") == 1

@@ -5,7 +5,7 @@ suites) a deterministic per-test RNG with a replayable seed: derived
 from the test's node id by default, so every test draws a distinct but
 stable stream, and overridable for replaying a failure::
 
-    REPRO_TEST_SEED=123456 pytest tests/engine/test_lock_stress.py
+    REPRO_TEST_SEED=123456 pytest tests/engine/test_interleaved_transactions.py
 
 The seed is printed to captured stdout, so a failing test's report
 always shows the exact seed to replay it with.

@@ -84,13 +84,6 @@ class TestPartitionColumns:
         with pytest.raises(PlanError):
             partition_columns(MIXED, width=0)
 
-    def test_slot_of(self):
-        assignments = partition_columns(MIXED, width=10)
-        data_chunk = assignments[-1]
-        assert data_chunk.slot_of("name") == "str1"
-        with pytest.raises(PlanError):
-            data_chunk.slot_of("id")  # lives in the indexed chunk
-
     @settings(max_examples=50, deadline=None)
     @given(
         n_cols=st.integers(1, 30),

@@ -1,14 +1,11 @@
 """Unit tests for transformation-layer meta-data: row ids, column ids,
-lock accounting, and the budget report."""
-
-import pytest
+and the budget report."""
 
 from repro.core.metadata import (
     ColumnIdAllocator,
     MetadataReport,
     RowIdAllocator,
 )
-from repro.engine.locks import LockTable
 
 
 def _from_zero(_tenant_id: int, _table: str) -> int:
@@ -135,41 +132,3 @@ class TestMetadataReport:
         assert "chunk_folding" in text
         assert "16384" in text
 
-
-class TestLockTable:
-    def test_exclusive_conflicts(self):
-        locks = LockTable()
-        assert locks.acquire(1, "r", exclusive=True) == 0
-        assert locks.acquire(2, "r", exclusive=True) == 1
-        assert locks.stats.conflicts == 1
-
-    def test_shared_locks_coexist(self):
-        locks = LockTable()
-        locks.acquire(1, "r", exclusive=False)
-        assert locks.acquire(2, "r", exclusive=False) == 0
-
-    def test_shared_blocks_exclusive(self):
-        locks = LockTable()
-        locks.acquire(1, "r", exclusive=False)
-        assert locks.acquire(2, "r", exclusive=True) == 1
-
-    def test_reacquire_own_lock_free(self):
-        locks = LockTable()
-        locks.acquire(1, "r", exclusive=True)
-        assert locks.acquire(1, "r", exclusive=True) == 0
-
-    def test_release_session(self):
-        locks = LockTable()
-        locks.acquire(1, "r", exclusive=True)
-        locks.release_session(1)
-        assert locks.acquire(2, "r", exclusive=True) == 0
-        assert locks.held_by(1) == 0
-
-    def test_stats_delta(self):
-        locks = LockTable()
-        locks.acquire(1, "r", exclusive=True)
-        before = locks.stats.snapshot()
-        locks.acquire(2, "r", exclusive=True)
-        delta = locks.stats.delta(before)
-        assert delta.acquisitions == 1
-        assert delta.conflicts == 1

@@ -5,7 +5,7 @@ import pytest
 from repro import Extension, LogicalColumn, LogicalTable
 from repro.core.schema import MultiTenantSchema
 from repro.engine.errors import CatalogError, UnknownObjectError
-from repro.engine.values import INTEGER, varchar
+from repro.engine.values import INTEGER
 
 from .conftest import account_table, automotive_extension, healthcare_extension
 
@@ -84,17 +84,6 @@ class TestTenantViews:
     def test_different_tenants_different_views(self, schema):
         t42 = schema.logical_table(42, "account")
         assert [c.lname for c in t42.columns] == ["aid", "name", "opened", "dealers"]
-
-    def test_column_origin_base(self, schema):
-        assert schema.column_origin(17, "account", "name") is None
-
-    def test_column_origin_extension(self, schema):
-        origin = schema.column_origin(17, "account", "beds")
-        assert origin is not None and origin.name == "healthcare"
-
-    def test_column_origin_unknown_raises(self, schema):
-        with pytest.raises(UnknownObjectError):
-            schema.column_origin(35, "account", "beds")
 
     def test_grant_extension_changes_view(self, schema):
         schema.grant_extension(35, "automotive")

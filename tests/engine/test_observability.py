@@ -216,7 +216,6 @@ class TestQueryTrace:
         text = trace.render()
         assert "pool:" in text
         assert "exec:" in text
-        assert "locks:" in text
 
     def test_analyze_false_skips_plan(self, db):
         trace = db.trace("SELECT COUNT(*) FROM t", analyze=False)
@@ -345,9 +344,6 @@ def worked(tmp_path_factory):
     disk = build(str(tmp_path_factory.mktemp("ledger")))
     traced = []
     for database in (memory, disk):
-        database.locks.acquire(1, ("table", "t"), exclusive=False)
-        database.locks.acquire(2, ("table", "t"), exclusive=True)
-        database.locks.record_wait(1, 3.0)
         for sql, params in SCRIPT:
             before = database.metrics.snapshot()
             trace = database.trace(sql, params)
@@ -383,7 +379,7 @@ class TestCounterSets:
 
     def test_trace_deltas_are_registry_differences(self, worked):
         for trace, before, after in worked[2]:
-            for delta in (trace.pool, trace.exec, trace.locks, trace.wal):
+            for delta in (trace.pool, trace.exec, trace.wal):
                 for name, value in exported(delta).items():
                     assert value == after.get(name, 0) - before.get(name, 0)
 
@@ -391,7 +387,7 @@ class TestCounterSets:
     def test_trace_is_execute_between_two_snapshots(
         self, tmp_path, plan_cache_size
     ):
-        """Same rows, same four deltas, same cache verdict, and at most
+        """Same rows, same three deltas, same cache verdict, and at most
         one auto-checkpoint, statement by statement."""
         executed = build(str(tmp_path / "a"), plan_cache_size=plan_cache_size)
         traced = build(str(tmp_path / "b"), plan_cache_size=plan_cache_size)
@@ -401,7 +397,6 @@ class TestCounterSets:
             window = CounterWindow(
                 pool=executed.pool_stats,
                 exec=executed.exec_stats,
-                locks=executed.locks.stats,
                 wal=executed.wal_stats,
             )
             result = executed.execute(sql, params)
@@ -414,8 +409,8 @@ class TestCounterSets:
             assert (trace.columns, trace.rows, trace.rowcount) == (
                 result.columns, result.rows, result.rowcount
             )
-            assert (trace.pool, trace.exec, trace.locks, trace.wal) == (
-                deltas["pool"], deltas["exec"], deltas["locks"], deltas["wal"]
+            assert (trace.pool, trace.exec, trace.wal) == (
+                deltas["pool"], deltas["exec"], deltas["wal"]
             )
             hits = after["db.plan_cache.hits"] - before["db.plan_cache.hits"]
             assert trace.cache_hit == (hits == 1)

@@ -209,9 +209,3 @@ class TestSegments:
         assert dropped == 1
         with pytest.raises(EngineError):
             pool.read(a.page_id)
-
-    def test_resident_ratio(self):
-        pool = make_pool(capacity=1)
-        pool.allocate(1, PageKind.DATA)
-        pool.allocate(1, PageKind.DATA)
-        assert pool.resident_ratio({1}) == 0.5

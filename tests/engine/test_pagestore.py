@@ -741,6 +741,45 @@ class TestDecodeCost:
         leaf = index_db.pool.read(leaf_id).payload
         assert leaf.image is None
 
+    def test_a_probe_then_an_insert_decode_the_leaf_keys_once(
+        self, index_db, monkeypatch
+    ):
+        """A probe decorates an undecoded leaf's keys and an insert into
+        that leaf reuses them: the key block is decoded once, and the
+        decoded leaf holds the very key tuples the ``_order`` memo
+        keeps alive."""
+        m_k = index_db.catalog.table("m").indexes["m_k"].btree
+        path = m_k._descend((101,))[0]
+        index_db.pool.flush()
+        m_k._node_dec.clear()
+        m_k._order_cache.clear()  # as a reopened index starts
+        decoded = []
+        rows = columncodec.Columns.rows
+
+        def spy(block):
+            decoded.append(block)
+            return rows(block)
+
+        monkeypatch.setattr(columncodec.Columns, "rows", spy)
+        probe = (101,)
+        assert len(m_k.search(probe)) == 3
+        image = index_db.pool.read(path[-1]).payload.image
+        assert image is not None
+        index_db.execute("INSERT INTO m VALUES (?)", [101])
+        leaf = index_db.pool.read(path[-1]).payload
+        assert leaf.image is None
+        assert [block for block in decoded if block is image.keys] == [image.keys]
+        # Keys the memo met before the leaf's (the probe, the
+        # separators on the way down) are held as those objects.
+        met_before = {probe}
+        for page_id in path[:-1]:
+            met_before.update(index_db.pool.read(page_id).payload.separators)
+        memo = {key: key for key in m_k._order_cache}
+        fresh = [key for key in leaf.keys if key not in met_before]
+        assert len(fresh) > 1
+        assert all(memo[key] is key for key in fresh)
+        assert index_db.execute("SELECT COUNT(*) FROM m WHERE k = 101").scalar() == 4
+
     @pytest.fixture
     def column_db(self, tmp_path):
         """A table of 200 rows, checkpointed, its pages out of the

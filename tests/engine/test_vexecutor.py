@@ -563,29 +563,3 @@ class TestFetchMany:
             heap.fetch_many(rids)
         with pytest.raises(ExecutionError, match="dangling RID"):
             heap.fetch_many([(rids[0][0], 10_000)])
-
-    @pytest.mark.parametrize("storage", FORMER_STORAGE_SUFFIXES)
-    def test_sanitizer_sees_every_fetched_row(self, storage):
-        db = wide_db()
-
-        class Recorder:
-            def __init__(self):
-                self.accesses = []
-
-            def on_row_access(self, resource, *, write):
-                self.accesses.append((resource, write))
-
-        recorder = db.pool.sanitizer = Recorder()
-        heap = db.catalog.table("w").heap
-        window = CounterWindow(exec=db.exec_stats, heap=_heap_stats(db))
-        rows = db.execute("SELECT id, v FROM w WHERE k = 1").rows
-        fetched = window.deltas()["exec"].rows_fetched
-        assert len(rows) == fetched == 600
-        assert window.deltas()["heap"].fetches == fetched
-        info = db.catalog.table("w").indexes["w_ks"]
-        expected = [
-            ((heap.segment_id, *rid), False)
-            for batch in info.btree.prefix_batches((1,), 7)
-            for _key, rid in batch
-        ]
-        assert recorder.accesses == expected
