@@ -10,7 +10,7 @@ Also compares the greedy `FoldingPlanner`'s hot/cold split levels.
 
 import pytest
 
-from repro import Extension, FoldingPlanner, LogicalColumn, LogicalTable, MultiTenantDatabase
+from repro import FoldingPlanner, LogicalColumn, LogicalTable, MultiTenantDatabase
 from repro.core.folding import (
     ChunkShape,
     partition_columns,

@@ -10,7 +10,6 @@ variability and the worse the index hit ratio.
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.pager import PageKind
 from repro.core.api import MultiTenantDatabase
 from repro.experiments.report import render_table
 from repro.testbed.controller import Testbed, TestbedConfig

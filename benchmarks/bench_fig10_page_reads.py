@@ -11,7 +11,6 @@ accesses.
 import pytest
 
 from conftest import BENCH_SCALES, chunk_labels
-from repro.engine.pager import PageKind
 from repro.experiments.chunkqueries import TENANT, q2_sql
 from repro.experiments.report import render_series
 

@@ -11,7 +11,6 @@ for the Chunk column's index overhead (~25 % more physical data reads).
 
 import pytest
 
-from conftest import BENCH_CONFIG
 from repro.experiments.report import render_series
 
 WIDTHS = (3, 6, 15, 90)

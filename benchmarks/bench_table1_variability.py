@@ -5,8 +5,6 @@ tenants) — pure arithmetic, no database needed — and at the scaled size
 the Table 2 benchmark actually runs.
 """
 
-import pytest
-
 from repro.experiments.report import render_table
 from repro.testbed.variability import VariabilityConfig
 

@@ -9,7 +9,7 @@ accessed".
 
 import pytest
 
-from repro.engine.explain import count_operators, render_plan
+from repro.engine.explain import count_operators
 from repro.experiments.chunkqueries import TENANT, q2_sql
 from repro.experiments.report import render_table
 

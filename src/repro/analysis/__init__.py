@@ -1,10 +1,10 @@
 """Static analysis over the engine's and schema-mapping layer's IRs.
 
-Three passes (ISSUE 3):
+Three passes:
 
 1. :mod:`repro.analysis.semantic` — name/type resolution of SQL ASTs
-   against a physical catalog or a tenant's logical schema, run at
-   ``Database.prepare`` time.
+   against the engine's physical catalog, run at ``Database.prepare``
+   time.
 2. :mod:`repro.analysis.isolation` — proves every access to a shared
    physical table is dominated by tenant-identifying meta conjuncts.
 3. :mod:`repro.analysis.invariants` — layout invariants: fragment
@@ -20,17 +20,12 @@ and semantic only.
 """
 
 from .findings import AnalysisReport, Finding, RULES, Rule, Severity
-from .semantic import (
-    CatalogProvider,
-    LogicalSchemaProvider,
-    SemanticAnalyzer,
-)
+from .semantic import CatalogProvider, SemanticAnalyzer
 
 __all__ = [
     "AnalysisReport",
     "CatalogProvider",
     "Finding",
-    "LogicalSchemaProvider",
     "RULES",
     "Rule",
     "SemanticAnalyzer",

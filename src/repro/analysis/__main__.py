@@ -4,17 +4,15 @@ By default, runs the semantic, tenant-isolation, and layout-invariant
 passes over the Figure 5 CRM testbed at the Table 1 variability levels,
 printing a per-configuration summary and every finding.
 
-``--sanitize`` / ``--lockorder`` / ``--lint`` select the concurrency &
-durability tooling instead: the dynamic sanitizer scenario (CON rules),
-the static lock-order pass (LCK rules), and the protocol lint (LNT
-rules).  Any combination runs only the selected passes; without those
+``--sanitize`` / ``--lint`` select the durability tooling instead: the
+dynamic sanitizer scenario (CON rules) and the protocol lint (LNT
+rules).  Either or both run only the selected passes; without those
 flags the legacy layout analysis runs.
 
 ``--strict`` exits non-zero on any ERROR-severity finding — the CI
 gates.  ``--mutate`` applies one seeded defect first (the matching gate
 must then fail): the layout mutations feed the testbed passes,
-``skip-wal-append`` feeds ``--sanitize``, ``lock-order-inversion``
-feeds ``--lockorder``.
+``skip-wal-append`` feeds ``--sanitize``.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import sys
 
 from .findings import AnalysisReport, RULES
 from .lint import analyze_lint
-from .lockorder import MUTATE_LOCK_INVERSION, analyze_lock_order
 from .mutation import MUTATIONS
 from .runner import (
     ALL_LAYOUTS,
@@ -39,7 +36,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="Static analysis over the multi-tenant CRM testbed, "
-        "plus the durability sanitizer, lock-order and lint passes.",
+        "plus the durability sanitizer and lint passes.",
     )
     parser.add_argument(
         "--strict",
@@ -50,11 +47,6 @@ def main(argv: list[str] | None = None) -> int:
         "--sanitize",
         action="store_true",
         help="run the dynamic sanitizer scenario (CON rules)",
-    )
-    parser.add_argument(
-        "--lockorder",
-        action="store_true",
-        help="run the static lock-order pass (LCK rules)",
     )
     parser.add_argument(
         "--lint",
@@ -86,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--mutate",
-        choices=sorted(MUTATIONS) + [MUTATE_SKIP_APPEND, MUTATE_LOCK_INVERSION],
+        choices=sorted(MUTATIONS) + [MUTATE_SKIP_APPEND],
         default=None,
         help="apply a seeded defect first (the gate must then fail)",
     )
@@ -110,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{rule.rule_id}  {rule.severity!s:7s}  {rule.title}")
         return 0
 
-    tooling = args.sanitize or args.lockorder or args.lint
+    tooling = args.sanitize or args.lint
     if tooling:
         report = AnalysisReport()
         if args.sanitize:
@@ -122,16 +114,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"sanitize: {len(sub.findings)} finding(s) over "
                 f"{sub.checked} boundary check(s), "
                 f"{overhead:.2f}x instrumentation overhead"
-            )
-            report.extend(sub)
-        if args.lockorder:
-            lock_mutate = (
-                args.mutate if args.mutate == MUTATE_LOCK_INVERSION else None
-            )
-            sub = analyze_lock_order(mutate=lock_mutate)
-            print(
-                f"lockorder: {len(sub.findings)} finding(s) over "
-                f"{sub.checked} acquisition edge(s)"
             )
             report.extend(sub)
         if args.lint:
@@ -147,10 +129,10 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         return 0
 
-    if args.mutate in (MUTATE_SKIP_APPEND, MUTATE_LOCK_INVERSION):
+    if args.mutate == MUTATE_SKIP_APPEND:
         parser.error(
-            f"--mutate {args.mutate} applies to the --sanitize/--lockorder "
-            "passes, not the layout analysis"
+            f"--mutate {args.mutate} applies to the --sanitize pass, "
+            "not the layout analysis"
         )
 
     config = AnalysisConfig(

@@ -70,10 +70,6 @@ RULES: dict[str, Rule] = {
         Rule("CON003", Severity.ERROR, "dirty page written back beyond flushed WAL tail"),
         Rule("CON004", Severity.ERROR, "buffer-pool pin leaked past statement end"),
         Rule("CON006", Severity.ERROR, "transaction left open at close"),
-        # -- static lock-order pass (LCK) ----------------------------------
-        Rule("LCK001", Severity.ERROR, "cycle in resource acquisition graph"),
-        Rule("LCK002", Severity.ERROR, "acquisition order inverts the resource hierarchy"),
-        Rule("LCK003", Severity.WARNING, "resource class missing from declared hierarchy"),
         # -- protocol lint rules (LNT) -------------------------------------
         Rule("LNT001", Severity.ERROR, "page mutation outside WAL-logged storage helpers"),
         Rule("LNT002", Severity.ERROR, "handler would swallow SimulatedCrash"),

@@ -5,9 +5,8 @@ them over the :mod:`ast` of the source tree:
 
 * **LNT001** — ``BufferPool.mark_dirty`` may only be called from the
   storage helpers that pair every page mutation with WAL bookkeeping
-  (heap, column store, B-tree, and the pool itself).  A ``mark_dirty``
-  anywhere else is a page mutation the durability layer never hears
-  about.
+  (heap, B-tree, and the pool itself).  A ``mark_dirty`` anywhere
+  else is a page mutation the durability layer never hears about.
 * **LNT002** — a bare ``except:`` or ``except BaseException:`` without
   a re-``raise`` would swallow :class:`SimulatedCrash`, which
   deliberately subclasses ``BaseException`` so that ``except

@@ -8,11 +8,9 @@ coercion rules — ints compare against doubles and booleans, ISO strings
 against DATEs — so anything the analyzer rejects would also misbehave
 or raise at execution time, just later and less legibly.
 
-Two schema providers exist: :class:`CatalogProvider` resolves against a
-physical :class:`~repro.engine.catalog.Catalog` (used by
-``Database.prepare``), and :class:`LogicalSchemaProvider` resolves
-against one tenant's logical view of a
-:class:`~repro.core.schema.MultiTenantSchema`.
+Names resolve through a :class:`SchemaProvider`;
+:class:`CatalogProvider` resolves against a physical
+:class:`~repro.engine.catalog.Catalog` (used by ``Database.prepare``).
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ def comparable(left: SqlType | None, right: SqlType | None) -> bool:
 
 
 class SchemaProvider(Protocol):
-    """Name resolution surface shared by physical and logical schemas."""
+    """Name resolution surface the analyzer resolves tables through."""
 
     def has_table(self, name: str) -> bool: ...
 
@@ -86,21 +84,6 @@ class CatalogProvider:
     def table_columns(self, name: str) -> list[tuple[str, SqlType, bool]]:
         table = self.catalog.table(name)
         return [(c.lname, c.type, c.not_null) for c in table.columns]
-
-
-class LogicalSchemaProvider:
-    """Resolve against one tenant's logical view of the shared schema."""
-
-    def __init__(self, schema: Any, tenant_id: int) -> None:
-        self.schema = schema
-        self.tenant_id = tenant_id
-
-    def has_table(self, name: str) -> bool:
-        return self.schema.has_table(name)
-
-    def table_columns(self, name: str) -> list[tuple[str, SqlType, bool]]:
-        logical = self.schema.logical_table(self.tenant_id, name)
-        return [(c.lname, c.type, c.not_null) for c in logical.columns]
 
 
 class _Scope:

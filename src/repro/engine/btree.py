@@ -6,7 +6,8 @@ the paper's Table 2 and Figure 10.
 
 Fan-out is driven by key *byte widths*: each entry charges the byte size
 of its key plus a fixed pointer.  With ``prefix_compression`` enabled
-(the default, after Graefe's partitioned B-trees which Section 6.1 cites)
+(always, for the catalog's indexes; after Graefe's partitioned B-trees
+which Section 6.1 cites)
 leading key columns that repeat the in-order predecessor's values are
 charged one marker byte instead of their full width.  Meta-data indexes
 such as ``(Tenant, Table, Chunk, Row)`` are highly redundant in their
@@ -340,7 +341,6 @@ class BTreeIndex:
         segment_id: int,
         *,
         unique: bool,
-        prefix_compression: bool,
         root_id: int,
         height: int,
         entry_count: int,
@@ -354,7 +354,8 @@ class BTreeIndex:
         index._pool = pool
         index.segment_id = segment_id
         index.unique = unique
-        index.prefix_compression = prefix_compression
+        # Every tree the catalog builds compresses prefixes.
+        index.prefix_compression = True
         index.entry_count = entry_count
         index.distinct_keys = distinct_keys
         index._prefix_distinct = list(prefix_distinct)

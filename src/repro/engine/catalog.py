@@ -335,14 +335,12 @@ class Catalog:
         *,
         table_metadata_cost: int = TABLE_METADATA_COST,
         insert_strategy: InsertStrategy = InsertStrategy.FIRST_FIT,
-        prefix_compression: bool = True,
     ) -> None:
         self._pool = pool
         self._tables: dict[str, Table] = {}
         self._next_segment = 1
         self.table_metadata_cost = table_metadata_cost
         self.insert_strategy = insert_strategy
-        self.prefix_compression = prefix_compression
         self.metadata_bytes = 0
         self.ddl_statements = 0
         #: Monotonically increasing schema version, bumped on every
@@ -444,12 +442,7 @@ class Catalog:
         if key in table.indexes:
             raise DuplicateObjectError(f"index {index_name!r} already exists")
         positions = tuple(table.column_position(c) for c in column_names)
-        btree = BTreeIndex(
-            self._pool,
-            self._next_segment,
-            unique=unique,
-            prefix_compression=self.prefix_compression,
-        )
+        btree = BTreeIndex(self._pool, self._next_segment, unique=unique)
         self._next_segment += 1
         info = IndexInfo(
             index_name, table.name, tuple(column_names), unique, btree, positions

@@ -97,7 +97,6 @@ class Database:
         profile: OptimizerProfile = OptimizerProfile.ADVANCED,
         table_metadata_cost: int = TABLE_METADATA_COST,
         insert_strategy: InsertStrategy = InsertStrategy.FIRST_FIT,
-        prefix_compression: bool = True,
         plan_cache_size: int = 256,
         path: str | None = None,
         durability: DurabilityOptions | None = None,
@@ -130,7 +129,6 @@ class Database:
             self.pool,
             table_metadata_cost=table_metadata_cost,
             insert_strategy=insert_strategy,
-            prefix_compression=prefix_compression,
         )
         self.transactions = TransactionManager(
             self.catalog, metrics=self.metrics, durability=self.durability
@@ -527,15 +525,13 @@ class Database:
     def prepare(self, sql: str) -> PreparedStatement:
         """Parse (and, on first execution, plan) a statement once for
         repeated execution.  The handle is shared with the internal plan
-        cache, so ``prepare`` of an already-hot statement is free."""
-        if self._statements.enabled:
-            prepared = self._statements.get(sql)
-            if prepared is not None:
-                return prepared
-        stmt = parse_statement(sql)
-        prepared = PreparedStatement(self, stmt, sql)
+        cache, so ``prepare`` of an already-hot statement parses
+        nothing; the semantic analyzer runs on every call, hit or
+        miss."""
+        stmt, prepared, _ = self._lookup_statement(sql)
+        if prepared is None:
+            prepared = PreparedStatement(self, stmt, sql)
         self.analyze_statement(stmt, sql)
-        self._statements.put(sql, prepared)
         return prepared
 
     def prepare_ast(self, stmt: ast.Statement) -> PreparedStatement:
@@ -549,9 +545,10 @@ class Database:
         """Run the static semantic analyzer over one statement.
 
         Called on every ``prepare`` so semantically invalid statements
-        are rejected with a rule id *before* planning and before they
-        can poison the plan cache.  Returns the (clean) report; raises
-        :class:`SemanticError` when any ERROR-severity finding exists.
+        are rejected with a rule id *before* planning, whether or not
+        ``execute`` cached the text first.  Returns the (clean) report;
+        raises :class:`SemanticError` when any ERROR-severity finding
+        exists.
         """
         from ..analysis.semantic import CatalogProvider, SemanticAnalyzer
 

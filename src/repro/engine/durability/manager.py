@@ -348,7 +348,6 @@ def restore_snapshot(db, snapshot: dict) -> dict | None:
                 db.pool,
                 ix["segment"],
                 unique=ix["unique"],
-                prefix_compression=catalog.prefix_compression,
                 root_id=ix["root_id"],
                 height=ix["height"],
                 entry_count=ix["entry_count"],

@@ -63,9 +63,10 @@ class SemanticError(EngineError):
     """Static semantic analysis rejected a statement before planning.
 
     Raised by ``Database.prepare`` / ``prepare_ast`` so bad statements
-    surface with a rule id instead of failing later (and never enter the
-    plan cache).  ``findings`` holds the offending
-    :class:`repro.analysis.findings.Finding` objects.
+    surface with a rule id instead of failing later — by ``prepare``
+    whether or not the text is already in the plan cache.  ``findings``
+    holds the offending :class:`repro.analysis.findings.Finding`
+    objects.
     """
 
     def __init__(self, findings) -> None:

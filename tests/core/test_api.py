@@ -3,16 +3,8 @@ flattening behaviour, Trashcan purge, and reporting."""
 
 import pytest
 
-from repro import (
-    Extension,
-    LogicalColumn,
-    LogicalTable,
-    MultiTenantDatabase,
-    OptimizerProfile,
-    PredicateOrder,
-)
+from repro import OptimizerProfile, PredicateOrder
 from repro.engine.errors import PlanError, UnknownObjectError
-from repro.engine.values import INTEGER, varchar
 
 from .conftest import build_running_example
 

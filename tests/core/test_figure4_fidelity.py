@@ -9,8 +9,6 @@ renames (``Table``→``tbl`` since TABLE is a keyword; 0-based Row ids as
 in the figure).
 """
 
-import pytest
-
 from repro import Extension, LogicalColumn, LogicalTable, MultiTenantDatabase
 from repro.engine.values import INTEGER, varchar
 

@@ -7,7 +7,6 @@ random operation sequences against every layout in parallel and
 compares full logical dumps after every step.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Extension, LogicalColumn, LogicalTable, MultiTenantDatabase

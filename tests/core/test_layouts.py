@@ -10,7 +10,7 @@ from repro.core.layouts import LAYOUTS, make_layout
 from repro.engine.errors import PlanError, UnknownObjectError
 from repro.engine.values import INTEGER, varchar
 
-from .conftest import ALL_LAYOUTS, build_running_example
+from .conftest import build_running_example
 
 
 class TestRunningExample:

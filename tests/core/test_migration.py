@@ -1,7 +1,5 @@
 """Tests for on-the-fly migration between representations."""
 
-import itertools
-
 import pytest
 
 from .conftest import build_running_example

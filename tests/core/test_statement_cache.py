@@ -13,8 +13,6 @@ underneath (CREATE INDEX on a physical table) must force a re-plan of
 the prepared physical statements without changing results.
 """
 
-import pytest
-
 from repro import Extension, LogicalColumn, LogicalTable, MultiTenantDatabase
 from repro.engine.values import INTEGER, varchar
 

@@ -18,7 +18,7 @@ from repro.engine.btree import (
 from repro.engine.database import Database
 from repro.engine.errors import UniqueViolation
 from repro.engine.heap import RowId
-from repro.engine.pager import BufferPool, Page, PageKind
+from repro.engine.pager import BufferPool, Page
 
 
 def make_index(unique=False, prefix_compression=True, capacity=256):

@@ -10,7 +10,7 @@ forces a re-plan; so does switching the optimizer profile).
 import pytest
 
 from repro.engine.database import Database
-from repro.engine.errors import PlanError, UnknownObjectError
+from repro.engine.errors import PlanError, SemanticError, UnknownObjectError
 from repro.engine.optimizer import Planner
 from repro.engine.optimizer import OptimizerProfile
 from repro.engine.sql import ast
@@ -101,6 +101,25 @@ class TestPreparedStatements:
         first = db.prepare("SELECT COUNT(*) FROM t")
         second = db.prepare("SELECT COUNT(*) FROM t")
         assert first is second
+
+    @pytest.mark.parametrize("execute_first", [False, True])
+    def test_prepare_analyzes_whether_or_not_execute_cached_it(
+        self, execute_first
+    ):
+        """``prepare`` takes the plan cache's own lookup: the verdict
+        and the hit/miss count do not depend on whether ``execute`` put
+        the text in the cache first."""
+        db = Database()
+        db.execute("CREATE TABLE t (x INTEGER)")
+        sql = "SELECT x FROM t WHERE x = 'abc'"
+        if execute_first:
+            db.execute(sql)
+        hits, misses = counter(db, "hits"), counter(db, "misses")
+        with pytest.raises(SemanticError) as raised:
+            db.prepare(sql)
+        assert [f.rule_id for f in raised.value.findings] == ["SEM007"]
+        assert counter(db, "hits") - hits == int(execute_first)
+        assert counter(db, "misses") - misses == int(not execute_first)
 
     def test_execute_ast_skips_text_round_trip(self):
         db = make_db()

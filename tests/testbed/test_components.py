@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.vexecutor import ExecStats
 from repro.engine.pager import PoolStats
-from repro.testbed.actions import ACTION_DISTRIBUTION, ActionClass
+from repro.testbed.actions import ActionClass
 from repro.testbed.crm import crm_tables
 from repro.testbed.deck import CardDeck
 from repro.testbed.generator import DataGenerator, TenantDataProfile
