@@ -169,8 +169,12 @@ class CrashpointRef:
 def static_crashpoints(root: str = SRC_ROOT) -> list[CrashpointRef]:
     """Every crashpoint name referenced anywhere under ``root``
     (definitions of the ``crashpoint`` methods themselves excluded)."""
+    return _crashpoint_refs(_modules(root))
+
+
+def _crashpoint_refs(modules: list[_Module]) -> list[CrashpointRef]:
     refs = []
-    for module in _modules(root):
+    for module in modules:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -268,12 +272,14 @@ def run_crashpoint_census() -> dict[str, int]:
 
 
 def _check_dead_crashpoints(
-    report: AnalysisReport, census: dict[str, int] | None
+    modules: list[_Module],
+    report: AnalysisReport,
+    census: dict[str, int] | None,
 ) -> None:
     if census is None:
         census = run_crashpoint_census()
     hit_names = [name for name, count in census.items() if count > 0]
-    for ref in static_crashpoints():
+    for ref in _crashpoint_refs(modules):
         report.checked += 1
         if not any(ref.matches(name) for name in hit_names):
             report.add(
@@ -384,10 +390,11 @@ def analyze_lint(
     pre-collected crashpoint hit counts (tests reuse one run); when
     omitted the census workload runs here."""
     report = AnalysisReport()
-    for module in _modules(root):
+    modules = _modules(root)
+    for module in modules:
         _check_mark_dirty(module, report)
         _check_crash_swallowing(module, report)
         _check_metric_lookups(module, report)
         _check_private_engine_imports(module, report)
-    _check_dead_crashpoints(report, census)
+    _check_dead_crashpoints(modules, report, census)
     return report

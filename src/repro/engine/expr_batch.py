@@ -1,8 +1,8 @@
 """Batch-level compilation of row expressions.
 
-A tuple-at-a-time interpreter pays one Python call *per row per
-expression* plus a generator/``tuple()``/``all()`` allocation per row
-per operator.  This module turns lists of per-row :data:`Compiled
+Running compiled row closures a row at a time pays one Python call
+*per row per expression* plus a generator/``tuple()``/``all()``
+allocation per row per operator.  This module turns lists of per-row :data:`Compiled
 <repro.engine.expr.Compiled>` closures into **one closure per batch**:
 the comprehension body is generated as source text and compiled with
 ``eval``, so the per-row loop runs inside a single C-level list

@@ -195,8 +195,8 @@ class HeapFile:
 
     def scan(self) -> Iterator[tuple[RowId, tuple]]:
         """Full scan in physical order, reading every page once and
-        assembling one tuple per live slot — index backfill, DML RID
-        matching and the reference interpreter read rows through it."""
+        assembling one tuple per live slot — index backfill and DML RID
+        matching read rows through it."""
         self._stats.scans += 1
         for pid in list(self._page_ids):
             payload: ColumnPage = self._pool.read(pid).payload

@@ -1,9 +1,9 @@
 """EXPLAIN ANALYZE: per-operator row counts and wall times.
 
-The executor wraps every physical operator's iterator in a timing shim
-when a collector is supplied, so each node accumulates how many rows it
-produced, how many times it was opened (NLJOIN inners re-open per outer
-row), and the wall time spent producing its rows.  Times are
+The executor wraps every physical operator's batch iterator in a timing
+shim when a collector is supplied, so each node accumulates how many
+rows it produced, how many times it was opened (NLJOIN inners re-open
+per outer row), and the wall time spent producing its rows.  Times are
 *inclusive* — a node's time contains its children's, exactly like the
 "actual time" column of PostgreSQL's EXPLAIN ANALYZE or the DB2 snapshot
 figures the paper's Figure 8 plans come from.
@@ -67,30 +67,12 @@ class AnalyzeCollector:
             self._stats[id(node)] = stat
         return stat
 
-    def wrap(self, node: phys.PNode, iterator: Iterator[tuple]) -> Iterator[tuple]:
-        """Time an operator's iterator; charges only time spent inside
-        ``next()`` (i.e. producing), not the consumer's."""
-        stat = self._ensure(node)
-        stat.opens += 1
-        it = iter(iterator)
-        while True:
-            t0 = time.perf_counter()
-            try:
-                row = next(it)
-            except StopIteration:
-                stat.time_ms += (time.perf_counter() - t0) * 1000.0
-                return
-            stat.time_ms += (time.perf_counter() - t0) * 1000.0
-            stat.rows += 1
-            yield row
-
     def wrap_batches(
         self, node: phys.PNode, batches: Iterator[list]
     ) -> Iterator[list]:
-        """Batch-aware sibling of :meth:`wrap` (which serves the
-        reference interpreter): one timing probe per *batch*, rows
-        accumulated from batch lengths, so both report the same row
-        counts."""
+        """Time an operator's batch iterator: one timing probe per
+        batch, charging only time spent inside ``next()`` (producing),
+        not the consumer's, and rows accumulated from batch lengths."""
         stat = self._ensure(node)
         stat.opens += 1
         it = iter(batches)

@@ -24,17 +24,13 @@ run with one slice, and FETCH reads a batch's rows with
 page that counts one logical read per row — so page touches, LRU order
 and every counter equal a fetch per RID.
 
-The semantics are specified by the tuple-at-a-time reference
-interpreter the test suites build beside it (``engine/executor.py``;
-nothing on the serving path imports it).  Accounting is bit-identical
-to it where it matters: all :class:`ExecStats` row counters, every
-buffer pool page touch, and every index traversal happen in the same
-order and quantity for the same plan, and EXPLAIN ANALYZE
-(:class:`~repro.engine.observability.AnalyzeCollector`, batch-aware
-shim) shows the same per-operator rows — the differential suites assert
-this across all seven schema-mapping layouts.  The one intentional
-divergence: under ``LIMIT`` this executor may scan up to one batch
-beyond the cutoff where the reference stops mid-row.
+Answers are held to SQLite and work to pinned counts
+(``tests/engine/executor_work.txt``): :class:`ExecStats` row counters,
+buffer-pool page touches and EXPLAIN ANALYZE's per-operator rows
+(:class:`~repro.engine.observability.AnalyzeCollector`) are a property
+of the plan, the same at every batch size, across all seven
+schema-mapping layouts.  Under ``LIMIT`` the work depends on the batch
+size: a scan may run up to one batch beyond the cutoff.
 """
 
 from __future__ import annotations
@@ -72,10 +68,8 @@ _row_of = itemgetter(1)  # (rid, row) -> row
 class ExecStats(CounterSet, prefix="db.exec"):
     """Row-level work counters for one database (cumulative).
 
-    The row counters are a property of the plan, not of how it is run:
-    the reference interpreter produces identical values for the same
-    plan (the differential suites assert this).  ``batches`` counts the
-    batches operators exchanged; the reference exchanges none.
+    The row counters are a property of the plan, not of how it is
+    batched.  ``batches`` counts the batches operators exchanged.
     """
 
     rows_scanned: int = 0
@@ -89,8 +83,8 @@ class ExecStats(CounterSet, prefix="db.exec"):
     batches: int = 0
 
     def row_counters(self) -> dict:
-        """The counters the reference interpreter must reproduce for an
-        identical plan (all but ``batches``)."""
+        """The counters that do not depend on the batch size (all but
+        ``batches``)."""
         return {k: v for k, v in vars(self).items() if k != "batches"}
 
 
@@ -111,10 +105,11 @@ def index_batches(
     scan: its equality prefix, optionally bounded by a range.
 
     The one index access routine: the executor consumes the batches,
-    the reference interpreter flattens them (``batch_rows=1``), so
-    index access patterns (and the page reads they cause) cannot drift
-    apart.  The B-tree takes each leaf's matching entries as one slice
-    and reads the next leaf only when a batch needs more entries.
+    join probes and DML row matching flatten them
+    (:func:`index_entries`), so index access patterns (and the page
+    reads they cause) cannot drift apart.  The B-tree takes each leaf's
+    matching entries as one slice and reads the next leaf only when a
+    batch needs more entries.
     """
     table = catalog.table(node.table_name)
     info = table.indexes.get(node.index_name.lower())
@@ -161,8 +156,8 @@ def index_entries(
 ) -> Iterator[tuple]:
     """:func:`index_batches` flattened at batch size 1: (key, rid) pairs
     one at a time, each leaf read only once the previous leaf's entries
-    are consumed — the access order of the reference interpreter and of
-    the join probes, which fetch each row as its entry arrives."""
+    are consumed — the access order of the join probes and of DML row
+    matching, which fetch each row as its entry arrives."""
     for batch in index_batches(catalog, stats, node, outer_row, params, 1):
         yield from batch
 
@@ -170,12 +165,12 @@ def index_entries(
 def _finalize_agg(spec: phys.AggSpec, acc) -> object:
     """Fold one group's accumulated raw values into the aggregate result.
 
-    Must agree exactly with the reference interpreter's per-row
-    ``_AggState`` accumulator: NULLs are skipped,
-    DISTINCT deduplicates by hash equality, SUM chains ``+`` left to
-    right, and MIN/MAX fall back to ``sort_key`` ordering
-    the moment a group's column mixes types.  Homogeneous native columns
-    — the overwhelmingly common case — fold with C-speed builtins.
+    NULLs are skipped, DISTINCT deduplicates by hash equality (first
+    seen kept), SUM chains ``+`` left to right, and MIN/MAX fall back to
+    ``sort_key`` ordering the moment a group's column mixes types
+    (``test_vexecutor.py::TestAggregateEdges`` holds these to
+    hand-written rows).  Homogeneous native columns — the overwhelmingly
+    common case — fold with C-speed builtins.
     """
     func = spec.func
     if func == "COUNT_STAR":
@@ -200,7 +195,7 @@ def _finalize_agg(spec: phys.AggSpec, acc) -> object:
     if not values:
         return None
     if func in ("SUM", "AVG"):
-        # Left to right, as the reference and SQLite add: ``sum``
+        # Left to right, as SQLite before 3.43 adds: ``sum``
         # compensates float rounding from Python 3.12 on.
         total = reduce(add, values)
         return total / len(values) if func == "AVG" else total
@@ -300,10 +295,9 @@ def _index_row_builder(positions: Sequence[int], width: int):
 class VectorizedExecutor:
     """Executes physical plans batch at a time.
 
-    ``run(root, params, collector=)`` is the whole contract (the
-    reference interpreter offers the same one).  ``stats`` is the
-    database's one :class:`ExecStats`; ``batch_rows`` exists for the
-    tests that cut batches at awkward sizes.
+    ``run(root, params, collector=)`` is the whole contract.  ``stats``
+    is the database's one :class:`ExecStats`; ``batch_rows`` exists for
+    the tests that cut batches at awkward sizes.
     """
 
     def __init__(
@@ -526,7 +520,7 @@ class VectorizedExecutor:
             for left_row in left_batch:
                 # The inner access node re-runs per outer row, keyed by
                 # it (IXSCAN key_exprs close over the outer schema) —
-                # same access pattern as the reference interpreter.
+                # same access pattern as one probe per row.
                 if probe is not None:
                     inner_rows = probe(left_row)
                     if inner_rows:

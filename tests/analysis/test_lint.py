@@ -110,6 +110,14 @@ class TestDeadCrashpointRule:
         # must be covered by the census, not vice versa.
         assert report.by_rule().get("LNT003", 0) >= 1
 
+    def test_a_synthetic_root_checks_its_own_crashpoints(self, tmp_path):
+        dead = write_tree(tmp_path / "dead", {"wal.py": "f.crashpoint('x.y')\n"})
+        [finding] = analyze_lint(root=dead, census={}).findings
+        assert finding.rule_id == "LNT003" and "'x.y'" in finding.message
+        assert finding.locus == "wal.py:1"
+        clean = write_tree(tmp_path / "clean", {"wal.py": "X = 1\n"})
+        assert analyze_lint(root=clean, census={}).findings == []
+
     def test_full_census_covers_all_static_refs(self, census):
         report = analyze_lint(census=census)
         assert report.by_rule().get("LNT003", 0) == 0

@@ -10,9 +10,12 @@ stable stream, and overridable for replaying a failure::
 The seed is printed to captured stdout, so a failing test's report
 always shows the exact seed to replay it with.
 
-``reference_run`` runs a plan on the tuple-at-a-time reference
-interpreter (``repro.engine.executor``, which no database runs);
-``assert_matches_reference`` holds the database's executor to it.
+``assert_pinned_work`` holds a SELECT to its line in
+``tests/engine/executor_work.txt`` (rows digest, ``ExecStats`` row
+counters, logical reads, heap fetches, per-operator rows), keyed by
+dataset (a layout, or a name for what a test builds), SQL and params.
+A missing line is written and fails its test: to regenerate, delete
+stale lines, rerun until green and review the diff.
 
 ``FORMER_STORAGES`` and ``FORMER_STORAGE_SUFFIXES`` are the case ids of
 tests that once ran on each of two page formats (a row-major heap page
@@ -21,17 +24,26 @@ cases so each keeps the name it has always been reported under, and
 both build the same table.
 """
 
+import hashlib
+import json
 import os
+import pathlib
 import random
 import zlib
 
 import pytest
 
-from repro.engine.executor import Executor
-from repro.engine.observability import AnalyzeCollector, CounterWindow
+from repro.engine.heap import HeapStats
+from repro.quality.corpus import build_engine_database, build_multitenant
 
 FORMER_STORAGES = ("heap", "columnar")
 FORMER_STORAGE_SUFFIXES = ("", " USING columnar")
+
+WORK_FILE = pathlib.Path(__file__).parent / "engine" / "executor_work.txt"
+PINNED = {
+    json.dumps(entry[:3]): entry[3]
+    for entry in map(json.loads, WORK_FILE.read_text().splitlines())
+}
 
 
 @pytest.fixture
@@ -45,35 +57,65 @@ def replay_rng(request):
     return random.Random(seed)
 
 
-def reference_run(db, sql_or_plan, params=()):
-    """One SELECT (SQL text, or a plan ``db`` built) on a reference
-    interpreter built here: ``(rows in order, ExecStats row counters,
-    buffer-pool logical reads, [(operator, rows)] in plan order)``.
-    It counts into ``db.exec_stats`` so that the one window also sees an
-    uncorrelated ``IN (SELECT ...)``, which the plan's compiled
-    expressions run through ``db`` itself."""
-    root = db.plan(sql_or_plan) if isinstance(sql_or_plan, str) else sql_or_plan
-    collector = AnalyzeCollector()
-    db._subquery_results.clear()
-    window = CounterWindow(pool=db.pool_stats, exec=db.exec_stats)
-    rows = Executor(db.catalog, db.exec_stats).run(
-        root, list(params), collector=collector
+def corpus_db(layout):
+    """The shared corpus on ``layout``, tenant 1's: ``(database, logical
+    -> physical SQL)``; ``conventional`` is the plain engine schema."""
+    if layout == "conventional":
+        return build_engine_database(), (lambda sql: sql)
+    mtd = build_multitenant(layout, primary_tenant=1)
+    return mtd.db, (lambda sql: mtd.transform_sql(1, sql))
+
+
+def normalize(rows):
+    """Rows comparable with SQLite's (which keeps True as 1 and a group's
+    1 or 1.0 as it likes), order-free: numbers as floats."""
+    return sorted(
+        (tuple(v if v is None or isinstance(v, str) else float(v) for v in row)
+         for row in rows),
+        key=repr,
     )
-    deltas = window.deltas()
-    operators = [(op.op_name, op.rows) for op in collector.operators(root)]
-    return rows, deltas["exec"].row_counters(), deltas["pool"].logical_total, operators
 
 
-def assert_matches_reference(db, sql, params=()):
-    """The database's executor and the reference agree on all four
-    measures — under LIMIT on rows only: the batched executor may scan
-    up to one batch past the cutoff.  Returns the rows.  It plans the
-    statement first: the first plan that needs a column's statistics
-    gathers them, and these measures compare execution, not planning."""
+def rows_digest(rows) -> str:
+    """``count:digest`` of rows in order (``repr`` tells 1, 1.0, True apart)."""
+    return f"{len(rows)}:{hashlib.sha256(repr(rows).encode()).hexdigest()[:16]}"
+
+
+def traced_work(db, sql, params=()):
+    """``(rows, work)`` of one traced SELECT, planned first so that the
+    work is execution's (a first plan may gather statistics).  Under
+    LIMIT the work depends on where batches end: only rows are kept."""
     db.plan(sql)
+    heap = db.metrics.counter_set(HeapStats)
+    fetches = heap.fetches
     trace = db.trace(sql, list(params))
-    operators = [(op.op_name, op.rows) for op in trace.operators]
-    ours = trace.rows, trace.exec.row_counters(), trace.pool.logical_total, operators
-    width = 1 if "LIMIT" in sql else len(ours)
-    assert ours[:width] == reference_run(db, sql, params)[:width], sql
-    return trace.rows
+    work = {"rows": rows_digest(trace.rows)}
+    if "LIMIT" not in sql:
+        work.update(
+            counters=trace.exec.row_counters(),
+            logical=trace.pool.logical_total,
+            fetches=heap.fetches - fetches,
+            operators=[[op.op_name, op.rows] for op in trace.operators],
+        )
+    return trace.rows, work
+
+
+def pinned_work(db, dataset, sql, params=()):
+    """The work pinned for ``sql`` over ``dataset`` (measured on ``db``
+    and written if missing)."""
+    key = json.dumps([dataset, sql, list(params)])
+    if key not in PINNED:
+        PINNED[key] = traced_work(db, sql, params)[1]
+        lines = (json.dumps([*json.loads(k), PINNED[k]], sort_keys=True)
+                 for k in sorted(PINNED))
+        WORK_FILE.write_text("".join(line + "\n" for line in lines))
+        pytest.fail(f"pinned new work in {WORK_FILE.name}: {key}")
+    return PINNED[key]
+
+
+def assert_pinned_work(db, dataset, sql, params=()):
+    """Hold a traced run of ``sql`` to its pinned work; returns the rows."""
+    expected = pinned_work(db, dataset, sql, params)
+    rows, work = traced_work(db, sql, params)
+    assert work == expected, (dataset, sql, params)
+    return rows

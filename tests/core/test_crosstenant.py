@@ -2,10 +2,10 @@
 
 The differential contract: a fused cross-tenant statement must return
 exactly what the per-tenant fan-out loop returns — same rows, same
-aggregates — on every layout, and again with each fused statement
-replayed on the reference interpreter.  The fan-out oracle is written
-independently of the fusion code (plain per-tenant ``execute()`` calls
-plus Python merging), so the two paths share no merge logic.
+aggregates — on every layout, each fused physical statement doing its
+pinned work.  The fan-out oracle is written independently of the fusion
+code (plain per-tenant ``execute()`` calls plus Python merging), so the
+two paths share no merge logic.
 """
 
 import pytest
@@ -14,12 +14,12 @@ from repro import LogicalColumn, LogicalTable, MultiTenantDatabase
 from repro.engine.errors import PlanError, UnknownObjectError
 from repro.engine.values import INTEGER, varchar
 
-from ..conftest import assert_matches_reference
+from ..conftest import assert_pinned_work
 from .conftest import ALL_LAYOUTS, build_running_example
 
 SEVEN_LAYOUTS = ["basic"] + ALL_LAYOUTS
-#: "tuple": the reference interpreter runs the fused statements too.
-ENGINES = ["vectorized", "tuple"]
+#: The one executor: the parameter keeps each case's reported name.
+ENGINES = ["vectorized"]
 
 #: (tenant, rows) for the differential schema; tenant 4 stays empty.
 _ROWS = {
@@ -30,25 +30,19 @@ _ROWS = {
 }
 
 
-def replay_on_reference(mtd: MultiTenantDatabase) -> None:
-    """``mtd.execute_cross`` first holds every fused physical statement
-    to the reference interpreter."""
+def build_plain(layout: str) -> MultiTenantDatabase:
+    """Four tenants over an extension-free schema every layout (basic
+    included) can represent, whose ``execute_cross`` first holds each
+    fused physical statement to its pinned work."""
+    mtd = MultiTenantDatabase(layout=layout)
     execute_cross = mtd.execute_cross
 
     def checked(sql, params=()):
         for physical in mtd.transform_cross_sql(sql):
-            assert_matches_reference(mtd.db, physical, params)
+            assert_pinned_work(mtd.db, f"crosstenant {layout}", physical, params)
         return execute_cross(sql, params)
 
     mtd.execute_cross = checked
-
-
-def build_plain(layout: str, execution: str) -> MultiTenantDatabase:
-    """Four tenants over an extension-free schema every layout (basic
-    included) can represent."""
-    mtd = MultiTenantDatabase(layout=layout)
-    if execution == "tuple":
-        replay_on_reference(mtd)
     mtd.define_table(
         LogicalTable(
             "item",
@@ -104,7 +98,7 @@ def fanout_grouped(mtd, ids, per_tenant_sql, params=()):
 @pytest.mark.parametrize("layout", SEVEN_LAYOUTS)
 class TestDifferential:
     def test_ordered_scan_matches_fanout(self, layout, execution):
-        mtd = build_plain(layout, execution)
+        mtd = build_plain(layout)
         fused = mtd.execute_cross(
             "SELECT TENANT_ID() AS t, id, val FROM item "
             "ORDER BY t, id FOR ALL TENANTS"
@@ -115,7 +109,7 @@ class TestDifferential:
         )
 
     def test_subset_with_parameter_matches_fanout(self, layout, execution):
-        mtd = build_plain(layout, execution)
+        mtd = build_plain(layout)
         fused = mtd.execute_cross(
             "SELECT TENANT_ID() AS t, id FROM item WHERE val >= ? "
             "ORDER BY t, id FOR TENANTS IN (1, 3)",
@@ -126,7 +120,7 @@ class TestDifferential:
         )
 
     def test_grouped_by_tenant_rollup_matches_fanout(self, layout, execution):
-        mtd = build_plain(layout, execution)
+        mtd = build_plain(layout)
         fused = mtd.execute_cross(
             "SELECT TENANT_ID(), COUNT(*), SUM(val), MIN(val), MAX(val), "
             "AVG(val) FROM item GROUP BY TENANT_ID() ORDER BY TENANT_ID() "
@@ -145,7 +139,7 @@ class TestDifferential:
         assert fused.rows == expected
 
     def test_global_rollup_matches_fanout(self, layout, execution):
-        mtd = build_plain(layout, execution)
+        mtd = build_plain(layout)
         fused = mtd.execute_cross(
             "SELECT cat, COUNT(*), SUM(val) FROM item GROUP BY cat "
             "ORDER BY cat FOR ALL TENANTS"
@@ -157,7 +151,7 @@ class TestDifferential:
         )
 
     def test_having_matches_fanout(self, layout, execution):
-        mtd = build_plain(layout, execution)
+        mtd = build_plain(layout)
         fused = mtd.execute_cross(
             "SELECT cat, COUNT(*), SUM(val) FROM item GROUP BY cat "
             "HAVING COUNT(*) >= 2 ORDER BY cat FOR ALL TENANTS"
@@ -174,7 +168,7 @@ class TestDifferential:
         the answer is a function of the data, never of whether the
         layout fused the tenants into one statement or merged several
         (``private`` merges one group per tenant)."""
-        mtd = build_plain(layout, execution)
+        mtd = build_plain(layout)
         merged = fanout_grouped(
             mtd,
             (1, 2, 3, 4),
@@ -211,7 +205,7 @@ class TestDifferential:
         assert fused.rows == [(2,)]
 
     def test_limit_applies_after_global_order(self, layout, execution):
-        mtd = build_plain(layout, execution)
+        mtd = build_plain(layout)
         fused = mtd.execute_cross(
             "SELECT TENANT_ID() AS t, id FROM item ORDER BY t, id LIMIT 3 "
             "FOR ALL TENANTS"

@@ -22,8 +22,6 @@ from repro.core.layouts import LAYOUTS
 from repro.engine.errors import EngineError
 from repro.engine.values import DATE, INTEGER, varchar
 
-from ..conftest import assert_matches_reference
-
 EXTENSIBLE_LAYOUTS = [name for name in sorted(LAYOUTS) if name != "basic"]
 
 #: Column-type pool for random schemas.  DATE is exercised via the fixed
@@ -206,13 +204,6 @@ def run_query(mtd, scenario: dict, tenant: int, shape: int):
         mtd.prepare(sql).execute(tenant, params).rows, key=repr
     )
     assert prepared == rows, f"prepared != ad-hoc for {sql!r}"
-    # Differential check against the reference interpreter: same rows,
-    # ExecStats row counters, buffer-pool logical reads and per-operator
-    # rows for the physical statement — on every layout.
-    ours = assert_matches_reference(
-        mtd.db, mtd.transform_sql(tenant, sql), params
-    )
-    assert sorted(ours, key=repr) == rows, f"trace diverged on {sql!r}"
     return rows
 
 

@@ -1,49 +1,38 @@
-"""EXPLAIN ANALYZE parity with the reference interpreter over the
-shared corpus.
-
-The database's executor and the reference run the *same* physical plan,
-so an analyzed run must report identical per-operator actual row counts
-— on the raw engine schema and through every schema-mapping layout.
+"""EXPLAIN ANALYZE over the shared corpus, held to pinned work: every
+corpus query's analyzed run, on the raw engine schema and through every
+schema-mapping layout, reports the per-operator rows, row counters and
+page reads pinned for it (``tests/engine/executor_work.txt``).
 """
 
 import pytest
 
-from repro.quality.corpus import (
-    build_engine_database,
-    build_multitenant,
-    generate_query,
-)
+from repro.quality.corpus import generate_query
 from repro.quality.harness import all_layouts
 
-from ..conftest import assert_matches_reference, reference_run
+from ..conftest import assert_pinned_work, corpus_db
 
 SEEDS = range(15)
-TENANT = 1
 
 
 @pytest.fixture(scope="module", params=all_layouts())
 def layout_db(request):
-    """(engine database, logical→physical SQL transform) per layout."""
-    layout = request.param
-    if layout == "conventional":
-        return build_engine_database(), (lambda sql: sql)
-    mtd = build_multitenant(layout, primary_tenant=TENANT)
-    return mtd.db, (lambda sql: mtd.transform_sql(TENANT, sql))
+    """(layout, engine database, logical→physical SQL transform)."""
+    return request.param, *corpus_db(request.param)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_per_operator_rows_identical_across_engines(layout_db, seed):
-    db, transform = layout_db
-    assert_matches_reference(db, transform(generate_query(seed)))
+    layout, db, transform = layout_db
+    assert_pinned_work(db, layout, transform(generate_query(seed)))
 
 
 def test_analyzed_plans_cover_every_operator(layout_db):
     """Sanity: the collector reports a stat for every plan node (nodes
     never opened still appear, with zero counts)."""
-    db, transform = layout_db
-    root = db.plan(transform(generate_query(0)))
+    _, db, transform = layout_db
+    sql = transform(generate_query(0))
 
     def count(node):
         return 1 + sum(count(child) for child in node.children())
 
-    assert len(reference_run(db, root)[3]) == count(root)
+    assert len(db.trace(sql).operators) == count(db.plan(sql))

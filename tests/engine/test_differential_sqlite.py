@@ -18,7 +18,7 @@ import sqlite3
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ..conftest import assert_matches_reference, reference_run
+from ..conftest import assert_pinned_work, normalize
 from repro.engine import Database
 from repro.engine.errors import UnsupportedSyntaxError
 from repro.engine.explain import plan_shape
@@ -34,19 +34,7 @@ from repro.quality.corpus import (
 )
 
 
-def normalize(rows):
-    """SQLite returns lists of tuples too; normalize value types:
-    booleans come back as 0/1 from SQLite."""
-    out = []
-    for row in rows:
-        out.append(
-            tuple(int(v) if isinstance(v, bool) else v for v in row)
-        )
-    return sorted(out, key=repr)
-
-
-@pytest.fixture(scope="module")
-def pair():
+def make_pair():
     """Identically-populated engine and SQLite databases, built from the
     shared corpus so harness findings replay here verbatim."""
     engine = build_engine_database()
@@ -63,6 +51,12 @@ def pair():
     for row in rows_c:
         lite.execute("INSERT INTO c VALUES (?, ?, ?, ?)", row)
     return engine, lite
+
+
+@pytest.fixture(scope="module")
+def pair():
+    """Read only: its engine is the pinned work's ``conventional``."""
+    return make_pair()
 
 
 def compare(pair, sql, params=()):
@@ -148,18 +142,18 @@ class TestOrderByOutputAlias:
         engine, lite = pair
         ours = engine.execute(sql).rows
         assert ours == lite.execute(sql).fetchall(), sql
-        assert ours == assert_matches_reference(engine, sql)
+        assert ours == assert_pinned_work(engine, "conventional", sql)
 
 
 class TestDmlAgreement:
-    def test_update_then_select(self, pair):
-        engine, lite = pair
+    def test_update_then_select(self):
+        engine, lite = pair = make_pair()  # not the shared, read-only one
         engine.execute("UPDATE p SET amount = amount + 5 WHERE grp = 4")
         lite.execute("UPDATE p SET amount = amount + 5 WHERE grp = 4")
         compare(pair, "SELECT id, amount FROM p WHERE grp = 4")
 
-    def test_delete_then_count(self, pair):
-        engine, lite = pair
+    def test_delete_then_count(self):
+        engine, lite = pair = make_pair()  # not the shared, read-only one
         engine.execute("DELETE FROM c WHERE val = 16")
         lite.execute("DELETE FROM c WHERE val = 16")
         compare(pair, "SELECT COUNT(*) FROM c")
@@ -260,29 +254,19 @@ class TestLeftJoinRefused:
 
 
 class TestCrossEngine:
-    """The database's executor against the tuple-at-a-time reference:
-    identical rows (in identical order — both are order-preserving),
-    ExecStats row counters, buffer-pool logical reads and per-operator
-    rows.  Under LIMIT only the rows must agree: the batched executor
-    may scan up to one batch past the cutoff."""
+    """The executor's work on the corpus against the pinned lines:
+    rows in order, ExecStats row counters, buffer-pool logical reads,
+    heap fetches and per-operator rows (under LIMIT the rows only)."""
 
     @pytest.mark.parametrize("seed", range(45))
     def test_generated_query_same_rows_and_stats(self, pair, seed):
         sql = generate_query(seed)
         assert "LIMIT" not in sql
-        assert_matches_reference(pair[0], sql)
+        assert_pinned_work(pair[0], "conventional", sql)
 
     @pytest.mark.parametrize("sql", CASES)
     def test_hand_picked_same_rows(self, pair, sql):
-        assert_matches_reference(pair[0], sql)
-
-    def test_only_vectorized_counts_batches(self, pair):
-        engine, _ = pair
-        sql = "SELECT grp, COUNT(*) FROM p GROUP BY grp"
-        before = engine.exec_stats.batches
-        reference_run(engine, sql)
-        assert engine.exec_stats.batches == before
-        assert engine.trace(sql).exec.batches > 0
+        assert_pinned_work(pair[0], "conventional", sql)
 
 
 #: Added left to right, the 1.0 is absorbed by 1e16 and the sum is 0.0;
@@ -292,9 +276,9 @@ CANCELLING = [0.1] * 10 + [1e16, 1.0, -1e16]
 
 
 class TestFloatSummation:
-    """SUM and AVG over DOUBLEs add left to right on every interpreter,
-    as the reference interpreter and SQLite (before 3.43) do, so an
-    answer does not depend on the Python version running it."""
+    """SUM and AVG over DOUBLEs add left to right on every Python
+    version, as SQLite before 3.43 does, so an answer does not depend on
+    the interpreter running it."""
 
     @pytest.fixture(scope="class")
     def floats(self):
@@ -315,7 +299,7 @@ class TestFloatSummation:
     )
     def test_doubles_add_left_to_right(self, floats, sql):
         engine, lite = floats
-        rows = assert_matches_reference(engine, sql)
+        rows = assert_pinned_work(engine, "floats", sql)
         total = functools.reduce(operator.add, CANCELLING)
         assert total == 0.0
         assert rows[0][-2:] == (total, total / len(CANCELLING))
@@ -429,8 +413,8 @@ NULL_KEY_JOINS = [
 
 class TestNullIndexKeys:
     """``col = NULL`` is never true, so an index key holding NULL
-    matches nothing — in an IXSCAN and in an NLJOIN's probe, on both
-    executors, as in SQLite."""
+    matches nothing — in an IXSCAN and in an NLJOIN's probe, as in
+    SQLite, with the IXSCAN's work pinned."""
 
     @pytest.mark.parametrize("sql, params", NULL_KEY_CASES)
     def test_equality_on_null_matches_nothing(self, null_pair, sql, params):
@@ -438,7 +422,7 @@ class TestNullIndexKeys:
         assert "IXSCAN" in engine.explain(sql)
         ours = engine.execute(sql, list(params)).rows
         assert normalize(ours) == normalize(lite.execute(sql, params).fetchall())
-        assert ours == assert_matches_reference(engine, sql, params)
+        assert ours == assert_pinned_work(engine, "null_keys", sql, params)
 
     @pytest.mark.parametrize("sql", NULL_KEY_JOINS)
     def test_probe_with_a_null_outer_key_finds_nothing(self, null_pair, sql):
@@ -450,7 +434,6 @@ class TestNullIndexKeys:
         assert "NLJOIN(" in plan_shape(root) and "IXSCAN" in plan_shape(root)
         ours = engine.execute_plan(root).rows
         assert normalize(ours) == normalize(lite.execute(sql).fetchall())
-        assert ours == reference_run(engine, root)[0]
 
 
 # -- UPDATE/DELETE find their rows as SELECT does ---------------------------------

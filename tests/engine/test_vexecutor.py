@@ -1,47 +1,45 @@
 """Unit tests for the vectorized executor and its batch compiler.
 
-The broad row/stats equivalence versus the reference interpreter
-lives in the differential suites (``test_differential_sqlite.py``,
-``tests/core/test_property_equivalence.py``); this file covers the
-machinery itself: batch sizes, batch metrics, EXPLAIN ANALYZE parity,
-and the edge cases batching could plausibly get wrong (LIMIT cutoffs
-inside a batch, NULL join keys, mixed-direction ORDER BY, empty
-inputs).
+Answers are held to SQLite and work to pinned lines (``conftest.py``),
+here and in the differential suites; this file covers the machinery
+itself: batch sizes, batch metrics, EXPLAIN ANALYZE, and the edge cases
+batching could plausibly get wrong (LIMIT cutoffs inside a batch, NULL
+join keys, mixed-direction ORDER BY, empty inputs, mixed-type and NULL
+aggregates).
 """
 
+import ast
 import functools
+import importlib.util
 import inspect
-import os
+import pathlib
 import random
 import sqlite3
-import subprocess
-import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.engine import Database
 from repro.engine.errors import ExecutionError
-from repro.engine.executor import _AggState
 from repro.engine.heap import HeapStats
 from repro.engine.observability import CounterWindow
 from repro.engine.vexecutor import BATCH_ROWS, ExecStats, VectorizedExecutor
-from repro.quality.corpus import (
-    build_engine_database,
-    build_multitenant,
-    generate_query,
-)
+from repro.quality.corpus import generate_query
 from repro.quality.harness import all_layouts
 
 from ..conftest import (
     FORMER_STORAGE_SUFFIXES,
-    assert_matches_reference,
-    reference_run,
+    assert_pinned_work,
+    corpus_db,
+    normalize,
+    pinned_work,
+    rows_digest,
+    traced_work,
 )
 
-
-def make_db() -> Database:
-    db = Database()
+def make_db(db=None):
+    """Table ``t`` in a new database, or in ``db`` (a SQLite one)."""
+    db = Database() if db is None else db
     db.execute(
         "CREATE TABLE t (id INTEGER NOT NULL, g INTEGER, v INTEGER, "
         "name VARCHAR(20))"
@@ -55,18 +53,36 @@ def make_db() -> Database:
     return db
 
 
+def same_as_sqlite(sql, rows=None):
+    """Hold ``rows`` (by default ``sql``'s on :func:`make_db`) to SQLite's:
+    in order under ORDER BY, as a multiset otherwise.  Returns them."""
+    rows = make_db().execute(sql).rows if rows is None else rows
+    theirs = make_db(sqlite3.connect(":memory:")).execute(sql).fetchall()
+    if "ORDER BY" in sql:
+        assert rows == theirs, sql
+    else:
+        assert normalize(rows) == normalize(theirs), sql
+    return rows
+
+
 class TestOneExecutor:
     def test_nothing_served_imports_the_reference(self):
-        """Whoever compares against the reference builds it."""
-        code = (
-            "import sys, repro, repro.engine, repro.core, repro.cluster, "
-            "repro.testbed, repro.experiments, repro.analysis\n"
-            "assert 'repro.engine.executor' not in sys.modules\n"
-        )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        subprocess.run(
-            [sys.executable, "-c", code], check=True, timeout=60, env=env
-        )
+        """The tuple-at-a-time interpreter is gone, and no source file
+        imports a module named ``executor``."""
+        assert importlib.util.find_spec("repro.engine.executor") is None
+        repo = pathlib.Path(__file__).resolve().parents[2]
+        importers = [
+            f"{path}:{node.lineno}"
+            for top in ("src", "tests", "benchmarks", "examples")
+            for path in (repo / top).rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and "executor" in {
+                *(getattr(node, "module", None) or "").split("."),
+                *(part for a in node.names for part in a.name.split(".")),
+            }
+        ]
+        assert importers == []
 
     def test_a_database_has_no_executor_options(self):
         parameters = inspect.signature(Database.__init__).parameters
@@ -85,7 +101,7 @@ class TestBatchSizes:
             "SELECT DISTINCT name FROM t",
             "SELECT id FROM t ORDER BY v DESC, id LIMIT 9",
         ):
-            assert executor.run(db.plan(sql)) == reference_run(db, sql)[0], sql
+            same_as_sqlite(sql, executor.run(db.plan(sql)))
 
     def test_limit_cuts_inside_a_batch(self):
         db = make_db()
@@ -122,7 +138,7 @@ class TestAnalyzeParity:
             "SELECT a.g, COUNT(*) FROM t a, t b "
             "WHERE a.id = b.id AND a.g = 2 GROUP BY a.g"
         )
-        assert_matches_reference(db, sql)
+        assert_pinned_work(db, "t", sql)
 
 
 class TestBatchedEdgeCases:
@@ -147,32 +163,74 @@ class TestBatchedEdgeCases:
         ).rows == [(0, None, None)]
 
     def test_mixed_direction_order_by(self):
-        db = make_db()
-        ours = assert_matches_reference(
-            db, "SELECT g, id FROM t ORDER BY g DESC, id ASC"
-        )
+        ours = same_as_sqlite("SELECT g, id FROM t ORDER BY g DESC, id ASC")
         assert ours[0][0] == 4 and ours[0][1] < ours[1][1]
 
     def test_order_by_with_nulls(self):
-        db = make_db()
-        ours = assert_matches_reference(db, "SELECT v, id FROM t ORDER BY v, id")
+        ours = same_as_sqlite("SELECT v, id FROM t ORDER BY v, id")
         assert ours[0][0] is None  # NULLs sort first
 
     def test_count_distinct_and_avg(self):
-        db = make_db()
-        assert_matches_reference(
-            db, "SELECT g, COUNT(DISTINCT name), AVG(v) FROM t GROUP BY g"
-        )
+        same_as_sqlite("SELECT g, COUNT(DISTINCT name), AVG(v) FROM t GROUP BY g")
+
+
+def ibds_tables(**tables):
+    """An engine and a SQLite database holding ``(i, b, d, s)`` tables."""
+    db, lite = Database(), sqlite3.connect(":memory:")
+    for name, rows in tables.items():
+        for target in (db, lite):
+            target.execute(
+                f"CREATE TABLE {name} (i INTEGER, b BOOLEAN, d DOUBLE, "
+                "s VARCHAR(5))"
+            )
+            for row in rows:
+                target.execute(f"INSERT INTO {name} VALUES (?, ?, ?, ?)", row)
+    return db, lite
+
+
+#: Per group ``s``, ``COALESCE(b, d, i)`` is True, 2.5, 1 ('a'), NULL
+#: twice ('b'), and 1.0, 4, 0.5, 1 ('c').
+AGG_ROWS = [
+    (1, True, None, "a"), (None, None, 2.5, "a"), (1, None, None, "a"),
+    (None, None, None, "b"), (None, None, None, "b"), (4, None, 1.0, "c"),
+    (4, None, None, "c"), (None, None, 0.5, "c"), (1, None, None, "c"),
+]
+
+#: ``(aggregates, rows per group, SQLite agrees)`` off the homogeneous
+#: fast path: MIN/MAX over mixed types order by ``sort_key`` (BOOLEAN
+#: below numbers; SQLite stores True as 1), DISTINCT skips NULLs and keeps
+#: the first of equal values (True = 1 = 1.0), all-NULL folds to NULL/0.
+AGG_CASES = [
+    ("MIN(COALESCE(b, d, i)), MAX(COALESCE(b, d, i))",
+     [("a", True, 2.5), ("b", None, None), ("c", 0.5, 4)], False),
+    ("MIN(COALESCE(d, i)), MAX(COALESCE(d, i))",
+     [("a", 1, 2.5), ("b", None, None), ("c", 0.5, 4)], True),
+    ("COUNT(DISTINCT i), SUM(DISTINCT i), COUNT(i), COUNT(*)",
+     [("a", 1, 1, 2, 3), ("b", 0, None, 0, 2), ("c", 2, 5, 3, 4)], True),
+    ("COUNT(DISTINCT COALESCE(b, d, i)), SUM(DISTINCT COALESCE(b, d, i))",
+     [("a", 2, 3.5), ("b", 0, None), ("c", 3, 5.5)], True),
+    ("AVG(d), AVG(i), SUM(d)", [("a", 2.5, 1.0, 2.5), ("b", None, None, None),
+                               ("c", 0.75, 3.0, 1.5)], True),
+]
+
+
+class TestAggregateEdges:
+    @pytest.mark.parametrize("aggregates, expected, sqlite_agrees", AGG_CASES)
+    def test_hand_written_rows(self, aggregates, expected, sqlite_agrees):
+        sql = f"SELECT s, {aggregates} FROM m GROUP BY s ORDER BY s"
+        db, lite = ibds_tables(m=AGG_ROWS)
+        rows = db.execute(sql).rows
+        assert repr(rows) == repr(expected)  # type-exact: True, 1 and 1.0
+        if sqlite_agrees:
+            assert rows == lite.execute(sql).fetchall()
 
 
 class RowSemantics(VectorizedExecutor):
-    """HSJOIN and GRPBY as row tuples, batch for batch: the join
-    concatenates each left row with its build-order matches and yields
-    one batch per left batch with a match; the aggregate folds rows
-    through the reference accumulators and cuts its output at
-    ``batch_rows``.  The column-at-a-time operators must equal it in
-    rows, order and every :class:`ExecStats` counter, ``batches``
-    included."""
+    """HSJOIN as row tuples, batch for batch: the join concatenates each
+    left row with its build-order matches and yields one batch per left
+    batch with a match, so GRPBY above it folds row lists, not gathered
+    columns.  The column-at-a-time join must equal it in rows, order and
+    every :class:`ExecStats` counter, ``batches`` included."""
 
     def _hsjoin(self, node, outer_row, params, cache):
         table = {}
@@ -190,25 +248,6 @@ class RowSemantics(VectorizedExecutor):
                     out.append(row + match)
             if out:
                 yield out
-
-    def _group(self, node, params, cache):
-        groups = {}
-        for batch in self._batches(node.child, (), params, cache):
-            for row in batch:
-                key = tuple(g(row, params) for g in node.group_exprs)
-                if key not in groups:
-                    groups[key] = [_AggState(spec) for spec in node.aggs]
-                for state in groups[key]:
-                    state.add(row, params)
-        if not groups and not node.group_exprs:
-            groups[()] = [_AggState(spec) for spec in node.aggs]
-        out = []
-        for key, states in groups.items():
-            pseudo = key + tuple(state.final() for state in states)
-            if node.having is None or node.having(pseudo, params) is True:
-                out.append(tuple(o.post(pseudo, params) for o in node.outputs))
-        for start in range(0, len(out), self.batch_rows):
-            yield out[start : start + self.batch_rows]
 
 
 class RowScans(VectorizedExecutor):
@@ -253,20 +292,6 @@ _JOIN_SHAPES = [
 _JOIN_KEYS = ["l.i = r.i", "l.i = r.i AND l.s = r.s", "l.i = r.d"]
 
 
-def _sqlite_normalized(rows):
-    """Rows comparable across engines: numbers as floats (SQLite keeps
-    booleans as 0/1 and a group's 1/1.0 representative as it likes),
-    order-free."""
-    return sorted(
-        (
-            tuple(None if v is None else v if isinstance(v, str) else float(v)
-                  for v in row)
-            for row in rows
-        ),
-        key=repr,
-    )
-
-
 class TestColumnarJoinAndGroup:
     """A hash join hands its consumer gathered columns and GROUP BY folds
     them: answers equal SQLite's, and rows, counters and batch counts
@@ -293,27 +318,14 @@ class TestColumnarJoinAndGroup:
     def test_column_at_a_time_equals_row_semantics(
         self, left, right, row_tables, on, narrowed, shape
     ):
-        db = Database()
-        lite = sqlite3.connect(":memory:")
-        for name, rows in zip("lr", (left, right)):
-            ddl = (
-                f"CREATE TABLE {name} (i INTEGER, b BOOLEAN, d DOUBLE, "
-                "s VARCHAR(5))"
-            )
-            db.execute(ddl)
-            lite.execute(ddl)
-            for row in rows:
-                db.execute(f"INSERT INTO {name} VALUES (?, ?, ?, ?)", list(row))
-                lite.execute(f"INSERT INTO {name} VALUES (?, ?, ?, ?)", row)
+        db, lite = ibds_tables(l=left, r=right)
         sql = shape.format(on=on + (" AND r.i <> 2" if narrowed else ""))
         assert "HSJOIN" in db.explain(sql)
-        ours = assert_matches_reference(db, sql)
-        assert _sqlite_normalized(ours) == _sqlite_normalized(
-            lite.execute(sql).fetchall()
-        ), sql
+        ours, work = traced_work(db, sql)
+        assert normalize(ours) == normalize(lite.execute(sql).fetchall()), sql
         plan = db.plan(sql)
         for batch_rows in (1, 3, BATCH_ROWS):
-            assert_untraced_matches_reference(db, sql, (), batch_rows)
+            assert_untraced_matches(work, db, sql, (), batch_rows)
             runs = []
             for executor in (RowScans, RowSemantics):
                 stats = ExecStats()
@@ -348,19 +360,12 @@ class TestHeapScanBatches:
 # -- batch index access: IXSCAN -> FETCH moves RID batches --------------------
 
 
-def _heap_stats(db):
-    return db.metrics.counter_set(HeapStats)
-
-
-def untraced_run(db, sql, params=(), batch_rows=BATCH_ROWS):
-    """One SELECT with no collector attached, inside one CounterWindow:
-    ``(rows, row counters, logical reads, heap fetches)``.  At the
-    default batch size it is plain ``db.execute``, after a plan that
-    gathers any column statistics it needs outside the window."""
+def untraced_work(db, sql, params=(), batch_rows=BATCH_ROWS):
+    """:func:`traced_work`'s measures but per-operator rows, untraced: at
+    the default batch size plain ``db.execute``, after a plan."""
     db.plan(sql)
-    window = CounterWindow(
-        pool=db.pool_stats, exec=db.exec_stats, heap=_heap_stats(db)
-    )
+    heap = db.metrics.counter_set(HeapStats)
+    window = CounterWindow(pool=db.pool_stats, exec=db.exec_stats, heap=heap)
     if batch_rows == BATCH_ROWS:
         rows = db.execute(sql, list(params)).rows
     else:
@@ -370,25 +375,18 @@ def untraced_run(db, sql, params=(), batch_rows=BATCH_ROWS):
         assert executor._collector is None
         rows = executor.run(db.plan(sql), list(params))
     deltas = window.deltas()
-    return (
-        rows,
-        deltas["exec"].row_counters(),
-        deltas["pool"].logical_total,
-        deltas["heap"].fetches,
-    )
+    return {
+        "rows": rows_digest(rows),
+        "counters": deltas["exec"].row_counters(),
+        "logical": deltas["pool"].logical_total,
+        "fetches": deltas["heap"].fetches,
+    }
 
 
-def reference_measures(db, sql, params=()):
-    heap = _heap_stats(db)
-    before = heap.fetches
-    rows, counters, logical, _operators = reference_run(db, sql, params)
-    return rows, counters, logical, heap.fetches - before
-
-
-def assert_untraced_matches_reference(db, sql, params=(), batch_rows=BATCH_ROWS):
-    ours = untraced_run(db, sql, params, batch_rows)
-    assert ours == reference_measures(db, sql, params), (sql, batch_rows)
-    return ours
+def assert_untraced_matches(work, db, sql, params=(), batch_rows=BATCH_ROWS):
+    """Untraced at ``batch_rows``, ``sql`` does the traced ``work``."""
+    expected = {k: v for k, v in work.items() if k != "operators"}
+    assert untraced_work(db, sql, params, batch_rows) == expected, (sql, batch_rows)
 
 
 def wide_db(pool_pages: int | None = None) -> Database:
@@ -441,7 +439,8 @@ class TestBatchIndexAccess:
         index = db.catalog.table("w").indexes["w_ks"].btree
         assert index.height > 1
         for sql, params in WIDE_QUERIES:
-            assert_untraced_matches_reference(db, sql, params, batch_rows)
+            work = pinned_work(db, "wide", sql, params)
+            assert_untraced_matches(work, db, sql, params, batch_rows)
 
     def test_prefix_runs_cross_leaves_and_batches(self):
         """The k = 1 run spans several leaves and, at 256 rows a batch,
@@ -480,19 +479,16 @@ class TestBatchIndexAccess:
 
     @pytest.mark.parametrize("layout", all_layouts())
     def test_every_layout_untraced_matches_reference(self, layout):
-        if layout == "conventional":
-            db, transform = build_engine_database(), (lambda sql: sql)
-        else:
-            mtd = build_multitenant(layout, primary_tenant=1)
-            db, transform = mtd.db, (lambda sql: mtd.transform_sql(1, sql))
+        db, transform = corpus_db(layout)
         queries = [
             "SELECT c.id, c.val FROM c WHERE c.parent = 7",
             "SELECT c.id FROM c WHERE c.parent BETWEEN 5 AND 30",
             "SELECT p.id, c.val FROM p, c WHERE p.id = c.parent AND p.grp = 3",
         ] + [generate_query(seed) for seed in (1, 4, 11, 12)]  # not 3-way joins
-        for sql in queries:
+        for sql in map(transform, queries):
+            work = pinned_work(db, layout, sql)
             for batch_rows in (1, 3, BATCH_ROWS):
-                assert_untraced_matches_reference(db, transform(sql), (), batch_rows)
+                assert_untraced_matches(work, db, sql, (), batch_rows)
 
 
 class TestFetchMany:
@@ -531,20 +527,14 @@ class TestFetchMany:
 
     def test_small_pool_executor_same_physical_reads(self):
         """End to end: at batch size 1 the executor touches pages in the
-        reference's order, so even physical reads and evictions agree."""
-        measures = []
-        for run in ("reference", "executor"):
-            db = wide_db(pool_pages=8)
-            window = CounterWindow(pool=db.pool_stats)
-            for sql, params in WIDE_QUERIES:
-                if run == "reference":
-                    reference_run(db, sql, params)
-                else:
-                    untraced_run(db, sql, params, batch_rows=1)
-            pool = window.deltas()["pool"]
-            measures.append((pool.physical_total, pool.evictions))
-        assert measures[0] == measures[1]
-        assert measures[0][0] > 0
+        order of one fetch per row, so even physical reads and evictions
+        equal those a tuple-at-a-time run counted."""
+        db = wide_db(pool_pages=8)
+        window = CounterWindow(pool=db.pool_stats)
+        for sql, params in WIDE_QUERIES:
+            untraced_work(db, sql, params, batch_rows=1)
+        pool = window.deltas()["pool"]
+        assert (pool.physical_total, pool.evictions) == (99, 99)
 
     def test_read_run_counts_each_row(self):
         db = wide_db()
