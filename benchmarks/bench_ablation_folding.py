@@ -5,12 +5,11 @@ distinct chunk shapes exceed the number of Chunk Tables the database
 can afford, shapes must share tables, padding narrower chunks with
 NULLs.  This ablation sweeps the shape budget for a mixed-shape tenant
 fleet and reports the table-count / slot-waste / query-cost trade-off.
-Also compares the greedy `FoldingPlanner`'s hot/cold split levels.
 """
 
 import pytest
 
-from repro import FoldingPlanner, LogicalColumn, LogicalTable, MultiTenantDatabase
+from repro import LogicalColumn
 from repro.core.folding import (
     ChunkShape,
     partition_columns,
@@ -91,107 +90,3 @@ class TestShapeBudgetAblation:
     def test_full_budget_wastes_nothing(self, sweep):
         demand, out = sweep
         assert out[len(demand)][1] == 0
-
-
-class TestUtilizationPlannerAblation:
-    """Hot-fraction sweep for the utilization-driven folding planner:
-    keeping more hot columns conventional trades meta-data (more
-    conventional columns) against reconstruction joins."""
-
-    def build(self, hot_fraction: float) -> MultiTenantDatabase:
-        planner = FoldingPlanner(hot_fraction=hot_fraction, chunk_width=2)
-        for column in ("id", "name", "status"):
-            for _ in range(50):
-                planner.record_access("doc", column)
-        mtd = MultiTenantDatabase(
-            layout="chunk_folding", width=2, planner=planner
-        )
-        mtd.define_table(
-            LogicalTable(
-                "doc",
-                (
-                    LogicalColumn("id", INTEGER, indexed=True, not_null=True),
-                    LogicalColumn("name", varchar(40)),
-                    LogicalColumn("status", varchar(10)),
-                    LogicalColumn("body", varchar(100)),
-                    LogicalColumn("created", DATE),
-                    LogicalColumn("size", INTEGER),
-                ),
-            )
-        )
-        mtd.create_tenant(1)
-        for i in range(40):
-            mtd.insert(
-                1,
-                "doc",
-                {
-                    "id": i,
-                    "name": f"d{i}",
-                    "status": "open" if i % 2 else "done",
-                    "body": "x" * 80,
-                    "created": "2008-01-01",
-                    "size": i,
-                },
-            )
-        return mtd
-
-    def measure_hot_query(self, mtd) -> int:
-        sql = "SELECT name FROM doc WHERE id = ?"
-        mtd.execute(1, sql, [7])
-        before = mtd.db.pool_stats.snapshot()
-        mtd.execute(1, sql, [7])
-        return mtd.db.pool_stats.delta(before).logical_total
-
-    @pytest.fixture(scope="class")
-    def fleets(self):
-        return {f: self.build(f) for f in (0.0, 0.5, 1.0)}
-
-    def test_report(self, benchmark, fleets, report):
-        benchmark.pedantic(lambda: None, rounds=1)
-        rows = []
-        for fraction, mtd in fleets.items():
-            conventional_cols = len(
-                mtd.db.catalog.table("doc_cf").columns
-            ) - 2  # minus tenant, row
-            rows.append(
-                (
-                    fraction,
-                    conventional_cols,
-                    mtd.db.catalog.table_count,
-                    self.measure_hot_query(mtd),
-                )
-            )
-        report(
-            "ablation_hot_fraction",
-            render_table(
-                "Ablation: FoldingPlanner hot fraction",
-                [
-                    "hot fraction",
-                    "conventional columns",
-                    "tables",
-                    "hot-query reads",
-                ],
-                rows,
-            ),
-        )
-
-    def test_hot_query_cheapest_when_hot_columns_conventional(self, fleets):
-        assert self.measure_hot_query(fleets[1.0]) <= self.measure_hot_query(
-            fleets[0.0]
-        )
-
-    def test_lower_fraction_folds_more(self, fleets):
-        cols = {
-            f: len(m.db.catalog.table("doc_cf").columns) for f, m in fleets.items()
-        }
-        assert cols[0.0] <= cols[0.5] <= cols[1.0]
-
-    def test_all_fractions_answer_identically(self, fleets):
-        sql = "SELECT id, name, status, size FROM doc WHERE status = 'open'"
-        reference = None
-        for mtd in fleets.values():
-            rows = sorted(mtd.execute(1, sql).rows)
-            if reference is None:
-                reference = rows
-            else:
-                assert rows == reference

@@ -14,7 +14,6 @@ Packages:
 
 from .core import (  # noqa: F401
     Extension,
-    FoldingPlanner,
     LogicalColumn,
     LogicalTable,
     MultiTenantDatabase,

@@ -1,8 +1,11 @@
 """CLI: ``python -m repro.analysis [--strict] ...``.
 
-By default, runs the semantic, tenant-isolation, and layout-invariant
-passes over the Figure 5 CRM testbed at the Table 1 variability levels,
-printing a per-configuration summary and every finding.
+By default, runs the tenant-isolation and layout-invariant passes over
+the Figure 5 CRM testbed at the Table 1 variability levels, printing a
+per-configuration summary and every finding.  The semantic pass is not
+run as findings here: the engine's binder runs inside the layers'
+``prepare_ast`` calls, so a statement it refused would surface as an
+exception.
 
 ``--sanitize`` / ``--lint`` select the durability tooling instead: the
 dynamic sanitizer scenario (CON rules) and the protocol lint (LNT

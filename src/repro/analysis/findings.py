@@ -43,7 +43,7 @@ RULES: dict[str, Rule] = {
         Rule("SEM002", Severity.ERROR, "unknown column or alias"),
         Rule("SEM003", Severity.ERROR, "ambiguous column reference"),
         Rule("SEM004", Severity.ERROR, "duplicate source binding"),
-        Rule("SEM005", Severity.ERROR, "INSERT shape mismatch"),
+        Rule("SEM005", Severity.ERROR, "statement shape mismatch"),
         Rule("SEM006", Severity.ERROR, "unknown function or wrong arity"),
         Rule("SEM007", Severity.ERROR, "type-incompatible comparison"),
         Rule("SEM008", Severity.ERROR, "type-incompatible assignment"),

@@ -294,7 +294,7 @@ def analyze_testbed(
             )
             ids = mtd._resolve_tenant_set(clause)
             transformer = CrossTenantTransformer(
-                mtd.schema, mtd.layout_for, mtd._physical_lookup
+                mtd.schema, mtd.layout_for, mtd.db.catalog.columns
             )
             plan = transformer.transform(stmt, ids)
             locus = f"{locus_prefix}cross sql={statement.sql}"

@@ -9,8 +9,6 @@ from .capacity import (  # noqa: F401
 from .folding import (  # noqa: F401
     ChunkAssignment,
     ChunkShape,
-    FoldingDecision,
-    FoldingPlanner,
     assign_cover,
     merge_shapes,
     partition_columns,

@@ -321,12 +321,9 @@ class MultiTenantDatabase:
         a SIMPLE optimizer cannot unnest the reconstructions itself
         (Test 1), so they are flattened and the conjuncts ordered here."""
         if self.db.profile is OptimizerProfile.SIMPLE:
-            physical = flatten_transformed(physical, self._physical_lookup)
+            physical = flatten_transformed(physical)
             physical = order_predicates(physical, self.predicate_order)
         return physical
-
-    def _physical_lookup(self, table_name: str) -> list[str]:
-        return [c.lname for c in self.db.catalog.table(table_name).columns]
 
     def _statement_context(self) -> tuple:
         """Everything besides (sql, layout, shape) that shapes the
@@ -408,7 +405,7 @@ class MultiTenantDatabase:
         """The transformed cross-tenant statement, each structure
         group's statement in the form handed to the engine."""
         transformer = CrossTenantTransformer(
-            self.schema, self.layout_for, self._physical_lookup
+            self.schema, self.layout_for, self.db.catalog.columns
         )
         plan = transformer.transform(stmt, ids)
         for group in plan.groups:

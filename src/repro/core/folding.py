@@ -7,23 +7,18 @@ the chunk as closely as possible; chunks of many tables and tenants
 share the same physical tables, distinguished by the (Tenant, Table,
 Chunk) meta-data columns.
 
-Two planners are provided:
-
-* :func:`partition_columns` — the width-driven splitter used by the
-  experiments: indexed columns go into single-column indexed chunks
-  (the paper's ChunkIndex), the remaining columns fill chunks of at
-  most ``width`` data columns (ChunkData).
-
-* :class:`FoldingPlanner` — the utilization-driven splitter sketched in
-  the paper's future work: given per-column access frequencies it keeps
-  the hottest columns in a conventional fragment and sends cold columns
-  to Chunk Tables, subject to a meta-data budget.
+:func:`partition_columns` is the width-driven splitter: indexed
+columns go into single-column indexed chunks (the paper's ChunkIndex),
+the remaining columns fill chunks of at most ``width`` data columns
+(ChunkData).  The paper's utilization-driven splitter (hot columns
+conventional, cold ones chunked) is not built: no serving path measures
+column utilization to feed it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..engine.errors import PlanError
 from .layouts.base import SLOT_DDL, SLOT_FAMILIES, slot_family
@@ -260,65 +255,3 @@ def total_waste(demand: dict[ChunkShape, int], covers: list[ChunkShape]) -> int:
         weight * shape_waste(assign_cover(covers, shape), shape)
         for shape, weight in demand.items()
     )
-
-
-# ---------------------------------------------------------------------------
-# Utilization-driven folding (the paper's ongoing-work direction)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FoldingDecision:
-    """Outcome of utilization-driven planning for one logical table."""
-
-    conventional: list[LogicalColumn] = field(default_factory=list)
-    chunked: list[ChunkAssignment] = field(default_factory=list)
-
-
-class FoldingPlanner:
-    """Split a table's columns between a conventional fragment and Chunk
-    Tables based on access-frequency statistics.
-
-    "Good performance is obtained by mapping the most heavily-utilized
-    parts of the logical schemas into the conventional tables and the
-    remaining parts into Chunk Tables that match their structure as
-    closely as possible."
-
-    ``hot_fraction`` keeps the hottest columns conventional;
-    ``chunk_width`` shapes the cold remainder.  Columns with no recorded
-    utilization count as cold.
-    """
-
-    def __init__(self, *, hot_fraction: float = 0.5, chunk_width: int = 6) -> None:
-        if not 0.0 <= hot_fraction <= 1.0:
-            raise PlanError("hot_fraction must be in [0, 1]")
-        self.hot_fraction = hot_fraction
-        self.chunk_width = chunk_width
-        self._heat: dict[tuple[str, str], int] = {}
-
-    # -- statistics ---------------------------------------------------------
-
-    def record_access(self, table: str, column: str, weight: int = 1) -> None:
-        key = (table.lower(), column.lower())
-        self._heat[key] = self._heat.get(key, 0) + weight
-
-    def heat(self, table: str, column: str) -> int:
-        return self._heat.get((table.lower(), column.lower()), 0)
-
-    # -- planning ---------------------------------------------------------------
-
-    def plan(self, table_name: str, columns: list[LogicalColumn]) -> FoldingDecision:
-        ranked = sorted(
-            columns,
-            key=lambda c: self.heat(table_name, c.name),
-            reverse=True,
-        )
-        hot_count = round(len(columns) * self.hot_fraction)
-        hot_names = {c.lname for c in ranked[:hot_count]}
-        # Indexed columns stay conventional: the whole point of marking
-        # them is cheap point access.
-        hot_names.update(c.lname for c in columns if c.indexed)
-        conventional = [c for c in columns if c.lname in hot_names]
-        cold = [c for c in columns if c.lname not in hot_names]
-        chunked = partition_columns(cold, self.chunk_width)
-        return FoldingDecision(conventional=conventional, chunked=chunked)

@@ -253,11 +253,10 @@ class MultiTenantSchema:
         return LogicalTable(base.name, tuple(columns))
 
     def logical_lookup(self, tenant_id: int):
-        """A column-name lookup usable by the engine's qualifier."""
+        """The binder's column source for this tenant's logical SQL: a
+        table's columns as the tenant sees them."""
 
-        def lookup(table_name: str) -> list[str]:
-            return [
-                c.lname for c in self.logical_table(tenant_id, table_name).columns
-            ]
+        def lookup(table_name: str) -> tuple[LogicalColumn, ...]:
+            return self.logical_table(tenant_id, table_name).columns
 
         return lookup

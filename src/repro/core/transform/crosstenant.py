@@ -46,12 +46,11 @@ from typing import Callable, Sequence
 
 from ...engine.errors import PlanError
 from ...engine.expr import Compiled, GroupedScope
+from ...engine.plan.bind import TENANT_FUNC, ColumnSource, bind_statement
 from ...engine.plan.logical import (
     QueryBlock,
     block_to_select,
-    build_block,
     output_name,
-    qualify_block,
 )
 from ...engine.sql import ast
 from ...engine.values import sort_key
@@ -63,19 +62,14 @@ from .query import (
     used_columns,
 )
 
-#: The dialect function addressing the tenant dimension.
-TENANT_FUNC = "TENANT_ID"
-
-
 def _is_tenant_fn(expr: ast.Expr) -> bool:
     return isinstance(expr, ast.FuncCall) and expr.name.upper() == TENANT_FUNC
 
 
 def _rewrite_tenant_fn(expr: ast.Expr, replacement: ast.Expr) -> ast.Expr:
-    """Replace every ``TENANT_ID()`` call with ``replacement``."""
+    """Replace every ``TENANT_ID()`` call (the binder checked it takes
+    no argument) with ``replacement``."""
     if _is_tenant_fn(expr):
-        if expr.args or expr.star:
-            raise PlanError("TENANT_ID() takes no arguments")
         return replacement
     return ast.map_children(
         expr, lambda child: _rewrite_tenant_fn(child, replacement)
@@ -154,21 +148,19 @@ class CrossTenantTransformer:
         self,
         schema: MultiTenantSchema,
         layout_for: Callable[[int], object],
-        physical_lookup: Callable[[str], list[str]] | None = None,
+        physical_columns: ColumnSource | None = None,
     ) -> None:
         self.schema = schema
         self.layout_for = layout_for
-        self._physical_lookup = physical_lookup
+        self._physical_columns = physical_columns
 
     # -- validation ---------------------------------------------------------
 
-    def _validate(self, select: ast.Select) -> None:
-        for source in select.sources:
+    def _validate(self, block: QueryBlock) -> None:
+        for source in block.sources:
             if isinstance(source, ast.SubquerySource):
                 raise PlanError(_UNSUPPORTED.format(what="FROM subqueries"))
-        for expr in build_block(select).expressions():
-            if isinstance(expr, ast.Star):
-                continue
+        for expr in block.expressions():
             for node in ast.walk(expr):
                 if isinstance(node, ast.InSubquery):
                     raise PlanError(_UNSUPPORTED.format(what="IN (SELECT ...)"))
@@ -189,11 +181,9 @@ class CrossTenantTransformer:
         if not tenant_ids:
             raise PlanError("cross-tenant statement over an empty tenant set")
         ids = tuple(sorted(set(tenant_ids)))
-        self._validate(select)
-        select = dataclasses.replace(select, tenants=None)
-
-        lookup = self._lookup_for(ids[0])
-        block = qualify_block(build_block(select), lookup)
+        # Bound with its FOR TENANTS clause, so TENANT_ID() binds.
+        block = bind_statement(select, self._columns_for(ids[0])).checked().block
+        self._validate(block)
         # Expand ORDER BY alias references into their select-item
         # expressions: the engine resolves aliases post-projection, but
         # flattening a fused reconstruction renames physical columns out
@@ -202,7 +192,7 @@ class CrossTenantTransformer:
         aliases = {
             item.alias.lower(): item.expr
             for item in block.items
-            if item.alias is not None and not isinstance(item.expr, ast.Star)
+            if item.alias is not None
         }
         if aliases and block.order_by:
             block.order_by = [
@@ -237,17 +227,17 @@ class CrossTenantTransformer:
 
     # -- tenant grouping ----------------------------------------------------
 
-    def _lookup_for(self, tenant_id: int):
+    def _columns_for(self, tenant_id: int) -> ColumnSource:
         logical = self.schema.logical_lookup(tenant_id)
 
-        def lookup(table_name: str) -> list[str]:
+        def columns(table_name: str):
             if self.schema.has_table(table_name):
                 return logical(table_name)
-            if self._physical_lookup is not None:
-                return self._physical_lookup(table_name)
+            if self._physical_columns is not None:
+                return self._physical_columns(table_name)
             return logical(table_name)  # raises UnknownObjectError
 
-        return lookup
+        return columns
 
     def _sources_for(self, tenant_id: int, fused: ast.Select, usage, tenant):
         """Step 4 for one tenant's layout: the FROM clause with

@@ -33,6 +33,7 @@ from __future__ import annotations
 from ...engine.database import Result
 from ...engine.errors import PlanError, UnknownObjectError
 from ...engine.expr import ExprCompiler, Schema, Slot
+from ...engine.plan.bind import bind_statement
 from ...engine.plan.logical import conjoin, rewrite_refs
 from ...engine.sql import ast
 from ...engine.statement_cache import count_params
@@ -242,16 +243,25 @@ class DmlTransformer:
     ) -> DmlPlan:
         """The plan of one parsed logical INSERT / UPDATE / DELETE over
         the tenant's already-listed ``fragments``: buffered, or direct
-        where the layout allows it."""
+        where the layout allows it.  Its names bind against the tenant's
+        logical schema first, so an unknown or misused name raises what
+        the engine raises for it, and every reference below is qualified
+        with the table's binding."""
+        bound = bind_statement(stmt, self.schema.logical_lookup(tenant_id)).checked()
         if isinstance(stmt, ast.Insert):
             return self._plan_sql_insert(tenant_id, stmt, fragments)
         tenant_params = TenantParamAllocator(count_params(stmt))
-        where = stmt.where
+        where = conjoin(bound.block.conjuncts)
         if where is not None:
             where = self._queries.transform_predicate(
                 tenant_id, where, tenant_params
             )
-        assignments = self._assignments(tenant_id, stmt)
+        # An UPDATE's (column, expression) pairs; None for a DELETE.
+        assignments = (
+            [(name.lower(), expr) for name, expr in bound.assignments]
+            if isinstance(stmt, ast.Update)
+            else None
+        )
         if len(fragments) == 1 and fragments[0].row_column is None:
             # Private / Basic: one fragment, no Row column — a logical
             # write is one physical statement, no phases.
@@ -269,9 +279,7 @@ class DmlTransformer:
             )
         phase_a = TenantBound(
             self.db.prepare_ast(
-                self._phase_a(
-                    tenant_id, stmt.table, where, extra, fragments, tenant_params
-                )
+                self._phase_a(stmt.table, where, extra, fragments, tenant_params)
             ),
             tenant_params,
         )
@@ -301,17 +309,6 @@ class DmlTransformer:
                 )
                 targets.append((self.db.prepare_ast(update), columns))
         return BufferedUpdate(phase_a, compiled, targets)
-
-    def _assignments(self, tenant_id: int, stmt) -> list | None:
-        """An UPDATE's validated ``(column, expr)`` pairs; ``None`` for
-        a DELETE."""
-        if not isinstance(stmt, ast.Update):
-            return None
-        logical = self.schema.logical_table(tenant_id, stmt.table)
-        assignments = [(name.lower(), expr) for name, expr in stmt.assignments]
-        for name, _ in assignments:
-            logical.column(name)
-        return assignments
 
     # -- INSERT ------------------------------------------------------------
 
@@ -351,16 +348,10 @@ class DmlTransformer:
             else [c.name for c in logical.columns]
         )
         compiler = ExprCompiler(Schema([]))
-        rows = []
-        for row_exprs in stmt.rows:
-            if len(row_exprs) != len(columns):
-                raise PlanError("INSERT arity mismatch")
-            rows.append(
-                [
-                    (name, compiler.compile(expr))
-                    for name, expr in zip(columns, row_exprs)
-                ]
-            )
+        rows = [
+            [(name, compiler.compile(expr)) for name, expr in zip(columns, row)]
+            for row in stmt.rows
+        ]
         return SqlInsert(
             rows, self.plan_row_insert(tenant_id, stmt.table, fragments)
         )
@@ -369,7 +360,6 @@ class DmlTransformer:
 
     def _phase_a(
         self,
-        tenant_id: int,
         table_name: str,
         where: ast.Expr | None,
         extra_columns: list[str],
@@ -377,13 +367,11 @@ class DmlTransformer:
         tenant: TenantParamAllocator,
     ) -> ast.Select:
         """The query collecting affected Row ids plus the requested
-        column values; ``where`` is already physical below the top."""
+        column values; ``where`` is bound (every reference qualified with
+        the table's binding) and already physical below the top."""
         binding = table_name.lower()
         where_columns = _column_refs(where) if where is not None else []
         needed = list(dict.fromkeys(where_columns + extra_columns))
-        logical = self.schema.logical_table(tenant_id, table_name)
-        for column in needed:
-            logical.column(column)  # validates
         recon = build_reconstruction(
             fragments,
             needed,
@@ -395,12 +383,6 @@ class DmlTransformer:
         items = [
             ast.SelectItem(ast.ColumnRef(binding, ROW_ALIAS), ROW_ALIAS)
         ] + [ast.SelectItem(ast.ColumnRef(binding, c), c) for c in extra_columns]
-        if where is not None:
-            # DML statements name one table; give every bare ref that
-            # binding.
-            where = rewrite_refs(
-                where, lambda ref: ast.ColumnRef(binding, ref.column)
-            )
         return ast.Select(items=tuple(items), sources=(recon,), where=where)
 
     # -- direct path (Private / Basic: one fragment, no Row column) -------------
@@ -436,15 +418,12 @@ class DmlTransformer:
     @staticmethod
     def _localize(expr: ast.Expr, column_map) -> ast.Expr:
         """Rename logical column refs to the fragment's physical names
-        (the direct path's one fragment holds every column)."""
-
-        def localize(ref: ast.ColumnRef) -> ast.Expr:
-            loc = column_map.get(ref.column.lower())
-            if loc is None:
-                raise UnknownObjectError(f"no column {ref.column!r}")
-            return ast.ColumnRef(None, loc.physical)
-
-        return rewrite_refs(expr, localize)
+        (the direct path's one fragment holds every column the binder
+        let through)."""
+        return rewrite_refs(
+            expr,
+            lambda ref: ast.ColumnRef(None, column_map[ref.column.lower()].physical),
+        )
 
     # -- the Trashcan ---------------------------------------------------------------
 

@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Callable
-
 from ...engine.plan.logical import (
     block_to_select,
     build_block,
     conjoin,
     flatten_block,
-    qualify_block,
     split_conjuncts,
 )
 from ...engine.sql import ast
@@ -42,16 +39,14 @@ class PredicateOrder(enum.Enum):
     ORIGINAL_FIRST = "original-first"
 
 
-def flatten_transformed(
-    select: ast.Select, column_lookup: Callable[[str], list[str]]
-) -> ast.Select:
+def flatten_transformed(select: ast.Select) -> ast.Select:
     """Merge reconstruction subqueries into one flat SPJ block.
 
-    ``column_lookup`` resolves *physical* table names (the engine
-    catalog).  Non-mergeable subqueries (aggregating) are left nested.
+    ``select`` is a transformer's output, bound already: every column
+    reference is qualified.  Non-mergeable subqueries (aggregating) are
+    left nested.
     """
-    block = qualify_block(build_block(select), column_lookup)
-    return block_to_select(flatten_block(block))
+    return block_to_select(flatten_block(build_block(select)))
 
 
 def is_metadata_predicate(conjunct: ast.Expr) -> bool:

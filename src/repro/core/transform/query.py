@@ -22,12 +22,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from ...engine.errors import PlanError, UnknownObjectError
-from ...engine.plan.logical import (
-    QueryBlock,
-    build_block,
-    conjoin,
-    qualify_block,
-)
+from ...engine.plan.bind import bind_statement
+from ...engine.plan.logical import QueryBlock, conjoin
 from ...engine.sql import ast
 from ..layouts.base import ALIVE, Fragment, TENANT_META
 from ..schema import MultiTenantSchema
@@ -68,7 +64,7 @@ class TenantParamAllocator:
 def used_columns(block: QueryBlock) -> dict[str, list[str]]:
     """Columns referenced per binding, in first-use order.
 
-    ``block`` must be qualified.  First-use order keeps generated
+    ``block`` must be bound.  First-use order keeps generated
     reconstruction queries deterministic.
     """
     order: dict[str, list[str]] = {}
@@ -339,8 +335,8 @@ class QueryTransformer:
     ) -> ast.Select:
         """Steps 1–4 for one statement (recursing into logical FROM
         subqueries)."""
-        lookup = self.schema.logical_lookup(tenant_id)
-        block = qualify_block(build_block(select), lookup)
+        columns = self.schema.logical_lookup(tenant_id)
+        block = bind_statement(select, columns).checked().block
         sources = self.patch_sources(
             tenant_id,
             block.sources,

@@ -360,6 +360,11 @@ class Catalog:
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables
 
+    def columns(self, name: str) -> list[Column]:
+        """A table's columns: the column source the binder resolves
+        physical statements against."""
+        return self.table(name).columns
+
     def tables(self) -> list[Table]:
         return list(self._tables.values())
 

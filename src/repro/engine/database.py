@@ -36,6 +36,7 @@ from .observability import (
 from .optimizer import OptimizerProfile, Planner
 from .pager import DEFAULT_PAGE_SIZE, BufferPool, PoolStats
 from .plan import physical as phys
+from .plan.bind import Bound, bind_statement
 from .sql import ast
 from .sql.parser import parse_statement
 from .statement_cache import LruCache, PREPARABLE, PreparedStatement
@@ -470,7 +471,9 @@ class Database:
                     program = self._prepared_program(prepared)
                 else:
                     self._c_plan_adhoc.inc()
-                    program = self._compile_dml(stmt)
+                    program = self._compile_dml(
+                        bind_statement(stmt, self.catalog.columns)
+                    )
                 if isinstance(program, _InsertProgram):
                     count = self._run_insert(program, params)
                 elif isinstance(stmt, ast.Update):
@@ -523,43 +526,41 @@ class Database:
     # -- prepared statements ------------------------------------------------------
 
     def prepare(self, sql: str) -> PreparedStatement:
-        """Parse (and, on first execution, plan) a statement once for
-        repeated execution.  The handle is shared with the internal plan
-        cache, so ``prepare`` of an already-hot statement parses
-        nothing; the semantic analyzer runs on every call, hit or
-        miss."""
+        """Parse and bind a statement once for repeated execution (it
+        plans on first execution).  The handle is shared with the plan
+        cache, so ``prepare`` of a hot statement parses and binds nothing;
+        its verdict (:class:`SemanticError` on a binder error) is the kept
+        binding's, whether or not ``execute`` cached the text first."""
         stmt, prepared, _ = self._lookup_statement(sql)
         if prepared is None:
             prepared = PreparedStatement(self, stmt, sql)
-        self.analyze_statement(stmt, sql)
+        self._refuse(self._bound(prepared))
         return prepared
 
     def prepare_ast(self, stmt: ast.Statement) -> PreparedStatement:
         """Prepare an already-parsed statement (not text-cache keyed —
         the caller owns the handle's lifetime)."""
         prepared = PreparedStatement(self, stmt)
-        self.analyze_statement(stmt)
+        self._refuse(self._bound(prepared))
         return prepared
 
-    def analyze_statement(self, stmt: ast.Statement, sql: str = ""):
-        """Run the static semantic analyzer over one statement.
+    def _bound(self, prepared: PreparedStatement) -> Bound:
+        """The handle's binding, bound again only when the catalog moved
+        since, which also drops the plan or program built on it."""
+        version = self.catalog.version
+        if prepared.bound is None or prepared.catalog_version != version:
+            if prepared.plan is not None or prepared.program is not None:
+                self._c_plan_invalidations.inc()
+            prepared.bound = bind_statement(prepared.stmt, self.catalog.columns)
+            prepared.plan = prepared.program = None
+            prepared.catalog_version = version
+        return prepared.bound
 
-        Called on every ``prepare`` so semantically invalid statements
-        are rejected with a rule id *before* planning, whether or not
-        ``execute`` cached the text first.  Returns the (clean) report;
-        raises :class:`SemanticError` when any ERROR-severity finding
-        exists.
-        """
-        from ..analysis.semantic import CatalogProvider, SemanticAnalyzer
-
-        locus = sql or type(stmt).__name__
-        report = SemanticAnalyzer(CatalogProvider(self.catalog)).analyze(
-            stmt, locus
-        )
-        if not report.ok:
+    def _refuse(self, bound: Bound) -> None:
+        errors = bound.errors
+        if errors:
             self._c_rejections.inc()
-            raise SemanticError(report.errors)
-        return report
+            raise SemanticError(errors)
 
     def _execute_prepared(
         self, prepared: PreparedStatement, params: Sequence[object]
@@ -570,18 +571,13 @@ class Database:
         """The statement's physical plan, reusing the cached one while
         ``(catalog.version, profile)`` still match.  Returns ``(plan,
         reused)``."""
-        version = self.catalog.version
+        bound = self._bound(prepared)
         profile = self._planner.profile
-        if (
-            prepared.plan is not None
-            and prepared.catalog_version == version
-            and prepared.profile is profile
-        ):
+        if prepared.plan is not None and prepared.profile is profile:
             return prepared.plan, True
         if prepared.plan is not None:
             self._c_plan_invalidations.inc()
-        prepared.plan = self._planner.plan_select(prepared.stmt)
-        prepared.catalog_version = version
+        prepared.plan = self._planner.plan_select(bound)
         prepared.profile = profile
         return prepared.plan, False
 
@@ -591,22 +587,15 @@ class Database:
         """The handle's DML program, recompiled when the catalog or the
         profile moved (the index its access path chose may be gone, or
         no longer the one a SELECT would take)."""
-        version = self.catalog.version
+        bound = self._bound(prepared)
         profile = self._planner.profile
-        program = prepared.program
-        if (
-            program is not None
-            and prepared.catalog_version == version
-            and prepared.profile is profile
-        ):
-            return program
-        if program is not None:
+        if prepared.program is not None and prepared.profile is profile:
+            return prepared.program
+        if prepared.program is not None:
             self._c_plan_invalidations.inc()
-        program = self._compile_dml(prepared.stmt)
-        prepared.program = program
-        prepared.catalog_version = version
+        prepared.program = self._compile_dml(bound)
         prepared.profile = profile
-        return program
+        return prepared.program
 
     # -- SELECT -----------------------------------------------------------------
 
@@ -664,16 +653,11 @@ class Database:
     # -- DML -------------------------------------------------------------------------
 
     def _compile_insert(self, stmt: ast.Insert) -> "_InsertProgram":
-        """Precompile an INSERT's value expressions and column layout;
+        """Precompile a bound INSERT's value expressions and column layout;
         the program stays valid until the catalog version changes."""
         table = self.catalog.table(stmt.table)
         compiler = ExprCompiler(Schema([]))
-        expected = len(stmt.columns) if stmt.columns else len(table.columns)
-        rows = []
-        for row_exprs in stmt.rows:
-            if len(row_exprs) != expected:
-                raise PlanError("INSERT arity mismatch")
-            rows.append([compiler.compile(e) for e in row_exprs])
+        rows = [[compiler.compile(e) for e in row] for row in stmt.rows]
         positions = (
             tuple(table.column_position(name) for name in stmt.columns)
             if stmt.columns
@@ -697,29 +681,26 @@ class Database:
             self.transactions.record_insert(table, rid, row)
         return len(program.rows)
 
-    def _compile_dml(
-        self, stmt: ast.Insert | ast.Update | ast.Delete
-    ) -> "_InsertProgram | _WriteProgram":
-        if isinstance(stmt, ast.Insert):
-            return self._compile_insert(stmt)
-        return self._compile_write(stmt)
+    def _compile_dml(self, bound: Bound) -> "_InsertProgram | _WriteProgram":
+        """The program of a bound INSERT, UPDATE or DELETE; raises what
+        the binder refused it for."""
+        bound.checked()
+        if isinstance(bound.stmt, ast.Insert):
+            return self._compile_insert(bound.stmt)
+        return self._compile_write(bound)
 
-    def _compile_write(self, stmt: ast.Update | ast.Delete) -> "_WriteProgram":
+    def _compile_write(self, bound: Bound) -> "_WriteProgram":
         """Precompile an UPDATE/DELETE: its SET closures, and the access
         path the planner picks for ``SELECT * FROM t WHERE <same WHERE>``."""
-        table = self.catalog.table(stmt.table)
+        table = self.catalog.table(bound.stmt.table)
         binding = table.name.lower()
         schema = Schema([Slot(binding, c.lname) for c in table.columns])
         compiler = ExprCompiler(schema, self._execute_subquery)
-        assignments = (
-            [
-                (table.column_position(col), compiler.compile(expr))
-                for col, expr in stmt.assignments
-            ]
-            if isinstance(stmt, ast.Update)
-            else []
-        )
-        access = self._planner.plan_rows(table.name, stmt.where)
+        assignments = [
+            (table.column_position(col), compiler.compile(expr))
+            for col, expr in bound.assignments
+        ]
+        access = self._planner.plan_rows(bound.block)
         return _WriteProgram(table.name, assignments, access)
 
     def _match_rows(

@@ -13,6 +13,10 @@ from __future__ import annotations
 class EngineError(Exception):
     """Base class for every error raised by the engine."""
 
+    #: The semantic rule (``SEM...``) that refused the statement, when
+    #: the binder did; ``None`` for every other error.
+    rule_id: str | None = None
+
 
 class ParseError(EngineError):
     """The SQL text could not be tokenized or parsed.
@@ -34,7 +38,7 @@ class UnsupportedSyntaxError(ParseError):
     JOIN``).  ``construct`` names what was refused; ``rule_id`` is the
     semantic-analysis rule that reports it."""
 
-    rule_id = "SEM011"
+    rule_id: str | None = "SEM011"
 
     def __init__(self, construct: str, position: int | None = None) -> None:
         self.construct = construct
@@ -60,13 +64,13 @@ class TypeMismatchError(EngineError):
 
 
 class SemanticError(EngineError):
-    """Static semantic analysis rejected a statement before planning.
+    """The binder refused a statement at ``prepare`` time.
 
     Raised by ``Database.prepare`` / ``prepare_ast`` so bad statements
     surface with a rule id instead of failing later — by ``prepare``
     whether or not the text is already in the plan cache.  ``findings``
-    holds the offending :class:`repro.analysis.findings.Finding`
-    objects.
+    holds the refusing :class:`repro.engine.plan.bind.BindFinding`
+    objects (each has a ``rule_id`` and a ``message``).
     """
 
     def __init__(self, findings) -> None:

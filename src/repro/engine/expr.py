@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import ExecutionError, PlanError, UnknownObjectError
+from .errors import ExecutionError, PlanError
 from .sql import ast
 from .values import sort_key
 
@@ -37,7 +37,12 @@ class Slot:
 
 
 class Schema:
-    """Slot list with name resolution (qualified and unqualified)."""
+    """Slot list with slot-position lookup.
+
+    Names were resolved by the binder (:mod:`repro.engine.plan.bind`)
+    before anything compiles, so a reference this schema cannot place is
+    an internal :class:`PlanError`, never a user-facing name error.
+    """
 
     def __init__(self, slots: Sequence[Slot]):
         self.slots = list(slots)
@@ -64,16 +69,12 @@ class Schema:
                 for i, slot in enumerate(self.slots)
                 if slot.name == column and slot.binding is None
             ]
-        if not matches:
-            raise UnknownObjectError(
-                f"column {table + '.' if table else ''}{column} not in scope"
+        if len(matches) != 1:
+            raise PlanError(
+                f"{len(matches)} slots for column "
+                f"{table + '.' if table else ''}{column}"
             )
-        if len(matches) > 1:
-            raise PlanError(f"ambiguous column reference {column!r}")
         return matches[0]
-
-    def bindings(self) -> set[str]:
-        return {s.binding for s in self.slots if s.binding is not None}
 
 
 def referenced_bindings(expr: ast.Expr) -> set[str]:

@@ -27,7 +27,7 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from .catalog import Catalog, Table
-from .errors import EngineError, PlanError, UnknownObjectError
+from .errors import EngineError, PlanError
 from .expr import (
     ExprCompiler,
     GroupedScope,
@@ -35,12 +35,12 @@ from .expr import (
     Slot,
     referenced_bindings,
 )
+from .plan.bind import Bound, bind_statement
 from .plan.logical import (
     QueryBlock,
     build_block,
     flatten_block,
-    output_name,
-    qualify_block,
+    output_position,
 )
 from .plan import physical as phys
 from .sql import ast
@@ -284,17 +284,22 @@ class Planner:
 
     def plan_select(
         self,
-        select: ast.Select,
+        select: ast.Select | Bound,
         directives: PlanDirectives | None = None,
     ) -> phys.PReturn:
-        if select.tenants is not None:
+        """Plan a SELECT, binding it first unless it comes bound (a
+        prepared handle keeps its binding until the catalog moves)."""
+        bound = (
+            select
+            if isinstance(select, Bound)
+            else bind_statement(select, self._catalog.columns)
+        )
+        if bound.stmt.tenants is not None:
             raise PlanError(
                 "FOR TENANTS is a multi-tenant dialect clause; execute it "
                 "through MultiTenantDatabase.execute_cross, not the raw engine"
             )
-        block = qualify_block(build_block(select), self._column_lookup)
-        if self.profile is OptimizerProfile.ADVANCED:
-            block = flatten_block(block)
+        block = self._unnested(bound.checked().block)
         self._directive_stack.append(directives)
         try:
             root = self._plan_block(block)
@@ -304,44 +309,41 @@ class Planner:
         _inherit_estimates(ret)
         return ret
 
-    def plan_rows(self, table: str, where: ast.Expr | None) -> phys.PNode:
-        """The access path ``SELECT * FROM table WHERE where`` starts
-        from: the scan or index probe :meth:`_access` picks, under a
-        FILTER for conjuncts that bind no column (``? = 1``).  UPDATE and
-        DELETE find their rows through it, so a write chooses the index
-        a read of the same WHERE does."""
-        select = ast.Select(
-            (ast.SelectItem(ast.Star()),), (ast.TableSource(table),), where
-        )
-        block = qualify_block(build_block(select), self._column_lookup)
+    def plan_rows(self, block: QueryBlock) -> phys.PNode:
+        """The access path of an UPDATE's or DELETE's rows (its bound
+        FROM and WHERE, :attr:`Bound.block`): the scan or index probe
+        :meth:`_access` picks for ``SELECT * FROM table WHERE ...``,
+        under a FILTER for conjuncts that bind no column (``? = 1``).
+        A write thus chooses the index a read of the same WHERE does."""
         entry = self._make_entry(block.sources[0])
-        conjuncts = self._classify(block.conjuncts, [entry])
+        conjuncts = self._classify(block.conjuncts)
         if self.profile is OptimizerProfile.ADVANCED:
             conjuncts = self._propagate_equalities(conjuncts)
         consumed: set[int] = set()
-        node = self._access(
-            entry, conjuncts, Schema([]), None, consumed,
-            self._needed_columns(block),
-        )
+        # Every column, as for ``SELECT *``: the write reads whole rows.
+        needed = {entry.binding: {slot.name for slot in entry.schema.slots}}
+        node = self._access(entry, conjuncts, Schema([]), None, consumed, needed)
         return self._apply_filters(node, conjuncts, {entry.binding}, consumed)
 
     def source_count(self, select: ast.Select) -> int:
         """How many FROM sources the outermost block has after this
         profile's flattening — the position space
         :class:`PlanDirectives` index into."""
-        block = qualify_block(build_block(select), self._column_lookup)
+        bound = bind_statement(select, self._catalog.columns).checked()
+        return len(self._unnested(bound.block).sources)
+
+    def _unnested(self, block: QueryBlock) -> QueryBlock:
+        """A bound block as this profile plans it: ADVANCED unnests its
+        FROM subqueries (Fegaras–Maier N8), SIMPLE keeps them."""
         if self.profile is OptimizerProfile.ADVANCED:
-            block = flatten_block(block)
-        return len(block.sources)
+            return flatten_block(block)
+        return block
 
     @property
     def _directives(self) -> PlanDirectives | None:
         if self._directive_stack:
             return self._directive_stack[-1]
         return None
-
-    def _column_lookup(self, table_name: str) -> list[str]:
-        return [c.lname for c in self._catalog.table(table_name).columns]
 
     # -- block planning -------------------------------------------------------
 
@@ -350,9 +352,7 @@ class Planner:
             self._make_entry(source, position)
             for position, source in enumerate(block.sources)
         ]
-        if not entries:
-            raise PlanError("SELECT without FROM is not supported")
-        conjuncts = self._classify(block.conjuncts, entries)
+        conjuncts = self._classify(block.conjuncts)
         if self.profile is OptimizerProfile.ADVANCED:
             conjuncts = self._propagate_equalities(conjuncts)
         needed = self._needed_columns(block)
@@ -414,13 +414,10 @@ class Planner:
         # describe the outermost block only.
         self._directive_stack.append(None)
         try:
-            inner = self._plan_block(self._qualified_inner(source.select))
+            inner = self._plan_block(self._unnested(build_block(source.select)))
         finally:
             self._directive_stack.pop()
-        names = []
-        inner_block = build_block(source.select)
-        for i, item in enumerate(inner_block.items):
-            names.append(output_name(item, i))
+        names = build_block(source.select).output_names()
         schema = Schema([Slot(binding, n) for n in names])
         return _Entry(
             binding=binding,
@@ -430,26 +427,16 @@ class Planner:
             position=position,
         )
 
-    def _qualified_inner(self, select: ast.Select) -> QueryBlock:
-        block = qualify_block(build_block(select), self._column_lookup)
-        if self.profile is OptimizerProfile.ADVANCED:
-            block = flatten_block(block)
-        return block
-
     # -- conjunct classification ---------------------------------------------------
 
-    def _classify(
-        self, exprs: list[ast.Expr], entries: list[_Entry]
-    ) -> list[_Conjunct]:
-        known = {e.binding for e in entries}
-        out = []
-        for order, expr in enumerate(exprs):
-            bindings = frozenset(b for b in referenced_bindings(expr) if b != "?")
-            unknown = bindings - known
-            if unknown:
-                raise PlanError(f"predicate references unknown bindings {unknown}")
-            out.append(_Conjunct(expr, order, bindings))
-        return out
+    @staticmethod
+    def _classify(exprs: list[ast.Expr]) -> list[_Conjunct]:
+        return [
+            _Conjunct(
+                expr, order, frozenset(b for b in referenced_bindings(expr) if b != "?")
+            )
+            for order, expr in enumerate(exprs)
+        ]
 
     def _propagate_equalities(self, conjuncts: list[_Conjunct]) -> list[_Conjunct]:
         """Derive constant restrictions through equality classes.
@@ -514,13 +501,13 @@ class Planner:
 
     def _needed_columns(self, block: QueryBlock) -> dict[str, set[str]]:
         """Per-binding referenced columns; the ``""`` key marks the map
-        *incomplete* (an unqualified reference or a node ``ast.walk``
-        rejects as not an expression) — consumers that need a proven-complete
-        set (column pruning) must then stand down.  The per-binding sets
+        *incomplete* (an unqualified reference: an ORDER BY alias inside
+        an expression) — consumers that need a proven-complete set
+        (column pruning) must then stand down.  The per-binding sets
         stay usable either way for cost heuristics (index-only covering
         checks re-verify against residuals separately).
 
-        An ORDER BY key that :meth:`_output_position` resolves to a
+        An ORDER BY key that :func:`output_position` resolves to a
         select item adds nothing: it sorts on that item, whose own
         columns are counted (``_plan_order`` evaluates it as the item)."""
         needed: dict[str, set[str]] = {}
@@ -532,22 +519,19 @@ class Planner:
             [
                 order_item.expr
                 for order_item in block.order_by
-                if self._output_position(block, order_item.expr) is None
+                if output_position(block, order_item.expr) is None
             ],
         )
         for expr in expressions:
-            try:
-                for node in ast.walk(expr):
-                    if not isinstance(node, ast.ColumnRef):
-                        continue
-                    if node.table is None:
-                        needed[""] = set()
-                    else:
-                        needed.setdefault(node.table.lower(), set()).add(
-                            node.column.lower()
-                        )
-            except TypeError:  # not an expression (``*``): nothing proven
-                needed[""] = set()
+            for node in ast.walk(expr):
+                if not isinstance(node, ast.ColumnRef):
+                    continue
+                if node.table is None:
+                    needed[""] = set()
+                else:
+                    needed.setdefault(node.table.lower(), set()).add(
+                        node.column.lower()
+                    )
         return needed
 
     # -- join ordering -----------------------------------------------------------
@@ -1050,46 +1034,21 @@ class Planner:
         """Slot positions a table scan provably needs, or ``None``.
 
         ``None`` (prune nothing) whenever the block's reference map is
-        incomplete, a residual's columns cannot be proven, a name fails
-        to resolve, or pruning would not drop anything.  Residuals are
-        re-walked strictly rather than trusted to appear in ``needed``:
-        derived (pushed-down) conjuncts are not part of the block's own
-        conjunct list.
+        incomplete or pruning would not drop anything.  Residuals are
+        walked rather than trusted to appear in ``needed``: derived
+        (pushed-down) conjuncts are not part of the block's own
+        conjunct list.  Every reference is bound, so each name has its
+        slot.
         """
         if "" in needed:
             return None
         names = set(needed.get(entry.binding, set()))
         for conjunct in residuals:
-            cols = self._strict_columns(conjunct.expr, entry.binding)
-            if cols is None:
-                return None
-            names |= cols
+            names |= self._columns_of_binding(conjunct.expr, entry.binding)
         schema = entry.schema
         if len(names) >= len(schema.slots):
             return None
-        try:
-            return sorted(
-                schema.resolve(entry.binding, name) for name in names
-            )
-        except (UnknownObjectError, PlanError):
-            return None
-
-    @staticmethod
-    def _strict_columns(expr: ast.Expr, binding: str) -> set[str] | None:
-        """Columns of ``binding`` referenced in ``expr``, or ``None``
-        when the set cannot be proven complete (an unqualified reference
-        or a node ``ast.walk`` rejects as not an expression)."""
-        cols: set[str] = set()
-        try:
-            for node in ast.walk(expr):
-                if isinstance(node, ast.ColumnRef):
-                    if node.table is None:
-                        return None
-                    if node.table.lower() == binding:
-                        cols.add(node.column.lower())
-        except TypeError:
-            return None
-        return cols
+        return sorted(schema.resolve(entry.binding, name) for name in names)
 
     @staticmethod
     def _columns_of_binding(expr: ast.Expr, binding: str) -> set[str]:
@@ -1391,8 +1350,6 @@ class Planner:
             if call.star:
                 aggs.append(phys.AggSpec("COUNT_STAR", None))
                 continue
-            if len(call.args) != 1:
-                raise PlanError(f"{call.name} takes exactly one argument")
             aggs.append(
                 phys.AggSpec(
                     call.name.upper(),
@@ -1424,30 +1381,6 @@ class Planner:
         grp._scope = scope  # type: ignore[attr-defined]
         return grp
 
-    @staticmethod
-    def _output_position(
-        block: QueryBlock, expr: ast.Expr
-    ) -> int | None:
-        """The output column an ORDER BY key denotes, if any.
-
-        Matching is by exact expression text against a select item, or
-        by a (unique) unqualified reference to an output name.  Name
-        matching alone is NOT sound for qualified refs: after subquery
-        flattening, a physical column (``f0.val``) can collide with an
-        output name (``val``) that projects a *different* expression,
-        and the schema resolver's name-only fallback would silently
-        sort on the wrong column."""
-        rendered = expr.sql()
-        for position, item in enumerate(block.items):
-            if item.expr.sql() == rendered:
-                return position
-        if isinstance(expr, ast.ColumnRef) and expr.table is None:
-            lowered = [n.lower() for n in block.output_names()]
-            name = expr.column.lower()
-            if lowered.count(name) == 1:
-                return lowered.index(name)
-        return None
-
     def _plan_order(
         self, node: phys.PNode, block: QueryBlock, *, grouped: bool
     ) -> phys.PNode:
@@ -1462,7 +1395,7 @@ class Planner:
             hidden = 0
             for order_item in block.order_by:
                 expr = order_item.expr
-                out_position = self._output_position(block, expr)
+                out_position = output_position(block, expr)
                 qualified = (
                     isinstance(expr, ast.ColumnRef) and expr.table is not None
                 )
@@ -1482,13 +1415,7 @@ class Planner:
                     # Anything else (ORDER BY COUNT(*), ORDER BY a group
                     # expression not in the select list) becomes a hidden
                     # output computed from the pseudo (keys+aggs) row.
-                    try:
-                        post = scope.compile(expr)
-                    except EngineError:
-                        raise PlanError(
-                            f"ORDER BY {expr.sql()} must reference output "
-                            "columns, GROUP BY expressions, or aggregates"
-                        ) from None
+                    post = scope.compile(expr)
                     position = output_width + hidden
                     hidden += 1
                     node.outputs.append(phys.OutputSpec(post=post))
@@ -1526,11 +1453,11 @@ class Planner:
         if not block.order_by:
             return project
         # Post-projection sort when every key denotes an output column
-        # (by position — see _output_position for why name matching
+        # (by position — see output_position for why name matching
         # alone is unsound after flattening).
         post_keys, ok = [], True
         for order_item in block.order_by:
-            position = self._output_position(block, order_item.expr)
+            position = output_position(block, order_item.expr)
             if position is None:
                 ok = False
                 break
@@ -1548,7 +1475,7 @@ class Planner:
             # column its alias happens to share a name with.
             pre_keys = []
             for order_item in block.order_by:
-                position = self._output_position(block, order_item.expr)
+                position = output_position(block, order_item.expr)
                 pre_keys.append(
                     (
                         child_compiler.compile(order_item.expr)

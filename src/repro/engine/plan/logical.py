@@ -1,8 +1,11 @@
-"""Logical query blocks: normalization, qualification, and flattening.
+"""Logical query blocks: normalization and flattening.
 
 A :class:`QueryBlock` is the optimizer's working form of a SELECT: the
-WHERE clause split into an ordered conjunct list, sources in textual
-order, and every column reference fully qualified.
+WHERE clause split into an ordered conjunct list and sources in textual
+order.  Names are not resolved here: the binder
+(:mod:`repro.engine.plan.bind`) qualifies every column reference and
+expands every ``*`` of a block before the planner or a transformer
+works on it.
 
 :func:`flatten_block` implements the subquery unnesting the paper leans
 on (Section 6.1): Fegaras & Maier's rule N8 guarantees that a FROM
@@ -17,13 +20,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from ..errors import PlanError, UnknownObjectError
 from ..expr import contains_aggregate
 from ..sql import ast
-
-#: Resolves a physical table name to its column names (lowered).
-ColumnLookup = Callable[[str], list[str]]
-
 
 @dataclass
 class QueryBlock:
@@ -70,6 +68,27 @@ def output_name(item: ast.SelectItem, position: int) -> str:
     return f"c{position}"
 
 
+def output_position(block: QueryBlock, expr: ast.Expr) -> int | None:
+    """The output column an ORDER BY key denotes, if any.
+
+    Matching is by exact expression text against a select item, or by a
+    (unique) unqualified reference to an output name.  Name matching
+    alone is NOT sound for qualified refs: after subquery flattening, a
+    physical column (``f0.val``) can collide with an output name
+    (``val``) that projects a *different* expression, and sorting by
+    name would silently sort on the wrong column."""
+    rendered = expr.sql()
+    for position, item in enumerate(block.items):
+        if item.expr.sql() == rendered:
+            return position
+    if isinstance(expr, ast.ColumnRef) and expr.table is None:
+        names = block.output_names()
+        name = expr.column.lower()
+        if names.count(name) == 1:
+            return names.index(name)
+    return None
+
+
 def split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
     """Split a predicate on top-level ANDs, preserving textual order."""
     if expr is None:
@@ -114,118 +133,6 @@ def block_to_select(block: QueryBlock) -> ast.Select:
     )
 
 
-# ---------------------------------------------------------------------------
-# Qualification: give every column reference an explicit binding and
-# expand ``*`` / ``alias.*`` select items.
-# ---------------------------------------------------------------------------
-
-
-def source_output_columns(source: ast.Source, lookup: ColumnLookup) -> list[str]:
-    if isinstance(source, ast.TableSource):
-        return lookup(source.name)
-    names = []
-    inner = build_block(source.select)
-    for i, item in enumerate(inner.items):
-        if isinstance(item.expr, ast.Star):
-            raise PlanError(
-                "nested subqueries must name their output columns "
-                "(no * inside derived tables)"
-            )
-        names.append(output_name(item, i))
-    return names
-
-
-def qualify_block(block: QueryBlock, lookup: ColumnLookup) -> QueryBlock:
-    """Qualify every column reference and expand stars, recursively."""
-    sources = []
-    for source in block.sources:
-        if isinstance(source, ast.SubquerySource):
-            inner = qualify_block(build_block(source.select), lookup)
-            sources.append(ast.SubquerySource(block_to_select(inner), source.alias))
-        else:
-            sources.append(source)
-    scope: dict[str, list[str]] = {}
-    for source in sources:
-        binding = source.binding.lower()
-        if binding in scope:
-            raise PlanError(f"duplicate table binding {binding!r}")
-        scope[binding] = source_output_columns(source, lookup)
-
-    def qualify_expr(expr: ast.Expr) -> ast.Expr:
-        return rewrite_refs(expr, lambda ref: _qualify_ref(ref, scope))
-
-    items: list[ast.SelectItem] = []
-    for item in block.items:
-        if isinstance(item.expr, ast.Star):
-            targets = (
-                [item.expr.table.lower()] if item.expr.table else list(scope.keys())
-            )
-            for binding in targets:
-                if binding not in scope:
-                    raise UnknownObjectError(f"unknown binding {binding!r} in *")
-                for column in scope[binding]:
-                    items.append(
-                        ast.SelectItem(ast.ColumnRef(binding, column), None)
-                    )
-        else:
-            items.append(ast.SelectItem(qualify_expr(item.expr), item.alias))
-
-    # ORDER BY may reference select-list aliases; leave those unqualified
-    # (the planner resolves them against the output schema).  As in
-    # SQLite, a bare key names the alias; inside an expression a source
-    # column of the same name wins.
-    alias_names = {
-        item.alias.lower() for item in block.items if item.alias is not None
-    }
-    source_names = {column for columns in scope.values() for column in columns}
-
-    def qualify_order_ref(ref: ast.ColumnRef) -> ast.ColumnRef:
-        name = ref.column.lower()
-        if ref.table is None and name in alias_names and name not in source_names:
-            return ref
-        return _qualify_ref(ref, scope)
-
-    def qualify_order(expr: ast.Expr) -> ast.Expr:
-        if (
-            isinstance(expr, ast.ColumnRef)
-            and expr.table is None
-            and expr.column.lower() in alias_names
-        ):
-            return expr
-        return rewrite_refs(expr, qualify_order_ref)
-
-    return QueryBlock(
-        items=items,
-        sources=sources,
-        conjuncts=[qualify_expr(c) for c in block.conjuncts],
-        group_by=[qualify_expr(e) for e in block.group_by],
-        having=qualify_expr(block.having) if block.having is not None else None,
-        order_by=[
-            ast.OrderItem(qualify_order(o.expr), o.descending)
-            for o in block.order_by
-        ],
-        limit=block.limit,
-        distinct=block.distinct,
-    )
-
-
-def _qualify_ref(ref: ast.ColumnRef, scope: dict[str, list[str]]) -> ast.ColumnRef:
-    if ref.table is not None:
-        binding = ref.table.lower()
-        if binding not in scope:
-            raise UnknownObjectError(f"unknown table binding {ref.table!r}")
-        if ref.column.lower() not in scope[binding]:
-            raise UnknownObjectError(f"no column {ref.column!r} in {ref.table}")
-        return ast.ColumnRef(binding, ref.column.lower())
-    column = ref.column.lower()
-    owners = [b for b, cols in scope.items() if column in cols]
-    if not owners:
-        raise UnknownObjectError(f"unknown column {ref.column!r}")
-    if len(owners) > 1:
-        raise PlanError(f"ambiguous column {ref.column!r}")
-    return ast.ColumnRef(owners[0], column)
-
-
 def rewrite_refs(
     expr: ast.Expr, on_ref: Callable[[ast.ColumnRef], ast.Expr]
 ) -> ast.Expr:
@@ -257,7 +164,7 @@ def can_flatten(select: ast.Select) -> bool:
 def flatten_block(block: QueryBlock) -> QueryBlock:
     """Merge every mergeable FROM-subquery into ``block``.
 
-    ``block`` must already be qualified (see :func:`qualify_block`).
+    ``block`` must already be bound (:mod:`repro.engine.plan.bind`).
     Non-mergeable subqueries (aggregating, LIMIT, DISTINCT) are kept and
     later materialized by the planner.  Colliding inner bindings are
     renamed ``<binding>_u<n>``, ``n`` counting from 1 in each call: the

@@ -107,9 +107,12 @@ class LruCache:
 class PreparedStatement:
     """A statement parsed once, planned lazily, executable many times.
 
-    For SELECTs the physical plan is cached on the handle and reused as
-    long as ``(catalog.version, optimizer profile)`` are unchanged; a
-    mismatch triggers a re-plan (counted as
+    The handle keeps its binding (:mod:`repro.engine.plan.bind`: the
+    qualified statement and the binder's findings) until
+    ``catalog.version`` moves; ``prepare`` binds, and the first plan
+    reuses that binding.  For SELECTs the physical plan is cached on
+    the handle and reused as long as ``(catalog.version, optimizer
+    profile)`` are unchanged; a mismatch triggers a re-plan (counted as
     ``db.plan_cache.invalidations``).  INSERT, UPDATE and DELETE keep
     their compiled program the same way, until ``catalog.version``
     moves: value / SET / conjunct closures, and for UPDATE/DELETE the
@@ -122,6 +125,7 @@ class PreparedStatement:
         "database",
         "stmt",
         "_sql",
+        "bound",
         "plan",
         "program",
         "catalog_version",
@@ -137,6 +141,8 @@ class PreparedStatement:
         self.database = database
         self.stmt = stmt
         self._sql = sql
+        #: The binder's result, at ``catalog_version``.
+        self.bound = None
         self.plan = None
         self.program = None
         self.catalog_version: int | None = None

@@ -229,7 +229,7 @@ def cross_groups(mtd, sql, ids):
     from repro.core.transform.crosstenant import CrossTenantTransformer
 
     transformer = CrossTenantTransformer(
-        mtd.schema, mtd.layout_for, mtd._physical_lookup
+        mtd.schema, mtd.layout_for, mtd.db.catalog.columns
     )
     return transformer.transform(parse_statement(sql), ids).groups
 

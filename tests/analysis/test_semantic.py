@@ -11,9 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.findings import RULES, Severity
-from repro.analysis.semantic import CatalogProvider, SemanticAnalyzer
+from repro.analysis.semantic import analyze_sql, analyze_statement
 from repro.engine.database import Database
-from repro.engine.errors import SemanticError, UnsupportedSyntaxError
+from repro.engine.errors import (
+    SemanticError,
+    UnknownObjectError,
+    UnsupportedSyntaxError,
+)
+from repro.engine.plan.bind import WARNINGS
 from repro.engine.sql.parser import parse_statement
 
 
@@ -40,8 +45,7 @@ def db():
 
 
 def analyze(db, sql):
-    analyzer = SemanticAnalyzer(CatalogProvider(db.catalog))
-    return analyzer.analyze(parse_statement(sql), locus=sql)
+    return analyze_statement(parse_statement(sql), db.catalog.columns, locus=sql)
 
 
 BAD_SQL = [
@@ -65,6 +69,16 @@ BAD_SQL = [
     ("SELECT SUM(COUNT(*)) FROM account", "SEM009"),
     ("DELETE FROM account WHERE nope = 1", "SEM002"),
     ("UPDATE account SET nope = 1", "SEM002"),
+    # GROUP BY sees source columns, not select-list aliases.
+    ("SELECT aid AS k, COUNT(*) FROM account GROUP BY k", "SEM002"),
+    ("SELECT aid, COUNT(*) FROM account", "SEM009"),
+    # IN subqueries are uncorrelated.
+    (
+        "SELECT aid FROM account x WHERE beds IN "
+        "(SELECT y.beds FROM account y WHERE y.tenant = x.tenant)",
+        "SEM002",
+    ),
+    ("SELECT aid FROM account WHERE beds IN (SELECT beds, aid FROM account)", "SEM005"),
 ]
 
 
@@ -90,7 +104,7 @@ def test_bad_sql_rule_ids(db, sql, rule_id):
 def test_outer_join_is_flagged_and_refused(db, sql):
     """An outer join would run as an inner one and lose the unmatched
     rows: the analyzer reports SEM011 and prepare refuses the text."""
-    report = SemanticAnalyzer(CatalogProvider(db.catalog)).analyze_sql(sql)
+    report = analyze_sql(sql, db.catalog.columns)
     assert [f.rule_id for f in report.errors] == ["SEM011"]
     assert "LEFT [OUTER] JOIN" in report.errors[0].message
     with pytest.raises(UnsupportedSyntaxError, match="SEM011"):
@@ -99,8 +113,7 @@ def test_outer_join_is_flagged_and_refused(db, sql):
 
 def test_analyze_sql_matches_analyze(db):
     sql = "SELECT nope FROM account"
-    analyzer = SemanticAnalyzer(CatalogProvider(db.catalog))
-    assert analyzer.analyze_sql(sql).errors == analyze(db, sql).errors
+    assert analyze_sql(sql, db.catalog.columns).errors == analyze(db, sql).errors
 
 
 def test_unknown_table_does_not_cascade(db):
@@ -123,12 +136,19 @@ def test_prepare_accepts_clean_sql(db):
 
 
 def test_correlated_subquery_is_clean(db):
-    report = analyze(
-        db,
+    """The engine runs an ``IN`` subquery on its own, so an outer
+    reference in it is unknown: ``prepare`` refuses what ``execute``
+    cannot run, with the rule id ``execute`` attaches."""
+    sql = (
         "SELECT aid FROM account a WHERE beds IN "
-        "(SELECT b.beds FROM account b WHERE b.tenant = a.tenant)",
+        "(SELECT b.beds FROM account b WHERE b.tenant = a.tenant)"
     )
-    assert report.ok, [f.message for f in report.findings]
+    assert [f.rule_id for f in analyze(db, sql).errors] == ["SEM002"]
+    with pytest.raises(SemanticError, match="SEM002"):
+        db.prepare(sql)
+    with pytest.raises(UnknownObjectError) as raised:
+        db.execute(sql)
+    assert raised.value.rule_id == "SEM002"
 
 
 def test_rule_catalog_is_consistent():
@@ -136,6 +156,10 @@ def test_rule_catalog_is_consistent():
         assert rule.rule_id == rule_id
         assert isinstance(rule.severity, Severity)
         assert rule.title
+    # The binder decides which of its findings refuse a statement.
+    semantic = {r for r in RULES if r.startswith("SEM")}
+    warnings = {r for r in semantic if RULES[r].severity is Severity.WARNING}
+    assert warnings == WARNINGS
 
 
 # -- property: analyzer-clean statements execute identically -------------

@@ -1,10 +1,9 @@
-"""Tests for chunk partitioning, shapes, and the utilization-driven
-folding planner."""
+"""Tests for chunk partitioning, shapes and chunk-table DDL."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import FoldingPlanner, LogicalColumn
+from repro import LogicalColumn
 from repro.core.folding import (
     ChunkShape,
     chunk_table_ddl,
@@ -127,41 +126,3 @@ class TestChunkTableDdl:
     def test_soft_delete_adds_alive(self):
         ddl, _ = chunk_table_ddl(ChunkShape(ints=1), indexed=False, soft_delete=True)
         assert "alive INTEGER NOT NULL" in ddl
-
-
-class TestFoldingPlanner:
-    def test_hot_columns_stay_conventional(self):
-        planner = FoldingPlanner(hot_fraction=0.34, chunk_width=2)
-        for _ in range(100):
-            planner.record_access("t", "name")
-        planner.record_access("t", "opened")
-        decision = planner.plan("t", MIXED)
-        conventional = {c.lname for c in decision.conventional}
-        assert "name" in conventional
-
-    def test_indexed_columns_always_conventional(self):
-        planner = FoldingPlanner(hot_fraction=0.0, chunk_width=2)
-        decision = planner.plan("t", MIXED)
-        assert "id" in {c.lname for c in decision.conventional}
-
-    def test_cold_columns_are_chunked(self):
-        planner = FoldingPlanner(hot_fraction=0.34, chunk_width=2)
-        for _ in range(10):
-            planner.record_access("t", "name")
-        decision = planner.plan("t", MIXED)
-        chunked_names = {
-            name for a in decision.chunked for name, _ in a.slots
-        }
-        conventional = {c.lname for c in decision.conventional}
-        assert chunked_names.isdisjoint(conventional)
-        assert chunked_names | conventional == {c.lname for c in MIXED}
-
-    def test_hot_fraction_bounds(self):
-        with pytest.raises(PlanError):
-            FoldingPlanner(hot_fraction=1.5)
-
-    def test_heat_accumulates(self):
-        planner = FoldingPlanner()
-        planner.record_access("t", "a", weight=3)
-        planner.record_access("T", "A")
-        assert planner.heat("t", "a") == 4

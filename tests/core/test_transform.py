@@ -156,7 +156,7 @@ class TestFlattening:
             17, "SELECT beds FROM account WHERE hospital = 'State'"
         )
         stmt = parse_statement(nested_sql)
-        flat = flatten_transformed(stmt, mtd._physical_lookup)
+        flat = flatten_transformed(stmt)
         assert all(isinstance(s, ast.TableSource) for s in flat.sources)
 
     def test_flattened_query_same_answer(self):
@@ -164,7 +164,7 @@ class TestFlattening:
         stmt = parse_statement(
             mtd.transform_sql(17, "SELECT beds FROM account WHERE hospital = 'State'")
         )
-        flat = flatten_transformed(stmt, mtd._physical_lookup)
+        flat = flatten_transformed(stmt)
         assert mtd.db.execute(flat.sql()).rows == [(1042,)]
 
     def test_metadata_predicate_detection(self):

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from ..conftest import assert_pinned_work, normalize
 from repro.engine import Database
-from repro.engine.errors import UnsupportedSyntaxError
+from repro.engine.errors import PlanError, SemanticError, UnsupportedSyntaxError
 from repro.engine.explain import plan_shape
 from repro.engine.optimizer import PlanDirectives
 from repro.engine.plan import physical as phys
@@ -143,6 +143,24 @@ class TestOrderByOutputAlias:
         ours = engine.execute(sql).rows
         assert ours == lite.execute(sql).fetchall(), sql
         assert ours == assert_pinned_work(engine, "conventional", sql)
+
+
+class TestInSubqueryWidth:
+    """An ``IN`` subquery must return one column.  Comparing against its
+    first column only would answer where SQLite refuses; the binder
+    refuses it at ``prepare`` (SEM005) and at ``execute``."""
+
+    SQL = "SELECT id FROM p WHERE grp IN (SELECT val, parent FROM c)"
+
+    def test_refused_like_sqlite(self, pair):
+        engine, lite = pair
+        with pytest.raises(sqlite3.OperationalError, match="2 columns"):
+            lite.execute(self.SQL).fetchall()
+        with pytest.raises(SemanticError, match="SEM005"):
+            engine.prepare(self.SQL)
+        with pytest.raises(PlanError) as raised:
+            engine.execute(self.SQL)
+        assert raised.value.rule_id == "SEM005"
 
 
 class TestDmlAgreement:

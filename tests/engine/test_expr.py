@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from repro.engine.columnstore import ColumnBatch
 from repro.engine.database import Database
-from repro.engine.errors import PlanError, UnknownObjectError
+from repro.engine.errors import PlanError
 from repro.engine.expr import (
     ExprCompiler,
     Schema,
@@ -88,7 +88,9 @@ class TestResolution:
             compiler.compile(stmt.where)
 
     def test_unknown_column_rejected(self):
-        with pytest.raises(UnknownObjectError):
+        # Names are the binder's job: a slot the schema lacks is an
+        # internal planning error, not a user-facing unknown column.
+        with pytest.raises(PlanError):
             evaluate("zz = 1", (0, 0, ""))
 
     def test_qualified_fallback_to_output_slots(self):

@@ -1,9 +1,12 @@
 """Unit tests for logical query blocks: conjunct splitting,
-qualification, star expansion, and Fegaras–Maier flattening."""
+qualification and star expansion by the binder, and Fegaras–Maier
+flattening."""
 
 import pytest
 
+from repro.engine.catalog import Column
 from repro.engine.errors import PlanError, UnknownObjectError
+from repro.engine.plan.bind import bind_statement
 from repro.engine.plan.logical import (
     block_to_select,
     build_block,
@@ -11,11 +14,11 @@ from repro.engine.plan.logical import (
     conjoin,
     flatten_block,
     output_name,
-    qualify_block,
     split_conjuncts,
 )
 from repro.engine.sql import ast
 from repro.engine.sql.parser import parse_statement
+from repro.engine.values import INTEGER
 
 TABLES = {
     "p": ["id", "a", "b"],
@@ -23,8 +26,10 @@ TABLES = {
 }
 
 
-def lookup(name: str):
-    return TABLES[name.lower()]
+def columns(name: str):
+    if name.lower() not in TABLES:
+        raise UnknownObjectError(f"no table named {name!r}")
+    return [Column(n, INTEGER) for n in TABLES[name.lower()]]
 
 
 def block_of(sql: str):
@@ -32,7 +37,7 @@ def block_of(sql: str):
 
 
 def qualified(sql: str):
-    return qualify_block(block_of(sql), lookup)
+    return bind_statement(parse_statement(sql), columns).checked().block
 
 
 class TestConjuncts:
