@@ -114,7 +114,9 @@ def recovery_sweep():
             db.durability.wal.flush()
             del db  # crash: no close, no final checkpoint
             reopened = Database(path=directory)
-            points.append((log_length, dict(reopened.durability.recovery_info)))
+            info = dict(reopened.durability.recovery_info)
+            info["heap_fetches"] = reopened.metrics.value("heap.fetches")
+            points.append((log_length, info))
             reopened.close()
         finally:
             shutil.rmtree(directory, ignore_errors=True)
@@ -162,6 +164,7 @@ def update_sweep():
             del db  # crash: no close, no final checkpoint
             reopened = Database(path=directory)
             info = dict(reopened.durability.recovery_info)
+            info["bytes"] = logged
             info["bytes_per_update"] = logged / log_length
             info["heap_fetches"] = reopened.metrics.value("heap.fetches")
             info["recovered"] = (
@@ -281,6 +284,42 @@ class TestRecoveryBench:
             )
         benchmark.pedantic(lambda: None, rounds=1)
         report("recovery", "\n".join(lines))
+
+    def test_counts_report(
+        self, wal_overhead, recovery_sweep, update_sweep, admin_records, report
+    ):
+        """The exact counts of the report above, without its wall times:
+        the same on every run, so CI diffs the file byte for byte."""
+        lines = ["Durability counts (exact; recovery.txt adds the timings)", ""]
+        for label, (_elapsed, stats) in wal_overhead.items():
+            if stats is not None:
+                lines.append(
+                    f"{label:10s} {ROWS} inserts: wal bytes={stats.bytes_written} "
+                    f"fsyncs={stats.fsyncs}"
+                )
+        lines.append("")
+        for log_length, info in recovery_sweep:
+            lines.append(
+                f"log={log_length:4d} post-checkpoint inserts: "
+                f"replayed={info['records_replayed']:5d} "
+                f"heap fetches={info['heap_fetches']:5d}"
+            )
+        lines.append("")
+        for log_length, info in update_sweep:
+            lines.append(
+                f"log={log_length:4d} post-checkpoint updates: "
+                f"wal bytes={info['bytes']:6d} "
+                f"({info['bytes_per_update']:.2f}/update) "
+                f"replayed={info['records_replayed']:5d} "
+                f"heap fetches={info['heap_fetches']:5d}"
+            )
+        lines.append("")
+        for label, info in admin_records.items():
+            lines.append(
+                f"{label:9s} tenants: create_tenant wal bytes="
+                f"{info['create_tenant_bytes']:7d}"
+            )
+        report("recovery_counts", "\n".join(lines))
 
     def test_group_commit_batches_fsyncs(self, wal_overhead):
         eager = wal_overhead["wal-gc1"][1]

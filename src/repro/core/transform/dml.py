@@ -1,9 +1,12 @@
 """DML transformation: Section 6.3.
 
 A single logical INSERT / UPDATE / DELETE generally fans out into
-multiple statements over the layout's fragments.  Updates (and deletes,
-which become updates under the Trashcan / soft-delete option) run in two
-phases:
+multiple statements over the layout's fragments.  A write that changes
+one fragment — an UPDATE whose SET columns one fragment holds, a DELETE
+on a table that has one fragment — and reads there only columns the
+fragment stores natively is one physical statement on it, guarded by
+the meta-data columns.  Every other update (and delete, which becomes an
+update under the Trashcan / soft-delete option) runs in two phases:
 
 * **phase (a)** — a query, built with the §6.1 transformation, collects
   the Row ids (and the column values SET expressions read) of every
@@ -21,11 +24,12 @@ statement it runs unique to one call's parameter values.
 
 The transformation is a pure function of (logical statement, layout,
 tenant schema shape), so the transformer *plans*: it returns an object
-holding the prepared phase-(a) SELECT, the compiled SET closures and one
-prepared physical template per target fragment, and running the plan
-only binds values.  The tenant id is a parameter of every template, so
-one plan serves every tenant of a shape; who keeps the plan (the
-shape-keyed statement cache, or nobody) is the caller's business.
+holding the one direct statement, or the prepared phase-(a) SELECT, the
+compiled SET closures and one prepared physical template per target
+fragment, and running the plan only binds values.  The tenant id is a
+parameter of every template, so one plan serves every tenant of a
+shape; who keeps the plan (the shape-keyed statement cache, or nobody)
+is the caller's business.
 """
 
 from __future__ import annotations
@@ -242,11 +246,11 @@ class DmlTransformer:
         self, tenant_id: int, stmt: ast.Statement, fragments: list[Fragment]
     ) -> DmlPlan:
         """The plan of one parsed logical INSERT / UPDATE / DELETE over
-        the tenant's already-listed ``fragments``: buffered, or direct
-        where the layout allows it.  Its names bind against the tenant's
-        logical schema first, so an unknown or misused name raises what
-        the engine raises for it, and every reference below is qualified
-        with the table's binding."""
+        the tenant's already-listed ``fragments``: direct when the write
+        changes one fragment (:meth:`_single_fragment`), else buffered.
+        Its names bind against the tenant's logical schema first, so an
+        unknown or misused name raises what the engine raises for it, and
+        every reference below is qualified with the table's binding."""
         bound = bind_statement(stmt, self.schema.logical_lookup(tenant_id)).checked()
         if isinstance(stmt, ast.Insert):
             return self._plan_sql_insert(tenant_id, stmt, fragments)
@@ -262,11 +266,11 @@ class DmlTransformer:
             if isinstance(stmt, ast.Update)
             else None
         )
-        if len(fragments) == 1 and fragments[0].row_column is None:
-            # Private / Basic: one fragment, no Row column — a logical
-            # write is one physical statement, no phases.
+        logical = self.schema.logical_table(tenant_id, stmt.table)
+        target = self._single_fragment(logical, fragments, assignments, where)
+        if target is not None:
             statement = self._direct_statement(
-                fragments[0], assignments, where, tenant_params.allocate()
+                target, assignments, where, tenant_params.allocate()
             )
             return TenantBound(self.db.prepare_ast(statement), tenant_params)
         if assignments is None:
@@ -288,7 +292,6 @@ class DmlTransformer:
         compiler = ExprCompiler(
             Schema([Slot(None, ROW_ALIAS)] + [Slot(None, c) for c in extra])
         )
-        logical = self.schema.logical_table(tenant_id, stmt.table)
         compiled = {
             name: (compiler.compile(expr), logical.column(name).type.checker)
             for name, expr in assignments
@@ -385,7 +388,34 @@ class DmlTransformer:
         ] + [ast.SelectItem(ast.ColumnRef(binding, c), c) for c in extra_columns]
         return ast.Select(items=tuple(items), sources=(recon,), where=where)
 
-    # -- direct path (Private / Basic: one fragment, no Row column) -------------
+    # -- direct path: a write that changes one fragment ------------------------
+
+    def _single_fragment(
+        self, logical, fragments: list[Fragment], assignments, where
+    ) -> Fragment | None:
+        """The one fragment a write changes — the holder of every SET
+        column, or a DELETE's only fragment — when it also stores every
+        column the write reads natively: no read cast, no write
+        conversion, the logical type as declared, so the engine checks
+        and compares values as the logical schema would.  ``None``: the
+        write needs both phases."""
+        if assignments is None:
+            holders, read = (fragments if len(fragments) == 1 else []), []
+        else:
+            read = [name for name, _ in assignments]
+            holders = [f for f in fragments if all(map(f.covers, read))]
+            read += [c for _, expr in assignments for c in _column_refs(expr)]
+        if not holders:
+            return None
+        fragment, stored = holders[0], holders[0].column_map()
+        declared = {c.lname: c.type for c in self.db.catalog.columns(fragment.table)}
+        for name in read + (_column_refs(where) if where is not None else []):
+            loc = stored.get(name)
+            if loc is None or loc.cast or loc.store or (
+                declared[loc.physical] != logical.column(name).type
+            ):
+                return None
+        return fragment
 
     def _direct_statement(
         self,
@@ -418,8 +448,8 @@ class DmlTransformer:
     @staticmethod
     def _localize(expr: ast.Expr, column_map) -> ast.Expr:
         """Rename logical column refs to the fragment's physical names
-        (the direct path's one fragment holds every column the binder
-        let through)."""
+        (the direct path's one fragment stores every column the write
+        reads)."""
         return rewrite_refs(
             expr,
             lambda ref: ast.ColumnRef(None, column_map[ref.column.lower()].physical),

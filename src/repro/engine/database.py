@@ -18,6 +18,7 @@ import re
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .catalog import Catalog, Column, TABLE_METADATA_COST
@@ -25,6 +26,7 @@ from .durability import DurabilityManager, DurabilityOptions
 from .durability.wal import WalStats
 from .errors import EngineError, PlanError, SemanticError
 from .expr import Compiled, ExprCompiler, Schema, Slot
+from .expr_batch import BatchFn, compile_filter
 from .heap import InsertStrategy
 from .observability import (
     AnalyzeCollector,
@@ -42,7 +44,7 @@ from .sql.parser import parse_statement
 from .statement_cache import LruCache, PREPARABLE, PreparedStatement
 from .transactions import TransactionManager
 from .values import parse_type
-from .vexecutor import ExecStats, VectorizedExecutor, index_entries
+from .vexecutor import BATCH_ROWS, ExecStats, VectorizedExecutor, index_batches
 
 #: Default server memory budget. The paper's server had 1 GB; the
 #: default here is scaled down with the default workloads (Section 2 of
@@ -86,6 +88,10 @@ class _WriteProgram:
     #: Where the rows come from (:meth:`Planner.plan_rows`): a TBSCAN,
     #: or an IXSCAN under a FETCH, perhaps under a FILTER.
     access: phys.PNode
+    #: Its TBSCAN or IXSCAN, and the leaf's residuals plus the FILTER's
+    #: predicates as one batch program (``None``: every row matches).
+    leaf: phys.PNode
+    test: BatchFn | None
 
 
 class Database:
@@ -604,15 +610,24 @@ class Database:
         self._c_plan_adhoc.inc()
         return self._planner.plan_select(select)
 
-    def _execute_subquery(self, select: ast.Select, params: Sequence[object]) -> set:
-        """The value set of an uncorrelated ``IN (SELECT ...)``, run
-        once per statement execution: compiled expressions outlive the
-        execution (cached plans, DML programs), the set must not."""
-        members = self._subquery_results.get(id(select))
-        if members is None:
-            root = self._plan_adhoc(select)
-            members = {row[0] for row in self._executor.run(root, params)}
-            self._subquery_results[id(select)] = members
+    def _execute_subquery(self, select: ast.Select):
+        """The value set of an uncorrelated ``IN (SELECT ...)`` as a
+        function of the parameters.  The plan lives as long as the
+        compiled expression asking (planned on first use, counted as
+        ``db.plan_cache.adhoc``, and again when the catalog or profile
+        moved); the set is computed once per statement execution."""
+        handle = PreparedStatement(self, select)
+
+        def members(params: Sequence[object]) -> set:
+            found = self._subquery_results.get(id(handle))
+            if found is None:
+                root, reused = self._prepared_plan(handle)
+                if not reused:
+                    self._c_plan_adhoc.inc()
+                found = {row[0] for row in self._executor.run(root, params)}
+                self._subquery_results[id(handle)] = found
+            return found
+
         return members
 
     # -- DDL ---------------------------------------------------------------------
@@ -700,34 +715,44 @@ class Database:
             (table.column_position(col), compiler.compile(expr))
             for col, expr in bound.assignments
         ]
-        access = self._planner.plan_rows(bound.block)
-        return _WriteProgram(table.name, assignments, access)
+        access = leaf = self._planner.plan_rows(bound.block)
+        predicates = access.predicates if isinstance(access, phys.PFilter) else []
+        while not isinstance(leaf, (phys.PTableScan, phys.PIndexScan)):
+            leaf = leaf.child
+        test = compile_filter([*leaf.residual, *predicates])
+        return _WriteProgram(table.name, assignments, access, leaf, test)
+
+    def _row_batches(self, table, leaf: phys.PNode, params: Sequence[object]):
+        """Lists of ``(rid, row)`` pairs from a write's TBSCAN or IXSCAN,
+        counted as the executor counts its scans and FETCHes (a FETCH's
+        ``fetch_many`` counts pages as one ``fetch`` per RID does)."""
+        stats = self._executor.stats
+        if isinstance(leaf, phys.PTableScan):
+            scan = table.heap.scan()
+            while pairs := list(islice(scan, BATCH_ROWS)):
+                stats.rows_scanned += len(pairs)
+                yield pairs
+            return
+        for entries in index_batches(self.catalog, stats, leaf, (), params, BATCH_ROWS):
+            rids = [rid for _key, rid in entries]
+            stats.rows_fetched += len(rids)
+            yield list(zip(rids, table.heap.fetch_many(rids)))
 
     def _match_rows(
         self, table, program: "_WriteProgram", params: Sequence[object]
     ) -> list:
-        """``(rid, row)`` pairs the program's access path yields, walked
-        row by row.  Each row is read once, here, and handed to the
-        write that matched it."""
-        node, predicates = program.access, []
-        if isinstance(node, phys.PFilter):
-            node, predicates = node.child, node.predicates
-        if isinstance(node, phys.PFetch):
-            node = node.child
-        predicates = [*node.residual, *predicates]
-        stats = self._executor.stats
+        """``(rid, row)`` pairs the program's access path yields, tested
+        a batch at a time by the filter program a SELECT's scan or FETCH
+        runs.  Each row is read once, here, and handed to the write that
+        matched it."""
         matched = []
-        if isinstance(node, phys.PTableScan):
-            for rid, row in table.heap.scan():
-                stats.rows_scanned += 1
-                if all(p(row, params) is True for p in predicates):
-                    matched.append((rid, row))
-            return matched
-        for _key, rid in index_entries(self.catalog, stats, node, (), params):
-            row = table.heap.fetch(rid)
-            stats.rows_fetched += 1
-            if all(p(row, params) is True for p in predicates):
-                matched.append((rid, row))
+        for pairs in self._row_batches(table, program.leaf, params):
+            if program.test is not None:
+                # The filter keeps some of the very row objects it is given.
+                rows = program.test([row for _rid, row in pairs], params)
+                kept = set(map(id, rows))
+                pairs = [pair for pair in pairs if id(pair[1]) in kept]
+            matched += pairs
         return matched
 
     def _run_update(

@@ -26,6 +26,8 @@ if TYPE_CHECKING:
 
 #: A compiled expression: (row, params) -> value.
 Compiled = Callable[[tuple, Sequence[object]], object]
+#: Uncorrelated ``IN (SELECT ...)``: subquery -> (params -> value set).
+SubqueryHook = Callable[[ast.Select], Callable[[Sequence[object]], set]]
 
 
 @dataclass(frozen=True)
@@ -209,16 +211,16 @@ class ExprCompiler:
     """Compiles expression ASTs against a fixed schema.
 
     ``subquery_executor`` is a callback used for uncorrelated ``IN
-    (SELECT ...)`` predicates; it receives the subquery AST plus the
-    statement parameters and returns the set of values the subquery
-    produced; it is called per row and owns the memoization (once per
-    statement execution).
+    (SELECT ...)`` predicates: it receives the subquery AST at compile
+    time and returns a function, called per row, from the statement
+    parameters to the subquery's value set; it owns the memoization
+    (once per statement execution).
     """
 
     def __init__(
         self,
         schema: Schema,
-        subquery_executor: "Callable[[ast.Select, Sequence[object]], set] | None" = None,
+        subquery_executor: "SubqueryHook | None" = None,
     ) -> None:
         self._schema = schema
         self._subquery_executor = subquery_executor
@@ -310,14 +312,13 @@ class ExprCompiler:
             if self._subquery_executor is None:
                 raise PlanError("IN (SELECT ...) is not allowed in this context")
             operand = self.compile(expr.operand)
-            executor = self._subquery_executor
-            subquery = expr.subquery
+            members_of = self._subquery_executor(expr.subquery)
             negated = expr.negated
             def in_subquery(row, params):
-                # Asked per row: the executor runs the subquery once per
-                # statement execution.  Nothing is kept here, a compiled
-                # expression outlives the execution it was built for.
-                members = executor(subquery, params)
+                # Asked per row: the subquery runs once per statement
+                # execution.  No set is kept here, a compiled expression
+                # outlives the execution it was built for.
+                members = members_of(params)
                 value = operand(row, params)
                 if value is None:
                     return None
@@ -447,7 +448,7 @@ class GroupedScope:
     def __init__(
         self,
         statement: "ast.Select | QueryBlock",
-        subquery_executor: "Callable[[ast.Select, Sequence[object]], set] | None" = None,
+        subquery_executor: "SubqueryHook | None" = None,
     ) -> None:
         self.group_by = list(statement.group_by)
         self.aggregates: list[ast.FuncCall] = []

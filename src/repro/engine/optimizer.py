@@ -24,7 +24,7 @@ import datetime
 import enum
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .catalog import Catalog, Table
 from .errors import EngineError, PlanError
@@ -33,6 +33,7 @@ from .expr import (
     GroupedScope,
     Schema,
     Slot,
+    SubqueryHook,
     referenced_bindings,
 )
 from .plan.bind import Bound, bind_statement
@@ -270,7 +271,7 @@ class Planner:
         self,
         catalog: Catalog,
         profile: OptimizerProfile = OptimizerProfile.ADVANCED,
-        subquery_executor: Callable[[ast.Select], set] | None = None,
+        subquery_executor: SubqueryHook | None = None,
     ) -> None:
         self._catalog = catalog
         self.profile = profile

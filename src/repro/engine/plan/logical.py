@@ -204,6 +204,7 @@ def _flatten(block: QueryBlock, numbers: Iterator[int]) -> QueryBlock:
         return mapping.get(key, ref)
 
     new_items = []
+    aliases: dict[str, ast.Expr] = {}
     for i, item in enumerate(block.items):
         new_expr = rewrite_refs(item.expr, substitute)
         alias = item.alias
@@ -211,6 +212,21 @@ def _flatten(block: QueryBlock, numbers: Iterator[int]) -> QueryBlock:
             # Substitution must not change the statement's output names.
             alias = output_name(item, i)
         new_items.append(ast.SelectItem(new_expr, alias))
+        if item.alias is not None:
+            aliases[item.alias.lower()] = new_expr
+
+    def order_key(expr: ast.Expr) -> ast.Expr:
+        # A bound block leaves only output aliases unqualified.  Inside
+        # an ORDER BY expression they name the select item, not a column
+        # the merged sources bring into scope; a bare key stays
+        # (output_position places it).
+        expr = rewrite_refs(expr, substitute)
+        if isinstance(expr, ast.ColumnRef):
+            return expr
+        return rewrite_refs(
+            expr, lambda r: r if r.table else aliases.get(r.column.lower(), r)
+        )
+
     return QueryBlock(
         items=new_items,
         sources=sources,
@@ -222,8 +238,7 @@ def _flatten(block: QueryBlock, numbers: Iterator[int]) -> QueryBlock:
             else None
         ),
         order_by=[
-            ast.OrderItem(rewrite_refs(o.expr, substitute), o.descending)
-            for o in block.order_by
+            ast.OrderItem(order_key(o.expr), o.descending) for o in block.order_by
         ],
         limit=block.limit,
         distinct=block.distinct,

@@ -5,8 +5,16 @@ import datetime
 
 import pytest
 
-from repro import MultiTenantDatabase
-from repro.engine.errors import PlanError, TypeMismatchError, UnknownObjectError
+from repro import Extension, LogicalColumn, LogicalTable, MultiTenantDatabase
+from repro.engine import Database
+from repro.engine.errors import (
+    NotNullViolation,
+    PlanError,
+    TypeMismatchError,
+    UnknownObjectError,
+)
+from repro.engine.sql import ast
+from repro.engine.values import BOOLEAN, INTEGER, varchar
 
 from .conftest import ALL_LAYOUTS, account_table, build_running_example
 
@@ -247,3 +255,165 @@ class TestDmlWithParams:
             [1000],
         ).rowcount
         assert count == 1
+
+
+# -- one statement or two phases -----------------------------------------------
+
+
+def _deal_db(layout: str) -> MultiTenantDatabase:
+    """Tenant 1 subscribes to the ``pipeline`` extension (not on Basic,
+    which has none), tenant 2 does not; three deals each."""
+    mtd = MultiTenantDatabase(layout=layout)
+    mtd.define_table(
+        LogicalTable(
+            "deal",
+            (
+                LogicalColumn("id", INTEGER, indexed=True, not_null=True),
+                LogicalColumn("title", varchar(30)),
+                LogicalColumn("won", BOOLEAN),
+            ),
+        )
+    )
+    tenants = {2: ()}
+    if layout != "basic":
+        mtd.define_extension(
+            Extension("pipeline", "deal", (LogicalColumn("stage", varchar(20)),))
+        )
+        tenants[1] = ("pipeline",)
+    for tenant_id, extensions in tenants.items():
+        mtd.create_tenant(tenant_id, extensions=extensions)
+        for number in (1, 2, 3):
+            values = {"id": number, "title": f"t{number}", "won": number == 2}
+            if extensions:
+                values["stage"] = f"s{number}"
+            mtd.insert(tenant_id, "deal", values)
+    return mtd
+
+
+@pytest.fixture
+def engine_statements(monkeypatch):
+    """How many statements the engine runs: the calls of
+    ``Database._run_statement``, which the e2e tracer times as the
+    ``engine`` span."""
+    calls = []
+    run = Database._run_statement
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return run(self, *args, **kwargs)
+
+    monkeypatch.setattr(Database, "_run_statement", counted)
+    return calls
+
+
+SET_TITLE = ("UPDATE deal SET title = ? WHERE id = ?", ["x", 2])
+SET_STAGE = ("UPDATE deal SET stage = ? WHERE stage = ?", ["x", "s2"])
+SET_BOTH = ("UPDATE deal SET title = ?, stage = ? WHERE id = ?", ["x", "y", 2])
+SET_BY_STAGE = ("UPDATE deal SET title = ? WHERE stage = ?", ["x", "s2"])
+SET_WON = ("UPDATE deal SET won = ? WHERE won = ?", [False, True])
+DELETE_ONE = ("DELETE FROM deal WHERE id = ?", [2])
+
+#: ``(layout, tenant, (sql, params), one statement?)``.  A write runs as
+#: one engine statement when it changes one fragment that stores every
+#: column it reads natively; every other write queries its Row ids
+#: first (phase (a)) and then writes per row and fragment (phase (b)).
+DECISIONS = [
+    # Base columns live in one conventional table.
+    ("basic", 2, SET_TITLE, True),
+    ("private", 1, SET_TITLE, True),
+    ("extension", 1, SET_TITLE, True),
+    ("chunk_folding", 1, SET_TITLE, True),
+    # An extension table is one fragment too, stored natively.
+    ("extension", 1, SET_STAGE, True),
+    # A DELETE on a table that has one fragment.
+    ("basic", 2, DELETE_ONE, True),
+    ("private", 1, DELETE_ONE, True),
+    ("extension", 2, DELETE_ONE, True),
+    ("chunk_folding", 2, DELETE_ONE, True),
+    # A SET that spans fragments.
+    ("extension", 1, SET_BOTH, False),
+    ("chunk_folding", 1, SET_BOTH, False),
+    # A WHERE that reads another fragment than the SET writes.
+    ("chunk_folding", 1, SET_BY_STAGE, False),
+    # Universal and Pivot cast columns; Chunk slots wider than the
+    # logical type.
+    ("universal", 2, SET_TITLE, False),
+    ("pivot", 2, SET_WON, False),
+    ("chunk", 2, SET_TITLE, False),
+    # A DELETE over two fragments or more.
+    ("extension", 1, DELETE_ONE, False),
+    ("chunk_folding", 1, DELETE_ONE, False),
+    ("pivot", 2, DELETE_ONE, False),
+]
+
+
+class TestOneFragmentWrites:
+    @pytest.mark.parametrize(
+        "layout,tenant,write,direct",
+        DECISIONS,
+        ids=[f"{layout}-{i}" for i, (layout, *_) in enumerate(DECISIONS)],
+    )
+    def test_one_statement_or_two_phases(
+        self, layout, tenant, write, direct, engine_statements
+    ):
+        mtd = _deal_db(layout)
+        sql, params = write
+
+        def rows():
+            return {v["id"]: v for _, v in mtd.export_rows(tenant, "deal")}
+
+        before = rows()
+        engine_statements.clear()
+        assert mtd.execute(tenant, sql, params).rowcount == 1
+        ran = list(engine_statements)
+        if direct:
+            assert len(ran) == 1
+        else:
+            # Phase (a), then at least one phase-(b) statement.
+            assert len(ran) >= 2 and isinstance(ran[0], ast.Select)
+        after = rows()
+        if sql.startswith("DELETE"):
+            assert sorted(after) == [1, 3]
+        else:
+            assert after[2] != before[2]
+            assert [after[1], after[3]] == [before[1], before[3]]
+
+    @pytest.mark.parametrize("layout", ["extension", "chunk_folding"])
+    @pytest.mark.parametrize(
+        "value,error", [("two", TypeMismatchError), (None, NotNullViolation)]
+    )
+    def test_refusals_agree_on_both_plans(
+        self, layout, value, error, engine_statements
+    ):
+        """A SET of the wrong type and a NULL written into a NOT NULL
+        column raise the same class whether the write is one statement
+        or two phases, and change nothing."""
+        mtd = _deal_db(layout)
+        before = mtd.export_rows(1, "deal")
+        for sql, params, direct in (
+            ("UPDATE deal SET id = ? WHERE id = 2", [value], True),
+            ("UPDATE deal SET id = ?, stage = ? WHERE id = 2", [value, "y"], False),
+        ):
+            engine_statements.clear()
+            with pytest.raises(error):
+                mtd.execute(1, sql, params)
+            # Two phases refuse after phase (a) has run.
+            assert isinstance(engine_statements[0], ast.Select) is not direct
+            assert mtd.export_rows(1, "deal") == before
+
+    def test_a_warm_direct_write_plans_nothing(self, engine_statements):
+        """A direct write runs its transformed ``IN (SELECT ...)`` inside
+        its one statement, and keeps that subquery's plan."""
+        mtd = _deal_db("chunk_folding")
+        sql = (
+            "UPDATE deal SET won = ? "
+            "WHERE id IN (SELECT d.id FROM deal d WHERE d.title = ?)"
+        )
+        planned = []
+        for title in ("t1", "t3", "t1"):
+            engine_statements.clear()
+            assert mtd.execute(2, sql, [True, title]).rowcount == 1
+            assert len(engine_statements) == 1
+            planned.append(mtd.metrics.value("db.plan_cache.adhoc"))
+        assert planned[0] == planned[1] == planned[2]
+        assert [v["won"] for _, v in mtd.export_rows(2, "deal")] == [True] * 3

@@ -4,10 +4,14 @@ Stronger sibling of ``test_layout_equivalence``: here the *schema* is
 random too — random column sets, optional random extension, random
 per-tenant subscriptions — and the workload mixes inserts, updates,
 deletes, and a variety of SELECT shapes (projections, predicates,
-aggregates).  Every layout in the registry must return identical logical
-results for every query; scenarios without an extension additionally
-include the Basic layout (which the paper notes cannot represent
-extensions at all).
+aggregates).  The writes include ``IN (?, ...)`` lists, SETs reading
+the column they assign over NULLs, and WHEREs on extension columns, so
+every layout whose fragments allow both runs some writes as one
+statement on one fragment and others in two phases (Universal always
+takes two phases, Private and Basic always one statement).  Every
+layout in the registry must return identical logical results for every
+query; scenarios without an extension additionally include the Basic
+layout (which the paper notes cannot represent extensions at all).
 
 The suite is deterministic: ``derandomize=True`` makes hypothesis derive
 all examples from the strategies alone, so every run executes the same
@@ -70,6 +74,26 @@ def scenarios(draw):
                 st.tuples(
                     st.just("bump"), st.sampled_from([1, 2]), st.integers(0, 60)
                 ),
+                st.tuples(
+                    st.just("update_in"),
+                    st.sampled_from([1, 2]),
+                    st.lists(st.integers(1, 8), min_size=1, max_size=4),
+                    st.integers(0, 99),
+                ),
+                st.tuples(
+                    st.just("bump_in"),
+                    st.sampled_from([1, 2]),
+                    st.lists(st.integers(1, 8), min_size=1, max_size=4),
+                ),
+                st.tuples(
+                    st.just("redate"), st.sampled_from([1, 2]), st.integers(1, 28)
+                ),
+                st.tuples(
+                    st.just("by_extension"),
+                    st.sampled_from([1, 2]),
+                    st.integers(0, 60),
+                    st.booleans(),
+                ),
             ),
             min_size=1,
             max_size=10,
@@ -123,6 +147,13 @@ def build(layout: str, scenario: dict) -> MultiTenantDatabase:
     return mtd
 
 
+def _subscribed(scenario: dict, tenant: int) -> bool:
+    """Whether ``tenant`` sees the extension's columns."""
+    return bool(scenario["ext_columns"]) and (
+        tenant == 1 or scenario["tenant2_subscribes"]
+    )
+
+
 def apply_operation(mtd, scenario: dict, op: tuple, counters: dict) -> None:
     kind = op[0]
     if kind == "insert":
@@ -133,10 +164,9 @@ def apply_operation(mtd, scenario: dict, op: tuple, counters: dict) -> None:
         values = {"id": item_id * 100 + seq, "added": "2008-06-09"}
         for name, col_kind in zip(_COLUMN_NAMES, scenario["column_kinds"]):
             values[name] = number if col_kind == "int" else text
-        subscribed = tenant == 1 or (
-            tenant == 2 and scenario["tenant2_subscribes"]
-        )
-        if scenario["ext_columns"] and subscribed:
+            if col_kind == "int" and number % 5 == 0:
+                values[name] = None
+        if _subscribed(scenario, tenant):
             for i, name in enumerate(
                 _EXT_COLUMN_NAMES[: scenario["ext_columns"]]
             ):
@@ -159,6 +189,57 @@ def apply_operation(mtd, scenario: dict, op: tuple, counters: dict) -> None:
     elif kind == "delete":
         _, tenant, item_id = op
         mtd.execute(tenant, "DELETE FROM item WHERE id = ?", [item_id * 100])
+    elif kind == "update_in":
+        _, tenant, item_ids, number = op
+        if scenario["column_kinds"]:
+            int_first = scenario["column_kinds"][0] == "int"
+            marks = ", ".join("?" * len(item_ids))
+            mtd.execute(
+                tenant,
+                f"UPDATE item SET {_COLUMN_NAMES[0]} = ? WHERE id IN ({marks})",
+                [number if int_first else f"u{number}"]
+                + [i * 100 for i in item_ids],
+            )
+    elif kind == "bump_in":
+        # A SET reading the column it assigns, over NULLs: an extension
+        # column where the tenant has one, else a base INTEGER column.
+        _, tenant, item_ids = op
+        columns = [
+            name
+            for name, col_kind in zip(_COLUMN_NAMES, scenario["column_kinds"])
+            if col_kind == "int"
+        ]
+        if _subscribed(scenario, tenant):
+            columns = [_EXT_COLUMN_NAMES[0]]
+        if columns:
+            col = columns[0]
+            marks = ", ".join("?" * len(item_ids))
+            mtd.execute(
+                tenant,
+                f"UPDATE item SET {col} = {col} + 1 WHERE id IN ({marks})",
+                [i * 100 for i in item_ids],
+            )
+    elif kind == "redate":
+        # A DATE is stored as declared in every slot family, so on the
+        # Chunk and Pivot layouts too this write changes one fragment.
+        _, tenant, day = op
+        mtd.execute(
+            tenant,
+            "UPDATE item SET added = ? WHERE added <= ?",
+            [f"2008-07-{day:02d}", f"2008-07-{day:02d}"],
+        )
+    elif kind == "by_extension":
+        # A WHERE on the last extension column, under a DELETE or an
+        # UPDATE bumping the first one.
+        _, tenant, threshold, delete = op
+        if _subscribed(scenario, tenant):
+            names = _EXT_COLUMN_NAMES[: scenario["ext_columns"]]
+            where = f"{names[-1]} >= ?"
+            if delete:
+                sql = f"DELETE FROM item WHERE {where}"
+            else:
+                sql = f"UPDATE item SET {names[0]} = {names[0]} + 1 WHERE {where}"
+            mtd.execute(tenant, sql, [threshold])
     elif kind == "bump":
         _, tenant, threshold = op
         int_columns = [

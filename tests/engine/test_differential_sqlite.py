@@ -19,12 +19,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ..conftest import assert_pinned_work, normalize
+from repro import LogicalColumn, LogicalTable, MultiTenantDatabase
 from repro.engine import Database
 from repro.engine.errors import PlanError, SemanticError, UnsupportedSyntaxError
 from repro.engine.explain import plan_shape
-from repro.engine.optimizer import PlanDirectives
+from repro.engine.optimizer import OptimizerProfile, PlanDirectives
 from repro.engine.plan import physical as phys
 from repro.engine.sql.parser import parse_statement
+from repro.engine.values import INTEGER
 from repro.quality.corpus import (
     ENGINE_DDL,
     ENGINE_INDEXES,
@@ -143,6 +145,75 @@ class TestOrderByOutputAlias:
         ours = engine.execute(sql).rows
         assert ours == lite.execute(sql).fetchall(), sql
         assert ours == assert_pinned_work(engine, "conventional", sql)
+
+
+def _profile_pair(profile: OptimizerProfile):
+    """``p(a, b)`` = (1, 30), (2, 20), (3, 10) in the engine and in
+    SQLite: ``a`` and ``b`` sort in opposite orders."""
+    engine, lite = Database(profile=profile), sqlite3.connect(":memory:")
+    for db in (engine, lite):
+        db.execute("CREATE TABLE p (a INTEGER, b INTEGER)")
+        for row in ((1, 30), (2, 20), (3, 10)):
+            db.execute("INSERT INTO p VALUES (?, ?)", row)
+    return engine, lite
+
+
+@pytest.mark.parametrize("profile", list(OptimizerProfile))
+class TestOrderByAliasInsideAnExpression:
+    """An alias inside an ORDER BY expression names the select item even
+    where flattening brings a source column of that name into scope:
+    the derived table's ``p.a`` under ADVANCED, a generic layout's
+    physical ``col1`` through the schema-mapping layer (flattened by the
+    layer itself under SIMPLE)."""
+
+    SQL = "SELECT d.x AS a FROM (SELECT b AS x FROM p) AS d ORDER BY a + 1"
+
+    def test_engine_sorts_on_the_select_item(self, profile):
+        engine, lite = _profile_pair(profile)
+        assert engine.execute(self.SQL).rows == lite.execute(self.SQL).fetchall()
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT b AS col1 FROM p ORDER BY col1 + 1",
+            "SELECT d.x AS col1 FROM (SELECT b AS x FROM p) AS d "
+            "ORDER BY col1 + 1",
+            "SELECT b AS col1, COUNT(*) AS n FROM p GROUP BY b ORDER BY col1 + 1",
+        ],
+    )
+    def test_generic_layout_alias_named_like_a_physical_column(self, profile, sql):
+        mtd = MultiTenantDatabase(layout="universal")
+        mtd.db.profile = profile
+        mtd.define_table(
+            LogicalTable(
+                "p", (LogicalColumn("a", INTEGER), LogicalColumn("b", INTEGER))
+            )
+        )
+        mtd.create_tenant(1)
+        for a, b in ((1, 30), (2, 20), (3, 10)):
+            mtd.insert(1, "p", {"a": a, "b": b})
+        assert mtd.db.catalog.table("universal").has_column("col1")
+        _, lite = _profile_pair(profile)
+        assert mtd.execute(1, sql).rows == lite.execute(sql).fetchall()
+
+
+class TestSubqueryPlanKept:
+    """An ``IN (SELECT ...)`` is planned with the statement that holds it
+    (``db.plan_cache.adhoc`` counts the planning), and again only after
+    the catalog moves; its value set is still one per execution."""
+
+    SQL = "SELECT id FROM p WHERE id IN (SELECT parent FROM c WHERE val = ?)"
+
+    def test_planned_once_per_compiled_statement(self):
+        engine, _ = pair = make_pair()  # not the shared, read-only one
+        planned = functools.partial(engine.metrics.value, "db.plan_cache.adhoc")
+        before = planned()
+        for val in (16, 3, 16, 7):
+            compare(pair, self.SQL, [val])
+        assert planned() == before + 1
+        engine.execute("CREATE INDEX c_val ON c (val)")
+        compare(pair, self.SQL, [3])
+        assert planned() == before + 2
 
 
 class TestInSubqueryWidth:
