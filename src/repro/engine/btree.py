@@ -31,12 +31,13 @@ write costs work proportional to the entry, not to the node:
 
 from __future__ import annotations
 
+import math
 import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from operator import gt
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .columncodec import Columns, encode_columns
 from .errors import UniqueViolation
@@ -280,6 +281,44 @@ def node_from_image(data: bytes) -> _Leaf | _Internal:
     if data[0] == _INTERNAL:
         return _Internal.from_image(data)
     raise ValueError(f"unknown page image kind {data[0]:#x}")
+
+
+#: ``bisect_right(dec, head + _PAST)`` ends the run of keys led by ``head``.
+_PAST = ((math.inf,),)
+
+
+def _run(leaf: _Leaf, spans: list[tuple[int, int]]) -> list[tuple[tuple, RowId]]:
+    """(key, rid) pairs of a leaf's entries in ``spans`` (start, end
+    pairs).  More than one entry decodes an undecoded leaf whole (as a
+    scan of a column page does); a probe decodes its one entry."""
+    image = leaf.image
+    if image is not None and len(spans) == 1 and spans[0][1] - spans[0][0] == 1:
+        start = spans[0][0]
+        key = image.keys.row(start)
+        return [(key, rid) for rid in image.rid_list(start)]
+    keys, rid_lists = leaf.keys, leaf.rid_lists
+    return [
+        (key, rid)
+        for start, end in spans
+        for key, rids in zip(keys[start:end], rid_lists[start:end])
+        for rid in rids
+    ]
+
+
+def _batched(runs: Iterator[list], batch_rows: int) -> Iterator[list]:
+    """Runs regrouped into lists of ``batch_rows`` entries.  The next run
+    (and leaf) is asked for only when a batch needs more entries, so a
+    leaf is read exactly where a per-entry walk would read it."""
+    batch: list = []
+    for run in runs:
+        batch = batch + run if batch else run
+        if len(batch) >= batch_rows:
+            cut = len(batch) - len(batch) % batch_rows
+            for i in range(0, cut, batch_rows):
+                yield batch[i : i + batch_rows]
+            batch = batch[cut:]
+    if batch:
+        yield batch
 
 
 @dataclass
@@ -536,15 +575,13 @@ class BTreeIndex:
         if prefix:
             order = self._order(prefix)
             path, page = self._descend(prefix, order)
-            yield from self._leaf_batches(
-                path[-1], page.payload, order, order, batch_rows
-            )
+            runs = self._leaf_runs(path[-1], page.payload, order, order)
         else:
             page_id = self._leftmost_leaf()
-            yield from self._leaf_batches(
-                page_id, self._pool.read(page_id).payload, None, None,
-                batch_rows,
+            runs = self._leaf_runs(
+                page_id, self._pool.read(page_id).payload, None, None
             )
+        yield from _batched(runs, batch_rows)
 
     def range_batches(
         self, low: tuple | None, high: tuple | None, batch_rows: int
@@ -559,71 +596,89 @@ class BTreeIndex:
         else:
             page_id = self._leftmost_leaf()
             leaf = self._pool.read(page_id).payload
-        yield from self._leaf_batches(
+        runs = self._leaf_runs(
             page_id,
             leaf,
             self._order(low) if low else None,
             self._order(high) if high else None,
-            batch_rows,
         )
+        yield from _batched(runs, batch_rows)
 
-    def _leaf_batches(
+    def in_batches(
+        self, prefix: tuple, values: Iterable[object], batch_rows: int
+    ) -> Iterator[list[tuple[tuple, RowId]]]:
+        """Like :meth:`prefix_batches` for the keys led by ``prefix +
+        (v,)`` for each of ``values``: those keys, sorted by decorated
+        order without duplicates, are found by one descent to the first
+        and a forward walk that bisects each in the current leaf.  A leaf
+        is read only when a key's run reaches its end or the key lies
+        past it, so the leaves read lie within those the prefix scan
+        reads.  No values read nothing."""
+        keys = {self._order(key): key for key in (prefix + (v,) for v in values)}
+        if not keys:
+            return
+        self._stats.prefix_scans += 1
+        orders = sorted(keys)
+        path, page = self._descend(keys[orders[0]], orders[0])
+        runs = self._in_runs(path[-1], page.payload, orders)
+        yield from _batched(runs, batch_rows)
+
+    def _in_runs(
+        self, page_id: int, leaf: _Leaf, orders: list[tuple]
+    ) -> Iterator[list[tuple[tuple, RowId]]]:
+        """:meth:`in_batches`'s run of each leaf read."""
+        node_dec = self._node_dec
+        i = 0
+        while True:
+            dec = node_dec.get(page_id)
+            if dec is None:
+                dec = self._decorate_leaf(page_id, leaf)
+            spans = []
+            end = 0
+            while i < len(orders):
+                start = bisect_left(dec, orders[i], end)
+                end = bisect_right(dec, orders[i] + _PAST, start)
+                if end > start:
+                    spans.append((start, end))
+                if end == len(dec):
+                    break  # the key's run may go on in the next leaf
+                i += 1
+            if spans:
+                yield _run(leaf, spans)
+            if i == len(orders) or leaf.next_page is None:
+                return
+            page_id = leaf.next_page
+            leaf = self._pool.read(page_id).payload
+
+    def _leaf_runs(
         self,
-        page_id: int | None,
+        page_id: int,
         leaf: _Leaf,
         low: tuple | None,
         high: tuple | None,
-        batch_rows: int,
     ) -> Iterator[list[tuple[tuple, RowId]]]:
-        """Walk the leaf chain from ``leaf`` batching the entries whose
-        decorated key is >= ``low`` and whose head (``len(high)``
-        columns) is <= ``high``.  The matching entries of a leaf are one
-        contiguous run (key-prefix comparisons are monotone in key
-        order): two bisects over the leaf's cached decorated keys bound
-        it and one slice takes it.  The next leaf is read only when the
-        batch being filled needs more entries, so page reads land
-        exactly where a per-entry walk would put them."""
+        """Walk the leaf chain from ``leaf``, a run per leaf of the
+        entries whose decorated key is >= ``low`` and whose head is <=
+        ``high``: two bisects over the leaf's cached decorated keys bound
+        the run (key-prefix comparisons are monotone in key order) and
+        one slice takes it."""
         node_dec = self._node_dec
-        hn = len(high) if high is not None else 0
-        batch: list[tuple[tuple, RowId]] = []
         while True:
             dec = node_dec.get(page_id)
             if dec is None:
                 dec = self._decorate_leaf(page_id, leaf)
             start = bisect_left(dec, low) if low is not None else 0
             end = (
-                bisect_right(dec, high, start, key=lambda d: d[:hn])
+                bisect_right(dec, high + _PAST, start)
                 if high is not None
                 else len(dec)
             )
-            image = leaf.image
-            if image is None or end - start > 1:
-                # A scan decodes an undecoded leaf whole, once (touching
-                # ``keys`` does), as a scan of a column page does.
-                run = [
-                    (key, rid)
-                    for key, rids in zip(
-                        leaf.keys[start:end], leaf.rid_lists[start:end]
-                    )
-                    for rid in rids
-                ]
-            elif end > start:  # a probe decodes its one entry
-                key = image.keys.row(start)
-                run = [(key, rid) for rid in image.rid_list(start)]
-            else:
-                run = []
-            batch = batch + run if batch else run
-            if len(batch) >= batch_rows:
-                cut = len(batch) - len(batch) % batch_rows
-                for i in range(0, cut, batch_rows):
-                    yield batch[i : i + batch_rows]
-                batch = batch[cut:]
-            page_id = leaf.next_page if end == len(dec) else None
-            if page_id is None:
-                break
+            if end > start:
+                yield _run(leaf, [(start, end)])
+            if end < len(dec) or leaf.next_page is None:
+                return
+            page_id = leaf.next_page
             leaf = self._pool.read(page_id).payload
-        if batch:
-            yield batch
 
     def _leftmost_leaf(self) -> int:
         page_id = self._root_id

@@ -146,6 +146,30 @@ def _comparison(expr: ast.Expr, binding: str) -> tuple[str, str, ast.Expr] | Non
     return None
 
 
+def _in_column(expr: ast.Expr, binding: str) -> str | None:
+    """The column of ``binding.column IN (constants)``, else ``None``."""
+    if (
+        isinstance(expr, ast.InList)
+        and not expr.negated
+        and _column_of(expr.operand, binding)
+        and all(_is_constant(item) for item in expr.items)
+    ):
+        return expr.operand.column.lower()
+    return None
+
+
+def _in_lists(
+    conjuncts: Sequence[_Conjunct], binding: str
+) -> dict[str, ast.InList]:
+    """Column -> the textually first :func:`_in_column` list on it."""
+    lists: dict[str, ast.InList] = {}
+    for conjunct in sorted(conjuncts, key=lambda c: c.order):
+        column = _in_column(conjunct.expr, binding)
+        if column is not None:
+            lists.setdefault(column, conjunct.expr)
+    return lists
+
+
 def _literal(table: Table, column: str, expr) -> object:
     """``expr``'s value as ``column`` would store it, or ``None`` when it
     is not a literal, is NULL, or does not fit the column's type."""
@@ -746,15 +770,11 @@ class Planner:
                     _tighter(max, old_low, low), _tighter(min, old_high, high)
                 )
             elif isinstance(expr, ast.InList):
-                operand = expr.operand
-                if (
-                    not expr.negated
-                    and _column_of(operand, binding)
-                    and all(_is_constant(item) for item in expr.items)
-                ):
+                column = _in_column(expr, binding)
+                if column is not None:
                     items = {item.sql(): item for item in expr.items}
                     fraction *= min(1.0, sum(
-                        self._eq_fraction(table, operand.column.lower(), item)
+                        self._eq_fraction(table, column, item)
                         for item in items.values()
                     ))
             else:
@@ -789,15 +809,15 @@ class Planner:
             if directives is not None
             else None
         )
-        range_low = range_high = None
+        range_low = range_high = in_list = None
         range_sql: list[str] = []
         range_col: str | None = None
         index_info, prefix = self._choose_index(entry, eq_map, conjuncts)
 
-        # Range bounds on the column right after the equality prefix
-        # narrow the scan; the original (possibly exclusive)
-        # predicates stay in the residual, so bounds are
-        # correctness-neutral.
+        # An IN list, else range bounds, on the column right after the
+        # equality prefix narrows the scan; the original predicates stay
+        # in the residual (exclusive bounds, item types and NULLs are
+        # decided there), so the keys are correctness-neutral.
         if index_info is None:
             index_info, range_low, range_high, range_sql = self._range_index(
                 entry, conjuncts, placed_bindings
@@ -807,9 +827,14 @@ class Planner:
                 range_col = index_info.column_names[0].lower()
         elif len(prefix) < len(index_info.column_names):
             next_col = index_info.column_names[len(prefix)].lower()
-            range_low, range_high, range_sql = self._range_bounds(
-                entry, conjuncts, placed_bindings, next_col
-            )
+            in_list = _in_lists(conjuncts, entry.binding).get(next_col)
+            if in_list is not None:
+                items = ", ".join(item.sql() for item in in_list.items)
+                range_sql = [f"{entry.binding}.{next_col} IN ({items})"]
+            else:
+                range_low, range_high, range_sql = self._range_bounds(
+                    entry, conjuncts, placed_bindings, next_col
+                )
             if range_low is not None or range_high is not None:
                 range_col = next_col
         if forced_access == "scan":
@@ -818,7 +843,7 @@ class Planner:
             # post-join FILTER, so the plan stays correct — just
             # (usually) worse, which is the point of enumerating it.
             index_info, prefix = None, []
-            range_low = range_high = None
+            range_low = range_high = in_list = None
             range_sql = []
 
         # Equality columns this access node itself enforces (via index
@@ -936,6 +961,9 @@ class Planner:
             range_high=bound_compiler.compile(range_high)
             if range_high is not None
             else None,
+            in_keys=[bound_compiler.compile(item) for item in in_list.items]
+            if in_list is not None
+            else None,
             range_sql=range_sql,
         )
         consumed.update(id(c) for c in residual_conjuncts)
@@ -943,10 +971,12 @@ class Planner:
         enforced = set(prefix) | single_eq_cols
         if index_only:
             return annotate(ixscan, enforced)
-        # The IXSCAN yields the entries its prefix and range match, before
-        # residuals; the FETCH above it what survives them.
+        # The IXSCAN yields the entries its prefix and range or IN list
+        # match, before residuals; the FETCH above it what survives them.
         ixscan.est_rows = self._estimate_access(
-            entry, {col: eq_map[col][0] for col in prefix}, ranges
+            entry,
+            {col: eq_map[col][0] for col in prefix},
+            ranges if in_list is None else [in_list],
         )
         fetch = phys.PFetch(
             schema=entry.schema, child=ixscan, table_name=table.name
@@ -1067,50 +1097,33 @@ class Planner:
         eq_map: dict[str, tuple[ast.Expr, _Conjunct]],
         conjuncts: list[_Conjunct],
     ):
+        """The index to probe and its equality prefix, or ``(None, [])``.
+        An IN list on the column right after a non-empty prefix counts as
+        one more prefix column, below a true equality there; ADVANCED
+        breaks ties towards unique indexes, both profiles then towards
+        the first."""
         table = entry.table
         assert table is not None
-        if not eq_map:
-            return None, []
-        if self.profile is OptimizerProfile.ADVANCED:
-            info = table.find_index(tuple(eq_map.keys()))
-            if info is None:
-                return None, []
-            prefix = []
-            for col in info.column_names:
-                if col.lower() in eq_map:
-                    prefix.append(col.lower())
-                else:
-                    break
-            return info, prefix
-        # SIMPLE: the index whose leading column is bound by the textually
-        # first predicate wins, even if another index would match longer.
-        ordered_cols = [
-            col
-            for col, (_, conjunct) in sorted(
-                eq_map.items(), key=lambda kv: kv[1][1].order
-            )
-        ]
-        for col in ordered_cols:
-            candidates = [
-                info
-                for info in table.indexes.values()
-                if info.column_names[0].lower() == col
-            ]
-            if not candidates:
-                continue
-            best, best_prefix = None, []
-            for info in candidates:
-                prefix = []
-                for c in info.column_names:
-                    if c.lower() in eq_map:
-                        prefix.append(c.lower())
-                    else:
-                        break
-                if len(prefix) > len(best_prefix):
-                    best, best_prefix = info, prefix
-            if best is not None:
-                return best, best_prefix
-        return None, []
+        indexes = list(table.indexes.values())
+        advanced = self.profile is OptimizerProfile.ADVANCED
+        if not advanced:
+            # SIMPLE: the index whose leading column is bound by the
+            # textually first predicate wins, even if another index
+            # would match longer.
+            leading = {info.column_names[0].lower() for info in indexes}
+            ordered = sorted(eq_map, key=lambda col: eq_map[col][1].order)
+            first = next((col for col in ordered if col in leading), None)
+            indexes = [i for i in indexes if i.column_names[0].lower() == first]
+        listed = _in_lists(conjuncts, entry.binding)
+        best, prefix, best_score = None, [], (1,)  # one prefix column at least
+        for info in indexes:
+            names = [c.lower() for c in info.column_names]
+            n = next((i for i, c in enumerate(names) if c not in eq_map), len(names))
+            keys = 0 < n < len(names) and names[n] in listed
+            score = (n + keys, not keys, advanced and info.unique)
+            if score > best_score:
+                best, prefix, best_score = info, names[:n], score
+        return best, prefix
 
     def _derived_access(
         self, entry: _Entry, conjuncts: list[_Conjunct], consumed: set[int]

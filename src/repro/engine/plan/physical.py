@@ -64,7 +64,9 @@ class PTableScan(PNode):
 
 @dataclass
 class PIndexScan(PNode):
-    """Equality-prefix index scan.
+    """Equality-prefix index scan, optionally narrowed on the next index
+    column by range bounds or by the items of an IN list
+    (``BTreeIndex.in_batches``, one walk over the keys in order).
 
     ``key_exprs`` are compiled against the *outer* schema (empty for the
     leftmost access; the current outer row for NLJOIN inners).  When
@@ -85,6 +87,10 @@ class PIndexScan(PNode):
     #: re-checked by the residual predicates).
     range_low: Compiled | None = None
     range_high: Compiled | None = None
+    #: The items of ``col IN (...)`` on that column, probed as keys
+    #: instead of range bounds; the IN list stays a residual.
+    in_keys: list[Compiled] | None = None
+    #: EXPLAIN text of the range bounds or the IN list.
     range_sql: list[str] = field(default_factory=list)
 
     @property

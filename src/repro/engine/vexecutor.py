@@ -102,7 +102,9 @@ def index_batches(
     batch_rows: int,
 ) -> Iterator[list[tuple]]:
     """Lists of at most ``batch_rows`` (key, rid) entries for an index
-    scan: its equality prefix, optionally bounded by a range.
+    scan: its equality prefix, optionally bounded by a range or followed
+    by an IN list's items (NULLs dropped, the rest probed in one walk by
+    ``BTreeIndex.in_batches``).
 
     The one index access routine: the executor consumes the batches,
     join probes and DML row matching flatten them
@@ -121,6 +123,12 @@ def index_batches(
     stats.index_lookups += 1
     if None in prefix:
         return  # ``col = NULL`` is never true: no entry matches
+    if node.in_keys is not None:
+        values = [e(outer_row, params) for e in node.in_keys]
+        yield from info.btree.in_batches(
+            prefix, [v for v in values if v is not None], batch_rows
+        )
+        return
     if node.range_low is None and node.range_high is None:
         if info.unique and len(prefix) == len(info.column_names):
             # Full-key probe on a unique index: exact-match descent

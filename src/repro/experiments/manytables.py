@@ -30,6 +30,8 @@ class ManyTablesRow:
     quantiles_ms: dict[ActionClass, float]
     data_hit_pct: float
     index_hit_pct: float
+    #: Actions behind each class's quantile.
+    action_counts: dict[ActionClass, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -82,6 +84,7 @@ class ManyTablesExperiment:
                     quantiles_ms=quantiles,
                     data_hit_pct=100 * metrics.data_hit_ratio,
                     index_hit_pct=100 * metrics.index_hit_ratio,
+                    action_counts={a: len(t) for a, t in results.by_class().items()},
                 )
             )
         return rows

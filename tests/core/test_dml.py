@@ -15,6 +15,8 @@ from repro.engine.errors import (
 )
 from repro.engine.sql import ast
 from repro.engine.values import BOOLEAN, INTEGER, varchar
+from repro.testbed.actions import HEAVY_BATCH
+from repro.testbed.crm import crm_tables
 
 from .conftest import ALL_LAYOUTS, account_table, build_running_example
 
@@ -417,3 +419,69 @@ class TestOneFragmentWrites:
             planned.append(mtd.metrics.value("db.plan_cache.adhoc"))
         assert planned[0] == planned[1] == planned[2]
         assert [v["won"] for _, v in mtd.export_rows(2, "deal")] == [True] * 3
+
+
+# -- a write that names its rows reads only those --------------------------------
+
+
+@pytest.fixture
+def statement_fetches(monkeypatch):
+    """``(statement, rows fetched, rowcount)`` of each engine statement."""
+    calls = []
+    run = Database._run_statement
+
+    def counted(self, stmt, *args, **kwargs):
+        before = self.exec_stats.rows_fetched
+        ran = run(self, stmt, *args, **kwargs)
+        calls.append((stmt, self.exec_stats.rows_fetched - before, ran[0].rowcount))
+        return ran
+
+    monkeypatch.setattr(Database, "_run_statement", counted)
+    return calls
+
+
+class TestInListWrites:
+    """An ``IN`` list after the tenant (and chunk) prefix is the index
+    probe's keys: a write fetches the rows it names, not every row of
+    the tenant's fragment."""
+
+    def test_update_heavy_fetches_the_distinct_matched_rows(self, statement_fetches):
+        """Figure 6's Update Heavy, as the e2e benchmark issues it, on
+        Chunk Folding's ``campaign_cf`` with a ``(tenant, id)`` index."""
+        mtd = MultiTenantDatabase(layout="chunk_folding")
+        for table in crm_tables():
+            mtd.define_table(table)
+        for tenant in (1, 2):
+            mtd.create_tenant(tenant)
+            for i in range(1, 51):
+                mtd.insert(tenant, "campaign", {"id": i, "score": 0})
+        ids = [3, 7, 7, 12, 50, 51, 99, *range(20, 38)]  # repeats, absent ids
+        assert len(ids) == HEAVY_BATCH
+        marks = ", ".join("?" * len(ids))
+        statement_fetches.clear()
+        sql = f"UPDATE campaign SET score = score + 1 WHERE id IN ({marks})"
+        assert mtd.execute(1, sql, ids).rowcount == 22
+        [(stmt, fetched, count)] = statement_fetches
+        assert isinstance(stmt, ast.Update) and fetched == count == 22
+
+    @pytest.mark.parametrize("soft_delete", [False, True])
+    def test_phase_b_fetches_only_the_named_rows(self, soft_delete, statement_fetches):
+        """A two-phase DELETE (three ids, padded to four ``row IN``
+        slots by repeating the last) and a Trashcan ``restore`` (one id
+        named twice) on Chunk Tables."""
+        mtd = build_running_example("chunk", soft_delete=soft_delete)
+        for aid in range(3, 15):
+            mtd.insert(17, "account", {"aid": aid, "name": f"n{aid}"})
+        writes = [lambda: mtd.execute(17, "DELETE FROM account WHERE aid IN (2, 5, 9)")]
+        if soft_delete:
+            writes.append(lambda: mtd.restore(17, "account", [1, 4, 8, 4]))
+        for write in writes:
+            statement_fetches.clear()
+            write()
+            phase_b = [
+                (fetched, count)
+                for stmt, fetched, count in statement_fetches
+                if not isinstance(stmt, ast.Select)
+            ]
+            assert len(phase_b) == 3  # one per chunk
+            assert phase_b == [(3, 3)] * 3

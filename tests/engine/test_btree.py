@@ -238,6 +238,74 @@ class TestBatchScans:
             assert found == expected
 
 
+class TestInProbe:
+    """``in_batches(prefix, values)`` is ``prefix_batches(prefix)`` less
+    the entries whose next key column is not one of ``values``: the same
+    entries in key order, at no more page reads."""
+
+    @staticmethod
+    def tree(entries, stored=False):
+        pool = BufferPool(capacity_pages=4096, page_size=256)
+        index = BTreeIndex(pool, 1)
+        for i, key in enumerate(entries):
+            index.insert(key, rid(i))
+        if stored:
+            lazify(pool)  # every leaf undecoded, as read from the page file
+        return index, pool
+
+    @staticmethod
+    def read(pool, batches):
+        before = pool.stats.logical_total
+        entries = [entry for batch in batches for entry in batch]
+        return entries, pool.stats.logical_total - before
+
+    def check(self, index, pool, prefix, values, batch_rows=7):
+        got, in_reads = self.read(pool, index.in_batches(prefix, values, batch_rows))
+        scanned, scan_reads = self.read(pool, index.prefix_batches(prefix, batch_rows))
+        assert got == [e for e in scanned if e[0][len(prefix)] in values]
+        assert in_reads <= scan_reads
+        return got, in_reads
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # Few distinct (prefix, value) pairs, several keys and RIDs
+        # each: a value's run often crosses a leaf split.
+        entries=st.lists(
+            st.tuples(st.integers(0, 2), st.integers(0, 9), st.integers(0, 3)),
+            max_size=250,
+        ),
+        prefix=st.integers(0, 3),
+        values=st.lists(st.integers(-1, 11) | st.integers(0, 9).map(float), max_size=6),
+        batch_rows=st.sampled_from([1, 3, 256]),
+        stored=st.booleans(),
+    )
+    def test_a_filtered_prefix_scan_at_no_more_reads(
+        self, entries, prefix, values, batch_rows, stored
+    ):
+        index, pool = self.tree(entries, stored)
+        self.check(index, pool, (prefix,), values, batch_rows)
+
+    def test_duplicate_absent_single_and_no_values(self):
+        # Value 5 of prefix 1 holds 60 keys, each with two RIDs: its run
+        # spans several leaves.
+        entries = [(p, v, t) for p in range(3) for v in range(20) for t in range(3)]
+        entries += [(1, 5, t) for t in range(3, 60) for _ in range(2)]
+        index, pool = self.tree(entries)
+        assert index.height > 1
+        got, _ = self.check(index, pool, (1,), [5])
+        assert len(got) == 3 + 2 * 57
+        self.check(index, pool, (1,), [7, 5, 7, 5.0, 99, -1, 19])
+        self.check(index, pool, (1,), [99])
+        self.check(index, pool, (7,), [5])
+        stats = index._stats
+        before = (stats.descents, stats.prefix_scans)
+        got, reads = self.read(pool, index.in_batches((1,), [], 7))
+        assert (got, reads) == ([], 0)
+        assert (stats.descents, stats.prefix_scans) == before
+        list(index.in_batches((1,), [3, 1, 2], 7))
+        assert (stats.descents, stats.prefix_scans) == (before[0] + 1, before[1] + 1)
+
+
 class TestPrefixCompression:
     def test_compression_reduces_index_pages(self):
         """Redundant leading columns (Tenant, Table, Chunk) compress well

@@ -22,7 +22,7 @@ from ..conftest import assert_pinned_work, normalize
 from repro import LogicalColumn, LogicalTable, MultiTenantDatabase
 from repro.engine import Database
 from repro.engine.errors import PlanError, SemanticError, UnsupportedSyntaxError
-from repro.engine.explain import plan_shape
+from repro.engine.explain import plan_shape, render_plan
 from repro.engine.optimizer import OptimizerProfile, PlanDirectives
 from repro.engine.plan import physical as phys
 from repro.engine.sql.parser import parse_statement
@@ -613,3 +613,96 @@ class TestWritesFindRowsLikeSelect:
             for _, where, _ in WRITE_SHAPES
         }
         assert chosen == {None, "w_id", "w_gk"}
+
+
+# -- an IN list after an equality prefix probes its items ---------------------
+
+IN_DDL = [
+    "CREATE TABLE t (tenant INTEGER, row INTEGER, id INTEGER, v INTEGER)",
+    "CREATE INDEX t_tr ON t (tenant, row)",
+    "CREATE INDEX t_id ON t (tenant, id)",
+    "CREATE TABLE o (tenant INTEGER, k INTEGER)",
+]
+#: Three tenants; ids repeat within a tenant, and some are NULL.
+IN_ROWS = [(i % 3, i, None if i % 17 == 0 else i // 2 % 40, i) for i in range(150)]
+
+
+def _in_keyed(node) -> bool:
+    """Whether an index scan of the plan probes IN-list keys."""
+    if isinstance(node, phys.PIndexScan) and node.in_keys is not None:
+        return True
+    return any(_in_keyed(child) for child in node.children())
+
+
+@pytest.mark.parametrize("profile", list(OptimizerProfile))
+class TestInListProbe:
+    """``tenant = ? AND id IN (...)`` probes ``(tenant, id)`` for each
+    listed id; the IN list stays the filter, so duplicates, a NULL item,
+    absent ids and ``2``/``2.0`` answer as in SQLite.  ``NOT IN`` and an
+    IN list with no equality prefix before it probe nothing."""
+
+    WHERE = "tenant = ? AND id IN (5, 2, 5, NULL, 2.0, 999, ?)"
+    PARAMS = (1, 11)
+
+    @staticmethod
+    def _pair(profile):
+        engine, lite = Database(profile=profile), sqlite3.connect(":memory:")
+        for db in (engine, lite):
+            for sql in IN_DDL:
+                db.execute(sql)
+            for row in IN_ROWS:
+                db.execute("INSERT INTO t VALUES (?, ?, ?, ?)", row)
+            for row in ((1, 10), (2, 20), (1, 30)):
+                db.execute("INSERT INTO o VALUES (?, ?)", row)
+        return engine, lite
+
+    def test_select(self, profile):
+        engine, lite = self._pair(profile)
+        sql = f"SELECT row, id, v FROM t WHERE {self.WHERE}"
+        assert (
+            "via t_id(t.tenant = ?, t.id IN (5, 2, 5, NULL, 2.0, 999, ?))"
+            in engine.explain(sql)
+        )
+        ours = engine.execute(sql, list(self.PARAMS)).rows
+        assert len(ours) > 3
+        assert normalize(ours) == normalize(lite.execute(sql, self.PARAMS).fetchall())
+
+    @pytest.mark.parametrize("verb", ["UPDATE t SET v = v + 1000", "DELETE FROM t"])
+    def test_write(self, profile, verb):
+        engine, lite = self._pair(profile)
+        sql = f"{verb} WHERE {self.WHERE}"
+        write = engine.prepare(sql)
+        count = write.execute(list(self.PARAMS)).rowcount
+        assert count > 3 and count == lite.execute(sql, self.PARAMS).rowcount
+        assert _in_keyed(write.program.access)
+        everything = "SELECT * FROM t"
+        assert normalize(engine.execute(everything).rows) == normalize(
+            lite.execute(everything).fetchall()
+        )
+
+    def test_nljoin_inner_with_the_prefix_bound_by_the_outer_row(self, profile):
+        engine, lite = self._pair(profile)
+        sql = (
+            "SELECT o.k, t.row, t.id FROM o, t "
+            "WHERE t.tenant = o.tenant AND t.id IN (3, 4, 4, 38, 77)"
+        )
+        root = engine.plan_ast(
+            parse_statement(sql),
+            PlanDirectives(join_order=(0, 1), join_methods=(None, "nl")),
+        )
+        assert plan_shape(root) == "RETURN(PROJECT(NLJOIN(TBSCAN,FETCH(IXSCAN))))"
+        assert "via t_id(t.tenant = o.tenant, t.id IN (3, 4, 4, 38, 77))" in (
+            render_plan(root)
+        )
+        ours = engine.execute_plan(root).rows
+        assert normalize(ours) == normalize(lite.execute(sql).fetchall())
+
+    @pytest.mark.parametrize(
+        "where", ["tenant = 1 AND id NOT IN (5, 2)", "id IN (5, 2)", "tenant IN (1, 2)"]
+    )
+    def test_not_in_and_no_prefix_keep_their_plans(self, profile, where):
+        engine, lite = self._pair(profile)
+        sql = f"SELECT row, v FROM t WHERE {where}"
+        assert not _in_keyed(engine.plan(sql))
+        assert " IN (" not in engine.explain(sql)
+        compare((engine, lite), sql)
