@@ -20,5 +20,6 @@ from .core import (  # noqa: F401
     PredicateOrder,
 )
 from .engine import Database, OptimizerProfile  # noqa: F401
+from .analysis import sanitizers  # noqa: F401  (installs the sanitizer hook)
 
 __version__ = "1.0.0"

@@ -17,8 +17,9 @@ testbed at the Table 1 variability levels (see
 layers' ``prepare_ast`` calls: a statement the binder refused would
 surface as an exception, not as a finding.
 
-The engine imports nothing from this package to bind; only the
-optional sanitizer hook (``Database(sanitize=True)``) reaches up here.
+The engine imports nothing from this package: the sanitizer
+``Database(sanitize=True)`` attaches comes through the hook
+:mod:`repro.analysis.sanitizers` installs on ``Database``.
 """
 
 from .findings import AnalysisReport, Finding, RULES, Rule, Severity

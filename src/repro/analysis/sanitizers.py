@@ -4,7 +4,10 @@ The static passes prove properties of *emitted statements*; the
 sanitizers instrument the *running engine* — the FoundationDB idea of
 running the real system under checking rather than a model of it.  A
 :class:`Sanitizer` is attached by ``Database(sanitize=True)`` (or the
-``REPRO_SANITIZE=1`` environment variable) and receives callbacks from
+``REPRO_SANITIZE=1`` environment variable), through the
+``Database.sanitizer_hook`` this module installs — importing
+:mod:`repro` imports it, and the engine imports nothing from here — and
+receives callbacks from
 the buffer pool, the transaction manager, and the durability manager
 (``Table`` reads it through its heap to rewind a refused write):
 
@@ -31,12 +34,10 @@ from __future__ import annotations
 
 import os
 import time
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
+from ..engine.database import Database
 from .findings import AnalysisReport, Finding
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..engine.database import Database
 
 #: Environment switch honoured by ``Database()`` when ``sanitize`` is
 #: not passed explicitly.
@@ -71,8 +72,9 @@ class Sanitizer:
     # -- wiring ------------------------------------------------------------
 
     def attach(self, db: "Database") -> None:
-        """Hook every subsystem of ``db`` up to this sanitizer."""
+        """Hook ``db`` and every subsystem of it up to this sanitizer."""
         self._db = db
+        db.sanitizer = self
         db.pool.sanitizer = self
         db.transactions.sanitizer = self
         if db.durability is not None:
@@ -164,6 +166,16 @@ class Sanitizer:
         self._check_pins(db)
 
 
+def _attach_if_asked(db: Database, sanitize: bool | None) -> None:
+    if sanitize is None:
+        sanitize = env_sanitize_enabled()
+    if sanitize:
+        Sanitizer(metrics=db.metrics).attach(db)
+
+
+Database.sanitizer_hook = _attach_if_asked
+
+
 # -- the CLI scenario -------------------------------------------------------
 #
 # ``python -m repro.analysis --sanitize`` needs a workload that drives
@@ -212,7 +224,6 @@ def _run_scenario(
     import shutil
     import tempfile
 
-    from ..engine.database import Database
     from ..engine.durability import DurabilityOptions
 
     path = tempfile.mkdtemp(prefix="repro-sanitize-")

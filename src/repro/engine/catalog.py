@@ -338,6 +338,8 @@ class Catalog:
     ) -> None:
         self._pool = pool
         self._tables: dict[str, Table] = {}
+        #: Heap segment id -> table: the name a WAL row record gives it.
+        self._by_segment: dict[int, Table] = {}
         self._next_segment = 1
         self.table_metadata_cost = table_metadata_cost
         self.insert_strategy = insert_strategy
@@ -368,6 +370,10 @@ class Catalog:
     def tables(self) -> list[Table]:
         return list(self._tables.values())
 
+    def table_by_segment(self, segment: int) -> Table | None:
+        """The table whose heap is ``segment``, if one is."""
+        return self._by_segment.get(segment)
+
     @property
     def table_count(self) -> int:
         return len(self._tables)
@@ -389,6 +395,7 @@ class Catalog:
         if self.has_table(table.name):
             raise DuplicateObjectError(f"table {table.name!r} already exists")
         self._tables[table.name.lower()] = table
+        self._by_segment[table.heap.segment_id] = table
 
     def restore_counters(
         self,
@@ -415,9 +422,10 @@ class Catalog:
             self.insert_strategy,
             ncols=len(columns),
         )
-        self._next_segment += 1
         table = Table(name, columns, heap)
+        self._next_segment += 1
         self._tables[name.lower()] = table
+        self._by_segment[heap.segment_id] = table
         self.metadata_bytes += self.table_metadata_cost
         self.ddl_statements += 1
         self.version += 1
@@ -430,6 +438,7 @@ class Catalog:
             self.metadata_bytes -= INDEX_METADATA_COST
         table.heap.drop()
         del self._tables[name.lower()]
+        del self._by_segment[table.heap.segment_id]
         self.metadata_bytes -= self.table_metadata_cost
         self.ddl_statements += 1
         self.version += 1
@@ -448,13 +457,18 @@ class Catalog:
             raise DuplicateObjectError(f"index {index_name!r} already exists")
         positions = tuple(table.column_position(c) for c in column_names)
         btree = BTreeIndex(self._pool, self._next_segment, unique=unique)
-        self._next_segment += 1
         info = IndexInfo(
             index_name, table.name, tuple(column_names), unique, btree, positions
         )
-        # Backfill from existing rows before publishing the index.
-        for rid, row in table.heap.scan():
-            btree.insert(tuple(row[p] for p in positions), rid)
+        # Backfill from existing rows before publishing the index.  DDL
+        # that fails takes no segment id: redo hands out the same ones.
+        try:
+            for rid, row in table.heap.scan():
+                btree.insert(tuple(row[p] for p in positions), rid)
+        except BaseException:
+            btree.drop()
+            raise
+        self._next_segment += 1
         table.indexes[key] = info
         self.metadata_bytes += INDEX_METADATA_COST
         self.ddl_statements += 1

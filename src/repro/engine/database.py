@@ -19,7 +19,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .catalog import Catalog, Column, TABLE_METADATA_COST
 from .durability import DurabilityManager, DurabilityOptions
@@ -38,7 +38,7 @@ from .observability import (
 from .optimizer import OptimizerProfile, Planner
 from .pager import DEFAULT_PAGE_SIZE, BufferPool, PoolStats
 from .plan import physical as phys
-from .plan.bind import Bound, bind_statement
+from .plan.bind import Bound, bind_statement, cast_params
 from .sql import ast
 from .sql.parser import parse_statement
 from .statement_cache import LruCache, PREPARABLE, PreparedStatement
@@ -92,10 +92,16 @@ class _WriteProgram:
     #: predicates as one batch program (``None``: every row matches).
     leaf: phys.PNode
     test: BatchFn | None
+    #: :attr:`Bound.param_casts`, applied to the parameters rows match.
+    param_casts: dict
 
 
 class Database:
     """An instrumented single-node relational database."""
+
+    #: ``(db, sanitize)`` -> attaches a sanitizer before recovery, so
+    #: replay runs instrumented; :mod:`repro.analysis.sanitizers` sets it.
+    sanitizer_hook: Callable[[Database, bool | None], None] | None = None
 
     def __init__(
         self,
@@ -164,19 +170,11 @@ class Database:
         self._subquery_results: dict[int, set] = {}
         self._c_rejections = self.metrics.counter("analysis.semantic.rejections")
         self._h_statement_ms = self.metrics.histogram("db.statement_ms")
-        #: Dynamic sanitizer (``sanitize=True``, or the REPRO_SANITIZE
-        #: environment variable when the argument is left at ``None``).
-        #: Attached before recovery so replayed work runs instrumented
-        #: too; the sanitizer suppresses write-ahead checks during
-        #: replay itself.
-        from ..analysis.sanitizers import Sanitizer, env_sanitize_enabled
-
-        if sanitize is None:
-            sanitize = env_sanitize_enabled()
-        self.sanitizer: Sanitizer | None = None
-        if sanitize:
-            self.sanitizer = Sanitizer(metrics=self.metrics)
-            self.sanitizer.attach(self)
+        #: Dynamic sanitizer, if :attr:`sanitizer_hook` attached one; it
+        #: suppresses write-ahead checks during replay itself.
+        self.sanitizer = None
+        if Database.sanitizer_hook is not None:
+            Database.sanitizer_hook(self, sanitize)
         if self.durability is not None:
             from .durability.recovery import recover
 
@@ -720,7 +718,9 @@ class Database:
         while not isinstance(leaf, (phys.PTableScan, phys.PIndexScan)):
             leaf = leaf.child
         test = compile_filter([*leaf.residual, *predicates])
-        return _WriteProgram(table.name, assignments, access, leaf, test)
+        return _WriteProgram(
+            table.name, assignments, access, leaf, test, bound.param_casts
+        )
 
     def _row_batches(self, table, leaf: phys.PNode, params: Sequence[object]):
         """Lists of ``(rid, row)`` pairs from a write's TBSCAN or IXSCAN,
@@ -746,6 +746,7 @@ class Database:
         runs.  Each row is read once, here, and handed to the write that
         matched it."""
         matched = []
+        params = cast_params(program.param_casts, params)
         for pairs in self._row_batches(table, program.leaf, params):
             if program.test is not None:
                 # The filter keeps some of the very row objects it is given.

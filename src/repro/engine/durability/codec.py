@@ -9,12 +9,14 @@ checksum but does not decode is refused, not taken for a tail.
 A payload's first byte tells its two kinds apart.  The five records
 the write path emits per row change and per transaction — ``ins``,
 ``del``, ``upd``, ``commit``, ``rollback`` — are fixed-shape
-(:func:`encode_log_frame`): a kind byte below ``0x80``, the tx id, the
-admin-operation id if any, the table name, the RID as packed integers,
-``new_rid`` only if the row moved, and each value behind a one-byte
-type tag, so they decode type-exact without pickle.  Every other
-log record (checkpoints, DDL statements as SQL text, admin brackets)
-is a pickle, whose protocol-4 ``PROTO`` opcode is ``0x80``.  A page-store frame
+(:func:`encode_log_frame`): a kind byte below ``0x80`` whose flag bits
+say whether an admin id and a ``new_rid`` follow, unsigned LEB128
+varints — tx id, admin id, heap segment id, RID page and slot,
+``new_rid``, cell count and an ``upd``'s SET positions — and each value
+behind a one-byte type tag (:func:`~repro.engine.values.put_values`),
+so they decode type-exact without pickle.  Every other log record
+(checkpoints, DDL statements as SQL text, admin brackets) is a pickle,
+whose protocol-4 ``PROTO`` opcode is ``0x80``.  A page-store frame
 (:func:`frame_payload`) holds a page's fixed-width head and its image
 (:mod:`~repro.engine.columncodec`), never a pickle: :func:`read_frame`
 hands it to a reader without decoding anything.
@@ -90,14 +92,27 @@ def frame_payload(payload: bytes) -> bytes:
 _KIND_NAME = dict(enumerate(("ins", "del", "upd", "commit", "rollback"), 1))
 _KIND_CODE = {kind: code for code, kind in _KIND_NAME.items()}
 _ADMIN, _MOVED, _PICKLED = 0x08, 0x10, 0x80
-_KIND_TX = struct.Struct("<BI")
-_U32, _U16 = struct.Struct("<I"), struct.Struct("<H")
-_RID = struct.Struct("<IH")  # page id, slot
+#: A header integer is at most ten varint bytes: seventy bits.
+_VARINT_LIMIT = 1 << 70
+
+
+def _put_uints(out: bytearray, *values: int) -> None:
+    """Append each value as an unsigned LEB128 varint: seven bits a
+    byte, lowest first, the high bit set on all but the last, so a
+    value below 128 is its own byte."""
+    for value in values:
+        if not 0 <= value < _VARINT_LIMIT:
+            raise ValueError(f"{value} is no unsigned 10-byte varint")
+        while value >= 0x80:
+            out.append(value & 0x7F | 0x80)
+            value >>= 7
+        out.append(value)
+
 
 def encode_log_frame(record: dict) -> bytes:
     """One WAL record in its frame: fixed-shape for a row change or a
-    transaction terminal, a pickle for any other kind.  A field outside
-    its packed width raises :class:`EngineError`; nothing wraps."""
+    transaction terminal, a pickle for any other kind.  A header integer
+    outside ten varint bytes raises :class:`EngineError`."""
     code = _KIND_CODE.get(record["t"])
     if code is None:
         return encode_frame(record)
@@ -105,26 +120,26 @@ def encode_log_frame(record: dict) -> bytes:
     if record.get("new_rid", rid) != rid:
         code |= _MOVED
     admin = record.get("admin")
+    if admin is not None:
+        code |= _ADMIN
+    out = bytearray((code,))
     try:
-        if admin is None:
-            out = bytearray(_KIND_TX.pack(code, record["tx"]))
-        else:
-            out = bytearray(_KIND_TX.pack(code | _ADMIN, record["tx"]))
-            out += _U32.pack(admin)
+        _put_uints(out, record["tx"])
+        if admin is not None:
+            _put_uints(out, admin)
         if rid is None:
             return frame_payload(out)  # a terminal
-        name = record["table"].encode("utf-8", "surrogatepass")
-        out += _U16.pack(len(name)) + name + _RID.pack(*rid)
+        _put_uints(out, record["segment"], *rid)
         if code & _MOVED:
-            out += _RID.pack(*record["new_rid"])
+            _put_uints(out, *record["new_rid"])
         if "row" in record:
-            out += _U16.pack(len(record["row"]))
+            _put_uints(out, len(record["row"]))
             put_values(out, record["row"])
         elif "set" in record:
             cells = record["set"]
-            out += struct.pack(f"<{len(cells) + 1}H", len(cells), *cells)
+            _put_uints(out, len(cells), *cells)
             put_values(out, cells.values())
-    except struct.error as exc:
+    except ValueError as exc:
         raise EngineError(
             f"WAL {record['t']} record: a field outside its width ({exc})"
         ) from None
@@ -132,44 +147,44 @@ def encode_log_frame(record: dict) -> bytes:
 
 
 def _decode_fixed(payload: bytes) -> dict:
-    at = 0
+    code, at, end = payload[0], 1, len(payload)
 
-    def take(layout: struct.Struct) -> tuple:
+    def uint() -> int:
         nonlocal at
-        at += layout.size
-        return layout.unpack_from(payload, at - layout.size)
-
-    def take_bytes(length: int) -> bytes:
-        nonlocal at
-        at += length
-        if at > len(payload):
-            raise ValueError("a field runs past the record's end")
-        return payload[at - length : at]
+        value = shift = 0
+        while at < end:
+            byte = payload[at]
+            at += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                return value
+            shift += 7
+            if shift == 70:
+                raise ValueError("a varint longer than 10 bytes")
+        raise ValueError("a varint runs past the record's end")
 
     def take_tagged(count: int) -> list:
         nonlocal at
         values, at = take_values(payload, at, count)
         return values
 
-    code, tx = take(_KIND_TX)
     kind = _KIND_NAME[code & 0x07]
     if code & ~(0x07 | _ADMIN | _MOVED) or (code & _MOVED and kind != "upd"):
         raise ValueError(f"unknown kind byte {code:#x}")
-    record: dict = {"t": kind, "tx": tx}
+    record: dict = {"t": kind, "tx": uint()}
     if code & _ADMIN:
-        (record["admin"],) = take(_U32)
+        record["admin"] = uint()
     if kind in ("ins", "del", "upd"):
-        record["table"] = take_bytes(*take(_U16)).decode("utf-8", "surrogatepass")
-        record["rid"] = take(_RID)
+        record["segment"] = uint()
+        record["rid"] = uint(), uint()
     if kind == "ins":
-        record["row"] = tuple(take_tagged(*take(_U16)))
+        record["row"] = tuple(take_tagged(uint()))
     elif kind == "upd":
-        record["new_rid"] = take(_RID) if code & _MOVED else record["rid"]
-        (count,) = take(_U16)
-        positions = take(struct.Struct(f"<{count}H"))
-        record["set"] = dict(zip(positions, take_tagged(count)))
-    if at != len(payload):
-        raise ValueError(f"{len(payload) - at} bytes past the record's end")
+        record["new_rid"] = (uint(), uint()) if code & _MOVED else record["rid"]
+        positions = [uint() for _ in range(uint())]
+        record["set"] = dict(zip(positions, take_tagged(len(positions))))
+    if at != end:
+        raise ValueError(f"{end - at} bytes past the record's end")
     return record
 
 

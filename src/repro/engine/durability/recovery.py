@@ -26,24 +26,29 @@ Opening a disk-backed database runs :func:`recover`:
    assigned (``set``, ``{position: value}``; a compensation ``upd``
    carries the same positions with their before-values) and its
    ``new_rid``.  All three, and the terminals, are fixed-shape binary
-   payloads (:mod:`codec`) that decode type-exact into these dicts.
-   Redo of an ``upd`` fetches the row at the remapped RID — from the
-   checkpoint's page image or from earlier redo — patches ``set`` in
-   and rewrites it.  Before-images exist only where undo reads them:
-   the in-memory undo log and the fuzzy checkpoint's snapshot of it
-   (step 3).  A ``ddl`` record is its statement's SQL text; redo parses
+   payloads (:mod:`codec`) that decode type-exact into these dicts,
+   naming their table by ``segment``, its heap's id: only DDL that
+   succeeded takes one and none is reused, so DDL redo rebuilds the
+   catalog's segment map as it was live, and a record naming a segment
+   no table holds refuses the open.  Redo of an ``upd`` fetches the
+   row at the remapped RID — from the checkpoint's page image or from
+   earlier redo — patches ``set`` in and rewrites it.  Before-images
+   exist only where undo reads them: the in-memory undo log and the
+   fuzzy checkpoint's snapshot of it (step 3).  A ``ddl`` record is its statement's SQL text; redo parses
    it and hands it to :meth:`Database.apply_ddl`, the live path.
 
 Replay is logical, so a replayed insert may land at a different
 physical RID than the original (skipped loser/incomplete-operation rows
-change page fill).  A remap table threads the logged RID to its replay
-location, exactly like the runtime rollback path.
+change page fill).  A remap table, keyed by segment and logged RID,
+threads a logged RID to its replay location, exactly like the runtime
+rollback path.
 """
 
 from __future__ import annotations
 
 import time
 
+from ..errors import EngineError
 from ..heap import RowId
 from ..sql.parser import parse_statement
 from .manager import DurabilityManager, restore_snapshot
@@ -103,9 +108,9 @@ def recover(db) -> None:
         losers += len(open_txns)
 
         # -- redo ---------------------------------------------------------
-        remap: dict[tuple[str, RowId], RowId] = {}
+        remap: dict[tuple[int, RowId], RowId] = {}
         replayed = 0
-        for _lsn, record in records:
+        for lsn, record in records:
             if record.get("admin") in incomplete_admin:
                 continue
             kind = record["t"]
@@ -114,7 +119,7 @@ def recover(db) -> None:
                 replayed += 1
             elif kind in ("ins", "del", "upd"):
                 if record["tx"] in terminated:
-                    _replay_dml(db, record, remap)
+                    _replay_dml(db, record, remap, lsn)
                     replayed += 1
 
         # -- counters -----------------------------------------------------
@@ -162,11 +167,15 @@ def recover(db) -> None:
 
 
 def _replay_dml(
-    db, record: dict, remap: dict[tuple[str, RowId], RowId]
+    db, record: dict, remap: dict[tuple[int, RowId], RowId], lsn: int
 ) -> None:
-    table = db.catalog.table(record["table"])
-    key = record["table"].lower()
-    kind = record["t"]
+    key, kind = record["segment"], record["t"]
+    table = db.catalog.table_by_segment(key)
+    if table is None:
+        raise EngineError(
+            f"{db.durability.wal.path}: the {kind} record at LSN {lsn} "
+            f"names segment {key}, which no table holds"
+        )
     if kind == "ins":
         rid = table.insert_row(tuple(record["row"]))
         remap[(key, record["rid"])] = rid

@@ -3,14 +3,9 @@
 One append-only file of CRC-framed records (see :mod:`codec`) behind a
 16-byte head: magic ``RPWL`` + format version (:data:`HEAD`; an open
 refuses a file without it, or at another version, by name), then
-``base_lsn`` (u64).  Format version 3 logs row changes and transaction
-terminals as fixed-shape binary records and every other record as a
-pickle, a DDL record holding its statement's SQL text.  Version 2
-pickled DDL as per-operation fields and version 1 pickled every record;
-both are refused, not converted.  A
-record's LSN is ``base_lsn`` plus the byte offset of its frame, so LSNs
-stay monotonic across checkpoint truncations (the new file starts where
-the old LSN space ended).
+``base_lsn`` (u64).  A record's LSN is ``base_lsn`` plus the byte
+offset of its frame, so LSNs stay monotonic across checkpoint
+truncations (the new file starts where the old LSN space ended).
 
 Appends are buffered in process — a crash loses everything since the
 last flush, which is exactly the power-loss model the recovery tests
@@ -35,12 +30,14 @@ from ..observability.metrics import CounterSet, MetricsRegistry
 from .codec import decode_frames, encode_log_frame, file_head, has_head
 from .faults import FaultInjector, SimulatedCrash
 
-#: The log's first bytes: magic + format version.  Version 3 logs a
-#: DDL statement as its SQL text; version 2, the first with fixed-shape
-#: row and terminal records, as per-operation fields; version 1, the
-#: first with a head, pickled every record; before it the file began
-#: with a pickled header record.
-HEAD = file_head(b"RPWL", 3)
+#: The log's first bytes: magic + format version.  Version 4 logs row
+#: changes and terminals as fixed-shape records naming a table by its
+#: segment id, their header integers varints, and everything else as a
+#: pickle, a DDL record its SQL text.  Version 3 named the table and
+#: packed u16/u32 integers, version 2 logged DDL as per-operation
+#: fields, version 1 pickled every record, and before it the file began
+#: with a pickled header record: all are refused, not converted.
+HEAD = file_head(b"RPWL", 4)
 
 #: What follows the head: the LSN of the file's byte 0.
 _BASE_LSN = struct.Struct("<Q")

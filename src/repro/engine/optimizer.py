@@ -330,7 +330,9 @@ class Planner:
             root = self._plan_block(block)
         finally:
             self._directive_stack.pop()
-        ret = phys.PReturn(schema=root.schema, child=root)
+        ret = phys.PReturn(
+            schema=root.schema, child=root, param_casts=bound.param_casts
+        )
         _inherit_estimates(ret)
         return ret
 

@@ -28,13 +28,17 @@ A finding carries the error class execution raises for it, and
 ``execute`` refuses what ``prepare`` refuses and says why the same way.
 Type findings (SEM007, SEM008, SEM010), a column named twice in an
 INSERT and ``SUM(*)`` carry none: execution is lenient there, and only
-``prepare`` refuses them.
+``prepare`` refuses them.  A string compared with a DATE column is cast
+to DATE, a literal here and a parameter at each execution (:attr:`Bound.
+param_casts`), so a scan and an index probe compare dates alike; one
+naming no date stays as it is.
 """
 
 from __future__ import annotations
 
 import datetime
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -113,6 +117,22 @@ def _literal_type(value: object) -> SqlType | None:
     return _LITERAL_TYPES.get(type(value))
 
 
+_COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
+
+
+def cast_params(casts: dict[int, SqlType], params: Sequence[object]) -> Sequence:
+    """``params`` with each slot of ``casts`` through its type's ``check``;
+    a value the type refuses stays as it is, as a literal does."""
+    if not casts:
+        return params
+    cast = list(params)
+    for index, sql_type in casts.items():
+        if index < len(cast):
+            with suppress(TypeMismatchError):
+                cast[index] = sql_type.check(cast[index])
+    return cast
+
+
 @dataclass(frozen=True)
 class BindFinding:
     """One rule a statement breaks."""
@@ -134,6 +154,8 @@ class Bound:
     block: QueryBlock | None = None
     #: UPDATE: ``(column, qualified SET expression)`` in SET order.
     assignments: list[tuple[str, ast.Expr]] = field(default_factory=list)
+    #: Parameter slot -> the column type casting it at each execution.
+    param_casts: dict[int, SqlType] = field(default_factory=dict)
 
     @property
     def errors(self) -> list[BindFinding]:
@@ -155,7 +177,7 @@ def bind_statement(stmt: ast.Statement, columns: ColumnSource) -> Bound:
     """Bind a SELECT, INSERT, UPDATE or DELETE against ``columns``."""
     dialect = isinstance(stmt, ast.Select) and stmt.tenants is not None
     binder = _Binder(columns, dialect)
-    bound = Bound(stmt, binder.findings)
+    bound = Bound(stmt, binder.findings, param_casts=binder.param_casts)
     if isinstance(stmt, ast.Select):
         bound.block = binder.select(stmt)[0]
     elif isinstance(stmt, ast.Insert):
@@ -241,6 +263,7 @@ class _Binder:
         #: Whether ``TENANT_ID()`` binds (a ``FOR TENANTS`` statement).
         self._tenant_dialect = tenant_dialect
         self.findings: list[BindFinding] = []
+        self.param_casts: dict[int, SqlType] = {}
 
     def flag(self, rule_id: str, message: str, *, lenient: bool = False) -> None:
         """Record a finding; ``lenient``: execution runs it anyway."""
@@ -566,8 +589,28 @@ class _Binder:
                 )
             return _rebuilt(expr, [operand]), BOOLEAN
         typed = [sub(child) for child in ast.children(expr)]
+        if isinstance(expr, ast.InList):
+            typed = self._cast_constants(typed, typed[:1])
+        elif isinstance(expr, ast.BinaryOp) and expr.op in _COMPARISONS:
+            typed = self._cast_constants(typed, typed)
         rebuilt = _rebuilt(expr, [child for child, _ in typed])
         return rebuilt, self._type(expr, [sql_type for _, sql_type in typed])
+
+    def _cast_constants(self, typed: list, columns: list) -> list:
+        """``typed`` with each string compared with a DATE column of
+        ``columns`` cast to DATE: a literal now, a parameter at each
+        execution."""
+        if not any(isinstance(e, ast.ColumnRef) and t == DATE for e, t in columns):
+            return typed
+        cast = []
+        for expr, sql_type in typed:
+            if isinstance(expr, ast.Param):
+                self.param_casts[expr.index] = DATE
+            elif isinstance(expr, ast.Literal) and isinstance(expr.value, str):
+                with suppress(TypeMismatchError):
+                    expr, sql_type = ast.Literal(DATE.check(expr.value)), DATE
+            cast.append((expr, sql_type))
+        return cast
 
     def _type(self, expr: ast.Expr, types: list) -> SqlType | None:
         """The type of a unary, IS NULL, binary or IN-list node whose
@@ -600,7 +643,7 @@ class _Binder:
                     f"LIKE pattern has type {right.kind.value}, expected VARCHAR",
                 )
             return BOOLEAN
-        if op in ("=", "<>", "<", "<=", ">", ">="):
+        if op in _COMPARISONS:
             if not comparable(left, right):
                 self.flag(
                     "SEM007",

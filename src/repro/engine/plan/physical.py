@@ -291,6 +291,9 @@ class PLimit(PNode):
 @dataclass
 class PReturn(PNode):
     child: PNode = None  # type: ignore[assignment]
+    #: Parameter slot -> the column type that casts it at each run
+    #: (:attr:`~repro.engine.plan.bind.Bound.param_casts`).
+    param_casts: dict = field(default_factory=dict)
 
     @property
     def op_name(self) -> str:

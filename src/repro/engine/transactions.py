@@ -186,7 +186,10 @@ class TransactionManager:
 
     # -- WAL plumbing ------------------------------------------------------
     #
-    # A row record carries what redo reads and nothing else:
+    # A row record carries what redo reads and nothing else.  Each names
+    # its table by the heap's ``segment`` id, which the catalog never
+    # reuses and DDL redo allocates again in log order; the undo log
+    # above names it by name.
     #
     # * ``ins`` — ``rid`` and the full ``row`` (redo has no row to start
     #   from);
@@ -212,7 +215,7 @@ class TransactionManager:
         if self._txid is None:
             self._txid = durability.allocate_txid()
         durability.log(
-            {"t": kind, "tx": self._txid, "table": table.name, **fields}
+            {"t": kind, "tx": self._txid, "segment": table.heap.segment_id, **fields}
         )
 
     def _emit_terminal(self, kind: str) -> None:

@@ -55,6 +55,7 @@ from .expr_batch import (
 )
 from .observability.metrics import CounterSet, MetricsRegistry
 from .plan import physical as phys
+from .plan.bind import cast_params
 from .values import sort_key
 
 #: Default rows per batch.  Large enough to amortize per-batch Python
@@ -335,6 +336,7 @@ class VectorizedExecutor:
     ) -> list[tuple]:
         """Execute a plan and return all result rows."""
         self.stats.statements += 1
+        params = cast_params(root.param_casts, params)
         cache: dict[int, list[tuple]] = {}
         previous, self._collector = self._collector, collector
         try:

@@ -706,3 +706,63 @@ class TestInListProbe:
         assert not _in_keyed(engine.plan(sql))
         assert " IN (" not in engine.explain(sql)
         compare((engine, lite), sql)
+
+
+# -- a constant compared with a DATE column is cast to DATE -------------------
+
+DATE_ROWS = [
+    (1, 1, "2008-01-01"), (2, 1, "2008-01-02"), (3, 2, "2008-01-01"),
+    (4, 1, None), (5, 1, "2007-12-31"),
+]
+
+
+@pytest.mark.parametrize("profile", list(OptimizerProfile))
+@pytest.mark.parametrize("indexed", [False, True], ids=["scan", "index"])
+class TestDateConstants:
+    """An ISO string compared with a DATE column answers as SQLite's
+    text comparison does, whether the row is found by a scan or by an
+    index probe, and whether the string is a literal, an ``IN`` item or
+    a parameter: the binder casts it to DATE.  A string that is no date
+    is compared as it is, the same way on both paths."""
+
+    @staticmethod
+    def _pair(profile, indexed):
+        engine, lite = Database(profile=profile), sqlite3.connect(":memory:")
+        engine.execute("CREATE TABLE t (id INTEGER, tenant INTEGER, d DATE)")
+        lite.execute("CREATE TABLE t (id INTEGER, tenant INTEGER, d TEXT)")
+        for db in (engine, lite):
+            if indexed:
+                db.execute("CREATE INDEX t_d ON t (tenant, d)")
+            for row in DATE_ROWS:
+                db.execute("INSERT INTO t VALUES (?, ?, ?)", row)
+        return engine, lite
+
+    @pytest.mark.parametrize(
+        "where, params",
+        [
+            ("tenant = 1 AND d = '2008-01-01'", ()),
+            ("tenant = 1 AND d IN ('2008-01-01', '2007-12-31')", ()),
+            ("d IN ('2008-01-01')", ()),
+            ("tenant = 1 AND d = ?", ("2008-01-01",)),
+            ("tenant = ? AND d IN (?, '2008-01-02')", (1, "2008-01-01")),
+            ("tenant = 1 AND d >= ?", ("2008-01-01",)),
+            ("tenant = 1 AND d = 'soon'", ()),
+            ("tenant = 1 AND d < ?", ("soon",)),
+        ],
+        ids=["eq", "in", "in-no-prefix", "param", "in-param", "range-param",
+             "no-date", "no-date-param"],
+    )
+    def test_select(self, profile, indexed, where, params):
+        engine, lite = self._pair(profile, indexed)
+        sql = f"SELECT id FROM t WHERE {where}"
+        probes = _index_of(engine.plan(sql)) == "t_d"
+        assert probes == (indexed and where.startswith("tenant"))
+        compare((engine, lite), sql, params)
+
+    @pytest.mark.parametrize("verb", ["UPDATE t SET tenant = 9", "DELETE FROM t"])
+    def test_write(self, profile, indexed, verb):
+        engine, lite = self._pair(profile, indexed)
+        sql = f"{verb} WHERE tenant = 1 AND d = ?"
+        count = engine.execute(sql, ["2008-01-01"]).rowcount
+        assert count == 1 == lite.execute(sql, ("2008-01-01",)).rowcount
+        compare((engine, lite), "SELECT id, tenant FROM t")

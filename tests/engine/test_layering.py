@@ -1,6 +1,7 @@
 """The engine resolves names by itself: no module under
-``src/repro/engine`` imports :mod:`repro.analysis`, except the optional
-sanitizer hook ``Database(sanitize=True)`` attaches.
+``src/repro/engine`` imports :mod:`repro.analysis`.  The sanitizer
+``Database(sanitize=True)`` attaches comes through
+``Database.sanitizer_hook``, which the analysis side installs.
 
 The binder (:mod:`repro.engine.plan.bind`) is the one resolver;
 ``repro.analysis.semantic`` is a report over its findings, so the
@@ -15,7 +16,7 @@ import repro.engine
 ENGINE = pathlib.Path(repro.engine.__file__).parent
 
 #: ``(file relative to the engine package, imported module)``.
-ALLOWED = {("database.py", "repro.analysis.sanitizers")}
+ALLOWED: set[tuple[str, str]] = set()
 
 
 def analysis_imports(root: pathlib.Path, package: str) -> set[tuple[str, str]]:

@@ -26,6 +26,7 @@ from repro.engine.durability.pagestore import HEAD, PAGE_FILE, DiskPageStore
 from repro.engine.errors import EngineError
 from repro.engine.heap import HeapFile, InsertStrategy
 from repro.engine.pager import BufferPool, Page, PageKind
+from repro.engine.values import put_values
 
 
 def make_page(page_id: int, segment_id: int, texts: list, used: int = 0) -> Page:
@@ -882,7 +883,7 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"wal\.log: found no format head, "
-            r"expected RPWL format version 3",
+            r"expected RPWL format version 4",
         ):
             Database(path=str(tmp_path))
         assert log.read_bytes() == previous_format_wal()
@@ -901,7 +902,7 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"wal\.log: found format version 1, "
-            r"expected RPWL format version 3",
+            r"expected RPWL format version 4",
         ):
             Database(path=str(tmp_path))
         assert log.read_bytes() == version_1
@@ -919,10 +920,34 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"wal\.log: found format version 2, "
-            r"expected RPWL format version 3",
+            r"expected RPWL format version 4",
         ):
             Database(path=str(tmp_path))
         assert log.read_bytes() == version_2
+
+    def test_wal_of_version_3_is_refused_naming_both_versions(self, tmp_path):
+        """Version 3 named a row record's table and packed its integers
+        to fixed widths; its log is refused, not converted."""
+        log = tmp_path / WAL_FILENAME
+        # An ``ins`` of (1,) into table "t" as version 3 wrote it: kind,
+        # u32 tx, u16-prefixed name, (u32 page, u16 slot), u16 count.
+        payload = bytearray(struct.pack("<BIH", 1, 1, 1) + b"t")
+        payload += struct.pack("<IHH", 1, 0, 1)
+        put_values(payload, [1])
+        version_3 = (
+            codec.file_head(b"RPWL", 3)
+            + struct.pack("<Q", 0)
+            + codec.frame_payload(payload)
+            + codec.encode_log_frame({"t": "commit", "tx": 1})
+        )
+        log.write_bytes(version_3)
+        with pytest.raises(
+            EngineError,
+            match=r"wal\.log: found format version 3, "
+            r"expected RPWL format version 4",
+        ):
+            Database(path=str(tmp_path))
+        assert log.read_bytes() == version_3
 
     def test_page_file_of_version_1_is_refused_naming_both_versions(
         self, tmp_path

@@ -238,7 +238,7 @@ class TestCheckpoint:
 
         counts, wal_sizes = {}, {}
         for entry in ("text", "ast", "handle"):
-            db = build(tmp_path / entry, auto_checkpoint_bytes=4096)
+            db = build(tmp_path / entry, auto_checkpoint_bytes=2048)
             seed_rows(db, 200)
             before = db.metrics.value("db.checkpoint.count")
             run = entry_point(db, entry)
@@ -480,8 +480,10 @@ class TestRowRecords:
         assert abs(wide - narrow) <= 4, (narrow, wide)
 
     def test_one_integer_update_and_its_commit_are_small(self, tmp_path):
-        """Framed sizes as the WAL writes them: a one-INTEGER ``upd``
-        at most 48 bytes, a ``commit`` at most 16."""
+        """Framed sizes as the WAL writes them, every id below 128: a
+        one-INTEGER ``upd`` is kind, tx, segment, page, slot, count and
+        position, a byte each, and a 9-byte tagged int; a ``commit``
+        kind and tx.  Each inside an 8-byte frame header."""
         db = build(tmp_path)
         db.execute("CREATE TABLE campaign (id INTEGER NOT NULL, n INTEGER)")
         db.execute("INSERT INTO campaign VALUES (1, 0)")
@@ -493,7 +495,7 @@ class TestRowRecords:
         db.transactions.commit()
         commit = db.wal_stats.bytes_written - before - upd
         assert [r["t"] for r in _log_records(db)[-2:]] == ["upd", "commit"]
-        assert upd <= 48 and commit <= 16, (upd, commit)
+        assert (upd, commit) == (HEADER_SIZE + 16, HEADER_SIZE + 2)
         db.close()
 
     def test_no_update_or_delete_record_carries_a_row_image(self, tmp_path):
@@ -601,12 +603,12 @@ class TestLogFormat:
     """Row changes and transaction terminals are fixed-shape binary
     records; everything else stays a pickle."""
 
-    ROW = {"table": "t", "rid": (4, 2)}
+    ROW = {"segment": 3, "rid": (4, 2)}
     RECORDS = [
         {"t": "ins", "tx": 3, **ROW, "row": (1, "a", None)},
         {"t": "upd", "tx": 3, **ROW, "new_rid": (4, 2), "set": {1: "b"}},
         {"t": "upd", "tx": 3, **ROW, "new_rid": (9, 0), "set": {0: 2, 2: 1.5}},
-        {"t": "del", "tx": 3, "table": "t", "rid": (9, 0)},
+        {"t": "del", "tx": 3, "segment": 3, "rid": (9, 0)},
         {"t": "commit", "tx": 3},
         {"t": "ins", "tx": 4, **ROW, "row": (True,), "admin": 7},
         {"t": "upd", "tx": 4, **ROW, "new_rid": (4, 2), "set": {}, "admin": 7},
@@ -625,7 +627,7 @@ class TestLogFormat:
         monkeypatch.setattr(codec, "pickle", NoPickle())
         row = tuple(v for values in EDGE_VALUES.values() for v in values)
         records = self.RECORDS + [
-            {"t": "ins", "tx": 5, "table": "t", "rid": (1, 0), "row": row}
+            {"t": "ins", "tx": 5, "segment": 3, "rid": (1, 0), "row": row}
         ]
         data = b"".join(encode_log_frame(r) for r in records)
         decoded = [r for _offset, _end, r in decode_frames(data)]
@@ -660,15 +662,16 @@ class TestLogFormat:
     @pytest.mark.parametrize(
         "field",
         [
-            {"tx": 2**32},
-            {"admin": 2**32},
-            {"rid": (2**32, 0), "new_rid": (2**32, 0)},
-            {"rid": (1, 2**16), "new_rid": (1, 2**16)},
-            {"set": {2**16: 1}},
+            {"tx": 2**70},
+            {"admin": 2**70},
+            {"rid": (2**70, 0), "new_rid": (2**70, 0)},
+            {"rid": (1, -1), "new_rid": (1, -1)},
+            {"set": {-1: 1}},
         ],
         ids=["tx", "admin", "page", "slot", "position"],
     )
     def test_a_field_outside_its_width_raises_at_append(self, tmp_path, field):
+        """A header integer is an unsigned varint of at most ten bytes."""
         db = build(tmp_path)
         wal = db.durability.wal
         end = wal.end_lsn
@@ -734,7 +737,7 @@ class TestLogFormat:
             wal.append(record)
         wal.close()
         size = os.path.getsize(path)
-        extra = {"t": "del", "tx": 8, "table": "t", "rid": (4, 3)}
+        extra = {"t": "del", "tx": 8, "segment": 3, "rid": (4, 3)}
         for expected in (records, records + [extra]):
             wal = WriteAheadLog(path)
             assert [r for _lsn, r in wal.open()] == expected
@@ -778,6 +781,146 @@ class TestLogFormat:
             db2.close()
         finally:
             shutil.rmtree(directory, ignore_errors=True)
+
+#: Header integers at each varint width's edges.
+EDGE_IDS = [0, 127, 128, 2**14 - 1, 2**14, 2**32 - 1, 2**32, 2**64, 2**70 - 1]
+IDS = st.one_of(st.sampled_from(EDGE_IDS), st.integers(0, 2**70 - 1))
+CELL = st.one_of(
+    st.none(), *(st.sampled_from(v) for v in EDGE_VALUES.values()),
+    *COLUMN_VALUES.values(),
+)
+RID = st.tuples(IDS, IDS)
+
+
+@st.composite
+def log_records(draw) -> dict:
+    kind = draw(st.sampled_from(["ins", "del", "upd", "commit", "rollback"]))
+    record = {"t": kind, "tx": draw(IDS)}
+    if kind in ("ins", "del", "upd"):
+        record.update(segment=draw(IDS), rid=draw(RID))
+    if kind == "ins":
+        record["row"] = tuple(draw(st.lists(CELL, max_size=6)))
+    elif kind == "upd":
+        record["new_rid"] = draw(st.one_of(st.just(record["rid"]), RID))
+        record["set"] = draw(st.dictionaries(IDS, CELL, max_size=4))
+    if draw(st.booleans()):
+        record["admin"] = draw(IDS)
+    return record
+
+
+def _exact(record: dict) -> list:
+    """A record's fields with every value's type and repr: ``True`` is
+    not ``1``, ``-0.0`` not ``0.0``, and NaN equals NaN."""
+    return sorted((k, repr(v), repr(type(v))) for k, v in record.items())
+
+
+class TestSegmentIds:
+    """A row record names its table by the heap's segment id and writes
+    its header integers as varints: redo maps the id back through the
+    catalog, which DDL redo rebuilds as the live catalog was."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(log_records(), min_size=1, max_size=5))
+    def test_records_round_trip_type_exact_at_every_width(self, records):
+        data = b"".join(encode_log_frame(dict(r)) for r in records)
+        decoded = [r for _offset, _end, r in decode_frames(data)]
+        assert [_exact(r) for r in decoded] == [_exact(r) for r in records]
+
+    @staticmethod
+    def _splice(tmp_path, payload_of) -> tuple[bytes, int]:
+        """Two committed inserts; the second's ``ins`` frame replaced by
+        one framing ``payload_of(its record)``.  Returns the new log and
+        that frame's offset."""
+        db = build(tmp_path)
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        db.execute("INSERT INTO t VALUES (2)")
+        db.durability.wal.flush()
+        del db
+        log = tmp_path / WAL_FILENAME
+        data = log.read_bytes()
+        ((second, end, record),) = [
+            (offset, end, record)
+            for offset, end, record in decode_frames(data, HEAD_SIZE)
+            if record["t"] == "ins" and record["row"] == (2,)
+        ]
+        spliced = data[:second] + _frame(payload_of(record)) + data[end:]
+        log.write_bytes(spliced)
+        return spliced, second
+
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            # An ins whose tx id's varint stops after its second byte.
+            (b"\x01\xff\xff", "runs past the record's end"),
+            (b"\x01" + b"\x80" * 10 + b"\x01", "longer than 10 bytes"),
+        ],
+        ids=["truncated", "overlong"],
+    )
+    def test_a_bad_varint_is_refused_naming_the_log_and_offset(
+        self, tmp_path, payload, reason
+    ):
+        spliced, second = self._splice(tmp_path, lambda _record: payload)
+        refused = rf"wal\.log: the frame at offset {second} .*{reason}"
+        with pytest.raises(EngineError, match=refused):
+            build(tmp_path)
+        assert (tmp_path / WAL_FILENAME).read_bytes() == spliced
+
+    def test_a_record_naming_no_table_refuses_the_open(self, tmp_path):
+        def elsewhere(record: dict) -> bytes:
+            return encode_log_frame({**record, "segment": 99})[HEADER_SIZE:]
+
+        spliced, _second = self._splice(tmp_path, elsewhere)
+        refused = r"wal\.log: the ins record at LSN \d+ names segment 99, "
+        with pytest.raises(EngineError, match=refused):
+            build(tmp_path)
+        assert (tmp_path / WAL_FILENAME).read_bytes() == spliced
+
+    def test_a_table_dropped_and_recreated_redoes_into_each_segment(
+        self, tmp_path
+    ):
+        db = build(tmp_path)
+        seed_rows(db, 4)
+        assert db.checkpoint()
+        db.execute("INSERT INTO t VALUES (10, 'old')")
+        db.execute("UPDATE t SET name = 'old-1' WHERE id = 1")
+        db.execute("DELETE FROM t WHERE id = 2")
+        old = db.catalog.table("t").heap.segment_id
+        db.execute("DROP TABLE t")
+        db.execute("CREATE TABLE t (id INTEGER NOT NULL, n INTEGER, s VARCHAR(9))")
+        db.execute("CREATE INDEX t_id ON t (id)")
+        db.execute("INSERT INTO t VALUES (1, 1, 'new'), (2, 2, 'new')")
+        db.execute("UPDATE t SET n = 7 WHERE id = 1")
+        db.execute("DELETE FROM t WHERE id = 2")
+        new = db.catalog.table("t").heap.segment_id
+        named = [r["segment"] for r in _log_records(db) if "segment" in r]
+        assert named == [old] * 3 + [new] * 4 and new != old
+        live = _consistent_rows(db)
+        assert live == [(1, 7, "new")]
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert db2.catalog.table("t").heap.segment_id == new
+        assert _consistent_rows(db2) == live
+        db2.close()
+
+    def test_failed_ddl_takes_no_segment_id(self, tmp_path):
+        """Redo replays only DDL that succeeded, so DDL that fails must
+        not move the segment ids the tables after it get."""
+        db = build(tmp_path)
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.execute("INSERT INTO t VALUES (1), (1)")
+        with pytest.raises(UniqueViolation):
+            db.execute("CREATE UNIQUE INDEX t_id ON t (id)")
+        with pytest.raises(CatalogError):
+            db.execute("CREATE TABLE u (k INTEGER, k INTEGER)")
+        db.execute("CREATE TABLE u (k INTEGER)")
+        db.execute("INSERT INTO u VALUES (7)")
+        segment = db.catalog.table("u").heap.segment_id
+        db2 = _crash_and_reopen(db, tmp_path)
+        assert db2.catalog.table("u").heap.segment_id == segment
+        assert _all_rows(db2, "u") == [(7,)]
+        assert _all_rows(db2) == [(1,), (1,)]
+        db2.close()
+
 
 def _consistent_rows(db: Database, table: str = "t") -> list[tuple]:
     """The table's rows, after checking every index holds exactly the
