@@ -41,12 +41,12 @@ declared set) and of the statement-cache key.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ...engine.errors import PlanError
 from ...engine.expr import Compiled, GroupedScope
-from ...engine.plan.bind import TENANT_FUNC, ColumnSource, bind_statement
+from ...engine.plan.bind import TENANT_FUNC, ColumnSource, bind_statement, cast_params
 from ...engine.plan.logical import (
     QueryBlock,
     block_to_select,
@@ -98,6 +98,8 @@ class MergeSpec:
     # expressions are compiled over (group keys ..., merged aggregates
     # ...), aggregates in ``aggs`` order.
     key_count: int = 0
+    #: ``Bound.param_casts``: how HAVING, ORDER BY and the items read params.
+    param_casts: dict = field(default_factory=dict)
     partial_ops: tuple[str, ...] = ()
     aggs: tuple[tuple[int, ...], ...] = ()
     items: tuple[Compiled, ...] = ()
@@ -182,7 +184,8 @@ class CrossTenantTransformer:
             raise PlanError("cross-tenant statement over an empty tenant set")
         ids = tuple(sorted(set(tenant_ids)))
         # Bound with its FOR TENANTS clause, so TENANT_ID() binds.
-        block = bind_statement(select, self._columns_for(ids[0])).checked().block
+        bound = bind_statement(select, self._columns_for(ids[0])).checked()
+        block = bound.block
         self._validate(block)
         # Expand ORDER BY alias references into their select-item
         # expressions: the engine resolves aliases post-projection, but
@@ -216,7 +219,7 @@ class CrossTenantTransformer:
         # single group's statement IS the answer.
         per_group, merge = fused, None
         if len(groups) > 1 and block.is_aggregating:
-            per_group, merge = self._aggregate_merge(fused)
+            per_group, merge = self._aggregate_merge(fused, bound.param_casts)
         elif len(groups) > 1:
             merge = self._concat_merge(fused, names)
         plans = [
@@ -364,7 +367,7 @@ class CrossTenantTransformer:
         )
 
     def _aggregate_merge(
-        self, fused: ast.Select
+        self, fused: ast.Select, param_casts: dict
     ) -> tuple[ast.Select, MergeSpec]:
         """Aggregating multi-group plan: the partial statement every
         group runs (partial aggregates keyed by the GROUP BY exprs) and
@@ -412,6 +415,7 @@ class CrossTenantTransformer:
             distinct=fused.distinct,
             limit=fused.limit,
             key_count=key_count,
+            param_casts=param_casts,
             partial_ops=tuple(partial_ops),
             aggs=tuple(aggs),
             items=tuple(scope.compile(item.expr) for item in fused.items),
@@ -481,6 +485,7 @@ def merge_results(
     LIMIT."""
     rows = [row for group_rows in results for row in group_rows]
     if spec.aggregated:
+        params = cast_params(spec.param_casts, params)
         groups = _merged_groups(spec, rows)
         if spec.having is not None:
             groups = [g for g in groups if spec.having(g, params) is True]

@@ -116,24 +116,6 @@ _ARITH = {
     "||": lambda a, b: str(a) + str(b),
 }
 
-def _coerce_pair(a: object, b: object) -> tuple[object, object]:
-    """Mild cross-type coercion for comparisons, mirroring the lenient
-    behaviour of the paper's databases: ISO strings compare against
-    DATEs, ints against floats (native in Python)."""
-    if type(a) is type(b):
-        return a, b
-    if isinstance(a, datetime.date) and isinstance(b, str):
-        try:
-            return a, datetime.date.fromisoformat(b)
-        except ValueError:
-            return a, b
-    if isinstance(b, datetime.date) and isinstance(a, str):
-        try:
-            return datetime.date.fromisoformat(a), b
-        except ValueError:
-            return a, b
-    return a, b
-
 
 _MISSING_CONST = object()
 
@@ -163,6 +145,14 @@ def _to_date_value(value):
     return datetime.date.fromisoformat(str(value))
 
 
+def _iso_date(text):
+    """``ISO_DATE``: an ISO date string as a DATE, any other as it is."""
+    try:
+        return datetime.date.fromisoformat(text)
+    except (TypeError, ValueError):
+        return text
+
+
 #: NULL-strict unary scalar functions: each maps one non-NULL value;
 #: the shared wrapper handles NULL propagation.  The conversion family
 #: exists for the Universal Table layout, which funnels every logical
@@ -177,11 +167,12 @@ _UNARY_FUNCS = {
     "TO_DATE": _to_date_value,
     "TO_BOOL": lambda v: v in (1, "1", True),
     "TO_STR": str,
+    "ISO_DATE": _iso_date,
 }
 
 
-def _tag_unary(fn, arg: Compiled) -> Compiled:
-    """Wrap a NULL-strict unary function, carrying batch metadata.
+def _tag_unary(name: str, fn, arg: Compiled) -> Compiled:
+    """Wrap the NULL-strict unary function ``name``, carrying batch metadata.
 
     When the argument is a slot read (directly or through another
     tagged unary), the closure gets ``map1 = (slot, value_fn)`` so the
@@ -194,7 +185,10 @@ def _tag_unary(fn, arg: Compiled) -> Compiled:
         value = arg(row, params)
         if value is None:
             return None
-        return fn(value)
+        try:
+            return fn(value)
+        except (TypeError, ValueError):
+            raise ExecutionError(f"{name} cannot convert {value!r}") from None
 
     slot = getattr(arg, "slot", None)
     if slot is not None:
@@ -381,7 +375,6 @@ class ExprCompiler:
                 a, b = left(row, params), right(row, params)
                 if a is None or b is None:
                     return None
-                a, b = _coerce_pair(a, b)
                 try:
                     return fn(a, b)
                 except TypeError:
@@ -408,7 +401,10 @@ class ExprCompiler:
                 a, b = left(row, params), right(row, params)
                 if a is None or b is None:
                     return None
-                return fn(a, b)
+                try:
+                    return fn(a, b)
+                except ZeroDivisionError:
+                    raise ExecutionError(f"division by zero: {a!r} / {b!r}") from None
             return arith
         raise PlanError(f"unsupported operator {expr.op!r}")
 
@@ -420,7 +416,7 @@ class ExprCompiler:
             )
         args = [self.compile(a) for a in expr.args]
         if len(args) == 1 and name in _UNARY_FUNCS:
-            return _tag_unary(_UNARY_FUNCS[name], args[0])
+            return _tag_unary(name, _UNARY_FUNCS[name], args[0])
         if name == "COALESCE" and args:
             def coalesce(row, params):
                 for arg in args:

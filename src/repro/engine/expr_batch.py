@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .columnstore import ColumnBatch
-from .expr import _COMPARE, _coerce_pair
+from .expr import _COMPARE
 from .values import sort_key
 
 #: Comparison closures whose operator can be inlined as source text
@@ -156,11 +156,9 @@ def _columnar_predicate(predicate):
     The program maps ``(batch, params, sel)`` to the narrowed selection
     (row positions within the batch where the predicate is exactly
     True).  Semantics replicate the tagged row closure: NULL operands
-    are never True, date/ISO-string pairs coerce via ``_coerce_pair``,
-    and incompatible types compare under ``sort_key`` total order.
-    Stored columns are type-homogeneous (``SqlType.check`` enforces
-    declared types), so one probe value decides per batch whether
-    coercion applies at all, and to which side.
+    are never True, and incompatible types compare under ``sort_key``
+    total order.  The binder already converted any DATE/string pair, so
+    the constant is compared as it is.
     """
     member = _member_program(predicate)
     if member is not None:
@@ -193,7 +191,6 @@ def _columnar_predicate(predicate):
             if v is None:
                 continue
             a, b = (c, v) if swapped else (v, c)
-            a, b = _coerce_pair(a, b)
             try:
                 ok = fn(a, b)
             except TypeError:
@@ -207,31 +204,11 @@ def _columnar_predicate(predicate):
         if c is None:
             return []  # comparison against NULL is never True
         column = batch.col(slot)
-        probe = next(
-            (column[i] for i in (range(len(column)) if sel is None else sel)
-             if column[i] is not None),
-            None,
-        )
-        if probe is None:
-            return []
-        a0, b0 = (c, probe) if swapped else (probe, c)
-        ca, cb = _coerce_pair(a0, b0)
-        fast_c = c
-        if ca is not a0 or cb is not b0:
-            # Date/string coercion applies to this column/value pair.
-            # When the column holds the dates, the ISO constant is what
-            # coerces: parse it once for the batch.  When the column
-            # holds the strings, every value parses: go per value.
-            if (cb if swapped else ca) is not probe:
-                return careful(column, c, sel)
-            fast_c = ca if swapped else cb
         try:
             if sel is None:
-                return dense_fast(column, fast_c)
-            return sparse_fast(column, fast_c, sel)
-        except TypeError:
-            # Mixed incomparable types mid-column (never the case for
-            # stored data, but stay exact): redo with the total order.
+                return dense_fast(column, c)
+            return sparse_fast(column, c, sel)
+        except TypeError:  # incomparable types: redo in the total order
             return careful(column, c, sel)
 
     return run
@@ -296,9 +273,16 @@ def _column_program(expr):
     map1 = getattr(expr, "map1", None)
     if map1 is not None:
         map_slot, fn = map1
-        return lambda batch, params: [
-            None if v is None else fn(v) for v in batch.col(map_slot)
-        ]
+
+        def mapped(batch, params):
+            try:
+                return [None if v is None else fn(v) for v in batch.col(map_slot)]
+            except (TypeError, ValueError):
+                for row in batch.rows():  # the row closure names the value
+                    expr(row, params)
+                raise
+
+        return mapped
     return None
 
 

@@ -28,10 +28,9 @@ A finding carries the error class execution raises for it, and
 ``execute`` refuses what ``prepare`` refuses and says why the same way.
 Type findings (SEM007, SEM008, SEM010), a column named twice in an
 INSERT and ``SUM(*)`` carry none: execution is lenient there, and only
-``prepare`` refuses them.  A string compared with a DATE column is cast
-to DATE, a literal here and a parameter at each execution (:attr:`Bound.
-param_casts`), so a scan and an index probe compare dates alike; one
-naming no date stays as it is.
+``prepare`` refuses them.  Where a DATE meets a string, the binder
+alone decides what is compared (:meth:`_Binder._compared`), so a scan,
+an index probe and an IN set answer alike and no evaluator converts.
 """
 
 from __future__ import annotations
@@ -75,6 +74,7 @@ _FUNCTIONS: dict[str, tuple[int, int | None, SqlType | None]] = {
     "TO_DATE": (1, 1, DATE),
     "TO_BOOL": (1, 1, BOOLEAN),
     "TO_STR": (1, 1, varchar(255)),
+    "ISO_DATE": (1, 1, DATE),
 }
 
 #: What execution raises for each rule it refuses by; rules not here
@@ -93,8 +93,8 @@ _ERRORS: dict[str, type[EngineError]] = {
 WARNINGS = frozenset({"SEM010"})
 
 #: Kinds that compare against each other without surprises.  Booleans
-#: are stored as ints by the generic layouts, and the engine coerces ISO
-#: strings to DATEs, so those pairs are compatible by design.
+#: are stored as ints by the generic layouts, and the binder converts
+#: DATE/VARCHAR pairs (``_compared``), so those are compatible by design.
 _NUMERIC = {TypeKind.INTEGER, TypeKind.BIGINT, TypeKind.DOUBLE, TypeKind.BOOLEAN}
 
 
@@ -120,16 +120,25 @@ def _literal_type(value: object) -> SqlType | None:
 _COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 
 
+def compared_as(sql_type: SqlType, value: object) -> object:
+    """``value`` as compared with a ``sql_type`` operand: a string naming
+    a date as a DATE, a date as its ISO text, any other as it is."""
+    if sql_type.kind is TypeKind.VARCHAR and type(value) is datetime.date:
+        return value.isoformat()
+    if sql_type.kind is TypeKind.DATE:
+        with suppress(TypeMismatchError):
+            return DATE.check(value)
+    return value
+
+
 def cast_params(casts: dict[int, SqlType], params: Sequence[object]) -> Sequence:
-    """``params`` with each slot of ``casts`` through its type's ``check``;
-    a value the type refuses stays as it is, as a literal does."""
+    """``params``, each slot of ``casts`` through :func:`compared_as`."""
     if not casts:
         return params
     cast = list(params)
     for index, sql_type in casts.items():
         if index < len(cast):
-            with suppress(TypeMismatchError):
-                cast[index] = sql_type.check(cast[index])
+            cast[index] = compared_as(sql_type, cast[index])
     return cast
 
 
@@ -154,7 +163,7 @@ class Bound:
     block: QueryBlock | None = None
     #: UPDATE: ``(column, qualified SET expression)`` in SET order.
     assignments: list[tuple[str, ast.Expr]] = field(default_factory=list)
-    #: Parameter slot -> the column type casting it at each execution.
+    #: Parameter slot -> the operand type it is read as (:func:`cast_params`).
     param_casts: dict[int, SqlType] = field(default_factory=dict)
 
     @property
@@ -589,28 +598,33 @@ class _Binder:
                 )
             return _rebuilt(expr, [operand]), BOOLEAN
         typed = [sub(child) for child in ast.children(expr)]
-        if isinstance(expr, ast.InList):
-            typed = self._cast_constants(typed, typed[:1])
-        elif isinstance(expr, ast.BinaryOp) and expr.op in _COMPARISONS:
-            typed = self._cast_constants(typed, typed)
+        if isinstance(expr, ast.InList) or (
+            isinstance(expr, ast.BinaryOp) and expr.op in _COMPARISONS
+        ):
+            typed = self._compared(typed)
         rebuilt = _rebuilt(expr, [child for child, _ in typed])
         return rebuilt, self._type(expr, [sql_type for _, sql_type in typed])
 
-    def _cast_constants(self, typed: list, columns: list) -> list:
-        """``typed`` with each string compared with a DATE column of
-        ``columns`` cast to DATE: a literal now, a parameter at each
-        execution."""
-        if not any(isinstance(e, ast.ColumnRef) and t == DATE for e, t in columns):
-            return typed
-        cast = []
-        for expr, sql_type in typed:
+    def _compared(self, typed: list) -> list:
+        """The one DATE/string rule over ``(expr, type)`` operands, the
+        first compared with each of the rest: a string literal met by a
+        DATE is cast to DATE now, a parameter is read as what it meets
+        (DATE before VARCHAR) at each execution, and any other VARCHAR
+        met by a DATE becomes the lenient ``ISO_DATE``."""
+        for i, (expr, sql_type) in enumerate(typed):
+            others = typed[1:] if i == 0 else typed[:1]
+            kinds = {t.kind: t for _, t in others if t is not None}
+            target = kinds.get(TypeKind.DATE) or kinds.get(TypeKind.VARCHAR)
             if isinstance(expr, ast.Param):
-                self.param_casts[expr.index] = DATE
-            elif isinstance(expr, ast.Literal) and isinstance(expr.value, str):
-                with suppress(TypeMismatchError):
-                    expr, sql_type = ast.Literal(DATE.check(expr.value)), DATE
-            cast.append((expr, sql_type))
-        return cast
+                if target is not None:
+                    self.param_casts[expr.index] = target
+            elif isinstance(expr, ast.Literal) and target == DATE:
+                value = compared_as(DATE, expr.value)
+                if value is not expr.value:
+                    typed[i] = ast.Literal(value), DATE
+            elif getattr(sql_type, "kind", None) is TypeKind.VARCHAR and target == DATE:
+                typed[i] = ast.FuncCall("ISO_DATE", (expr,)), DATE
+        return typed
 
     def _type(self, expr: ast.Expr, types: list) -> SqlType | None:
         """The type of a unary, IS NULL, binary or IN-list node whose

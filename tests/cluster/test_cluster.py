@@ -12,6 +12,8 @@ import pytest
 
 from repro.cluster import Cluster, ClusterClient, ShardOptions, protocol
 from repro.cluster.errors import ClusterError
+from repro.engine import Database
+from repro.engine.errors import ExecutionError
 
 from .conftest import (
     TENANTS,
@@ -188,6 +190,44 @@ class TestServer:
                 await server.stop()
 
         run(go())
+
+    @pytest.mark.parametrize(
+        "sql, named",
+        [
+            ("SELECT aid / 0 FROM account", "division by zero"),
+            ("SELECT TO_INT(name) FROM account", "TO_INT cannot convert 'Ball'"),
+        ],
+    )
+    def test_runtime_error_keeps_the_connection(self, mem_cluster, sql, named):
+        """A statement that fails while it runs answers with an
+        ExecutionError frame, and the same connection serves the next
+        request; the engine raises the same class."""
+
+        async def go():
+            await seed_rows(mem_cluster)
+            server = mem_cluster.serve()
+            await server.start()
+            client = ClusterClient("127.0.0.1", server.port)
+            await client.connect()
+            try:
+                response = await client.request(
+                    {"op": "execute", "tenant_id": 35, "sql": sql}
+                )
+                assert not response["ok"]
+                assert response["error"] == "ExecutionError"
+                assert named in response["message"]
+                result = await client.execute(35, "SELECT aid FROM account")
+                assert result.rows == [(1,)]
+            finally:
+                await client.close()
+                await server.stop()
+
+        run(go())
+        db = Database()
+        db.execute("CREATE TABLE account (aid INTEGER, name VARCHAR(20))")
+        db.execute("INSERT INTO account VALUES (1, 'Ball')")
+        with pytest.raises(ExecutionError, match=named):
+            db.execute(sql)
 
     def test_garbage_frame_drops_connection_only(self, mem_cluster):
         async def go():

@@ -11,6 +11,7 @@ GROUP BY/HAVING, ORDER BY expressions — that must match SQLite row for
 row.
 """
 
+import datetime
 import functools
 import operator
 import sqlite3
@@ -26,7 +27,8 @@ from repro.engine.explain import plan_shape, render_plan
 from repro.engine.optimizer import OptimizerProfile, PlanDirectives
 from repro.engine.plan import physical as phys
 from repro.engine.sql.parser import parse_statement
-from repro.engine.values import INTEGER
+from repro.core import LAYOUTS
+from repro.engine.values import DATE, INTEGER, varchar
 from repro.quality.corpus import (
     ENGINE_DDL,
     ENGINE_INDEXES,
@@ -708,61 +710,181 @@ class TestInListProbe:
         compare((engine, lite), sql)
 
 
-# -- a constant compared with a DATE column is cast to DATE -------------------
+# -- the binder converts every DATE/string pair, whatever the access path ------
 
+#: ``(id, tenant, s, d)``: ``s`` holds ISO text, a string that is no
+#: date (in tenant 2, which no ``TO_DATE(s)`` case reads) and a NULL.
 DATE_ROWS = [
-    (1, 1, "2008-01-01"), (2, 1, "2008-01-02"), (3, 2, "2008-01-01"),
-    (4, 1, None), (5, 1, "2007-12-31"),
+    (1, 1, "2008-01-01", "2008-01-01"), (2, 1, "2008-01-01", "2008-01-02"),
+    (3, 2, "later", "2008-01-01"), (4, 1, None, None),
+    (5, 1, "2007-12-31", "2007-12-31"),
 ]
+DATE_INDEXES = {
+    "t_d": "CREATE INDEX t_d ON t (tenant, d)",
+    "t_s": "CREATE INDEX t_s ON t (tenant, s)",
+}
+JAN_1 = datetime.date(2008, 1, 1)
 
 
 @pytest.mark.parametrize("profile", list(OptimizerProfile))
-@pytest.mark.parametrize("indexed", [False, True], ids=["scan", "index"])
+@pytest.mark.parametrize(
+    "indexes",
+    [(), ("t_d",), ("t_s",), ("t_d", "t_s")],
+    ids=["scan", "index", "s-index", "both-indexes"],
+)
 class TestDateConstants:
-    """An ISO string compared with a DATE column answers as SQLite's
-    text comparison does, whether the row is found by a scan or by an
-    index probe, and whether the string is a literal, an ``IN`` item or
-    a parameter: the binder casts it to DATE.  A string that is no date
-    is compared as it is, the same way on both paths."""
+    """Where a DATE meets a string, the engine answers as SQLite's text
+    comparison does under every index set (none, each alone, both):
+    whether the row is found by a scan or by an index probe, whether the
+    string is a literal, an ``IN`` item, a parameter or a VARCHAR
+    column, and whether the DATE is a column or an expression.  A date
+    parameter met by a VARCHAR reads as its ISO text; a string that is
+    no date is compared as it is, the same way on every path."""
 
     @staticmethod
-    def _pair(profile, indexed):
+    def _pair(profile, indexes):
         engine, lite = Database(profile=profile), sqlite3.connect(":memory:")
-        engine.execute("CREATE TABLE t (id INTEGER, tenant INTEGER, d DATE)")
-        lite.execute("CREATE TABLE t (id INTEGER, tenant INTEGER, d TEXT)")
+        engine.execute(
+            "CREATE TABLE t (id INTEGER, tenant INTEGER, s VARCHAR(20), d DATE)"
+        )
+        lite.execute("CREATE TABLE t (id INTEGER, tenant INTEGER, s TEXT, d TEXT)")
+        # A DATE is ISO text in SQLite, so TO_DATE reads it as it is.
+        lite.create_function("TO_DATE", 1, lambda v: v, deterministic=True)
         for db in (engine, lite):
-            if indexed:
-                db.execute("CREATE INDEX t_d ON t (tenant, d)")
+            for name in indexes:
+                db.execute(DATE_INDEXES[name])
             for row in DATE_ROWS:
-                db.execute("INSERT INTO t VALUES (?, ?, ?)", row)
+                db.execute("INSERT INTO t VALUES (?, ?, ?, ?)", row)
         return engine, lite
 
     @pytest.mark.parametrize(
-        "where, params",
+        "where, params, probe",
         [
-            ("tenant = 1 AND d = '2008-01-01'", ()),
-            ("tenant = 1 AND d IN ('2008-01-01', '2007-12-31')", ()),
-            ("d IN ('2008-01-01')", ()),
-            ("tenant = 1 AND d = ?", ("2008-01-01",)),
-            ("tenant = ? AND d IN (?, '2008-01-02')", (1, "2008-01-01")),
-            ("tenant = 1 AND d >= ?", ("2008-01-01",)),
-            ("tenant = 1 AND d = 'soon'", ()),
-            ("tenant = 1 AND d < ?", ("soon",)),
+            ("tenant = 1 AND d = '2008-01-01'", (), "t_d"),
+            ("tenant = 1 AND d IN ('2008-01-01', '2007-12-31')", (), "t_d"),
+            ("d IN ('2008-01-01')", (), None),
+            ("tenant = 1 AND d = ?", ("2008-01-01",), "t_d"),
+            ("tenant = ? AND d IN (?, '2008-01-02')", (1, "2008-01-01"), "t_d"),
+            ("tenant = 1 AND d >= ?", ("2008-01-01",), "t_d"),
+            ("tenant = 1 AND d = 'soon'", (), "t_d"),
+            ("tenant = 1 AND d < ?", ("soon",), "t_d"),
+            ("tenant = 1 AND d < '2008-01-01'", (), None),
+            ("tenant = 1 AND s > '2008'", (), "t_s"),
+            ("tenant = 1 AND TO_DATE(s) = ?", ("2008-01-01",), None),
+            ("tenant = 1 AND TO_DATE(s) = ?", (JAN_1,), None),
+            ("tenant = 1 AND TO_DATE(s) = '2008-01-01'", (), None),
+            ("COALESCE(d, d) = ?", ("2008-01-01",), None),
+            ("s = d", (), None),
+            ("s < d", (), None),
+            ("tenant = 1 AND s = ?", (JAN_1,), "t_s"),
+            ("tenant = 1 AND s IN (?)", (JAN_1,), "t_s"),
+            ("tenant = 2 AND s > ?", (JAN_1,), "t_s"),
         ],
         ids=["eq", "in", "in-no-prefix", "param", "in-param", "range-param",
-             "no-date", "no-date-param"],
+             "no-date", "no-date-param", "range-literal", "text-literal",
+             "to-date-param", "to-date-date-param", "to-date-literal",
+             "coalesce-param", "text-eq-date", "text-lt-date",
+             "text-date-param", "text-in-date-param", "no-date-text"],
     )
-    def test_select(self, profile, indexed, where, params):
-        engine, lite = self._pair(profile, indexed)
+    def test_select(self, profile, indexes, where, params, probe):
+        engine, lite = self._pair(profile, indexes)
         sql = f"SELECT id FROM t WHERE {where}"
-        probes = _index_of(engine.plan(sql)) == "t_d"
-        assert probes == (indexed and where.startswith("tenant"))
-        compare((engine, lite), sql, params)
+        read = _index_of(engine.plan(sql))
+        if not where.startswith("tenant"):
+            assert read is None
+        elif indexes == (probe,):
+            assert read == probe
+        ours = engine.execute(sql, list(params)).rows
+        iso = tuple(p.isoformat() if isinstance(p, datetime.date) else p
+                    for p in params)
+        theirs = lite.execute(sql, iso).fetchall()
+        assert normalize(ours) == normalize(theirs), sql
 
     @pytest.mark.parametrize("verb", ["UPDATE t SET tenant = 9", "DELETE FROM t"])
-    def test_write(self, profile, indexed, verb):
-        engine, lite = self._pair(profile, indexed)
+    def test_write(self, profile, indexes, verb):
+        engine, lite = self._pair(profile, indexes)
         sql = f"{verb} WHERE tenant = 1 AND d = ?"
         count = engine.execute(sql, ["2008-01-01"]).rowcount
         assert count == 1 == lite.execute(sql, ("2008-01-01",)).rowcount
         compare((engine, lite), "SELECT id, tenant FROM t")
+
+    def test_join(self, profile, indexes):
+        """A VARCHAR joined to a DATE: no join method changes the answer
+        (a hash join on the raw values would match nothing)."""
+        engine, lite = self._pair(profile, indexes)
+        for where in ("x.s = y.d", "x.tenant = y.tenant AND x.s = y.d"):
+            compare((engine, lite), f"SELECT x.id, y.id FROM t x, t y WHERE {where}")
+
+
+def _date_tenants(layout: str):
+    """Each tenant's ``DATE_ROWS`` in a logical ``t(id, s, d)``, indexed,
+    on ``layout``; and SQLite holding them with their tenant ids."""
+    mtd = MultiTenantDatabase(layout=layout)
+    mtd.define_table(
+        LogicalTable(
+            "t",
+            (
+                LogicalColumn("id", INTEGER, indexed=True),
+                LogicalColumn("s", varchar(20), indexed=True),
+                LogicalColumn("d", DATE, indexed=True),
+            ),
+        )
+    )
+    lite = sqlite3.connect(":memory:")
+    lite.execute("CREATE TABLE t (id INTEGER, tenant INTEGER, s TEXT, d TEXT)")
+    for tenant in (1, 2):
+        mtd.create_tenant(tenant)
+    for row_id, tenant, text, date in DATE_ROWS:
+        mtd.insert(tenant, "t", {"id": row_id, "s": text, "d": date})
+        lite.execute("INSERT INTO t VALUES (?, ?, ?, ?)", (row_id, tenant, text, date))
+    return mtd, lite
+
+
+def _iso(params) -> tuple:
+    """``params`` as SQLite takes them: a date as its ISO text."""
+    return tuple(p.isoformat() if isinstance(p, datetime.date) else p
+                 for p in params)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_date_and_string_agree_with_sqlite_on_every_layout(layout):
+    """The same pairs through the schema-mapping layer: each tenant
+    answers as SQLite does for its rows."""
+    mtd, lite = _date_tenants(layout)
+    for where, params in [
+        ("s = d", ()),
+        ("s < d", ()),
+        ("s = ?", (JAN_1,)),
+        ("s IN (?)", (JAN_1,)),
+        ("s > ?", (JAN_1,)),
+        ("d = ?", ("2008-01-01",)),
+        ("d IN ('2008-01-01', '2007-12-31')", ()),
+        ("COALESCE(d, d) = ?", ("2008-01-01",)),
+        ("d < 'soon'", ()),
+    ]:
+        for tenant in (1, 2):
+            ours = mtd.execute(tenant, f"SELECT id FROM t WHERE {where}", params)
+            theirs = lite.execute(
+                f"SELECT id FROM t WHERE tenant = {tenant} AND {where}",
+                _iso(params),
+            )
+            assert sorted(ours.rows) == sorted(theirs.fetchall()), (where, tenant)
+
+
+@pytest.mark.parametrize("param", ["2008-01-01", JAN_1], ids=["text", "date"])
+@pytest.mark.parametrize("layout", ["private", "chunk"])
+def test_cross_tenant_having_reads_parameters_like_sqlite(layout, param):
+    """A ``FOR TENANTS`` aggregate compares a parameter with a DATE or a
+    VARCHAR aggregate as the engine does: on Private Tables each tenant
+    is its own structure group, so HAVING and ORDER BY run in the merge
+    of the group results; on a shared layout, inside the engine."""
+    mtd, lite = _date_tenants(layout)
+    for having in ("MAX(d) >= ?", "MAX(s) = ?"):
+        sql = f"SELECT s, COUNT(*) FROM t GROUP BY s HAVING {having} ORDER BY s"
+        cross = f"{sql} FOR TENANTS IN (1, 2)"
+        assert len(mtd.transform_cross_sql(cross)) == (layout == "private") + 1
+        ours = mtd.execute_cross(cross, (param,)).rows
+        theirs = lite.execute(
+            sql.replace("GROUP BY", "WHERE tenant IN (1, 2) GROUP BY"), _iso([param])
+        ).fetchall()
+        assert ours and ours == theirs, (having, ours, theirs)

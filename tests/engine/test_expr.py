@@ -1,5 +1,6 @@
 """Unit tests for expression compilation: three-valued logic, schema
-resolution, coercions, and the Universal layout's conversion functions."""
+resolution, the total-order fallback, and the Universal layout's
+conversion functions."""
 
 import datetime
 import sqlite3
@@ -9,15 +10,14 @@ from hypothesis import given, strategies as st
 
 from repro.engine.columnstore import ColumnBatch
 from repro.engine.database import Database
-from repro.engine.errors import PlanError
+from repro.engine.errors import ExecutionError, PlanError
 from repro.engine.expr import (
     ExprCompiler,
     Schema,
     Slot,
-    _coerce_pair,
     referenced_bindings,
 )
-from repro.engine.expr_batch import compile_filter
+from repro.engine.expr_batch import compile_filter, compile_values
 from repro.engine.sql.parser import parse_statement
 
 from ..conftest import FORMER_STORAGE_SUFFIXES
@@ -137,6 +137,27 @@ class TestScalarFunctions:
         assert call("LOWER(v)", "AB") == "ab"
         assert call("ABS(v)", -3) == 3
         assert call("COALESCE(v, 9)", None) == 9
+        assert call("ISO_DATE(v)", "2008-06-09") == datetime.date(2008, 6, 9)
+        assert call("ISO_DATE(v)", "later") == "later"
+
+    @pytest.mark.parametrize(
+        "fn_sql, value, named",
+        [
+            ("TO_INT(v)", "x", "TO_INT cannot convert 'x'"),
+            ("TO_DOUBLE(v)", "x", "TO_DOUBLE cannot convert 'x'"),
+            ("TO_DATE(v)", "later", "TO_DATE cannot convert 'later'"),
+            ("v / 0", 7, "division by zero: 7 / 0"),
+        ],
+    )
+    def test_runtime_failures_are_execution_errors(self, fn_sql, value, named):
+        """On the row closure and on the stored-column path alike."""
+        expr = ExprCompiler(Schema([Slot("t", "v")])).compile(
+            parse_statement(f"SELECT {fn_sql} FROM t").items[0].expr
+        )
+        with pytest.raises(ExecutionError, match=named):
+            expr((value,), ())
+        with pytest.raises(ExecutionError, match=named):
+            compile_values(expr)(ColumnBatch([[value]]), ())
 
     def test_unknown_function_rejected(self):
         with pytest.raises(PlanError):
@@ -168,14 +189,6 @@ class TestLike:
 
 
 class TestCoercion:
-    def test_date_vs_iso_string(self):
-        schema = Schema([Slot("t", "d")])
-        compiler = ExprCompiler(schema)
-        stmt = parse_statement("SELECT 1 FROM t WHERE d < '2005-01-01'")
-        fn = compiler.compile(stmt.where)
-        assert fn((datetime.date(2004, 1, 1),), ()) is True
-        assert fn((datetime.date(2006, 1, 1),), ()) is False
-
     def test_incompatible_types_fall_back_to_total_order(self):
         # Comparing a string column against a number must not crash.
         assert evaluate("s = 5", (0, 0, "five")) is False
@@ -290,12 +303,6 @@ class TestBatchCoercion:
         ):
             by_row, by_rows, by_columns = three_ways(sql, values, params)
             assert by_row == by_rows == by_columns, sql
-
-    def test_coerce_pair_same_type_is_untouched(self):
-        assert _coerce_pair("2005-01-01", "x") == ("2005-01-01", "x")
-        a, b = _coerce_pair(datetime.date(2005, 1, 1), "2005-01-01")
-        assert b == datetime.date(2005, 1, 1)
-        assert _coerce_pair("nope", datetime.date(2005, 1, 1))[0] == "nope"
 
 
 class TestBatchInList:
