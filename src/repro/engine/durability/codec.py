@@ -1,6 +1,6 @@
 """CRC-framed record serialization shared by the WAL and page store.
 
-Every record is wrapped in a ``[length][crc32]`` frame.  Readers
+Every record is wrapped in a ``[length varint][crc32]`` frame.  Readers
 validate length and checksum and treat the first bad frame as the end
 of the durable log — a torn tail from a crash mid write is silently
 discarded, matching standard WAL semantics.  A frame that passes its
@@ -13,10 +13,10 @@ the write path emits per row change and per transaction — ``ins``,
 say whether an admin id and a ``new_rid`` follow, unsigned LEB128
 varints — tx id, admin id, heap segment id, RID page and slot,
 ``new_rid``, cell count and an ``upd``'s SET positions — and each value
-behind a one-byte type tag (:func:`~repro.engine.values.put_values`),
-so they decode type-exact without pickle.  Every other log record
-(checkpoints, DDL statements as SQL text, admin brackets) is a pickle,
-whose protocol-4 ``PROTO`` opcode is ``0x80``.  A page-store frame
+behind a one-byte type tag (:func:`~repro.engine.values.put_values`,
+whose varints they share), so they decode type-exact without pickle.
+Every other log record (checkpoints, DDL statements as SQL text, admin
+brackets) is a pickle, whose ``PROTO`` opcode is ``0x80``.  A page-store frame
 (:func:`frame_payload`) holds a page's fixed-width head and its image
 (:mod:`~repro.engine.columncodec`), never a pickle: :func:`read_frame`
 hands it to a reader without decoding anything.
@@ -32,14 +32,16 @@ from __future__ import annotations
 import pickle
 import struct
 import zlib
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from ..errors import EngineError
-from ..values import put_values, take_values
+from ..values import put_uint, put_values, take_uint, take_values
 
-#: Frame header: payload length (u32) + payload crc32 (u32).
-_HEADER = struct.Struct("<II")
-HEADER_SIZE = _HEADER.size
+#: Frame header: payload length (a varint of at most five bytes) +
+#: payload crc32 (u32).
+_CRC = struct.Struct("<I")
+_LENGTH_BYTES = 5
+_HEADER_MAX = _LENGTH_BYTES + _CRC.size
 
 #: Pickle protocol 4: stable across the supported Pythons (3.8+).
 _PROTOCOL = 4
@@ -82,7 +84,19 @@ def encode_frame(record: object) -> bytes:
 
 def frame_payload(payload: bytes) -> bytes:
     """Frame bytes already encoded."""
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    head = bytearray()
+    put_uint(head, len(payload))
+    return b"".join((head, _CRC.pack(zlib.crc32(payload)), payload))
+
+
+def frame_header(data: bytes, at: int = 0) -> tuple[int, int, int]:
+    """The frame at offset ``at`` of ``data``: where its payload starts,
+    its length and its checksum.  A header cut short, or a length varint
+    longer than ``_LENGTH_BYTES``, raises ``ValueError``: a torn tail."""
+    length, start = take_uint(data, at, _LENGTH_BYTES)
+    if start + _CRC.size > len(data):
+        raise ValueError("a frame header runs past the end")
+    return start + _CRC.size, length, _CRC.unpack_from(data, start)[0]
 
 
 # -- fixed-shape log records ------------------------------------------------
@@ -92,21 +106,6 @@ def frame_payload(payload: bytes) -> bytes:
 _KIND_NAME = dict(enumerate(("ins", "del", "upd", "commit", "rollback"), 1))
 _KIND_CODE = {kind: code for code, kind in _KIND_NAME.items()}
 _ADMIN, _MOVED, _PICKLED = 0x08, 0x10, 0x80
-#: A header integer is at most ten varint bytes: seventy bits.
-_VARINT_LIMIT = 1 << 70
-
-
-def _put_uints(out: bytearray, *values: int) -> None:
-    """Append each value as an unsigned LEB128 varint: seven bits a
-    byte, lowest first, the high bit set on all but the last, so a
-    value below 128 is its own byte."""
-    for value in values:
-        if not 0 <= value < _VARINT_LIMIT:
-            raise ValueError(f"{value} is no unsigned 10-byte varint")
-        while value >= 0x80:
-            out.append(value & 0x7F | 0x80)
-            value >>= 7
-        out.append(value)
 
 
 def encode_log_frame(record: dict) -> bytes:
@@ -122,27 +121,28 @@ def encode_log_frame(record: dict) -> bytes:
     admin = record.get("admin")
     if admin is not None:
         code |= _ADMIN
-    out = bytearray((code,))
-    try:
-        _put_uints(out, record["tx"])
-        if admin is not None:
-            _put_uints(out, admin)
-        if rid is None:
-            return frame_payload(out)  # a terminal
-        _put_uints(out, record["segment"], *rid)
+    fields = [record["tx"]] if admin is None else [record["tx"], admin]
+    values: Iterable = ()
+    if rid is not None:  # a row change, not a terminal
+        fields += (record["segment"], *rid)
         if code & _MOVED:
-            _put_uints(out, *record["new_rid"])
+            fields += record["new_rid"]
         if "row" in record:
-            _put_uints(out, len(record["row"]))
-            put_values(out, record["row"])
+            values = record["row"]
+            fields.append(len(values))
         elif "set" in record:
             cells = record["set"]
-            _put_uints(out, len(cells), *cells)
-            put_values(out, cells.values())
+            fields += (len(cells), *cells)
+            values = cells.values()
+    out = bytearray((code,))
+    try:
+        for field in fields:
+            put_uint(out, field)
     except ValueError as exc:
         raise EngineError(
             f"WAL {record['t']} record: a field outside its width ({exc})"
         ) from None
+    put_values(out, values)
     return frame_payload(out)
 
 
@@ -151,22 +151,8 @@ def _decode_fixed(payload: bytes) -> dict:
 
     def uint() -> int:
         nonlocal at
-        value = shift = 0
-        while at < end:
-            byte = payload[at]
-            at += 1
-            value |= (byte & 0x7F) << shift
-            if byte < 0x80:
-                return value
-            shift += 7
-            if shift == 70:
-                raise ValueError("a varint longer than 10 bytes")
-        raise ValueError("a varint runs past the record's end")
-
-    def take_tagged(count: int) -> list:
-        nonlocal at
-        values, at = take_values(payload, at, count)
-        return values
+        value, at = take_uint(payload, at)
+        return value
 
     kind = _KIND_NAME[code & 0x07]
     if code & ~(0x07 | _ADMIN | _MOVED) or (code & _MOVED and kind != "upd"):
@@ -178,11 +164,14 @@ def _decode_fixed(payload: bytes) -> dict:
         record["segment"] = uint()
         record["rid"] = uint(), uint()
     if kind == "ins":
-        record["row"] = tuple(take_tagged(uint()))
+        count = uint()
+        cells, at = take_values(payload, at, count)
+        record["row"] = tuple(cells)
     elif kind == "upd":
         record["new_rid"] = (uint(), uint()) if code & _MOVED else record["rid"]
         positions = [uint() for _ in range(uint())]
-        record["set"] = dict(zip(positions, take_tagged(len(positions))))
+        cells, at = take_values(payload, at, len(positions))
+        record["set"] = dict(zip(positions, cells))
     if at != end:
         raise ValueError(f"{end - at} bytes past the record's end")
     return record
@@ -202,9 +191,11 @@ def decode_frames(
     offset: what follows it may be committed.
     """
     total = len(data)
-    while offset + HEADER_SIZE <= total:
-        length, crc = _HEADER.unpack_from(data, offset)
-        start = offset + HEADER_SIZE
+    while offset < total:
+        try:
+            start, length, crc = frame_header(data, offset)
+        except ValueError:
+            return  # a torn header
         end = start + length
         if length == 0 or end > total:
             return  # end of log, or a torn tail
@@ -231,23 +222,25 @@ def read_frame(fh: BinaryIO, end: int) -> bytes | None:
     file ends: the frame runs past ``end`` (torn) or fails its checksum
     — the check a byte-for-byte copy makes without unpickling.  Reads
     one frame's bytes, whatever the size of the file."""
-    header = fh.read(HEADER_SIZE)
-    if len(header) < HEADER_SIZE:
+    at = fh.tell()
+    try:
+        start, length, _ = frame_header(fh.read(min(_HEADER_MAX, end - at)))
+    except ValueError:
         return None
-    length, _ = _HEADER.unpack(header)
-    if fh.tell() + length > end:
+    if at + start + length > end:
         return None
-    frame = header + fh.read(length)
+    fh.seek(at)
+    frame = fh.read(start + length)
     return frame if frame_intact(frame) else None
 
 
 def frame_intact(frame: bytes) -> bool:
     """Whether ``frame`` is exactly one frame, its length and checksum
     holding."""
-    if len(frame) < HEADER_SIZE:
+    try:
+        start, length, crc = frame_header(frame)
+    except ValueError:
         return False
-    length, crc = _HEADER.unpack_from(frame)
-    return length == len(frame) - HEADER_SIZE and zlib.crc32(
-        memoryview(frame)[HEADER_SIZE:]
+    return start + length == len(frame) and zlib.crc32(
+        memoryview(frame)[start:]
     ) == crc
-

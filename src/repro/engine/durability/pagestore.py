@@ -13,8 +13,8 @@ The file is an 8-byte head, magic ``RPPG`` + format version
 (:data:`HEAD`; an open refuses a file without it, or at another
 version, by name), then frames::
 
-    [len u32][crc u32][page_id u64, segment u32, lsn u64,
-                       kind u8, size u32, used i32][payload]
+    [len varint][crc u32][page_id u64, segment u32, lsn u64,
+                          kind u8, size u32, used i32][payload]
 
 Everything but the payload is fixed-width bytes inside the checksum,
 so nothing that walks the file (:meth:`_scan` at open,
@@ -70,8 +70,8 @@ from ..errors import EngineError
 from ..observability.metrics import CounterSet, MetricsRegistry
 from ..pager import Page, PageKind
 from .codec import (
-    HEADER_SIZE,
     file_head,
+    frame_header,
     frame_intact,
     frame_payload,
     has_head,
@@ -85,9 +85,9 @@ PAGE_FILE = "data.pages"
 #: the first with a head (before it a frame's pickle held a dict of
 #: kind, size, used and payload, and RIDs were objects); it pickled
 #: column pages too.  Version 2 stores them as images, and pickles
-#: B-tree nodes; version 3 stores those as images as well, but may hold
-#: pickled row-major heap pages.  Version 4 holds images only.
-HEAD = file_head(b"RPPG", 4)
+#: B-tree nodes; 3 those too, but may hold pickled row-major heap pages;
+#: 4 images only.  Version 5 makes frame lengths and value ints varints.
+HEAD = file_head(b"RPPG", 5)
 
 #: A frame's fixed-width head: page id, segment id, LSN, kind, size,
 #: used.  The payload after it is the page's alone.
@@ -194,7 +194,8 @@ class DiskPageStore:
         pages: dict[int, set[int]] = {}
         cut = None
         while (frame := read_frame(fh, end)) is not None:
-            page_id, segment_id, lsn = _HEAD.unpack_from(frame, HEADER_SIZE)[:3]
+            start = frame_header(frame)[0]
+            page_id, segment_id, lsn = _HEAD.unpack_from(frame, start)[:3]
             above = cutoff_lsn is not None and lsn > cutoff_lsn
             if cut is None and above:
                 cut = offset
@@ -273,11 +274,10 @@ class DiskPageStore:
         if page_id not in self._index:
             raise EngineError(f"page {page_id} does not exist")
         frame = self._frame_at(page_id)
-        _, segment_id, lsn, kind, size, used = _HEAD.unpack_from(
-            frame, HEADER_SIZE
-        )
+        start = frame_header(frame)[0]
+        _, segment_id, lsn, kind, size, used = _HEAD.unpack_from(frame, start)
         try:
-            payload = _from_image(frame[HEADER_SIZE + _HEAD.size :])
+            payload = _from_image(frame[start + _HEAD.size :])
         except _UNDECODABLE as exc:
             raise EngineError(
                 f"page {page_id}: the frame passes its checksum but does "

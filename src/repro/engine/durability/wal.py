@@ -30,14 +30,14 @@ from ..observability.metrics import CounterSet, MetricsRegistry
 from .codec import decode_frames, encode_log_frame, file_head, has_head
 from .faults import FaultInjector, SimulatedCrash
 
-#: The log's first bytes: magic + format version.  Version 4 logs row
+#: The log's first bytes: magic + format version.  Version 5 logs row
 #: changes and terminals as fixed-shape records naming a table by its
-#: segment id, their header integers varints, and everything else as a
-#: pickle, a DDL record its SQL text.  Version 3 named the table and
-#: packed u16/u32 integers, version 2 logged DDL as per-operation
-#: fields, version 1 pickled every record, and before it the file began
-#: with a pickled header record: all are refused, not converted.
-HEAD = file_head(b"RPWL", 4)
+#: segment id, all integers and frame lengths varints, the rest as
+#: pickles, a DDL record its SQL text.  Version 4 packed value integers
+#: and frame lengths, 3 named the table, 2 logged DDL as per-operation
+#: fields, 1 pickled every record, and before it the file began with a
+#: pickled header record: all are refused, not converted.
+HEAD = file_head(b"RPWL", 5)
 
 #: What follows the head: the LSN of the file's byte 0.
 _BASE_LSN = struct.Struct("<Q")

@@ -108,6 +108,8 @@ def _like_matcher(pattern: str) -> Callable[[str], bool]:
     return lambda text: compiled.match(text) is not None
 
 
+#: The value types arithmetic takes: a str, a date or a bool raises.
+_NUMBERS = frozenset((int, float))
 _ARITH = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
@@ -261,7 +263,12 @@ class ExprCompiler:
                         return None
                     return not value
                 return negate
-            return lambda row, params: None if (v := inner(row, params)) is None else -v
+            def minus(row, params):
+                value = inner(row, params)
+                if value is not None and type(value) not in _NUMBERS:
+                    raise ExecutionError(f"- needs a number, got {value!r}")
+                return None if value is None else -value
+            return minus
         if isinstance(expr, ast.IsNull):
             inner = self.compile(expr.operand)
             if expr.negated:
@@ -401,6 +408,8 @@ class ExprCompiler:
                 a, b = left(row, params), right(row, params)
                 if a is None or b is None:
                     return None
+                if op != "||" and (type(a) not in _NUMBERS or type(b) not in _NUMBERS):
+                    raise ExecutionError(f"{op} needs numbers, got {a!r} {op} {b!r}")
                 try:
                     return fn(a, b)
                 except ZeroDivisionError:

@@ -14,8 +14,8 @@ byte, the common slotted-page approximation).
 
 Where a value does reach bytes — a WAL row record, a column-page image
 column that fits no typed array — it is written behind a one-byte type
-tag (:func:`put_values` / :func:`take_values`), so it reads back
-type-exact without pickle.
+tag, its integers varints (:func:`put_values`, :func:`put_uint`), so it
+reads back type-exact without pickle.
 """
 
 from __future__ import annotations
@@ -248,15 +248,42 @@ def sort_key(value: object) -> tuple[int, object]:
 
 # -- type-exact value tags ----------------------------------------------------
 
-#: Value tags.  A tag with a fixed-width field packs with it: an int, a
-#: float, a date's ordinal, a str's or a big int's byte length.
+#: Value tags.  Behind its tag an int is a zigzag varint, a date's ordinal
+#: and a str's or big int's byte length a varint, a float eight bytes.
 _NULL, _FALSE, _TRUE, _INT, _BIG_INT, _FLOAT, _STR, _DATE = range(8)
-_TAG_INT = struct.Struct("<Bq")
 _TAG_FLOAT = struct.Struct("<Bd")
-_TAG_U32 = struct.Struct("<BI")
-_TAGGED = {_INT: _TAG_INT, _FLOAT: _TAG_FLOAT}
-_TAGGED.update(dict.fromkeys((_BIG_INT, _STR, _DATE), _TAG_U32))
 _INT_MIN, _INT_MAX = -(2**63), 2**63 - 1
+_VARINT_LIMIT = 1 << 70  # ten varint bytes
+
+
+def put_uint(out: bytearray, value: int) -> None:
+    """Append ``value`` as an unsigned LEB128 varint: seven bits a byte,
+    lowest first, the high bit set on all but the last, so a value below
+    128 is its own byte.  One outside ten bytes raises ``ValueError``."""
+    if not 0 <= value < _VARINT_LIMIT:
+        raise ValueError(f"{value} is no unsigned 10-byte varint")
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+
+
+def take_uint(data: bytes, at: int, width: int = 10) -> tuple[int, int]:
+    """The unsigned varint :func:`put_uint` wrote at offset ``at`` of
+    ``data``, and the offset past it.  One longer than ``width`` bytes,
+    or cut short by the end of ``data``, raises ``ValueError``."""
+    value = shift = 0
+    end = len(data)
+    while at < end:
+        byte = data[at]
+        at += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, at
+        shift += 7
+        if shift == 7 * width:
+            raise ValueError(f"a varint longer than {width} bytes")
+    raise ValueError("a varint runs past the record's end")
 
 
 def put_values(out: bytearray, values) -> None:
@@ -264,11 +291,14 @@ def put_values(out: bytearray, values) -> None:
     :class:`EngineError`."""
     for value in values:
         kind = type(value)
-        if kind is str:
+        if kind is int and _INT_MIN <= value <= _INT_MAX:
+            out.append(_INT)
+            put_uint(out, value << 1 ^ value >> 63)  # zigzag: -1 is 1
+        elif kind is str:
             data = value.encode("utf-8", "surrogatepass")
-            out += _TAG_U32.pack(_STR, len(data)) + data
-        elif kind is int and _INT_MIN <= value <= _INT_MAX:
-            out += _TAG_INT.pack(_INT, value)
+            out.append(_STR)
+            put_uint(out, len(data))
+            out += data
         elif value is None:
             out.append(_NULL)
         elif kind is bool:
@@ -276,10 +306,13 @@ def put_values(out: bytearray, values) -> None:
         elif kind is float:
             out += _TAG_FLOAT.pack(_FLOAT, value)
         elif kind is datetime.date:
-            out += _TAG_U32.pack(_DATE, value.toordinal())
+            out.append(_DATE)
+            put_uint(out, value.toordinal())
         elif kind is int:
             data = value.to_bytes(value.bit_length() // 8 + 1, "little", signed=True)
-            out += _TAG_U32.pack(_BIG_INT, len(data)) + data
+            out.append(_BIG_INT)
+            put_uint(out, len(data))
+            out += data
         else:
             raise EngineError(f"no value tag for a {kind.__name__} value")
 
@@ -287,28 +320,33 @@ def put_values(out: bytearray, values) -> None:
 def take_values(data: bytes, at: int, count: int) -> tuple[list, int]:
     """``count`` tagged values of ``data`` from offset ``at`` on, and the
     offset past them.  Bytes that :func:`put_values` did not write raise
-    ``ValueError``, ``IndexError`` or ``struct.error``; the caller names
-    the record."""
-    values = []
+    ``ValueError``, ``IndexError``, ``OverflowError`` or ``struct.error``;
+    the caller names the record."""
+    values: list = []
     for _ in range(count):
         tag = data[at]
-        layout = _TAGGED.get(tag)
-        if layout is None:
+        if tag < _INT:
             values.append((None, False, True)[tag])
             at += 1
-            continue
-        value = layout.unpack_from(data, at)[1]
-        at += layout.size
-        if tag == _DATE:
-            value = datetime.date.fromordinal(value)
-        elif tag == _STR or tag == _BIG_INT:
-            if at + value > len(data):
-                raise ValueError("a value runs past the record's end")
-            raw = data[at : at + value]
-            at += value
-            if tag == _STR:
-                value = str(raw, "utf-8", "surrogatepass")
-            else:
-                value = int.from_bytes(raw, "little", signed=True)
-        values.append(value)
+        elif tag == _FLOAT:
+            values.append(_TAG_FLOAT.unpack_from(data, at)[1])
+            at += 9
+        elif tag > _DATE:
+            raise ValueError(f"unknown value tag {tag}")
+        else:
+            value, at = take_uint(data, at + 1)
+            if tag == _INT:
+                value = value >> 1 ^ -(value & 1)
+            elif tag == _DATE:
+                value = datetime.date.fromordinal(value)
+            else:  # a str's or a big int's bytes
+                if at + value > len(data):
+                    raise ValueError("a value runs past the record's end")
+                raw = data[at : at + value]
+                at += value
+                if tag == _STR:
+                    value = str(raw, "utf-8", "surrogatepass")
+                else:
+                    value = int.from_bytes(raw, "little", signed=True)
+            values.append(value)
     return values, at

@@ -4,6 +4,7 @@ durable restart."""
 import asyncio
 import datetime
 import json
+import re
 import socket
 import struct
 import threading
@@ -228,6 +229,51 @@ class TestServer:
         db.execute("INSERT INTO account VALUES (1, 'Ball')")
         with pytest.raises(ExecutionError, match=named):
             db.execute(sql)
+
+    @pytest.mark.parametrize(
+        "sql, named",
+        [
+            ("SELECT aid + ? FROM account", "+ needs numbers, got 1 + 'x'"),
+            ("SELECT ? * 2 FROM account", "* needs numbers, got 'x' * 2"),
+            ("SELECT -? FROM account", "- needs a number, got 'x'"),
+        ],
+        ids=["plus", "times", "minus"],
+    )
+    def test_string_arithmetic_keeps_the_connection(self, mem_cluster, sql, named):
+        """A string that meets arithmetic through a parameter, which the
+        binder cannot type, answers with an ExecutionError frame naming
+        the operator and the value — not BadRequest, and not Python's
+        string repeat — and the connection serves the next request.
+        The engine raises the same class for a VARCHAR column."""
+
+        async def go():
+            await seed_rows(mem_cluster)
+            server = mem_cluster.serve()
+            await server.start()
+            client = ClusterClient("127.0.0.1", server.port)
+            await client.connect()
+            try:
+                response = await client.request(
+                    {"op": "execute", "tenant_id": 35, "sql": sql, "params": ["x"]}
+                )
+                assert not response["ok"]
+                assert response["error"] == "ExecutionError"
+                assert named in response["message"]
+                result = await client.execute(35, "SELECT aid FROM account")
+                assert result.rows == [(1,)]
+            finally:
+                await client.close()
+                await server.stop()
+
+        run(go())
+        db = Database()
+        db.execute("CREATE TABLE account (aid INTEGER, name VARCHAR(20))")
+        db.execute("INSERT INTO account VALUES (1, 'Ball')")
+        with pytest.raises(ExecutionError, match=re.escape(named)):
+            db.execute(sql, ["x"])
+        column = sql.replace("?", "name")
+        with pytest.raises(ExecutionError, match="needs .*, got .*'Ball'"):
+            db.execute(column)
 
     def test_garbage_frame_drops_connection_only(self, mem_cluster):
         async def go():

@@ -147,6 +147,9 @@ class TestScalarFunctions:
             ("TO_DOUBLE(v)", "x", "TO_DOUBLE cannot convert 'x'"),
             ("TO_DATE(v)", "later", "TO_DATE cannot convert 'later'"),
             ("v / 0", 7, "division by zero: 7 / 0"),
+            ("v + 1", "x", "needs numbers, got 'x'"),
+            ("v * 2", "x", "needs numbers, got 'x'"),
+            ("-v", "x", "needs a number, got 'x'"),
         ],
     )
     def test_runtime_failures_are_execution_errors(self, fn_sql, value, named):

@@ -131,7 +131,7 @@ def build(path=None, **options) -> Database:
     """The ``db`` fixture's table, optionally disk-backed with a log
     budget small enough that the script auto-checkpoints."""
     database = Database(
-        path=path, durability=DurabilityOptions(auto_checkpoint_bytes=600), **options
+        path=path, durability=DurabilityOptions(auto_checkpoint_bytes=300), **options
     )
     database.execute(
         "CREATE TABLE t (id INTEGER NOT NULL, grp INTEGER, name VARCHAR(20))"

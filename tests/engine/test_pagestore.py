@@ -5,15 +5,18 @@ to it, what a page miss costs to decode, and what an open does with a
 file another format wrote."""
 
 import datetime
+import io
 import os
 import pickle
 import pickletools
 import resource
 import struct
 import tracemalloc
+import zlib
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import columncodec
 from repro.engine.btree import _LEAF_HEAD, _Internal, _Leaf
@@ -50,6 +53,13 @@ def appended_frame(store: DiskPageStore, page_id: int) -> bytes:
     with open(store.path, "rb") as fh:
         fh.seek(offset)
         return fh.read(length)
+
+
+def stored_image(store: DiskPageStore, page_id: int) -> bytes:
+    """The page image in the last frame ``write`` appended for
+    ``page_id``: past the frame header and the page's fixed head."""
+    frame = appended_frame(store, page_id)
+    return frame[codec.frame_header(frame)[0] + pagestore._HEAD.size :]
 
 
 def file_bytes(store: DiskPageStore) -> bytes:
@@ -603,6 +613,21 @@ class TestRead:
             store.read(4)
         assert texts(store.read(3)) == ["row-3"]
 
+    @settings(max_examples=40, deadline=None)
+    @given(cells=st.lists(st.text(max_size=30), min_size=1, max_size=40))
+    def test_a_frame_cut_anywhere_is_no_frame(self, cells):
+        """A page frame, its length a varint, cut at any byte — a torn
+        page write — is ``None`` from ``read_frame``; whole, it is read
+        to its last byte and no further."""
+        head = pagestore._HEAD.pack(7, 2, 10, 0, 8192, 0)
+        frame = codec.frame_payload(head + make_page(7, 2, cells).payload.to_image())
+        for cut in range(len(frame)):
+            assert codec.read_frame(io.BytesIO(frame[:cut]), cut) is None, cut
+            assert not codec.frame_intact(frame[:cut])
+        fh = io.BytesIO(frame + b"next")
+        assert codec.read_frame(fh, len(frame) + 4) == frame
+        assert fh.tell() == len(frame)
+
 
 class TestDecodeCost:
     """A page miss costs what the read needs.  A column page and a
@@ -641,9 +666,7 @@ class TestDecodeCost:
             btree = index_db.catalog.table(name).indexes[index].btree
             assert btree.height == 2
             for page_id in store.pages_in_segment(btree.segment_id):
-                payload = appended_frame(store, page_id)[
-                    codec.HEADER_SIZE + pagestore._HEAD.size :
-                ]
+                payload = stored_image(store, page_id)
                 with pytest.raises(ValueError, match="at position 0"):
                     next(pickletools.genops(payload))
                 node = store.read(page_id).payload
@@ -811,9 +834,7 @@ class TestDecodeCost:
 
         monkeypatch.setattr(codec.pickle, "loads", unpickled)
         for page_id in page_ids:
-            payload = appended_frame(store, page_id)[
-                codec.HEADER_SIZE + pagestore._HEAD.size :
-            ]
+            payload = stored_image(store, page_id)
             assert payload[0] < 0x80
             assert b"\x80\x04" not in payload  # pickle protocol 4's PROTO
             assert store.read(page_id).payload.live > 0
@@ -867,7 +888,7 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"data\.pages: found no format head, "
-            r"expected RPPG format version 4",
+            r"expected RPPG format version 5",
         ):
             Database(path=str(tmp_path))
         assert (pages / PAGE_FILE).read_bytes() == previous_format_page_frame()
@@ -883,7 +904,7 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"wal\.log: found no format head, "
-            r"expected RPWL format version 4",
+            r"expected RPWL format version 5",
         ):
             Database(path=str(tmp_path))
         assert log.read_bytes() == previous_format_wal()
@@ -902,7 +923,7 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"wal\.log: found format version 1, "
-            r"expected RPWL format version 4",
+            r"expected RPWL format version 5",
         ):
             Database(path=str(tmp_path))
         assert log.read_bytes() == version_1
@@ -920,7 +941,7 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"wal\.log: found format version 2, "
-            r"expected RPWL format version 4",
+            r"expected RPWL format version 5",
         ):
             Database(path=str(tmp_path))
         assert log.read_bytes() == version_2
@@ -944,10 +965,34 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"wal\.log: found format version 3, "
-            r"expected RPWL format version 4",
+            r"expected RPWL format version 5",
         ):
             Database(path=str(tmp_path))
         assert log.read_bytes() == version_3
+
+    def test_wal_of_version_4_is_refused_naming_both_versions(self, tmp_path):
+        """Version 4 packed a value's integers, a string's length and a
+        frame's length to fixed widths; its log is refused, not
+        converted."""
+        log = tmp_path / WAL_FILENAME
+        # An ``ins`` of (1,) into segment 1 as version 4 wrote it: kind,
+        # varint tx, segment, (page, slot) and count, an i64 behind its
+        # tag, in a [len u32][crc u32] frame.
+        payload = bytes((1, 1, 1, 1, 0, 1)) + struct.pack("<Bq", 3, 1)
+        version_4 = (
+            codec.file_head(b"RPWL", 4)
+            + struct.pack("<Q", 0)
+            + struct.pack("<II", len(payload), zlib.crc32(payload))
+            + payload
+        )
+        log.write_bytes(version_4)
+        with pytest.raises(
+            EngineError,
+            match=r"wal\.log: found format version 4, "
+            r"expected RPWL format version 5",
+        ):
+            Database(path=str(tmp_path))
+        assert log.read_bytes() == version_4
 
     def test_page_file_of_version_1_is_refused_naming_both_versions(
         self, tmp_path
@@ -962,7 +1007,7 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"data\.pages: found format version 1, "
-            r"expected RPPG format version 4",
+            r"expected RPPG format version 5",
         ):
             Database(path=str(tmp_path))
         assert (pages / PAGE_FILE).read_bytes() == version_1
@@ -1021,7 +1066,7 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"data\.pages: found format version 2, "
-            r"expected RPPG format version 4",
+            r"expected RPPG format version 5",
         ):
             Database(path=str(tmp_path))
         assert (pages / PAGE_FILE).read_bytes() == version_2
@@ -1080,10 +1125,34 @@ class TestFormatHead:
         with pytest.raises(
             EngineError,
             match=r"data\.pages: found format version 3, "
-            r"expected RPPG format version 4",
+            r"expected RPPG format version 5",
         ):
             Database(path=str(tmp_path))
         assert (pages / PAGE_FILE).read_bytes() == version_3
+
+    def test_page_file_of_version_4_is_refused_naming_both_versions(
+        self, tmp_path
+    ):
+        """Version 4 framed a page with a u32 length and packed its
+        value-tag integers to fixed widths; its file is refused, not
+        converted."""
+        pages = tmp_path / PAGES_DIRNAME
+        pages.mkdir()
+        head = pagestore._HEAD.pack(1, 1, 10, 0, 8192, 18)
+        payload = head + make_page(1, 1, ["a"]).payload.to_image()
+        version_4 = (
+            codec.file_head(b"RPPG", 4)
+            + struct.pack("<II", len(payload), zlib.crc32(payload))
+            + payload
+        )
+        (pages / PAGE_FILE).write_bytes(version_4)
+        with pytest.raises(
+            EngineError,
+            match=r"data\.pages: found format version 4, "
+            r"expected RPPG format version 5",
+        ):
+            Database(path=str(tmp_path))
+        assert (pages / PAGE_FILE).read_bytes() == version_4
 
     def test_a_heap_page_that_does_not_unpickle_is_refused_naming_the_page(
         self, store

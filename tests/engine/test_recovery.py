@@ -11,12 +11,12 @@ in-flight operation vanished without a trace — for all seven layouts.
 from __future__ import annotations
 
 import datetime
+import itertools
 import math
 import os
 import pickle
 import random
 import shutil
-import struct
 import tempfile
 import zlib
 
@@ -38,9 +38,10 @@ from repro.engine.durability import (
     WriteAheadLog,
 )
 from repro.engine.durability.codec import (
-    HEADER_SIZE,
     decode_frames,
     encode_log_frame,
+    frame_header,
+    frame_payload,
 )
 from repro.engine.durability.manager import WAL_FILENAME
 from repro.engine.durability.wal import HEAD_SIZE
@@ -238,7 +239,7 @@ class TestCheckpoint:
 
         counts, wal_sizes = {}, {}
         for entry in ("text", "ast", "handle"):
-            db = build(tmp_path / entry, auto_checkpoint_bytes=2048)
+            db = build(tmp_path / entry, auto_checkpoint_bytes=1024)
             seed_rows(db, 200)
             before = db.metrics.value("db.checkpoint.count")
             run = entry_point(db, entry)
@@ -482,8 +483,9 @@ class TestRowRecords:
     def test_one_integer_update_and_its_commit_are_small(self, tmp_path):
         """Framed sizes as the WAL writes them, every id below 128: a
         one-INTEGER ``upd`` is kind, tx, segment, page, slot, count and
-        position, a byte each, and a 9-byte tagged int; a ``commit``
-        kind and tx.  Each inside an 8-byte frame header."""
+        position, a byte each, and the int's tag and zigzag varint, a
+        byte each; a ``commit`` kind and tx.  Each inside a 5-byte frame
+        header: a one-byte length varint and the CRC."""
         db = build(tmp_path)
         db.execute("CREATE TABLE campaign (id INTEGER NOT NULL, n INTEGER)")
         db.execute("INSERT INTO campaign VALUES (1, 0)")
@@ -495,7 +497,7 @@ class TestRowRecords:
         db.transactions.commit()
         commit = db.wal_stats.bytes_written - before - upd
         assert [r["t"] for r in _log_records(db)[-2:]] == ["upd", "commit"]
-        assert (upd, commit) == (HEADER_SIZE + 16, HEADER_SIZE + 2)
+        assert (upd, commit) == (14, 7)
         db.close()
 
     def test_no_update_or_delete_record_carries_a_row_image(self, tmp_path):
@@ -595,10 +597,6 @@ def _cells(rows: list[tuple]) -> list[tuple]:
     return [tuple((type(v), repr(v)) for v in row) for row in rows]
 
 
-def _frame(payload: bytes) -> bytes:
-    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
-
-
 class TestLogFormat:
     """Row changes and transaction terminals are fixed-shape binary
     records; everything else stays a pickle."""
@@ -644,7 +642,7 @@ class TestLogFormat:
         data = open(db.durability.wal.path, "rb").read()
         kinds = {}
         for offset, _end, record in decode_frames(data, HEAD_SIZE):
-            pickled = data[offset + HEADER_SIZE] == 0x80
+            pickled = data[frame_header(data, offset)[0]] == 0x80
             kinds[record["t"], "admin" in record] = pickled
         assert kinds == {
             ("checkpoint", False): True,
@@ -705,7 +703,7 @@ class TestLogFormat:
             for offset, _end, record in decode_frames(data, HEAD_SIZE)
             if record["t"] == "ins" and record["row"] == (2,)
         ]
-        spliced = data[:second] + _frame(garbage) + data[second:]
+        spliced = data[:second] + frame_payload(garbage) + data[second:]
         log.write_bytes(spliced)
         refused = rf"wal\.log: the frame at offset {second} "
         with pytest.raises(EngineError, match=refused):
@@ -826,6 +824,36 @@ class TestSegmentIds:
         decoded = [r for _offset, _end, r in decode_frames(data)]
         assert [_exact(r) for r in decoded] == [_exact(r) for r in records]
 
+    @settings(max_examples=60, deadline=None)
+    @given(records=st.lists(log_records(), min_size=1, max_size=4))
+    def test_every_prefix_decodes_to_its_whole_frames(self, records):
+        """A log cut at any byte, as a crash mid-append leaves it,
+        decodes to exactly the frames wholly before the cut and never
+        raises: a length varint or a CRC cut short is a torn tail."""
+        frames = [encode_log_frame(dict(r)) for r in records]
+        data = b"".join(frames)
+        ends = list(itertools.accumulate(map(len, frames)))
+        for cut in range(len(data) + 1):
+            decoded = list(decode_frames(data[:cut]))
+            whole = [end for end in ends if end <= cut]
+            assert [end for _offset, end, _r in decoded] == whole, cut
+            assert [_exact(r) for _o, _e, r in decoded] == [
+                _exact(r) for r in records[: len(whole)]
+            ]
+
+    def test_a_length_varint_longer_than_five_bytes_is_a_torn_tail(self):
+        """Five bytes hold any u32 length; a sixth ends the readable
+        log even where the frame after it would check."""
+        first = encode_log_frame({"t": "commit", "tx": 1})
+        payload = first[frame_header(first)[0] :]
+        overlong = (
+            b"\x82\x80\x80\x80\x80\x00"  # 2, in six bytes
+            + zlib.crc32(payload).to_bytes(4, "little")
+            + payload
+        )
+        decoded = list(decode_frames(first + overlong))
+        assert [end for _offset, end, _r in decoded] == [len(first)]
+
     @staticmethod
     def _splice(tmp_path, payload_of) -> tuple[bytes, int]:
         """Two committed inserts; the second's ``ins`` frame replaced by
@@ -844,7 +872,7 @@ class TestSegmentIds:
             for offset, end, record in decode_frames(data, HEAD_SIZE)
             if record["t"] == "ins" and record["row"] == (2,)
         ]
-        spliced = data[:second] + _frame(payload_of(record)) + data[end:]
+        spliced = data[:second] + frame_payload(payload_of(record)) + data[end:]
         log.write_bytes(spliced)
         return spliced, second
 
@@ -868,7 +896,8 @@ class TestSegmentIds:
 
     def test_a_record_naming_no_table_refuses_the_open(self, tmp_path):
         def elsewhere(record: dict) -> bytes:
-            return encode_log_frame({**record, "segment": 99})[HEADER_SIZE:]
+            frame = encode_log_frame({**record, "segment": 99})
+            return frame[frame_header(frame)[0] :]
 
         spliced, _second = self._splice(tmp_path, elsewhere)
         refused = r"wal\.log: the ins record at LSN \d+ names segment 99, "

@@ -1,6 +1,7 @@
 """Tests for SQL types, widths, and the VARCHAR funnel."""
 
 import datetime
+import math
 import pickle
 
 import pytest
@@ -19,7 +20,9 @@ from repro.engine.values import (
     SqlType,
     TypeKind,
     parse_type,
+    put_values,
     sort_key,
+    take_values,
     varchar,
 )
 
@@ -248,3 +251,111 @@ class TestSortKey:
         ordered = sorted(values, key=sort_key)
         assert ordered[0] is None
         assert sorted(ordered, key=sort_key) == ordered
+
+
+#: Ints at each varint width's edges: a zigzag varint grows a byte at
+#: +-2**(7k - 1), an unsigned one at 2**(7k); the INT64 ends; and ints
+#: past 64 bits, which take the big-int tag.
+EDGE_INTS = sorted(
+    {
+        sign * 2 ** (7 * k - shift) + step
+        for k in range(1, 10)
+        for shift in (0, 1)
+        for sign in (1, -1)
+        for step in (-1, 0, 1)
+    }
+    | {-(2**63), 2**63 - 1, 2**64, 2**70, -(2**70)}
+)
+EDGE_VALUES = [
+    *EDGE_INTS,
+    *(0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.8e308),
+    *("", "\ud800", "a\udfffz", "\U0001f600", "x" * 200),
+    datetime.date.min,
+    datetime.date.max,
+    True,
+    False,
+    None,
+]
+VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(),
+    st.dates(),
+)
+
+
+def _exact(values: list) -> list:
+    """Each value with its type and repr: ``True`` is not ``1``, ``-0.0``
+    not ``0.0``, and NaN equals NaN."""
+    return [(type(v), repr(v)) for v in values]
+
+
+class TestValueTags:
+    """``put_values`` -> ``take_values`` gives every value back
+    type-exact, and ends exactly where the values end."""
+
+    def test_every_edge_value_round_trips(self):
+        out = bytearray()
+        put_values(out, EDGE_VALUES)
+        values, end = take_values(bytes(out), 0, len(EDGE_VALUES))
+        assert end == len(out)
+        assert _exact(values) == _exact(EDGE_VALUES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(VALUES, max_size=8),
+        prefix=st.binary(max_size=3),
+        suffix=st.binary(max_size=3),
+    )
+    def test_values_round_trip_between_other_bytes(self, values, prefix, suffix):
+        out = bytearray(prefix)
+        put_values(out, values)
+        end = len(out)
+        decoded, at = take_values(bytes(out + suffix), len(prefix), len(values))
+        assert at == end
+        assert _exact(decoded) == _exact(values)
+
+    @pytest.mark.parametrize(
+        "value, size",
+        [
+            (None, 1),
+            (True, 1),
+            (0, 2),
+            (-1, 2),
+            (63, 2),
+            (-64, 2),
+            (64, 3),
+            (-65, 3),
+            (2**63 - 1, 11),
+            (-(2**63), 11),
+            (2**63, 11),  # tag, length, nine bytes
+            (1.5, 9),
+            ("", 2),
+            ("x" * 127, 129),
+            ("x" * 128, 131),
+            (datetime.date.min, 2),
+            (datetime.date(2008, 1, 1), 4),
+            (datetime.date.max, 5),
+        ],
+    )
+    def test_a_value_takes_its_tag_and_its_varint(self, value, size):
+        out = bytearray()
+        put_values(out, [value])
+        assert len(out) == size
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"\x08", "unknown value tag 8"),
+            (b"\x03\xff", "runs past the record's end"),
+            (b"\x03" + b"\x80" * 10 + b"\x01", "longer than 10 bytes"),
+            (b"\x06\x05ab", "a value runs past the record's end"),
+        ],
+        ids=["unknown tag", "truncated varint", "overlong varint", "short string"],
+    )
+    def test_bytes_put_values_did_not_write_raise(self, data, reason):
+        with pytest.raises(ValueError, match=reason):
+            take_values(data, 0, 1)
