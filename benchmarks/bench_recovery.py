@@ -102,7 +102,9 @@ def wal_overhead():
 
 @pytest.fixture(scope="module")
 def recovery_sweep():
-    """Recovery time and replayed-record counts vs log length."""
+    """Recovery time and replayed-record counts vs log length, and what
+    the reopen wrote to the log: nothing on a log that is one checkpoint
+    alone, one re-anchoring checkpoint after a redo."""
     points = []
     for log_length in LOG_LENGTHS:
         directory = tempfile.mkdtemp(prefix="repro-bench-recovery-")
@@ -116,6 +118,8 @@ def recovery_sweep():
             reopened = Database(path=directory)
             info = dict(reopened.durability.recovery_info)
             info["heap_fetches"] = reopened.metrics.value("heap.fetches")
+            info["open_wal_bytes"] = reopened.metrics.value("db.wal.bytes_written")
+            info["open_wal_fsyncs"] = reopened.metrics.value("db.wal.fsyncs")
             points.append((log_length, info))
             reopened.close()
         finally:
@@ -302,7 +306,9 @@ class TestRecoveryBench:
             lines.append(
                 f"log={log_length:4d} post-checkpoint inserts: "
                 f"replayed={info['records_replayed']:5d} "
-                f"heap fetches={info['heap_fetches']:5d}"
+                f"heap fetches={info['heap_fetches']:5d} "
+                f"open wrote wal bytes={info['open_wal_bytes']:5d} "
+                f"fsyncs={info['open_wal_fsyncs']}"
             )
         lines.append("")
         for log_length, info in update_sweep:

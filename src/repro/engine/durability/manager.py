@@ -10,6 +10,8 @@ the page store and enforces the protocol between them:
   earlier evictions touched), then atomically swap in a fresh WAL whose
   head is a snapshot of the catalog's physical layout (plus the active
   transaction's undo log, so a checkpoint may run mid-transaction).
+  An open takes one only if recovery redid, undid or cut something: a
+  clean open adopts the checkpoint it read and writes nothing.
   Afterwards the store compacts away old page versions and dropped
   tables' frames, but only once they outweigh the live ones — a
   checkpoint costs what changed since the last one, two fsyncs at

@@ -162,6 +162,8 @@ class DiskPageStore:
         self._size = 0
         #: Appended to since the last :meth:`sync`.
         self._unsynced = False
+        #: Whether a scan at open (:meth:`_scan`) cut anything off the file.
+        self.truncated = False
         if os.path.exists(self.path + ".tmp"):
             os.remove(self.path + ".tmp")  # a compaction a crash cut short
         self._file = open(
@@ -213,6 +215,7 @@ class DiskPageStore:
             cut = offset
         if cut < end:
             fh.truncate(cut)
+            self.truncated = True
         self._index, self._pages, self._size = index, pages, cut
         self.stats.live_bytes = sum(map(itemgetter(1), index.values()))
         self.stats.dead_bytes = cut - len(HEAD) - self.stats.live_bytes

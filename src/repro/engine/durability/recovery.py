@@ -36,6 +36,10 @@ Opening a disk-backed database runs :func:`recover`:
    exist only where undo reads them: the in-memory undo log and the
    fuzzy checkpoint's snapshot of it (step 3).  A ``ddl`` record is its statement's SQL text; redo parses
    it and hands it to :meth:`Database.apply_ddl`, the live path.
+5. **Re-anchor** — checkpoint the recovered state, unless the log was
+   one checkpoint and nothing else, with no loser and nothing cut from
+   either file: that checkpoint already is the state, so the open
+   writes nothing.
 
 Replay is logical, so a replayed insert may land at a different
 physical RID than the original (skipped loser/incomplete-operation rows
@@ -56,7 +60,8 @@ from .manager import DurabilityManager, restore_snapshot
 
 def recover(db) -> None:
     """Bring ``db`` (freshly constructed over an existing directory) to
-    the last durable committed state, then re-anchor with a checkpoint."""
+    the last durable committed state, then re-anchor with a checkpoint
+    unless the open found exactly that checkpoint and changed nothing."""
     durability: DurabilityManager = db.durability
     durability.replaying = True
     started = time.perf_counter()
@@ -161,9 +166,17 @@ def recover(db) -> None:
     finally:
         durability.replaying = False
     # Re-anchor: the recovered state becomes the new checkpoint, so a
-    # second crash before any new work recovers instantly.  On a fresh
-    # directory this writes the initial empty checkpoint.
-    durability.checkpoint(db)
+    # second crash before any new work recovers without redoing or
+    # undoing again.  On a fresh directory this writes the initial empty
+    # checkpoint.  A clean open restored exactly the snapshot it read.
+    if (
+        snapshot is None
+        or records
+        or restored_txn is not None
+        or durability.wal.truncated
+        or durability.store.truncated
+    ):
+        durability.checkpoint(db)
 
 
 def _replay_dml(

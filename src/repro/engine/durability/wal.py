@@ -91,6 +91,8 @@ class WriteAheadLog:
         self._pending = bytearray()
         self._pending_commits = 0
         self._flushed_lsn = 0
+        #: Whether :meth:`open` cut a torn tail off the file.
+        self.truncated = False
 
     # -- opening ----------------------------------------------------------
 
@@ -121,7 +123,8 @@ class WriteAheadLog:
                     anchor = end
         self._file = open(self.path, "r+b" if existed else "w+b")
         if existed:
-            if valid_end < len(data):
+            self.truncated = valid_end < len(data)
+            if self.truncated:
                 self._file.truncate(valid_end)
             self._file.seek(valid_end)
             self._durable = self._appended = valid_end

@@ -1,6 +1,9 @@
 """Tests for the observability layer: metrics registry, query traces,
 and EXPLAIN ANALYZE."""
 
+import functools
+import tempfile
+
 import pytest
 
 from repro import LogicalColumn, LogicalTable, MultiTenantDatabase
@@ -127,11 +130,16 @@ class TestMetricsRegistry:
 # -- engine wiring ------------------------------------------------------------
 
 
-def build(path=None, **options) -> Database:
+def build(path=None, budget=None, **options) -> Database:
     """The ``db`` fixture's table, optionally disk-backed with a log
-    budget small enough that the script auto-checkpoints."""
+    budget (default :func:`script_budget`) the script auto-checkpoints
+    at."""
     database = Database(
-        path=path, durability=DurabilityOptions(auto_checkpoint_bytes=300), **options
+        path=path,
+        durability=DurabilityOptions(
+            auto_checkpoint_bytes=script_budget() if budget is None else budget
+        ),
+        **options,
     )
     database.execute(
         "CREATE TABLE t (id INTEGER NOT NULL, grp INTEGER, name VARCHAR(20))"
@@ -327,6 +335,22 @@ SCRIPT = [
 ]
 
 
+@functools.cache
+def script_budget() -> int:
+    """Twice what the script's first statement, an INSERT, logs —
+    measured, so it holds whatever the record format: the script's two
+    INSERTs reach it from wherever the build left the log, and its
+    UPDATE of a dozen rows crosses it again."""
+    with tempfile.TemporaryDirectory() as path:
+        probe = build(path, budget=0)
+        wal = probe.durability.wal
+        before = wal.bytes_since_checkpoint
+        probe.execute(*SCRIPT[0])
+        budget = 2 * (wal.bytes_since_checkpoint - before)
+        probe.close()
+    return budget
+
+
 def exported(counter_set: CounterSet) -> dict:
     """``{exported name: field value}`` of one counter set or delta."""
     return {
@@ -419,6 +443,6 @@ class TestCounterSets:
             )
             assert taken <= 1
             checkpoints += taken
-        assert checkpoints, "the script never crossed the log budget"
+        assert checkpoints >= 2, "the script crossed the log budget less than twice"
         executed.close()
         traced.close()

@@ -5,7 +5,9 @@ checkpoints, DDL, torn page writes, short fsyncs, group commit, the
 seeded skip-wal-flush mutation), then the crashpoint × layout property
 test: kill the engine at every named crashpoint of a multi-tenant
 workload, recover, and check that completed operations survived and the
-in-flight operation vanished without a trace — for all seven layouts.
+in-flight operation vanished without a trace — for all seven layouts,
+with the workload starting on a fresh database and on one reopened
+clean (which adopted its checkpoint and wrote nothing).
 """
 
 from __future__ import annotations
@@ -43,7 +45,12 @@ from repro.engine.durability.codec import (
     frame_header,
     frame_payload,
 )
-from repro.engine.durability.manager import WAL_FILENAME
+from repro.engine.durability.manager import (
+    PAGES_DIRNAME,
+    WAL_FILENAME,
+    capture_snapshot,
+)
+from repro.engine.durability.pagestore import PAGE_FILE
 from repro.engine.durability.wal import HEAD_SIZE
 from repro.engine.errors import (
     CatalogError,
@@ -237,9 +244,18 @@ class TestCheckpoint:
                 return lambda p: db.execute_ast(stmt, p)
             return db.prepare(sql).execute
 
+        # The budget is a multiple of what one statement logs, measured:
+        # the 200 statements cross it at least three times, whatever
+        # the record format.
+        probe = build(tmp_path / "probe", auto_checkpoint_bytes=0)
+        seed_rows(probe, 200)
+        before = probe.durability.wal.bytes_since_checkpoint
+        probe.execute(sql, params(0))
+        budget = 50 * (probe.durability.wal.bytes_since_checkpoint - before)
+        probe.close()
         counts, wal_sizes = {}, {}
         for entry in ("text", "ast", "handle"):
-            db = build(tmp_path / entry, auto_checkpoint_bytes=1024)
+            db = build(tmp_path / entry, auto_checkpoint_bytes=budget)
             seed_rows(db, 200)
             before = db.metrics.value("db.checkpoint.count")
             run = entry_point(db, entry)
@@ -386,6 +402,168 @@ def _crash_and_reopen(db: Database, path) -> Database:
     db.durability.wal.flush()
     del db
     return build(path)
+
+
+def _checkpointed(path, **options) -> Database:
+    """Eight rows under a checkpoint that nothing follows in the log."""
+    db = build(path, **options)
+    seed_rows(db)
+    assert db.checkpoint()
+    return db
+
+
+def _frames(path) -> list[tuple[int, int, dict]]:
+    """``(offset, end, record)`` of every frame in the directory's log."""
+    log = path / WAL_FILENAME
+    return list(decode_frames(log.read_bytes(), HEAD_SIZE, str(log)))
+
+
+def _file_bytes(path) -> dict[str, bytes]:
+    return {
+        name: (path / name).read_bytes()
+        for name in (WAL_FILENAME, os.path.join(PAGES_DIRNAME, PAGE_FILE))
+    }
+
+
+def _open_writes(db: Database) -> dict[str, int]:
+    """What the open wrote: a clean one leaves every count at 0."""
+    return {
+        name: db.metrics.value(name)
+        for name in (
+            "db.wal.bytes_written",
+            "db.wal.fsyncs",
+            "db.checkpoint.count",
+            "db.pager.bytes_written",
+            "db.pager.fsyncs",
+        )
+    }
+
+
+def _committed_after_the_checkpoint(path) -> list[int] | None:
+    db = _checkpointed(path)
+    db.execute("INSERT INTO t VALUES (8, 'name8')")
+    db.close()
+    return list(range(9))
+
+
+def _a_losers_records_only(path) -> list[int] | None:
+    db = _checkpointed(path)
+    db.transactions.begin()
+    db.execute("INSERT INTO t VALUES (100, 'loser')")
+    db.durability.wal.flush()
+    del db
+    return list(range(8))
+
+
+def _an_incomplete_admin_bracket(path) -> list[int] | None:
+    db = _checkpointed(path, faults=FaultInjector(crash_at=("admin.probe.end", 1)))
+    with pytest.raises(SimulatedCrash):
+        with db.admin_operation("probe", None):
+            db.execute("INSERT INTO t VALUES (100, 'never happened')")
+    del db
+    return list(range(8))
+
+
+def _a_torn_log_tail(path) -> list[int] | None:
+    _checkpointed(path).close()
+    with open(path / WAL_FILENAME, "ab") as fh:
+        fh.write(frame_payload(b"\x00" * 12)[:-3])  # a frame cut short
+    return list(range(8))
+
+
+def _a_page_version_above_the_checkpoint(path) -> list[int] | None:
+    _checkpointed(path).close()
+    db = build(path)
+    db.transactions.begin()
+    db.execute("INSERT INTO t VALUES (100, 'uncommitted')")
+    # The page reaches the file; the insert's record stays in the buffer.
+    db.pool.write_back_all()
+    assert [r["t"] for _, _, r in _frames(path)] == ["checkpoint"]
+    del db
+    return list(range(8))
+
+
+def _a_fuzzy_checkpoint_over_a_loser(path) -> list[int] | None:
+    db = build(path)
+    seed_rows(db)
+    db.transactions.begin()
+    db.execute("INSERT INTO t VALUES (100, 'in flight')")
+    assert db.checkpoint()
+    del db
+    return list(range(8))
+
+
+def _a_fresh_directory(path) -> list[int] | None:
+    return None
+
+
+class TestCleanOpen:
+    """An open whose log is one checkpoint and nothing else — no record
+    to redo, no loser to undo, nothing cut from either file — adopts
+    that checkpoint and writes nothing.  Every other open re-anchors:
+    it checkpoints what it recovered, so the next open has nothing to
+    redo, undo or cut again."""
+
+    def test_a_clean_open_writes_nothing(self, tmp_path):
+        _checkpointed(tmp_path).close()
+        files = _file_bytes(tmp_path)
+        ((_, _, head),) = _frames(tmp_path)
+        for _ in range(2):
+            db = build(tmp_path)
+            assert capture_snapshot(db, db.durability) == head["snapshot"]
+            assert not any(_open_writes(db).values()), _open_writes(db)
+            assert db.durability.wal.bytes_since_checkpoint == 0
+            assert ids(db) == list(range(8))
+            db.close()
+            assert _file_bytes(tmp_path) == files
+
+    def test_a_clean_multi_tenant_open_restores_the_snapshot_it_read(
+        self, tmp_path
+    ):
+        db = build(tmp_path)
+        mtd = _build_mtd(db, "chunk_folding")
+        mtd.insert(1, "account", {"aid": 1, "name": "a1"})
+        mtd.grant_extension(2, "healthcare")
+        mtd.insert(2, "account", {"aid": 2, "name": "b2", "beds": 3})
+        live = observable_behaviour(mtd)
+        assert db.checkpoint()
+        db.close()
+        ((_, _, head),) = _frames(tmp_path)
+        db = build(tmp_path)
+        assert capture_snapshot(db, db.durability) == head["snapshot"]
+        assert not any(_open_writes(db).values()), _open_writes(db)
+        assert observable_behaviour(MultiTenantDatabase.recover(db)) == live
+        db.close()
+
+    @pytest.mark.parametrize(
+        "leave",
+        [
+            _committed_after_the_checkpoint,
+            _a_losers_records_only,
+            _an_incomplete_admin_bracket,
+            _a_torn_log_tail,
+            _a_page_version_above_the_checkpoint,
+            _a_fuzzy_checkpoint_over_a_loser,
+            _a_fresh_directory,
+        ],
+        ids=lambda leave: leave.__name__.lstrip("_"),
+    )
+    def test_every_other_open_re_anchors(self, tmp_path, leave):
+        expected = leave(tmp_path)
+        db = build(tmp_path)
+        assert db.metrics.value("db.checkpoint.count") == 1
+        ((offset, end, record),) = _frames(tmp_path)
+        assert record["t"] == "checkpoint"
+        assert (offset, end) == (HEAD_SIZE, os.path.getsize(tmp_path / WAL_FILENAME))
+        if expected is not None:
+            assert ids(db) == expected
+        db.close()
+        db = build(tmp_path)
+        assert db.durability.recovery_info["records_scanned"] == 0
+        assert not any(_open_writes(db).values()), _open_writes(db)
+        if expected is not None:
+            assert ids(db) == expected
+        db.close()
 
 
 class TestRefusedWrites:
@@ -1457,7 +1635,33 @@ def _verify(mtd: MultiTenantDatabase, expected: dict) -> None:
         assert got == rows, f"tenant {tenant_id}: {got} != {rows}"
 
 
-def _crashpoint_schedule(tmp_path, layout: str, rng: random.Random) -> list[int]:
+#: Where the matrix's workload starts: on the database that set the
+#: tenants up, or on one that checkpointed, closed and was opened again —
+#: a clean open, which adopts the checkpoint it read and writes nothing,
+#: so the workload's first commit extends that checkpoint's log.
+STARTS = ("fresh", "reopened clean")
+
+
+def _started(
+    path, layout: str, start: str, faults: FaultInjector
+) -> tuple[Database, MultiTenantDatabase]:
+    """The database and layer the workload runs on, the database
+    opened with ``faults``."""
+    if start == "fresh":
+        db = Database(path=str(path), durability=DurabilityOptions(faults=faults))
+        return db, _build_mtd(db, layout)
+    db = Database(path=str(path))
+    _build_mtd(db, layout)
+    assert db.checkpoint()
+    db.close()
+    db = Database(path=str(path), durability=DurabilityOptions(faults=faults))
+    assert not any(_open_writes(db).values()), _open_writes(db)
+    return db, MultiTenantDatabase.recover(db)
+
+
+def _crashpoint_schedule(
+    tmp_path, layout: str, start: str, rng: random.Random
+) -> list[int]:
     """Enumerate the crashpoint hits of the full workload (an unarmed
     injector only counts) and pick the first hit of every distinct
     crashpoint name, the final hit, and a few seeded extras — covering
@@ -1466,11 +1670,7 @@ def _crashpoint_schedule(tmp_path, layout: str, rng: random.Random) -> list[int]
     sequence: list[str] = []
     original = faults.crashpoint
     faults.crashpoint = lambda name: (sequence.append(name), original(name))[1]
-    db = Database(
-        path=str(tmp_path / "enumerate"),
-        durability=DurabilityOptions(faults=faults),
-    )
-    mtd = _build_mtd(db, layout)
+    db, mtd = _started(tmp_path / f"enumerate-{start}", layout, start, faults)
     baseline = len(sequence)
     for _description, apply, _mutate in _workload(layout):
         apply(mtd)
@@ -1500,50 +1700,57 @@ def _reference_behaviours(layout: str) -> list[dict]:
 
 @pytest.mark.parametrize("layout", ALL_LAYOUTS)
 def test_crashpoint_matrix(tmp_path, layout, replay_rng):
-    schedule = _crashpoint_schedule(tmp_path, layout, replay_rng)
-    assert schedule, "the workload must cross crashpoints"
     behaviours = _reference_behaviours(layout)
-    for hit in schedule:
-        path = tmp_path / f"crash-{hit}"
-        faults = FaultInjector()
-        db = Database(path=str(path), durability=DurabilityOptions(faults=faults))
-        mtd = _build_mtd(db, layout)
-        expected: dict = {1: {}, 2: {}}
-        states = [{t: dict(rows) for t, rows in expected.items()}]
-        faults.crash_after = faults.hits + hit  # arm past the setup
-        crashed = False
-        for _description, apply, mutate in _workload(layout):
-            try:
-                apply(mtd)
-            except SimulatedCrash:
-                crashed = True
-                break
-            mutate(expected)
-            states.append({t: dict(rows) for t, rows in expected.items()})
-        if not crashed:
-            db.close()
-        db2 = Database(path=str(path))
-        mtd2 = MultiTenantDatabase.recover(db2)
-        done = len(states) - 1  # steps that completed
+    for start in STARTS:
+        schedule = _crashpoint_schedule(tmp_path, layout, start, replay_rng)
+        assert schedule, "the workload must cross crashpoints"
+        for hit in schedule:
+            _crash_and_verify(
+                tmp_path / f"{start}-crash-{hit}", layout, start, hit, behaviours
+            )
+
+
+def _crash_and_verify(path, layout, start, hit, behaviours) -> None:
+    """Run the workload from ``start``, die at its ``hit``-th crashpoint,
+    recover and hold the result to the model."""
+    faults = FaultInjector()
+    db, mtd = _started(path, layout, start, faults)
+    expected: dict = {1: {}, 2: {}}
+    states = [{t: dict(rows) for t, rows in expected.items()}]
+    faults.crash_after = faults.hits + hit  # arm past the setup
+    crashed = False
+    for _description, apply, mutate in _workload(layout):
         try:
-            _verify(mtd2, states[-1])
-        except AssertionError:
-            if not crashed:
-                raise
-            # Crashpoints normally fire before the durability-
-            # establishing action, but auto-checkpoint points fire
-            # after the statement completed — then the in-flight
-            # operation IS durable and the next state is the legal one.
-            follow_up = _workload(layout)[done][2]
-            follow_up(expected)
-            _verify(mtd2, expected)
-            done += 1
-        # Recovered == live, beyond the rows: the restored state makes
-        # the instance behave like one that ran exactly ``done`` steps
-        # (the in-flight admin operation never happened, or completed).
-        legal = behaviours[done : done + 2] if crashed else behaviours[-1:]
-        assert observable_behaviour(mtd2) in legal, f"hit {hit} after {done} steps"
-        db2.close()
+            apply(mtd)
+        except SimulatedCrash:
+            crashed = True
+            break
+        mutate(expected)
+        states.append({t: dict(rows) for t, rows in expected.items()})
+    if not crashed:
+        db.close()
+    db2 = Database(path=str(path))
+    mtd2 = MultiTenantDatabase.recover(db2)
+    done = len(states) - 1  # steps that completed
+    try:
+        _verify(mtd2, states[-1])
+    except AssertionError:
+        if not crashed:
+            raise
+        # Crashpoints normally fire before the durability-
+        # establishing action, but auto-checkpoint points fire
+        # after the statement completed — then the in-flight
+        # operation IS durable and the next state is the legal one.
+        follow_up = _workload(layout)[done][2]
+        follow_up(expected)
+        _verify(mtd2, expected)
+        done += 1
+    # Recovered == live, beyond the rows: the restored state makes
+    # the instance behave like one that ran exactly ``done`` steps
+    # (the in-flight admin operation never happened, or completed).
+    legal = behaviours[done : done + 2] if crashed else behaviours[-1:]
+    assert observable_behaviour(mtd2) in legal, f"{start}: hit {hit} after {done} steps"
+    db2.close()
 
 
 # ---------------------------------------------------------------------------
