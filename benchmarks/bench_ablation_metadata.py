@@ -13,6 +13,7 @@ from repro.engine.database import Database
 from repro.core.api import MultiTenantDatabase
 from repro.experiments.report import render_table
 from repro.testbed.controller import Testbed, TestbedConfig
+from repro.testbed.crm import build_crm
 from repro.testbed.generator import TenantDataProfile
 
 COSTS = (2048, 4096, 8192)
@@ -33,22 +34,10 @@ def run_point(table_metadata_cost: int, variability: float):
         table_metadata_cost=table_metadata_cost,
     )
     mtd = MultiTenantDatabase(layout=config.layout, db=db)
-    # Re-implement Testbed.setup with the customized engine.
-    from repro.testbed.crm import crm_tables
-    from repro.testbed.generator import DataGenerator
-
-    instance_tables = {}
-    for instance in range(testbed.variability.instances):
-        tables = crm_tables(instance)
-        instance_tables[instance] = tables
-        for table in tables:
-            mtd.define_table(table)
-    generator = DataGenerator(config.seed)
-    for tenant_id, instance in testbed.tenant_instance.items():
-        mtd.create_tenant(tenant_id)
-        generator.load_tenant(
-            mtd, tenant_id, instance_tables[instance], config.data_profile
-        )
+    # Testbed.setup's build, on the customized engine.
+    testbed.tenant_instance = build_crm(
+        mtd, testbed.variability, config.data_profile, config.seed
+    )
     testbed.mtd = mtd
     results = testbed.run()
     return testbed.metrics(results)

@@ -32,7 +32,7 @@ import pytest
 from repro import MultiTenantDatabase
 from repro.engine.database import Database
 from repro.engine.durability import DurabilityOptions
-from repro.testbed.crm import crm_tables
+from repro.testbed.crm import crm_tables, load_tenant
 from repro.testbed.generator import DataGenerator, TenantDataProfile
 
 ROWS = 400
@@ -195,15 +195,14 @@ def _admin_record(populated: bool) -> dict:
             ),
         )
         mtd = MultiTenantDatabase(layout="chunk_folding", db=db)
-        tables = crm_tables()
-        for table in tables:
+        for table in crm_tables():
             mtd.define_table(table)
         generator = DataGenerator()
         one_row = TenantDataProfile(default_rows=1)
         for tenant_id in range(ADMIN_TENANTS):
             mtd.create_tenant(tenant_id)
             if populated:
-                generator.load_tenant(mtd, tenant_id, tables, one_row)
+                load_tenant(mtd, generator, tenant_id, 0, one_row)
         wal = db.durability.wal
         before = wal.bytes_since_checkpoint
         mtd.create_tenant(ADMIN_TENANTS)

@@ -6,7 +6,7 @@ the Table 2 benchmark actually runs.
 """
 
 from repro.experiments.report import render_table
-from repro.testbed.variability import VariabilityConfig
+from repro.testbed.crm import VariabilityConfig
 
 PAPER_ROWS = [
     (0.0, 1, "10,000"),

@@ -13,8 +13,7 @@ from repro.core.api import MultiTenantDatabase
 from repro.engine.database import Database
 from repro.testbed.actions import ActionExecutor
 from repro.testbed.controller import Controller
-from repro.testbed.crm import crm_extensions, crm_tables
-from repro.testbed.deck import CardDeck
+from repro.testbed.crm import CardDeck, crm_extensions, crm_tables, load_tenant
 from repro.testbed.generator import DataGenerator, TenantDataProfile
 from repro.testbed.simtime import CostModel
 from repro.testbed.worker import LockOverlap, Session, Worker
@@ -50,7 +49,7 @@ def onboard_tenants(mtd: MultiTenantDatabase) -> None:
         else:
             extensions = ()
         mtd.create_tenant(tenant, extensions=extensions)
-        generator.load_tenant(mtd, tenant, crm_tables(), profile)
+        load_tenant(mtd, generator, tenant, 0, profile)
 
 
 def run_workload(mtd: MultiTenantDatabase):

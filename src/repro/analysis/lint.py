@@ -210,16 +210,12 @@ def run_crashpoint_census() -> dict[str, int]:
     import shutil
     import tempfile
 
-    from ..core import (
-        Extension,
-        LogicalColumn,
-        LogicalTable,
-        MultiTenantDatabase,
-    )
+    from ..core import MultiTenantDatabase
     from ..engine.database import Database
     from ..engine.durability import DurabilityOptions
     from ..engine.durability.faults import FaultInjector
-    from ..engine.values import INTEGER, varchar
+    from ..testbed.crm import VariabilityConfig, build_crm
+    from ..testbed.generator import TenantDataProfile
 
     injector = FaultInjector()
     path = tempfile.mkdtemp(prefix="repro-census-")
@@ -228,29 +224,13 @@ def run_crashpoint_census() -> dict[str, int]:
             path=path, durability=DurabilityOptions(faults=injector)
         )
         mtd = MultiTenantDatabase(layout="chunk_folding", db=db)
-        mtd.define_table(
-            LogicalTable(
-                "account",
-                (
-                    LogicalColumn("aid", INTEGER, indexed=True, not_null=True),
-                    LogicalColumn("name", varchar(20)),
-                ),
-            )
+        # Two tenants of one CRM instance, the first granted an extension.
+        build_crm(
+            mtd,
+            VariabilityConfig(variability=0.0, tenants=2),
+            TenantDataProfile(default_rows=2),
+            grants=(("healthcare",), ()),
         )
-        mtd.define_extension(
-            Extension(
-                "healthcare",
-                "account",
-                (LogicalColumn("beds", INTEGER),),
-            )
-        )
-        mtd.create_tenant(1, extensions=("healthcare",))
-        mtd.create_tenant(2)
-        for tenant, aid in ((1, 1), (1, 2), (2, 1)):
-            row = {"aid": aid, "name": f"n{aid}"}
-            if tenant == 1:
-                row["beds"] = aid * 10
-            mtd.insert(tenant, "account", row)
         db.checkpoint()
         mtd.grant_extension(2, "healthcare")
         mtd.migrate_tenant(1, "private")

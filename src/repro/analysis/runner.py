@@ -1,15 +1,17 @@
 """Drives all three passes over the Figure 5 CRM testbed.
 
 For every requested layout × Table 1 variability level, the runner
-builds a multi-tenant database over the CRM schema (every instance's
-ten tables, extensions on instance 0), populates a few rows per tenant,
-and then
+builds a multi-tenant database with the CRM model's builder
+(:func:`repro.testbed.crm.build_crm`: every instance's ten tables,
+extensions granted on instance 0, a few generated rows per tenant and
+table), and then
 
 1. checks the layout invariants over the data at rest,
 2. walks the physical statements the transformers emit for the logical
-   corpus — both the directly-executed shape (literal tenant guards)
-   and the shape-shared cached shape (hidden parameter guards) — and
-   hands each to the isolation verifier,
+   corpus (:mod:`.corpus`: the testbed's action shapes and the
+   isolation-specific ones) — both the directly-executed shape (literal
+   tenant guards) and the shape-shared cached shape (hidden parameter
+   guards) — and hands each to the isolation verifier,
 3. replays DML and administrative operations (grant, migrate, drop)
    through a recorder on the engine's statement path, verifying every
    statement that actually runs, with the parameters bound to it,
@@ -35,16 +37,17 @@ from ..core.transform.query import TenantParamAllocator
 from ..engine.sql import ast
 from ..engine.sql.parser import parse_statement
 from ..engine.statement_cache import count_params
-from ..testbed.crm import crm_extensions, crm_tables, instance_table_name
-from ..testbed.variability import VariabilityConfig, distribute_tenants
+from ..testbed.crm import (
+    FIRST_INSERTED_ID,
+    PAPER_VARIABILITIES,
+    VariabilityConfig,
+    build_crm,
+    insert_entity,
+)
+from ..testbed.generator import DataGenerator, TenantDataProfile
 from . import invariants
 from ..core.transform.crosstenant import CrossTenantTransformer
-from .corpus import (
-    cross_tenant_corpus,
-    dml_corpus,
-    extension_corpus,
-    select_corpus,
-)
+from .corpus import cross_tenant_corpus, tenant_corpus
 from .findings import AnalysisReport
 from .isolation import GuardContext, IsolationVerifier
 from .mutation import apply_mutation
@@ -59,11 +62,9 @@ ALL_LAYOUTS = (
     "chunk_folding",
 )
 
-#: Table 1's schema-variability levels (experiments/manytables.py).
-PAPER_VARIABILITIES = (0.0, 0.5, 0.65, 0.8, 1.0)
-
-#: Layouts that cannot express tenant-specific extensions.
-NO_EXTENSIONS = ("basic",)
+#: The extension grants instance 0's tenants take in turn, on the
+#: layouts that can express extensions.
+GRANTS = (("healthcare",), ("automotive",), ("gdpr",), ())
 
 
 @dataclass
@@ -74,9 +75,6 @@ class AnalysisConfig:
     variabilities: tuple[float, ...] = PAPER_VARIABILITIES
     tenants: int = 4
     rows_per_table: int = 2
-    #: Tables per instance to populate and query (all ten are defined
-    #: and invariant-checked; the statement corpus covers this many).
-    corpus_tables: int = 3
     width: int = 6
     #: Optional seeded defect (see :mod:`repro.analysis.mutation`).
     mutate: str | None = None
@@ -138,65 +136,25 @@ def build_testbed(
     variability: float,
     *,
     db_path: str | None = None,
-) -> MultiTenantDatabase:
-    """A populated CRM multi-tenant database for one configuration."""
-    vconfig = VariabilityConfig(variability=variability, tenants=config.tenants)
+) -> tuple[MultiTenantDatabase, dict[int, int]]:
+    """A populated CRM multi-tenant database for one configuration,
+    with its tenant -> schema instance map."""
     options = {}
     if layout in ("chunk", "chunk_folding"):
         options["width"] = config.width
     db = Database(path=db_path) if db_path is not None else None
     mtd = MultiTenantDatabase(layout=layout, db=db, **options)
-    for instance in range(vconfig.instances):
-        for table in crm_tables(instance):
-            mtd.define_table(table)
-    extensions_enabled = layout not in NO_EXTENSIONS
-    if extensions_enabled:
-        for extension in crm_extensions(0):
-            mtd.define_extension(extension)
-    grants = (("healthcare",), ("automotive",), ("gdpr",), ())
-    assignment = distribute_tenants(vconfig)
-    for index, (tenant_id, instance) in enumerate(sorted(assignment.items())):
-        extensions = (
-            grants[index % len(grants)]
-            if extensions_enabled and instance == 0
-            else ()
-        )
-        mtd.create_tenant(tenant_id, extensions)
-        _populate(mtd, tenant_id, instance, config)
-    #: tenant -> CRM instance, consumed by :func:`analyze_testbed`.
-    mtd.analysis_instances = dict(assignment)
-    return mtd
+    instances = build_crm(
+        mtd,
+        VariabilityConfig(variability=variability, tenants=config.tenants),
+        _profile(config),
+        grants=GRANTS if mtd.layout.supports_extensions else (),
+    )
+    return mtd, instances
 
 
-def _populate(
-    mtd: MultiTenantDatabase,
-    tenant_id: int,
-    instance: int,
-    config: AnalysisConfig,
-) -> None:
-    bases = ["account", "contact", "opportunity", "campaign", "lead"]
-    extensions = mtd.schema.tenant(tenant_id).extensions
-    for base in bases[: config.corpus_tables]:
-        table = instance_table_name(base, instance)
-        for n in range(config.rows_per_table):
-            row: dict[str, object] = {
-                "id": n + 1,
-                "name": f"{base}-{tenant_id}-{n}",
-                "status": "open" if n % 2 == 0 else "closed",
-                "quantity": n,
-                "score": n * 10,
-                "active": n % 2 == 0,
-                "created": "2008-06-09",
-            }
-            if base in ("contact", "opportunity", "lead"):
-                row["parent"] = 1
-            if base == "account" and "healthcare" in extensions:
-                row.update(hospital="St. Mary", beds=100 + n)
-            if base == "account" and "automotive" in extensions:
-                row.update(dealers=3 + n, fleet_size=40)
-            if base == "contact" and "gdpr" in extensions:
-                row.update(consent=True, consent_date="2018-05-25")
-            mtd.insert(tenant_id, table, row)
+def _profile(config: AnalysisConfig) -> TenantDataProfile:
+    return TenantDataProfile(default_rows=config.rows_per_table)
 
 
 def shared_table_map_from_catalog(catalog: Any) -> dict[str, frozenset[str]]:
@@ -217,10 +175,12 @@ def shared_table_map_from_catalog(catalog: Any) -> dict[str, frozenset[str]]:
 
 def analyze_testbed(
     mtd: MultiTenantDatabase,
+    instances: dict[int, int],
     config: AnalysisConfig,
     locus_prefix: str = "",
 ) -> AnalysisReport:
-    """Passes 2 and 3 (plus admin-path replay) for one built testbed."""
+    """Passes 2 and 3 (plus admin-path replay) for one built testbed;
+    ``instances`` maps each tenant to its CRM schema instance."""
     report = AnalysisReport()
     verifier = IsolationVerifier(
         shared_table_map_from_catalog(mtd.db.catalog)
@@ -235,18 +195,24 @@ def analyze_testbed(
         report.extend(invariants.check_all(mtd, locus_prefix))
 
     tenants = sorted(c.tenant_id for c in mtd.schema.tenants())
+    corpus = {
+        tenant_id: tenant_corpus(
+            instances[tenant_id],
+            mtd.schema.tenant(tenant_id).extensions,
+            config.rows_per_table,
+        )
+        for tenant_id in tenants
+    }
 
     # -- SELECT shapes: direct and shape-shared ---------------------------
     for tenant_id in tenants:
-        instance = _tenant_instance(mtd, tenant_id)
-        statements = list(select_corpus(instance, config.corpus_tables))
-        statements += extension_corpus(
-            mtd.schema.tenant(tenant_id).extensions, instance
-        )
         layout = mtd.layout_for(tenant_id)
-        for statement in statements:
-            stmt = parse_statement(statement.sql)
-            locus = f"{locus_prefix}tenant={tenant_id} sql={statement.sql}"
+        for statement in corpus[tenant_id]:
+            sql = statement.sql
+            if sql is None or statement.is_dml:
+                continue
+            stmt = parse_statement(sql)
+            locus = f"{locus_prefix}tenant={tenant_id} sql={sql}"
             physical = mtd._physical_select(tenant_id, stmt)
             report.extend(
                 verifier.check_statement(
@@ -274,7 +240,7 @@ def analyze_testbed(
                     )
                 )
             if config.mutate is None:
-                mtd.execute(tenant_id, statement.sql, statement.params)
+                mtd.execute(tenant_id, sql, statement.params)
 
     # -- cross-tenant statements (MTSQL FOR TENANTS) ----------------------
     # The fused statements carry the declared tenant set as literals;
@@ -284,8 +250,8 @@ def analyze_testbed(
     # existing tenant to leak.
     if tenants:
         subset = tuple(tenants[:-1]) or (tenants[0],)
-        for statement in cross_tenant_corpus(subset, 0):
-            stmt = parse_statement(statement.sql)
+        for sql in cross_tenant_corpus(subset, 0):
+            stmt = parse_statement(sql)
             clause = stmt.tenants
             declared = (
                 tuple(tenants)
@@ -297,7 +263,7 @@ def analyze_testbed(
                 mtd.schema, mtd.layout_for, mtd.db.catalog.columns
             )
             plan = transformer.transform(stmt, ids)
-            locus = f"{locus_prefix}cross sql={statement.sql}"
+            locus = f"{locus_prefix}cross sql={sql}"
             for group in plan.groups:
                 report.extend(
                     verifier.check_statement(
@@ -307,38 +273,44 @@ def analyze_testbed(
                     )
                 )
             if config.mutate is None:
-                mtd.execute_cross(statement.sql, statement.params)
+                mtd.execute_cross(sql)
 
     # -- DML and administrative paths (recorded at the engine) ------------
     # A mutated DML template still executes (it just writes too much),
     # so the corpus replays under that one mutation as well.
     if config.mutate in (None, "drop-dml-guard"):
+        generator, profile = DataGenerator(), _profile(config)
         for tenant_id in tenants:
-            instance = _tenant_instance(mtd, tenant_id)
-            for statement in dml_corpus(instance):
-                locus = f"{locus_prefix}tenant={tenant_id} sql={statement.sql}"
+            for s in corpus[tenant_id]:
+                if not s.is_dml:
+                    continue
+                what = s.sql or f"insert into {s.table}"
+                locus = f"{locus_prefix}tenant={tenant_id} sql={what}"
                 with record_statements(mtd.db) as recorded:
-                    mtd.execute(tenant_id, statement.sql, statement.params)
+                    if s.sql is None:
+                        insert_entity(
+                            mtd, generator, tenant_id, s.table,
+                            FIRST_INSERTED_ID, profile,
+                        )
+                    else:
+                        mtd.execute(tenant_id, s.sql, s.params)
                 report.extend(
                     verify_recorded(verifier, recorded, tenant_id, locus)
                 )
     if config.mutate is None:
         if config.admin_ops:
             report.extend(
-                _check_admin_ops(mtd, verifier, locus_prefix)
+                _check_admin_ops(mtd, instances, verifier, locus_prefix)
             )
         report.extend(invariants.check_all(mtd, locus_prefix))
     return report
 
 
-def _tenant_instance(mtd: MultiTenantDatabase, tenant_id: int) -> int:
-    """Which CRM instance the tenant was provisioned against (instance
-    tables are named ``account``, ``account_i1``, ...)."""
-    return getattr(mtd, "analysis_instances", {}).get(tenant_id, 0)
-
-
 def _check_admin_ops(
-    mtd: MultiTenantDatabase, verifier: IsolationVerifier, locus_prefix: str
+    mtd: MultiTenantDatabase,
+    instances: dict[int, int],
+    verifier: IsolationVerifier,
+    locus_prefix: str,
 ) -> AnalysisReport:
     """Grant, migrate, and drop paths, each recorded and verified."""
     report = AnalysisReport()
@@ -350,7 +322,7 @@ def _check_admin_ops(
     # Online extension grant (the NULL-backfill path fixed in this PR).
     grantable = (
         mtd.layout.supports_extensions
-        and _tenant_instance(mtd, subject) == 0
+        and instances[subject] == 0
         and any(e.name == "automotive" for e in mtd.schema.extensions())
         and "automotive" not in mtd.schema.tenant(subject).extensions
     )
@@ -416,13 +388,16 @@ def run_analysis(
     for layout in config.layouts:
         for variability in config.variabilities:
             prefix = f"layout={layout} v={variability} "
+            cleanup = None
             if config.crash_recover:
-                mtd, cleanup = _build_recovered(layout, config, variability)
+                mtd, instances, cleanup = _build_recovered(
+                    layout, config, variability
+                )
                 prefix += "recovered "
             else:
-                mtd, cleanup = build_testbed(layout, config, variability), None
+                mtd, instances = build_testbed(layout, config, variability)
             try:
-                report = analyze_testbed(mtd, config, prefix)
+                report = analyze_testbed(mtd, instances, config, prefix)
             finally:
                 if cleanup is not None:
                     cleanup()
@@ -439,15 +414,14 @@ def run_analysis(
 
 def _build_recovered(
     layout: str, config: AnalysisConfig, variability: float
-) -> tuple[MultiTenantDatabase, Callable[[], None]]:
+) -> tuple[MultiTenantDatabase, dict[int, int], Callable[[], None]]:
     """Build a durable testbed, abandon it without closing (the crash),
-    and hand back the recovered instance plus a cleanup callback."""
+    and hand back the recovered instance, its tenant -> schema instance
+    map and a cleanup callback."""
     path = tempfile.mkdtemp(prefix=f"repro-analysis-{layout}-")
-    mtd = build_testbed(layout, config, variability, db_path=path)
-    instances = dict(getattr(mtd, "analysis_instances", {}))
+    mtd, instances = build_testbed(layout, config, variability, db_path=path)
     # No close(), no flush: whatever the WAL already made durable is
     # all recovery gets to work with — exactly the crash contract.
     del mtd
     recovered = MultiTenantDatabase.recover(Database(path=path))
-    recovered.analysis_instances = instances
-    return recovered, lambda: shutil.rmtree(path, ignore_errors=True)
+    return recovered, instances, lambda: shutil.rmtree(path, ignore_errors=True)

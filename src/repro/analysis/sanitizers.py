@@ -14,7 +14,9 @@ the buffer pool, the transaction manager, and the durability manager
 * **Write-ahead protocol (CON002/CON003)** — every statement that
   dirties a DATA page must append at least one logical redo record
   before its commit terminal, and no dirty page may reach the page
-  store with an LSN beyond the flushed WAL tail.  The ``skip-wal-append``
+  store before the record of its latest change is flushed (a page is
+  stamped with the log's end before that record is appended, so its
+  LSN must lie below the flushed WAL tail).  The ``skip-wal-append``
   seeded mutation (a transaction manager that "forgets" its redo
   records) exists to prove CON002 fires.
 * **Resource leaks (CON004/CON006)** — buffer-pool pins still held at
@@ -112,12 +114,14 @@ class Sanitizer:
 
     def on_page_writeback(self, page: Any) -> None:
         """A dirty page is about to reach the page store; the WAL rule
-        must already have flushed the log through its LSN."""
+        must already have flushed the log past its LSN, where the record
+        of the page's latest change starts, unless nothing is buffered."""
         db = self._db
         if db is None or db.durability is None:
             return
-        flushed = db.durability.wal.flushed_lsn
-        if page.lsn > flushed:
+        wal = db.durability.wal
+        flushed = wal.flushed_lsn
+        if page.lsn >= flushed and wal.end_lsn > flushed:
             self._report(
                 "CON003",
                 f"page {page.page_id} written back at lsn={page.lsn} "

@@ -4,7 +4,8 @@ One :class:`DurabilityManager` per disk-backed database owns the WAL and
 the page store and enforces the protocol between them:
 
 * **WAL rule** — before a dirty page reaches the store, the log is
-  flushed through that page's LSN (:meth:`before_page_write`).
+  flushed past that page's LSN, through the record of its latest
+  change (:meth:`before_page_write`).
 * **Fuzzy checkpoints** — flush every dirty frame in place, fsync the
   page file (one file, one fsync, however many tables those writes and
   earlier evictions touched), then atomically swap in a fresh WAL whose

@@ -211,8 +211,11 @@ class WriteAheadLog:
 
     def flush_to(self, lsn: int) -> None:
         """The WAL rule: before a page stamped ``lsn`` reaches disk, the
-        log must be durable at least that far."""
-        if lsn > self._flushed_lsn:
+        log must be durable *past* ``lsn``.  A page is stamped with the
+        log's end when it changes, before the change's record is
+        appended, so that record starts at ``lsn``: a log durable only
+        up to ``lsn`` would let the page reach disk ahead of it."""
+        if lsn >= self._flushed_lsn:
             self.flush()
 
     # -- checkpointing ----------------------------------------------------

@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from ..engine.explain import render_plan
-from ..testbed.actions import ActionClass
+from ..testbed.crm import ActionClass
 from .chunkqueries import (
     ChunkQueryConfig,
     ChunkQueryExperiment,
@@ -31,10 +31,10 @@ SCALES = (3, 15, 30, 45, 60, 75, 90)
 
 
 def run_table1(args) -> str:
-    from ..testbed.variability import VariabilityConfig
+    from ..testbed.crm import PAPER_VARIABILITIES, VariabilityConfig
 
     rows = []
-    for variability in (0.0, 0.5, 0.65, 0.8, 1.0):
+    for variability in PAPER_VARIABILITIES:
         config = VariabilityConfig(variability, 10_000)
         counts = config.tenants_per_instance()
         spread = (

@@ -11,12 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..testbed.actions import ActionClass
 from ..testbed.controller import Testbed, TestbedConfig
+from ..testbed.crm import PAPER_VARIABILITIES, ActionClass
 from ..testbed.generator import TenantDataProfile
-
-#: The paper's sweep (Table 1 / Table 2 columns).
-PAPER_VARIABILITIES = (0.0, 0.5, 0.65, 0.8, 1.0)
 
 
 @dataclass

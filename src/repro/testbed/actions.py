@@ -2,76 +2,27 @@
 
 Each action simulates one user request: the timing of an action starts
 when a Worker sends the first request and ends when it receives the last
-response.  The distribution is the paper's card-deck mix.
+response.  The classes, their mix and their statements are the model's
+(:mod:`.crm`); this module runs them.
 """
 
 from __future__ import annotations
 
-import enum
+import itertools
 import random
+from collections import defaultdict
 
-from .crm import CRM_PARENTS, CRM_TABLE_NAMES, instance_table_name
+from .crm import (
+    FIRST_INSERTED_ID,
+    HEAVY_BATCH,
+    ActionClass,
+    crm_tables,
+    draw_statement,
+    insert_entity,
+    load_tenant,
+)
+from .crm import _reporting_queries  # noqa: F401  (the e2e benchmark reads it here)
 from .generator import DataGenerator, TenantDataProfile
-
-
-class ActionClass(enum.Enum):
-    SELECT_LIGHT = "Select Light"
-    SELECT_HEAVY = "Select Heavy"
-    INSERT_LIGHT = "Insert Light"
-    INSERT_HEAVY = "Insert Heavy"
-    UPDATE_LIGHT = "Update Light"
-    UPDATE_HEAVY = "Update Heavy"
-    ADMIN = "Administrative"
-    TENANT_ADD = "Tenant Add"
-    TENANT_DELETE = "Tenant Delete"
-
-
-#: Figure 6 percentages.
-ACTION_DISTRIBUTION = {
-    ActionClass.SELECT_LIGHT: 50.0,
-    ActionClass.SELECT_HEAVY: 15.0,
-    ActionClass.INSERT_LIGHT: 9.59,
-    ActionClass.INSERT_HEAVY: 0.3,
-    ActionClass.UPDATE_LIGHT: 17.6,
-    ActionClass.UPDATE_HEAVY: 7.5,
-    ActionClass.ADMIN: 0.01,
-}
-
-#: Variant mix with tenant churn ("administrative operations for the
-#: business as a whole, in particular, adding and deleting tenants").
-CHURN_DISTRIBUTION = {
-    **{k: v for k, v in ACTION_DISTRIBUTION.items()},
-    ActionClass.SELECT_LIGHT: 49.0,
-    ActionClass.TENANT_ADD: 0.6,
-    ActionClass.TENANT_DELETE: 0.4,
-}
-
-#: Batch size for heavyweight DML; the paper uses "several hundred"
-#: entity instances — scaled with the rest of the data volume.
-HEAVY_BATCH = 25
-
-#: The five reporting queries of the Select Heavy class, parameterized
-#: by (child, parent) table names.  They "perform aggregation and/or
-#: parent-child-rollup" and are "simple enough to run against an
-#: operational OLTP system".
-def _reporting_queries(child: str, parent: str) -> list[str]:
-    return [
-        # 1: status breakdown of a table (aggregation + grouping).
-        f"SELECT status, COUNT(*) AS n FROM {child} GROUP BY status "
-        f"ORDER BY n DESC",
-        # 2: parent-child rollup: children per parent.
-        f"SELECT p.name, COUNT(*) AS n FROM {parent} p, {child} c "
-        f"WHERE c.parent = p.id GROUP BY p.name ORDER BY n DESC LIMIT 10",
-        # 3: value rollup over the join.
-        f"SELECT p.id, SUM(c.amount) AS total FROM {parent} p, {child} c "
-        f"WHERE c.parent = p.id GROUP BY p.id ORDER BY total DESC LIMIT 10",
-        # 4: date-windowed aggregate.
-        f"SELECT COUNT(*), AVG(amount) FROM {child} "
-        f"WHERE created > '2005-01-01'",
-        # 5: top entities by score.
-        f"SELECT name, score FROM {child} WHERE score IS NOT NULL "
-        f"ORDER BY score DESC LIMIT 20",
-    ]
 
 
 class ActionExecutor:
@@ -90,7 +41,10 @@ class ActionExecutor:
         self.generator = generator
         self.tenant_instance = tenant_instance
         self.rng = random.Random(seed)
-        self._insert_counter: dict[tuple[int, str], int] = {}
+        #: The next entity id per (tenant, table) the Insert classes take.
+        self._next_ids: defaultdict = defaultdict(
+            lambda: itertools.count(FIRST_INSERTED_ID)
+        )
         self._admin_instances = 0
         #: Prepared handles for the deck's recurring statements, one per
         #: SQL text (tenant-agnostic — the tenant binds per execution).
@@ -99,27 +53,6 @@ class ActionExecutor:
         #: TENANT_DELETE so the deck's pre-assigned tenants stay valid).
         self._churn_tenants: list[int] = []
         self._next_churn_tenant = 50_000
-
-    # -- helpers ---------------------------------------------------------
-
-    def _table(self, tenant_id: int, base: str) -> str:
-        return instance_table_name(base, self.tenant_instance[tenant_id])
-
-    def _random_base(self) -> str:
-        return self.rng.choice(CRM_TABLE_NAMES)
-
-    def _random_child(self) -> tuple[str, str]:
-        child = self.rng.choice(sorted(CRM_PARENTS))
-        return child, CRM_PARENTS[child]
-
-    def _random_entity(self, base: str) -> int:
-        return self.rng.randrange(self.profile.rows_for(base)) + 1
-
-    def _fresh_id(self, tenant_id: int, table: str) -> int:
-        key = (tenant_id, table)
-        counter = self._insert_counter.get(key, 100_000)
-        self._insert_counter[key] = counter + 1
-        return counter
 
     def _statement(self, sql: str):
         """The action deck replays a small fixed set of statements
@@ -130,92 +63,37 @@ class ActionExecutor:
             self._prepared[sql] = handle
         return handle
 
-    # -- the action classes ------------------------------------------------
-
     def run(self, action: ActionClass, tenant_id: int) -> str | None:
         """Execute one action; returns the (logical) table it touched,
         used by the worker layer for lock accounting."""
-        handler = {
-            ActionClass.SELECT_LIGHT: self.select_light,
-            ActionClass.SELECT_HEAVY: self.select_heavy,
-            ActionClass.INSERT_LIGHT: self.insert_light,
-            ActionClass.INSERT_HEAVY: self.insert_heavy,
-            ActionClass.UPDATE_LIGHT: self.update_light,
-            ActionClass.UPDATE_HEAVY: self.update_heavy,
+        administrative = {
             ActionClass.ADMIN: self.admin,
             ActionClass.TENANT_ADD: self.tenant_add,
             ActionClass.TENANT_DELETE: self.tenant_delete,
-        }[action]
-        return handler(tenant_id)
-
-    def select_light(self, tenant_id: int) -> str:
-        """All attributes of one entity, as for an entity detail page."""
-        base = self._random_base()
-        table = self._table(tenant_id, base)
-        self._statement(f"SELECT * FROM {table} WHERE id = ?").execute(
-            tenant_id, [self._random_entity(base)]
+        }.get(action)
+        if administrative is not None:
+            return administrative(tenant_id)
+        statement = draw_statement(
+            action, self.rng, self.tenant_instance[tenant_id], self.profile
         )
-        return table
-
-    def select_heavy(self, tenant_id: int) -> str:
-        """One of five fixed business-activity-monitoring queries."""
-        child_base, parent_base = self._random_child()
-        child = self._table(tenant_id, child_base)
-        parent = self._table(tenant_id, parent_base)
-        sql = self.rng.choice(_reporting_queries(child, parent))
-        self._statement(sql).execute(tenant_id)
-        return child
-
-    def insert_light(self, tenant_id: int) -> str:
-        """One new entity, as if manually entered in the browser."""
-        base = self._random_base()
-        table = self._table(tenant_id, base)
-        self._insert_one(tenant_id, table, base)
-        return table
-
-    def insert_heavy(self, tenant_id: int) -> str:
-        """A batch import via the Web Service interface."""
-        base = self._random_base()
-        table = self._table(tenant_id, base)
-        for _ in range(HEAVY_BATCH):
-            self._insert_one(tenant_id, table, base)
-        return table
-
-    def _insert_one(self, tenant_id: int, table: str, base: str) -> None:
-        logical = self.mtd.schema.logical_table(tenant_id, table)
-        row_number = self._fresh_id(tenant_id, table)
-        values = self.generator.row(
-            tenant_id, logical, row_number, self.profile.rows_for(base)
-        )
-        values["id"] = row_number
-        self.mtd.insert(tenant_id, table, values)
-
-    def update_light(self, tenant_id: int) -> str:
-        """Update a small set selected by an indexed filter condition."""
-        base = self._random_base()
-        table = self._table(tenant_id, base)
-        status = self.rng.choice(("new", "open", "working"))
-        self._statement(
-            f"UPDATE {table} SET priority = ? WHERE status = ?"
-        ).execute(tenant_id, [self.rng.randrange(10), status])
-        return table
-
-    def update_heavy(self, tenant_id: int) -> str:
-        """Update a batch of entities selected by primary key."""
-        base = self._random_base()
-        table = self._table(tenant_id, base)
-        ids = [self._random_entity(base) for _ in range(HEAVY_BATCH)]
-        placeholders = ", ".join("?" for _ in ids)
-        self._statement(
-            f"UPDATE {table} SET score = score + 1 WHERE id IN ({placeholders})"
-        ).execute(tenant_id, ids)
+        if statement.sql is not None:
+            self._statement(statement.sql).execute(tenant_id, statement.params)
+            return statement.table
+        # Insert Light is one entity, as if manually entered in the
+        # browser; Insert Heavy a batch import via the Web Service
+        # interface.
+        table = statement.table
+        batch = HEAVY_BATCH if action is ActionClass.INSERT_HEAVY else 1
+        for _ in range(batch):
+            entity_id = next(self._next_ids[tenant_id, table])
+            insert_entity(
+                self.mtd, self.generator, tenant_id, table, entity_id, self.profile
+            )
         return table
 
     def admin(self, tenant_id: int) -> str | None:
         """Create a new instance of the 10-table CRM schema via DDL
         while the system is online."""
-        from .crm import crm_tables
-
         self._admin_instances += 1
         instance = 10_000 + self._admin_instances
         for table in crm_tables(instance):
@@ -230,11 +108,7 @@ class ActionExecutor:
         instance = self.tenant_instance[tenant_id]
         self.tenant_instance[new_tenant] = instance
         self.mtd.create_tenant(new_tenant)
-        from .crm import crm_tables
-
-        self.generator.load_tenant(
-            self.mtd, new_tenant, crm_tables(instance), self.profile
-        )
+        load_tenant(self.mtd, self.generator, new_tenant, instance, self.profile)
         self._churn_tenants.append(new_tenant)
         return None
 

@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 from ..core.api import MultiTenantDatabase
 from ..engine.database import Database
 from ..engine.pager import PageKind
-from .actions import ActionClass, ActionExecutor
-from .crm import crm_tables
-from .deck import CardDeck
+from .actions import ActionExecutor
+from .crm import ActionClass, CardDeck, VariabilityConfig, build_crm
 from .generator import DataGenerator, TenantDataProfile
 from .results import ActionResult, ResultSet, RunMetrics
 from .simtime import CostModel
-from .variability import VariabilityConfig, distribute_tenants
 from .worker import LockOverlap, Session, Worker
 
 
@@ -97,7 +95,8 @@ class Testbed:
     def __init__(self, config: TestbedConfig) -> None:
         self.config = config
         self.variability = VariabilityConfig(config.variability, config.tenants)
-        self.tenant_instance = distribute_tenants(self.variability)
+        #: tenant -> schema instance, filled by :meth:`setup`.
+        self.tenant_instance: dict[int, int] = {}
         self.mtd: MultiTenantDatabase | None = None
         self._pool_before = None
 
@@ -110,19 +109,9 @@ class Testbed:
         mtd = MultiTenantDatabase(
             layout=config.layout, db=db, **config.layout_options
         )
-        instance_tables = {}
-        for instance in range(self.variability.instances):
-            tables = crm_tables(instance)
-            instance_tables[instance] = tables
-            for table in tables:
-                mtd.define_table(table)
-        generator = DataGenerator(config.seed)
-        profile = config.data_profile
-        for tenant_id, instance in self.tenant_instance.items():
-            mtd.create_tenant(tenant_id)
-            generator.load_tenant(
-                mtd, tenant_id, instance_tables[instance], profile
-            )
+        self.tenant_instance = build_crm(
+            mtd, self.variability, config.data_profile, config.seed
+        )
         self.mtd = mtd
         return mtd
 

@@ -99,39 +99,3 @@ class DataGenerator:
         length = column.type.length or 20
         words = [rng.choice(_WORDS) for _ in range(1 + length // 24)]
         return ("-".join(words) + f"-{rng.randrange(1000)}")[:length]
-
-    def load_tenant(
-        self,
-        mtd,
-        tenant_id: int,
-        tables: list[LogicalTable],
-        profile: TenantDataProfile,
-    ) -> int:
-        """Populate every table for one tenant; returns rows inserted.
-
-        Parents are loaded before children (definition order follows the
-        DAG) so foreign keys stay consistent.
-        """
-        counts: dict[str, int] = {}
-        inserted = 0
-        for table in tables:
-            rows = profile.rows_for(table.name)
-            has_parent = table.has_column("parent")
-            parent_count = None
-            if has_parent:
-                from .crm import CRM_PARENTS
-
-                base = table.name.split("_i")[0]
-                parent_base = CRM_PARENTS.get(base)
-                if parent_base is not None:
-                    suffix = table.name[len(base):]
-                    parent_count = counts.get(parent_base + suffix, 0)
-            # Generate against the tenant's *view* so subscribed
-            # extensions receive data too.
-            logical = mtd.schema.logical_table(tenant_id, table.name)
-            for row_number in range(rows):
-                values = self.row(tenant_id, logical, row_number, parent_count)
-                mtd.insert(tenant_id, table.name, values)
-                inserted += 1
-            counts[table.name] = rows
-        return inserted

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .actions import ActionClass
+from .crm import ActionClass
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..engine.observability import CounterWindow
-from .actions import ActionClass, ActionExecutor
+from .actions import ActionExecutor
+from .crm import ActionClass
 from .simtime import CostModel
 
 

@@ -197,7 +197,7 @@ def test_dml_corpus_is_recorded_per_target_fragment(layout):
     from repro.analysis.runner import AnalysisConfig, build_testbed
     from repro.engine.sql import ast
 
-    mtd = build_testbed(layout, AnalysisConfig(tenants=2), 0.0)
+    mtd, _ = build_testbed(layout, AnalysisConfig(tenants=2), 0.0)
     verifier = make_verifier(mtd)
     for tenant_id in mtd.tenant_ids():
         for statement in dml_corpus():

@@ -474,9 +474,12 @@ def _a_torn_log_tail(path) -> list[int] | None:
 def _a_page_version_above_the_checkpoint(path) -> list[int] | None:
     _checkpointed(path).close()
     db = build(path)
-    db.transactions.begin()
-    db.execute("INSERT INTO t VALUES (100, 'uncommitted')")
-    # The page reaches the file; the insert's record stays in the buffer.
+    # A page written back between its change and the change's record
+    # (an eviction inside a statement): the page reaches the file, and
+    # the log holds nothing it could flush for it.
+    page_id = db.catalog.table("t").heap.page_ids()[0]
+    db.pool.read(page_id)
+    db.pool.mark_dirty(page_id)
     db.pool.write_back_all()
     assert [r["t"] for _, _, r in _frames(path)] == ["checkpoint"]
     del db
@@ -563,6 +566,33 @@ class TestCleanOpen:
         assert not any(_open_writes(db).values()), _open_writes(db)
         if expected is not None:
             assert ids(db) == expected
+        db.close()
+
+
+class TestWriteAheadRule:
+    """A page reaches the page file only after the record of its latest
+    change is durable.  A page is stamped with the log's end when it
+    changes, before that record is appended, so the record starts at
+    the stamp: the log must be flushed past it, not only up to it."""
+
+    def test_a_write_back_flushes_the_record_that_changed_the_page(
+        self, tmp_path
+    ):
+        _checkpointed(tmp_path).close()
+        db = build(tmp_path)
+        wal = db.durability.wal
+        assert wal.flushed_lsn == wal.end_lsn  # a clean open wrote nothing
+        db.transactions.begin()
+        db.execute("INSERT INTO t VALUES (100, 'uncommitted')")
+        assert wal.flushed_lsn < wal.end_lsn
+        db.pool.write_back_all()
+        assert db.metrics.value("db.pager.bytes_written") > 0
+        assert wal.flushed_lsn == wal.end_lsn
+        assert [r["t"] for _, _, r in _frames(tmp_path)] == ["checkpoint", "ins"]
+        del db
+        # The insert never committed: reopening undoes it.
+        db = build(tmp_path)
+        assert ids(db) == list(range(8))
         db.close()
 
 

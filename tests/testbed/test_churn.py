@@ -4,14 +4,15 @@ actions and the churn workload mix."""
 import pytest
 
 from repro.core.api import MultiTenantDatabase
-from repro.testbed.actions import (
+from repro.testbed.actions import ActionExecutor
+from repro.testbed.crm import (
     ACTION_DISTRIBUTION,
     CHURN_DISTRIBUTION,
     ActionClass,
-    ActionExecutor,
+    CardDeck,
+    crm_tables,
+    load_tenant,
 )
-from repro.testbed.crm import crm_tables
-from repro.testbed.deck import CardDeck
 from repro.testbed.generator import DataGenerator, TenantDataProfile
 
 
@@ -23,7 +24,7 @@ def executor():
     profile = TenantDataProfile(default_rows=2)
     generator = DataGenerator(seed=1)
     mtd.create_tenant(1)
-    generator.load_tenant(mtd, 1, crm_tables(), profile)
+    load_tenant(mtd, generator, 1, 0, profile)
     return ActionExecutor(mtd, profile, generator, {1: 0}, seed=3)
 
 

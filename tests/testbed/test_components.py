@@ -6,13 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine.vexecutor import ExecStats
 from repro.engine.pager import PoolStats
-from repro.testbed.actions import ActionClass
-from repro.testbed.crm import crm_tables
-from repro.testbed.deck import CardDeck
+from repro.testbed.crm import (
+    ActionClass,
+    CardDeck,
+    VariabilityConfig,
+    crm_tables,
+    distribute_tenants,
+)
 from repro.testbed.generator import DataGenerator, TenantDataProfile
 from repro.testbed.results import ActionResult, ResultSet, quantile
 from repro.testbed.simtime import CostModel
-from repro.testbed.variability import VariabilityConfig, distribute_tenants
 from repro.testbed.worker import LockOverlap, action_resources
 
 

@@ -1,5 +1,9 @@
 """Tests for the CRM schema (Figure 5) and schema instances."""
 
+import hashlib
+
+from repro.core.schema import LogicalTable
+from repro.testbed import actions
 from repro.testbed.crm import (
     CRM_PARENTS,
     CRM_TABLE_NAMES,
@@ -8,6 +12,7 @@ from repro.testbed.crm import (
     crm_tables,
     instance_table_name,
 )
+from repro.testbed.generator import DataGenerator
 
 
 class TestSchemaShape:
@@ -63,3 +68,43 @@ class TestInstances:
     def test_extensions_reference_instance_tables(self):
         for extension in crm_extensions(2):
             assert extension.base_table.endswith("_i2")
+
+
+class TestPinnedOutputs:
+    """What the end-to-end benchmark's dataset and workloads and Table 2
+    read from the model.  An edit to the model may change them only on
+    purpose, with these pins."""
+
+    def test_generator_rows(self):
+        """``DataGenerator(2008)`` rows for one tenant across all ten
+        tables, each with every extension on it."""
+        generator = DataGenerator(2008)
+        digest = hashlib.sha256()
+        for table in crm_tables():
+            columns = list(table.columns)
+            for extension in crm_extensions():
+                if extension.base_table == table.name:
+                    columns += extension.columns
+            view = LogicalTable(table.name, tuple(columns))
+            parents = 5 if table.name in CRM_PARENTS else None
+            for number in range(5):
+                row = generator.row(1, view, number, parents)
+                digest.update(repr(list(row.items())).encode())
+        assert digest.hexdigest() == (
+            "9f99bc5b81ec468ada0ab7e5317e2f1dba464bd4f6fa8273c737439714bef943"
+        )
+
+    def test_reporting_queries(self):
+        assert actions._reporting_queries("lead", "campaign") == [
+            "SELECT status, COUNT(*) AS n FROM lead GROUP BY status "
+            "ORDER BY n DESC",
+            "SELECT p.name, COUNT(*) AS n FROM campaign p, lead c "
+            "WHERE c.parent = p.id GROUP BY p.name ORDER BY n DESC LIMIT 10",
+            "SELECT p.id, SUM(c.amount) AS total FROM campaign p, lead c "
+            "WHERE c.parent = p.id GROUP BY p.id ORDER BY total DESC LIMIT 10",
+            "SELECT COUNT(*), AVG(amount) FROM lead "
+            "WHERE created > '2005-01-01'",
+            "SELECT name, score FROM lead WHERE score IS NOT NULL "
+            "ORDER BY score DESC LIMIT 20",
+        ]
+        assert actions.HEAVY_BATCH == 25

@@ -94,7 +94,7 @@ class TestEndToEnd:
 class TestTransactionalWorker:
     def test_actions_run_inside_transactions(self):
         from repro.testbed.actions import ActionClass, ActionExecutor
-        from repro.testbed.crm import crm_tables
+        from repro.testbed.crm import crm_tables, load_tenant
         from repro.testbed.generator import DataGenerator, TenantDataProfile
         from repro.testbed.simtime import CostModel
         from repro.testbed.worker import LockOverlap, Session, Worker
@@ -106,7 +106,7 @@ class TestTransactionalWorker:
         profile = TenantDataProfile(default_rows=2)
         generator = DataGenerator(seed=1)
         mtd.create_tenant(1)
-        generator.load_tenant(mtd, 1, crm_tables(), profile)
+        load_tenant(mtd, generator, 1, 0, profile)
         executor = ActionExecutor(mtd, profile, generator, {1: 0}, seed=4)
         worker = Worker(
             mtd, executor, CostModel(), LockOverlap(), transactional=True
